@@ -34,12 +34,13 @@
 //!   phase-breakdown text files for the par8 workloads into `<dir>`.
 //!
 //! The serving and training speedups (threads=1 vs threads=8 wall p50)
-//! are always recorded and printed — and on hosts with at least
-//! `--min-cores` cores (default 2) they are **asserted**: the persistent
-//! worker pool must make par8 at least break even with seq on wall p50.
-//! Single-core containers run this gate too; there the adaptive policy
-//! keeps both configs inline, the ratio is legitimately ~1, and the
-//! assertion is skipped with a note.
+//! are always recorded and printed. The full gate **asserts** them — the
+//! persistent worker pool must make par8 at least break even with seq on
+//! wall p50 — when the host can actually run the eight threads under test
+//! (`available_parallelism() >= 8`); on smaller hosts the eight workers
+//! time-share the cores, the ratio is legitimately ~1 either side, and the
+//! assertion is skipped with a note. Smoke mode never asserts a wall
+//! ratio: two repeats on a shared runner cannot resolve one.
 //!
 //! Phase attribution: the par8 workloads additionally run once under an
 //! installed [`PoolProfiler`]. Per-label task wall time (phase scopes
@@ -512,8 +513,8 @@ fn attribute(rec: &mut GateRecord, enforce: bool, run: impl FnOnce() -> Sample) 
 }
 
 /// Seq-vs-par wall-p50 ratio in thousandths, recorded on the parallel
-/// record of a workload pair. Asserted by [`enforce_speedup`] on
-/// multi-core hosts; informational on single-core ones.
+/// record of a workload pair. Asserted by [`enforce_speedup`] where the
+/// host can show it; informational elsewhere.
 fn record_speedup(pair: &mut [GateRecord]) -> f64 {
     let ratio_milli = pair[0]
         .wall_ns_p50
@@ -524,17 +525,27 @@ fn record_speedup(pair: &mut [GateRecord]) -> f64 {
     ratio_milli as f64 / 1000.0
 }
 
-/// The tentpole claim, asserted: on a host with at least `min_cores`
-/// cores, the persistent pool must make the par8 config at least break
-/// even with seq on wall p50 (`speedup >= 1.0`, i.e. par8 p50 <= seq
-/// p50). Below the floor the adaptive policy keeps both configs inline,
-/// the ratio is legitimately ~1 either way, and the gate is skipped.
-fn enforce_speedup(workload: &str, speedup: f64, min_cores: usize) {
+/// Wall threads the `*_par8` workloads run at.
+const PAR_THREADS: usize = 8;
+
+/// The persistent pool's claim, asserted by the full gate: where the host
+/// has a core for each of the [`PAR_THREADS`] threads under test, the par8
+/// config must at least break even with seq on wall p50 (`speedup >=
+/// 1.0`). With fewer cores the workers time-share them and the ratio sits
+/// within noise of 1 either side, so nothing is asserted; smoke mode (two
+/// repeats, shared runners) asserts determinism only.
+fn enforce_speedup(workload: &str, speedup: f64, smoke: bool) {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    if cores < min_cores {
-        println!("  {workload}: speedup gate skipped ({cores} core(s) < --min-cores {min_cores})");
+    if smoke {
+        println!("  {workload}: speedup not asserted (smoke mode)");
+        return;
+    }
+    if cores < PAR_THREADS {
+        println!(
+            "  {workload}: speedup not asserted ({cores} core(s) < {PAR_THREADS} threads under test)"
+        );
         return;
     }
     assert!(
@@ -678,22 +689,16 @@ fn main() {
         .position(|a| a == "--profile-out")
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from);
-    let min_cores = args
-        .iter()
-        .position(|a| a == "--min-cores")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(2);
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--smoke" | "--update" => {}
             // Flags that consume the next argument as their value.
-            "--repeats" | "--profile-out" | "--min-cores" => i += 1,
+            "--repeats" | "--profile-out" => i += 1,
             other => {
                 eprintln!(
                     "unknown flag {other}; usage: bench_gate [--smoke] [--update] \
-                     [--repeats N] [--profile-out DIR] [--min-cores N]"
+                     [--repeats N] [--profile-out DIR]"
                 );
                 std::process::exit(2);
             }
@@ -723,7 +728,7 @@ fn main() {
     );
     let speedup = record_speedup(&mut serving);
     println!("  serving wall speedup at 8 threads: {speedup:.2}x");
-    enforce_speedup("serving_par8", speedup, min_cores);
+    enforce_speedup("serving_par8", speedup, smoke);
     attribute(&mut serving[1], true, || serving_run(8));
 
     println!("serving_ivf workloads (cluster-then-probe, auto nlist/nprobe):");
@@ -808,7 +813,7 @@ fn main() {
     );
     let plane_speedup = record_speedup(&mut plane);
     println!("  plane wall speedup at 8 threads: {plane_speedup:.2}x");
-    enforce_speedup("plane_par8", plane_speedup, min_cores);
+    enforce_speedup("plane_par8", plane_speedup, smoke);
 
     println!("compute workloads:");
     let compute = vec![
@@ -832,7 +837,7 @@ fn main() {
     );
     let train_speedup = record_speedup(&mut training);
     println!("  training wall speedup at 8 threads: {train_speedup:.2}x");
-    enforce_speedup("prone_par8", train_speedup, min_cores);
+    enforce_speedup("prone_par8", train_speedup, smoke);
     attribute(&mut training[1], true, || prone_run(8));
 
     if let Some(dir) = &profile_out {

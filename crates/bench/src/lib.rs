@@ -16,6 +16,8 @@
 use omega::config::SCALED_DRAM_PER_NODE;
 use omega_graph::{datasets::default_scale, Csr, Dataset};
 use omega_hetmem::{SimDuration, Topology};
+use omega_obs::json;
+use serde::Value;
 use std::path::PathBuf;
 
 /// Simulated threads used throughout the evaluation (§IV uses 30).
@@ -168,166 +170,73 @@ impl GateRecord {
             })
             .max_by_key(|(_, was, now)| now.saturating_sub(*was))
     }
+
+    /// The record as a JSON object: optional columns are left out when
+    /// empty, and the phase breakdown nests as `{label: ns}`.
+    fn to_value(&self) -> Value {
+        let num = |key: &str, n: u64| (key.to_string(), Value::U64(n));
+        let text = |key: &str, s: &str| (key.to_string(), Value::Str(s.to_string()));
+        let mut fields = vec![
+            text("workload", &self.workload),
+            num("wall_ns_p50", self.wall_ns_p50),
+            num("wall_ns_p95", self.wall_ns_p95),
+            num("sim_ns", self.sim_ns),
+            num("bytes", self.bytes),
+            text("git_rev", &self.git_rev),
+        ];
+        fields.extend(self.speedup_milli.map(|n| num("speedup_milli", n)));
+        fields.extend(self.recall_milli.map(|n| num("recall_milli", n)));
+        if !self.phases.is_empty() {
+            let phases = self.phases.iter().map(|(label, ns)| num(label, *ns));
+            fields.push(("phases".to_string(), Value::Map(phases.collect())));
+        }
+        Value::Map(fields)
+    }
+
+    /// Read a record back; `None` unless the five measurement columns are
+    /// all present. Unknown keys are ignored, and records written before
+    /// the optional columns existed load with them empty.
+    fn from_value(v: &Value) -> Option<GateRecord> {
+        let u64_field = |key: &str| v.get(key).and_then(Value::as_u64);
+        let phases = v.get("phases").and_then(Value::as_map).unwrap_or_default();
+        Some(GateRecord {
+            workload: v.get("workload")?.as_str()?.to_string(),
+            wall_ns_p50: u64_field("wall_ns_p50")?,
+            wall_ns_p95: u64_field("wall_ns_p95")?,
+            sim_ns: u64_field("sim_ns")?,
+            bytes: u64_field("bytes")?,
+            git_rev: v
+                .get("git_rev")
+                .and_then(Value::as_str)
+                .unwrap_or_default()
+                .to_string(),
+            speedup_milli: u64_field("speedup_milli"),
+            recall_milli: u64_field("recall_milli"),
+            phases: phases
+                .iter()
+                .filter_map(|(k, ns)| Some((k.clone(), ns.as_u64()?)))
+                .collect(),
+        })
+    }
 }
 
 /// Serialise gate records as a JSON array, one object per line (the
-/// `BENCH_*.json` on-disk format). Hand-rolled: the workspace deliberately
-/// carries no JSON-serialisation dependency.
+/// `BENCH_*.json` on-disk format).
 pub fn gate_records_to_json(records: &[GateRecord]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"workload\": \"{}\", \"wall_ns_p50\": {}, \"wall_ns_p95\": {}, \
-             \"sim_ns\": {}, \"bytes\": {}, \"git_rev\": \"{}\"",
-            r.workload, r.wall_ns_p50, r.wall_ns_p95, r.sim_ns, r.bytes, r.git_rev,
-        ));
-        if let Some(speedup) = r.speedup_milli {
-            out.push_str(&format!(", \"speedup_milli\": {speedup}"));
-        }
-        if let Some(recall) = r.recall_milli {
-            out.push_str(&format!(", \"recall_milli\": {recall}"));
-        }
-        if !r.phases.is_empty() {
-            out.push_str(", \"phases\": {");
-            for (j, (name, ns)) in r.phases.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{name}\": {ns}"));
-            }
-            out.push('}');
-        }
-        out.push_str(&format!(
-            "}}{}\n",
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("]\n");
-    out
+    let lines: Vec<String> = records
+        .iter()
+        .map(|r| format!("  {}", json::to_string(&r.to_value())))
+        .collect();
+    format!("[\n{}\n]\n", lines.join(",\n"))
 }
 
-/// Split a JSON-ish document into its top-level `{...}` object slices,
-/// tracking brace depth (and strings) so nested objects — the `phases`
-/// breakdown — stay inside their record.
-fn top_level_objects(s: &str) -> Vec<&str> {
-    let mut objects = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        if in_string {
-            match c {
-                '\\' if !escaped => escaped = true,
-                '"' if !escaped => in_string = false,
-                _ => escaped = false,
-            }
-            if c != '\\' {
-                escaped = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    objects.push(&s[start..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    objects
-}
-
-/// Parse the `BENCH_*.json` format back. Tolerant field-scanner rather
-/// than a general JSON parser: objects are split on (depth-tracked)
-/// braces and each known key extracted positionally; unknown keys are
-/// ignored, and records written before the `speedup_milli`/`phases`
-/// fields existed load with those fields empty.
+/// Parse the `BENCH_*.json` format back. Anything that is not a JSON
+/// array yields no records; array elements that are not gate records are
+/// skipped.
 pub fn gate_records_from_json(s: &str) -> Vec<GateRecord> {
-    fn str_field(obj: &str, key: &str) -> Option<String> {
-        let at = obj.find(&format!("\"{key}\""))?;
-        let rest = &obj[at..];
-        let colon = rest.find(':')?;
-        let rest = rest[colon + 1..].trim_start();
-        let rest = rest.strip_prefix('"')?;
-        Some(rest[..rest.find('"')?].to_string())
-    }
-    fn u64_field(obj: &str, key: &str) -> Option<u64> {
-        let at = obj.find(&format!("\"{key}\""))?;
-        let rest = &obj[at..];
-        let colon = rest.find(':')?;
-        let digits: String = rest[colon + 1..]
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect();
-        digits.parse().ok()
-    }
-    type PhasesField = (Vec<(String, u64)>, Option<(usize, usize)>);
-    fn phases_field(obj: &str) -> PhasesField {
-        let Some(at) = obj.find("\"phases\"") else {
-            return (Vec::new(), None);
-        };
-        let Some(open_rel) = obj[at..].find('{') else {
-            return (Vec::new(), None);
-        };
-        let open = at + open_rel;
-        let Some(close_rel) = obj[open..].find('}') else {
-            return (Vec::new(), None);
-        };
-        let inner = &obj[open + 1..open + close_rel];
-        let mut phases = Vec::new();
-        for part in inner.split(',') {
-            let Some((k, v)) = part.split_once(':') else {
-                continue;
-            };
-            let name = k.trim().trim_matches('"').to_string();
-            if let Ok(ns) = v.trim().parse::<u64>() {
-                phases.push((name, ns));
-            }
-        }
-        (phases, Some((at, open + close_rel + 1)))
-    }
-    let mut records = Vec::new();
-    for obj in top_level_objects(s) {
-        // Strip the nested phases object before scanning scalar fields so
-        // a phase can never shadow a record key.
-        let (phases, phases_span) = phases_field(obj);
-        let scalars = match phases_span {
-            Some((a, b)) => format!("{}{}", &obj[..a], &obj[b..]),
-            None => obj.to_string(),
-        };
-        let obj = scalars.as_str();
-        if let (Some(workload), Some(p50), Some(p95), Some(sim), Some(bytes)) = (
-            str_field(obj, "workload"),
-            u64_field(obj, "wall_ns_p50"),
-            u64_field(obj, "wall_ns_p95"),
-            u64_field(obj, "sim_ns"),
-            u64_field(obj, "bytes"),
-        ) {
-            records.push(GateRecord {
-                workload,
-                wall_ns_p50: p50,
-                wall_ns_p95: p95,
-                sim_ns: sim,
-                bytes,
-                git_rev: str_field(obj, "git_rev").unwrap_or_default(),
-                speedup_milli: u64_field(obj, "speedup_milli"),
-                recall_milli: u64_field(obj, "recall_milli"),
-                phases,
-            });
-        }
-    }
-    records
+    let doc = json::parse(s).unwrap_or(Value::Null);
+    let records = doc.as_seq().unwrap_or_default();
+    records.iter().filter_map(GateRecord::from_value).collect()
 }
 
 /// Geometric mean of speedups, ignoring non-finite entries.
@@ -437,17 +346,24 @@ mod tests {
         ];
         let json = gate_records_to_json(&records);
         assert!(json.starts_with("[\n"));
-        assert!(json.contains(r#""workload": "serving_seq""#));
-        assert!(json.contains(r#""speedup_milli": 3250"#));
-        assert!(json.contains(r#""recall_milli": 978"#));
-        assert!(json.contains(r#""phases": {"fetch": 100, "lookup": 200"#));
+        assert_eq!(
+            json.lines().count(),
+            records.len() + 2,
+            "one record per line"
+        );
+        assert!(json.contains(r#""workload":"serving_seq""#));
+        assert!(json.contains(r#""speedup_milli":3250"#));
+        assert!(json.contains(r#""recall_milli":978"#));
+        assert!(json.contains(r#""phases":{"fetch":100,"lookup":200"#));
         // The record without phases must not gain empty trailing fields.
-        assert!(json.contains("\"git_rev\": \"abc1234\"}"));
+        assert!(json.contains("\"git_rev\":\"abc1234\"}"));
         assert_eq!(gate_records_from_json(&json), records);
-        // Tolerates reformatting and unknown keys.
+        // Tolerates reformatting (the spacing of baselines written before
+        // the shared encoder) and unknown keys.
         let loose = json
-            .replace(": ", ":")
-            .replace(r#""sim_ns":7"#, r#""extra":"x", "sim_ns": 7"#);
+            .replace(":", ": ")
+            .replace(",", ", ")
+            .replace(r#""sim_ns": 7"#, r#""extra": "x", "sim_ns": 7"#);
         assert_eq!(gate_records_from_json(&loose), records);
         assert!(gate_records_from_json("[]").is_empty());
         assert!(gate_records_from_json("not json").is_empty());
@@ -460,6 +376,26 @@ mod tests {
         assert_eq!(parsed[0].speedup_milli, None);
         assert_eq!(parsed[0].recall_milli, None);
         assert!(parsed[0].phases.is_empty());
+    }
+
+    #[test]
+    fn committed_baselines_load_and_round_trip() {
+        for (name, text, records) in [
+            ("serving", include_str!("../../../BENCH_serving.json"), 4),
+            ("plane", include_str!("../../../BENCH_plane.json"), 2),
+            ("spmm", include_str!("../../../BENCH_spmm.json"), 2),
+            ("prone", include_str!("../../../BENCH_prone.json"), 2),
+        ] {
+            let loaded = gate_records_from_json(text);
+            assert_eq!(loaded.len(), records, "BENCH_{name}.json");
+            assert!(loaded.iter().all(|r| !r.git_rev.is_empty()));
+            let rewritten = gate_records_to_json(&loaded);
+            assert_eq!(
+                gate_records_from_json(&rewritten),
+                loaded,
+                "BENCH_{name}.json"
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! and writes that format.
 
 use crate::{GraphError, Result};
-use bytes::{BufMut, BytesMut};
 use std::io::{BufReader, Read, Write};
 
 /// A raw list of (possibly weighted, possibly directed) edges.
@@ -97,15 +96,17 @@ impl EdgeList {
     /// Serialise to the `src dst weight` text format. Unit weights are
     /// omitted to keep files in the common SNAP shape.
     pub fn to_text(&self) -> String {
-        let mut out = BytesMut::with_capacity(self.edges.len() * 12);
+        use std::fmt::Write as _;
+        let mut out = String::with_capacity(self.edges.len() * 12);
         for &(s, d, w) in &self.edges {
-            if w == 1.0 {
-                out.put_slice(format!("{s}\t{d}\n").as_bytes());
+            let line = if w == 1.0 {
+                writeln!(out, "{s}\t{d}")
             } else {
-                out.put_slice(format!("{s}\t{d}\t{w}\n").as_bytes());
-            }
+                writeln!(out, "{s}\t{d}\t{w}")
+            };
+            line.expect("writing to a String cannot fail");
         }
-        String::from_utf8(out.to_vec()).expect("ascii output")
+        out
     }
 
     /// Write the text form to a writer.

@@ -5,8 +5,8 @@ use crate::device::DeviceKind;
 use crate::error::HetMemError;
 use crate::topology::{NodeId, Topology};
 use crate::Result;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A snapshot of usage for one (node, device) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,6 +64,12 @@ impl MemGovernor {
         &self.topology
     }
 
+    /// Lock the usage table. A poisoned lock is recovered: the table is
+    /// plain counters, valid after every individual update.
+    fn locked(&self) -> MutexGuard<'_, Usage> {
+        self.usage.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Reserve `bytes` of `device` on `node`.
     pub fn allocate(&self, node: NodeId, device: DeviceKind, bytes: u64) -> Result<()> {
         self.topology.check_node(node)?;
@@ -71,7 +77,7 @@ impl MemGovernor {
         if capacity == 0 && bytes > 0 {
             return Err(HetMemError::DeviceUnavailable { node, device });
         }
-        let mut usage = self.usage.lock();
+        let mut usage = self.locked();
         let used = &mut usage.used[node][device.index()];
         let available = capacity.saturating_sub(*used);
         if bytes > available {
@@ -92,7 +98,7 @@ impl MemGovernor {
     /// Release a previous reservation.
     pub fn free(&self, node: NodeId, device: DeviceKind, bytes: u64) -> Result<()> {
         self.topology.check_node(node)?;
-        let mut usage = self.usage.lock();
+        let mut usage = self.locked();
         let used = &mut usage.used[node][device.index()];
         if bytes > *used {
             return Err(HetMemError::AccountingUnderflow {
@@ -109,8 +115,7 @@ impl MemGovernor {
     /// Current usage for a (node, device).
     pub fn usage(&self, node: NodeId, device: DeviceKind) -> MemUsage {
         let used = self
-            .usage
-            .lock()
+            .locked()
             .used
             .get(node)
             .map(|u| u[device.index()])
@@ -123,8 +128,7 @@ impl MemGovernor {
 
     /// Peak usage seen so far for a (node, device).
     pub fn peak(&self, node: NodeId, device: DeviceKind) -> u64 {
-        self.usage
-            .lock()
+        self.locked()
             .peak
             .get(node)
             .map(|u| u[device.index()])
@@ -133,7 +137,7 @@ impl MemGovernor {
 
     /// Machine-wide usage of a device kind.
     pub fn total_usage(&self, device: DeviceKind) -> MemUsage {
-        let usage = self.usage.lock();
+        let usage = self.locked();
         let used = usage.used.iter().map(|u| u[device.index()]).sum();
         MemUsage {
             used,
@@ -143,17 +147,12 @@ impl MemGovernor {
 
     /// Machine-wide peak usage of a device kind.
     pub fn total_peak(&self, device: DeviceKind) -> u64 {
-        self.usage
-            .lock()
-            .peak
-            .iter()
-            .map(|u| u[device.index()])
-            .sum()
+        self.locked().peak.iter().map(|u| u[device.index()]).sum()
     }
 
     /// Reset peaks (between experiment phases).
     pub fn reset_peaks(&self) {
-        let mut usage = self.usage.lock();
+        let mut usage = self.locked();
         let snapshot = usage.used.clone();
         usage.peak = snapshot;
     }

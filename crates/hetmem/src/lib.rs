@@ -76,7 +76,7 @@ pub use error::HetMemError;
 pub use fault::{FaultAccess, FaultHook, FaultVerdict};
 pub use governor::{MemGovernor, MemReservation, MemUsage};
 pub use hetvec::{HetSlice, HetVec, Placement};
-pub use net::{Cluster, NetModel, NetworkModel};
+pub use net::{Cluster, NetModel};
 pub use policy::PlacementPolicy;
 pub use ssd::SsdModel;
 pub use stats::AccessSummary;

@@ -24,9 +24,6 @@ pub struct NetModel {
     pub latency_us: f64,
 }
 
-/// Former name of [`NetModel`], kept so existing call sites keep compiling.
-pub type NetworkModel = NetModel;
-
 impl NetModel {
     /// A 25 GbE datacenter network, typical of the paper's cluster era.
     pub fn datacenter_25gbe() -> Self {
@@ -64,7 +61,7 @@ pub struct Cluster {
     pub machines: usize,
     /// DRAM per machine, bytes.
     pub mem_per_machine: u64,
-    pub network: NetworkModel,
+    pub network: NetModel,
 }
 
 impl Cluster {
@@ -74,7 +71,7 @@ impl Cluster {
         Cluster {
             machines: 4,
             mem_per_machine,
-            network: NetworkModel::datacenter_25gbe(),
+            network: NetModel::datacenter_25gbe(),
         }
     }
 
@@ -122,7 +119,7 @@ mod tests {
 
     #[test]
     fn transfer_time_has_bandwidth_and_latency_terms() {
-        let net = NetworkModel::datacenter_25gbe();
+        let net = NetModel::datacenter_25gbe();
         let just_latency = net.transfer_time(0, 1);
         assert_eq!(just_latency.as_nanos(), 20_000);
         let one_gib = net.transfer_time(1 << 30, 0);

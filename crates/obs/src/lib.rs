@@ -8,7 +8,7 @@
 //! what the reproduction itself costs.
 //!
 //! Three pieces, zero external dependencies beyond the workspace's existing
-//! `parking_lot`/`serde`:
+//! `serde`:
 //!
 //! * **Spans** — nestable, labeled intervals (`spmm.eata_assign`,
 //!   `wofp.prefetch`, `asl.batch`, `prone.factorize`, …) on per-track
@@ -42,9 +42,9 @@ pub use metrics::{percentile_u64, Histogram, LatencyHistogram, MetricsSnapshot};
 pub use profile::{record_pool_timeline, SpanAggregate};
 
 use omega_hetmem::{SimDuration, SimInstant};
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// A `(pid, tid)` timeline in the exported trace. `pid` groups tracks (the
@@ -114,6 +114,16 @@ struct Inner {
     state: Mutex<State>,
 }
 
+impl Inner {
+    /// Lock the recorder state. A poisoned lock is recovered, not
+    /// propagated: every update leaves `State` valid at each step, so a
+    /// task that panicked mid-span cannot wedge the recorder for the rest
+    /// of the run.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// Dual-clock span + metrics recorder. Cheap to clone (an `Arc`); the
 /// default/disabled recorder turns every operation into a no-op.
 #[derive(Clone, Default)]
@@ -152,7 +162,7 @@ impl Recorder {
     /// Attach a human-readable name to a track (rendered by Perfetto).
     pub fn set_track_name(&self, track: Track, name: &str) {
         let Some(inner) = &self.inner else { return };
-        let mut st = inner.state.lock();
+        let mut st = inner.state();
         if let Some(entry) = st.track_names.iter_mut().find(|(t, _)| *t == track) {
             entry.1 = name.to_string();
         } else {
@@ -167,7 +177,7 @@ impl Recorder {
                 slot: DISABLED_SLOT,
             };
         };
-        let mut st = inner.state.lock();
+        let mut st = inner.state();
         let sim_start_ns = *st.cursors.get(&track).unwrap_or(&0);
         let depth = st
             .open
@@ -194,7 +204,7 @@ impl Recorder {
         if handle.slot == DISABLED_SLOT {
             return;
         }
-        let mut st = inner.state.lock();
+        let mut st = inner.state();
         if let Some(span) = st.open.get_mut(handle.slot) {
             span.args.push((key.to_string(), value.to_string()));
         }
@@ -212,7 +222,7 @@ impl Recorder {
         if handle.slot == DISABLED_SLOT {
             return;
         }
-        let mut st = inner.state.lock();
+        let mut st = inner.state();
         let Some(span) = st.open.get_mut(handle.slot) else {
             return;
         };
@@ -260,7 +270,7 @@ impl Recorder {
         args: Vec<(String, String)>,
     ) {
         let Some(inner) = &self.inner else { return };
-        let mut st = inner.state.lock();
+        let mut st = inner.state();
         let sim_start_ns = sim_start.as_nanos();
         let sim_end_ns = sim_start_ns + sim_dur.as_nanos();
         let cursor = st.cursors.entry(track).or_insert(0);
@@ -292,7 +302,7 @@ impl Recorder {
         args: Vec<(String, String)>,
     ) {
         let Some(inner) = &self.inner else { return };
-        let mut st = inner.state.lock();
+        let mut st = inner.state();
         let sim_start_ns = *st.cursors.get(&track).unwrap_or(&0);
         st.spans.push(SpanRecord {
             name: name.to_string(),
@@ -311,21 +321,21 @@ impl Recorder {
         let Some(inner) = &self.inner else {
             return SimInstant::EPOCH;
         };
-        let st = inner.state.lock();
+        let st = inner.state();
         SimInstant::EPOCH + SimDuration::from_nanos(*st.cursors.get(&track).unwrap_or(&0))
     }
 
     /// Advance a track's cursor without recording a span (idle gaps).
     pub fn advance(&self, track: Track, by: SimDuration) {
         let Some(inner) = &self.inner else { return };
-        let mut st = inner.state.lock();
+        let mut st = inner.state();
         *st.cursors.entry(track).or_insert(0) += by.as_nanos();
     }
 
     /// Set a track's cursor to at least `at` (aligning parallel tracks).
     pub fn align_cursor(&self, track: Track, at: SimInstant) {
         let Some(inner) = &self.inner else { return };
-        let mut st = inner.state.lock();
+        let mut st = inner.state();
         let cursor = st.cursors.entry(track).or_insert(0);
         *cursor = (*cursor).max(at.as_nanos());
     }
@@ -334,25 +344,25 @@ impl Recorder {
 
     pub fn counter_add(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
-            inner.state.lock().registry.counter_add(name, delta);
+            inner.state().registry.counter_add(name, delta);
         }
     }
 
     pub fn counter_set(&self, name: &str, value: u64) {
         if let Some(inner) = &self.inner {
-            inner.state.lock().registry.counter_set(name, value);
+            inner.state().registry.counter_set(name, value);
         }
     }
 
     pub fn gauge_set(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            inner.state.lock().registry.gauge_set(name, value);
+            inner.state().registry.gauge_set(name, value);
         }
     }
 
     pub fn observe(&self, name: &str, value: f64) {
         if let Some(inner) = &self.inner {
-            inner.state.lock().registry.observe(name, value);
+            inner.state().registry.observe(name, value);
         }
     }
 
@@ -362,7 +372,7 @@ impl Recorder {
     pub fn spans(&self) -> Vec<SpanRecord> {
         match &self.inner {
             None => Vec::new(),
-            Some(inner) => inner.state.lock().spans.clone(),
+            Some(inner) => inner.state().spans.clone(),
         }
     }
 
@@ -370,7 +380,7 @@ impl Recorder {
     pub fn track_names(&self) -> Vec<(Track, String)> {
         match &self.inner {
             None => Vec::new(),
-            Some(inner) => inner.state.lock().track_names.clone(),
+            Some(inner) => inner.state().track_names.clone(),
         }
     }
 
@@ -378,7 +388,7 @@ impl Recorder {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         match &self.inner {
             None => MetricsSnapshot::default(),
-            Some(inner) => inner.state.lock().registry.snapshot(),
+            Some(inner) => inner.state().registry.snapshot(),
         }
     }
 
@@ -423,6 +433,25 @@ mod tests {
         assert!(rec.spans().is_empty());
         assert_eq!(rec.metrics_snapshot(), MetricsSnapshot::default());
         assert_eq!(rec.cursor(Track::MAIN), SimInstant::EPOCH);
+    }
+
+    /// A thread that panics while holding the recorder's lock poisons it;
+    /// the recorder recovers the guard and keeps recording.
+    #[test]
+    fn panic_under_the_lock_does_not_wedge_the_recorder() {
+        let rec = Recorder::enabled();
+        rec.counter_add("c", 1);
+        let inner = rec.inner.clone().expect("enabled recorder");
+        let poisoner = std::thread::spawn(move || {
+            let _held = inner.state();
+            panic!("task panicked mid-update");
+        });
+        assert!(poisoner.join().is_err());
+        rec.counter_add("c", 2);
+        let span = rec.begin("after", Track::MAIN);
+        rec.end(span, Some(SimDuration::from_nanos(7)));
+        assert_eq!(rec.metrics_snapshot().counter("c"), Some(3));
+        assert_eq!(rec.spans().len(), 1);
     }
 
     #[test]

@@ -69,7 +69,7 @@ use crate::router::Ring;
 use omega_embed::Embedding;
 use omega_hetmem::{MemSystem, NetModel, SimDuration};
 use omega_obs::{LatencyHistogram, Recorder, Track};
-use omega_serve::{pool, EmbedServer, Request, RequestKind, ServeConfig};
+use omega_serve::{EmbedServer, Request, RequestKind, ServeConfig};
 
 /// Simulated wire size of one routed request (ids, kind, deadline, tenant).
 const REQ_BYTES: u64 = 32;
@@ -216,6 +216,27 @@ impl PlaneStats {
         self.offered == self.admitted + self.rejected_quota + self.rejected_queue
             && self.admitted == self.completed + self.degraded + self.dropped
             && self.degraded == self.degraded_reduced_k + self.degraded_to_get
+    }
+
+    /// The aggregate of per-tenant tallies: the run loop counts every
+    /// event once, against its tenant, and the global view is their sum.
+    fn sum(per_tenant: &[PlaneStats]) -> PlaneStats {
+        let mut total = PlaneStats::default();
+        for t in per_tenant {
+            total.offered += t.offered;
+            total.admitted += t.admitted;
+            total.rejected_quota += t.rejected_quota;
+            total.rejected_queue += t.rejected_queue;
+            total.completed += t.completed;
+            total.degraded += t.degraded;
+            total.degraded_reduced_k += t.degraded_reduced_k;
+            total.degraded_to_get += t.degraded_to_get;
+            total.dropped += t.dropped;
+            total.hedged_routes += t.hedged_routes;
+            total.rerouted_outage += t.rerouted_outage;
+            total.slo_miss += t.slo_miss;
+        }
+        total
     }
 }
 
@@ -753,9 +774,8 @@ impl RequestPlane {
                 ivf_half_nprobe,
             })
             .collect();
-        pool::prime_task_estimate("plane.lane", LANE_TASK_EST_NS);
+        omega_par::prime_task_estimate("plane.lane", LANE_TASK_EST_NS);
 
-        let mut stats = PlaneStats::default();
         let mut per_tenant = vec![PlaneStats::default(); tenants.len()];
         let mut latency = LatencyHistogram::new();
         let mut queue_wait = LatencyHistogram::new();
@@ -777,8 +797,8 @@ impl RequestPlane {
                 ai += 1;
                 let now = req.arrival_ns;
                 let ti = req.tenant as usize;
-                stats.offered += 1;
-                per_tenant[ti].offered += 1;
+                let tally = &mut per_tenant[ti];
+                tally.offered += 1;
 
                 // Route by the node's shard so one shard's traffic always
                 // hits the same hot cache. A primary inside an outage
@@ -798,8 +818,7 @@ impl RequestPlane {
                     {
                         Some(r) => {
                             replica = r as usize;
-                            stats.rerouted_outage += 1;
-                            per_tenant[ti].rerouted_outage += 1;
+                            tally.rerouted_outage += 1;
                         }
                         None => any_alive = false,
                     }
@@ -823,36 +842,24 @@ impl RequestPlane {
                             let wait_s = gauges[succ].est_wait(now);
                             if wait_s + hop < wait_p {
                                 replica = succ;
-                                stats.hedged_routes += 1;
-                                per_tenant[ti].hedged_routes += 1;
+                                tally.hedged_routes += 1;
                             }
                         }
                     }
                 }
 
-                if !any_alive {
-                    // Every replica is down: the request has nowhere to
-                    // queue. Spend the quota token (the request was
-                    // offered) and shed it as a queue rejection.
-                    let verdict = admission.admit(ti, req.priority, now, usize::MAX);
-                    match verdict {
-                        Verdict::RejectedQuota => {
-                            stats.rejected_quota += 1;
-                            per_tenant[ti].rejected_quota += 1;
-                        }
-                        _ => {
-                            stats.rejected_queue += 1;
-                            per_tenant[ti].rejected_queue += 1;
-                        }
-                    }
-                    continue;
-                }
-
-                match admission.admit(ti, req.priority, now, gauges[replica].vdepth) {
+                // With every replica down the request has nowhere to
+                // queue: an unbounded depth spends the quota token (the
+                // request was offered) and sheds it as a queue rejection.
+                let depth = if any_alive {
+                    gauges[replica].vdepth
+                } else {
+                    usize::MAX
+                };
+                match admission.admit(ti, req.priority, now, depth) {
                     Verdict::Admitted => {
-                        stats.admitted += 1;
-                        per_tenant[ti].admitted += 1;
-                        rec.observe("plane.queue.depth", gauges[replica].vdepth as f64);
+                        tally.admitted += 1;
+                        rec.observe("plane.queue.depth", depth as f64);
                         gauges[replica].vdepth += 1;
                         gauges[replica].backlog_ns += gauges[replica].price(req.request.kind);
                         if let Some(tr) = trace.as_deref_mut() {
@@ -860,14 +867,8 @@ impl RequestPlane {
                         }
                         lanes[replica].queue.push(Queued { seq, req });
                     }
-                    Verdict::RejectedQuota => {
-                        stats.rejected_quota += 1;
-                        per_tenant[ti].rejected_quota += 1;
-                    }
-                    Verdict::RejectedQueue => {
-                        stats.rejected_queue += 1;
-                        per_tenant[ti].rejected_queue += 1;
-                    }
+                    Verdict::RejectedQuota => tally.rejected_quota += 1,
+                    Verdict::RejectedQueue => tally.rejected_queue += 1,
                 }
             }
 
@@ -875,9 +876,9 @@ impl RequestPlane {
             // Each lane reads only its own state; the pool's inline
             // fallback on small hosts executes the same code in replica
             // order, so results are identical either way.
-            pool::phase_scope("plane.round", || {
+            omega_par::phase_scope("plane.round", || {
                 let lane_slots: Vec<&mut [ReplicaLane<'_>]> = lanes.chunks_mut(1).collect();
-                pool::for_each_chunk_labeled("plane.lane", threads, lane_slots, |_, lane| {
+                omega_par::for_each_chunk_labeled("plane.lane", threads, lane_slots, |_, lane| {
                     lane[0].run_until(limit);
                 });
             });
@@ -896,33 +897,24 @@ impl RequestPlane {
             }
             round_events.sort_unstable_by_key(|e| (e.event_ns, e.replica, e.seq));
             for e in &round_events {
-                let ti = e.tenant as usize;
+                let tally = &mut per_tenant[e.tenant as usize];
                 match e.outcome {
-                    Outcome::Completed => {
-                        stats.completed += 1;
-                        per_tenant[ti].completed += 1;
-                    }
+                    Outcome::Completed => tally.completed += 1,
                     Outcome::DegradedReducedK => {
-                        stats.degraded += 1;
-                        stats.degraded_reduced_k += 1;
-                        per_tenant[ti].degraded += 1;
-                        per_tenant[ti].degraded_reduced_k += 1;
+                        tally.degraded += 1;
+                        tally.degraded_reduced_k += 1;
                     }
                     Outcome::DegradedToGet => {
-                        stats.degraded += 1;
-                        stats.degraded_to_get += 1;
-                        per_tenant[ti].degraded += 1;
-                        per_tenant[ti].degraded_to_get += 1;
+                        tally.degraded += 1;
+                        tally.degraded_to_get += 1;
                     }
                     Outcome::Dropped => {
-                        stats.dropped += 1;
-                        per_tenant[ti].dropped += 1;
+                        tally.dropped += 1;
                         continue;
                     }
                 }
                 if e.slo_miss {
-                    stats.slo_miss += 1;
-                    per_tenant[ti].slo_miss += 1;
+                    tally.slo_miss += 1;
                 }
                 end_ns = end_ns.max(e.event_ns);
                 latency.record(e.latency_ns);
@@ -939,7 +931,7 @@ impl RequestPlane {
         drop(lanes);
 
         let report = PlaneReport {
-            stats,
+            stats: PlaneStats::sum(&per_tenant),
             per_tenant,
             latency,
             queue_wait,

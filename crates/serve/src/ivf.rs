@@ -5,7 +5,7 @@
 //!
 //! ## Determinism contract
 //!
-//! The build is a pure function of `(embedding, metric, nlist, seed)`:
+//! The build is a pure function of `(embedding, nlist, seed)`:
 //!
 //! * **Init** — a partial Fisher–Yates shuffle driven by a splitmix64
 //!   stream picks `nlist` distinct seed rows.
@@ -31,10 +31,9 @@
 //! list streams through the hetmem cost model and is fault-injectable
 //! exactly like a shard scan.
 
-use crate::pool;
-use crate::server::ServeConfig;
+use crate::config::{ServeConfig, HOT, METRIC};
 use omega_embed::{Embedding, Metric, TopK};
-use omega_hetmem::{HetVec, MemSystem, ThreadMem};
+use omega_hetmem::{HetVec, MemSystem};
 
 /// Fixed k-means refinement rounds. A constant (not a knob): recall is
 /// steered by `nprobe`, and a fixed iteration count keeps builds
@@ -136,17 +135,11 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// Returns the per-row centroid ids in row order — byte-identical at any
 /// wall-thread count because blocks are fixed and results concatenate in
 /// block order.
-fn assign_rows(
-    emb: &Embedding,
-    centroids: &[f32],
-    nlist: usize,
-    metric: Metric,
-    threads: usize,
-) -> Vec<u32> {
+fn assign_rows(emb: &Embedding, centroids: &[f32], nlist: usize, threads: usize) -> Vec<u32> {
     let d = emb.dim();
     let n = emb.nodes() as usize;
     let blocks = n.div_ceil(ASSIGN_BLOCK_ROWS);
-    let per_block = pool::run_labeled(
+    let per_block = omega_par::run_labeled(
         "serve.ivf.assign",
         threads,
         blocks,
@@ -156,7 +149,7 @@ fn assign_rows(
             let mut out = Vec::with_capacity(hi - lo);
             for v in lo..hi {
                 let row = &emb.data()[v * d..(v + 1) * d];
-                metric.scores_into(row, centroids, d, scores);
+                METRIC.scores_into(row, centroids, d, scores);
                 let mut best = 0usize;
                 for c in 1..nlist {
                     if scores[c].total_cmp(&scores[best]) == std::cmp::Ordering::Greater {
@@ -209,7 +202,7 @@ impl IvfIndex {
         // accumulation, empty clusters keep their previous centroid.
         let mut assign = vec![0u32; n];
         for _ in 0..KMEANS_ITERS {
-            assign = assign_rows(emb, &centroids, nlist, cfg.metric, cfg.threads);
+            assign = assign_rows(emb, &centroids, nlist, cfg.threads);
             let mut sums = vec![0f64; nlist * d];
             let mut counts = vec![0u64; nlist];
             for (v, &c) in assign.iter().enumerate() {
@@ -254,18 +247,14 @@ impl IvfIndex {
             }
         }
 
-        let centroids = sys.alloc_from(cfg.hot_placement(), centroids)?;
+        let centroids = sys.alloc_from(HOT, centroids)?;
         let mut lists = Vec::with_capacity(nlist);
         for (c, ids) in ids.into_iter().enumerate() {
             let mut rows = Vec::with_capacity(ids.len() * d);
             for &v in &ids {
                 rows.extend_from_slice(emb.vector(v));
             }
-            let placement = if hot[c] {
-                cfg.hot_placement()
-            } else {
-                cfg.cold
-            };
+            let placement = if hot[c] { HOT } else { cfg.cold };
             lists.push(IvfList {
                 ids,
                 rows: sys.alloc_from(placement, rows)?,
@@ -312,23 +301,10 @@ impl IvfIndex {
         self.centroids.size_bytes()
     }
 
-    /// Uncharged view of the centroids (tests and digesting; the serving
-    /// path charges the scan before scoring).
-    #[inline]
-    pub fn centroids_raw(&self) -> &[f32] {
-        self.centroids.raw()
-    }
-
     /// Member node ids of list `c`, ascending.
     #[inline]
     pub fn list_ids(&self, c: usize) -> &[u32] {
         &self.lists[c].ids
-    }
-
-    /// Payload bytes of list `c`'s rows.
-    #[inline]
-    pub fn list_bytes(&self, c: usize) -> u64 {
-        self.lists[c].rows.size_bytes()
     }
 
     /// Whether list `c` was placed in DRAM by the hot budget.
@@ -348,22 +324,10 @@ impl IvfIndex {
         self.lists.iter().filter(|l| l.ids.is_empty()).count()
     }
 
-    /// Uncharged raw rows of list `c` (replica fallback and tests; probes
-    /// go through [`IvfIndex::try_read_list`]).
+    /// List `c`'s rows as the placed, charged buffer a probe leg streams.
     #[inline]
-    pub fn list_raw(&self, c: usize) -> &[f32] {
-        self.lists[c].rows.raw()
-    }
-
-    /// Charged, fault-injectable stream of list `c`'s rows from wherever
-    /// the list was placed.
-    pub fn try_read_list<'a>(
-        &'a self,
-        c: usize,
-        ctx: &mut ThreadMem,
-    ) -> omega_hetmem::Result<&'a [f32]> {
-        let rows = &self.lists[c].rows;
-        rows.try_read_block(0..rows.len(), ctx)
+    pub(crate) fn list_rows(&self, c: usize) -> &HetVec<f32> {
+        &self.lists[c].rows
     }
 
     /// The `nprobe` best lists for `query` (highest centroid score, ties

@@ -20,10 +20,13 @@
 //!   resident and scans cannot flush it.
 //! * [`EmbedServer`] — the engine: coalesces each batch's misses into one
 //!   fetch per distinct shard, fans per-shard work (fetches, point
-//!   lookups, top-k shard scans) out on a scoped worker pool sized by
-//!   [`ServeConfig::threads`], answers strictly in arrival order, and
-//!   charges every byte (cold fetch, DRAM staging, row serve, top-k scan)
-//!   to the simulated clock. Thread count is a pure wall-clock knob —
+//!   lookups, top-k legs) out on the persistent `omega-par` worker pool at
+//!   the width [`ServeConfig::threads`] asks for, answers strictly in
+//!   arrival order, and charges every byte (cold fetch, DRAM staging, row
+//!   serve, top-k scan) to the simulated clock. One resolver answers every
+//!   failed cold read (retry → hedge → degrade), one leg streams and
+//!   scores a row block for exact scans and IVF probes alike, and one
+//!   ledger ([`ServeStats`]) counts it. Thread count is a pure wall-clock knob —
 //!   simulated clocks, metrics and results are byte-identical at every
 //!   value. Spans `serve.batch` / `serve.fetch` / `serve.lookup` /
 //!   `serve.topk` / `serve.shard.parallel` and `serve.cache.*` counters
@@ -57,19 +60,19 @@
 //! ```
 
 mod cache;
+mod config;
+mod fetch;
 mod ivf;
 mod server;
+mod stats;
 mod store;
+mod topk;
 mod workload;
 
 pub use cache::{HotCache, InsertOutcome};
+pub use config::ServeConfig;
 pub use ivf::{auto_nlist, default_nprobe, IndexMode, IvfIndex};
-/// The scoped worker pool the per-shard batch work runs on. Re-exported
-/// from [`omega_par`] — one pool implementation serves the serving, SpMM,
-/// dense-kernel and walk paths alike.
-pub use omega_par as pool;
-pub use server::{
-    BatchResult, EmbedServer, Response, ServeConfig, ServeReport, ServeSignals, ServeStats,
-};
+pub use server::{BatchResult, EmbedServer, Response};
+pub use stats::{ServeReport, ServeSignals, ServeStats};
 pub use store::ShardedStore;
 pub use workload::{Popularity, Request, RequestKind, RequestStream, WorkloadConfig};

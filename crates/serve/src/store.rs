@@ -4,7 +4,7 @@
 //! (simulated) price of pulling a shard across the memory hierarchy.
 
 use omega_embed::Embedding;
-use omega_hetmem::{AccessPattern, HetVec, MemSystem, Placement, ThreadMem};
+use omega_hetmem::{HetVec, MemSystem, Placement, ThreadMem};
 use std::ops::Range;
 
 /// Row-block shards of an embedding table, resident on a cold device.
@@ -109,16 +109,9 @@ impl ShardedStore {
     }
 
     /// Read a whole shard from the cold tier as one streamed block,
-    /// charging the access to `ctx`.
-    pub fn read_shard(&self, sid: usize, ctx: &mut ThreadMem) -> &[f32] {
-        let shard = &self.shards[sid];
-        shard.read_block(0..shard.len(), ctx)
-    }
-
-    /// Fallible variant of [`ShardedStore::read_shard`]: charges the
-    /// attempt identically (a failed stream still moved its bytes), then
-    /// surfaces any fault the active plan injected. Never fails without an
-    /// installed fault plan.
+    /// charging the access to `ctx` (a failed stream still moved its
+    /// bytes), then surface any fault the active plan injected. Never
+    /// fails without an installed fault plan.
     pub fn try_read_shard(&self, sid: usize, ctx: &mut ThreadMem) -> omega_hetmem::Result<&[f32]> {
         let shard = &self.shards[sid];
         shard.try_read_block(0..shard.len(), ctx)
@@ -130,16 +123,10 @@ impl ShardedStore {
         (node as usize % self.rows_per_shard) * self.dim
     }
 
-    /// Read one row straight from the cold tier as a random access
-    /// (the unbatched path; the batcher prefers [`ShardedStore::read_shard`]).
-    pub fn read_row(&self, node: u32, ctx: &mut ThreadMem) -> &[f32] {
-        debug_assert!(self.contains(node));
-        let shard = &self.shards[self.shard_of(node)];
-        let off = self.row_offset(node);
-        // One random access of a full row.
-        let _ = shard.get(off, AccessPattern::Rand, ctx);
-        // `get` charged element-granularity; top up to the row payload.
-        &shard.raw()[off..off + self.dim]
+    /// Shard `sid` as the placed, charged buffer a top-k leg streams.
+    #[inline]
+    pub(crate) fn shard(&self, sid: usize) -> &HetVec<f32> {
+        &self.shards[sid]
     }
 
     /// Uncharged raw view of a shard (result extraction and query-vector
@@ -187,21 +174,12 @@ mod tests {
         let e = emb(8, 2);
         let store = ShardedStore::build(&s, &e, 4, Placement::node(0, DeviceKind::Pm)).unwrap();
         let mut ctx = s.thread_ctx_on(0);
-        let block = store.read_shard(1, &mut ctx);
+        let block = store.try_read_shard(1, &mut ctx).unwrap();
         assert_eq!(block.len(), 8);
         assert_eq!(block[0], 8.0); // row 4 starts the second shard
         let summary = omega_hetmem::AccessSummary::from_counters(ctx.counters());
         assert_eq!(summary.pm_bytes, 4 * 2 * 4);
         assert_eq!(summary.read_bytes, summary.total_bytes);
-    }
-
-    #[test]
-    fn read_row_returns_exact_row() {
-        let s = sys();
-        let e = emb(10, 3);
-        let store = ShardedStore::build(&s, &e, 4, Placement::node(0, DeviceKind::Pm)).unwrap();
-        let mut ctx = s.thread_ctx_on(0);
-        assert_eq!(store.read_row(7, &mut ctx), e.vector(7));
     }
 
     #[test]

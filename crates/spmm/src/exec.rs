@@ -23,10 +23,9 @@ use omega_hetmem::{
 };
 use omega_linalg::DenseMatrix;
 use omega_obs::{Recorder, Track};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Which devices hold the operands (the paper's configurations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -346,7 +345,13 @@ impl SpmmEngine {
     /// Merged traffic counters of every `spmm` call so far on this engine
     /// and its clones.
     pub fn lifetime_counters(&self) -> ClassCounters {
-        self.lifetime.lock().clone()
+        self.lifetime().clone()
+    }
+
+    /// Lock the lifetime ledger. A poisoned lock is recovered: the ledger
+    /// is plain counters, valid after every individual merge.
+    fn lifetime(&self) -> MutexGuard<'_, ClassCounters> {
+        self.lifetime.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub fn system(&self) -> &MemSystem {
@@ -772,7 +777,7 @@ impl SpmmEngine {
             rec.counter_add("fault.injected", degraded_chunks);
             rec.counter_add("serve.degraded", degraded_chunks);
         }
-        self.lifetime.lock().merge(&merged);
+        self.lifetime().merge(&merged);
 
         Ok(SpmmRun {
             result,

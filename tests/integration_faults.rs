@@ -14,7 +14,7 @@ use omega_hetmem::{DeviceKind, MemSystem, Placement, Topology};
 use omega_obs::{Recorder, Track};
 use omega_serve::{
     EmbedServer, IndexMode, Popularity, Request, RequestKind, RequestStream, Response, ServeConfig,
-    WorkloadConfig,
+    ServeStats, WorkloadConfig,
 };
 
 const DIM: usize = 8;
@@ -308,6 +308,67 @@ fn retry_budget_bounds_attempts() {
         st.faults_injected,
         st.faults_retried + st.hedges_won + st.degraded
     );
+}
+
+/// Every [`ServeStats`] column, in declaration order — the field-for-field
+/// view the window test below subtracts.
+fn ledger(st: &ServeStats) -> [u64; 21] {
+    [
+        st.requests,
+        st.lookups,
+        st.topks,
+        st.batches,
+        st.hits,
+        st.misses,
+        st.fetches,
+        st.evictions,
+        st.admission_rejects,
+        st.cold_read_bytes,
+        st.dram_read_bytes,
+        st.dram_write_bytes,
+        st.faults_injected,
+        st.faults_retried,
+        st.hedges_won,
+        st.degraded,
+        st.ivf_queries,
+        st.ivf_probes,
+        st.ivf_centroid_bytes,
+        st.ivf_dram_bytes,
+        st.ivf_cold_bytes,
+    ]
+}
+
+/// A run reports its own window: on a server that has already served, the
+/// second report's stats are exactly the lifetime ledger after minus the
+/// lifetime ledger before, column by column — under a plan that moves the
+/// fault columns, through the IVF path so those columns move too.
+#[test]
+fn second_run_reports_only_its_own_window() {
+    let emb = embedding(300, 4);
+    let sys = install_plan(
+        &system(),
+        FaultPlanSpec::new(plan_seed()).with_transient(DeviceKind::Pm, 0.5, 3_000),
+    );
+    let cfg = config(2)
+        .index(IndexMode::Ivf {
+            nlist: 8,
+            nprobe: 4,
+        })
+        .ivf_hot_bytes(0);
+    let mut srv = EmbedServer::new(&sys, &emb, cfg).unwrap();
+    let mut load = RequestStream::new(
+        WorkloadConfig::lookups(300, Popularity::Zipf { s: 1.0 }, 13).with_topk(0.1, 5),
+    );
+    let first = srv.run(&mut load, 400);
+    assert_eq!(ledger(&first.stats), ledger(srv.stats()), "first window");
+    let before = ledger(srv.stats());
+    let second = srv.run(&mut load, 700);
+    let after = ledger(srv.stats());
+    let window: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+    assert_eq!(ledger(&second.stats).as_slice(), window.as_slice());
+    assert_eq!(second.stats.requests, 700);
+    assert!(second.stats.faults_injected > 0, "50% transients must fire");
+    assert!(second.stats.ivf_probes > 0 && second.stats.ivf_cold_bytes > 0);
 }
 
 /// The full fault schedule is a pure function of (plan seed, workload seed):
