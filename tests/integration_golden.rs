@@ -247,3 +247,115 @@ fn parallel_faulted_serve_metrics_match_golden() {
         );
     }
 }
+
+/// One line per (topology, fault plan, engine configuration) of a single
+/// fixed-seed SpMM: everything the executor's accounting decides.
+///
+/// The ProNE goldens above only ever run the default heterogeneous
+/// configuration; this matrix pins every placement, allocation, prefetch
+/// and streaming branch — on a two-socket machine whose DRAM is small
+/// enough that ASL needs several batches, and on a single-node one — both
+/// clean and under a transient PM fault plan that forces degraded re-runs.
+fn spmm_matrix() -> String {
+    use omega_spmm::{AllocScheme, MemMode, SpmmConfig, SpmmEngine, WofpConfig};
+    let csr = RmatConfig::social(512, 4_000, 77).generate_csr().unwrap();
+    let a = omega_graph::Csdb::from_csr(&csr).unwrap();
+    let b = omega::linalg::gaussian_matrix(512, 16, 2);
+    let configs = [
+        ("omega", SpmmConfig::omega(4)),
+        ("omega_dram", SpmmConfig::omega_dram(4)),
+        ("omega_pm", SpmmConfig::omega_pm(4)),
+        (
+            "rr_no_nadp",
+            SpmmConfig::omega(4)
+                .with_alloc(AllocScheme::RoundRobin)
+                .with_nadp(false),
+        ),
+        ("wata", SpmmConfig::omega(4).with_alloc(AllocScheme::WaTA)),
+        ("no_wofp", SpmmConfig::omega(4).with_wofp(None)),
+        ("no_nadp", SpmmConfig::omega(4).with_nadp(false)),
+        ("no_asl", SpmmConfig::omega(4).with_asl(None)),
+        (
+            "sparse_pm_dense_dram",
+            SpmmConfig {
+                mode: MemMode::SparsePmDenseDram,
+                ..SpmmConfig::omega(4)
+            },
+        ),
+        // Degree-ranked prefetching with streaming off: the one setting
+        // that stages columns a workload never references.
+        (
+            "degree_wofp_no_asl",
+            SpmmConfig::omega(4)
+                .with_wofp(Some(WofpConfig {
+                    eta: 1.0,
+                    sigma: 0.1,
+                }))
+                .with_asl(None),
+        ),
+    ];
+    let dram = 160 << 10;
+    let topologies = [
+        ("2node", Topology::paper_machine_scaled(dram)),
+        ("1node", Topology::single_node(36, dram, dram * 8).unwrap()),
+    ];
+    let mut out = String::new();
+    for (topo_name, topo) in &topologies {
+        for faulted in [false, true] {
+            for (name, cfg) in &configs {
+                let sys = MemSystem::new(topo.clone());
+                let sys = if faulted {
+                    let spec = FaultPlanSpec::new(1729).with_transient(DeviceKind::Pm, 0.05, 3_000);
+                    install_plan(&sys, spec)
+                } else {
+                    sys
+                };
+                let engine = SpmmEngine::new(sys, *cfg).unwrap().with_wall_threads(2);
+                let head =
+                    format!(r#"{{"topology":"{topo_name}","faulted":{faulted},"config":"{name}""#);
+                let run = match engine.spmm(&a, &b) {
+                    Ok(run) => run,
+                    Err(e) => {
+                        out.push_str(&format!("{head},\"error\":\"{e}\"}}\n"));
+                        continue;
+                    }
+                };
+                let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+                for x in run.result.data() {
+                    for byte in x.to_bits().to_le_bytes() {
+                        fnv ^= byte as u64;
+                        fnv = fnv.wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+                let threads: Vec<String> = run
+                    .thread_times
+                    .iter()
+                    .map(|t| t.as_nanos().to_string())
+                    .collect();
+                out.push_str(&format!(
+                    "{head},\"makespan_ns\":{},\"alloc_ns\":{},\"thread_ns\":[{}],\
+                     \"bytes\":{},\"accesses\":{},\"dense_fetches\":{},\"prefetch_hits\":{},\
+                     \"prefetch_misses\":{},\"wasted_prefetches\":{},\"degraded_chunks\":{},\
+                     \"result_fnv\":\"{fnv:016x}\"}}\n",
+                    run.makespan.as_nanos(),
+                    run.alloc_time.as_nanos(),
+                    threads.join(","),
+                    run.counters.total_bytes(),
+                    run.counters.total_accesses(),
+                    run.dense_fetches,
+                    run.prefetch_hits,
+                    run.prefetch_misses,
+                    run.wasted_prefetches,
+                    run.degraded_chunks,
+                ));
+            }
+        }
+    }
+    out
+}
+
+/// Guard for executor refactors: the matrix above, byte-for-byte.
+#[test]
+fn spmm_matrix_matches_golden() {
+    assert_golden("spmm_matrix.jsonl", &spmm_matrix());
+}
