@@ -9,7 +9,7 @@
 //! re-localises the filtered signal.
 
 use crate::laplacian::{adjacency_plus_identity, modulated_rw_laplacian, to_csdb};
-use crate::tsvd::dense_cost;
+use crate::tsvd::SpmmMeter;
 use crate::Result;
 use omega_graph::convert::{permute_vec, unpermute_rows_row_major};
 use omega_graph::{Csdb, Csr};
@@ -104,9 +104,7 @@ pub fn propagate(
         });
     }
 
-    let mut spmm_time = SimDuration::ZERO;
-    let mut dense_time = SimDuration::ZERO;
-    let mut spmm_count = 0usize;
+    let mut meter = SpmmMeter::default();
 
     // Operators in their CSDB (permuted) spaces. M = (1−μ)I − D⁻¹(A+I) and
     // A+I share the same structure, hence the same degree permutation.
@@ -116,13 +114,6 @@ pub fn propagate(
 
     // X into M̂'s permuted space.
     let x = permute_matrix(&m_hat, x_original);
-
-    let mut run = |a: &Csdb, b: &DenseMatrix| -> Result<DenseMatrix> {
-        let out = engine.spmm(a, b)?;
-        spmm_time += out.makespan;
-        spmm_count += 1;
-        Ok(out.result)
-    };
 
     let theta = cfg.theta as f64;
 
@@ -136,8 +127,8 @@ pub fn propagate(
 
     // Lx1 = 0.5·M·(M·x) − x.
     let mut lx0 = x.clone();
-    let t = run(&m_hat, &x)?;
-    let mut lx1 = run(&m_hat, &t)?;
+    let t = meter.spmm(engine, &m_hat, &x)?;
+    let mut lx1 = meter.spmm(engine, &m_hat, &t)?;
     phase_scope("combine", || -> Result<()> {
         scale_threads(&mut lx1, 0.5, wt);
         axpy_threads(&mut lx1, -1.0, &x, wt)?;
@@ -156,8 +147,8 @@ pub fn propagate(
 
     for i in 2..cfg.order {
         // Lx2 = (M·(M·Lx1) − 2·Lx1) − Lx0.
-        let t = run(&m_hat, &lx1)?;
-        let mut lx2 = run(&m_hat, &t)?;
+        let t = meter.spmm(engine, &m_hat, &lx1)?;
+        let mut lx2 = meter.spmm(engine, &m_hat, &t)?;
         phase_scope("combine", || -> Result<()> {
             axpy_threads(&mut lx2, -2.0, &lx1, wt)?;
             axpy_threads(&mut lx2, -1.0, &lx0, wt)?;
@@ -167,7 +158,7 @@ pub fn propagate(
             axpy_threads(&mut conv, 1.0, &term, wt)?;
             Ok(())
         })?;
-        dense_time += dense_cost(engine, 6 * (n * d) as u64);
+        meter.dense(engine, 6 * (n * d) as u64);
         lx0 = lx1;
         lx1 = lx2;
     }
@@ -175,19 +166,19 @@ pub fn propagate(
     // mm = (A+I)·(x − conv), then SVD-based re-embedding.
     let mut filtered = x;
     phase_scope("combine", || axpy_threads(&mut filtered, -1.0, &conv, wt))?;
-    dense_time += dense_cost(engine, 2 * (n * d) as u64);
+    meter.dense(engine, 2 * (n * d) as u64);
     let filtered_original = unpermute_matrix(&m_hat, &filtered);
     let filtered_a1 = permute_matrix(&a1_csdb, &filtered_original);
-    let mm = run(&a1_csdb, &filtered_a1)?;
+    let mm = meter.spmm(engine, &a1_csdb, &filtered_a1)?;
     let mm_original = unpermute_matrix(&a1_csdb, &mm);
     let embedding = phase_scope("combine", || dense_embedding(&mm_original, wt))?;
-    dense_time += dense_cost(engine, 12 * (n * d * d) as u64);
+    meter.dense(engine, 12 * (n * d * d) as u64);
 
     Ok(ChebyshevResult {
         embedding,
-        spmm_time,
-        dense_time,
-        spmm_count,
+        spmm_time: meter.spmm_time,
+        dense_time: meter.dense_time,
+        spmm_count: meter.spmm_count,
     })
 }
 

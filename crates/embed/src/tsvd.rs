@@ -63,11 +63,32 @@ impl TsvdResult {
     }
 }
 
-/// Analytic cost of dense CPU work spread over the engine's threads.
-pub(crate) fn dense_cost(engine: &SpmmEngine, flops: u64) -> SimDuration {
-    let threads = engine.config().threads.max(1) as f64;
-    let rate = engine.system().model().cpu_ops_per_sec * threads;
-    SimDuration::from_secs_f64(flops as f64 / rate)
+/// The simulated-time meter of one ProNE stage: every sparse multiply goes
+/// through [`SpmmMeter::spmm`], every dense kernel is priced by
+/// [`SpmmMeter::dense`].
+#[derive(Default)]
+pub(crate) struct SpmmMeter {
+    pub spmm_time: SimDuration,
+    pub dense_time: SimDuration,
+    pub spmm_count: usize,
+}
+
+impl SpmmMeter {
+    /// `a·b` on the engine, its makespan added to the stage's SpMM time.
+    pub fn spmm(&mut self, engine: &SpmmEngine, a: &Csdb, b: &DenseMatrix) -> Result<DenseMatrix> {
+        let out = engine.spmm(a, b)?;
+        self.spmm_time += out.makespan;
+        self.spmm_count += 1;
+        Ok(out.result)
+    }
+
+    /// Charge `flops` of dense CPU work, spread analytically over the
+    /// engine's simulated threads.
+    pub fn dense(&mut self, engine: &SpmmEngine, flops: u64) {
+        let threads = engine.config().threads.max(1) as f64;
+        let rate = engine.system().model().cpu_ops_per_sec * threads;
+        self.dense_time += SimDuration::from_secs_f64(flops as f64 / rate);
+    }
 }
 
 /// Randomized truncated SVD of `m` (in its permuted space): returns the
@@ -90,37 +111,29 @@ pub fn randomized_tsvd(
         )));
     }
 
-    let mut spmm_time = SimDuration::ZERO;
-    let mut dense_time = SimDuration::ZERO;
-    let mut spmm_count = 0usize;
-    let mut run = |a: &Csdb, b: &DenseMatrix| -> Result<DenseMatrix> {
-        let out = engine.spmm(a, b)?;
-        spmm_time += out.makespan;
-        spmm_count += 1;
-        Ok(out.result)
-    };
+    let mut meter = SpmmMeter::default();
 
     // Range finding: Y = (M·Mᵀ)^q · M · Ω.
     let omega = gaussian_matrix(n, k, cfg.seed);
-    let mut y = run(m, &omega)?;
+    let mut y = meter.spmm(engine, m, &omega)?;
     for _ in 0..cfg.power_iters {
-        let z = run(mt, &y)?;
-        y = run(m, &z)?;
+        let z = meter.spmm(engine, mt, &y)?;
+        y = meter.spmm(engine, m, &z)?;
     }
 
     // Orthonormal basis Q of the range.
     let (q, _) = qr_thin_threads(&y, cfg.threads)?;
-    dense_time += dense_cost(engine, 2 * (n * k * k) as u64);
+    meter.dense(engine, 2 * (n * k * k) as u64);
 
     // Project: Z = Mᵀ·Q  (so B = Zᵀ = Qᵀ·M), then SVD the tall Z.
-    let z = run(mt, &q)?;
+    let z = meter.spmm(engine, mt, &q)?;
     let svd = svd_tall_threads(&z, cfg.threads)?;
-    dense_time += dense_cost(engine, 12 * (n * k * k) as u64);
+    meter.dense(engine, 12 * (n * k * k) as u64);
 
     // Z = U_z Σ V_zᵀ  ⇒  M ≈ Q·Zᵀ = (Q·V_z)·Σ·U_zᵀ.
     let v_z = svd.vt.transposed();
     let u = gemm_threads(&q, &v_z, cfg.threads)?;
-    dense_time += dense_cost(engine, 2 * (n * k * k) as u64);
+    meter.dense(engine, 2 * (n * k * k) as u64);
 
     // Embedding = U[:, :rank] · diag(√σ).
     let mut embedding = u.columns(0..cfg.rank);
@@ -134,9 +147,9 @@ pub fn randomized_tsvd(
     Ok(TsvdResult {
         embedding,
         singular_values: svd.s[..cfg.rank].to_vec(),
-        spmm_time,
-        dense_time,
-        spmm_count,
+        spmm_time: meter.spmm_time,
+        dense_time: meter.dense_time,
+        spmm_count: meter.spmm_count,
     })
 }
 

@@ -81,7 +81,7 @@ mod tests {
 
     impl FaultHook for EveryNth {
         fn on_access(&self, _now: SimDuration, seq: u64, access: &FaultAccess) -> FaultVerdict {
-            if (seq + 1) % self.n == 0 {
+            if (seq + 1).is_multiple_of(self.n) {
                 FaultVerdict::Fail {
                     error: HetMemError::Transient {
                         node: access.node.unwrap_or(0),

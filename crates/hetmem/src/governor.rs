@@ -3,10 +3,11 @@
 
 use crate::device::DeviceKind;
 use crate::error::HetMemError;
+use crate::hetvec::Placement;
 use crate::topology::{NodeId, Topology};
 use crate::Result;
 use serde::{Deserialize, Serialize};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A snapshot of usage for one (node, device) pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,6 +127,30 @@ impl MemGovernor {
         }
     }
 
+    /// Free bytes a reservation at `placement` can draw on: the home
+    /// node's for a node placement, the sum over all nodes for an
+    /// interleaved one.
+    pub fn available(&self, placement: Placement) -> u64 {
+        let device = placement.device();
+        match placement.home_node() {
+            Some(node) => self.usage(node, device).available(),
+            None => (0..self.topology.nodes())
+                .map(|node| self.usage(node, device).available())
+                .sum(),
+        }
+    }
+
+    /// Per-node shares of `bytes` held at `placement` (see
+    /// [`MemReservation`]), in node order.
+    fn shares(&self, placement: Placement, bytes: u64) -> impl Iterator<Item = (NodeId, u64)> {
+        let nodes = self.topology.nodes();
+        let (first, count, each, rest) = match placement.home_node() {
+            Some(node) => (node, 1, bytes, 0),
+            None => (0, nodes, bytes / nodes as u64, bytes % nodes as u64),
+        };
+        (first..first + count).map(move |k| (k, each + if k == first { rest } else { 0 }))
+    }
+
     /// Peak usage seen so far for a (node, device).
     pub fn peak(&self, node: NodeId, device: DeviceKind) -> u64 {
         self.locked()
@@ -158,30 +183,37 @@ impl MemGovernor {
     }
 }
 
-/// RAII capacity reservation: bytes held against a (node, device) until
-/// drop. Used for data whose backing store is not a [`crate::HetVec`]
-/// (e.g. the CSDB arrays owned by the graph crate).
+/// RAII capacity reservation: `bytes` held at a [`Placement`] until drop —
+/// the lease behind every [`crate::HetVec`], and the way to account data
+/// whose backing store lives elsewhere (the CSDB arrays owned by the graph
+/// crate, operands borrowed in place).
+///
+/// A node placement holds everything on its node. An interleaved one models
+/// round-robin pages as an even split across all nodes, the remainder on
+/// node 0; if any node's share does not fit, the shares already taken are
+/// returned and that node's out-of-memory error is the result.
 #[derive(Debug)]
 pub struct MemReservation {
-    governor: std::sync::Arc<MemGovernor>,
-    node: NodeId,
-    device: DeviceKind,
+    governor: Arc<MemGovernor>,
+    placement: Placement,
     bytes: u64,
 }
 
 impl MemReservation {
     /// Reserve `bytes`; fails with [`HetMemError::OutOfMemory`] when full.
-    pub fn new(
-        governor: std::sync::Arc<MemGovernor>,
-        node: NodeId,
-        device: DeviceKind,
-        bytes: u64,
-    ) -> Result<Self> {
-        governor.allocate(node, device, bytes)?;
+    pub fn new(governor: Arc<MemGovernor>, placement: Placement, bytes: u64) -> Result<Self> {
+        let device = placement.device();
+        for (taken, (node, share)) in governor.shares(placement, bytes).enumerate() {
+            if let Err(e) = governor.allocate(node, device, share) {
+                for (held_node, held) in governor.shares(placement, bytes).take(taken) {
+                    let _ = governor.free(held_node, device, held);
+                }
+                return Err(e);
+            }
+        }
         Ok(MemReservation {
             governor,
-            node,
-            device,
+            placement,
             bytes,
         })
     }
@@ -193,7 +225,9 @@ impl MemReservation {
 
 impl Drop for MemReservation {
     fn drop(&mut self) {
-        let _ = self.governor.free(self.node, self.device, self.bytes);
+        for (node, share) in self.governor.shares(self.placement, self.bytes) {
+            let _ = self.governor.free(node, self.placement.device(), share);
+        }
     }
 }
 
@@ -280,13 +314,52 @@ mod tests {
 
     #[test]
     fn reservation_raii() {
-        let g = std::sync::Arc::new(small());
+        let g = Arc::new(small());
+        let pm0 = Placement::node(0, DeviceKind::Pm);
         {
-            let r = MemReservation::new(g.clone(), 0, DeviceKind::Pm, 100).unwrap();
+            let r = MemReservation::new(g.clone(), pm0, 100).unwrap();
             assert_eq!(r.bytes(), 100);
             assert_eq!(g.usage(0, DeviceKind::Pm).used, 100);
+            assert_eq!(g.available(pm0), 7_900);
         }
         assert_eq!(g.usage(0, DeviceKind::Pm).used, 0);
-        assert!(MemReservation::new(g.clone(), 0, DeviceKind::Dram, 10_000).is_err());
+        let dram0 = Placement::node(0, DeviceKind::Dram);
+        assert!(MemReservation::new(g.clone(), dram0, 10_000).is_err());
+    }
+
+    #[test]
+    fn interleaved_reservation_splits_and_rolls_back() {
+        let g = Arc::new(small());
+        let dram = Placement::interleaved(DeviceKind::Dram);
+        assert_eq!(g.available(dram), 2_000);
+        {
+            let _r = MemReservation::new(g.clone(), dram, 1_001).unwrap();
+            assert_eq!(
+                g.usage(0, DeviceKind::Dram).used,
+                501,
+                "remainder on node 0"
+            );
+            assert_eq!(g.usage(1, DeviceKind::Dram).used, 500);
+            assert_eq!(g.available(dram), 999);
+        }
+        assert_eq!(g.total_usage(DeviceKind::Dram).used, 0);
+
+        // Fits node 0 but not node 1: node 0's share is handed back and the
+        // error names the node that ran out.
+        g.allocate(1, DeviceKind::Dram, 600).unwrap();
+        let err = MemReservation::new(g.clone(), dram, 1_000).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                HetMemError::OutOfMemory {
+                    node: 1,
+                    requested: 500,
+                    available: 400,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(g.usage(0, DeviceKind::Dram).used, 0);
     }
 }

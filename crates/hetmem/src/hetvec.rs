@@ -2,7 +2,7 @@
 
 use crate::bandwidth::{AccessOp, AccessPattern};
 use crate::device::DeviceKind;
-use crate::governor::MemGovernor;
+use crate::governor::{MemGovernor, MemReservation};
 use crate::topology::NodeId;
 use crate::tracker::ThreadMem;
 use serde::{Deserialize, Serialize};
@@ -55,68 +55,6 @@ impl std::fmt::Display for Placement {
     }
 }
 
-/// RAII lease that returns capacity to the governor when the buffer drops.
-#[derive(Debug)]
-struct Lease {
-    governor: Arc<MemGovernor>,
-    placement: Placement,
-    bytes: u64,
-}
-
-impl Lease {
-    fn acquire(
-        governor: Arc<MemGovernor>,
-        placement: Placement,
-        bytes: u64,
-    ) -> crate::Result<Self> {
-        match placement {
-            Placement::Node { node, device } => governor.allocate(node, device, bytes)?,
-            Placement::Interleaved { device } => {
-                // Round-robin pages: model as an even split, rounding the
-                // remainder onto node 0.
-                let nodes = governor.topology().nodes() as u64;
-                let per = bytes / nodes;
-                let rem = bytes - per * nodes;
-                let mut acquired: Vec<(NodeId, u64)> = Vec::new();
-                for node in 0..nodes as usize {
-                    let amount = per + if node == 0 { rem } else { 0 };
-                    if let Err(e) = governor.allocate(node, device, amount) {
-                        for (n, b) in acquired {
-                            let _ = governor.free(n, device, b);
-                        }
-                        return Err(e);
-                    }
-                    acquired.push((node, amount));
-                }
-            }
-        }
-        Ok(Lease {
-            governor,
-            placement,
-            bytes,
-        })
-    }
-}
-
-impl Drop for Lease {
-    fn drop(&mut self) {
-        match self.placement {
-            Placement::Node { node, device } => {
-                let _ = self.governor.free(node, device, self.bytes);
-            }
-            Placement::Interleaved { device } => {
-                let nodes = self.governor.topology().nodes() as u64;
-                let per = self.bytes / nodes;
-                let rem = self.bytes - per * nodes;
-                for node in 0..nodes as usize {
-                    let amount = per + if node == 0 { rem } else { 0 };
-                    let _ = self.governor.free(node, device, amount);
-                }
-            }
-        }
-    }
-}
-
 /// A typed buffer placed on a simulated memory device.
 ///
 /// Element accesses go through a [`ThreadMem`] context that classifies and
@@ -126,7 +64,7 @@ impl Drop for Lease {
 pub struct HetVec<T> {
     data: Vec<T>,
     placement: Placement,
-    _lease: Option<Lease>,
+    _lease: Option<MemReservation>,
 }
 
 impl<T: Copy> HetVec<T> {
@@ -139,7 +77,7 @@ impl<T: Copy> HetVec<T> {
         data: Vec<T>,
     ) -> crate::Result<Self> {
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let lease = Lease::acquire(governor, placement, bytes)?;
+        let lease = MemReservation::new(governor, placement, bytes)?;
         Ok(HetVec {
             data,
             placement,

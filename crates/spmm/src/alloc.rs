@@ -131,13 +131,16 @@ fn allocate_wata(csdb: &Csdb, threads: usize) -> Vec<Workload> {
 /// matrices.
 fn allocate_eata(csdb: &Csdb, threads: usize, beta: f64) -> Vec<Workload> {
     let n = csdb.rows();
-    let total = csdb.nnz() as u64;
-    if threads == 1 || total == 0 {
-        return allocate_wata(csdb, threads);
+    let cols = csdb.cols();
+    // Algorithm 2 starts from the balanced allocation and adjusts it.
+    let balanced = allocate_wata(csdb, threads);
+    if threads == 1 || csdb.nnz() == 0 {
+        return balanced;
     }
-    let log_v = (csdb.cols().max(2) as f64).ln();
+    let time_of = |w: &Workload| predicted_time(w.nnzs as f64, w.entropy, cols, beta);
 
-    // Incremental predicted-time accumulator for a contiguous row scan.
+    // Incremental predicted-time accumulator for a contiguous row scan,
+    // tracking the running entropy `H = ln W − (Σ d ln d)/W`.
     struct Acc {
         w: f64,
         dlnd: f64,
@@ -149,28 +152,18 @@ fn allocate_eata(csdb: &Csdb, threads: usize, beta: f64) -> Vec<Workload> {
                 self.dlnd += d * d.ln();
             }
         }
-        /// Predicted time of the accumulated workload (arbitrary units):
-        /// `W / (1 − Z + β·Z)` with `H = ln W − (Σ d ln d)/W`.
-        fn time(&self, log_v: f64, beta: f64) -> f64 {
+        fn time(&self, cols: u32, beta: f64) -> f64 {
             if self.w <= 0.0 {
                 return 0.0;
             }
             let h = (self.w.ln() - self.dlnd / self.w).max(0.0);
-            let z = (h / log_v).clamp(0.0, 1.0);
-            self.w * crate::entropy::affine_cost_factor(z, beta)
+            predicted_time(self.w, h, cols, beta)
         }
     }
 
     // Pass 1: total predicted time of the whole matrix as threads-many
     // balanced chunks would see it — the equalisation target.
-    let total_time: f64 = allocate_wata(csdb, threads)
-        .iter()
-        .filter(|w| w.nnzs > 0)
-        .map(|w| {
-            let z = omega_graph::stats::normalized_entropy(w.entropy, csdb.cols());
-            w.nnzs as f64 * crate::entropy::affine_cost_factor(z, beta)
-        })
-        .sum();
+    let total_time: f64 = balanced.iter().map(time_of).sum();
 
     // Pass 2: cut workloads at equal predicted-time shares.
     let mut out: Vec<Workload> = Vec::with_capacity(threads);
@@ -192,7 +185,7 @@ fn allocate_eata(csdb: &Csdb, threads: usize, beta: f64) -> Vec<Workload> {
         while red < n {
             acc.push(csdb.degree(red) as f64);
             red += 1;
-            if acc.time(log_v, beta) >= target {
+            if acc.time(cols, beta) >= target {
                 break;
             }
         }
@@ -200,29 +193,26 @@ fn allocate_eata(csdb: &Csdb, threads: usize, beta: f64) -> Vec<Workload> {
         let max_red = n.saturating_sub((threads - t - 1) as u32).max(rst + 1);
         let red = red.min(max_red);
         let w = Workload::contiguous(t, csdb, rst, red);
-        let z = omega_graph::stats::normalized_entropy(w.entropy, csdb.cols());
-        allocated_time += w.nnzs as f64 * crate::entropy::affine_cost_factor(z, beta);
+        allocated_time += time_of(&w);
         rst = red;
         out.push(w);
     }
 
-    // Algorithm 2 starts from the balanced allocation and adjusts it; when
-    // the adjustment does not improve the predicted makespan (dense graphs
-    // with near-uniform workload entropy), keep the balanced split.
-    let predicted_max = |ws: &[Workload]| -> f64 {
-        ws.iter()
-            .map(|w| {
-                let z = omega_graph::stats::normalized_entropy(w.entropy, csdb.cols());
-                w.nnzs as f64 * crate::entropy::affine_cost_factor(z, beta)
-            })
-            .fold(0.0, f64::max)
-    };
-    let balanced = allocate_wata(csdb, threads);
+    // When the adjustment does not improve the predicted makespan (dense
+    // graphs with near-uniform workload entropy), keep the balanced split.
+    let predicted_max = |ws: &[Workload]| ws.iter().map(time_of).fold(0.0, f64::max);
     if predicted_max(&balanced) < predicted_max(&out) {
         balanced
     } else {
         out
     }
+}
+
+/// The model's (Eq. 4–5) price of a workload, in arbitrary units: `W`
+/// non-zeros at the per-nnz cost its normalised entropy `Z(H)` implies.
+fn predicted_time(nnzs: f64, entropy: f64, cols: u32, beta: f64) -> f64 {
+    let z = omega_graph::stats::normalized_entropy(entropy, cols);
+    nnzs * crate::entropy::affine_cost_factor(z, beta)
 }
 
 /// Smallest `red > rst` such that rows `[rst, red)` hold at least `target`

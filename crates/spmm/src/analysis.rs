@@ -1,7 +1,7 @@
 //! Post-run traffic analysis — the reproduction's stand-in for the Intel
 //! VTune profiling of §III-D and the execution-time breakdown of Fig. 7(a).
 
-use crate::exec::SpmmRun;
+use crate::SpmmRun;
 use omega_hetmem::{AccessClass, AccessOp, AccessPattern, AccessSummary, BandwidthModel};
 use serde::{Deserialize, Serialize};
 
@@ -66,7 +66,7 @@ pub fn traffic_summary(run: &SpmmRun) -> AccessSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{SpmmConfig, SpmmEngine};
+    use crate::{SpmmConfig, SpmmEngine};
     use omega_graph::{Csdb, RmatConfig};
     use omega_hetmem::{MemSystem, Topology};
     use omega_linalg::gaussian_matrix;

@@ -9,8 +9,8 @@
 //! where `s = size(type)` and `M_total` is the DRAM budget. Batches are then
 //! processed in a software pipeline: while batch `k` computes (reads and
 //! writes hitting fast DRAM), batch `k−1`'s results flush to PM and batch
-//! `k+1` loads, asynchronously. The pipeline makespan combinator below gives
-//! the resulting schedule length.
+//! `k+1` loads, asynchronously. [`streaming_schedule`] gives the resulting
+//! intervals and schedule length.
 
 use omega_hetmem::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -94,54 +94,15 @@ impl AslPlan {
     }
 }
 
-/// Pipeline makespan with asynchronous flushes: batch `k` computes while
-/// batch `k−1` flushes; the schedule is
-/// `Σ_k max(compute_k, flush_{k−1}) + flush_last`, with `flush_{−1} = 0`.
-pub fn pipeline_makespan(compute: &[SimDuration], flush: &[SimDuration]) -> SimDuration {
-    assert_eq!(compute.len(), flush.len());
-    let mut total = SimDuration::ZERO;
-    let mut pending_flush = SimDuration::ZERO;
-    for (c, f) in compute.iter().zip(flush) {
-        total += (*c).max(pending_flush);
-        pending_flush = *f;
-    }
-    total + pending_flush
-}
-
-/// Full double-buffered streaming schedule: while batch `k` computes, the
-/// background channel flushes batch `k−1`'s results and pre-loads batch
-/// `k+1`'s dense columns. Makespan =
-/// `load_0 + Σ_k max(compute_k, flush_{k−1} + load_{k+1}) + flush_last`.
-pub fn streaming_makespan(
-    compute: &[SimDuration],
-    load: &[SimDuration],
-    flush: &[SimDuration],
-) -> SimDuration {
-    assert_eq!(compute.len(), load.len());
-    assert_eq!(compute.len(), flush.len());
-    let n = compute.len();
-    if n == 0 {
-        return SimDuration::ZERO;
-    }
-    let mut total = load[0];
-    let mut pending_flush = SimDuration::ZERO;
-    for k in 0..n {
-        let next_load = if k + 1 < n {
-            load[k + 1]
-        } else {
-            SimDuration::ZERO
-        };
-        total += compute[k].max(pending_flush + next_load);
-        pending_flush = flush[k];
-    }
-    total + pending_flush
-}
-
-/// Explicit interval schedule behind [`streaming_makespan`], for tracing.
+/// The double-buffered streaming schedule of one phase: while batch `k`
+/// computes, the background channel flushes batch `k−1`'s results and then
+/// pre-loads batch `k+1`'s dense columns. Makespan =
+/// `load_0 + Σ_k max(compute_k, flush_{k−1} + load_{k+1}) + flush_last`,
+/// with `flush_{−1} = 0`.
 ///
-/// All instants are offsets from the phase start. The background channel is
-/// serialized: in slot `k` it first flushes batch `k−1`, then pre-loads
-/// batch `k+1`, while the compute lane runs batch `k`.
+/// All instants are offsets from the phase start; the executor prices the
+/// phase with [`StreamingSchedule::makespan`] and replays the three
+/// interval lists onto its trace.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StreamingSchedule {
     /// Per batch: `(start, duration)` of its compute interval.
@@ -150,11 +111,12 @@ pub struct StreamingSchedule {
     pub load: Vec<(SimDuration, SimDuration)>,
     /// Per batch: `(start, duration)` of its result flush interval.
     pub flush: Vec<(SimDuration, SimDuration)>,
-    /// Schedule length; equals [`streaming_makespan`] on the same inputs.
+    /// Schedule length: the end of the last flush.
     pub makespan: SimDuration,
 }
 
-/// Replay the [`streaming_makespan`] recurrence, keeping every interval.
+/// Run the pipeline recurrence over per-batch compute, pre-load and flush
+/// times, keeping every interval.
 pub fn streaming_schedule(
     compute: &[SimDuration],
     load: &[SimDuration],
@@ -169,27 +131,20 @@ pub fn streaming_schedule(
     }
     sched.load.push((SimDuration::ZERO, load[0]));
     // Slot k starts at `t`: compute[k] on the compute lane; flush[k-1] then
-    // load[k+1] on the background lane.
+    // load[k+1] on the background lane, which is free again at `bg`.
     let mut t = load[0];
     for k in 0..n {
         sched.compute.push((t, compute[k]));
         let mut bg = t;
         if k > 0 {
-            sched.flush.push((t, flush[k - 1]));
+            sched.flush.push((bg, flush[k - 1]));
             bg += flush[k - 1];
         }
-        let next_load = if k + 1 < n {
+        if k + 1 < n {
             sched.load.push((bg, load[k + 1]));
-            load[k + 1]
-        } else {
-            SimDuration::ZERO
-        };
-        let pending_flush = if k > 0 {
-            flush[k - 1]
-        } else {
-            SimDuration::ZERO
-        };
-        t += compute[k].max(pending_flush + next_load);
+            bg += load[k + 1];
+        }
+        t = (t + compute[k]).max(bg);
     }
     sched.flush.push((t, flush[n - 1]));
     sched.makespan = t + flush[n - 1];
@@ -257,13 +212,12 @@ mod tests {
         let c = |ns| SimDuration::from_nanos(ns);
         // compute [10,10], load [3,3], flush [2,2]:
         // 3 + max(10, 0+3) + max(10, 2+0) + 2 = 25.
-        let m = streaming_makespan(&[c(10), c(10)], &[c(3), c(3)], &[c(2), c(2)]);
+        let m = streaming_schedule(&[c(10), c(10)], &[c(3), c(3)], &[c(2), c(2)]).makespan;
         assert_eq!(m.as_nanos(), 25);
         // IO-bound: compute [1,1], load [10,10], flush [10,10]:
         // 10 + max(1, 10) + max(1, 10) + 10 = 40.
-        let m = streaming_makespan(&[c(1), c(1)], &[c(10), c(10)], &[c(10), c(10)]);
+        let m = streaming_schedule(&[c(1), c(1)], &[c(10), c(10)], &[c(10), c(10)]).makespan;
         assert_eq!(m.as_nanos(), 40);
-        assert_eq!(streaming_makespan(&[], &[], &[]), SimDuration::ZERO);
     }
 
     #[test]
@@ -281,7 +235,8 @@ mod tests {
         ];
         for (compute, load, flush) in &cases {
             let sched = streaming_schedule(compute, load, flush);
-            assert_eq!(sched.makespan, streaming_makespan(compute, load, flush));
+            let (last_flush, dur) = *sched.flush.last().unwrap();
+            assert_eq!(sched.makespan, last_flush + dur);
             // Intervals don't overlap within a lane and computes are ordered.
             for w in sched.compute.windows(2) {
                 assert!(w[0].0 + w[0].1 <= w[1].0);
@@ -304,19 +259,20 @@ mod tests {
 
     #[test]
     fn pipeline_overlaps_flushes() {
-        let c = |ns| SimDuration::from_nanos(ns);
-        // compute [10, 10, 10], flush [4, 4, 4]:
+        // Nothing to pre-load: batch `k` computes while batch `k−1` flushes.
+        let flush_only = |compute: &[u64], flush: &[u64]| {
+            let c =
+                |ns: &[u64]| -> Vec<_> { ns.iter().map(|&n| SimDuration::from_nanos(n)).collect() };
+            let idle = vec![SimDuration::ZERO; compute.len()];
+            streaming_schedule(&c(compute), &idle, &c(flush))
+                .makespan
+                .as_nanos()
+        };
         // total = 10 + max(10,4) + max(10,4) + 4 = 34.
-        let m = pipeline_makespan(&[c(10), c(10), c(10)], &[c(4), c(4), c(4)]);
-        assert_eq!(m.as_nanos(), 34);
-        // Flush-bound: compute [2,2], flush [10,10]:
-        // total = 2 + max(2,10) + 10 = 22.
-        let m = pipeline_makespan(&[c(2), c(2)], &[c(10), c(10)]);
-        assert_eq!(m.as_nanos(), 22);
+        assert_eq!(flush_only(&[10, 10, 10], &[4, 4, 4]), 34);
+        // Flush-bound: total = 2 + max(2,10) + 10 = 22.
+        assert_eq!(flush_only(&[2, 2], &[10, 10]), 22);
         // Single batch: compute + flush, no overlap possible.
-        let m = pipeline_makespan(&[c(7)], &[c(3)]);
-        assert_eq!(m.as_nanos(), 10);
-        // Empty: zero.
-        assert_eq!(pipeline_makespan(&[], &[]), SimDuration::ZERO);
+        assert_eq!(flush_only(&[7], &[3]), 10);
     }
 }

@@ -3,270 +3,27 @@
 //! Orchestrates one parallel SpMM exactly as Fig. 4 describes: EaTA (or a
 //! baseline scheme) assigns rows to simulated threads, NaDP partitions
 //! operands and binds thread groups to sockets, WoFP builds per-workload
-//! prefetchers, and ASL pipelines column batches between DRAM and PM. Real
+//! prefetchers, and ASL pipelines column batches between DRAM and PM — all
+//! of which is decided in `plan.rs`; this module runs the plan. Real
 //! OS threads execute the numeric work; *simulated* time comes from each
 //! simulated thread's charged traffic evaluated by the bandwidth model, and
 //! a phase's makespan is the per-batch pipeline over the per-thread maxima.
 
-use crate::alloc::AllocScheme;
-use crate::asl::{partitions_required, streaming_makespan, streaming_schedule, AslConfig, AslPlan};
-use crate::kernel::{run_workload, KernelInputs, KernelStats};
-use crate::nadp::NadpPlan;
-use crate::placed::PlacedMatrix;
-use crate::wofp::{Prefetcher, PrefetcherKind, WofpConfig};
-use crate::workload::Workload;
+use crate::asl::streaming_schedule;
+use crate::config::SpmmConfig;
+use crate::kernel::{run_workload, KernelStats};
+use crate::plan::GroupPlan;
+use crate::report::{GroupRun, SpmmRun, WorkloadReport};
 use crate::{Result, SpmmError};
 use omega_graph::Csdb;
 use omega_hetmem::{
-    AccessOp, AccessPattern, ClassCounters, DeviceKind, MemReservation, MemSystem, Placement,
-    SimDuration, ThreadMem,
+    AccessOp, AccessPattern, ClassCounters, MemSystem, Placement, SimDuration, SimInstant,
+    ThreadMem,
 };
 use omega_linalg::DenseMatrix;
 use omega_obs::{Recorder, Track};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Which devices hold the operands (the paper's configurations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MemMode {
-    /// Everything in DRAM — the ideal baseline (`OMeGa-DRAM`).
-    DramOnly,
-    /// Everything in PM, staging included — the worst baseline
-    /// (`OMeGa-PM`): WoFP/ASL stage into PM and thus buy nothing.
-    PmOnly,
-    /// Operands in PM, staging/streaming windows in DRAM — OMeGa proper.
-    Hetero,
-    /// Sparse matrix in PM, dense matrices in DRAM — the naive DRAM-PM
-    /// split of `ProNE-HM` ("matrix operations are handled on DRAM").
-    SparsePmDenseDram,
-}
-
-impl MemMode {
-    /// Device holding the sparse operand.
-    pub fn operand_device(self) -> DeviceKind {
-        match self {
-            MemMode::DramOnly => DeviceKind::Dram,
-            MemMode::PmOnly | MemMode::Hetero | MemMode::SparsePmDenseDram => DeviceKind::Pm,
-        }
-    }
-
-    /// Device holding the dense operand and result matrices.
-    pub fn dense_device(self) -> DeviceKind {
-        match self {
-            MemMode::DramOnly | MemMode::SparsePmDenseDram => DeviceKind::Dram,
-            MemMode::PmOnly | MemMode::Hetero => DeviceKind::Pm,
-        }
-    }
-
-    /// Device holding WoFP/ASL staging windows.
-    pub fn staging_device(self) -> DeviceKind {
-        match self {
-            MemMode::DramOnly | MemMode::Hetero | MemMode::SparsePmDenseDram => DeviceKind::Dram,
-            MemMode::PmOnly => DeviceKind::Pm,
-        }
-    }
-}
-
-/// Full engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SpmmConfig {
-    /// Simulated thread count (the paper's experiments use 30).
-    pub threads: usize,
-    pub alloc: AllocScheme,
-    /// `None` disables the prefetcher (`OMeGa-w/o-WoFP`).
-    pub wofp: Option<WofpConfig>,
-    /// `false` replaces NaDP with the OS Interleave policy
-    /// (`OMeGa-w/o-NaDP`).
-    pub nadp: bool,
-    /// `None` disables streaming: result writes go straight to the operand
-    /// device.
-    pub asl: Option<AslConfig>,
-    pub mode: MemMode,
-}
-
-impl SpmmConfig {
-    /// The full OMeGa system on heterogeneous memory.
-    pub fn omega(threads: usize) -> Self {
-        SpmmConfig {
-            threads,
-            alloc: AllocScheme::eata_default(),
-            wofp: Some(WofpConfig::default()),
-            nadp: true,
-            asl: Some(AslConfig::default()),
-            mode: MemMode::Hetero,
-        }
-    }
-
-    /// OMeGa with everything in DRAM (ideal baseline).
-    pub fn omega_dram(threads: usize) -> Self {
-        SpmmConfig {
-            mode: MemMode::DramOnly,
-            ..Self::omega(threads)
-        }
-    }
-
-    /// OMeGa with everything in PM, heterogeneous optimisations off (worst
-    /// baseline).
-    pub fn omega_pm(threads: usize) -> Self {
-        SpmmConfig {
-            mode: MemMode::PmOnly,
-            wofp: None,
-            asl: None,
-            ..Self::omega(threads)
-        }
-    }
-
-    pub fn with_alloc(mut self, alloc: AllocScheme) -> Self {
-        self.alloc = alloc;
-        self
-    }
-
-    pub fn with_wofp(mut self, wofp: Option<WofpConfig>) -> Self {
-        self.wofp = wofp;
-        self
-    }
-
-    pub fn with_nadp(mut self, nadp: bool) -> Self {
-        self.nadp = nadp;
-        self
-    }
-
-    pub fn with_asl(mut self, asl: Option<AslConfig>) -> Self {
-        self.asl = asl;
-        self
-    }
-}
-
-/// Distribution statistics over per-thread times (Fig. 13).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ThreadStats {
-    pub mean_s: f64,
-    pub stddev_s: f64,
-    pub min_s: f64,
-    pub max_s: f64,
-    pub p95_s: f64,
-    pub p99_s: f64,
-}
-
-impl ThreadStats {
-    pub fn from_times(times: &[SimDuration]) -> ThreadStats {
-        if times.is_empty() {
-            return ThreadStats {
-                mean_s: 0.0,
-                stddev_s: 0.0,
-                min_s: 0.0,
-                max_s: 0.0,
-                p95_s: 0.0,
-                p99_s: 0.0,
-            };
-        }
-        let secs: Vec<f64> = times.iter().map(|t| t.as_secs_f64()).collect();
-        let n = secs.len() as f64;
-        let mean = secs.iter().sum::<f64>() / n;
-        let var = secs.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
-        let mut sorted = secs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let pct = |p: f64| {
-            let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            sorted[idx - 1]
-        };
-        ThreadStats {
-            mean_s: mean,
-            stddev_s: var.sqrt(),
-            min_s: sorted[0],
-            max_s: *sorted.last().expect("non-empty"),
-            p95_s: pct(0.95),
-            p99_s: pct(0.99),
-        }
-    }
-}
-
-/// Per-workload diagnostics (Fig. 7(b)/(c) and Fig. 13 inputs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WorkloadReport {
-    pub thread: usize,
-    pub rows: usize,
-    pub nnzs: u64,
-    pub entropy: f64,
-    pub scatter: f64,
-    pub time: SimDuration,
-    pub dense_fetches: u64,
-    pub prefetch_hits: u64,
-    pub prefetch_misses: u64,
-    /// Staged entries this workload never referenced (see
-    /// [`KernelStats::wasted_prefetches`]).
-    pub wasted_prefetches: u64,
-    pub prefetcher: Option<PrefetcherKind>,
-}
-
-impl WorkloadReport {
-    /// Fraction of dense fetches served from the staging area (Fig. 14).
-    pub fn hit_rate(&self) -> f64 {
-        if self.dense_fetches == 0 {
-            0.0
-        } else {
-            self.prefetch_hits as f64 / self.dense_fetches as f64
-        }
-    }
-}
-
-/// The outcome of one SpMM.
-#[derive(Debug)]
-pub struct SpmmRun {
-    /// `C = A·B` in the CSDB's permuted row space.
-    pub result: DenseMatrix,
-    /// End-to-end simulated time: allocation + pipelined batches (+ merge).
-    pub makespan: SimDuration,
-    /// Time spent in the allocation scheme itself.
-    pub alloc_time: SimDuration,
-    /// Per simulated thread, total compute time across batches.
-    pub thread_times: Vec<SimDuration>,
-    pub stats: ThreadStats,
-    pub workloads: Vec<WorkloadReport>,
-    /// Merged traffic counters of all threads (the VTune-style summary).
-    pub counters: ClassCounters,
-    pub dense_fetches: u64,
-    pub prefetch_hits: u64,
-    pub prefetch_misses: u64,
-    pub wasted_prefetches: u64,
-    /// Workload chunks that hit an injected fault and were re-run by the
-    /// executor's degraded mode (zero without an installed fault plan).
-    pub degraded_chunks: u64,
-}
-
-impl SpmmRun {
-    /// Fig. 16's throughput metric: million dense fetches per second of
-    /// makespan.
-    pub fn throughput_mnnz_s(&self) -> f64 {
-        let s = self.makespan.as_secs_f64();
-        if s == 0.0 {
-            0.0
-        } else {
-            self.dense_fetches as f64 / 1e6 / s
-        }
-    }
-
-    /// Overall WoFP staging hit rate across all workloads (Fig. 14).
-    pub fn hit_rate(&self) -> f64 {
-        if self.dense_fetches == 0 {
-            0.0
-        } else {
-            self.prefetch_hits as f64 / self.dense_fetches as f64
-        }
-    }
-}
-
-/// One column-group of the execution (a NaDP socket group, or the whole
-/// matrix when NaDP is off).
-struct Group {
-    /// Home node of the group's dense/result/staging data (`None` =>
-    /// interleaved, the w/o-NaDP configuration).
-    home: Option<usize>,
-    cols: Range<usize>,
-    /// Global simulated-thread ids bound to this group.
-    threads: Vec<usize>,
-}
 
 /// The SpMM engine: a memory system plus a configuration.
 ///
@@ -333,11 +90,6 @@ impl SpmmEngine {
         self
     }
 
-    /// The wall-clock worker count simulated workloads run on.
-    pub fn wall_threads(&self) -> usize {
-        self.wall_threads
-    }
-
     pub fn recorder(&self) -> &Recorder {
         &self.rec
     }
@@ -373,583 +125,262 @@ impl SpmmEngine {
             });
         }
         let cfg = &self.cfg;
-        let topo = self.sys.topology().clone();
-        let sparse_dev = cfg.mode.operand_device();
-        let dense_dev = cfg.mode.dense_device();
-        let staging_dev = cfg.mode.staging_device();
-        let d = b.cols();
-        let n = a.rows() as usize;
-
         let rec = &self.rec;
         let run_span = rec.begin("spmm.run", Track::MAIN);
         rec.arg(&run_span, "rows", a.rows());
-        rec.arg(&run_span, "cols", d);
+        rec.arg(&run_span, "cols", b.cols());
         rec.arg(&run_span, "nnz", a.nnz());
 
-        // --- Placement plan ------------------------------------------------
         // NaDP partitioning is pure planning: the model charges it no
         // simulated time, so the span is wall-clock only (zero sim duration).
         let nadp_span = rec.begin("spmm.nadp_partition", Track::MAIN);
-        let use_nadp = cfg.nadp && topo.nodes() > 1;
-        let (sparse_parts, groups): (Vec<(Range<u32>, Placement)>, Vec<Group>) = if use_nadp {
-            let plan = NadpPlan::build(a, d, &topo, cfg.threads);
-            let parts = plan
-                .sparse_rows
-                .iter()
-                .enumerate()
-                .map(|(k, r)| (r.clone(), Placement::node(k, sparse_dev)))
-                .collect();
-            let groups = (0..plan.nodes())
-                .map(|k| Group {
-                    home: Some(k),
-                    cols: plan.dense_cols[k].clone(),
-                    threads: plan.threads[k].clone(),
-                })
-                .collect();
-            (parts, groups)
-        } else {
-            let placement = if topo.nodes() > 1 {
-                Placement::interleaved(sparse_dev)
-            } else {
-                Placement::node(0, sparse_dev)
-            };
-            (
-                vec![(0..a.rows(), placement)],
-                vec![Group {
-                    home: None,
-                    cols: 0..d,
-                    threads: (0..cfg.threads).collect(),
-                }],
-            )
-        };
-        rec.arg(&nadp_span, "groups", groups.len());
-        rec.arg(&nadp_span, "nadp", use_nadp);
+        let layout = self.partition(a, b.cols())?;
+        rec.arg(&nadp_span, "groups", layout.groups.len());
+        rec.arg(&nadp_span, "nadp", layout.nadp);
         rec.end(nadp_span, Some(SimDuration::ZERO));
 
-        // --- Capacity reservations -----------------------------------------
-        // Sparse structures: per home partition, its nnz share of the bytes.
-        let mut reservations: Vec<MemReservation> = Vec::new();
-        let sparse_bytes = a.size_bytes();
-        for (range, placement) in &sparse_parts {
-            let part_nnz: u64 = if range.start < a.rows() {
-                let hi = if range.end < a.rows() {
-                    a.deg_ptr(range.end)
-                } else {
-                    a.nnz() as u64
-                };
-                hi - a.deg_ptr(range.start)
-            } else {
-                0
-            };
-            let bytes = sparse_bytes * part_nnz / (a.nnz() as u64).max(1);
-            reservations.push(self.reserve(*placement, bytes)?);
-        }
-
-        // --- Per-group execution --------------------------------------------
-        let in_degrees = if cfg.wofp.is_some() {
-            a.in_degrees()
-        } else {
-            Vec::new()
-        };
+        // The allocation scheme's simulated cost is charged up front; the
+        // per-group `allocate` calls run during the wall-clock window of
+        // `spmm.execute`.
         let alloc_time = SimDuration::from_secs_f64(
             cfg.alloc.overhead_cpu_ops(a.rows()) as f64 / self.sys.model().cpu_ops_per_sec,
         );
-        // The allocation scheme's simulated cost is charged up front; the
-        // per-group `allocate` calls below run during the wall-clock window
-        // of `spmm.execute`.
         let eata_span = rec.begin("spmm.eata_assign", Track::MAIN);
         rec.end(eata_span, Some(alloc_time));
 
         let exec_span = rec.begin("spmm.execute", Track::MAIN);
         // All socket groups start executing at the same simulated instant.
         let exec_base = rec.cursor(Track::MAIN);
-
-        let mut result = DenseMatrix::zeros(n, d);
-        let mut thread_times = vec![SimDuration::ZERO; cfg.threads];
-        let mut merged = ClassCounters::default();
-        let mut workload_reports: Vec<WorkloadReport> = Vec::new();
-        let mut group_makespans: Vec<SimDuration> = Vec::new();
-        let mut total_fetches = 0u64;
-        let mut total_hits = 0u64;
-        let mut total_misses = 0u64;
-        let mut total_wasted = 0u64;
-        let mut degraded_chunks = 0u64;
-
-        for (gi, group) in groups.iter().enumerate() {
+        let in_degrees = if cfg.wofp.is_some() {
+            a.in_degrees()
+        } else {
+            Vec::new()
+        };
+        let mut run = SpmmRun::new(a.rows() as usize, b.cols(), cfg.threads, alloc_time);
+        for (gi, group) in layout.groups.iter().enumerate() {
             if group.cols.is_empty() || group.threads.is_empty() {
-                group_makespans.push(SimDuration::ZERO);
                 continue;
             }
-            let dense_home = match group.home {
-                Some(node) => Placement::node(node, dense_dev),
-                None => {
-                    if topo.nodes() > 1 {
-                        Placement::interleaved(dense_dev)
-                    } else {
-                        Placement::node(0, dense_dev)
-                    }
-                }
-            };
-            let staging_home = match group.home {
-                Some(node) => Placement::node(node, staging_dev),
-                None => {
-                    if topo.nodes() > 1 {
-                        Placement::interleaved(staging_dev)
-                    } else {
-                        Placement::node(0, staging_dev)
-                    }
-                }
-            };
-
-            // Place this group's dense column block and result block.
-            let b_part = PlacedMatrix::new(&self.sys, dense_home, b.columns(group.cols.clone()))?;
-            let c_part = PlacedMatrix::zeros(&self.sys, dense_home, n, group.cols.len())?;
-
-            // ASL plan from the staging budget.
-            let (asl_plan, asl_active, _stage_window) =
-                self.plan_streaming(group, staging_home, sparse_bytes, n as u64)?;
-
-            // Row workloads for this group's threads.
-            let mut workloads = cfg.alloc.allocate(a, group.threads.len());
-            for (i, w) in workloads.iter_mut().enumerate() {
-                w.thread = group.threads[i];
-            }
-
-            // Prefetchers + their build overhead, charged per thread. With
-            // ASL actively staging whole column batches in DRAM, WoFP has
-            // nothing left to stage and is skipped (its role is the
-            // streaming-disabled / budget-starved regime of Fig. 14).
-            let prefetchers: Vec<Option<Prefetcher>> = workloads
-                .iter()
-                .map(|w| {
-                    if asl_active {
-                        return None;
-                    }
-                    cfg.wofp
-                        .as_ref()
-                        .map(|wofp| Prefetcher::build(wofp, a, w, &in_degrees))
-                })
-                .collect();
-            let mut prefetch_overheads = vec![SimDuration::ZERO; workloads.len()];
-            for (i, p) in prefetchers.iter().enumerate() {
-                if let Some(p) = p {
-                    let mut ctx = self.ctx_for(group, workloads[i].thread);
-                    ctx.add_cpu_ops(p.build_cpu_ops);
-                    if p.build_scan_bytes > 0 {
-                        // The counting pass streams the workload's indices.
-                        let seg_placement = sparse_parts
-                            .iter()
-                            .find(|(r, _)| match workloads[i].rows {
-                                crate::workload::RowSet::Range { start, .. } => r.contains(&start),
-                                _ => true,
-                            })
-                            .map(|(_, p)| *p)
-                            .unwrap_or(dense_home);
-                        ctx.charge_block(
-                            seg_placement,
-                            AccessOp::Read,
-                            AccessPattern::Seq,
-                            p.build_scan_bytes,
-                            1,
-                        );
-                    }
-                    prefetch_overheads[i] = self
-                        .sys
-                        .model()
-                        .thread_time(ctx.counters(), cfg.threads as u32);
-                    merged.merge(ctx.counters());
-                }
-            }
-
-            // --- Batched execution ------------------------------------------
-            let result_target = if asl_active { staging_home } else { dense_home };
-            let dense_read = if asl_active { staging_home } else { dense_home };
-            let mut compute_times: Vec<SimDuration> = Vec::with_capacity(asl_plan.num_batches());
-            let mut load_times: Vec<SimDuration> = Vec::with_capacity(asl_plan.num_batches());
-            let mut flush_times: Vec<SimDuration> = Vec::with_capacity(asl_plan.num_batches());
-            let mut per_workload_time = vec![SimDuration::ZERO; workloads.len()];
-            let mut per_workload_stats = vec![KernelStats::default(); workloads.len()];
-
-            for batch in &asl_plan.batches {
-                // Columns of this batch, local to the group's block.
-                let local_batch = batch.start - group.cols.start..batch.end - group.cols.start;
-                // ASL pre-load: stream the batch's dense columns from their
-                // PM home into the DRAM window (overlapped by the pipeline).
-                let load = if asl_active {
-                    let bytes = (n * batch.len() * 4) as u64;
-                    let mut ctx = self.ctx_for(group, group.threads[0]);
-                    ctx.charge_block(dense_home, AccessOp::Read, AccessPattern::Seq, bytes, 1);
-                    ctx.charge_block(staging_home, AccessOp::Write, AccessPattern::Seq, bytes, 1);
-                    let t = self.sys.model().stream_time(ctx.counters()) + ctx.injected_penalty();
-                    merged.merge(ctx.counters());
-                    t
-                } else {
-                    SimDuration::ZERO
-                };
-                load_times.push(load);
-
-                let outputs = self.run_batch(
-                    a,
-                    &sparse_parts,
-                    &b_part,
-                    dense_read,
-                    staging_home,
-                    result_target,
-                    &workloads,
-                    &prefetchers,
-                    group,
-                    local_batch.clone(),
-                );
-
-                // Collect: write blocks into the result, merge accounting.
-                let mut batch_max = SimDuration::ZERO;
-                for (wi, (block, stats, counters, penalty, failed)) in
-                    outputs.into_iter().enumerate()
-                {
-                    let w = &workloads[wi];
-                    let mut t =
-                        self.sys.model().thread_time(&counters, cfg.threads as u32) + penalty;
-                    if failed {
-                        // Degraded mode: the chunk's output is recomputed
-                        // from scratch, paying the chunk's traffic and time
-                        // a second time. The numeric result is unaffected —
-                        // the kernel is deterministic.
-                        degraded_chunks += 1;
-                        merged.merge(&counters);
-                        t += t;
-                    }
-                    batch_max = batch_max.max(t);
-                    per_workload_time[wi] += t;
-                    per_workload_stats[wi].dense_fetches += stats.dense_fetches;
-                    per_workload_stats[wi].prefetch_hits += stats.prefetch_hits;
-                    per_workload_stats[wi].prefetch_misses += stats.prefetch_misses;
-                    // A property of the workload's prefetcher, identical in
-                    // every batch — assign, don't accumulate.
-                    per_workload_stats[wi].wasted_prefetches = stats.wasted_prefetches;
-                    merged.merge(&counters);
-                    thread_times[w.thread] += t;
-                    // Scatter the block into the global result.
-                    let nrows = w.row_count();
-                    for (lt, t_global) in batch.clone().enumerate() {
-                        let col = result.col_mut(t_global);
-                        for (li, v) in w.rows.iter().enumerate() {
-                            col[v as usize] = block[lt * nrows + li];
-                        }
-                    }
-                }
-                compute_times.push(batch_max);
-
-                // Flush the batch's result block from the staging window to
-                // its PM home (asynchronous, overlapped by the pipeline).
-                let flush = if asl_active {
-                    let bytes = (n * batch.len() * 4) as u64;
-                    let mut ctx = self.ctx_for(group, group.threads[0]);
-                    ctx.charge_block(staging_home, AccessOp::Read, AccessPattern::Seq, bytes, 1);
-                    ctx.charge_block(dense_home, AccessOp::Write, AccessPattern::Seq, bytes, 1);
-                    let t = self.sys.model().stream_time(ctx.counters()) + ctx.injected_penalty();
-                    merged.merge(ctx.counters());
-                    t
-                } else {
-                    SimDuration::ZERO
-                };
-                flush_times.push(flush);
-            }
-
-            // Prefetch build happens once, before the pipeline.
-            let prefetch_setup = prefetch_overheads
-                .iter()
-                .copied()
-                .fold(SimDuration::ZERO, SimDuration::max);
-            for (wi, w) in workloads.iter().enumerate() {
-                thread_times[w.thread] += prefetch_overheads[wi];
-            }
-            let makespan =
-                prefetch_setup + streaming_makespan(&compute_times, &load_times, &flush_times);
-            group_makespans.push(makespan);
-
-            // Replay the group's pipeline onto its trace tracks: pid 1+home
-            // (pid 0 is the main program), tid 0 = compute lane, tid 1 =
-            // background stream lane.
-            if rec.is_enabled() {
-                let pid = 1 + group.home.unwrap_or(gi) as u32;
-                let label = match group.home {
-                    Some(node) => format!("socket{node}"),
-                    None => format!("group{gi}"),
-                };
-                let compute_track = Track::new(pid, 0);
-                let stream_track = Track::new(pid, 1);
-                rec.set_track_name(compute_track, &format!("{label} compute"));
-                if asl_active {
-                    rec.set_track_name(stream_track, &format!("{label} stream"));
-                }
-                if prefetch_setup > SimDuration::ZERO {
-                    rec.record_interval(
-                        "wofp.prefetch",
-                        compute_track,
-                        exec_base,
-                        prefetch_setup,
-                        vec![("workloads".into(), workloads.len().to_string())],
-                    );
-                }
-                let sched = streaming_schedule(&compute_times, &load_times, &flush_times);
-                let base = exec_base + prefetch_setup;
-                for (k, &(start, dur)) in sched.compute.iter().enumerate() {
-                    rec.record_interval(
-                        "asl.batch",
-                        compute_track,
-                        base + start,
-                        dur,
-                        vec![("batch".into(), k.to_string())],
-                    );
-                }
-                for (k, &(start, dur)) in sched.load.iter().enumerate() {
-                    if dur > SimDuration::ZERO {
-                        rec.record_interval(
-                            "asl.load",
-                            stream_track,
-                            base + start,
-                            dur,
-                            vec![("batch".into(), k.to_string())],
-                        );
-                    }
-                }
-                for (k, &(start, dur)) in sched.flush.iter().enumerate() {
-                    if dur > SimDuration::ZERO {
-                        rec.record_interval(
-                            "asl.flush",
-                            stream_track,
-                            base + start,
-                            dur,
-                            vec![("batch".into(), k.to_string())],
-                        );
-                    }
-                }
-            }
-
-            for (wi, w) in workloads.iter().enumerate() {
-                total_fetches += per_workload_stats[wi].dense_fetches;
-                total_hits += per_workload_stats[wi].prefetch_hits;
-                total_misses += per_workload_stats[wi].prefetch_misses;
-                total_wasted += per_workload_stats[wi].wasted_prefetches;
-                workload_reports.push(WorkloadReport {
-                    thread: w.thread,
-                    rows: w.row_count(),
-                    nnzs: w.nnzs,
-                    entropy: w.entropy,
-                    scatter: w.scatter,
-                    time: per_workload_time[wi] + prefetch_overheads[wi],
-                    dense_fetches: per_workload_stats[wi].dense_fetches,
-                    prefetch_hits: per_workload_stats[wi].prefetch_hits,
-                    prefetch_misses: per_workload_stats[wi].prefetch_misses,
-                    wasted_prefetches: per_workload_stats[wi].wasted_prefetches,
-                    prefetcher: prefetchers[wi].as_ref().map(|p| p.kind()),
-                });
-            }
-
-            // Copy the numeric result out of the placed block is already
-            // done via `result`; c_part exists for capacity accounting.
-            drop(c_part);
+            let plan = self.plan_group(a, b, &layout.sparse_parts, group, &in_degrees)?;
+            let outcome = self.run_group(&plan, &mut run.result);
+            self.trace_group(gi, &plan, &outcome, exec_base);
+            run.absorb(outcome);
         }
-        drop(reservations);
+        drop(layout);
 
-        let exec_time = group_makespans
-            .into_iter()
-            .fold(SimDuration::ZERO, SimDuration::max);
-        let makespan = alloc_time + exec_time;
-        let stats = ThreadStats::from_times(&thread_times);
-
-        rec.end(exec_span, Some(exec_time));
+        rec.end(exec_span, Some(run.makespan - run.alloc_time));
         rec.end(run_span, None);
         rec.counter_add("spmm.runs", 1);
-        rec.counter_add("spmm.dense_fetches", total_fetches);
-        rec.counter_add("spmm.prefetch_hits", total_hits);
-        rec.counter_add("spmm.prefetch_misses", total_misses);
-        rec.counter_add("spmm.wasted_prefetches", total_wasted);
-        if total_fetches > 0 {
-            rec.gauge_set("wofp.hit_rate", total_hits as f64 / total_fetches as f64);
+        rec.counter_add("spmm.dense_fetches", run.dense_fetches);
+        rec.counter_add("spmm.prefetch_hits", run.prefetch_hits);
+        rec.counter_add("spmm.prefetch_misses", run.prefetch_misses);
+        rec.counter_add("spmm.wasted_prefetches", run.wasted_prefetches);
+        if run.dense_fetches > 0 {
+            rec.gauge_set("wofp.hit_rate", run.hit_rate());
         }
         // Degraded-mode accounting: each failed chunk was injected by the
         // plan and resolved by a re-run, so it lands on both sides of the
         // `fault.injected == … + serve.degraded` identity. Published only
         // when faults actually fired, keeping fault-free metric exports
         // byte-identical to builds without a plan.
-        if degraded_chunks > 0 {
-            rec.counter_add("fault.injected", degraded_chunks);
-            rec.counter_add("serve.degraded", degraded_chunks);
+        if run.degraded_chunks > 0 {
+            rec.counter_add("fault.injected", run.degraded_chunks);
+            rec.counter_add("serve.degraded", run.degraded_chunks);
         }
-        self.lifetime().merge(&merged);
+        self.lifetime().merge(&run.counters);
+        Ok(run)
+    }
 
-        Ok(SpmmRun {
-            result,
-            makespan,
-            alloc_time,
-            thread_times,
-            stats,
-            workloads: workload_reports,
-            counters: merged,
-            dense_fetches: total_fetches,
-            prefetch_hits: total_hits,
-            prefetch_misses: total_misses,
-            wasted_prefetches: total_wasted,
+    /// Execute one planned group: every column batch through the kernel on
+    /// the wall-clock pool, its ASL load before and flush after, numeric
+    /// blocks scattered into `result`, accounting folded per workload.
+    fn run_group(&self, plan: &GroupPlan<'_>, result: &mut DenseMatrix) -> GroupRun {
+        let model = self.sys.model();
+        let sim_threads = self.cfg.threads as u32;
+        let mut counters = plan.setup_counters.clone();
+        let mut degraded_chunks = 0u64;
+        // Per workload: its prefetcher build, then every batch on top.
+        let mut times = plan.prefetch_overheads.clone();
+        let mut stats = vec![KernelStats::default(); plan.workloads.len()];
+        let batches = plan.asl.num_batches();
+        let mut compute_times = Vec::with_capacity(batches);
+        let mut load_times = Vec::with_capacity(batches);
+        let mut flush_times = Vec::with_capacity(batches);
+
+        for batch in &plan.asl.batches {
+            // ASL streams the batch's dense columns from their home into the
+            // window before it computes and its result block back out after,
+            // both overlapped by the pipeline.
+            let block_bytes = (result.rows() * batch.len() * 4) as u64;
+            let (home, window) = (plan.inputs.dense_home, plan.inputs.staging);
+            load_times.push(self.stream_leg(plan, home, window, block_bytes, &mut counters));
+
+            let mut batch_max = SimDuration::ZERO;
+            for (wi, (block, chunk_stats, chunk, penalty, failed)) in
+                self.run_batch(plan, batch).into_iter().enumerate()
+            {
+                let w = &plan.workloads[wi];
+                let mut t = model.thread_time(&chunk, sim_threads) + penalty;
+                if failed {
+                    // Degraded mode: the chunk's output is recomputed from
+                    // scratch, paying the chunk's traffic and time a second
+                    // time. The numeric result is unaffected — the kernel
+                    // is deterministic.
+                    degraded_chunks += 1;
+                    counters.merge(&chunk);
+                    t += t;
+                }
+                counters.merge(&chunk);
+                batch_max = batch_max.max(t);
+                times[wi] += t;
+                stats[wi].absorb_batch(&chunk_stats);
+                // Scatter the block into the global result.
+                let nrows = w.row_count();
+                for (lt, t_global) in batch.clone().enumerate() {
+                    let col = result.col_mut(t_global);
+                    for (li, v) in w.rows.iter().enumerate() {
+                        col[v as usize] = block[lt * nrows + li];
+                    }
+                }
+            }
+            compute_times.push(batch_max);
+            flush_times.push(self.stream_leg(plan, window, home, block_bytes, &mut counters));
+        }
+
+        let reports = (plan.workloads.iter().zip(&plan.prefetchers))
+            .zip(times.into_iter().zip(stats))
+            .map(|((w, prefetcher), (time, stats))| WorkloadReport {
+                thread: w.thread,
+                rows: w.row_count(),
+                nnzs: w.nnzs,
+                entropy: w.entropy,
+                scatter: w.scatter,
+                time,
+                dense_fetches: stats.dense_fetches,
+                prefetch_hits: stats.prefetch_hits,
+                prefetch_misses: stats.prefetch_misses,
+                wasted_prefetches: stats.wasted_prefetches,
+                prefetcher: prefetcher.as_ref().map(|p| p.kind()),
+            })
+            .collect();
+        GroupRun {
+            // Prefetch builds happen once, in parallel, before the pipeline.
+            prefetch_setup: (plan.prefetch_overheads.iter().copied())
+                .fold(SimDuration::ZERO, SimDuration::max),
+            schedule: streaming_schedule(&compute_times, &load_times, &flush_times),
+            reports,
+            counters,
             degraded_chunks,
-        })
+        }
     }
 
-    /// Resolve the ASL plan for a group: Eq. 9 against the staging budget,
-    /// falling back to a streamed-result variant, then to no streaming.
-    fn plan_streaming(
+    /// Price one ASL stream leg — `bytes` read sequentially from `from` and
+    /// written sequentially to `to` by the group's background channel — and
+    /// add its traffic to `counters`. Free when the group does not stream.
+    fn stream_leg(
         &self,
-        group: &Group,
-        staging_home: Placement,
-        sparse_bytes: u64,
-        v: u64,
-    ) -> Result<(AslPlan, bool, Option<MemReservation>)> {
-        let Some(asl) = self.cfg.asl else {
-            return Ok((AslPlan::single(group.cols.clone()), false, None));
-        };
-        let d = group.cols.len();
-        let budget = (self.available_at(staging_home) as f64 * asl.dram_fraction) as u64;
-
-        // Eq. 9 verbatim, then the streamed-result fallback where only the
-        // current batch's result block occupies the window.
-        let partitions = partitions_required(d, v, 4, budget, sparse_bytes).or_else(|| {
-            let dv = d as u64 * v * 4;
-            if budget <= sparse_bytes {
-                return None;
-            }
-            let free = (budget - sparse_bytes) as f64;
-            Some(((3.0 * dv as f64 / free).ceil() as u64).max(1))
-        });
-        let Some(parts) = partitions else {
-            return Ok((AslPlan::single(group.cols.clone()), false, None));
-        };
-        let plan = AslPlan::new(group.cols.clone(), parts);
-        // Reserve the double-buffered window (current + in-flight batch).
-        let window = (plan.max_batch_cols() as u64 * v * 4).saturating_mul(2);
-        match self.reserve(staging_home, window.min(budget.max(1))) {
-            Ok(r) => Ok((plan, true, Some(r))),
-            Err(_) => Ok((AslPlan::single(group.cols.clone()), false, None)),
+        plan: &GroupPlan<'_>,
+        from: Placement,
+        to: Placement,
+        bytes: u64,
+        counters: &mut ClassCounters,
+    ) -> SimDuration {
+        if !plan.streaming {
+            return SimDuration::ZERO;
         }
-    }
-
-    fn available_at(&self, placement: Placement) -> u64 {
-        let gov = self.sys.governor();
-        match placement {
-            Placement::Node { node, device } => gov.usage(node, device).available(),
-            Placement::Interleaved { device } => (0..self.sys.topology().nodes())
-                .map(|k| gov.usage(k, device).available())
-                .sum(),
-        }
-    }
-
-    fn reserve(&self, placement: Placement, bytes: u64) -> Result<MemReservation> {
-        let gov = self.sys.governor().clone();
-        match placement {
-            Placement::Node { node, device } => Ok(MemReservation::new(gov, node, device, bytes)?),
-            Placement::Interleaved { device } => {
-                // Approximate an interleaved reservation as node 0 + node 1
-                // halves; MemReservation handles one pair, so reserve the
-                // whole amount spread via two reservations is overkill —
-                // place the accounting on node 0 and the rest on node 1.
-                let nodes = self.sys.topology().nodes() as u64;
-                let per = bytes / nodes;
-                // Hold the first reservation inside a composite by chaining:
-                // simplest correct behaviour: reserve per-node amounts and
-                // keep only the first (others dropped) would leak capacity.
-                // Instead, reserve the full amount on node 0 when single
-                // node, else split across two explicit reservations held in
-                // a Vec is not expressible here; reserve on node 0 the
-                // per-node share times nodes to stay conservative.
-                let _ = per;
-                Ok(MemReservation::new(gov, 0, device, bytes)?)
-            }
-        }
-    }
-
-    fn ctx_for(&self, group: &Group, thread: usize) -> ThreadMem {
-        match group.home {
-            Some(node) => self.sys.thread_ctx_on(node),
-            None => self.sys.thread_ctx(thread),
-        }
-    }
-
-    /// [`ctx_for`], but recycled out of a pool worker's persistent scratch
-    /// slot: a reset context is observationally identical to a fresh one,
-    /// so fault draws and counters match [`ctx_for`] byte-for-byte without
-    /// re-running construction on every workload of every batch.
-    ///
-    /// [`ctx_for`]: SpmmEngine::ctx_for
-    fn ctx_for_in<'s>(
-        &self,
-        slot: &'s mut Option<ThreadMem>,
-        group: &Group,
-        thread: usize,
-    ) -> &'s mut ThreadMem {
-        let node = match group.home {
-            Some(node) => node,
-            None => self.sys.topology().node_of_thread(thread),
-        };
-        self.sys.recycle_ctx_on(slot, node)
+        let group = plan.group;
+        let node = group.node_of(group.threads[0], self.sys.topology());
+        let mut ctx = self.sys.thread_ctx_on(node);
+        ctx.charge_block(from, AccessOp::Read, AccessPattern::Seq, bytes, 1);
+        ctx.charge_block(to, AccessOp::Write, AccessPattern::Seq, bytes, 1);
+        counters.merge(ctx.counters());
+        self.sys.model().stream_time(ctx.counters()) + ctx.injected_penalty()
     }
 
     /// Run all of a group's workloads for one column batch on real threads.
-    #[allow(clippy::too_many_arguments)]
     fn run_batch(
         &self,
-        a: &Csdb,
-        sparse_parts: &[(Range<u32>, Placement)],
-        b_part: &PlacedMatrix,
-        dense_read: Placement,
-        staging_home: Placement,
-        result_target: Placement,
-        workloads: &[Workload],
-        prefetchers: &[Option<Prefetcher>],
-        group: &Group,
-        local_cols: Range<usize>,
+        plan: &GroupPlan<'_>,
+        batch: &Range<usize>,
     ) -> Vec<(Vec<f32>, KernelStats, ClassCounters, SimDuration, bool)> {
-        let inputs = KernelInputs {
-            csdb: a,
-            sparse_parts,
-            dense: b_part,
-            dense_read,
-            staging: staging_home,
-            result: result_target,
-        };
+        // Salt each context's clock so an installed fault plan draws
+        // independently per (batch, workload) — decided by data (the batch's
+        // first column within the group, the workload's index), never by OS
+        // thread scheduling.
+        let batch_salt = ((batch.start - plan.group.cols.start) as u64) << 20;
         // The shared workspace pool: workloads are claimed dynamically and
         // results land in workload-index order, so wall parallelism never
-        // reorders the fixed-order merge downstream.
-        let threads = self.wall_threads.min(workloads.len().max(1));
+        // reorders the fixed-order merge downstream. Each worker recycles
+        // one context across workloads; a reset context is observationally
+        // identical to a fresh one.
+        let threads = self.wall_threads.min(plan.workloads.len().max(1));
         omega_par::run_labeled(
             "spmm.workload",
             threads,
-            workloads.len(),
+            plan.workloads.len(),
             |slot: &mut Option<ThreadMem>, wi| {
-                let w = &workloads[wi];
-                let ctx = self.ctx_for_in(slot, group, w.thread);
-                // Salt the context clock so an installed fault plan draws
-                // independently per (batch, workload) — decided by data, never
-                // by OS thread scheduling.
-                ctx.set_sim_now(SimDuration::from_nanos(
-                    ((local_cols.start as u64) << 20) | wi as u64,
-                ));
-                let (block, stats) = run_workload(
-                    &inputs,
-                    w,
-                    local_cols.clone(),
-                    prefetchers[wi].as_ref(),
-                    ctx,
-                );
+                let w = &plan.workloads[wi];
+                let node = plan.group.node_of(w.thread, self.sys.topology());
+                let ctx = self.sys.recycle_ctx_on(slot, node);
+                ctx.set_sim_now(SimDuration::from_nanos(batch_salt | wi as u64));
+                let prefetcher = plan.prefetchers[wi].as_ref();
+                let (block, stats) = run_workload(&plan.inputs, w, batch.clone(), prefetcher, ctx);
                 let penalty = ctx.injected_penalty();
                 let failed = ctx.take_fault().is_some();
                 (block, stats, ctx.take_counters(), penalty, failed)
             },
         )
     }
+
+    /// Replay a group's pipeline onto its trace tracks: pid 1+home (pid 0
+    /// is the main program), tid 0 = compute lane, tid 1 = background
+    /// stream lane.
+    fn trace_group(&self, gi: usize, plan: &GroupPlan<'_>, run: &GroupRun, exec_base: SimInstant) {
+        let rec = &self.rec;
+        if !rec.is_enabled() {
+            return;
+        }
+        let (pid, label) = match plan.group.home {
+            Some(node) => (1 + node as u32, format!("socket{node}")),
+            None => (1 + gi as u32, format!("group{gi}")),
+        };
+        let compute_track = Track::new(pid, 0);
+        let stream_track = Track::new(pid, 1);
+        rec.set_track_name(compute_track, &format!("{label} compute"));
+        if plan.streaming {
+            rec.set_track_name(stream_track, &format!("{label} stream"));
+        }
+        if run.prefetch_setup > SimDuration::ZERO {
+            rec.record_interval(
+                "wofp.prefetch",
+                compute_track,
+                exec_base,
+                run.prefetch_setup,
+                vec![("workloads".into(), plan.workloads.len().to_string())],
+            );
+        }
+        let base = exec_base + run.prefetch_setup;
+        let sched = &run.schedule;
+        for (name, track, lane) in [
+            ("asl.batch", compute_track, &sched.compute),
+            ("asl.load", stream_track, &sched.load),
+            ("asl.flush", stream_track, &sched.flush),
+        ] {
+            for (k, &(start, dur)) in lane.iter().enumerate() {
+                // Every batch computes; a leg that moved nothing is not drawn.
+                if track == compute_track || dur > SimDuration::ZERO {
+                    let args = vec![("batch".into(), k.to_string())];
+                    rec.record_interval(name, track, base + start, dur, args);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AllocScheme, ThreadStats};
     use omega_graph::RmatConfig;
     use omega_hetmem::Topology;
     use omega_linalg::gaussian_matrix;
@@ -983,7 +414,6 @@ mod tests {
         assert_eq!(run.prefetch_hits + run.prefetch_misses, run.dense_fetches);
         for w in &run.workloads {
             assert_eq!(w.prefetch_hits + w.prefetch_misses, w.dense_fetches);
-            assert!(w.hit_rate() >= 0.0 && w.hit_rate() <= 1.0);
         }
 
         // The root span's simulated duration is exactly the run's makespan

@@ -13,11 +13,11 @@
 //! | ④    | accumulation     | CPU multiply-accumulate ops                   |
 //! | ⑤    | `write_result`   | sequential column-major result writes         |
 
-use crate::placed::PlacedMatrix;
-use crate::wofp::Prefetcher;
-use crate::workload::{RowSet, Workload};
+use crate::wofp::{Prefetcher, PrefetcherKind};
+use crate::workload::{range_nnz, RowSet, Workload};
 use omega_graph::Csdb;
 use omega_hetmem::{AccessOp, AccessPattern, Placement, ThreadMem};
+use omega_linalg::DenseMatrix;
 use std::ops::Range;
 
 /// Static inputs shared by every workload of one SpMM phase.
@@ -26,10 +26,13 @@ pub struct KernelInputs<'a> {
     /// `(row range, home placement)` partition of the sparse matrix, in row
     /// order (one entry when NaDP is off).
     pub sparse_parts: &'a [(Range<u32>, Placement)],
-    /// The dense operand `B` (numeric source).
-    pub dense: &'a PlacedMatrix,
+    /// The dense operand `B`, borrowed in place: the numeric source,
+    /// indexed by its own (global) column numbers.
+    pub dense: &'a DenseMatrix,
+    /// Home of the group's columns of `B`; prefetcher fills read from here.
+    pub dense_home: Placement,
     /// Placement charged for dense fetches: the ASL-staged DRAM window when
-    /// streaming is active, else the operand's home.
+    /// streaming is active, else `dense_home`.
     pub dense_read: Placement,
     /// Placement of the DRAM staging area (WoFP top-M entries live here).
     pub staging: Placement,
@@ -55,25 +58,23 @@ pub struct KernelStats {
     /// them this workload's rows never touch (the Fig. 19(b) high-η
     /// degradation).
     pub wasted_prefetches: u64,
-    /// Entries staged per column by the prefetcher fill.
-    pub fill_entries: u64,
 }
 
 impl KernelStats {
-    /// Fraction of dense fetches served from the DRAM staging area (the
-    /// Fig. 14 hit-rate axis). Zero when no fetches happened.
-    pub fn hit_rate(&self) -> f64 {
-        if self.dense_fetches == 0 {
-            0.0
-        } else {
-            self.prefetch_hits as f64 / self.dense_fetches as f64
-        }
+    /// Fold in another column batch of the same workload: fetches add up;
+    /// the wasted count is a property of the workload's prefetcher,
+    /// identical in every batch, so it is taken, not summed.
+    pub fn absorb_batch(&mut self, batch: &KernelStats) {
+        self.dense_fetches += batch.dense_fetches;
+        self.prefetch_hits += batch.prefetch_hits;
+        self.prefetch_misses += batch.prefetch_misses;
+        self.wasted_prefetches = batch.wasted_prefetches;
     }
 }
 
-/// Execute one workload over `cols` dense columns, returning the result
-/// block (column-major, `rows.len() × cols.len()`) and the traffic stats.
-/// All traffic is charged to `ctx`.
+/// Execute one workload over columns `cols` of the dense operand, returning
+/// the result block (column-major, `rows.len() × cols.len()`) and the
+/// traffic stats. All traffic is charged to `ctx`.
 pub fn run_workload(
     inp: &KernelInputs<'_>,
     workload: &Workload,
@@ -141,8 +142,7 @@ pub fn run_workload(
     // (round-robin over unsorted ids) jumps per row and pays random-pattern
     // media costs.
     let contiguous = workload.rows.is_contiguous();
-    for t in cols.clone() {
-        let _ = t;
+    for _ in cols.clone() {
         for seg in &segments {
             if contiguous {
                 ctx.charge_block(
@@ -164,7 +164,7 @@ pub fn run_workload(
         }
         if fill_entries > 0 {
             ctx.charge_block(
-                inp.dense.placement(),
+                inp.dense_home,
                 AccessOp::Read,
                 AccessPattern::Rand,
                 fill_entries * 4,
@@ -177,7 +177,6 @@ pub fn run_workload(
                 fill_entries * 16,
                 1,
             );
-            stats.fill_entries += fill_entries;
         }
 
         // Step ③: dense fetches, split by staging membership and by the
@@ -214,7 +213,7 @@ pub fn run_workload(
         // nothing here.
         if matches!(
             prefetcher.map(|p| p.kind()),
-            Some(crate::wofp::PrefetcherKind::Frequency)
+            Some(PrefetcherKind::Frequency)
         ) {
             ctx.add_cpu_ops(total_fetches * 4);
         }
@@ -233,7 +232,7 @@ pub fn run_workload(
     for (li, v) in workload.rows.iter().enumerate() {
         let (row_cols, row_vals) = inp.csdb.row(v);
         for (local_t, t) in cols.clone().enumerate() {
-            let bcol = inp.dense.col_raw(t);
+            let bcol = inp.dense.col(t);
             out[local_t * nrows + li] = omega_linalg::kernels::sparse_dot(row_cols, row_vals, bcol);
         }
     }
@@ -258,23 +257,10 @@ fn segment_workload(inp: &KernelInputs<'_>, workload: &Workload) -> Vec<Segment>
             .filter_map(|(part, placement)| {
                 let s = start.max(part.start);
                 let e = end.min(part.end);
-                (s < e).then(|| {
-                    let nnzs: u64 = if s < inp.csdb.rows() {
-                        let lo = inp.csdb.deg_ptr(s);
-                        let hi = if e < inp.csdb.rows() {
-                            inp.csdb.deg_ptr(e)
-                        } else {
-                            inp.csdb.nnz() as u64
-                        };
-                        hi - lo
-                    } else {
-                        0
-                    };
-                    Segment {
-                        placement: *placement,
-                        rows: (e - s) as u64,
-                        nnzs,
-                    }
+                (s < e).then(|| Segment {
+                    placement: *placement,
+                    rows: (e - s) as u64,
+                    nnzs: range_nnz(inp.csdb, s..e),
                 })
             })
             .collect(),
@@ -305,7 +291,7 @@ mod tests {
     use crate::wofp::WofpConfig;
     use omega_graph::{Csdb, RmatConfig};
     use omega_hetmem::{DeviceKind, MemSystem, Topology};
-    use omega_linalg::{gaussian_matrix, DenseMatrix};
+    use omega_linalg::gaussian_matrix;
 
     fn setup() -> (Csdb, MemSystem) {
         let csr = RmatConfig::social(256, 2_000, 21).generate_csr().unwrap();
@@ -313,6 +299,26 @@ mod tests {
             Csdb::from_csr(&csr).unwrap(),
             MemSystem::new(Topology::paper_machine_scaled(1 << 24)),
         )
+    }
+
+    const PM0: Placement = Placement::node(0, DeviceKind::Pm);
+
+    /// Kernel inputs over `b` borrowed in place, everything homed on node
+    /// 0's PM except the DRAM staging area.
+    fn inputs<'a>(
+        g: &'a Csdb,
+        parts: &'a [(Range<u32>, Placement)],
+        b: &'a DenseMatrix,
+    ) -> KernelInputs<'a> {
+        KernelInputs {
+            csdb: g,
+            sparse_parts: parts,
+            dense: b,
+            dense_home: PM0,
+            dense_read: PM0,
+            staging: Placement::node(0, DeviceKind::Dram),
+            result: PM0,
+        }
     }
 
     /// Reference dense SpMM in permuted space.
@@ -330,17 +336,8 @@ mod tests {
         let (g, sys) = setup();
         let d = 8;
         let b = gaussian_matrix(g.rows() as usize, d, 3);
-        let placed =
-            PlacedMatrix::new(&sys, Placement::node(0, DeviceKind::Pm), b.clone()).unwrap();
-        let parts = [(0..g.rows(), Placement::node(0, DeviceKind::Pm))];
-        let inp = KernelInputs {
-            csdb: &g,
-            sparse_parts: &parts,
-            dense: &placed,
-            dense_read: placed.placement(),
-            staging: Placement::node(0, DeviceKind::Dram),
-            result: Placement::node(0, DeviceKind::Pm),
-        };
+        let parts = [(0..g.rows(), PM0)];
+        let inp = inputs(&g, &parts, &b);
         let w = Workload::contiguous(0, &g, 0, g.rows());
         let mut ctx = sys.thread_ctx(0);
         let (out, stats) = run_workload(&inp, &w, 0..d, None, &mut ctx);
@@ -365,17 +362,8 @@ mod tests {
         let (g, sys) = setup();
         let d = 4;
         let b = gaussian_matrix(g.rows() as usize, d, 9);
-        let placed =
-            PlacedMatrix::new(&sys, Placement::node(0, DeviceKind::Pm), b.clone()).unwrap();
-        let parts = [(0..g.rows(), Placement::node(0, DeviceKind::Pm))];
-        let inp = KernelInputs {
-            csdb: &g,
-            sparse_parts: &parts,
-            dense: &placed,
-            dense_read: placed.placement(),
-            staging: Placement::node(0, DeviceKind::Dram),
-            result: Placement::node(0, DeviceKind::Pm),
-        };
+        let parts = [(0..g.rows(), PM0)];
+        let inp = inputs(&g, &parts, &b);
         let mid = g.rows() / 2;
         let w1 = Workload::contiguous(0, &g, 0, mid);
         let w2 = Workload::contiguous(1, &g, mid, g.rows());
@@ -399,16 +387,8 @@ mod tests {
         let (g, sys) = setup();
         let d = 2;
         let b = gaussian_matrix(g.rows() as usize, d, 1);
-        let placed = PlacedMatrix::new(&sys, Placement::node(0, DeviceKind::Pm), b).unwrap();
-        let parts = [(0..g.rows(), Placement::node(0, DeviceKind::Pm))];
-        let inp = KernelInputs {
-            csdb: &g,
-            sparse_parts: &parts,
-            dense: &placed,
-            dense_read: placed.placement(),
-            staging: Placement::node(0, DeviceKind::Dram),
-            result: Placement::node(0, DeviceKind::Pm),
-        };
+        let parts = [(0..g.rows(), PM0)];
+        let inp = inputs(&g, &parts, &b);
         let w = Workload::contiguous(0, &g, 0, g.rows());
         let p = Prefetcher::build(
             &WofpConfig {
@@ -435,7 +415,6 @@ mod tests {
             stats.dense_fetches,
             "every fetch is either a staging hit or a miss"
         );
-        assert!(stats.hit_rate() > 0.0 && stats.hit_rate() <= 1.0);
         assert!(
             stats.wasted_prefetches < p.entries() as u64,
             "a frequency prefetcher built from this workload stages mostly-referenced columns"
@@ -458,19 +437,11 @@ mod tests {
         let (g, sys) = setup();
         let mid = g.rows() / 2;
         let b = gaussian_matrix(g.rows() as usize, 2, 4);
-        let placed = PlacedMatrix::new(&sys, Placement::node(0, DeviceKind::Pm), b).unwrap();
         let parts = [
             (0..mid, Placement::node(0, DeviceKind::Pm)),
             (mid..g.rows(), Placement::node(1, DeviceKind::Pm)),
         ];
-        let inp = KernelInputs {
-            csdb: &g,
-            sparse_parts: &parts,
-            dense: &placed,
-            dense_read: placed.placement(),
-            staging: Placement::node(0, DeviceKind::Dram),
-            result: Placement::node(0, DeviceKind::Pm),
-        };
+        let inp = inputs(&g, &parts, &b);
         // A workload straddling the boundary, run from node 0: part 1's
         // stream must be charged remote.
         let w = Workload::contiguous(0, &g, mid - 10, mid + 10);
@@ -486,17 +457,8 @@ mod tests {
     fn strided_workload_computes_correctly() {
         let (g, sys) = setup();
         let b = gaussian_matrix(g.rows() as usize, 2, 8);
-        let placed =
-            PlacedMatrix::new(&sys, Placement::node(0, DeviceKind::Pm), b.clone()).unwrap();
-        let parts = [(0..g.rows(), Placement::node(0, DeviceKind::Pm))];
-        let inp = KernelInputs {
-            csdb: &g,
-            sparse_parts: &parts,
-            dense: &placed,
-            dense_read: placed.placement(),
-            staging: Placement::node(0, DeviceKind::Dram),
-            result: Placement::node(0, DeviceKind::Pm),
-        };
+        let parts = [(0..g.rows(), PM0)];
+        let inp = inputs(&g, &parts, &b);
         let w = Workload::strided(0, &g, 1, 3);
         let mut ctx = sys.thread_ctx(0);
         let (out, _) = run_workload(&inp, &w, 0..2, None, &mut ctx);
@@ -510,16 +472,8 @@ mod tests {
     fn empty_workload_is_free() {
         let (g, sys) = setup();
         let b = gaussian_matrix(g.rows() as usize, 2, 8);
-        let placed = PlacedMatrix::new(&sys, Placement::node(0, DeviceKind::Pm), b).unwrap();
-        let parts = [(0..g.rows(), Placement::node(0, DeviceKind::Pm))];
-        let inp = KernelInputs {
-            csdb: &g,
-            sparse_parts: &parts,
-            dense: &placed,
-            dense_read: placed.placement(),
-            staging: Placement::node(0, DeviceKind::Dram),
-            result: Placement::node(0, DeviceKind::Pm),
-        };
+        let parts = [(0..g.rows(), PM0)];
+        let inp = inputs(&g, &parts, &b);
         let w = Workload::contiguous(0, &g, g.rows(), g.rows());
         let mut ctx = sys.thread_ctx(0);
         let (out, stats) = run_workload(&inp, &w, 0..2, None, &mut ctx);

@@ -15,26 +15,33 @@
 //!   dense operands, CPU-bound thread groups, local intermediates,
 //!   global-sequential-read / local-write discipline;
 //! * [`asl`] — asynchronous adaptive streaming loading (§III-E, Eq. 8–9);
-//! * [`kernel`] — the charged Algorithm 1 inner loop;
-//! * [`exec`] — the simulated-time executor producing per-thread costs,
-//!   makespans and tail-latency statistics;
-//! * [`placed`] — dense matrices placed on simulated devices.
+//! * [`exec`] — the simulated-time executor: [`SpmmEngine::spmm`] plans
+//!   each socket group (placements, capacity, batches, workloads,
+//!   prefetchers), runs its column batches through the charged Algorithm 1
+//!   kernel, and folds per-thread costs into a [`SpmmRun`];
+//! * [`analysis`] — post-run traffic breakdowns (Fig. 7(a), §III-D).
+//!
+//! Configuration ([`SpmmConfig`], [`MemMode`]) and report types
+//! ([`SpmmRun`], [`WorkloadReport`], [`ThreadStats`]) are re-exported here.
 
 pub mod alloc;
 pub mod analysis;
 pub mod asl;
+mod config;
 pub mod entropy;
 pub mod exec;
-pub mod kernel;
+mod kernel;
 pub mod nadp;
-pub mod placed;
+mod plan;
+mod report;
 pub mod wofp;
 pub mod workload;
 
 pub use alloc::AllocScheme;
 pub use asl::AslConfig;
-pub use exec::{MemMode, SpmmConfig, SpmmEngine, SpmmRun, ThreadStats};
-pub use placed::PlacedMatrix;
+pub use config::{MemMode, SpmmConfig};
+pub use exec::SpmmEngine;
+pub use report::{SpmmRun, ThreadStats, WorkloadReport};
 pub use wofp::WofpConfig;
 pub use workload::{RowSet, Workload};
 

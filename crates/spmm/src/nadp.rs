@@ -18,7 +18,7 @@
 //! traffic on two sockets).
 
 use omega_graph::Csdb;
-use omega_hetmem::{DeviceKind, Placement, Topology};
+use omega_hetmem::Topology;
 use std::ops::Range;
 
 /// The placement plan for one SpMM: per-socket partitions of both operands
@@ -98,39 +98,6 @@ impl NadpPlan {
     pub fn nodes(&self) -> usize {
         self.sparse_rows.len()
     }
-
-    /// Placement of the sparse partition homed on `node`.
-    pub fn sparse_placement(&self, node: usize, device: DeviceKind) -> Placement {
-        Placement::node(node, device)
-    }
-
-    /// Placement of the dense/result column block homed on `node`.
-    pub fn dense_placement(&self, node: usize, device: DeviceKind) -> Placement {
-        Placement::node(node, device)
-    }
-
-    /// The node whose sparse partition contains `row`.
-    pub fn node_of_row(&self, row: u32) -> usize {
-        self.sparse_rows
-            .iter()
-            .position(|r| r.contains(&row))
-            .unwrap_or(self.sparse_rows.len() - 1)
-    }
-
-    /// Split a contiguous row range at the sparse-partition boundaries,
-    /// yielding `(sub-range, home node)` segments — what the kernel uses to
-    /// charge each read against the right socket.
-    pub fn segment_rows(&self, rows: Range<u32>) -> Vec<(Range<u32>, usize)> {
-        let mut out = Vec::new();
-        for (node, part) in self.sparse_rows.iter().enumerate() {
-            let start = rows.start.max(part.start);
-            let end = rows.end.min(part.end);
-            if start < end {
-                out.push((start..end, node));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -184,22 +151,6 @@ mod tests {
         assert_eq!(total, 7);
         assert_eq!(plan.dense_cols[0].len(), 4);
         assert_eq!(plan.dense_cols[1].len(), 3);
-    }
-
-    #[test]
-    fn row_segmentation_respects_boundaries() {
-        let (g, topo) = setup();
-        let plan = NadpPlan::build(&g, 8, &topo, 4);
-        let boundary = plan.sparse_rows[0].end;
-        let segs = plan.segment_rows(boundary - 2..boundary + 2);
-        assert_eq!(segs.len(), 2);
-        assert_eq!(segs[0], (boundary - 2..boundary, 0));
-        assert_eq!(segs[1], (boundary..boundary + 2, 1));
-        // A range inside one partition yields one segment.
-        let segs = plan.segment_rows(0..2);
-        assert_eq!(segs, vec![(0..2, 0)]);
-        assert_eq!(plan.node_of_row(0), 0);
-        assert_eq!(plan.node_of_row(g.rows() - 1), 1);
     }
 
     #[test]

@@ -169,12 +169,6 @@ impl Prefetcher {
     pub fn contains(&self, c: u32) -> bool {
         self.member[c as usize]
     }
-
-    /// DRAM bytes the staged key-value pairs occupy per dense column
-    /// (key u32 + value f32 + metadata u64).
-    pub fn dram_bytes_per_column(&self) -> u64 {
-        self.entries as u64 * 16
-    }
 }
 
 #[cfg(test)]
@@ -272,7 +266,6 @@ mod tests {
         let p = Prefetcher::build(&cfg, &g, &w, &g.in_degrees());
         assert_eq!(p.entries(), 0);
         assert!(!p.contains(0));
-        assert_eq!(p.dram_bytes_per_column(), 0);
     }
 
     #[test]
@@ -299,7 +292,6 @@ mod tests {
             &ind,
         );
         assert!(large.entries() >= small.entries());
-        assert!(large.dram_bytes_per_column() >= small.dram_bytes_per_column());
     }
 
     #[test]

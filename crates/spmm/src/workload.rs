@@ -2,6 +2,7 @@
 //! thread processes.
 
 use omega_graph::Csdb;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The set of sparse-matrix rows assigned to one thread.
@@ -116,9 +117,6 @@ pub struct Workload {
     pub rows: RowSet,
     /// Total non-zeros in the workload (`W_i`).
     pub nnzs: u64,
-    /// Start offset in `col_list`/`nnz_list` for `Range` workloads (`bst`
-    /// of Algorithm 1); 0 for strided sets.
-    pub nnz_start: u64,
     /// Workload entropy `H_i` (Eq. 3).
     pub entropy: f64,
     /// Inherent scatter factor `W_sca` (§III-B).
@@ -126,62 +124,53 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Build a workload over a contiguous row range of a CSDB matrix,
-    /// computing its entropy and scatter diagnostics.
-    pub fn contiguous(thread: usize, csdb: &Csdb, start: u32, end: u32) -> Workload {
-        let row_nnz: Vec<u64> = (start..end).map(|v| csdb.degree(v) as u64).collect();
-        let nnzs: u64 = row_nnz.iter().sum();
+    /// A workload over `rows`, with its nnz total and entropy / scatter
+    /// diagnostics read off the matrix.
+    fn over(thread: usize, csdb: &Csdb, rows: RowSet) -> Workload {
+        let row_nnz: Vec<u64> = rows.iter().map(|v| csdb.degree(v) as u64).collect();
         Workload {
             thread,
-            rows: RowSet::Range { start, end },
-            nnzs,
-            nnz_start: if start < csdb.rows() {
-                csdb.deg_ptr(start)
-            } else {
-                csdb.nnz() as u64
-            },
+            rows,
+            nnzs: row_nnz.iter().sum(),
             entropy: omega_graph::stats::workload_entropy(&row_nnz),
             scatter: omega_graph::stats::scatter_factor(&row_nnz, csdb.cols()),
         }
     }
 
+    /// Build a workload over a contiguous row range of a CSDB matrix.
+    pub fn contiguous(thread: usize, csdb: &Csdb, start: u32, end: u32) -> Workload {
+        Self::over(thread, csdb, RowSet::Range { start, end })
+    }
+
     /// Build a strided (round-robin over permuted ids) workload.
     pub fn strided(thread: usize, csdb: &Csdb, start: u32, stride: u32) -> Workload {
-        let rows = RowSet::Strided {
-            start,
-            stride,
-            end: csdb.rows(),
-        };
-        let row_nnz: Vec<u64> = rows.iter().map(|v| csdb.degree(v) as u64).collect();
-        let nnzs: u64 = row_nnz.iter().sum();
-        Workload {
-            thread,
-            rows,
-            nnzs,
-            nnz_start: 0,
-            entropy: omega_graph::stats::workload_entropy(&row_nnz),
-            scatter: omega_graph::stats::scatter_factor(&row_nnz, csdb.cols()),
-        }
+        let end = csdb.rows();
+        Self::over(thread, csdb, RowSet::Strided { start, stride, end })
     }
 
     /// Build a workload over an explicit (permuted-id) row list — the shape
     /// the library-default round-robin produces after CSDB relabelling.
     pub fn scattered(thread: usize, csdb: &Csdb, rows: Vec<u32>) -> Workload {
-        let row_nnz: Vec<u64> = rows.iter().map(|&v| csdb.degree(v) as u64).collect();
-        let nnzs: u64 = row_nnz.iter().sum();
-        Workload {
-            thread,
-            rows: RowSet::Scattered(Arc::new(rows)),
-            nnzs,
-            nnz_start: 0,
-            entropy: omega_graph::stats::workload_entropy(&row_nnz),
-            scatter: omega_graph::stats::scatter_factor(&row_nnz, csdb.cols()),
-        }
+        Self::over(thread, csdb, RowSet::Scattered(Arc::new(rows)))
     }
 
     pub fn row_count(&self) -> usize {
         self.rows.len()
     }
+}
+
+/// Non-zeros held by the contiguous rows `rows`, read off the CSDB's
+/// arithmetic degree pointer (`Deg_ptr`, Eq. 1). Rows at or past the end of
+/// the matrix hold none.
+pub(crate) fn range_nnz(csdb: &Csdb, rows: Range<u32>) -> u64 {
+    let ptr = |row: u32| {
+        if row < csdb.rows() {
+            csdb.deg_ptr(row)
+        } else {
+            csdb.nnz() as u64
+        }
+    };
+    ptr(rows.end) - ptr(rows.start)
 }
 
 #[cfg(test)]
@@ -225,12 +214,11 @@ mod tests {
         let g = csdb();
         let w = Workload::contiguous(0, &g, 0, g.rows());
         assert_eq!(w.nnzs, g.nnz() as u64);
-        assert_eq!(w.nnz_start, 0);
         assert!(w.entropy > 0.0);
         assert!(w.scatter > 0.0);
-        // Second half starts at the right nnz offset.
+        // Halves partition the nnz, and agree with the degree pointer.
         let w2 = Workload::contiguous(1, &g, 3, g.rows());
-        assert_eq!(w2.nnz_start, g.deg_ptr(3));
+        assert_eq!(w2.nnzs, range_nnz(&g, 3..g.rows()));
         assert_eq!(w.nnzs, Workload::contiguous(0, &g, 0, 3).nnzs + w2.nnzs);
     }
 
@@ -266,6 +254,6 @@ mod tests {
         let w = Workload::contiguous(0, &g, g.rows(), g.rows());
         assert_eq!(w.nnzs, 0);
         assert_eq!(w.entropy, 0.0);
-        assert_eq!(w.nnz_start, g.nnz() as u64);
+        assert_eq!(range_nnz(&g, g.rows()..g.rows()), 0);
     }
 }
