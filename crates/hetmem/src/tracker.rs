@@ -252,7 +252,9 @@ impl ThreadMem {
         bytes: u64,
         accesses: u64,
     ) {
-        let Some(hook) = self.hook.clone() else {
+        // Borrowed, not cloned: `hook` and the fields updated below are
+        // disjoint, and a clone is two contended atomic RMWs per access.
+        let Some(hook) = self.hook.as_deref() else {
             return;
         };
         let access = FaultAccess {

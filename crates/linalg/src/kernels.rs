@@ -30,20 +30,70 @@ const SPARSE_LANES: usize = 4;
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let main = a.len() - a.len() % DOT_LANES;
-    let mut lanes = [0f32; DOT_LANES];
-    for (ca, cb) in a[..main]
-        .chunks_exact(DOT_LANES)
-        .zip(b[..main].chunks_exact(DOT_LANES))
-    {
-        for l in 0..DOT_LANES {
-            lanes[l] += ca[l] * cb[l];
-        }
-    }
+    let lanes = dot_lanes(&a[..main], &b[..main]);
     let mut tail = 0f32;
     for (&x, &y) in a[main..].iter().zip(&b[main..]) {
         tail += x * y;
     }
     reduce8(lanes) + tail
+}
+
+/// The eight lane sums of [`dot`]'s main loop: lane `l` accumulates
+/// elements `l, l + 8, l + 16, …` in order, each step one rounded multiply
+/// and one rounded add. The definition of the kernel's arithmetic, the
+/// implementation on targets without a pinned one, and the oracle the
+/// pinned one is tested against.
+#[cfg_attr(target_arch = "x86_64", allow(dead_code))]
+#[inline]
+fn dot_lanes_portable(a: &[f32], b: &[f32]) -> [f32; DOT_LANES] {
+    let mut lanes = [0f32; DOT_LANES];
+    for (ca, cb) in a.chunks_exact(DOT_LANES).zip(b.chunks_exact(DOT_LANES)) {
+        for l in 0..DOT_LANES {
+            lanes[l] += ca[l] * cb[l];
+        }
+    }
+    lanes
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+use dot_lanes_portable as dot_lanes;
+
+/// [`dot_lanes_portable`] with its code generation pinned: lanes 0–3 and
+/// 4–7 live in two SSE registers for the whole loop (`mulps` + `addps`
+/// per register per step — the same two IEEE operations per lane, so the
+/// same bits). Left to the auto-vectoriser, the loop followed by the
+/// inlined [`reduce8`] sometimes comes out with the accumulators laid out
+/// pair-interleaved and a dozen shuffles per step, at three times the
+/// cost, and which instantiation gets which form is luck. SSE is part of
+/// the x86_64 baseline, so there is nothing to detect at run time.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn dot_lanes(a: &[f32], b: &[f32]) -> [f32; DOT_LANES] {
+    use std::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_setzero_ps, _mm_storeu_ps};
+    // SAFETY (target feature, all three blocks): the intrinsics need SSE,
+    // which every x86_64 CPU has — it is in the target's baseline.
+    let (mut lo, mut hi) = unsafe { (_mm_setzero_ps(), _mm_setzero_ps()) };
+    for (ca, cb) in a.chunks_exact(DOT_LANES).zip(b.chunks_exact(DOT_LANES)) {
+        // SAFETY: `chunks_exact(8)` yields slices of exactly eight f32, so
+        // the four floats at `ptr` and the four at `ptr + 4` are in
+        // bounds of both chunks; `loadu` has no alignment requirement.
+        unsafe {
+            let (pa, pb) = (ca.as_ptr(), cb.as_ptr());
+            lo = _mm_add_ps(lo, _mm_mul_ps(_mm_loadu_ps(pa), _mm_loadu_ps(pb)));
+            hi = _mm_add_ps(
+                hi,
+                _mm_mul_ps(_mm_loadu_ps(pa.add(4)), _mm_loadu_ps(pb.add(4))),
+            );
+        }
+    }
+    let mut lanes = [0f32; DOT_LANES];
+    // SAFETY: `lanes` holds eight f32: four writable at its start and four
+    // at offset 4; `storeu` has no alignment requirement.
+    unsafe {
+        _mm_storeu_ps(lanes.as_mut_ptr(), lo);
+        _mm_storeu_ps(lanes.as_mut_ptr().add(4), hi);
+    }
+    lanes
 }
 
 /// Fixed pairwise reduction of the eight lanes (adder-tree order).
@@ -170,6 +220,34 @@ mod tests {
             assert!(
                 (got - reference).abs() <= 1e-3 * (1.0 + reference.abs()),
                 "n={n}: {got} vs {reference}"
+            );
+        }
+    }
+
+    /// The pinned lane loop is the portable one, bit for bit, at every
+    /// length around the 8-lane and 16-element boundaries — and so is the
+    /// whole kernel against a scalar transcription of its definition.
+    #[test]
+    fn dot_lanes_match_the_portable_loop_bitwise() {
+        for n in 0..=130usize {
+            let a: Vec<f32> = (0..n)
+                .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.173)
+                .collect();
+            let b: Vec<f32> = (0..n)
+                .map(|i| ((i * 53 % 89) as f32 - 44.0) * 1.31e-2)
+                .collect();
+            let main = n - n % DOT_LANES;
+            let want = dot_lanes_portable(&a[..main], &b[..main]);
+            let got = dot_lanes(&a[..main], &b[..main]);
+            assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits), "n={n}");
+            let mut tail = 0f32;
+            for i in main..n {
+                tail += a[i] * b[i];
+            }
+            assert_eq!(
+                dot(&a, &b).to_bits(),
+                (reduce8(want) + tail).to_bits(),
+                "n={n}"
             );
         }
     }

@@ -102,7 +102,12 @@ struct OpenSpan {
 
 #[derive(Default)]
 struct State {
+    /// Slot-indexed by [`SpanHandle`]. A handle is consumed by `end`, so
+    /// closed entries at the tail are unreachable and are dropped there;
+    /// the vector stays as long as the deepest live nesting, not the run.
     open: Vec<OpenSpan>,
+    /// Spans currently open per track (the depth the next one opens at).
+    open_depth: HashMap<Track, u32>,
     spans: Vec<SpanRecord>,
     cursors: HashMap<Track, u64>,
     track_names: Vec<(Track, String)>,
@@ -179,11 +184,9 @@ impl Recorder {
         };
         let mut st = inner.state();
         let sim_start_ns = *st.cursors.get(&track).unwrap_or(&0);
-        let depth = st
-            .open
-            .iter()
-            .filter(|s| !s.closed && s.track == track)
-            .count() as u32;
+        let open_depth = st.open_depth.entry(track).or_insert(0);
+        let depth = *open_depth;
+        *open_depth += 1;
         st.open.push(OpenSpan {
             name: name.to_string(),
             track,
@@ -237,6 +240,10 @@ impl Recorder {
         let args = std::mem::take(&mut span.args);
         let wall_start_us = span.wall_start.duration_since(inner.epoch).as_micros() as u64;
         let wall_dur_us = span.wall_start.elapsed().as_micros() as u64;
+        while st.open.last().is_some_and(|s| s.closed) {
+            st.open.pop();
+        }
+        *st.open_depth.get_mut(&track).expect("opened by begin") -= 1;
 
         let cursor = st.cursors.entry(track).or_insert(0);
         let sim_end_ns = match sim_elapsed {

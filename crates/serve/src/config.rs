@@ -40,7 +40,7 @@ pub struct ServeConfig {
     /// failure, before falling back to the degraded replica path.
     pub max_retries: u32,
     /// Worker threads for per-shard batch work (fetches, point lookups,
-    /// top-k shard scans). Purely a wall-clock knob: simulated clocks,
+    /// top-k scoring). Purely a wall-clock knob: simulated clocks,
     /// metrics and results are byte-identical at every value.
     pub threads: usize,
     /// How top-k queries are answered: exact brute-force scan (the

@@ -18,18 +18,6 @@ pub(crate) const LOOKUP_STREAM: u64 = 3 << 20;
 pub(crate) const IVF_CENTROID_STREAM: u64 = 4 << 20;
 pub(crate) const IVF_PROBE_STREAM: u64 = 5 << 20;
 
-/// Per-worker scratch, held in the persistent pool's thread-local arena
-/// across calls: a recycled [`ThreadMem`] context (reset per task, so
-/// fault schedules match the old fresh-context-per-task lifecycle
-/// byte-for-byte) and the reusable score buffer for top-k scans. One
-/// scratch type for every serve task kind means a worker thread keeps a
-/// single warm context for the whole serving run.
-#[derive(Debug, Default)]
-pub(crate) struct TaskScratch {
-    pub(crate) ctx: Option<ThreadMem>,
-    pub(crate) scores: Vec<f32>,
-}
-
 /// How a failed cold read is answered. Both replica outcomes read the
 /// same bytes from the DRAM replica tier; they differ in why (and in the
 /// ledger column and span name that records it).
@@ -104,12 +92,14 @@ pub(crate) struct LookupOutcome {
 }
 
 impl EmbedServer {
-    /// A worker-task context, recycled out of the pool worker's scratch
-    /// slot: reset [`ThreadMem`] pinned to `stream` and `sim_now`. Streams
-    /// derive from *what* the task processes (shard id, request index),
-    /// never from which worker ran it, so fault draws are identical at
-    /// every thread count — and identical whether the context is fresh or
-    /// reused, because a reset context is observationally fresh.
+    /// A task context, recycled out of `slot` — a pool worker's scratch
+    /// (one warm [`ThreadMem`] per worker thread for the whole serving
+    /// run) or a top-k query's charge: reset and pinned to `stream` and
+    /// `sim_now`. Streams derive from *what* the task processes (shard id,
+    /// request index), never from which worker ran it, so fault draws are
+    /// identical at every thread count — and identical whether the context
+    /// is fresh or reused, because a reset context is observationally
+    /// fresh.
     pub(crate) fn task_ctx_in<'s>(
         &self,
         slot: &'s mut Option<ThreadMem>,

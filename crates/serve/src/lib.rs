@@ -20,17 +20,18 @@
 //!   resident and scans cannot flush it.
 //! * [`EmbedServer`] — the engine: coalesces each batch's misses into one
 //!   fetch per distinct shard, fans per-shard work (fetches, point
-//!   lookups, top-k legs) out on the persistent `omega-par` worker pool at
-//!   the width [`ServeConfig::threads`] asks for, answers strictly in
+//!   lookups, top-k scoring) out on the persistent `omega-par` worker pool
+//!   at the width [`ServeConfig::threads`] asks for, answers strictly in
 //!   arrival order, and charges every byte (cold fetch, DRAM staging, row
 //!   serve, top-k scan) to the simulated clock. One resolver answers every
-//!   failed cold read (retry → hedge → degrade), one leg streams and
-//!   scores a row block for exact scans and IVF probes alike, and one
-//!   ledger ([`ServeStats`]) counts it. Thread count is a pure wall-clock knob —
+//!   failed cold read (retry → hedge → degrade); a batch's top-k queries
+//!   are scored in one pass over the table and charged one by one, exact
+//!   scans and IVF probes through the same two halves; and one ledger
+//!   ([`ServeStats`]) counts it. Thread count is a pure wall-clock knob —
 //!   simulated clocks, metrics and results are byte-identical at every
 //!   value. Spans `serve.batch` / `serve.fetch` / `serve.lookup` /
-//!   `serve.topk` / `serve.shard.parallel` and `serve.cache.*` counters
-//!   flow through `omega-obs`.
+//!   `serve.score` / `serve.topk` / `serve.shard.parallel` and
+//!   `serve.cache.*` counters flow through `omega-obs`.
 //! * [`IvfIndex`] — optional cluster-then-probe approximate top-k
 //!   ([`ServeConfig::index`], [`IndexMode::Ivf`]): a seeded k-means coarse
 //!   quantizer with tier-aware inverted lists (centroids + hot lists in

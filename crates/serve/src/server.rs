@@ -21,14 +21,16 @@
 //!
 //! ## Parallelism
 //!
-//! Per-shard batch work — shard fetches, grouped point lookups, the legs
-//! of a top-k query — runs on the workspace-shared persistent worker pool
-//! ([`omega_par`]) at the width [`ServeConfig::threads`] asks for. Worker
-//! tasks only *compute*: each charges its own `ThreadMem` context (pinned
-//! to a deterministic fault stream derived from *what* it processes, never
-//! from which thread ran it) and returns an outcome struct. The caller then
-//! merges outcomes in a fixed order — ascending shard id for fetches and
-//! scans, arrival order for lookups — applying counters, stats, simulated
+//! Per-shard batch work — shard fetches, grouped point lookups, the
+//! scoring pass over a batch's top-k queries — runs on the
+//! workspace-shared persistent worker pool ([`omega_par`]) at the width
+//! [`ServeConfig::threads`] asks for. Worker tasks only *compute*: fetch
+//! and lookup tasks charge their own `ThreadMem` context (pinned to a
+//! deterministic fault stream derived from *what* they process, never
+//! from which thread ran it) and return an outcome struct; scoring tasks
+//! touch no context at all. The caller then merges outcomes in a fixed
+//! order — ascending shard id for fetches, arrival order for lookups and
+//! for the per-query top-k charge — applying counters, stats, simulated
 //! time and spans exactly as the sequential loop would. Thread count is
 //! therefore a pure wall-clock knob: simulated clocks, metrics and results
 //! are byte-identical at `threads = 1` and `threads = 64`. Each fan-out is
@@ -37,13 +39,14 @@
 
 use crate::cache::HotCache;
 use crate::config::{ServeConfig, HOT};
-use crate::fetch::{TaskScratch, LOOKUP_STREAM};
+use crate::fetch::LOOKUP_STREAM;
 use crate::ivf::{IndexMode, IvfIndex};
 use crate::stats::{ServeReport, ServeSignals, ServeStats};
 use crate::store::ShardedStore;
+use crate::topk::TopKQuery;
 use crate::workload::{Request, RequestKind, RequestStream};
 use omega_embed::Embedding;
-use omega_hetmem::{AccessSummary, ClassCounters, MemSystem, SimDuration};
+use omega_hetmem::{AccessSummary, ClassCounters, MemSystem, SimDuration, ThreadMem};
 use omega_obs::{Recorder, Track};
 use std::time::Instant;
 
@@ -150,12 +153,16 @@ impl EmbedServer {
 
     /// Announce a per-shard fan-out on the span stream: a zero-sim-duration
     /// leaf (wall time is still captured) so parallel phases are visible
-    /// without perturbing the simulated cursor.
-    pub(crate) fn parallel_span(&self, phase: &'static str, tasks: usize) {
+    /// without perturbing the simulated cursor. `more` adds what only one
+    /// phase knows (the scoring pass's query count).
+    pub(crate) fn parallel_span(&self, phase: &'static str, tasks: usize, more: &[(&str, usize)]) {
         let span = self.rec.begin("serve.shard.parallel", self.track);
         self.rec.arg(&span, "phase", phase);
         self.rec.arg(&span, "tasks", tasks);
         self.rec.arg(&span, "threads", self.cfg.threads.max(1));
+        for &(key, value) in more {
+            self.rec.arg(&span, key, value);
+        }
         self.rec.end(span, Some(SimDuration::ZERO));
     }
 
@@ -166,8 +173,10 @@ impl EmbedServer {
     /// missing shard once — fetch tasks fan out on the worker pool, and
     /// their outcomes merge in ascending shard order. Phase 2 resolves
     /// every request's row in parallel (cache state is frozen for the
-    /// phase), then answers **in arrival order** — batching coalesces I/O
-    /// but never reorders responses. A request's simulated latency is the
+    /// phase), scores the batch's top-k queries in one pass over the
+    /// table, then answers **in arrival order**, charging each top-k query
+    /// where its answer is due — batching coalesces I/O and scoring but
+    /// never reorders responses. A request's simulated latency is the
     /// full fetch phase plus every serve up to and including its own.
     pub fn serve_batch(&mut self, requests: &[Request]) -> BatchResult {
         let wall_start = Instant::now();
@@ -202,15 +211,15 @@ impl EmbedServer {
             missing.sort_unstable();
             let mut fetch_dur = SimDuration::ZERO;
             if !missing.is_empty() {
-                self.parallel_span("fetch", missing.len());
+                self.parallel_span("fetch", missing.len(), &[]);
                 let batch_start = self.sim_now;
                 let this: &EmbedServer = self;
                 let outcomes = omega_par::run_labeled(
                     "serve.fetch",
                     this.cfg.threads,
                     missing.len(),
-                    |s: &mut TaskScratch, i| {
-                        this.fetch_shard_task(&mut s.ctx, missing[i], batch_start)
+                    |ctx: &mut Option<ThreadMem>, i| {
+                        this.fetch_shard_task(ctx, missing[i], batch_start)
                     },
                 );
                 for out in outcomes {
@@ -222,23 +231,26 @@ impl EmbedServer {
 
         // Phase 2: resolve every request's row serve in parallel — cache
         // state is frozen for the phase, so each task sees exactly the
-        // residency the sequential loop would — then answer in arrival
-        // order. Point lookups accumulate into one `serve.lookup` leaf span
-        // per contiguous run; top-k scans get their own spans.
+        // residency the sequential loop would — score every top-k request
+        // of the batch in one pass (a query vector is the row its lookup
+        // just resolved), then answer in arrival order. Point lookups
+        // accumulate into one `serve.lookup` leaf span per contiguous run;
+        // each top-k query is charged, and gets its own span, where its
+        // answer is due.
         let (responses, latencies) = omega_par::phase_scope("lookup", || {
             let lookups = if requests.is_empty() {
                 Vec::new()
             } else {
-                self.parallel_span("lookup", requests.len());
+                self.parallel_span("lookup", requests.len(), &[]);
                 let phase_start = self.sim_now;
                 let this: &EmbedServer = self;
                 omega_par::run_labeled(
                     "serve.lookup",
                     this.cfg.threads,
                     requests.len(),
-                    |s: &mut TaskScratch, i| {
+                    |ctx: &mut Option<ThreadMem>, i| {
                         this.lookup_task(
-                            &mut s.ctx,
+                            ctx,
                             requests[i].node,
                             LOOKUP_STREAM + i as u64,
                             phase_start,
@@ -246,6 +258,19 @@ impl EmbedServer {
                     },
                 )
             };
+            let queries: Vec<TopKQuery<'_>> = requests
+                .iter()
+                .zip(&lookups)
+                .filter_map(|(req, lk)| match req.kind {
+                    RequestKind::Get => None,
+                    RequestKind::TopK { k, nprobe } => Some(TopKQuery {
+                        query: &lk.row,
+                        k,
+                        nprobe,
+                    }),
+                })
+                .collect();
+            let mut answers = self.score_top_k(&queries).into_iter();
             let mut responses = Vec::with_capacity(requests.len());
             let mut latencies = Vec::with_capacity(requests.len());
             let mut served = SimDuration::ZERO;
@@ -261,22 +286,21 @@ impl EmbedServer {
                 self.counters.merge(&lk.counters);
                 self.sim_now += lk.dur;
                 self.stats.dram_read_bytes += lk.row_bytes;
+                // Resolving a query vector is itself a row serve, so it
+                // folds into the lookup span like any other.
+                lookup_acc += lk.dur;
+                served += lk.dur;
                 match req.kind {
                     RequestKind::Get => {
                         self.stats.lookups += 1;
-                        lookup_acc += lk.dur;
-                        served += lk.dur;
                         responses.push(Response::Vector(lk.row));
                     }
-                    RequestKind::TopK { k, nprobe } => {
-                        // Resolving the query vector is itself a row serve;
-                        // fold it into the lookup span before the scan opens.
-                        lookup_acc += lk.dur;
+                    RequestKind::TopK { k, .. } => {
                         flush_lookups(&self.rec, self.track, &mut lookup_acc);
-                        let (neighbors, scan_dur) = self.scan_top_k(&lk.row, k, nprobe);
+                        let answer = answers.next().expect("one answer per top-k request");
+                        served += self.charge_top_k(k, answer.lists.as_deref());
                         self.stats.topks += 1;
-                        served += lk.dur + scan_dur;
-                        responses.push(Response::Neighbors(neighbors));
+                        responses.push(Response::Neighbors(answer.neighbors));
                     }
                 }
                 latencies.push((fetch_dur + served).as_nanos());
@@ -333,9 +357,13 @@ impl EmbedServer {
         self.stats.batches += 1;
         self.stats.requests += 1;
         self.stats.topks += 1;
-        let (result, _) = self.scan_top_k(query, k, nprobe);
+        let answer = self
+            .score_top_k(&[TopKQuery { query, k, nprobe }])
+            .pop()
+            .expect("one answer per query");
+        self.charge_top_k(k, answer.lists.as_deref());
         self.rec.end(span, None);
-        result
+        answer.neighbors
     }
 
     /// Closed-loop run: draw `n` requests from `stream`, serve them in

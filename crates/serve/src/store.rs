@@ -123,7 +123,7 @@ impl ShardedStore {
         (node as usize % self.rows_per_shard) * self.dim
     }
 
-    /// Shard `sid` as the placed, charged buffer a top-k leg streams.
+    /// Shard `sid` as the placed buffer a top-k query is charged for.
     #[inline]
     pub(crate) fn shard(&self, sid: usize) -> &HetVec<f32> {
         &self.shards[sid]

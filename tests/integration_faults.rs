@@ -526,3 +526,132 @@ fn spmm_degraded_mode_recomputes_exact_result() {
     assert_eq!(faulted.degraded_chunks, again.degraded_chunks);
     assert_eq!(faulted.makespan, again.makespan);
 }
+
+/// What one server did with the mixed batches below: sim clock, all 21
+/// ledger columns, and an FNV-1a digest over every response bit, every
+/// per-request simulated latency and the traffic summary.
+#[derive(Debug, PartialEq, Eq)]
+struct MixedBatchPin {
+    sim_now_ns: u64,
+    ledger: [u64; 21],
+    digest: u64,
+}
+
+fn mixed_batch_pin(ivf: bool, threads: usize) -> MixedBatchPin {
+    // A literal seed: the pins below must not move with OMEGA_FAULT_SEED.
+    let plan = FaultPlanSpec::new(4242)
+        .with_transient(DeviceKind::Pm, 0.3, 3_000)
+        .with_timeout(DeviceKind::Pm, 0.1, 40_000);
+    let emb = embedding(3_000, 5);
+    let index = if ivf {
+        IndexMode::Ivf {
+            nlist: 24,
+            nprobe: 9,
+        }
+    } else {
+        IndexMode::Exact
+    };
+    let cfg = config(4)
+        .threads(threads)
+        .index(index)
+        .ivf_hot_bytes(8 << 10);
+    let mut srv = EmbedServer::new(&install_plan(&system(), plan), &emb, cfg).unwrap();
+    // Gets between top-k queries with their own k (0 and > n included) and
+    // their own probe count (the full index, the plane's halved default,
+    // one list), two of them from the same node.
+    let top = |node: u32, k: usize, nprobe: Option<usize>| Request {
+        node,
+        kind: RequestKind::TopK { k, nprobe },
+    };
+    let get = |node: u32| Request {
+        node,
+        kind: RequestKind::Get,
+    };
+    let requests = [
+        get(17),
+        top(150, 5, None),
+        get(0),
+        top(150, 5, None),
+        get(2_999),
+        top(63, 0, None),
+        top(2_047, 4_000, Some(24)),
+        get(17),
+        top(900, 12, Some(4)),
+        get(1_200),
+        top(1, 1, Some(1)),
+    ];
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            digest ^= b as u64;
+            digest = digest.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    // Three rounds: later ones see shards the earlier ones cached.
+    for _ in 0..3 {
+        let batch = srv.serve_batch(&requests);
+        for resp in &batch.responses {
+            match resp {
+                Response::Vector(row) => row.iter().for_each(|x| eat(x.to_bits() as u64)),
+                Response::Neighbors(found) => {
+                    eat(found.len() as u64);
+                    for &(id, score) in found {
+                        eat(id as u64);
+                        eat(score.to_bits() as u64);
+                    }
+                }
+            }
+        }
+        batch.sim_latency_ns.iter().for_each(|&ns| eat(ns));
+    }
+    format!("{:?}", srv.traffic())
+        .bytes()
+        .for_each(|b| eat(b as u64));
+    MixedBatchPin {
+        sim_now_ns: srv.sim_now().as_nanos(),
+        ledger: ledger(srv.stats()),
+        digest,
+    }
+}
+
+/// A batch's top-k queries are scored together but charged one by one, in
+/// arrival order, each at its own start time: under a transient + timeout
+/// plan the clock, the ledger, every response and every latency are the
+/// same at 1, 2 and 8 threads, and equal to the values this batch produced
+/// when each query was scored and charged on its own (pinned from there).
+#[test]
+fn mixed_batch_under_faults_is_charged_query_by_query() {
+    let want = [
+        (
+            false,
+            MixedBatchPin {
+                sim_now_ns: 24_097_471,
+                ledger: [
+                    33, 15, 18, 3, 14, 19, 16, 0, 12, 2_394_112, 236_064, 7_424, 1_754, 1_366, 367,
+                    21, 0, 0, 0, 0, 0,
+                ],
+                digest: 14_781_973_618_051_997_606,
+            },
+        ),
+        (
+            true,
+            MixedBatchPin {
+                sim_now_ns: 1_437_339,
+                ledger: [
+                    33, 15, 18, 3, 14, 19, 16, 0, 12, 867_136, 132_000, 7_424, 88, 74, 12, 2, 18,
+                    168, 13_824, 117_120, 855_104,
+                ],
+                digest: 6_513_870_641_541_485_171,
+            },
+        ),
+    ];
+    for (ivf, want) in want {
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                mixed_batch_pin(ivf, threads),
+                want,
+                "ivf {ivf} threads {threads}"
+            );
+        }
+    }
+}

@@ -319,6 +319,86 @@ fn parallel_spans_annotate_fanout_without_simulated_cost() {
     );
 }
 
+/// A batch scores its top-k queries in one pass: however many it holds,
+/// it makes exactly one pool call at the scoring site — announced by one
+/// `serve.shard.parallel` span carrying the query count and timed by one
+/// zero-sim `serve.score` span — and a batch that holds none makes no
+/// call and leaves no span. Counted, not timed, so the fusion cannot
+/// silently fall back to one dispatch per query.
+#[test]
+fn a_batch_scores_its_top_k_queries_in_one_pool_call() {
+    let emb = embedding(5_000, 3);
+    let batch = |top_ks: usize| -> Vec<Request> {
+        let mut requests = Request::gets(&[7, 4_100, 7, 913, 2_600, 38]);
+        for i in 0..top_ks {
+            let at = (2 * i).min(requests.len());
+            requests.insert(
+                at,
+                Request {
+                    node: (i as u32 * 977) % 5_000,
+                    kind: RequestKind::top_k(3 + i),
+                },
+            );
+        }
+        requests
+    };
+    for (index, site, phase) in [
+        (IndexMode::Exact, "serve.scan", "scan"),
+        (
+            IndexMode::Ivf {
+                nlist: 40,
+                nprobe: 30,
+            },
+            "serve.ivf.probe",
+            "ivf.probe",
+        ),
+    ] {
+        let rec = Recorder::enabled();
+        let mut srv = EmbedServer::new(&system(), &emb, config(8).threads(4).index(index))
+            .unwrap()
+            .with_recorder(&rec, Track::MAIN);
+        let profiler = omega_par::PoolProfiler::enabled();
+        let _installed = omega_par::install(&profiler);
+        omega_par::with_dispatch_policy(omega_par::DispatchPolicy::always_parallel(), || {
+            for top_ks in [0usize, 1, 5, 0, 2] {
+                let calls = || {
+                    profiler
+                        .call_records()
+                        .iter()
+                        .filter(|c| c.site == site)
+                        .count()
+                };
+                let (calls_before, spans_before) = (calls(), rec.spans().len());
+                let result = srv.serve_batch(&batch(top_ks));
+                assert_eq!(result.responses.len(), 6 + top_ks);
+                let want = usize::from(top_ks > 0);
+                assert_eq!(calls() - calls_before, want, "{site} with {top_ks} top-k");
+                let spans = rec.spans();
+                let spans = &spans[spans_before..];
+                let announced: Vec<_> = spans
+                    .iter()
+                    .filter(|s| {
+                        s.name == "serve.shard.parallel"
+                            && s.args.contains(&("phase".to_string(), phase.to_string()))
+                    })
+                    .collect();
+                assert_eq!(announced.len(), want, "{phase} spans with {top_ks} top-k");
+                for s in announced {
+                    assert!(s
+                        .args
+                        .contains(&("queries".to_string(), top_ks.to_string())));
+                }
+                let scored: Vec<_> = spans.iter().filter(|s| s.name == "serve.score").collect();
+                assert_eq!(scored.len(), want);
+                assert!(scored.iter().all(|s| s.sim_dur_ns == 0 && s.depth == 1));
+                let charged = spans.iter().filter(|s| s.name == "serve.topk").count();
+                assert_eq!(charged, top_ks, "one serve.topk span per query");
+            }
+        });
+        assert_eq!(rec.cursor(Track::MAIN).as_nanos(), srv.sim_now().as_nanos());
+    }
+}
+
 /// The worker-pool width is a wall-clock knob only: the full report —
 /// stats ledger, per-request simulated latencies, traffic summary — is
 /// identical at 1 and 8 threads.
