@@ -359,3 +359,50 @@ fn spmm_matrix() -> String {
 fn spmm_matrix_matches_golden() {
     assert_golden("spmm_matrix.jsonl", &spmm_matrix());
 }
+
+/// FNV-1a over the bit patterns of one fixed-seed ProNE embedding, on a
+/// graph large enough that every dense kernel takes its pool path (the
+/// 2048 × 24 sample matrix is past the QR, GEMM and tall-SVD cut-offs).
+fn prone_embedding_digest(plan: Option<FaultPlanSpec>, wall_threads: usize) -> u64 {
+    use omega_embed::prone::{Prone, ProneConfig};
+    use omega_spmm::{SpmmConfig, SpmmEngine};
+    let csr = RmatConfig::social(2_048, 20_000, 5).generate_csr().unwrap();
+    let sys = MemSystem::new(Topology::paper_machine_scaled(16 << 20));
+    let sys = match plan {
+        Some(spec) => install_plan(&sys, spec),
+        None => sys,
+    };
+    let engine = SpmmEngine::new(sys, SpmmConfig::omega(4))
+        .unwrap()
+        .with_wall_threads(wall_threads);
+    let cfg = ProneConfig {
+        dim: 16,
+        oversample: 8,
+        threads: wall_threads,
+        ..ProneConfig::default()
+    };
+    let (emb, _) = Prone::new(engine, cfg).embed(&csr).unwrap();
+    emb.data().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, x| {
+        (h ^ u64::from(x.to_bits())).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Guard for kernel rewrites: the embedding itself, bit for bit. The
+/// literal was generated by this test at the commit before the strip SpMM
+/// kernel, the tiled Gram and the quad reflectors went in; the fault plan
+/// is the one `prone_metrics_parallel_faulted.jsonl` runs under (degraded
+/// chunks are recomputed, so the numbers are the clean run's).
+#[test]
+fn prone_embedding_digest_is_pinned() {
+    const DIGEST: u64 = 0xf57e_227f_641d_e54d;
+    for wall_threads in [1, 2, 8] {
+        let spec = FaultPlanSpec::new(1729).with_transient(DeviceKind::Pm, 0.05, 3_000);
+        for (what, plan) in [("clean", None), ("faulted", Some(spec))] {
+            let got = prone_embedding_digest(plan, wall_threads);
+            assert_eq!(
+                got, DIGEST,
+                "{what} embedding at {wall_threads} wall threads: {got:#018x}"
+            );
+        }
+    }
+}
