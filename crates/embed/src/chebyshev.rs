@@ -11,7 +11,6 @@
 use crate::laplacian::{adjacency_plus_identity, modulated_rw_laplacian, to_csdb};
 use crate::tsvd::SpmmMeter;
 use crate::Result;
-use omega_graph::convert::{permute_vec, unpermute_rows_row_major};
 use omega_graph::{Csdb, Csr};
 use omega_hetmem::SimDuration;
 use omega_linalg::{axpy_threads, scale_threads, svd_tall_threads, DenseMatrix};
@@ -196,7 +195,8 @@ fn dense_embedding(mm: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
     }
     // L2-normalise rows.
     let (n, d) = u.shape();
-    let mut rm = u.to_row_major();
+    let mut rm = vec![0f32; n * d];
+    u.pack_rows(0..n, 0..d, d, &mut rm);
     for r in 0..n {
         omega_linalg::ops::normalize(&mut rm[r * d..(r + 1) * d]);
     }
@@ -206,11 +206,13 @@ fn dense_embedding(mm: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
 /// Reorder a dense matrix's rows from original order into a CSDB's
 /// permuted space.
 pub fn permute_matrix(csdb: &Csdb, m: &DenseMatrix) -> DenseMatrix {
+    assert_eq!(m.rows(), csdb.perm().len(), "one row per node");
     let mut out = DenseMatrix::zeros(m.rows(), m.cols());
     for c in 0..m.cols() {
         let src = m.col(c);
-        let permuted = permute_vec(csdb, src);
-        out.col_mut(c).copy_from_slice(&permuted);
+        for (dst, &old) in out.col_mut(c).iter_mut().zip(csdb.perm()) {
+            *dst = src[old as usize];
+        }
     }
     out
 }
@@ -218,9 +220,15 @@ pub fn permute_matrix(csdb: &Csdb, m: &DenseMatrix) -> DenseMatrix {
 /// Reorder a dense matrix's rows from a CSDB's permuted space back to the
 /// original order.
 pub fn unpermute_matrix(csdb: &Csdb, m: &DenseMatrix) -> DenseMatrix {
-    let rm = m.to_row_major();
-    let back = unpermute_rows_row_major(csdb, &rm, m.cols());
-    DenseMatrix::from_row_major(m.rows(), m.cols(), &back).expect("shape preserved")
+    assert_eq!(m.rows(), csdb.perm().len(), "one row per node");
+    let mut out = DenseMatrix::zeros(m.rows(), m.cols());
+    for c in 0..m.cols() {
+        let dst = out.col_mut(c);
+        for (&x, &old) in m.col(c).iter().zip(csdb.perm()) {
+            dst[old as usize] = x;
+        }
+    }
+    out
 }
 
 #[cfg(test)]

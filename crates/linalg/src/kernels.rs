@@ -6,8 +6,15 @@
 //! so results are deterministic: the same inputs produce the same bits on
 //! every call, on every thread, at every thread count. The multi-lane
 //! accumulators expose independent dependency chains that LLVM turns into
-//! SIMD adds/FMAs without `-ffast-math`-style reassociation licenses —
-//! the reassociation is done *here*, once, explicitly.
+//! SIMD multiplies and adds without `-ffast-math`-style reassociation
+//! licenses — the reassociation is done *here*, once, explicitly, and every
+//! step stays one rounded multiply followed by one rounded add (the crate
+//! docs state the no-contraction contract).
+//!
+//! [`sparse_dot`] is the definition of a sparse row · dense column and the
+//! kernel of `Csr::spmv` / `Csdb::spmv`; [`sparse_dot_strip`] is the SpMM
+//! executor's form of it — the same chains for [`STRIP`] columns side by
+//! side over one read of the row — and is tested bit-equal to it.
 //!
 //! The `*_into` variants write into a caller-owned scratch buffer so a
 //! blocked scan over many row blocks performs zero allocations after the
@@ -144,6 +151,58 @@ pub fn sparse_dot(cols: &[u32], vals: &[f32], dense: &[f32]) -> f32 {
         tail += v * dense[c as usize];
     }
     ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + tail
+}
+
+/// Dense columns one [`sparse_dot_strip`] call produces: eight f32 are two
+/// SSE registers per gather lane, so the four lanes of a strip fill eight of
+/// the sixteen the x86_64 baseline has.
+pub const STRIP: usize = 8;
+
+/// [`sparse_dot`] of one sparse row against [`STRIP`] adjacent dense columns
+/// in one pass over `(cols, vals)`.
+///
+/// `panel` holds the dense operand **row-major** in whole strips, `strips`
+/// of them per dense row: the entries of row `r` this call reads are
+/// `panel[r * strips + strip]`. One non-zero therefore costs one index load
+/// and one 32-byte read, where `STRIP` calls of [`sparse_dot`] cost `STRIP`
+/// index loads and `STRIP` gathers out of `STRIP` different columns.
+/// Element `j` of the result is bit-identical to `sparse_dot(cols, vals,
+/// column strip * STRIP + j)`: every column keeps its own four gather lanes
+/// by nnz position, its own sequential tail and the same
+/// `((l0 + l1) + (l2 + l3)) + tail` tree, each step one rounded multiply and
+/// one rounded add — the columns are independent chains that merely share
+/// the loads (see the no-contraction contract in the crate docs).
+#[inline]
+pub fn sparse_dot_strip(
+    cols: &[u32],
+    vals: &[f32],
+    panel: &[[f32; STRIP]],
+    strips: usize,
+    strip: usize,
+) -> [f32; STRIP] {
+    debug_assert_eq!(cols.len(), vals.len());
+    debug_assert!(strip < strips);
+    let main = cols.len() - cols.len() % SPARSE_LANES;
+    let mut lanes = [[0f32; STRIP]; SPARSE_LANES];
+    for (cc, cv) in cols[..main]
+        .chunks_exact(SPARSE_LANES)
+        .zip(vals[..main].chunks_exact(SPARSE_LANES))
+    {
+        for l in 0..SPARSE_LANES {
+            let dense = &panel[cc[l] as usize * strips + strip];
+            for j in 0..STRIP {
+                lanes[l][j] += cv[l] * dense[j];
+            }
+        }
+    }
+    let mut tail = [0f32; STRIP];
+    for (&c, &v) in cols[main..].iter().zip(&vals[main..]) {
+        let dense = &panel[c as usize * strips + strip];
+        for j in 0..STRIP {
+            tail[j] += v * dense[j];
+        }
+    }
+    std::array::from_fn(|j| ((lanes[0][j] + lanes[1][j]) + (lanes[2][j] + lanes[3][j])) + tail[j])
 }
 
 /// Dot-product scores of `query` against every `d`-wide row of a contiguous
@@ -284,6 +343,48 @@ mod tests {
         let dense = [10.0f32, 20.0, 30.0];
         assert_eq!(sparse_dot(&[2, 0], &[1.0, 2.0], &dense), 30.0 + 20.0);
         assert_eq!(sparse_dot(&[], &[], &dense), 0.0);
+    }
+
+    /// Every column of a strip is `sparse_dot` against that column, bit
+    /// for bit: all row lengths around the 4-lane boundary, indices that
+    /// repeat and run backwards, both strips of a 16-wide panel whose last
+    /// columns are padding.
+    #[test]
+    fn sparse_dot_strip_matches_sparse_dot_per_column_bitwise() {
+        let (rows, ncols, strips) = (23usize, 13usize, 2usize);
+        let columns: Vec<Vec<f32>> = (0..ncols)
+            .map(|t| {
+                (0..rows)
+                    .map(|r| ((r * 31 + t * 17) % 97) as f32 * 0.37 - 11.3)
+                    .collect()
+            })
+            .collect();
+        let mut panel = vec![[0f32; STRIP]; rows * strips];
+        for (r, row) in panel.chunks_exact_mut(strips).enumerate() {
+            for (t, column) in columns.iter().enumerate() {
+                row[t / STRIP][t % STRIP] = column[r];
+            }
+        }
+        for len in 0..=40usize {
+            // 7 and 23 are coprime, so the walk is out of order and, past
+            // 23 entries, revisits rows.
+            let cols: Vec<u32> = (0..len).map(|i| ((i * 7 + 5) % rows) as u32).collect();
+            let vals: Vec<f32> = (0..len).map(|i| (i as f32 - 9.5) * 0.213).collect();
+            for strip in 0..strips {
+                let got = sparse_dot_strip(&cols, &vals, &panel, strips, strip);
+                for (j, sum) in got.iter().enumerate() {
+                    let want = match columns.get(strip * STRIP + j) {
+                        Some(column) => sparse_dot(&cols, &vals, column),
+                        None => sparse_dot(&cols, &vals, &[0.0; 23]),
+                    };
+                    assert_eq!(
+                        sum.to_bits(),
+                        want.to_bits(),
+                        "len={len} strip={strip} j={j}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,11 +5,23 @@
 //! SVD. No external BLAS/LAPACK — the reproduction builds every substrate.
 //!
 //! [`kernels`] holds the blocked, lane-unrolled f32 hot loops (dense dot,
-//! sparse gather-dot, batched scoring, row gather) shared by the serving
-//! scan, the embedding top-k and the SpMM accumulation step. [`par`] holds
-//! the deterministic parallel counterparts of the big dense routines
-//! (blocked GEMM/GEMM-TN, chunked axpy/scale, column-parallel QR and tall
-//! SVD), bit-identical to the sequential kernels at every thread count.
+//! sparse gather-dot and its eight-column strip form, batched scoring, row
+//! gather) shared by the serving scan, the embedding top-k and the SpMM
+//! accumulation step. [`par`] holds the deterministic parallel counterparts
+//! of the big dense routines (blocked GEMM/GEMM-TN, the symmetric Gram,
+//! chunked axpy/scale, column-parallel QR and tall SVD), bit-identical to
+//! the sequential kernels at every thread count.
+//!
+//! **No contraction.** Every sum in this crate is a stated sequence of
+//! steps, each one rounded f32 multiply followed by one rounded f32 add.
+//! The fast kernels get their speed from running many output elements'
+//! sequences side by side over one pass of the operand they share — never
+//! from fusing a multiply into its add or reordering a sum — so a tiled,
+//! strip or multi-column kernel returns the bits of the one-element loop it
+//! replaces. The source is plain Rust compiled without fast-math flags,
+//! which gives LLVM no licence to contract or reassociate; every
+//! bit-identity claim in the workspace (goldens, thread counts, `spmv` vs
+//! the SpMM engine) depends on that staying so.
 
 pub mod gemm;
 pub mod kernels;
@@ -20,11 +32,11 @@ pub mod qr;
 pub mod random;
 pub mod svd;
 
-pub use gemm::{gemm, gemm_tn};
+pub use gemm::{gemm, gemm_tn, gram};
 pub use matrix::DenseMatrix;
 pub use par::{
-    axpy_threads, gemm_blocked, gemm_threads, gemm_tn_blocked, gemm_tn_threads, qr_thin_threads,
-    scale_threads, svd_tall_threads,
+    axpy_threads, gemm_blocked, gemm_threads, gemm_tn_blocked, gemm_tn_threads, gram_threads,
+    qr_thin_threads, scale_threads, svd_tall_threads,
 };
 pub use qr::qr_thin;
 pub use random::gaussian_matrix;

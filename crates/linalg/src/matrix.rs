@@ -5,6 +5,7 @@
 //! writes `C` column-by-column), so the whole stack standardises on it.
 
 use crate::{LinalgError, Result};
+use std::ops::Range;
 
 /// A dense `rows × cols` matrix of `f32`, stored column-major.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,12 +53,10 @@ impl DenseMatrix {
                 right: (data.len(), 1),
             });
         }
+        // The buffer is a column-major `cols × rows` matrix; its transpose
+        // is the matrix asked for.
         let mut m = Self::zeros(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                m[(r, c)] = data[r * cols + c];
-            }
-        }
+        transpose_tiles(data, cols, 0..cols, rows, &mut m.data, rows);
         Ok(m)
     }
 
@@ -109,19 +108,20 @@ impl DenseMatrix {
         self.data
     }
 
-    /// Transposed copy.
+    /// Transposed copy: the row-major form of `self`, read as column-major.
     pub fn transposed(&self) -> DenseMatrix {
         let mut t = DenseMatrix::zeros(self.cols, self.rows);
-        for c in 0..self.cols {
-            for r in 0..self.rows {
-                t[(c, r)] = self[(r, c)];
-            }
-        }
+        self.pack_rows(0..self.rows, 0..self.cols, self.cols, &mut t.data);
         t
     }
 
     /// Convert to a row-major buffer (used to hand embeddings back in the
-    /// conventional per-node layout).
+    /// conventional per-node layout). Still the element-wise walk, not
+    /// [`Self::pack_rows`]: this is all of `Embedding::from_matrix`, which
+    /// is a third of the serve workloads' timed set-up in the benchmark of
+    /// record, and how many set-ups that benchmark repeats — and with it
+    /// the allocator's high-water mark it reports — depends on how long
+    /// one takes (CHANGES.md, PR 20). It moves with the benchmark.
     pub fn to_row_major(&self) -> Vec<f32> {
         let mut out = vec![0f32; self.rows * self.cols];
         for c in 0..self.cols {
@@ -130,6 +130,23 @@ impl DenseMatrix {
             }
         }
         out
+    }
+
+    /// Copy the `rows × cols` block into `out` row-major, `stride` floats
+    /// per row (`stride ≥ cols.len()`; what lies past a row's last column
+    /// is left as the caller set it): the one blocked transpose, behind
+    /// [`Self::from_row_major`], [`Self::transposed`] and the SpMM operand
+    /// panel.
+    pub fn pack_rows(
+        &self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        stride: usize,
+        out: &mut [f32],
+    ) {
+        assert!(rows.end <= self.rows && cols.end <= self.cols && cols.len() <= stride);
+        let block = &self.data[cols.start * self.rows..cols.end * self.rows];
+        transpose_tiles(block, self.rows, rows, cols.len(), out, stride);
     }
 
     /// Element-wise `self + alpha * other`.
@@ -169,7 +186,7 @@ impl DenseMatrix {
     }
 
     /// Take a contiguous block of columns as a new matrix.
-    pub fn columns(&self, range: std::ops::Range<usize>) -> DenseMatrix {
+    pub fn columns(&self, range: Range<usize>) -> DenseMatrix {
         let data = self.data[range.start * self.rows..range.end * self.rows].to_vec();
         DenseMatrix {
             rows: self.rows,
@@ -198,6 +215,38 @@ impl DenseMatrix {
     /// Payload bytes.
     pub fn size_bytes(&self) -> u64 {
         (self.data.len() * std::mem::size_of::<f32>()) as u64
+    }
+}
+
+/// Edge of the square tiles [`transpose_tiles`] copies by: 32 × 32 f32 is
+/// two cache lines per tile row on the side read and on the side written,
+/// so a tile's 128 lines sit in L1 while it is turned.
+const TRANSPOSE_TILE: usize = 32;
+
+/// `dst[(r − rows.start) · dst_ld + c] = src[c · src_ld + r]` for `r` in
+/// `rows` and `c < cols`: rows `rows` of a column-major block with leading
+/// dimension `src_ld`, written row-major with leading dimension `dst_ld`.
+/// Tiled on both axes so neither a tall nor a wide operand is walked with a
+/// cache-line stride.
+fn transpose_tiles(
+    src: &[f32],
+    src_ld: usize,
+    rows: Range<usize>,
+    cols: usize,
+    dst: &mut [f32],
+    dst_ld: usize,
+) {
+    for r0 in rows.clone().step_by(TRANSPOSE_TILE) {
+        let r1 = (r0 + TRANSPOSE_TILE).min(rows.end);
+        let dst_rows = &mut dst[(r0 - rows.start) * dst_ld..];
+        for c0 in (0..cols).step_by(TRANSPOSE_TILE) {
+            for c in c0..(c0 + TRANSPOSE_TILE).min(cols) {
+                let col = &src[c * src_ld + r0..c * src_ld + r1];
+                for (i, &x) in col.iter().enumerate() {
+                    dst_rows[i * dst_ld + c] = x;
+                }
+            }
+        }
     }
 }
 
@@ -250,6 +299,40 @@ mod tests {
         assert_eq!(t.shape(), (3, 2));
         assert_eq!(t[(2, 1)], 6.0);
         assert_eq!(t.transposed(), m);
+    }
+
+    /// Shapes that straddle the transpose tile on either axis, against the
+    /// element-wise definition — including a strided, offset `pack_rows`.
+    #[test]
+    fn blocked_transposes_match_the_definition() {
+        for (rows, cols) in [(0, 3), (3, 0), (1, 1), (33, 5), (5, 33), (70, 67)] {
+            let data: Vec<f32> = (0..rows * cols).map(|i| i as f32).collect();
+            let m = DenseMatrix::from_column_major(rows, cols, data).unwrap();
+            let rm = m.to_row_major();
+            let t = m.transposed();
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(rm[r * cols + c], m[(r, c)]);
+                    assert_eq!(t[(c, r)], m[(r, c)]);
+                }
+            }
+            assert_eq!(DenseMatrix::from_row_major(rows, cols, &rm).unwrap(), m);
+        }
+        let m =
+            DenseMatrix::from_column_major(70, 9, (0..630).map(|i| i as f32).collect()).unwrap();
+        let (rows, cols, stride) = (31..69, 2..7, 8);
+        let mut out = vec![-1f32; rows.len() * stride];
+        m.pack_rows(rows.clone(), cols.clone(), stride, &mut out);
+        for (i, row) in out.chunks_exact(stride).enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                let want = if j < cols.len() {
+                    m[(rows.start + i, cols.start + j)]
+                } else {
+                    -1.0
+                };
+                assert_eq!(x, want, "row {i} col {j}");
+            }
+        }
     }
 
     #[test]

@@ -4,15 +4,20 @@
 //! any thread count, by construction rather than by tolerance:
 //!
 //! * the work is partitioned over *output elements* only — row panels for
-//!   [`gemm_blocked`], output-column panels for [`gemm_tn_blocked`], whole
-//!   columns for the QR reflector applies — never over a floating-point
-//!   reduction, so each output element accumulates in exactly the order the
-//!   sequential loop uses;
+//!   [`gemm_blocked`], output-column panels for [`gemm_tn_blocked`] and
+//!   [`gram_threads`], groups of four columns for the QR reflector applies
+//!   — never over a floating-point reduction, so each output element
+//!   accumulates in exactly the order the sequential loop uses;
 //! * panel boundaries are fixed by the caller (or a compile-time default),
 //!   never derived from the thread count, so the same panels exist at
 //!   `threads = 1` and `threads = 8`;
 //! * workers only fill private panel buffers; the caller merges them back
 //!   in ascending panel order.
+//!
+//! Inside a task the same rule applies one level down: the tile routine of
+//! `gemm_tn` and the multi-column reflector of `qr_thin` (both shared with
+//! the sequential entry points, not re-implemented here) run several output
+//! elements' chains side by side and leave each chain's order alone.
 //!
 //! Thread count is therefore a pure wall-clock knob for the training
 //! pipeline, exactly as it is for the serving path: simulated clocks and
@@ -23,9 +28,9 @@
 //! sequential configuration and tiny inner factorisations pay no spawn
 //! overhead.
 
-use crate::gemm::{gemm, gemm_tn};
+use crate::gemm::{gemm, gemm_tn, gemm_tn_cols, gram, mirror_upper};
 use crate::matrix::DenseMatrix;
-use crate::qr::apply_reflector;
+use crate::qr::{apply_reflector, build_q_columns, build_reflector, quads, upper_triangle};
 use crate::svd::{svd_jacobi, Svd};
 use crate::{LinalgError, Result};
 
@@ -113,37 +118,37 @@ pub fn gemm_tn_blocked(
             right: b.shape(),
         });
     }
-    let (k, m, n) = (a.rows(), a.cols(), b.cols());
+    Ok(tn_panels(a, b, threads, panel_cols, false))
+}
+
+/// `AᵀB` by column panels on the pool, each panel through the tile routine
+/// of [`gemm_tn`]; with `upper`, only down to each panel's diagonal tile
+/// (the rows below stay zero).
+fn tn_panels(
+    a: &DenseMatrix,
+    b: &DenseMatrix,
+    threads: usize,
+    panel_cols: usize,
+    upper: bool,
+) -> DenseMatrix {
+    let (m, n) = (a.cols(), b.cols());
     let panel_cols = panel_cols.max(1);
     let panels = n.div_ceil(panel_cols.min(n.max(1)));
     let mut c = DenseMatrix::zeros(m, n);
     if m == 0 || n == 0 {
-        return Ok(c);
+        return c;
     }
     let blocks = omega_par::run_labeled("linalg.gemm_tn", threads, panels, |_: &mut (), p| {
-        let j0 = p * panel_cols;
-        let j1 = ((p + 1) * panel_cols).min(n);
-        let mut buf = vec![0f32; m * (j1 - j0)];
-        for (jl, j) in (j0..j1).enumerate() {
-            let bj = b.col(j);
-            for i in 0..m {
-                let ai = a.col(i);
-                let mut acc = 0f32;
-                for l in 0..k {
-                    acc += ai[l] * bj[l];
-                }
-                buf[jl * m + i] = acc;
-            }
-        }
+        let cols = p * panel_cols..((p + 1) * panel_cols).min(n);
+        let mut buf = vec![0f32; m * cols.len()];
+        gemm_tn_cols(a, b, cols, upper, &mut buf);
         buf
     });
     for (p, buf) in blocks.iter().enumerate() {
-        let j0 = p * panel_cols;
-        for (jl, col) in buf.chunks_exact(m.max(1)).enumerate() {
-            c.col_mut(j0 + jl).copy_from_slice(col);
-        }
+        let at = p * panel_cols * m;
+        c.data_mut()[at..at + buf.len()].copy_from_slice(buf);
     }
-    Ok(c)
+    c
 }
 
 /// [`gemm`] that fans out on `threads` workers when the product is large
@@ -163,9 +168,20 @@ pub fn gemm_tn_threads(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Resu
     gemm_tn_blocked(a, b, threads, GEMM_TN_PANEL_COLS)
 }
 
+/// [`gram`] that fans out on `threads` workers when large enough: panels
+/// of the upper triangle on the pool, mirrored by the caller.
+pub fn gram_threads(a: &DenseMatrix, threads: usize) -> DenseMatrix {
+    if threads <= 1 || 2 * a.rows() * a.cols() * a.cols() < GEMM_SEQ_FLOPS {
+        return omega_par::record_seq("linalg.gemm_tn", || gram(a));
+    }
+    let mut c = tn_panels(a, a, threads, GEMM_TN_PANEL_COLS, true);
+    mirror_upper(&mut c);
+    c
+}
+
 /// Element-wise `dst += alpha * src` over fixed chunks on up to `threads`
 /// workers. Chunk boundaries are compile-time constants, so every element
-/// sees the same single fused multiply at every thread count.
+/// sees the same one multiply and one add at every thread count.
 pub fn axpy_threads(
     dst: &mut DenseMatrix,
     alpha: f32,
@@ -208,10 +224,10 @@ pub fn scale_threads(m: &mut DenseMatrix, alpha: f32, threads: usize) {
 }
 
 /// Thin Householder QR with the per-step trailing-column applies and the
-/// final Q build fanned out over columns. Each column is transformed by
-/// exactly the same [`apply_reflector`] calls, in the same order, as in
-/// [`crate::qr_thin`] — columns are independent, so the result is
-/// bit-identical at every thread count.
+/// final Q build fanned out over groups of four columns ([`quads`]). Each
+/// column is transformed by exactly the same [`apply_reflector`]
+/// arithmetic, in the same order, as in [`crate::qr_thin`] — columns are
+/// independent, so the result is bit-identical at every thread count.
 pub fn qr_thin_threads(a: &DenseMatrix, threads: usize) -> Result<(DenseMatrix, DenseMatrix)> {
     let (n, k) = a.shape();
     if threads <= 1 || n * k < QR_SEQ_ELEMS {
@@ -224,55 +240,29 @@ pub fn qr_thin_threads(a: &DenseMatrix, threads: usize) -> Result<(DenseMatrix, 
     for j in 0..steps {
         // Reflector construction reads one column — inherently sequential
         // across steps, identical to the reference implementation.
-        let col = work.col(j);
-        let mut v: Vec<f32> = vec![0.0; n];
-        v[j..].copy_from_slice(&col[j..]);
-        let alpha = -v[j].signum() * crate::ops::norm2(&v[j..]);
-        if alpha == 0.0 {
+        let Some(v) = build_reflector(work.col(j), j) else {
             reflectors.push(vec![0.0; n]);
             continue;
-        }
-        v[j] -= alpha;
-        let vnorm = crate::ops::norm2(&v[j..]);
-        if vnorm > 0.0 {
-            for x in &mut v[j..] {
-                *x /= vnorm;
-            }
-        }
+        };
         // Trailing columns j..k transform independently; fan them out when
         // the step still carries enough work.
+        let trailing = &mut work.data_mut()[j * n..];
         if (k - j) * (n - j) >= QR_SEQ_ELEMS {
-            let cols: Vec<&mut [f32]> = work.data_mut().chunks_mut(n).skip(j).collect();
-            omega_par::for_each_chunk_labeled("linalg.qr", threads, cols, |_, col| {
-                apply_reflector(&v, j, col)
+            let groups: Vec<&mut [f32]> = quads(trailing, n).collect();
+            omega_par::for_each_chunk_labeled("linalg.qr", threads, groups, |_, cols| {
+                apply_reflector(&v, j, cols)
             });
         } else {
-            omega_par::record_seq("linalg.qr", || {
-                for c in j..k {
-                    apply_reflector(&v, j, work.col_mut(c));
-                }
-            });
+            omega_par::record_seq("linalg.qr", || apply_reflector(&v, j, trailing));
         }
         reflectors.push(v);
     }
 
-    let mut r = DenseMatrix::zeros(k, k);
-    for c in 0..k {
-        for row in 0..=c.min(steps - 1) {
-            r[(row, c)] = work[(row, c)];
-        }
-    }
-
-    // Q columns build independently (reflectors applied in reverse).
+    let r = upper_triangle(&work, steps);
     let mut q = DenseMatrix::zeros(n, k);
-    for c in 0..k.min(n) {
-        q[(c, c)] = 1.0;
-    }
-    let cols: Vec<&mut [f32]> = q.data_mut().chunks_mut(n).collect();
-    omega_par::for_each_chunk_labeled("linalg.qr", threads, cols, |_, qc| {
-        for (j, v) in reflectors.iter().enumerate().rev() {
-            apply_reflector(v, j, qc);
-        }
+    let groups: Vec<&mut [f32]> = quads(q.data_mut(), n).collect();
+    omega_par::for_each_chunk_labeled("linalg.qr", threads, groups, |quad, cols| {
+        build_q_columns(&reflectors, quad, cols)
     });
     Ok((q, r))
 }
@@ -286,7 +276,7 @@ pub fn svd_tall_threads(a: &DenseMatrix, threads: usize) -> Result<Svd> {
     if m < 3 * n || n == 0 {
         return omega_par::record_seq("linalg.svd_jacobi", || svd_jacobi(a));
     }
-    let gram = gemm_tn_threads(a, a, threads)?;
+    let gram = gram_threads(a, threads);
     let eig = omega_par::record_seq("linalg.svd_jacobi", || svd_jacobi(&gram))?;
     let s: Vec<f32> = eig.s.iter().map(|&x| x.max(0.0).sqrt()).collect();
     let v = eig.u;

@@ -18,68 +18,136 @@ pub fn qr_thin(a: &DenseMatrix) -> Result<(DenseMatrix, DenseMatrix)> {
     let mut reflectors: Vec<Vec<f32>> = Vec::with_capacity(steps);
 
     for j in 0..steps {
-        // Build the reflector for column j, rows j...
-        let col = work.col(j);
-        let mut v: Vec<f32> = vec![0.0; n];
-        v[j..].copy_from_slice(&col[j..]);
-        let alpha = -v[j].signum() * norm2(&v[j..]);
-        if alpha == 0.0 {
-            // Column already zero below the pivot; identity reflector.
+        let Some(v) = build_reflector(work.col(j), j) else {
             reflectors.push(vec![0.0; n]);
             continue;
-        }
-        v[j] -= alpha;
-        let vnorm = norm2(&v[j..]);
-        if vnorm > 0.0 {
-            for x in &mut v[j..] {
-                *x /= vnorm;
-            }
-        }
+        };
         // Apply H = I - 2vvᵀ to the remaining columns of the workspace.
-        for c in j..k {
-            apply_reflector(&v, j, work.col_mut(c));
-        }
+        apply_reflector(&v, j, &mut work.data_mut()[j * n..]);
         reflectors.push(v);
     }
 
-    // R = leading k x k upper triangle of the transformed workspace.
-    let mut r = DenseMatrix::zeros(k, k);
-    for c in 0..k {
-        for row in 0..=c.min(steps - 1) {
-            r[(row, c)] = work[(row, c)];
-        }
-    }
-
-    // Q = H_0 H_1 ... H_{s-1} applied to the first k identity columns,
-    // built by applying reflectors in reverse order.
+    let r = upper_triangle(&work, steps);
     let mut q = DenseMatrix::zeros(n, k);
-    for c in 0..k.min(n) {
-        q[(c, c)] = 1.0;
-    }
-    for c in 0..k {
-        let qc = q.col_mut(c);
-        for (j, v) in reflectors.iter().enumerate().rev() {
-            apply_reflector(v, j, qc);
-        }
+    for (quad, cols) in quads(q.data_mut(), n).enumerate() {
+        build_q_columns(&reflectors, quad, cols);
     }
     Ok((q, r))
 }
 
-/// Apply `H = I − 2vvᵀ` (with `v` zero before `from`) to a vector in place.
-/// Shared with the parallel QR in [`crate::par`]: both paths transform each
-/// column with exactly this routine, which is what makes them bit-identical.
-#[inline]
-pub(crate) fn apply_reflector(v: &[f32], from: usize, x: &mut [f32]) {
-    let mut proj = 0f32;
-    for i in from..x.len() {
-        proj += v[i] * x[i];
+/// The unit Householder vector that zeroes `col` below row `j` (length
+/// `col.len()`, zero above the pivot), or `None` when the column is already
+/// zero from the pivot down and the step's reflector is the identity.
+pub(crate) fn build_reflector(col: &[f32], j: usize) -> Option<Vec<f32>> {
+    let mut v: Vec<f32> = vec![0.0; col.len()];
+    v[j..].copy_from_slice(&col[j..]);
+    let alpha = -v[j].signum() * norm2(&v[j..]);
+    if alpha == 0.0 {
+        return None;
     }
-    if proj == 0.0 {
+    v[j] -= alpha;
+    let vnorm = norm2(&v[j..]);
+    if vnorm > 0.0 {
+        for x in &mut v[j..] {
+            *x /= vnorm;
+        }
+    }
+    Some(v)
+}
+
+/// `R`: the leading `k × k` upper triangle of the transformed workspace.
+pub(crate) fn upper_triangle(work: &DenseMatrix, steps: usize) -> DenseMatrix {
+    let k = work.cols();
+    let mut r = DenseMatrix::zeros(k, k);
+    for c in 0..k {
+        let rows = (c + 1).min(steps);
+        r.col_mut(c)[..rows].copy_from_slice(&work.col(c)[..rows]);
+    }
+    r
+}
+
+/// Columns one projection pass of [`apply_reflector`] carries side by side.
+const REFLECT_COLS: usize = 4;
+
+/// A column-major buffer of `n`-long columns in groups of [`REFLECT_COLS`]:
+/// the unit of work of the parallel QR and of [`build_q_columns`].
+pub(crate) fn quads(cols: &mut [f32], n: usize) -> std::slice::ChunksMut<'_, f32> {
+    cols.chunks_mut((REFLECT_COLS * n).max(1))
+}
+
+/// Group `quad` of the columns of `Q = H_0 H_1 … H_{s−1} · I` into the
+/// zeroed `cols`:
+/// `e_c` per column, then the reflectors in reverse order — starting at the
+/// group's last column, not at `s − 1`. Reflector `j` is zero above row
+/// `j`, so its projection of `e_c` is exactly zero for every `c < j` and
+/// [`apply_reflector`] skips the update: the applies left out here change
+/// nothing. That holds for finite input only. A non-finite entry makes
+/// `0 · v[i]` NaN; the full loop would then spread one poisoned reflector
+/// into every column of `Q`, where this one leaves the column groups before
+/// it finite. The basis is unusable either way and still says so, from the
+/// poisoned column on.
+pub(crate) fn build_q_columns(reflectors: &[Vec<f32>], quad: usize, cols: &mut [f32]) {
+    let first = quad * REFLECT_COLS;
+    let n = reflectors[0].len();
+    let count = cols.len() / n;
+    for (c, col) in cols.chunks_exact_mut(n).enumerate() {
+        if let Some(one) = col.get_mut(first + c) {
+            *one = 1.0;
+        }
+    }
+    let last = (first + count - 1).min(reflectors.len() - 1);
+    for (j, v) in reflectors[..=last].iter().enumerate().rev() {
+        apply_reflector(v, j, cols);
+    }
+}
+
+/// Apply `H = I − 2vvᵀ` (with `v` zero before `from`) in place to every
+/// `v.len()`-long column of `cols`. Each column gets exactly the arithmetic
+/// of a one-column apply — its own sequential projection `Σ v[i] · x[i]`,
+/// the exact-zero early-out, its own update — so how columns are grouped
+/// changes no bit; [`REFLECT_COLS`] projections at a time merely run as
+/// independent chains over one load of `v`. The one reflector routine of
+/// [`qr_thin`] and [`crate::qr_thin_threads`], which is what makes them
+/// bit-identical.
+#[inline]
+pub(crate) fn apply_reflector(v: &[f32], from: usize, cols: &mut [f32]) {
+    let n = v.len();
+    if n == 0 {
         return;
     }
-    let proj2 = 2.0 * proj;
-    for i in from..x.len() {
-        x[i] -= proj2 * v[i];
+    let v = &v[from..];
+    let mut quads = cols.chunks_exact_mut(REFLECT_COLS * n);
+    for quad in &mut quads {
+        let mut columns = quad.chunks_exact_mut(n);
+        reflect::<REFLECT_COLS>(
+            v,
+            std::array::from_fn(|_| &mut columns.next().expect("four columns")[from..]),
+        );
+    }
+    for col in quads.into_remainder().chunks_exact_mut(n) {
+        reflect(v, [&mut col[from..]]);
+    }
+}
+
+#[inline]
+fn reflect<const Q: usize>(v: &[f32], cols: [&mut [f32]; Q]) {
+    let mut proj = [0f32; Q];
+    {
+        let cols: [&[f32]; Q] = std::array::from_fn(|q| &cols[q][..v.len()]);
+        for (i, &vi) in v.iter().enumerate() {
+            for q in 0..Q {
+                proj[q] += vi * cols[q][i];
+            }
+        }
+    }
+    for (x, proj) in cols.into_iter().zip(proj) {
+        if proj == 0.0 {
+            continue;
+        }
+        let proj2 = 2.0 * proj;
+        for (xi, &vi) in x.iter_mut().zip(v) {
+            *xi -= proj2 * vi;
+        }
     }
 }
 

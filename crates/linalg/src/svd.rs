@@ -121,7 +121,7 @@ pub fn svd_tall(a: &DenseMatrix) -> Result<Svd> {
     if m < 3 * n || n == 0 {
         return svd_jacobi(a);
     }
-    let gram = crate::gemm::gemm_tn(a, a)?;
+    let gram = crate::gemm::gram(a);
     let eig = svd_jacobi(&gram)?; // symmetric PSD: U = V, s = sigma^2
     let s: Vec<f32> = eig.s.iter().map(|&x| x.max(0.0).sqrt()).collect();
     let v = eig.u;

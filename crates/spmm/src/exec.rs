@@ -11,9 +11,10 @@
 
 use crate::asl::streaming_schedule;
 use crate::config::SpmmConfig;
-use crate::kernel::{run_workload, KernelStats};
+use crate::kernel::{run_workload, KernelStats, Panel};
 use crate::plan::GroupPlan;
 use crate::report::{GroupRun, SpmmRun, WorkloadReport};
+use crate::workload::RowSet;
 use crate::{Result, SpmmError};
 use omega_graph::Csdb;
 use omega_hetmem::{
@@ -139,9 +140,8 @@ impl SpmmEngine {
         rec.arg(&nadp_span, "nadp", layout.nadp);
         rec.end(nadp_span, Some(SimDuration::ZERO));
 
-        // The allocation scheme's simulated cost is charged up front; the
-        // per-group `allocate` calls run during the wall-clock window of
-        // `spmm.execute`.
+        // The allocation scheme's simulated cost is charged here, up front;
+        // its row cuts were made with the layout.
         let alloc_time = SimDuration::from_secs_f64(
             cfg.alloc.overhead_cpu_ops(a.rows()) as f64 / self.sys.model().cpu_ops_per_sec,
         );
@@ -151,17 +151,12 @@ impl SpmmEngine {
         let exec_span = rec.begin("spmm.execute", Track::MAIN);
         // All socket groups start executing at the same simulated instant.
         let exec_base = rec.cursor(Track::MAIN);
-        let in_degrees = if cfg.wofp.is_some() {
-            a.in_degrees()
-        } else {
-            Vec::new()
-        };
         let mut run = SpmmRun::new(a.rows() as usize, b.cols(), cfg.threads, alloc_time);
         for (gi, group) in layout.groups.iter().enumerate() {
-            if group.cols.is_empty() || group.threads.is_empty() {
+            if !group.runs() {
                 continue;
             }
-            let plan = self.plan_group(a, b, &layout.sparse_parts, group, &in_degrees)?;
+            let plan = self.plan_group(a, b, &layout, group)?;
             let outcome = self.run_group(&plan, &mut run.result);
             self.trace_group(gi, &plan, &outcome, exec_base);
             run.absorb(outcome);
@@ -234,12 +229,20 @@ impl SpmmEngine {
                 batch_max = batch_max.max(t);
                 times[wi] += t;
                 stats[wi].absorb_batch(&chunk_stats);
-                // Scatter the block into the global result.
+                // Scatter the block into the global result: a contiguous
+                // workload's column is one slice of the result's.
                 let nrows = w.row_count();
-                for (lt, t_global) in batch.clone().enumerate() {
+                for (block_col, t_global) in block.chunks_exact(nrows.max(1)).zip(batch.clone()) {
                     let col = result.col_mut(t_global);
-                    for (li, v) in w.rows.iter().enumerate() {
-                        col[v as usize] = block[lt * nrows + li];
+                    match w.rows {
+                        RowSet::Range { start, end } => {
+                            col[start as usize..end as usize].copy_from_slice(block_col)
+                        }
+                        _ => {
+                            for (v, &x) in w.rows.iter().zip(block_col) {
+                                col[v as usize] = x;
+                            }
+                        }
                     }
                 }
             }
@@ -314,6 +317,7 @@ impl SpmmEngine {
         // one context across workloads; a reset context is observationally
         // identical to a fresh one.
         let threads = self.wall_threads.min(plan.workloads.len().max(1));
+        let panel = Panel::pack(plan.dense, batch.clone(), self.wall_threads);
         omega_par::run_labeled(
             "spmm.workload",
             threads,
@@ -324,7 +328,7 @@ impl SpmmEngine {
                 let ctx = self.sys.recycle_ctx_on(slot, node);
                 ctx.set_sim_now(SimDuration::from_nanos(batch_salt | wi as u64));
                 let prefetcher = plan.prefetchers[wi].as_ref();
-                let (block, stats) = run_workload(&plan.inputs, w, batch.clone(), prefetcher, ctx);
+                let (block, stats) = run_workload(&plan.inputs, w, &panel, prefetcher, ctx);
                 let penalty = ctx.injected_penalty();
                 let failed = ctx.take_fault().is_some();
                 (block, stats, ctx.take_counters(), penalty, failed)

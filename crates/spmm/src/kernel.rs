@@ -1,8 +1,9 @@
 //! The charged SpMM inner kernel — Algorithm 1 of the paper.
 //!
-//! The numeric work runs at full speed on raw slices; the *traffic* each
-//! step generates is charged in bulk per dense column against the operand
-//! placements:
+//! One call runs on two clocks. The *simulated* clock is charged exactly as
+//! Algorithm 1 walks: dense column by dense column, each column re-streaming
+//! the workload's sparse structures, fetching its dense entries and writing
+//! its result slice, in bulk against the operand placements:
 //!
 //! | Step | Paper operation  | Pattern charged                              |
 //! |------|------------------|----------------------------------------------|
@@ -12,11 +13,21 @@
 //! |      |                  | prefetched→DRAM staging / rest→operand home   |
 //! | ④    | accumulation     | CPU multiply-accumulate ops                   |
 //! | ⑤    | `write_result`   | sequential column-major result writes         |
+//!
+//! The *host* computes step ④ the other way round — sparse rows outermost,
+//! [`STRIP`] dense columns per pass over a row — against a [`Panel`]: the
+//! batch's columns of `B` repacked row-major, so that one non-zero reads one
+//! 32-byte run of one panel row instead of gathering from eight 80 KB
+//! columns. The two orders meet in the `(cols, vals)` sequence of a row:
+//! every output element is `sparse_dot` of that sequence with its column,
+//! bit for bit, whichever loop nest produced it, so the model may keep
+//! pricing the paper's traffic while the host does the cache-friendly walk.
 
 use crate::wofp::{Prefetcher, PrefetcherKind};
 use crate::workload::{range_nnz, RowSet, Workload};
 use omega_graph::Csdb;
 use omega_hetmem::{AccessOp, AccessPattern, Placement, ThreadMem};
+use omega_linalg::kernels::{sparse_dot_strip, STRIP};
 use omega_linalg::DenseMatrix;
 use std::ops::Range;
 
@@ -26,9 +37,6 @@ pub struct KernelInputs<'a> {
     /// `(row range, home placement)` partition of the sparse matrix, in row
     /// order (one entry when NaDP is off).
     pub sparse_parts: &'a [(Range<u32>, Placement)],
-    /// The dense operand `B`, borrowed in place: the numeric source,
-    /// indexed by its own (global) column numbers.
-    pub dense: &'a DenseMatrix,
     /// Home of the group's columns of `B`; prefetcher fills read from here.
     pub dense_home: Placement,
     /// Placement charged for dense fetches: the ASL-staged DRAM window when
@@ -72,18 +80,54 @@ impl KernelStats {
     }
 }
 
-/// Execute one workload over columns `cols` of the dense operand, returning
+/// One column batch of the dense operand as the numeric step reads it:
+/// row-major in whole strips, every row padded with zeros to a whole number
+/// of them. Packed once per (group, batch) and shared by all of its
+/// workloads.
+pub struct Panel {
+    /// Columns in the batch.
+    ncols: usize,
+    /// Strips per panel row.
+    strips: usize,
+    data: Vec<[f32; STRIP]>,
+}
+
+/// Rows one pool task of [`Panel::pack`] copies.
+const PACK_ROWS: usize = 1024;
+
+impl Panel {
+    /// Pack columns `cols` of `dense` on up to `threads` pool workers.
+    pub fn pack(dense: &DenseMatrix, cols: Range<usize>, threads: usize) -> Panel {
+        let strips = cols.len().div_ceil(STRIP);
+        let mut data = vec![[0f32; STRIP]; dense.rows() * strips];
+        let stride = strips * STRIP;
+        let blocks: Vec<&mut [f32]> = (data.as_flattened_mut())
+            .chunks_mut((PACK_ROWS * stride).max(1))
+            .collect();
+        omega_par::for_each_chunk_labeled("spmm.pack", threads, blocks, |bi, block| {
+            let rows = bi * PACK_ROWS..bi * PACK_ROWS + block.len() / stride;
+            dense.pack_rows(rows, cols.clone(), stride, block);
+        });
+        Panel {
+            ncols: cols.len(),
+            strips,
+            data,
+        }
+    }
+}
+
+/// Execute one workload over the column batch packed in `panel`, returning
 /// the result block (column-major, `rows.len() × cols.len()`) and the
 /// traffic stats. All traffic is charged to `ctx`.
 pub fn run_workload(
     inp: &KernelInputs<'_>,
     workload: &Workload,
-    cols: Range<usize>,
+    panel: &Panel,
     prefetcher: Option<&Prefetcher>,
     ctx: &mut ThreadMem,
 ) -> (Vec<f32>, KernelStats) {
     let nrows = workload.row_count();
-    let ncols = cols.len();
+    let ncols = panel.ncols;
     let mut out = vec![0f32; nrows * ncols];
     if nrows == 0 || ncols == 0 {
         return (out, KernelStats::default());
@@ -142,7 +186,7 @@ pub fn run_workload(
     // (round-robin over unsorted ids) jumps per row and pays random-pattern
     // media costs.
     let contiguous = workload.rows.is_contiguous();
-    for _ in cols.clone() {
+    for _ in 0..ncols {
         for seg in &segments {
             if contiguous {
                 ctx.charge_block(
@@ -228,12 +272,15 @@ pub fn run_workload(
         );
     }
 
-    // Step ④: the actual math, rows outermost.
+    // Step ④: the actual math, rows outermost, a strip of columns per pass
+    // over a row's non-zeros (the row stays in L1 from strip to strip).
     for (li, v) in workload.rows.iter().enumerate() {
         let (row_cols, row_vals) = inp.csdb.row(v);
-        for (local_t, t) in cols.clone().enumerate() {
-            let bcol = inp.dense.col(t);
-            out[local_t * nrows + li] = omega_linalg::kernels::sparse_dot(row_cols, row_vals, bcol);
+        for strip in 0..panel.strips {
+            let sums = sparse_dot_strip(row_cols, row_vals, &panel.data, panel.strips, strip);
+            for (t, &sum) in (strip * STRIP..ncols).zip(&sums) {
+                out[t * nrows + li] = sum;
+            }
         }
     }
     ctx.add_cpu_ops((workload.nnzs + nrows as u64) * ncols as u64);
@@ -303,22 +350,29 @@ mod tests {
 
     const PM0: Placement = Placement::node(0, DeviceKind::Pm);
 
-    /// Kernel inputs over `b` borrowed in place, everything homed on node
-    /// 0's PM except the DRAM staging area.
-    fn inputs<'a>(
-        g: &'a Csdb,
-        parts: &'a [(Range<u32>, Placement)],
-        b: &'a DenseMatrix,
-    ) -> KernelInputs<'a> {
+    /// Kernel inputs with everything homed on node 0's PM except the DRAM
+    /// staging area.
+    fn inputs<'a>(g: &'a Csdb, parts: &'a [(Range<u32>, Placement)]) -> KernelInputs<'a> {
         KernelInputs {
             csdb: g,
             sparse_parts: parts,
-            dense: b,
             dense_home: PM0,
             dense_read: PM0,
             staging: Placement::node(0, DeviceKind::Dram),
             result: PM0,
         }
+    }
+
+    /// [`run_workload`] over columns `cols` of `b`, packed for this call.
+    fn run(
+        inp: &KernelInputs<'_>,
+        w: &Workload,
+        b: &DenseMatrix,
+        cols: Range<usize>,
+        prefetcher: Option<&Prefetcher>,
+        ctx: &mut ThreadMem,
+    ) -> (Vec<f32>, KernelStats) {
+        run_workload(inp, w, &Panel::pack(b, cols, 1), prefetcher, ctx)
     }
 
     /// Reference dense SpMM in permuted space.
@@ -337,10 +391,10 @@ mod tests {
         let d = 8;
         let b = gaussian_matrix(g.rows() as usize, d, 3);
         let parts = [(0..g.rows(), PM0)];
-        let inp = inputs(&g, &parts, &b);
+        let inp = inputs(&g, &parts);
         let w = Workload::contiguous(0, &g, 0, g.rows());
         let mut ctx = sys.thread_ctx(0);
-        let (out, stats) = run_workload(&inp, &w, 0..d, None, &mut ctx);
+        let (out, stats) = run(&inp, &w, &b, 0..d, None, &mut ctx);
         let expect = reference(&g, &b);
         for t in 0..d {
             for r in 0..g.rows() as usize {
@@ -357,19 +411,52 @@ mod tests {
         assert!(ctx.counters().total_bytes() > 0);
     }
 
+    /// Whatever the row set's shape and the batch's offset and width, every
+    /// entry of the block is `spmv`'s for its (row, column), bit for bit —
+    /// rows without a non-zero included.
+    #[test]
+    fn every_row_set_and_batch_is_bit_equal_to_spmv() {
+        let (g, sys) = setup();
+        let n = g.rows();
+        assert!((0..n).any(|v| g.degree(v) == 0), "the graph has empty rows");
+        let b = gaussian_matrix(n as usize, 21, 5);
+        let expect = reference(&g, &b);
+        let parts = [(0..n, PM0)];
+        let inp = inputs(&g, &parts);
+        let workloads = [
+            Workload::contiguous(0, &g, 17, n - 5),
+            Workload::strided(0, &g, 1, 3),
+            Workload::strided(0, &g, 0, 1),
+            Workload::scattered(0, &g, (0..n).rev().step_by(2).collect()),
+        ];
+        let mut ctx = sys.thread_ctx(0);
+        for cols in [0..21, 3..4, 5..13, 2..19] {
+            let panel = Panel::pack(&b, cols.clone(), 2);
+            for w in &workloads {
+                let (out, _) = run_workload(&inp, w, &panel, None, &mut ctx);
+                for (block_col, t) in out.chunks_exact(w.row_count()).zip(cols.clone()) {
+                    for (v, got) in w.rows.iter().zip(block_col) {
+                        let want = expect[(v as usize, t)];
+                        assert_eq!(got.to_bits(), want.to_bits(), "{:?} ({v}, {t})", w.rows);
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn split_workloads_compose_to_full_product() {
         let (g, sys) = setup();
         let d = 4;
         let b = gaussian_matrix(g.rows() as usize, d, 9);
         let parts = [(0..g.rows(), PM0)];
-        let inp = inputs(&g, &parts, &b);
+        let inp = inputs(&g, &parts);
         let mid = g.rows() / 2;
         let w1 = Workload::contiguous(0, &g, 0, mid);
         let w2 = Workload::contiguous(1, &g, mid, g.rows());
         let mut ctx = sys.thread_ctx(0);
-        let (o1, _) = run_workload(&inp, &w1, 0..d, None, &mut ctx);
-        let (o2, _) = run_workload(&inp, &w2, 0..d, None, &mut ctx);
+        let (o1, _) = run(&inp, &w1, &b, 0..d, None, &mut ctx);
+        let (o2, _) = run(&inp, &w2, &b, 0..d, None, &mut ctx);
         let expect = reference(&g, &b);
         for t in 0..d {
             for r in 0..mid as usize {
@@ -388,7 +475,7 @@ mod tests {
         let d = 2;
         let b = gaussian_matrix(g.rows() as usize, d, 1);
         let parts = [(0..g.rows(), PM0)];
-        let inp = inputs(&g, &parts, &b);
+        let inp = inputs(&g, &parts);
         let w = Workload::contiguous(0, &g, 0, g.rows());
         let p = Prefetcher::build(
             &WofpConfig {
@@ -402,9 +489,9 @@ mod tests {
         assert!(p.entries() > 0);
 
         let mut with = sys.thread_ctx(0);
-        let (out_with, stats) = run_workload(&inp, &w, 0..d, Some(&p), &mut with);
+        let (out_with, stats) = run(&inp, &w, &b, 0..d, Some(&p), &mut with);
         let mut without = sys.thread_ctx(0);
-        let (out_without, _) = run_workload(&inp, &w, 0..d, None, &mut without);
+        let (out_without, _) = run(&inp, &w, &b, 0..d, None, &mut without);
 
         // Identical numeric results.
         assert_eq!(out_with, out_without);
@@ -441,12 +528,12 @@ mod tests {
             (0..mid, Placement::node(0, DeviceKind::Pm)),
             (mid..g.rows(), Placement::node(1, DeviceKind::Pm)),
         ];
-        let inp = inputs(&g, &parts, &b);
+        let inp = inputs(&g, &parts);
         // A workload straddling the boundary, run from node 0: part 1's
         // stream must be charged remote.
         let w = Workload::contiguous(0, &g, mid - 10, mid + 10);
         let mut ctx = sys.thread_ctx_on(0);
-        let _ = run_workload(&inp, &w, 0..2, None, &mut ctx);
+        let _ = run(&inp, &w, &b, 0..2, None, &mut ctx);
         let remote = ctx.counters().bytes_where(|c| {
             c.locality == omega_hetmem::Locality::Remote && c.pattern == AccessPattern::Seq
         });
@@ -458,10 +545,10 @@ mod tests {
         let (g, sys) = setup();
         let b = gaussian_matrix(g.rows() as usize, 2, 8);
         let parts = [(0..g.rows(), PM0)];
-        let inp = inputs(&g, &parts, &b);
+        let inp = inputs(&g, &parts);
         let w = Workload::strided(0, &g, 1, 3);
         let mut ctx = sys.thread_ctx(0);
-        let (out, _) = run_workload(&inp, &w, 0..2, None, &mut ctx);
+        let (out, _) = run(&inp, &w, &b, 0..2, None, &mut ctx);
         let expect = reference(&g, &b);
         for (li, v) in w.rows.iter().enumerate() {
             assert!((out[li] - expect[(v as usize, 0)]).abs() < 1e-3);
@@ -473,10 +560,10 @@ mod tests {
         let (g, sys) = setup();
         let b = gaussian_matrix(g.rows() as usize, 2, 8);
         let parts = [(0..g.rows(), PM0)];
-        let inp = inputs(&g, &parts, &b);
+        let inp = inputs(&g, &parts);
         let w = Workload::contiguous(0, &g, g.rows(), g.rows());
         let mut ctx = sys.thread_ctx(0);
-        let (out, stats) = run_workload(&inp, &w, 0..2, None, &mut ctx);
+        let (out, stats) = run(&inp, &w, &b, 0..2, None, &mut ctx);
         assert!(out.is_empty());
         assert_eq!(stats.dense_fetches, 0);
         assert_eq!(ctx.counters().total_bytes(), 0);

@@ -22,6 +22,7 @@ use omega_hetmem::{
     SimDuration, Topology,
 };
 use omega_linalg::DenseMatrix;
+use std::cell::OnceCell;
 use std::ops::Range;
 
 /// The run-wide layout: where the sparse matrix lives and which column
@@ -33,6 +34,12 @@ pub(crate) struct Layout {
     pub groups: Vec<Group>,
     /// Whether NaDP homed the groups (else one un-homed group owns it all).
     pub nadp: bool,
+    /// The allocation scheme's cut of the rows, once per distinct group
+    /// width: groups of equal width run the very same workloads.
+    cuts: Vec<(usize, Vec<Workload>)>,
+    /// Column in-degrees of the sparse matrix, counted when the first group
+    /// builds prefetchers — never, when every group streams.
+    in_degrees: OnceCell<Vec<u64>>,
     _sparse_leases: Vec<MemReservation>,
 }
 
@@ -48,6 +55,11 @@ pub(crate) struct Group {
 }
 
 impl Group {
+    /// Whether the group has anything to run.
+    pub fn runs(&self) -> bool {
+        !self.cols.is_empty() && !self.threads.is_empty()
+    }
+
     /// The socket simulated thread `thread` of this group runs on: the
     /// group's home under NaDP's CPU binding, else the default block
     /// binding.
@@ -60,6 +72,9 @@ impl Group {
 /// plan returns the group's capacity.
 pub(crate) struct GroupPlan<'a> {
     pub group: &'a Group,
+    /// The dense operand `B`, borrowed in place; each batch's columns reach
+    /// the kernel repacked as a `Panel`.
+    pub dense: &'a DenseMatrix,
     /// Column batches; a single batch spanning the group unless `streaming`.
     pub asl: AslPlan,
     /// Whether batches stream through a reserved staging window.
@@ -137,10 +152,18 @@ impl SpmmEngine {
             let share = a.size_bytes() * range_nnz(a, rows.clone()) / (a.nnz() as u64).max(1);
             sparse_leases.push(self.lease(*placement, share)?);
         }
+        let mut cuts: Vec<(usize, Vec<Workload>)> = Vec::new();
+        for width in groups.iter().filter(|g| g.runs()).map(|g| g.threads.len()) {
+            if cuts.iter().all(|(w, _)| *w != width) {
+                cuts.push((width, cfg.alloc.allocate(a, width)));
+            }
+        }
         Ok(Layout {
             sparse_parts,
             groups,
             nadp,
+            cuts,
+            in_degrees: OnceCell::new(),
             _sparse_leases: sparse_leases,
         })
     }
@@ -153,11 +176,11 @@ impl SpmmEngine {
         &self,
         a: &'a Csdb,
         b: &'a DenseMatrix,
-        sparse_parts: &'a [(Range<u32>, Placement)],
+        layout: &'a Layout,
         group: &'a Group,
-        in_degrees: &[u64],
     ) -> Result<GroupPlan<'a>> {
         let cfg = self.config();
+        let sparse_parts = &layout.sparse_parts[..];
         let dense_home = self.home(group.home, cfg.mode.dense_device());
         let staging_home = self.home(group.home, cfg.mode.staging_device());
         let block_bytes = |rows: usize| (rows * group.cols.len() * 4) as u64;
@@ -169,7 +192,9 @@ impl SpmmEngine {
         let streaming = window.is_some();
         leases.extend(window);
 
-        let mut workloads = cfg.alloc.allocate(a, group.threads.len());
+        let width = group.threads.len();
+        let cut = layout.cuts.iter().find(|(w, _)| *w == width);
+        let mut workloads = cut.expect("a cut per running group's width").1.clone();
         for (w, &thread) in workloads.iter_mut().zip(&group.threads) {
             w.thread = thread;
         }
@@ -180,7 +205,12 @@ impl SpmmEngine {
         let wofp = cfg.wofp.as_ref().filter(|_| !streaming);
         let prefetchers: Vec<Option<Prefetcher>> = workloads
             .iter()
-            .map(|w| wofp.map(|wofp| Prefetcher::build(wofp, a, w, in_degrees)))
+            .map(|w| {
+                wofp.map(|wofp| {
+                    let in_degrees = layout.in_degrees.get_or_init(|| a.in_degrees());
+                    Prefetcher::build(wofp, a, w, in_degrees)
+                })
+            })
             .collect();
 
         // Each build is charged to its own thread, once, before the batches.
@@ -221,6 +251,7 @@ impl SpmmEngine {
         let working = if streaming { staging_home } else { dense_home };
         Ok(GroupPlan {
             group,
+            dense: b,
             asl,
             streaming,
             workloads,
@@ -230,7 +261,6 @@ impl SpmmEngine {
             inputs: KernelInputs {
                 csdb: a,
                 sparse_parts,
-                dense: b,
                 dense_home,
                 dense_read: working,
                 staging: staging_home,

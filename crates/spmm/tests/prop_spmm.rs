@@ -218,3 +218,77 @@ proptest! {
         );
     }
 }
+
+/// The engine's numbers against an oracle that owes nothing to the engine:
+/// column `t` of `engine.spmm(&a, &b).result` is `a.spmv(b.col(t))`, bit for
+/// bit — for column counts on every side of the 8-wide strip, every engine
+/// configuration of the `spmm_matrix` golden, DRAM small enough that ASL
+/// cuts a group's columns into several batches, a matrix with empty rows,
+/// and 1, 2 and 8 wall threads.
+#[test]
+fn every_result_column_is_spmv_bit_for_bit() {
+    use omega_graph::{Csdb, RmatConfig};
+    use omega_hetmem::{MemSystem, Topology};
+    use omega_linalg::gaussian_matrix;
+    use omega_obs::Recorder;
+    use omega_spmm::{AllocScheme, MemMode, SpmmConfig, SpmmEngine, WofpConfig};
+
+    let csr = RmatConfig::social(384, 3_000, 77).generate_csr().unwrap();
+    let a = Csdb::from_csr(&csr).unwrap();
+    assert!((0..a.rows()).any(|v| a.degree(v) == 0), "empty rows");
+    let degree_wofp = WofpConfig {
+        eta: 1.0,
+        sigma: 0.1,
+    };
+    let configs = [
+        SpmmConfig::omega(4),
+        SpmmConfig::omega_dram(4),
+        SpmmConfig::omega_pm(4),
+        SpmmConfig::omega(4)
+            .with_alloc(AllocScheme::RoundRobin)
+            .with_nadp(false),
+        SpmmConfig::omega(4).with_alloc(AllocScheme::WaTA),
+        SpmmConfig::omega(4).with_wofp(None),
+        SpmmConfig::omega(4).with_nadp(false),
+        SpmmConfig::omega(4).with_asl(None),
+        SpmmConfig {
+            mode: MemMode::SparsePmDenseDram,
+            ..SpmmConfig::omega(4)
+        },
+        SpmmConfig::omega(4)
+            .with_wofp(Some(degree_wofp))
+            .with_asl(None),
+    ];
+    let mut most_batches = 0;
+    for cols in [1usize, 7, 8, 9, 33, 80] {
+        let b = gaussian_matrix(a.cols() as usize, cols, cols as u64);
+        let oracle: Vec<Vec<f32>> = (0..cols).map(|t| a.spmv(b.col(t)).unwrap()).collect();
+        for cfg in &configs {
+            for wall_threads in [1, 2, 8] {
+                let rec = Recorder::enabled();
+                let sys = MemSystem::new(Topology::paper_machine_scaled(160 << 10));
+                let engine = SpmmEngine::new(sys, *cfg)
+                    .unwrap()
+                    .with_recorder(rec.clone())
+                    .with_wall_threads(wall_threads);
+                let run = engine.spmm(&a, &b).unwrap();
+                let spans = rec.spans();
+                let batches = spans.iter().filter(|s| s.name == "asl.batch").count();
+                most_batches = most_batches.max(batches);
+                for (t, want) in oracle.iter().enumerate() {
+                    let got = run.result.col(t);
+                    assert!(
+                        got.iter()
+                            .zip(want)
+                            .all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "{cfg:?}, {cols} columns, {wall_threads} wall threads: column {t}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        most_batches > 2,
+        "some plan streamed several batches a group"
+    );
+}
