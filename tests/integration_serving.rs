@@ -611,3 +611,114 @@ fn ivf_edge_cases_answer_exactly() {
     assert_eq!(srv.top_k(&q, 5), want);
     assert_eq!(srv.top_k_nprobe(&q, 5, Some(1)), want);
 }
+
+/// FNV-1a over the little-endian bytes of each value folded in.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn eat(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
+/// Digest of what a lookup stream *decided* and *answered*: per batch the
+/// movement of `(hits, misses, fetches, evictions, admission_rejects)`,
+/// then the bits of every returned row. Deliberately blind to bytes moved,
+/// simulated time and fault counts — those are the cost model's to change;
+/// cache decisions and answers are not.
+fn lookup_decisions_digest(
+    popularity: Popularity,
+    cache_shards: u64,
+    admission: bool,
+    faulted: bool,
+    threads: usize,
+) -> u64 {
+    // 63 shards of 16 rows with a ragged 7-row tail.
+    const NODES: u32 = 1_007;
+    let emb = embedding(NODES, 12);
+    let sys = if faulted {
+        // A literal plan seed: the pin must not move with OMEGA_FAULT_SEED.
+        let plan = omega_faults::FaultPlanSpec::new(4242)
+            .with_transient(DeviceKind::Pm, 0.3, 3_000)
+            .with_timeout(DeviceKind::Pm, 0.1, 40_000);
+        omega_faults::install_plan(&system(), plan)
+    } else {
+        system()
+    };
+    let cfg = config(cache_shards).admission(admission).threads(threads);
+    let mut srv = EmbedServer::new(&sys, &emb, cfg).unwrap();
+    let mut load = RequestStream::new(WorkloadConfig::lookups(NODES, popularity, 31));
+    let mut digest = Fnv::new();
+    let mut before = srv.stats().clone();
+    for _ in 0..40 {
+        let batch = srv.serve_batch(&load.take_requests(48));
+        let now = srv.stats().clone();
+        for (now, before) in [
+            (now.hits, before.hits),
+            (now.misses, before.misses),
+            (now.fetches, before.fetches),
+            (now.evictions, before.evictions),
+            (now.admission_rejects, before.admission_rejects),
+        ] {
+            digest.eat(now - before);
+        }
+        before = now;
+        for resp in &batch.responses {
+            match resp {
+                Response::Vector(row) => row.iter().for_each(|x| digest.eat(x.to_bits() as u64)),
+                Response::Neighbors(_) => panic!("lookup stream answered with neighbours"),
+            }
+        }
+    }
+    digest.0
+}
+
+/// Cache decisions and answers of the lookup path, pinned from the commit
+/// before the miss path learned to decide admission ahead of the fetch
+/// fan-out (`01a32c4`): Zipf and uniform `Get` streams over a ragged
+/// table, caches of 1 / 8 / 64 shards, admission on and off, clean and
+/// under a transient + timeout PM plan, each identical at 1 / 2 / 8
+/// threads. A change to what a miss *costs* must leave every literal alone.
+#[test]
+fn lookup_decisions_and_rows_are_pinned() {
+    let zipf = Popularity::Zipf { s: 1.0 };
+    let want: [(Popularity, u64, bool, u64); 12] = [
+        (zipf, 1, true, 0x5033_dfda_90c1_4425),
+        (zipf, 1, false, 0x33f1_9cb6_f6bf_fe49),
+        (zipf, 8, true, 0xb745_ce8e_a9c1_8fae),
+        (zipf, 8, false, 0xeb17_4354_0ea1_ba9a),
+        (zipf, 64, true, 0x28be_a1b2_9289_dccd),
+        (zipf, 64, false, 0x28be_a1b2_9289_dccd),
+        (Popularity::Uniform, 1, true, 0xf38e_6bbf_1412_a6e7),
+        (Popularity::Uniform, 1, false, 0x039a_8670_ed42_ed17),
+        (Popularity::Uniform, 8, true, 0xf525_0540_f404_626c),
+        (Popularity::Uniform, 8, false, 0xebe2_f48b_026a_08a2),
+        (Popularity::Uniform, 64, true, 0xe1e1_e396_06cb_b863),
+        (Popularity::Uniform, 64, false, 0xe1e1_e396_06cb_b863),
+    ];
+    // Every config is run before anything is reported, so a failure names
+    // all the literals that moved, not the first.
+    let mut moved = Vec::new();
+    for (popularity, cache_shards, admission, want) in want {
+        for faulted in [false, true] {
+            for threads in [1, 2, 8] {
+                let got =
+                    lookup_decisions_digest(popularity, cache_shards, admission, faulted, threads);
+                if got != want {
+                    moved.push(format!(
+                        "{popularity:?} cache {cache_shards} admission {admission} \
+                         faulted {faulted} threads {threads}: {got:#018x}, pinned {want:#018x}"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(moved.is_empty(), "decisions moved:\n{}", moved.join("\n"));
+}
