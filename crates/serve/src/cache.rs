@@ -7,7 +7,6 @@
 //! age by periodic halving so the cache still adapts when popularity drifts.
 
 use omega_hetmem::{HetVec, MemSystem, Placement};
-use std::collections::BTreeMap;
 
 /// Outcome of offering a fetched shard to the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,16 +37,43 @@ impl InsertOutcome {
     }
 }
 
+/// What a slab slot holds for its shard.
 #[derive(Debug)]
-struct CacheSlot {
-    data: HetVec<f32>,
+enum Rows {
+    /// Not in the cache.
+    Absent,
+    /// Reserved by [`HotCache::reserve`]; the rows are still being fetched.
+    Pending,
+    Resident(HetVec<f32>),
+}
+
+/// End-of-list marker of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry: shard `sid` lives at index `sid`, linked into the
+/// recency list while its rows are `Pending` or `Resident`.
+#[derive(Debug)]
+struct Slot {
+    rows: Rows,
+    /// Bytes booked against the budget while linked.
+    bytes: u64,
     last_use: u64,
+    prev: u32,
+    next: u32,
 }
 
 /// Shard-granular DRAM cache: LRU replacement, frequency-gated admission.
 #[derive(Debug)]
 pub struct HotCache {
-    slots: BTreeMap<usize, CacheSlot>,
+    /// One slot per shard of the table, indexed by shard id.
+    slots: Vec<Slot>,
+    /// The recency list threaded through `slots`, ascending by
+    /// `(last_use, sid)`: `head` is the LRU victim, `tail` the most
+    /// recently used.
+    head: u32,
+    tail: u32,
+    /// Slots on the list.
+    linked: usize,
     hot: Placement,
     capacity_bytes: u64,
     used_bytes: u64,
@@ -63,8 +89,24 @@ pub struct HotCache {
 
 impl HotCache {
     pub fn new(num_shards: usize, capacity_bytes: u64, hot: Placement, admission: bool) -> Self {
+        assert!(
+            num_shards < NIL as usize,
+            "shard ids must fit the slab link"
+        );
+        let slots = (0..num_shards)
+            .map(|_| Slot {
+                rows: Rows::Absent,
+                bytes: 0,
+                last_use: 0,
+                prev: NIL,
+                next: NIL,
+            })
+            .collect();
         HotCache {
-            slots: BTreeMap::new(),
+            slots,
+            head: NIL,
+            tail: NIL,
+            linked: 0,
             hot,
             capacity_bytes,
             used_bytes: 0,
@@ -94,12 +136,20 @@ impl HotCache {
     /// Number of resident shards.
     #[inline]
     pub fn resident(&self) -> usize {
-        self.slots.len()
+        self.linked
     }
 
+    /// Whether `sid` holds a slot (a reservation still waiting for its
+    /// rows counts: its bytes are booked and it can be evicted).
     #[inline]
     pub fn contains(&self, sid: usize) -> bool {
-        self.slots.contains_key(&sid)
+        !matches!(self.slots[sid].rows, Rows::Absent)
+    }
+
+    /// Whether `sid` holds a reservation whose rows have not arrived.
+    #[inline]
+    pub(crate) fn pending(&self, sid: usize) -> bool {
+        matches!(self.slots[sid].rows, Rows::Pending)
     }
 
     /// Historical access count of a shard (aged).
@@ -118,9 +168,14 @@ impl HotCache {
                 *f /= 2;
             }
         }
-        let clock = self.clock;
-        if let Some(slot) = self.slots.get_mut(&sid) {
-            slot.last_use = clock;
+        if self.contains(sid) {
+            // The clock just advanced, so this stamp is the largest on
+            // the list: the slot belongs at the tail.
+            self.slots[sid].last_use = self.clock;
+            if self.tail != sid as u32 {
+                self.unlink(sid);
+                self.link_after(self.tail, sid);
+            }
         }
     }
 
@@ -128,54 +183,124 @@ impl HotCache {
     /// [`HetVec`] are charged as DRAM traffic by the caller's context.
     #[inline]
     pub fn slot(&self, sid: usize) -> Option<&HetVec<f32>> {
-        self.slots.get(&sid).map(|s| &s.data)
+        match &self.slots[sid].rows {
+            Rows::Resident(data) => Some(data),
+            Rows::Absent | Rows::Pending => None,
+        }
     }
 
-    /// Offer shard `sid`'s freshly fetched rows for DRAM residency.
-    ///
-    /// Evicts LRU victims until the shard fits, unless admission control
-    /// finds a victim with strictly higher historical frequency than the
-    /// candidate — then the cache keeps its contents and rejects the
-    /// newcomer.
-    pub fn insert(&mut self, sys: &MemSystem, sid: usize, rows: Vec<f32>) -> InsertOutcome {
-        debug_assert!(!self.contains(sid), "insert of resident shard");
-        let bytes = std::mem::size_of_val(rows.as_slice()) as u64;
+    /// Take `sid` off the recency list (its `prev` / `next` go stale).
+    fn unlink(&mut self, sid: usize) {
+        let Slot { prev, next, .. } = self.slots[sid];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    /// Put `sid` on the recency list right after `at` (`NIL`: at the head).
+    fn link_after(&mut self, at: u32, sid: usize) {
+        let next = match at {
+            NIL => std::mem::replace(&mut self.head, sid as u32),
+            a => std::mem::replace(&mut self.slots[a as usize].next, sid as u32),
+        };
+        match next {
+            NIL => self.tail = sid as u32,
+            n => self.slots[n as usize].prev = sid as u32,
+        }
+        self.slots[sid].prev = at;
+        self.slots[sid].next = next;
+    }
+
+    /// Give `sid`'s slot back: off the list, bytes returned to the budget,
+    /// rows dropped (dropping the `HetVec` releases its governor lease).
+    fn release(&mut self, sid: usize) {
+        self.unlink(sid);
+        self.linked -= 1;
+        self.used_bytes -= self.slots[sid].bytes;
+        self.slots[sid].rows = Rows::Absent;
+    }
+
+    /// Decide whether a `bytes`-sized shard `sid` may become resident —
+    /// before anything is fetched, because the verdict needs nothing from
+    /// the shard's rows. Evicts LRU victims until the shard fits, unless
+    /// admission control finds a victim with strictly higher historical
+    /// frequency than the candidate — then the candidate is refused. An
+    /// admitted shard gets a slot stamped with the current clock, booked
+    /// against the budget and waiting for [`HotCache::fill`]; until then
+    /// it is a victim candidate like any resident shard, so a later
+    /// reservation of the same batch can take the slot back.
+    pub(crate) fn reserve(&mut self, sid: usize, bytes: u64) -> InsertOutcome {
+        debug_assert!(!self.contains(sid), "reserve of resident shard");
         if bytes > self.capacity_bytes {
             return InsertOutcome::RejectedByCapacity;
         }
         let mut evicted = 0;
         while self.used_bytes + bytes > self.capacity_bytes {
-            let victim = self
-                .slots
-                .iter()
-                .min_by_key(|(vid, slot)| (slot.last_use, **vid))
-                .map(|(vid, _)| *vid)
-                .expect("used_bytes > 0 implies a resident shard");
+            let victim = self.head as usize;
+            debug_assert!(self.head != NIL, "used_bytes > 0 implies a linked slot");
             if self.admission && self.freq[victim] > self.freq[sid] {
                 return InsertOutcome::RejectedByFrequency;
             }
-            let slot = self.slots.remove(&victim).unwrap();
-            self.used_bytes -= slot.data.size_bytes();
+            self.release(victim);
             evicted += 1;
-            // Dropping the HetVec releases its governor lease.
         }
+        // Stamps never exceed the clock, so only the list's tail end can
+        // tie with the new slot; among ties the smaller shard id is the
+        // earlier victim.
+        let mut at = self.tail;
+        while at != NIL && self.slots[at as usize].last_use == self.clock && at as usize > sid {
+            at = self.slots[at as usize].prev;
+        }
+        self.link_after(at, sid);
+        self.linked += 1;
+        self.used_bytes += bytes;
+        let slot = &mut self.slots[sid];
+        slot.rows = Rows::Pending;
+        slot.bytes = bytes;
+        slot.last_use = self.clock;
+        InsertOutcome::Admitted { evicted }
+    }
+
+    /// Move the fetched `rows` into the slot [`HotCache::reserve`] left
+    /// pending for `sid`. Returns `false`, and gives the slot back, when
+    /// DRAM itself is full (the budget over-promised) — serving falls back
+    /// to the cold tier.
+    pub(crate) fn fill(&mut self, sys: &MemSystem, sid: usize, rows: Vec<f32>) -> bool {
+        debug_assert!(self.pending(sid), "fill without a reservation");
+        debug_assert_eq!(
+            std::mem::size_of_val(rows.as_slice()) as u64,
+            self.slots[sid].bytes
+        );
         match sys.alloc_from(self.hot, rows) {
             Ok(data) => {
-                self.used_bytes += data.size_bytes();
-                self.slots.insert(
-                    sid,
-                    CacheSlot {
-                        data,
-                        last_use: self.clock,
-                    },
-                );
-                InsertOutcome::Admitted { evicted }
+                self.slots[sid].rows = Rows::Resident(data);
+                true
             }
-            // DRAM itself is full (the budget over-promised): treat as a
-            // capacity rejection rather than an error — serving falls back
-            // to the cold tier.
-            Err(_) => InsertOutcome::RejectedByCapacity,
+            Err(_) => {
+                self.release(sid);
+                false
+            }
         }
+    }
+
+    /// Offer shard `sid`'s freshly fetched rows for DRAM residency:
+    /// [`HotCache::reserve`], then [`HotCache::fill`] if admitted. Offering
+    /// a shard that is already resident replaces it: the old copy gives
+    /// its slot back first and the new one is judged like any newcomer.
+    pub fn insert(&mut self, sys: &MemSystem, sid: usize, rows: Vec<f32>) -> InsertOutcome {
+        if self.contains(sid) {
+            self.release(sid);
+        }
+        let outcome = self.reserve(sid, std::mem::size_of_val(rows.as_slice()) as u64);
+        if outcome.admitted() && !self.fill(sys, sid, rows) {
+            return InsertOutcome::RejectedByCapacity;
+        }
+        outcome
     }
 }
 
@@ -267,6 +392,43 @@ mod tests {
         assert!(c.insert(&s, 1, shard(1.0)).admitted());
         // One shard in, one out: DRAM footprint unchanged.
         assert_eq!(s.governor().usage(0, DeviceKind::Dram).used, used);
+    }
+
+    #[test]
+    fn reinserting_a_resident_shard_replaces_it() {
+        let s = sys();
+        let mut c = HotCache::new(8, 64, dram(), false);
+        assert!(c.insert(&s, 0, shard(0.0)).admitted());
+        assert!(c.insert(&s, 1, shard(1.0)).admitted());
+        c.record_access(7); // advance the clock past both stamps
+        assert_eq!(
+            c.insert(&s, 0, shard(9.0)),
+            InsertOutcome::Admitted { evicted: 0 }
+        );
+        assert_eq!((c.resident(), c.used_bytes()), (2, 64));
+        assert_eq!(c.slot(0).unwrap().raw(), shard(9.0).as_slice());
+        // The replacement is the newest arrival: shard 1 is the victim.
+        assert_eq!(
+            c.insert(&s, 2, shard(2.0)),
+            InsertOutcome::Admitted { evicted: 1 }
+        );
+        assert!(c.contains(0) && c.contains(2) && !c.contains(1));
+    }
+
+    /// A reservation is a victim candidate until it is filled: in a
+    /// one-slot cache the second reservation of a batch takes the slot
+    /// back from the first, exactly as inserting the two in turn would.
+    #[test]
+    fn a_later_reservation_takes_a_pending_slot_back() {
+        let s = sys();
+        let mut c = HotCache::new(8, 32, dram(), true);
+        assert_eq!(c.reserve(3, 32), InsertOutcome::Admitted { evicted: 0 });
+        assert!(c.pending(3) && c.contains(3) && c.slot(3).is_none());
+        assert_eq!(c.reserve(5, 32), InsertOutcome::Admitted { evicted: 1 });
+        assert!(!c.contains(3) && c.pending(5));
+        assert_eq!((c.resident(), c.used_bytes()), (1, 32));
+        assert!(c.fill(&s, 5, shard(5.0)));
+        assert!(!c.pending(5) && c.slot(5).is_some());
     }
 
     #[test]

@@ -26,7 +26,8 @@ pub(crate) const RETRY_BACKOFF_NS: u64 = 2_000;
 /// Configuration of an [`EmbedServer`](crate::EmbedServer).
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
-    /// Rows per cold shard (the fetch/cache granule).
+    /// Rows per cold shard: the granule the cache admits, keeps and evicts
+    /// (a miss it refuses is read by the row).
     pub rows_per_shard: usize,
     /// Cold-tier placement of the sharded store.
     pub cold: Placement,

@@ -1,12 +1,18 @@
 //! The cold-read side of a batch: worker-task contexts, the one
-//! retry → hedge → degrade resolver every cold read drives, the shard
-//! fetch and its fixed-order merge, and the point-lookup task.
+//! retry → hedge → degrade resolver every cold read drives, the miss path
+//! (*decide* admission for the whole batch, *move* each missing shard's
+//! bytes the cheapest way, *fill* the slots the decision reserved), and the
+//! point-lookup task.
 
 use crate::cache::InsertOutcome;
 use crate::config::{HOT, HOT_NODE, MODEL_THREADS, RETRY_BACKOFF_NS};
 use crate::server::EmbedServer;
 use crate::stats::ServeStats;
-use omega_hetmem::{AccessOp, AccessPattern, ClassCounters, HetMemError, SimDuration, ThreadMem};
+use crate::store::ShardedStore;
+use omega_hetmem::{
+    AccessOp, AccessPattern, ClassCounters, HetMemError, MemSystem, Placement, SimDuration,
+    ThreadMem,
+};
 
 /// Fault-stream tags for worker-task contexts (see
 /// [`ThreadMem::set_fault_stream`]): each task draws fault verdicts from a
@@ -57,6 +63,101 @@ pub(crate) fn resolve(
     }
 }
 
+/// One distinct missing shard of a batch, as the admission plan left it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Miss {
+    pub(crate) sid: usize,
+    /// Distinct rows of the shard the batch asks for.
+    rows: u32,
+    /// The cache holds a slot for the shard: fetch it whole and fill the
+    /// slot. Otherwise the shard passes through — the batch reads what it
+    /// asked for and nothing is kept.
+    fill: bool,
+}
+
+/// The bytes one miss moves, and how: what every attempt reads from the
+/// cold tier, what a hedge or degrade reads from the DRAM replica instead,
+/// and what is staged into DRAM for the lookups to read.
+#[derive(Debug, Clone, Copy)]
+struct Transfer {
+    pattern: AccessPattern,
+    bytes: u64,
+    accesses: u64,
+}
+
+impl Transfer {
+    /// A whole shard as one streamed block.
+    fn block(bytes: u64) -> Transfer {
+        Transfer {
+            pattern: AccessPattern::Seq,
+            bytes,
+            accesses: 1,
+        }
+    }
+
+    /// `rows` rows gathered one by one; the context rounds each access up
+    /// to the device's granule.
+    fn rows(rows: u32, row_bytes: u64) -> Transfer {
+        Transfer {
+            pattern: AccessPattern::Rand,
+            bytes: rows as u64 * row_bytes,
+            accesses: rows as u64,
+        }
+    }
+
+    fn read_from(self, tier: Placement, ctx: &mut ThreadMem) {
+        ctx.charge_block(
+            tier,
+            AccessOp::Read,
+            self.pattern,
+            self.bytes,
+            self.accesses,
+        );
+    }
+
+    fn stage(self, ctx: &mut ThreadMem) {
+        ctx.charge_block(HOT, AccessOp::Write, AccessPattern::Seq, self.bytes, 1);
+    }
+}
+
+/// Per shard, the most distinct rows a pass-through miss gathers one by
+/// one: past that many, streaming the whole block is no dearer by the
+/// model's own price (cold read + DRAM staging, fault-free), so the block
+/// is read instead. Priced once per server — every shard of one size
+/// shares the answer — and from nothing but `thread_time`, so a device
+/// with cheap random reads and a fine granule (PM) gathers rows up to
+/// dozens a shard, and one that pays per IO (SSD) streams the block from
+/// the second row on.
+pub(crate) fn row_limits(sys: &MemSystem, store: &ShardedStore) -> Vec<u32> {
+    let cold = store.placement();
+    let row_bytes = (store.dim() * std::mem::size_of::<f32>()) as u64;
+    let mut ctx = ThreadMem::new(HOT_NODE, sys.topology().nodes());
+    let mut price = |transfer: Transfer| {
+        ctx.reset();
+        transfer.read_from(cold, &mut ctx);
+        transfer.stage(&mut ctx);
+        sys.model().thread_time(ctx.counters(), MODEL_THREADS)
+    };
+    let mut last: Option<(u64, u32)> = None;
+    (0..store.num_shards())
+        .map(|sid| {
+            let bytes = store.shard_bytes(sid);
+            let limit = match last {
+                Some((known, limit)) if known == bytes => limit,
+                _ => {
+                    let block = price(Transfer::block(bytes));
+                    let rows = store.shard_rows(sid).len() as u32;
+                    (1..=rows)
+                        .find(|&n| price(Transfer::rows(n, row_bytes)) >= block)
+                        .map_or(rows, |n| n - 1)
+                }
+            };
+            last = Some((bytes, limit));
+            limit
+        })
+        .collect()
+}
+
 /// A span a fetch task would have emitted: `(name, attempt, duration)`.
 /// Replayed onto the recorder in merge order so the span stream is
 /// identical at every thread count.
@@ -66,10 +167,16 @@ type SpanEvent = (&'static str, Option<u32>, SimDuration);
 #[derive(Debug)]
 pub(crate) struct FetchOutcome {
     sid: usize,
-    rows: Vec<f32>,
+    /// Rows gathered one by one, `0` when the shard streamed whole: the
+    /// `rows` arg of the fetch's `serve.fetch` spans.
+    rows: u32,
+    /// The shard's rows, copied for the cache slot waiting on them. A
+    /// pass-through miss copies nothing.
+    fill: Option<Vec<f32>>,
     counters: ClassCounters,
     stats: ServeStats,
-    events: Vec<SpanEvent>,
+    /// `None` when no recorder is listening.
+    events: Option<Vec<SpanEvent>>,
     total: SimDuration,
 }
 
@@ -77,7 +184,9 @@ impl FetchOutcome {
     /// Record one step of the fetch: its span event and its share of the
     /// fetch's simulated time.
     fn step(&mut self, name: &'static str, attempt: Option<u32>, dur: SimDuration) {
-        self.events.push((name, attempt, dur));
+        if let Some(events) = &mut self.events {
+            events.push((name, attempt, dur));
+        }
         self.total += dur;
     }
 }
@@ -122,29 +231,84 @@ impl EmbedServer {
         dur
     }
 
-    /// Task half of a shard fetch: stream `sid` from the cold tier and
-    /// stage it into DRAM, each attempt on a freshly reset context priced
-    /// on its own, resolving failures through [`resolve`]. The replica
-    /// path (hedge or degrade) pulls the rows from the DRAM replica tier —
-    /// the serving node keeps a warm replica of the table — and stages
-    /// them; values are identical to the cold tier's, only the traffic
-    /// differs. Pure computation — the outcome's counters, stats,
+    /// Decide step of the miss path, before any byte moves: group the
+    /// rows the batch's misses ask for (`wanted`, any order, duplicates
+    /// allowed) by shard, then walk the missing shards in ascending order
+    /// reserving a cache slot for each — the order, and so every eviction
+    /// and refusal, a fetch-then-insert loop over the same shards would
+    /// produce, because the admission verdict reads frequencies and
+    /// recency only. A shard whose slot a later reservation of the same
+    /// batch took back passes through like a refused one.
+    pub(crate) fn plan_misses(&mut self, mut wanted: Vec<u32>) -> Vec<Miss> {
+        wanted.sort_unstable();
+        wanted.dedup();
+        let mut missing: Vec<Miss> = Vec::new();
+        for &node in &wanted {
+            let sid = self.store.shard_of(node);
+            match missing.last_mut() {
+                Some(miss) if miss.sid == sid => miss.rows += 1,
+                _ => missing.push(Miss {
+                    sid,
+                    rows: 1,
+                    fill: false,
+                }),
+            }
+        }
+        for miss in &missing {
+            match self
+                .cache
+                .reserve(miss.sid, self.store.shard_bytes(miss.sid))
+            {
+                InsertOutcome::Admitted { evicted } => self.stats.evictions += evicted as u64,
+                InsertOutcome::RejectedByFrequency | InsertOutcome::RejectedByCapacity => {
+                    self.stats.admission_rejects += 1
+                }
+            }
+        }
+        for miss in &mut missing {
+            miss.fill = self.cache.pending(miss.sid);
+        }
+        missing
+    }
+
+    /// Move step of the miss path, one pool task per missing shard. A
+    /// shard the plan reserved a slot for streams whole from the cold
+    /// tier, stages into DRAM and is copied for the slot. Any other
+    /// passes through: the model charges, and the host touches, only what
+    /// the batch reads — the requested rows gathered one by one and
+    /// staged, or the whole block streamed and staged when
+    /// [`row_limits`] prices that no dearer — and nothing is copied. Each
+    /// attempt runs on a freshly reset context priced on its own,
+    /// resolving failures through [`resolve`]; the replica path (hedge or
+    /// degrade) reads the same bytes in the same shape from the DRAM
+    /// replica tier — the serving node keeps a warm replica of the table —
+    /// and stages them; values are identical to the cold tier's, only the
+    /// traffic differs. Pure computation — the outcome's counters, stats,
     /// simulated time and span events are applied by
     /// [`EmbedServer::merge_fetch`] in ascending shard order.
     pub(crate) fn fetch_shard_task(
         &self,
         slot: &mut Option<ThreadMem>,
-        sid: usize,
+        miss: Miss,
         batch_start: SimDuration,
     ) -> FetchOutcome {
-        let bytes = self.store.shard_bytes(sid);
+        let sid = miss.sid;
+        let by_row = !miss.fill && miss.rows <= self.row_limit[sid];
+        let transfer = if by_row {
+            let row_bytes = (self.store.dim() * std::mem::size_of::<f32>()) as u64;
+            Transfer::rows(miss.rows, row_bytes)
+        } else {
+            Transfer::block(self.store.shard_bytes(sid))
+        };
+        let cold = self.store.placement();
         let stream = FETCH_STREAM + sid as u64;
         let mut out = FetchOutcome {
             sid,
-            rows: Vec::new(),
+            rows: if by_row { miss.rows } else { 0 },
+            fill: None,
             counters: ClassCounters::default(),
             stats: ServeStats::default(),
-            events: Vec::new(),
+            events: self.rec.is_enabled().then(Vec::new),
             total: SimDuration::ZERO,
         };
         let mut attempt: u32 = 0;
@@ -152,50 +316,55 @@ impl EmbedServer {
             // Recycled per attempt: reset + re-keying restarts the fault
             // stream exactly like a fresh context per attempt.
             let ctx = self.task_ctx_in(slot, stream, batch_start + out.total);
-            let read = self.store.try_read_shard(sid, ctx).map(<[f32]>::to_vec);
-            // A doomed attempt still streamed out of the cold tier and
-            // burned its injected penalty.
-            out.stats.cold_read_bytes += bytes;
-            if read.is_ok() {
-                ctx.charge_block(HOT, AccessOp::Write, AccessPattern::Seq, bytes, 1);
-                out.stats.dram_write_bytes += bytes;
+            transfer.read_from(cold, ctx);
+            // A doomed attempt still read from the cold tier and burned
+            // its injected penalty.
+            out.stats.cold_read_bytes += transfer.bytes;
+            let fault = ctx.take_fault();
+            if fault.is_none() {
+                transfer.stage(ctx);
+                out.stats.dram_write_bytes += transfer.bytes;
             }
             let dur = self.task_settle(ctx, &mut out.counters);
             out.step("serve.fetch", (attempt > 0).then_some(attempt), dur);
-            match read {
-                Ok(rows) => {
-                    out.rows = rows;
-                    return out;
-                }
-                Err(err) => match resolve(&err, attempt, self.cfg.max_retries, &mut out.stats) {
+            match fault {
+                None => break None,
+                Some(err) => match resolve(&err, attempt, self.cfg.max_retries, &mut out.stats) {
                     Resolution::Retry(wait) => {
                         attempt += 1;
                         out.step("serve.retry", Some(attempt), wait);
                     }
-                    Resolution::Hedge => break "serve.hedge",
-                    Resolution::Degrade => break "serve.degraded",
+                    Resolution::Hedge => break Some("serve.hedge"),
+                    Resolution::Degrade => break Some("serve.degraded"),
                 },
             }
         };
-        let ctx = self.task_ctx_in(slot, stream, batch_start + out.total);
-        ctx.charge_block(HOT, AccessOp::Read, AccessPattern::Seq, bytes, 1);
-        ctx.charge_block(HOT, AccessOp::Write, AccessPattern::Seq, bytes, 1);
-        out.stats.dram_read_bytes += bytes;
-        out.stats.dram_write_bytes += bytes;
-        out.rows = self.store.shard_raw(sid).to_vec();
-        let dur = self.task_settle(ctx, &mut out.counters);
-        out.step(replica_span, None, dur);
+        if let Some(replica_span) = replica_span {
+            let ctx = self.task_ctx_in(slot, stream, batch_start + out.total);
+            transfer.read_from(HOT, ctx);
+            transfer.stage(ctx);
+            out.stats.dram_read_bytes += transfer.bytes;
+            out.stats.dram_write_bytes += transfer.bytes;
+            let dur = self.task_settle(ctx, &mut out.counters);
+            out.step(replica_span, None, dur);
+        }
+        if miss.fill {
+            out.fill = Some(self.store.shard_raw(sid).to_vec());
+        }
         out
     }
 
-    /// Merge half of a shard fetch: replay the task's span events, fold its
-    /// counters and stats into the run ledger, advance the simulated clock,
-    /// and offer the staged rows to the cache. Called in ascending shard
-    /// order, so eviction/admission decisions match the sequential loop.
+    /// Fill step of the miss path: replay the task's span events, fold its
+    /// counters and stats into the run ledger, advance the simulated
+    /// clock, and hand a copied shard to the slot reserved for it. Called
+    /// in ascending shard order.
     pub(crate) fn merge_fetch(&mut self, out: FetchOutcome) -> SimDuration {
-        for (name, attempt, dur) in out.events {
+        for (name, attempt, dur) in out.events.into_iter().flatten() {
             let span = self.rec.begin(name, self.track);
             self.rec.arg(&span, "shard", out.sid);
+            if name == "serve.fetch" {
+                self.rec.arg(&span, "rows", out.rows);
+            }
             if let Some(attempt) = attempt {
                 self.rec.arg(&span, "attempt", attempt);
             }
@@ -205,18 +374,21 @@ impl EmbedServer {
         self.stats.add(&out.stats);
         self.sim_now += out.total;
         self.stats.fetches += 1;
-        match self.cache.insert(&self.sys, out.sid, out.rows) {
-            InsertOutcome::Admitted { evicted } => self.stats.evictions += evicted as u64,
-            InsertOutcome::RejectedByFrequency | InsertOutcome::RejectedByCapacity => {
-                self.stats.admission_rejects += 1
+        if let Some(rows) = out.fill {
+            if !self.cache.fill(&self.sys, out.sid, rows) {
+                self.stats.admission_rejects += 1;
             }
         }
         out.total
     }
 
-    /// Task half of a point lookup: gather one row out of DRAM (cache slot
-    /// if resident, else the staging copy the fetch phase just made) and
-    /// charge the serve. Merged in arrival order by `serve_batch`.
+    /// Task half of a point lookup: gather one row out of DRAM and charge
+    /// the serve. The model reads it from the cache slot if the shard is
+    /// resident, else from the bytes the fetch phase just staged (the
+    /// batch's own rows, or the whole block); the host reads the slot's
+    /// copy or, for a shard that passed through, the store's identical
+    /// row — no staging copy exists to read. Merged in arrival order by
+    /// `serve_batch`.
     pub(crate) fn lookup_task(
         &self,
         slot: &mut Option<ThreadMem>,
@@ -249,7 +421,64 @@ impl EmbedServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omega_hetmem::DeviceKind;
+    use crate::config::ServeConfig;
+    use omega_embed::Embedding;
+    use omega_hetmem::{AccessSummary, DeviceKind, Topology};
+
+    /// 100 rows of `d` floats in shards of `rows_per_shard` on `cold`,
+    /// behind a cache of `cache_shards` full shards.
+    fn server(d: usize, rows_per_shard: usize, cold: DeviceKind, cache_shards: u64) -> EmbedServer {
+        let sys = MemSystem::new(Topology::paper_machine_scaled(8 << 20));
+        let data: Vec<f32> = (0..100 * d).map(|i| i as f32).collect();
+        let cfg = ServeConfig::new(cache_shards * (rows_per_shard * d * 4) as u64)
+            .rows_per_shard(rows_per_shard)
+            .cold(Placement::node(0, cold));
+        EmbedServer::new(&sys, &Embedding::from_row_major(100, d, data), cfg).unwrap()
+    }
+
+    /// The crossover is the model's. On PM a 256 B row is one XPLine at
+    /// 289 ns read and staged, so rows undercut a 16 KB block (9.9 µs) up
+    /// to 34 of them and a 4 KB block (2.5 µs) up to 8. The SSD pays 80 µs
+    /// per IO and moves 4 KB pages: one row undercuts a 16 KB block, the
+    /// second already loses, and against a block of one page no row wins.
+    #[test]
+    fn row_limits_follow_the_models_price() {
+        let limits = |d, rows_per_shard, cold| server(d, rows_per_shard, cold, 0).row_limit;
+        // Shards of 64 and 36 rows; of 16 (six of them) and 4 rows.
+        assert_eq!(limits(64, 64, DeviceKind::Pm), [34, 19]);
+        assert_eq!(limits(64, 16, DeviceKind::Pm), [8, 8, 8, 8, 8, 8, 2]);
+        assert_eq!(limits(64, 64, DeviceKind::Ssd), [1, 1]);
+        assert_eq!(limits(64, 16, DeviceKind::Ssd), [0; 7]);
+        // Rows far below the granule: a 4 B row still moves a whole XPLine.
+        assert_eq!(limits(1, 16, DeviceKind::Pm), [0; 7]);
+    }
+
+    /// A miss the cache takes streams its shard whole and stages it; a
+    /// miss the cache refuses reads and stages only the requested rows.
+    #[test]
+    fn a_filled_shard_streams_whole_and_a_refused_one_reads_its_rows() {
+        let mut kept = server(64, 16, DeviceKind::Pm, 4);
+        kept.get_vectors(&[17, 20, 17]);
+        let shard_bytes = kept.store.shard_bytes(1);
+        let traffic = AccessSummary::from_counters(&kept.counters);
+        assert_eq!(traffic.pm_bytes, shard_bytes);
+        assert_eq!(traffic.write_bytes, shard_bytes);
+        assert_eq!((kept.stats.fetches, kept.stats.admission_rejects), (1, 0));
+        assert!(kept.cache.slot(1).is_some());
+
+        let mut refused = server(64, 16, DeviceKind::Pm, 0);
+        let rows = refused.get_vectors(&[17, 20, 17]);
+        assert_eq!(rows[0], rows[2]);
+        assert_eq!(rows[1][0], (20 * 64) as f32);
+        let traffic = AccessSummary::from_counters(&refused.counters);
+        assert_eq!(traffic.pm_bytes, 2 * 256, "two distinct rows");
+        assert_eq!(traffic.write_bytes, 2 * 256);
+        assert_eq!(refused.stats.cold_read_bytes, 2 * 256);
+        assert_eq!(
+            (refused.stats.fetches, refused.stats.admission_rejects),
+            (1, 1)
+        );
+    }
 
     /// The decision table, row by row: for both failure kinds and every
     /// attempt up to one past the budget, the ledger moves by exactly one

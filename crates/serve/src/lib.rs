@@ -14,12 +14,14 @@
 //!
 //! * [`ShardedStore`] — the trained [`omega_embed::Embedding`] split into
 //!   fixed-size row blocks, resident on the cold tier (PM or SSD). Every
-//!   read streams through the cost model.
+//!   read is charged to the cost model.
 //! * [`HotCache`] — a DRAM working set of shards: LRU replacement with
 //!   TinyLFU-style frequency admission, so Zipfian traffic keeps its head
 //!   resident and scans cannot flush it.
 //! * [`EmbedServer`] — the engine: coalesces each batch's misses into one
-//!   fetch per distinct shard, fans per-shard work (fetches, point
+//!   fetch per distinct shard — admission decided first, so a shard the
+//!   cache takes streams whole and one it refuses is read by the row —
+//!   fans per-shard work (fetches, point
 //!   lookups, top-k scoring) out on the persistent `omega-par` worker pool
 //!   at the width [`ServeConfig::threads`] asks for, answers strictly in
 //!   arrival order, and charges every byte (cold fetch, DRAM staging, row

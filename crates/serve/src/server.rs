@@ -6,9 +6,17 @@
 //!
 //! ## Cost accounting
 //!
-//! * **Fetch** (cache miss): the whole shard streams out of the cold tier
-//!   (`Seq` read of the shard's bytes) and stages into DRAM (`Seq` write) —
-//!   charged whether or not the cache admits the shard for retention.
+//! * **Fetch** (cache miss): admission is decided for every missing shard
+//!   of the batch *before* any byte moves. A shard the cache reserved a
+//!   slot for streams whole out of the cold tier (`Seq` read of the shard's
+//!   bytes) and stages into DRAM (`Seq` write) — the shard is the
+//!   *retention* granule. A shard the cache refused passes through at the
+//!   *row* granule: the batch's distinct requested rows are one `Rand` cold
+//!   read (one access a row, each rounded up to the device's granule) plus
+//!   a `Seq` DRAM write of just those rows — or the whole block, streamed
+//!   and staged as above, when the model prices that no dearer (many rows
+//!   of one shard; any device that pays per IO). Nothing else is charged
+//!   and the host copies nothing.
 //! * **Serve** (every request): one random DRAM read of the requested row
 //!   plus `d` CPU ops for result extraction.
 //! * **Top-k scan**: cached shards stream from DRAM, uncached shards stream
@@ -39,7 +47,7 @@
 
 use crate::cache::HotCache;
 use crate::config::{ServeConfig, HOT};
-use crate::fetch::LOOKUP_STREAM;
+use crate::fetch::{self, LOOKUP_STREAM};
 use crate::ivf::{IndexMode, IvfIndex};
 use crate::stats::{ServeReport, ServeSignals, ServeStats};
 use crate::store::ShardedStore;
@@ -56,6 +64,9 @@ pub struct EmbedServer {
     pub(crate) sys: MemSystem,
     pub(crate) store: ShardedStore,
     pub(crate) cache: HotCache,
+    /// Per shard, the most rows a pass-through miss reads one by one
+    /// before the whole block is the cheaper read ([`fetch::row_limits`]).
+    pub(crate) row_limit: Vec<u32>,
     /// Cluster-then-probe index when [`ServeConfig::index`] asks for IVF
     /// (and the table is non-degenerate); `None` serves exact scans.
     pub(crate) ivf: Option<IvfIndex>,
@@ -79,6 +90,7 @@ impl EmbedServer {
     ) -> omega_hetmem::Result<EmbedServer> {
         let store = ShardedStore::build(sys, emb, cfg.rows_per_shard, cfg.cold)?;
         let cache = HotCache::new(store.num_shards(), cfg.cache_bytes, HOT, cfg.admission);
+        let row_limit = fetch::row_limits(sys, &store);
         // A degenerate table (no rows, or zero-width rows) has nothing to
         // cluster; the exact scan already handles it, so it stays the
         // fallback.
@@ -93,6 +105,7 @@ impl EmbedServer {
             sys: sys.clone(),
             store,
             cache,
+            row_limit,
             ivf,
             cfg,
             rec: Recorder::disabled(),
@@ -169,9 +182,11 @@ impl EmbedServer {
     /// Serve one coalesced batch of requests.
     ///
     /// Phase 1 classifies every request against the cache as it stood when
-    /// the batch arrived (hit/miss accounting) and fetches each distinct
-    /// missing shard once — fetch tasks fan out on the worker pool, and
-    /// their outcomes merge in ascending shard order. Phase 2 resolves
+    /// the batch arrived (hit/miss accounting), decides admission for each
+    /// distinct missing shard, then reads each once — whole if the cache
+    /// took it, by the requested rows if not; fetch tasks fan out on the
+    /// worker pool, and their outcomes merge in ascending shard order.
+    /// Phase 2 resolves
     /// every request's row in parallel (cache state is frozen for the
     /// phase), scores the batch's top-k queries in one pass over the
     /// table, then answers **in arrival order**, charging each top-k query
@@ -185,11 +200,11 @@ impl EmbedServer {
         self.stats.batches += 1;
         self.stats.requests += requests.len() as u64;
 
-        // Phase 1: classify against pre-batch residency, then fetch each
-        // distinct missing shard once. The phase scope attributes wall
-        // time only; nothing simulated depends on it.
+        // Phase 1: classify against pre-batch residency, decide admission
+        // for every distinct missing shard, then read each once. The phase
+        // scope attributes wall time only; nothing simulated depends on it.
         let fetch_dur = omega_par::phase_scope("fetch", || {
-            let mut missing: Vec<usize> = Vec::new();
+            let mut wanted: Vec<u32> = Vec::new();
             for req in requests {
                 assert!(
                     self.store.contains(req.node),
@@ -202,15 +217,13 @@ impl EmbedServer {
                     self.stats.hits += 1;
                 } else {
                     self.stats.misses += 1;
-                    if !missing.contains(&sid) {
-                        missing.push(sid);
-                    }
+                    wanted.push(req.node);
                 }
                 self.cache.record_access(sid);
             }
-            missing.sort_unstable();
             let mut fetch_dur = SimDuration::ZERO;
-            if !missing.is_empty() {
+            if !wanted.is_empty() {
+                let missing = self.plan_misses(wanted);
                 self.parallel_span("fetch", missing.len(), &[]);
                 let batch_start = self.sim_now;
                 let this: &EmbedServer = self;

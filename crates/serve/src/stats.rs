@@ -17,12 +17,13 @@ pub struct ServeStats {
     pub hits: u64,
     /// Requests whose shard had to be fetched from the cold tier.
     pub misses: u64,
-    /// Distinct shard fetches performed (a batch of misses to one shard
-    /// fetches it once).
+    /// Distinct missing shards read, whole or by row (a batch of misses
+    /// to one shard reads it once).
     pub fetches: u64,
     pub evictions: u64,
     pub admission_rejects: u64,
-    /// Bytes streamed out of the cold tier (fetches + uncached scans).
+    /// Bytes read out of the cold tier (fetches, whole or by row, plus
+    /// uncached scans).
     pub cold_read_bytes: u64,
     /// Bytes read from DRAM (row serves + cached scans + replica reads).
     pub dram_read_bytes: u64,

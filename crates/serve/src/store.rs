@@ -1,10 +1,11 @@
 //! The cold tier: a trained [`Embedding`] sharded into fixed-size row
-//! blocks, each block a placed [`HetVec`] on PM or SSD. Every read is
-//! charged to the hetmem cost model, so a cache miss pays the real
-//! (simulated) price of pulling a shard across the memory hierarchy.
+//! blocks, each block a placed [`HetVec`] on PM or SSD. The store holds
+//! geometry and bytes; its readers (`fetch`, `topk`) charge every read to
+//! the hetmem cost model, so a cache miss pays the real (simulated) price
+//! of pulling a shard, or a few of its rows, across the memory hierarchy.
 
 use omega_embed::Embedding;
-use omega_hetmem::{HetVec, MemSystem, Placement, ThreadMem};
+use omega_hetmem::{HetVec, MemSystem, Placement};
 use std::ops::Range;
 
 /// Row-block shards of an embedding table, resident on a cold device.
@@ -108,15 +109,6 @@ impl ShardedStore {
         self.shards.iter().map(HetVec::size_bytes).sum()
     }
 
-    /// Read a whole shard from the cold tier as one streamed block,
-    /// charging the access to `ctx` (a failed stream still moved its
-    /// bytes), then surface any fault the active plan injected. Never
-    /// fails without an installed fault plan.
-    pub fn try_read_shard(&self, sid: usize, ctx: &mut ThreadMem) -> omega_hetmem::Result<&[f32]> {
-        let shard = &self.shards[sid];
-        shard.try_read_block(0..shard.len(), ctx)
-    }
-
     /// Offset of `node`'s row within its shard's data.
     #[inline]
     pub fn row_offset(&self, node: u32) -> usize {
@@ -166,20 +158,6 @@ mod tests {
         assert_eq!(store.row_offset(7), 3 * 3);
         assert!(store.contains(9));
         assert!(!store.contains(10));
-    }
-
-    #[test]
-    fn read_shard_charges_cold_seq_read() {
-        let s = sys();
-        let e = emb(8, 2);
-        let store = ShardedStore::build(&s, &e, 4, Placement::node(0, DeviceKind::Pm)).unwrap();
-        let mut ctx = s.thread_ctx_on(0);
-        let block = store.try_read_shard(1, &mut ctx).unwrap();
-        assert_eq!(block.len(), 8);
-        assert_eq!(block[0], 8.0); // row 4 starts the second shard
-        let summary = omega_hetmem::AccessSummary::from_counters(ctx.counters());
-        assert_eq!(summary.pm_bytes, 4 * 2 * 4);
-        assert_eq!(summary.read_bytes, summary.total_bytes);
     }
 
     #[test]
