@@ -229,7 +229,10 @@ impl HotCache {
     /// before anything is fetched, because the verdict needs nothing from
     /// the shard's rows. Evicts LRU victims until the shard fits, unless
     /// admission control finds a victim with strictly higher historical
-    /// frequency than the candidate — then the candidate is refused. An
+    /// frequency than the candidate — then the candidate is refused and
+    /// the cache keeps every shard it held: the victims are walked first
+    /// and evicted only once the whole walk admits (shards differ in size,
+    /// so one refusal can come after a smaller, cooler victim). An
     /// admitted shard gets a slot stamped with the current clock, booked
     /// against the budget and waiting for [`HotCache::fill`]; until then
     /// it is a victim candidate like any resident shard, so a later
@@ -239,15 +242,20 @@ impl HotCache {
         if bytes > self.capacity_bytes {
             return InsertOutcome::RejectedByCapacity;
         }
-        let mut evicted = 0;
-        while self.used_bytes + bytes > self.capacity_bytes {
-            let victim = self.head as usize;
-            debug_assert!(self.head != NIL, "used_bytes > 0 implies a linked slot");
-            if self.admission && self.freq[victim] > self.freq[sid] {
+        let (mut evicted, mut freed) = (0, 0);
+        let mut victim = self.head;
+        while self.used_bytes - freed + bytes > self.capacity_bytes {
+            debug_assert!(victim != NIL, "bytes still booked implies a linked slot");
+            let slot = &self.slots[victim as usize];
+            if self.admission && self.freq[victim as usize] > self.freq[sid] {
                 return InsertOutcome::RejectedByFrequency;
             }
-            self.release(victim);
+            freed += slot.bytes;
             evicted += 1;
+            victim = slot.next;
+        }
+        for _ in 0..evicted {
+            self.release(self.head as usize);
         }
         // Stamps never exceed the clock, so only the list's tail end can
         // tie with the new slot; among ties the smaller shard id is the
@@ -269,7 +277,8 @@ impl HotCache {
     /// Move the fetched `rows` into the slot [`HotCache::reserve`] left
     /// pending for `sid`. Returns `false`, and gives the slot back, when
     /// DRAM itself is full (the budget over-promised) — serving falls back
-    /// to the cold tier.
+    /// to the cold tier. Whatever the reservation evicted stays evicted,
+    /// and was reported by `reserve`.
     pub(crate) fn fill(&mut self, sys: &MemSystem, sid: usize, rows: Vec<f32>) -> bool {
         debug_assert!(self.pending(sid), "fill without a reservation");
         debug_assert_eq!(
@@ -429,6 +438,34 @@ mod tests {
         assert_eq!((c.resident(), c.used_bytes()), (1, 32));
         assert!(c.fill(&s, 5, shard(5.0)));
         assert!(!c.pending(5) && c.slot(5).is_some());
+    }
+
+    /// Shards differ in size (the table's ragged tail), so fitting one can
+    /// take two victims. When the second is hotter than the candidate the
+    /// refusal must leave the first in place too.
+    #[test]
+    fn a_refused_insert_evicts_nothing() {
+        let s = sys();
+        let mut c = HotCache::new(8, 96, dram(), true); // room for 3 shards
+        let ragged = vec![7.0; 2]; // 8 bytes
+        for _ in 0..3 {
+            c.record_access(1);
+        }
+        c.record_access(4);
+        assert!(c.insert(&s, 0, ragged).admitted()); // LRU, never accessed
+        assert!(c.insert(&s, 1, shard(1.0)).admitted()); // next victim, hot
+        assert!(c.insert(&s, 2, shard(2.0)).admitted());
+        assert!(c.insert(&s, 3, vec![3.0; 6]).admitted());
+        assert_eq!((c.resident(), c.used_bytes()), (4, 96));
+
+        // Shard 4 needs 32 bytes: evicting cold shard 0 frees 8, and the
+        // next victim, shard 1, is hotter than the candidate.
+        assert_eq!(
+            c.insert(&s, 4, shard(4.0)),
+            InsertOutcome::RejectedByFrequency
+        );
+        assert_eq!((c.resident(), c.used_bytes()), (4, 96));
+        assert!((0..4).all(|sid| c.contains(sid)) && !c.contains(4));
     }
 
     #[test]
