@@ -46,7 +46,10 @@ impl Model {
     fn access(&mut self, sid: usize) {
         self.clock += 1;
         self.freq[sid] = self.freq[sid].saturating_add(1);
-        if self.clock % (16 * NUM_SHARDS as u64).max(1024) == 0 {
+        if self
+            .clock
+            .is_multiple_of((16 * NUM_SHARDS as u64).max(1024))
+        {
             self.freq.iter_mut().for_each(|f| *f /= 2);
         }
         if let Some(slot) = self.held.iter_mut().find(|slot| slot.0 == sid) {
