@@ -66,7 +66,7 @@ pub(crate) fn resolve(
 /// One distinct missing shard of a batch, as the admission plan left it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Miss {
-    pub(crate) sid: usize,
+    sid: usize,
     /// Distinct rows of the shard the batch asks for.
     rows: u32,
     /// The cache holds a slot for the shard: fetch it whole and fill the
@@ -130,7 +130,7 @@ impl Transfer {
 /// the second row on.
 pub(crate) fn row_limits(sys: &MemSystem, store: &ShardedStore) -> Vec<u32> {
     let cold = store.placement();
-    let row_bytes = (store.dim() * std::mem::size_of::<f32>()) as u64;
+    let row_bytes = store.row_bytes();
     let mut ctx = ThreadMem::new(HOT_NODE, sys.topology().nodes());
     let mut price = |transfer: Transfer| {
         ctx.reset();
@@ -295,8 +295,7 @@ impl EmbedServer {
         let sid = miss.sid;
         let by_row = !miss.fill && miss.rows <= self.row_limit[sid];
         let transfer = if by_row {
-            let row_bytes = (self.store.dim() * std::mem::size_of::<f32>()) as u64;
-            Transfer::rows(miss.rows, row_bytes)
+            Transfer::rows(miss.rows, self.store.row_bytes())
         } else {
             Transfer::block(self.store.shard_bytes(sid))
         };
@@ -403,7 +402,7 @@ impl EmbedServer {
             Some(slot) => slot.raw()[off..off + d].to_vec(),
             None => self.store.shard_raw(sid)[off..off + d].to_vec(),
         };
-        let row_bytes = (d * std::mem::size_of::<f32>()) as u64;
+        let row_bytes = self.store.row_bytes();
         let ctx = self.task_ctx_in(slot, stream, sim_now);
         ctx.charge_block(HOT, AccessOp::Read, AccessPattern::Rand, row_bytes, 1);
         ctx.add_cpu_ops(d as u64);

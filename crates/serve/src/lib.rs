@@ -21,10 +21,10 @@
 //! * [`EmbedServer`] — the engine: coalesces each batch's misses into one
 //!   fetch per distinct shard — admission decided first, so a shard the
 //!   cache takes streams whole and one it refuses is read by the row —
-//!   fans per-shard work (fetches, point
-//!   lookups, top-k scoring) out on the persistent `omega-par` worker pool
-//!   at the width [`ServeConfig::threads`] asks for, answers strictly in
-//!   arrival order, and charges every byte (cold fetch, DRAM staging, row
+//!   fans per-shard work (fetches, point lookups, top-k scoring) out on
+//!   the persistent `omega-par` worker pool at the width
+//!   [`ServeConfig::threads`] asks for, answers strictly in arrival
+//!   order, and charges every byte (cold fetch, DRAM staging, row
 //!   serve, top-k scan) to the simulated clock. One resolver answers every
 //!   failed cold read (retry → hedge → degrade); a batch's top-k queries
 //!   are scored in one pass over the table and charged one by one, exact

@@ -186,13 +186,13 @@ impl EmbedServer {
     /// distinct missing shard, then reads each once — whole if the cache
     /// took it, by the requested rows if not; fetch tasks fan out on the
     /// worker pool, and their outcomes merge in ascending shard order.
-    /// Phase 2 resolves
-    /// every request's row in parallel (cache state is frozen for the
-    /// phase), scores the batch's top-k queries in one pass over the
-    /// table, then answers **in arrival order**, charging each top-k query
-    /// where its answer is due — batching coalesces I/O and scoring but
-    /// never reorders responses. A request's simulated latency is the
-    /// full fetch phase plus every serve up to and including its own.
+    /// Phase 2 resolves every request's row in parallel (cache state is
+    /// frozen for the phase), scores the batch's top-k queries in one pass
+    /// over the table, then answers **in arrival order**, charging each
+    /// top-k query where its answer is due — batching coalesces I/O and
+    /// scoring but never reorders responses. A request's simulated latency
+    /// is the full fetch phase plus every serve up to and including its
+    /// own.
     pub fn serve_batch(&mut self, requests: &[Request]) -> BatchResult {
         let wall_start = Instant::now();
         let batch_span = self.rec.begin("serve.batch", self.track);

@@ -104,6 +104,12 @@ impl ShardedStore {
         self.shards[sid].size_bytes()
     }
 
+    /// Payload bytes of one row.
+    #[inline]
+    pub(crate) fn row_bytes(&self) -> u64 {
+        (self.dim * std::mem::size_of::<f32>()) as u64
+    }
+
     /// Total payload bytes across all shards.
     pub fn total_bytes(&self) -> u64 {
         self.shards.iter().map(HetVec::size_bytes).sum()
