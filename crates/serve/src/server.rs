@@ -92,8 +92,9 @@ impl EmbedServer {
         let cache = HotCache::new(store.num_shards(), cfg.cache_bytes, HOT, cfg.admission);
         let row_limit = fetch::row_limits(sys, &store);
         // A degenerate table (no rows, or zero-width rows) has nothing to
-        // cluster; the exact scan already handles it, so it stays the
-        // fallback.
+        // cluster, so the exact scan stays the fallback: no rows is no
+        // shards, and `score_reads` scores a zero-width row as the oracle
+        // does.
         let ivf = match cfg.index.resolved(emb.nodes()) {
             IndexMode::Exact => None,
             IndexMode::Ivf { nlist, nprobe } if emb.nodes() > 0 && emb.dim() > 0 => {

@@ -26,6 +26,7 @@ use crate::server::EmbedServer;
 use crate::stats::ServeStats;
 use omega_embed::TopK;
 use omega_hetmem::{AccessOp, AccessPattern, ClassCounters, HetVec, SimDuration, ThreadMem};
+use std::ops::Range;
 
 /// Fewest table rows one scoring task streams (the last task of a pass may
 /// get fewer). A constant, never derived from the thread count: the task
@@ -53,12 +54,13 @@ pub(crate) struct TopKAnswer {
     pub(crate) lists: Option<Vec<u32>>,
 }
 
-/// How a block's row index maps to a node id.
-#[derive(Debug, Clone, Copy)]
+/// The node id of each row of a block, in row order — and with it the
+/// block's row count, which a zero-width block's data cannot give.
+#[derive(Debug, Clone)]
 enum BlockIds<'a> {
-    /// A shard: consecutive ids from its first row.
-    Base(u32),
-    /// An inverted list: its member ids, in row order.
+    /// A shard: consecutive ids.
+    Shard(Range<u32>),
+    /// An inverted list: its member ids.
     List(&'a [u32]),
 }
 
@@ -147,9 +149,9 @@ impl EmbedServer {
                     ScorePlan::Shards { per_task } => {
                         let shards = t * per_task..self.store.num_shards().min((t + 1) * per_task);
                         let reads = shards.flat_map(|sid| {
-                            let ids = BlockIds::Base(self.store.shard_rows(sid).start);
+                            let ids = BlockIds::Shard(self.store.shard_rows(sid));
                             let rows = self.store.shard_raw(sid);
-                            (0..queries.len()).map(move |q| (rows, ids, q))
+                            (0..queries.len()).map(move |q| (rows, ids.clone(), q))
                         });
                         score_reads(queries, dim, reads, scores)
                     }
@@ -345,12 +347,24 @@ fn score_reads<'a>(
 ) -> Vec<TopK> {
     let mut sels: Vec<TopK> = queries.iter().map(|q| TopK::new(q.k)).collect();
     for (rows, ids, q) in reads {
-        METRIC.scores_into(queries[q].query, rows, dim, scores);
+        if dim == 0 {
+            // `Embedding::top_k`'s degenerate rule: a zero-width row scores
+            // the empty dot product. The kernels take their row count from
+            // `rows.len() / dim`, so it is applied here, where `ids` has it.
+            let n = match &ids {
+                BlockIds::Shard(ids) => ids.len(),
+                BlockIds::List(ids) => ids.len(),
+            };
+            scores.clear();
+            scores.resize(n, 0.0);
+        } else {
+            METRIC.scores_into(queries[q].query, rows, dim, scores);
+        }
         let sel = &mut sels[q];
         match ids {
-            BlockIds::Base(lo) => {
-                for (i, &score) in scores.iter().enumerate() {
-                    sel.push(lo + i as u32, score);
+            BlockIds::Shard(ids) => {
+                for (id, &score) in ids.zip(scores.iter()) {
+                    sel.push(id, score);
                 }
             }
             BlockIds::List(ids) => {
