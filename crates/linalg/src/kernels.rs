@@ -11,6 +11,19 @@
 //! step stays one rounded multiply followed by one rounded add (the crate
 //! docs state the no-contraction contract).
 //!
+//! The dense dot has **one definition** — eight lanes by element position
+//! (`dot_lanes_portable`), the `reduce8` adder tree, plus a sequential
+//! tail — and, on x86_64, **two bodies pinned with intrinsics**, each
+//! tested bit-equal to it: the SSE lane loop inside [`dot`] (one row per
+//! step; the x86_64 baseline, so nothing to detect), and an AVX2 tile of
+//! four rows per step that only [`dot_scores_into`] reaches, for the whole
+//! tiles of a block on a CPU that reports AVX2. That choice is made once
+//! per call from CPUID and from nothing else: no caller, configuration,
+//! cargo feature or environment variable can steer it, and both bodies
+//! return the same bits, so nothing downstream can tell which one ran. The
+//! tile enables `avx2` and never `fma`: a fused multiply-add rounds once
+//! where the definition rounds twice.
+//!
 //! [`sparse_dot`] is the definition of a sparse row · dense column and the
 //! kernel of `Csr::spmv` / `Csdb::spmv`; [`sparse_dot_strip`] is the SpMM
 //! executor's form of it — the same chains for [`STRIP`] columns side by
@@ -20,8 +33,9 @@
 //! blocked scan over many row blocks performs zero allocations after the
 //! first block.
 
-/// Lanes of the dense dot-product accumulator. Eight f32 lanes fill one
-/// AVX2 register; on narrower ISAs LLVM splits them into two chains.
+/// Lanes of the dense dot-product accumulator: one AVX2 register, or two
+/// SSE registers, per row. Which lane an element lands in is part of the
+/// result's bits, so every body keeps eight whatever its register width.
 const DOT_LANES: usize = 8;
 
 /// Lanes of the sparse (gather) accumulator. Gathers are latency-bound, so
@@ -77,7 +91,7 @@ use dot_lanes_portable as dot_lanes;
 #[inline]
 fn dot_lanes(a: &[f32], b: &[f32]) -> [f32; DOT_LANES] {
     use std::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_setzero_ps, _mm_storeu_ps};
-    // SAFETY (target feature, all three blocks): the intrinsics need SSE,
+    // SAFETY: (target feature, all three blocks) the intrinsics need SSE,
     // which every x86_64 CPU has — it is in the target's baseline.
     let (mut lo, mut hi) = unsafe { (_mm_setzero_ps(), _mm_setzero_ps()) };
     for (ca, cb) in a.chunks_exact(DOT_LANES).zip(b.chunks_exact(DOT_LANES)) {
@@ -207,16 +221,103 @@ pub fn sparse_dot_strip(
 
 /// Dot-product scores of `query` against every `d`-wide row of a contiguous
 /// row-major block, written into `out` (cleared first). The scratch-reusing
-/// inner loop of the blocked top-k scans.
+/// inner loop of the blocked top-k scans. Entry `i` is bit-identical to
+/// `dot(query, row i)`: where the CPU reports AVX2 the block's whole
+/// four-row tiles go through [`dot_tiles_avx2`], and the rows left over —
+/// all of them on any other CPU or target — through [`dot`] itself.
 #[inline]
 pub fn dot_scores_into(query: &[f32], rows: &[f32], d: usize, out: &mut Vec<f32>) {
     debug_assert!(d > 0 && rows.len().is_multiple_of(d));
     debug_assert_eq!(query.len(), d);
     out.clear();
     out.reserve(rows.len() / d);
+    #[cfg(target_arch = "x86_64")]
+    let rows = if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU reports AVX2, the one target feature the tile
+        // body is compiled with (std caches the CPUID query).
+        unsafe { dot_tiles_avx2(query, rows, d, out) }
+    } else {
+        rows
+    };
     for row in rows.chunks_exact(d) {
         out.push(dot(query, row));
     }
+}
+
+/// [`dot`] of `query` against four adjacent rows per step, appended to
+/// `out` for every whole four-row tile of `rows`; returns the rows left
+/// over (fewer than four) for the caller to score one by one.
+///
+/// Each row keeps [`dot`]'s arithmetic to the bit: one `__m256`
+/// accumulator holds exactly lanes 0–7 of that row (`vmulps` then `vaddps`
+/// per eight elements, never fused), its `d % 8` tail is summed
+/// sequentially on its own, and three `vhaddps` plus one 128-bit add run
+/// the four rows' `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))` trees side by side
+/// in registers, each pair added in [`reduce8`]'s order. The final
+/// `+ tail` stays even when the tail is empty: `-0.0 + 0.0` is `+0.0`, and
+/// `dot` does it. What the tile buys is one load of each query chunk per
+/// four rows and a reduction that never leaves the registers.
+///
+/// # Safety
+/// The CPU must support AVX2. Slice bounds are checked here, not assumed.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dot_tiles_avx2<'a>(
+    query: &[f32],
+    rows: &'a [f32],
+    d: usize,
+    out: &mut Vec<f32>,
+) -> &'a [f32] {
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_hadd_ps,
+        _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps, _mm_add_ps, _mm_setr_ps, _mm_storeu_ps,
+    };
+    const TILE: usize = 4;
+    let query = &query[..d];
+    let main = d - d % DOT_LANES;
+    let mut tiles = rows.chunks_exact(TILE * d);
+    for tile in &mut tiles {
+        let (q, t) = (query.as_ptr(), tile.as_ptr());
+        let mut acc = [_mm256_setzero_ps(); TILE];
+        let mut i = 0;
+        while i < main {
+            // SAFETY: `i + 8 <= main <= d`, so the eight floats at `i` are
+            // inside `query` (`d` long) and inside row `r` of the tile at
+            // `r * d + i`: `chunks_exact(4 * d)` yields exactly `4 * d`
+            // floats. `loadu` has no alignment requirement.
+            unsafe {
+                let qv = _mm256_loadu_ps(q.add(i));
+                for (r, a) in acc.iter_mut().enumerate() {
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, _mm256_loadu_ps(t.add(r * d + i))));
+                }
+            }
+            i += DOT_LANES;
+        }
+        let mut tail = [0f32; TILE];
+        for (r, sum) in tail.iter_mut().enumerate() {
+            for (&x, &y) in query[main..].iter().zip(&tile[r * d + main..(r + 1) * d]) {
+                *sum += x * y;
+            }
+        }
+        // hadd(a, b) = [a0+a1, a2+a3, b0+b1, b2+b3 | a4+a5, a6+a7, b4+b5,
+        // b6+b7]; twice over gives row r's (l0+l1)+(l2+l3) in element r of
+        // the low half and its (l4+l5)+(l6+l7) in element r of the high.
+        let halves = _mm256_hadd_ps(
+            _mm256_hadd_ps(acc[0], acc[1]),
+            _mm256_hadd_ps(acc[2], acc[3]),
+        );
+        let trees = _mm_add_ps(
+            _mm256_castps256_ps128(halves),
+            _mm256_extractf128_ps::<1>(halves),
+        );
+        let scores = _mm_add_ps(trees, _mm_setr_ps(tail[0], tail[1], tail[2], tail[3]));
+        let mut four = [0f32; TILE];
+        // SAFETY: `four` holds four writable f32; `storeu` has no
+        // alignment requirement.
+        unsafe { _mm_storeu_ps(four.as_mut_ptr(), scores) };
+        out.extend_from_slice(&four);
+    }
+    tiles.remainder()
 }
 
 /// Cosine scores of `query` against every `d`-wide row of a block, written
@@ -260,6 +361,8 @@ pub fn gather_rows_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn seq(n: usize, scale: f32) -> Vec<f32> {
         (0..n).map(|i| ((i as f32) * 0.7 - 3.0) * scale).collect()
@@ -283,32 +386,174 @@ mod tests {
         }
     }
 
+    /// The definition of [`dot`], transcribed: eight lanes by element
+    /// position, the adder tree, the sequential tail. Every compiled body
+    /// is held to its bits.
+    fn dot_defined(a: &[f32], b: &[f32]) -> f32 {
+        let main = a.len() - a.len() % DOT_LANES;
+        let mut tail = 0f32;
+        for i in main..a.len() {
+            tail += a[i] * b[i];
+        }
+        reduce8(dot_lanes_portable(&a[..main], &b[..main])) + tail
+    }
+
+    /// [`dot_defined`] with every multiply fused into its add: what a body
+    /// that let FMA in would return.
+    fn dot_fused(a: &[f32], b: &[f32]) -> f32 {
+        let main = a.len() - a.len() % DOT_LANES;
+        let mut lanes = [0f32; DOT_LANES];
+        for i in 0..main {
+            lanes[i % DOT_LANES] = a[i].mul_add(b[i], lanes[i % DOT_LANES]);
+        }
+        let mut tail = 0f32;
+        for i in main..a.len() {
+            tail = a[i].mul_add(b[i], tail);
+        }
+        reduce8(lanes) + tail
+    }
+
+    /// What the special values planted in a [`hostile_block`] row exercise.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum RowKind {
+        /// Full-mantissa finite values: products need rounding, so fused
+        /// and unfused arithmetic part ways.
+        Plain,
+        /// Every entry `-0.0`: the lanes sum to zero and the `+ tail` of an
+        /// empty tail decides the sign.
+        NegZero,
+        /// `+∞` and `-∞` planted: the sum is `±∞`, or NaN where they meet
+        /// or where one meets a zero of the query.
+        Infinite,
+        /// A NaN planted.
+        Nan,
+        /// Scaled down until products are subnormal or underflow.
+        Tiny,
+    }
+
+    const ROW_KINDS: [RowKind; 5] = [
+        RowKind::Plain,
+        RowKind::NegZero,
+        RowKind::Infinite,
+        RowKind::Nan,
+        RowKind::Tiny,
+    ];
+
+    /// A query and `n` rows of width `d` for the bitwise suites, plus each
+    /// row's kind. Kinds rotate with `d`, so every kind meets every tile
+    /// slot and the one-row remainder path.
+    fn hostile_block(d: usize, n: usize) -> (Vec<f32>, Vec<f32>, Vec<RowKind>) {
+        let mut rng = SmallRng::seed_from_u64((d * 16 + n) as u64);
+        // 24 random mantissa bits in [1, 2), sign from the draw's top bit.
+        let mut dense = |scale: f32| {
+            let bits: u32 = rng.gen();
+            f32::from_bits(0x3f80_0000 | (bits & 0x007f_ffff) | (bits & 0x8000_0000)) * scale
+        };
+        let mut query: Vec<f32> = (0..d).map(|_| dense(1.0)).collect();
+        if d > 2 {
+            query[d / 2] = 0.0;
+        }
+        let mut rows = Vec::with_capacity(n * d);
+        let mut kinds = Vec::with_capacity(n);
+        for r in 0..n {
+            let kind = ROW_KINDS[(r + d) % ROW_KINDS.len()];
+            let at = rows.len();
+            match kind {
+                RowKind::NegZero => rows.extend((0..d).map(|_| -0.0f32)),
+                RowKind::Tiny => rows.extend((0..d).map(|_| dense(3e-39))),
+                _ => rows.extend((0..d).map(|_| dense(1.0))),
+            }
+            match kind {
+                RowKind::Infinite => {
+                    rows[at + (r * 3) % d] = f32::INFINITY;
+                    rows[at + (r * 5 + d / 2) % d] = f32::NEG_INFINITY;
+                }
+                RowKind::Nan => rows[at + (r * 7) % d] = f32::NAN,
+                _ => {}
+            }
+            kinds.push(kind);
+        }
+        (query, rows, kinds)
+    }
+
     /// The pinned lane loop is the portable one, bit for bit, at every
     /// length around the 8-lane and 16-element boundaries — and so is the
-    /// whole kernel against a scalar transcription of its definition.
+    /// whole single-pair kernel (the SSE body on x86_64, the portable one
+    /// elsewhere) against the definition, on every kind of hostile row.
     #[test]
     fn dot_lanes_match_the_portable_loop_bitwise() {
-        for n in 0..=130usize {
-            let a: Vec<f32> = (0..n)
-                .map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.173)
-                .collect();
-            let b: Vec<f32> = (0..n)
-                .map(|i| ((i * 53 % 89) as f32 - 44.0) * 1.31e-2)
-                .collect();
-            let main = n - n % DOT_LANES;
-            let want = dot_lanes_portable(&a[..main], &b[..main]);
-            let got = dot_lanes(&a[..main], &b[..main]);
-            assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits), "n={n}");
-            let mut tail = 0f32;
-            for i in main..n {
-                tail += a[i] * b[i];
+        for d in 0..=130usize {
+            let (query, rows, kinds) = hostile_block(d.max(1), ROW_KINDS.len());
+            let query = &query[..d];
+            for (row, kind) in rows.chunks_exact(d.max(1)).zip(kinds) {
+                let row = &row[..d];
+                let main = d - d % DOT_LANES;
+                let want = dot_lanes_portable(&query[..main], &row[..main]);
+                let got = dot_lanes(&query[..main], &row[..main]);
+                assert_eq!(
+                    got.map(f32::to_bits),
+                    want.map(f32::to_bits),
+                    "d={d} {kind:?}"
+                );
+                assert_eq!(
+                    dot(query, row).to_bits(),
+                    dot_defined(query, row).to_bits(),
+                    "d={d} {kind:?}"
+                );
             }
-            assert_eq!(
-                dot(&a, &b).to_bits(),
-                (reduce8(want) + tail).to_bits(),
-                "n={n}"
-            );
         }
+    }
+
+    /// Every body that scores a block — `dot_scores_into` as this CPU
+    /// dispatches it and, called directly wherever the CPU has it, the AVX2
+    /// tile — returns the definition's bits for every row: every width
+    /// around the lane boundary × every row count around the tile size, on
+    /// rows of every hostile kind. The inputs are FMA-sensitive (checked
+    /// below), so a body that fused a multiply into its add fails here and
+    /// not in a golden three crates away.
+    #[test]
+    fn every_block_body_matches_the_definition_bitwise() {
+        let (mut plain, mut fused_differs) = (0usize, 0usize);
+        for d in 1..=130usize {
+            for n in 0..=9usize {
+                let (query, rows, kinds) = hostile_block(d, n);
+                let want: Vec<u32> = rows
+                    .chunks_exact(d)
+                    .map(|row| dot_defined(&query, row).to_bits())
+                    .collect();
+                for ((row, kind), &want) in rows.chunks_exact(d).zip(&kinds).zip(&want) {
+                    match kind {
+                        RowKind::NegZero => assert_eq!(want, 0f32.to_bits(), "d={d}"),
+                        RowKind::Nan => assert!(f32::from_bits(want).is_nan(), "d={d}"),
+                        RowKind::Plain if d >= 4 => {
+                            plain += 1;
+                            fused_differs += (dot_fused(&query, row).to_bits() != want) as usize;
+                        }
+                        _ => {}
+                    }
+                }
+                // Stale entries from a larger block must not survive.
+                let mut got = vec![f32::NAN; 12];
+                dot_scores_into(&query, &rows, d, &mut got);
+                let got: Vec<u32> = got.into_iter().map(f32::to_bits).collect();
+                assert_eq!(got, want, "dot_scores_into d={d} n={n} {kinds:?}");
+
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    let mut got = Vec::new();
+                    // SAFETY: AVX2 was detected on the line above.
+                    let rest = unsafe { dot_tiles_avx2(&query, &rows, d, &mut got) };
+                    let tiled = n - n % 4;
+                    assert_eq!(rest.len(), (n - tiled) * d, "d={d} n={n}");
+                    let got: Vec<u32> = got.into_iter().map(f32::to_bits).collect();
+                    assert_eq!(got, want[..tiled], "avx2 tile d={d} n={n} {kinds:?}");
+                }
+            }
+        }
+        assert!(
+            fused_differs * 2 > plain,
+            "the plain rows must tell fused from unfused arithmetic: {fused_differs} of {plain}"
+        );
     }
 
     #[test]

@@ -21,7 +21,16 @@
 //! replaces. The source is plain Rust compiled without fast-math flags,
 //! which gives LLVM no licence to contract or reassociate; every
 //! bit-identity claim in the workspace (goldens, thread counts, `spmv` vs
-//! the SpMM engine) depends on that staying so.
+//! the SpMM engine) depends on that staying so. The same rule binds the
+//! bodies pinned with intrinsics in [`kernels`]: a `#[target_feature]`
+//! there enables the register width it needs (`avx2`) and never `fma`,
+//! multiplies and adds are separate intrinsics, and each body is tested
+//! against the plain-Rust definition on inputs that a fused multiply-add
+//! would round differently.
+
+// The crate's only `unsafe` is the intrinsics in `kernels`.
+#![deny(unsafe_op_in_unsafe_fn)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod gemm;
 pub mod kernels;
