@@ -84,6 +84,11 @@ impl PartialOrd for Scored {
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
+    /// A score that compares `<` this cannot be kept: `-∞` until `k`
+    /// candidates are held, from then on the worst kept score (`+∞` when
+    /// `k = 0`). Equal scores, either zero and NaN of either sign all fail
+    /// `score < floor`, so only the total order ever decides a close call.
+    floor: f32,
     heap: BinaryHeap<Reverse<Scored>>,
 }
 
@@ -92,23 +97,35 @@ impl TopK {
     pub fn new(k: usize) -> TopK {
         TopK {
             k,
+            floor: if k == 0 {
+                f32::INFINITY
+            } else {
+                f32::NEG_INFINITY
+            },
             heap: BinaryHeap::with_capacity(k + 1),
         }
     }
 
-    /// Offer one candidate. O(log k) when it displaces, O(1) when rejected.
+    /// Offer one candidate. O(log k) when it displaces, O(1) when rejected
+    /// — one compare against the floor for nearly every row of a long scan.
     #[inline]
     pub fn push(&mut self, node: u32, score: f32) {
-        if self.k == 0 {
+        if score < self.floor || self.k == 0 {
             return;
         }
         let cand = Scored { score, node };
         if self.heap.len() < self.k {
             self.heap.push(Reverse(cand));
         } else if let Some(&Reverse(worst)) = self.heap.peek() {
-            if cand > worst {
-                self.heap.pop();
-                self.heap.push(Reverse(cand));
+            if cand <= worst {
+                return;
+            }
+            self.heap.pop();
+            self.heap.push(Reverse(cand));
+        }
+        if self.heap.len() == self.k {
+            if let Some(&Reverse(worst)) = self.heap.peek() {
+                self.floor = worst.score;
             }
         }
     }
@@ -472,6 +489,96 @@ mod tests {
         }
         assert_eq!(sel.len(), 2);
         assert_eq!(sel.into_sorted_vec(), vec![(1, 1.5), (2, 1.5)]);
+    }
+
+    /// The selector against a plain model — sort by `(total_cmp desc, id
+    /// asc)`, truncate — after every push, flat and as merged partial
+    /// selectors, on streams built to sit on the floor: equal scores
+    /// arriving in descending-id order (each later one must displace),
+    /// both zeros, both infinities, NaN of both signs. The floor itself is
+    /// held to its definition.
+    #[test]
+    fn selector_matches_a_sorted_model_after_every_push() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        fn model(seen: &[(u32, f32)], k: usize) -> Vec<(u32, u32)> {
+            let mut all = seen.to_vec();
+            all.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            all.truncate(k);
+            all.into_iter().map(|(v, s)| (v, s.to_bits())).collect()
+        }
+        fn kept(sel: &TopK) -> Vec<(u32, u32)> {
+            let kept = sel.clone().into_sorted_vec();
+            let worst = kept.last().map(|&(_, s)| s.to_bits());
+            let floor = if sel.k == 0 {
+                f32::INFINITY.to_bits()
+            } else if kept.len() < sel.k {
+                f32::NEG_INFINITY.to_bits()
+            } else {
+                worst.expect("k > 0 candidates held")
+            };
+            assert_eq!(
+                sel.floor.to_bits(),
+                floor,
+                "floor with {kept:?} of {}",
+                sel.k
+            );
+            kept.into_iter().map(|(v, s)| (v, s.to_bits())).collect()
+        }
+
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MIN_POSITIVE / 4.0,
+            1.5,
+            1.5,
+        ];
+        for seed in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let n = 30 + (seed as usize * 7) % 50;
+            // Ids descend, so a run of equal scores arrives worst-first.
+            let stream: Vec<(u32, f32)> = (0..n)
+                .map(|i| {
+                    let draw: u32 = rng.gen();
+                    let score = match draw % 4 {
+                        0 => specials[(draw >> 8) as usize % specials.len()],
+                        1 => ((draw >> 8) % 5) as f32 - 2.0,
+                        _ => ((draw >> 8) as f32 / (1 << 24) as f32 - 0.5) * 8.0,
+                    };
+                    ((n - 1 - i) as u32 * 3, score)
+                })
+                .collect();
+            for k in [0, 1, 10, n, n + 5] {
+                let mut flat = TopK::new(k);
+                for (i, &(v, s)) in stream.iter().enumerate() {
+                    flat.push(v, s);
+                    assert_eq!(kept(&flat), model(&stream[..=i], k), "seed {seed} k {k}");
+                }
+                // Partial selectors over four runs of the stream, merged
+                // into a fifth: after every merge, the model of the prefix.
+                let mut merged = TopK::new(k);
+                let run = n.div_ceil(4);
+                for (p, part) in stream.chunks(run).enumerate() {
+                    let mut sel = TopK::new(k);
+                    for &(v, s) in part {
+                        sel.push(v, s);
+                    }
+                    assert_eq!(kept(&sel), model(part, k), "seed {seed} k {k} part {p}");
+                    merged.merge(sel);
+                    let upto = stream.len().min((p + 1) * run);
+                    assert_eq!(
+                        kept(&merged),
+                        model(&stream[..upto], k),
+                        "seed {seed} k {k} merged {p}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
