@@ -1,4 +1,4 @@
-//! Conversions and permutation utilities between CSR and CSDB spaces.
+//! Conversions between CSR and CSDB spaces.
 
 use crate::csdb::Csdb;
 use crate::csr::Csr;
@@ -13,33 +13,6 @@ pub fn csr_to_csdb(csr: &Csr) -> Result<Csdb> {
 /// Recover the CSR in the original id space.
 pub fn csdb_to_csr(csdb: &Csdb) -> Csr {
     csdb.to_csr_original()
-}
-
-/// Permute a dense vector from original id space into a CSDB's permuted
-/// space (`out[new] = x[perm[new]]`).
-pub fn permute_vec<T: Copy>(csdb: &Csdb, x: &[T]) -> Vec<T> {
-    csdb.perm().iter().map(|&old| x[old as usize]).collect()
-}
-
-/// Un-permute a dense vector from CSDB space back to original ids.
-pub fn unpermute_vec<T: Copy + Default>(csdb: &Csdb, x: &[T]) -> Vec<T> {
-    let mut out = vec![T::default(); x.len()];
-    for (new_id, &old_id) in csdb.perm().iter().enumerate() {
-        out[old_id as usize] = x[new_id];
-    }
-    out
-}
-
-/// Un-permute the rows of a row-major matrix with `d` columns (used to map
-/// embeddings computed in CSDB space back to original node ids).
-pub fn unpermute_rows_row_major(csdb: &Csdb, data: &[f32], d: usize) -> Vec<f32> {
-    assert_eq!(data.len(), csdb.rows() as usize * d);
-    let mut out = vec![0f32; data.len()];
-    for (new_id, &old_id) in csdb.perm().iter().enumerate() {
-        let src = &data[new_id * d..(new_id + 1) * d];
-        out[old_id as usize * d..(old_id as usize + 1) * d].copy_from_slice(src);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -60,34 +33,5 @@ mod tests {
         let csr = path4();
         let csdb = csr_to_csdb(&csr).unwrap();
         assert_eq!(csdb_to_csr(&csdb), csr);
-    }
-
-    #[test]
-    fn vec_permutation_roundtrips() {
-        let csdb = csr_to_csdb(&path4()).unwrap();
-        let x = vec![10i32, 20, 30, 40];
-        let px = permute_vec(&csdb, &x);
-        assert_eq!(unpermute_vec(&csdb, &px), x);
-        // The permutation actually reorders (path: middle nodes have deg 2).
-        assert_ne!(px, x);
-    }
-
-    #[test]
-    fn row_major_unpermute() {
-        let csdb = csr_to_csdb(&path4()).unwrap();
-        let d = 2;
-        // Row i of the permuted matrix holds the embedding of original node
-        // perm[i]; build it explicitly and check recovery.
-        let mut permuted = vec![0f32; 4 * d];
-        for new_id in 0..4usize {
-            let old = csdb.perm()[new_id] as f32;
-            permuted[new_id * d] = old;
-            permuted[new_id * d + 1] = old * 10.0;
-        }
-        let original = unpermute_rows_row_major(&csdb, &permuted, d);
-        for node in 0..4usize {
-            assert_eq!(original[node * d], node as f32);
-            assert_eq!(original[node * d + 1], node as f32 * 10.0);
-        }
     }
 }
