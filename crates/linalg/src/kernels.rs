@@ -12,15 +12,13 @@
 //! docs state the no-contraction contract).
 //!
 //! The dense dot has **one definition** — eight lanes by element position
-//! (`dot_lanes_portable`), the `reduce8` adder tree, plus a sequential
-//! tail — and, on x86_64, **two bodies pinned with intrinsics**, each
-//! tested bit-equal to it: the SSE lane loop inside [`dot`] (one row per
-//! step; the x86_64 baseline, so nothing to detect), and an AVX2 tile of
-//! four rows per step that only [`dot_scores_into`] reaches, for the whole
-//! tiles of a block on a CPU that reports AVX2. That choice is made once
-//! per call from CPUID and from nothing else: no caller, configuration,
-//! cargo feature or environment variable can steer it, and both bodies
-//! return the same bits, so nothing downstream can tell which one ran. The
+//! (`dot_lanes_portable`), the `reduce8` adder tree, a sequential tail —
+//! and, on x86_64, **two bodies pinned with intrinsics**, each tested
+//! bit-equal to it: the SSE lane loop inside [`dot`] (the x86_64 baseline,
+//! so nothing to detect) and an AVX2 tile of four rows per step that
+//! [`dot_scores_into`] uses for a block's whole tiles when CPUID reports
+//! AVX2. Nothing else selects a body — no caller, configuration, cargo
+//! feature or environment variable — and both return the same bits. The
 //! tile enables `avx2` and never `fma`: a fused multiply-add rounds once
 //! where the definition rounds twice.
 //!
@@ -249,14 +247,13 @@ pub fn dot_scores_into(query: &[f32], rows: &[f32], d: usize, out: &mut Vec<f32>
 /// over (fewer than four) for the caller to score one by one.
 ///
 /// Each row keeps [`dot`]'s arithmetic to the bit: one `__m256`
-/// accumulator holds exactly lanes 0–7 of that row (`vmulps` then `vaddps`
+/// accumulator holds exactly that row's lanes 0–7 (`vmulps` then `vaddps`
 /// per eight elements, never fused), its `d % 8` tail is summed
 /// sequentially on its own, and three `vhaddps` plus one 128-bit add run
-/// the four rows' `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))` trees side by side
-/// in registers, each pair added in [`reduce8`]'s order. The final
+/// the four rows' [`reduce8`] trees side by side in registers. The final
 /// `+ tail` stays even when the tail is empty: `-0.0 + 0.0` is `+0.0`, and
-/// `dot` does it. What the tile buys is one load of each query chunk per
-/// four rows and a reduction that never leaves the registers.
+/// `dot` does it. The tile buys one load of each query chunk per four rows
+/// and a reduction that never leaves the registers.
 ///
 /// # Safety
 /// The CPU must support AVX2. Slice bounds are checked here, not assumed.
@@ -482,11 +479,10 @@ mod tests {
     /// elsewhere) against the definition, on every kind of hostile row.
     #[test]
     fn dot_lanes_match_the_portable_loop_bitwise() {
-        for d in 0..=130usize {
-            let (query, rows, kinds) = hostile_block(d.max(1), ROW_KINDS.len());
-            let query = &query[..d];
-            for (row, kind) in rows.chunks_exact(d.max(1)).zip(kinds) {
-                let row = &row[..d];
+        assert_eq!(dot(&[], &[]).to_bits(), 0f32.to_bits());
+        for d in 1..=130usize {
+            let (query, rows, kinds) = hostile_block(d, ROW_KINDS.len());
+            for (row, kind) in rows.chunks_exact(d).zip(kinds) {
                 let main = d - d % DOT_LANES;
                 let want = dot_lanes_portable(&query[..main], &row[..main]);
                 let got = dot_lanes(&query[..main], &row[..main]);
@@ -496,8 +492,8 @@ mod tests {
                     "d={d} {kind:?}"
                 );
                 assert_eq!(
-                    dot(query, row).to_bits(),
-                    dot_defined(query, row).to_bits(),
+                    dot(&query, row).to_bits(),
+                    dot_defined(&query, row).to_bits(),
                     "d={d} {kind:?}"
                 );
             }
