@@ -49,12 +49,18 @@ const SPARSE_LANES: usize = 4;
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let main = a.len() - a.len() % DOT_LANES;
-    let lanes = dot_lanes(&a[..main], &b[..main]);
+    reduce8(dot_lanes(&a[..main], &b[..main])) + dot_tail(&a[main..], &b[main..])
+}
+
+/// The strictly sequential sum [`dot`] adds for the `len % 8` elements past
+/// the last whole lane group (`+0.0` when there are none).
+#[inline]
+fn dot_tail(a: &[f32], b: &[f32]) -> f32 {
     let mut tail = 0f32;
-    for (&x, &y) in a[main..].iter().zip(&b[main..]) {
+    for (&x, &y) in a.iter().zip(b) {
         tail += x * y;
     }
-    reduce8(lanes) + tail
+    tail
 }
 
 /// The eight lane sums of [`dot`]'s main loop: lane `l` accumulates
@@ -290,12 +296,8 @@ unsafe fn dot_tiles_avx2<'a>(
             }
             i += DOT_LANES;
         }
-        let mut tail = [0f32; TILE];
-        for (r, sum) in tail.iter_mut().enumerate() {
-            for (&x, &y) in query[main..].iter().zip(&tile[r * d + main..(r + 1) * d]) {
-                *sum += x * y;
-            }
-        }
+        let tail: [f32; TILE] =
+            std::array::from_fn(|r| dot_tail(&query[main..], &tile[r * d + main..(r + 1) * d]));
         // hadd(a, b) = [a0+a1, a2+a3, b0+b1, b2+b3 | a4+a5, a6+a7, b4+b5,
         // b6+b7]; twice over gives row r's (l0+l1)+(l2+l3) in element r of
         // the low half and its (l4+l5)+(l6+l7) in element r of the high.
@@ -411,7 +413,7 @@ mod tests {
     }
 
     /// What the special values planted in a [`hostile_block`] row exercise.
-    #[derive(Debug, Clone, Copy, PartialEq)]
+    #[derive(Debug, Clone, Copy)]
     enum RowKind {
         /// Full-mantissa finite values: products need rounding, so fused
         /// and unfused arithmetic part ways.
