@@ -54,8 +54,8 @@ impl Histogram {
 
 /// Nearest-rank percentile of unsorted `u64` samples, `q` in `0..=1`
 /// (clamped). Returns 0 on an empty slice; `q = 0` is the minimum and
-/// `q = 1` the maximum. This is the single shared implementation behind
-/// `ServeReport`'s latency percentiles and `omega-bench`'s gate records.
+/// `q = 1` the maximum. `ServeReport`'s latency percentiles are computed
+/// with it.
 pub fn percentile_u64(samples: &[u64], q: f64) -> u64 {
     if samples.is_empty() {
         return 0;

@@ -62,15 +62,15 @@ pub enum IndexMode {
 
 /// The auto list count: `ceil(sqrt(nodes))`, the classic IVF sizing that
 /// balances centroid-scan cost against per-list length.
-pub fn auto_nlist(nodes: u32) -> usize {
+pub(crate) fn auto_nlist(nodes: u32) -> usize {
     ((nodes.max(1) as f64).sqrt().ceil() as usize).max(1)
 }
 
-/// The auto probe count: five-eighths of the lists. Measured on the
-/// bench_gate serving workload (6 k Gaussian nodes, dot metric): half the
-/// lists sits right at 95 % recall@10, so the default probes 5/8 of them
-/// for ~97 % recall with margin while still cutting the scanned bytes
-/// nearly in half; see `results/ivf_recall.jsonl` for the sweep.
+/// The auto probe count: five-eighths of the lists. On a 6 k-node Gaussian
+/// table (dot metric) half the lists sits right at 95 % recall@10, so the
+/// default probes 5/8 of them for ~98 % recall with margin while still
+/// cutting the simulated probe cost by over a third; the sweep is pinned by
+/// `tests/integration_serving.rs::ivf_recall_sweep_is_pinned`.
 pub fn default_nprobe(nlist: usize) -> usize {
     (nlist * 5).div_ceil(8).max(1)
 }

@@ -74,7 +74,7 @@ mod workload;
 
 pub use cache::{HotCache, InsertOutcome};
 pub use config::ServeConfig;
-pub use ivf::{auto_nlist, default_nprobe, IndexMode, IvfIndex};
+pub use ivf::{default_nprobe, IndexMode, IvfIndex};
 pub use server::{BatchResult, EmbedServer, Response};
 pub use stats::{ServeReport, ServeSignals, ServeStats};
 pub use store::ShardedStore;
