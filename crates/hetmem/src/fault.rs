@@ -1,5 +1,6 @@
 //! The fault-injection seam of the substrate: a hook trait that every
-//! charged access consults when a plan is installed on the [`MemSystem`].
+//! charged access consults when a plan is installed on the
+//! [`MemSystem`](crate::MemSystem).
 //!
 //! The substrate itself knows nothing about fault *policy* — rates,
 //! windows, seeds all live in `omega-faults`. What lives here is the

@@ -227,7 +227,7 @@ pub fn sparse_dot_strip(
 /// row-major block, written into `out` (cleared first). The scratch-reusing
 /// inner loop of the blocked top-k scans. Entry `i` is bit-identical to
 /// `dot(query, row i)`: where the CPU reports AVX2 the block's whole
-/// four-row tiles go through [`dot_tiles_avx2`], and the rows left over —
+/// four-row tiles go through `dot_tiles_avx2`, and the rows left over —
 /// all of them on any other CPU or target — through [`dot`] itself.
 #[inline]
 pub fn dot_scores_into(query: &[f32], rows: &[f32], d: usize, out: &mut Vec<f32>) {

@@ -224,8 +224,8 @@ pub fn scale_threads(m: &mut DenseMatrix, alpha: f32, threads: usize) {
 }
 
 /// Thin Householder QR with the per-step trailing-column applies and the
-/// final Q build fanned out over groups of four columns ([`quads`]). Each
-/// column is transformed by exactly the same [`apply_reflector`]
+/// final Q build fanned out over groups of four columns (`quads`). Each
+/// column is transformed by exactly the same `apply_reflector`
 /// arithmetic, in the same order, as in [`crate::qr_thin`] — columns are
 /// independent, so the result is bit-identical at every thread count.
 pub fn qr_thin_threads(a: &DenseMatrix, threads: usize) -> Result<(DenseMatrix, DenseMatrix)> {

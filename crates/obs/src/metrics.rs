@@ -79,8 +79,8 @@ const LAT_BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 /// nanoseconds): O(1) memory regardless of sample count, so million-request
 /// sweeps never hold per-request `Vec`s.
 ///
-/// Layout is log2 major buckets with [`SUB`] linear sub-buckets each —
-/// values below [`SUB`] are exact, larger values land within `~3%` of
+/// Layout is log2 major buckets with `SUB` (32) linear sub-buckets each —
+/// values below `SUB` are exact, larger values land within `~3%` of
 /// their bucket bound. [`percentile`](LatencyHistogram::percentile)
 /// keeps [`percentile_u64`]'s nearest-rank semantics (`rank =
 /// ceil(q·n)` clamped to `[1, n]`, empty ⇒ 0, `q=0` ⇒ min, `q=1` ⇒ max):

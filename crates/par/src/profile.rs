@@ -171,7 +171,7 @@ impl PoolProfile {
 pub struct WorkerTimeline {
     pub loop_start_us: u64,
     pub loop_end_us: u64,
-    /// First [`MAX_TASK_INTERVALS`] task intervals `(start_us, end_us)`.
+    /// First `MAX_TASK_INTERVALS` (64) task intervals `(start_us, end_us)`.
     pub tasks: Vec<(u64, u64)>,
     pub task_count: u64,
     pub exec_ns: u64,
@@ -266,7 +266,8 @@ impl PoolProfiler {
         total
     }
 
-    /// Stored per-call worker timelines (capped at [`MAX_CALL_RECORDS`]).
+    /// Stored per-call worker timelines (capped at `MAX_CALL_RECORDS`,
+    /// 1024).
     pub fn call_records(&self) -> Vec<PoolCallRecord> {
         match &self.inner {
             None => Vec::new(),

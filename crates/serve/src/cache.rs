@@ -298,7 +298,7 @@ impl HotCache {
     }
 
     /// Offer shard `sid`'s freshly fetched rows for DRAM residency:
-    /// [`HotCache::reserve`], then [`HotCache::fill`] if admitted. Offering
+    /// `HotCache::reserve`, then `HotCache::fill` if admitted. Offering
     /// a shard that is already resident replaces it: the old copy gives
     /// its slot back first and the new one is judged like any newcomer.
     pub fn insert(&mut self, sys: &MemSystem, sid: usize, rows: Vec<f32>) -> InsertOutcome {
