@@ -673,9 +673,7 @@ fn plane(opts: &Opts) -> Result<(), String> {
         report.queue_wait_percentile_ns(0.99)
     );
     if !s.identity_holds() {
-        return Err(
-            "terminal-state identity violated (admitted != completed + degraded + dropped)".into(),
-        );
+        return Err("plane accounting identity violated (PlaneStats::identity_holds)".into());
     }
 
     if let Some(path) = trace_out {

@@ -210,37 +210,53 @@ fn different_seeds_give_different_timelines() {
 
 #[test]
 fn accounting_identities_hold_per_tenant_and_in_aggregate() {
-    let (report, _, _) = run_plane(2, 1, 42, 30_000.0, None, &[]);
-    for (label, s) in std::iter::once(("aggregate", &report.stats)).chain(
-        report
-            .per_tenant
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (if i == 0 { "interactive" } else { "batch" }, s)),
-    ) {
-        assert_eq!(
-            s.offered,
-            s.admitted + s.rejected_quota + s.rejected_queue,
-            "{label}: every offered request gets exactly one admission verdict: {s:?}"
-        );
-        assert_eq!(
-            s.admitted,
-            s.completed + s.degraded + s.dropped,
-            "{label}: every admitted request reaches exactly one terminal state: {s:?}"
-        );
-        assert_eq!(
-            s.degraded,
-            s.degraded_reduced_k + s.degraded_to_get,
-            "{label}: the degrade split must cover every degrade: {s:?}"
-        );
+    // Inside capacity on two replicas, and 1 M qps on four, where the
+    // queue gate refuses most arrivals in the rounds the front hedges.
+    for (replicas, rate) in [(2, 30_000.0), (4, 1_000_000.0)] {
+        let (report, _, _) = run_plane(replicas, 1, 42, rate, None, &[]);
+        for (label, s) in std::iter::once(("aggregate", &report.stats)).chain(
+            report
+                .per_tenant
+                .iter()
+                .enumerate()
+                .map(|(i, s)| (if i == 0 { "interactive" } else { "batch" }, s)),
+        ) {
+            assert_eq!(
+                s.offered,
+                s.admitted + s.rejected_quota + s.rejected_queue,
+                "{label}: every offered request gets exactly one admission verdict: {s:?}"
+            );
+            assert_eq!(
+                s.admitted,
+                s.completed + s.degraded + s.dropped,
+                "{label}: every admitted request reaches exactly one terminal state: {s:?}"
+            );
+            assert_eq!(
+                s.degraded,
+                s.degraded_reduced_k + s.degraded_to_get,
+                "{label}: the degrade split must cover every degrade: {s:?}"
+            );
+            assert!(
+                s.hedged_routes <= s.admitted && s.rerouted_outage <= s.admitted,
+                "{label}: only an admitted request is routed: {s:?}"
+            );
+            assert!(s.identity_holds(), "{label}: {s:?}");
+        }
+        if replicas > 2 {
+            assert!(
+                report.stats.hedged_routes > 0,
+                "overload must hedge: {:?}",
+                report.stats
+            );
+        }
+        // Per-tenant slices sum to the aggregate.
+        let summed: u64 = report.per_tenant.iter().map(|s| s.offered).sum();
+        assert_eq!(summed, report.stats.offered);
+        // One latency / wait sample per served request.
+        let served = report.stats.completed + report.stats.degraded;
+        assert_eq!(report.latency.count(), served);
+        assert_eq!(report.queue_wait.count(), served);
     }
-    // Per-tenant slices sum to the aggregate.
-    let summed: u64 = report.per_tenant.iter().map(|s| s.offered).sum();
-    assert_eq!(summed, report.stats.offered);
-    // One latency / wait sample per served request.
-    let served = report.stats.completed + report.stats.degraded;
-    assert_eq!(report.latency.count(), served);
-    assert_eq!(report.queue_wait.count(), served);
 }
 
 /// Overload contract: with offered load far past capacity and a tight SLO,
