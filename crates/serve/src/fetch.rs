@@ -23,6 +23,9 @@ pub(crate) const SCAN_STREAM: u64 = 2 << 20;
 pub(crate) const LOOKUP_STREAM: u64 = 3 << 20;
 pub(crate) const IVF_CENTROID_STREAM: u64 = 4 << 20;
 pub(crate) const IVF_PROBE_STREAM: u64 = 5 << 20;
+/// The one aggregated DRAM read of a top-k query (its cached shards, hot
+/// lists and staged windows).
+pub(crate) const WINDOW_STREAM: u64 = 6 << 20;
 
 /// How a failed cold read is answered. Both replica outcomes read the
 /// same bytes from the DRAM replica tier; they differ in why (and in the
@@ -156,6 +159,32 @@ pub(crate) fn row_limits(sys: &MemSystem, store: &ShardedStore) -> Vec<u32> {
             limit
         })
         .collect()
+}
+
+/// Whether a cold block that two or more top-k queries of one batch read
+/// is staged: streamed once into a DRAM window on the background channel
+/// (a cold `Seq` read plus a DRAM `Seq` write, priced by
+/// `stream_time` as an ASL leg is), then read there by every reader.
+/// Staged only when that leg plus one DRAM read is strictly cheaper than
+/// one reader's cold read, so no reader pays more than it would alone and
+/// a DRAM cold tier, where staging can only add, never stages. Priced once
+/// per server at the first shard's size: both prices are linear in the
+/// bytes moved plus a per-access term that staging amortises over the
+/// device's queue, so one size decides for every block.
+pub(crate) fn stage_pays(sys: &MemSystem, store: &ShardedStore) -> bool {
+    if store.num_shards() == 0 {
+        return false;
+    }
+    let block = Transfer::block(store.shard_bytes(0));
+    let model = sys.model();
+    let mut ctx = ThreadMem::new(HOT_NODE, sys.topology().nodes());
+    block.read_from(store.placement(), &mut ctx);
+    let alone = model.thread_time(ctx.counters(), MODEL_THREADS);
+    block.stage(&mut ctx);
+    let stage = model.stream_time(ctx.counters());
+    ctx.reset();
+    block.read_from(HOT, &mut ctx);
+    stage + model.thread_time(ctx.counters(), MODEL_THREADS) < alone
 }
 
 /// A span a fetch task would have emitted: `(name, attempt, duration)`.
@@ -450,6 +479,20 @@ mod tests {
         assert_eq!(limits(64, 16, DeviceKind::Ssd), [0; 7]);
         // Rows far below the granule: a 4 B row still moves a whole XPLine.
         assert_eq!(limits(1, 16, DeviceKind::Pm), [0; 7]);
+    }
+
+    /// Staging a block several queries share pays on PM (16 KB: 1.1 µs
+    /// of background stream plus a 3.1 µs DRAM read against a 6.1 µs cold
+    /// read) and on SSD, whose per-IO latency the stream's queue hides;
+    /// never on a DRAM cold tier, where it can only add. At a 4 B shard
+    /// rounding ties the two prices, and a tie does not stage.
+    #[test]
+    fn stage_pays_follows_the_models_price() {
+        let stages = |cold| server(64, 64, cold, 0).stage_shared;
+        assert!(stages(DeviceKind::Pm));
+        assert!(stages(DeviceKind::Ssd));
+        assert!(!stages(DeviceKind::Dram));
+        assert!(!server(1, 1, DeviceKind::Pm, 0).stage_shared);
     }
 
     /// A miss the cache takes streams its shard whole and stages it; a

@@ -19,9 +19,17 @@
 //!   and the host copies nothing.
 //! * **Serve** (every request): one random DRAM read of the requested row
 //!   plus `d` CPU ops for result extraction.
-//! * **Top-k scan**: cached shards stream from DRAM, uncached shards stream
-//!   from the cold tier directly (no admission, no recency bump), with
-//!   `2·d` CPU ops per scored candidate.
+//! * **Top-k scan** (the paper's ASL rule: load a block once, use it for
+//!   every consumer): each query is charged, in arrival order, for every
+//!   block it reads — every shard, or its probed lists — plus `2·d` CPU ops
+//!   per scored candidate. Cached shards and hot lists stream from DRAM. A
+//!   cold block two or more top-k queries of the batch read is staged once
+//!   per batch: its first reader pays a `Seq` cold read plus a `Seq` DRAM
+//!   write on the background channel (`stream_time`), and every reader
+//!   streams the DRAM window. A cold block one query reads — or every cold
+//!   block, on a tier where [`fetch::stage_pays`] finds staging no cheaper
+//!   — streams from the cold tier to its reader directly. Scans never
+//!   touch the cache: no admission, no recency bump.
 //!
 //! The server keeps its own byte ledger (`cold_read_bytes`,
 //! `dram_read_bytes`, `dram_write_bytes`) alongside the merged
@@ -67,6 +75,9 @@ pub struct EmbedServer {
     /// Per shard, the most rows a pass-through miss reads one by one
     /// before the whole block is the cheaper read ([`fetch::row_limits`]).
     pub(crate) row_limit: Vec<u32>,
+    /// Whether a cold block several top-k queries of a batch read is
+    /// staged into DRAM once for all of them ([`fetch::stage_pays`]).
+    pub(crate) stage_shared: bool,
     /// Cluster-then-probe index when [`ServeConfig::index`] asks for IVF
     /// (and the table is non-degenerate); `None` serves exact scans.
     pub(crate) ivf: Option<IvfIndex>,
@@ -91,6 +102,7 @@ impl EmbedServer {
         let store = ShardedStore::build(sys, emb, cfg.rows_per_shard, cfg.cold)?;
         let cache = HotCache::new(store.num_shards(), cfg.cache_bytes, HOT, cfg.admission);
         let row_limit = fetch::row_limits(sys, &store);
+        let stage_shared = fetch::stage_pays(sys, &store);
         // A degenerate table (no rows, or zero-width rows) has nothing to
         // cluster, so the exact scan stays the fallback: no rows is no
         // shards, and `score_reads` scores a zero-width row as the oracle
@@ -107,6 +119,7 @@ impl EmbedServer {
             store,
             cache,
             row_limit,
+            stage_shared,
             ivf,
             cfg,
             rec: Recorder::disabled(),
@@ -312,7 +325,7 @@ impl EmbedServer {
                     RequestKind::TopK { k, .. } => {
                         flush_lookups(&self.rec, self.track, &mut lookup_acc);
                         let answer = answers.next().expect("one answer per top-k request");
-                        served += self.charge_top_k(k, answer.lists.as_deref());
+                        served += self.charge_top_k(k, &answer.scan);
                         self.stats.topks += 1;
                         responses.push(Response::Neighbors(answer.neighbors));
                     }
@@ -375,7 +388,7 @@ impl EmbedServer {
             .score_top_k(&[TopKQuery { query, k, nprobe }])
             .pop()
             .expect("one answer per query");
-        self.charge_top_k(k, answer.lists.as_deref());
+        self.charge_top_k(k, &answer.scan);
         self.rec.end(span, None);
         answer.neighbors
     }

@@ -23,11 +23,13 @@ pub struct ServeStats {
     pub evictions: u64,
     pub admission_rejects: u64,
     /// Bytes read out of the cold tier (fetches, whole or by row, plus
-    /// uncached scans).
+    /// uncached scans — a block a batch stages, once per batch).
     pub cold_read_bytes: u64,
-    /// Bytes read from DRAM (row serves + cached scans + replica reads).
+    /// Bytes read from DRAM (row serves + scans of cached shards, hot
+    /// lists and staged blocks + replica reads).
     pub dram_read_bytes: u64,
-    /// Bytes staged into DRAM by fetches.
+    /// Bytes staged into DRAM by fetches and by the top-k scans' staging
+    /// legs.
     pub dram_write_bytes: u64,
     /// Injected failures observed on the serving path. Every one resolves
     /// as exactly one of `faults_retried`, `hedges_won` or `degraded`.
@@ -44,11 +46,12 @@ pub struct ServeStats {
     pub ivf_probes: u64,
     /// DRAM bytes streamed scanning the centroid table.
     pub ivf_centroid_bytes: u64,
-    /// DRAM bytes streamed from hot inverted lists (plus replica reads of
-    /// cold lists after a hedge/degrade).
+    /// DRAM bytes streamed from hot inverted lists and staged cold ones
+    /// (plus replica reads of cold lists after a hedge/degrade).
     pub ivf_dram_bytes: u64,
     /// Cold-tier bytes streamed probing cold inverted lists (failed
-    /// attempts included, exactly like shard scans).
+    /// attempts included, exactly like shard scans; a list its batch
+    /// stages, once per batch).
     pub ivf_cold_bytes: u64,
 }
 
