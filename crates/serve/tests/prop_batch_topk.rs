@@ -10,13 +10,37 @@
 //! `Embedding::top_k` bit for bit; an IVF request with a smaller probe
 //! count answers what `top_k_nprobe` returns for that query on its own.
 //! Gets in between come back as the table's rows, in arrival order.
+//!
+//! The batch is also *charged* together: a cold block two or more of its
+//! top-k queries read is staged into DRAM once, where the model prices
+//! that cheaper. So, fault-free, no request is slower than it would be
+//! with every top-k query charged alone, and a batch with no such block
+//! (one top-k query, IVF queries whose cold lists are disjoint, a cold
+//! tier where staging does not pay) is charged exactly as alone. The byte
+//! ledger matches the hetmem counters either way, and under the
+//! `OMEGA_FAULT_SEED` plan every injected fault resolves exactly once.
 
 use omega_embed::{Embedding, Metric};
-use omega_hetmem::{MemSystem, Topology};
+use omega_faults::{install_plan, FaultPlanSpec};
+use omega_hetmem::{DeviceKind, MemSystem, Placement, Topology};
 use omega_par::{with_dispatch_policy, DispatchPolicy};
-use omega_serve::{EmbedServer, IndexMode, Request, RequestKind, Response, ServeConfig};
+use omega_serve::{
+    BatchResult, EmbedServer, IndexMode, Request, RequestKind, Response, ServeConfig,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use std::collections::BTreeMap;
+
+/// Cold tiers a draw picks from: PM stages shared blocks, SSD stages them
+/// too, and a DRAM "cold" tier never does.
+const COLD: [DeviceKind; 3] = [DeviceKind::Pm, DeviceKind::Ssd, DeviceKind::Dram];
+
+fn plan_seed() -> u64 {
+    std::env::var("OMEGA_FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1729)
+}
 
 /// Tie-rich embeddings: entries drawn from a tiny value alphabet, so equal
 /// scores are common and a skewed k-means leaves lists empty.
@@ -69,17 +93,143 @@ fn same_bits(got: &[(u32, f32)], want: &[(u32, f32)]) -> Result<(), TestCaseErro
     Ok(())
 }
 
+/// Whether some cold block is read by two or more of the batch's top-k
+/// queries — the only blocks the server may stage. On an exact server
+/// that is every uncached shard once two queries arrive (counted as
+/// shared whether or not the Gets cached them all).
+fn shares_a_cold_block(srv: &EmbedServer, emb: &Embedding, requests: &[Request]) -> bool {
+    let top_ks = requests
+        .iter()
+        .filter_map(|req| match req.kind {
+            RequestKind::TopK { nprobe, .. } => Some((req.node, nprobe)),
+            RequestKind::Get => None,
+        })
+        .collect::<Vec<_>>();
+    let Some(ivf) = srv.ivf() else {
+        return top_ks.len() >= 2;
+    };
+    let mut readers: BTreeMap<u32, usize> = BTreeMap::new();
+    let mut scores = Vec::new();
+    for (node, nprobe) in top_ks {
+        let nprobe = nprobe.unwrap_or(ivf.nprobe()).clamp(1, ivf.nlist());
+        for lid in ivf.select_lists(emb.vector(node), Metric::Dot, nprobe, &mut scores) {
+            if !ivf.list_is_hot(lid as usize) {
+                *readers.entry(lid).or_default() += 1;
+            }
+        }
+    }
+    readers.values().any(|&n| n >= 2)
+}
+
+/// Each request's simulated latency with every top-k query of the batch
+/// charged on its own: a twin server serves the batch's nodes as Gets —
+/// the same fetch phase and the same lookups, since a top-k request
+/// resolves its query row like a Get — then answers each top-k query alone
+/// with `top_k_nprobe`, in arrival order. Scans never touch cache state,
+/// so each is charged against the residency the batch saw.
+fn charged_alone(
+    sys: &MemSystem,
+    emb: &Embedding,
+    cfg: ServeConfig,
+    requests: &[Request],
+) -> (Vec<u64>, EmbedServer) {
+    let mut twin = EmbedServer::new(sys, emb, cfg).unwrap();
+    let gets: Vec<u32> = requests.iter().map(|req| req.node).collect();
+    let lookups = twin.serve_batch(&Request::gets(&gets)).sim_latency_ns;
+    let mut top_k_ns = 0;
+    let latencies = requests
+        .iter()
+        .zip(lookups)
+        .map(|(req, ns)| {
+            if let RequestKind::TopK { k, nprobe } = req.kind {
+                let start = twin.sim_now();
+                twin.top_k_nprobe(emb.vector(req.node), k, nprobe);
+                top_k_ns += (twin.sim_now() - start).as_nanos();
+            }
+            ns + top_k_ns
+        })
+        .collect();
+    (latencies, twin)
+}
+
+/// The charge side of one served batch: the ledger against the hetmem
+/// counters always, every fault resolved once under a plan, and fault-free
+/// the bound against (or, with no shared cold block, equality with) each
+/// top-k query charged alone.
+fn check_charges(
+    sys: &MemSystem,
+    emb: &Embedding,
+    cfg: ServeConfig,
+    requests: &[Request],
+    srv: &EmbedServer,
+    result: &BatchResult,
+    faulted: bool,
+) -> Result<(), TestCaseError> {
+    let st = srv.stats();
+    let traffic = srv.traffic();
+    if cfg.cold.device() == DeviceKind::Dram {
+        prop_assert_eq!(
+            traffic.dram_bytes,
+            st.cold_read_bytes + st.dram_read_bytes + st.dram_write_bytes
+        );
+    } else {
+        prop_assert_eq!(traffic.pm_bytes + traffic.ssd_bytes, st.cold_read_bytes);
+        prop_assert_eq!(traffic.dram_bytes, st.dram_read_bytes + st.dram_write_bytes);
+    }
+    prop_assert_eq!(
+        st.faults_injected,
+        st.faults_retried + st.hedges_won + st.degraded
+    );
+    if faulted {
+        // Fault verdicts are drawn at each query's own start time, which
+        // charging alone moves: no reference to compare against.
+        return Ok(());
+    }
+    let (alone, twin) = charged_alone(sys, emb, cfg, requests);
+    let exact = cfg.cold.device() == DeviceKind::Dram || !shares_a_cold_block(srv, emb, requests);
+    if exact {
+        prop_assert_eq!(&result.sim_latency_ns, &alone);
+        prop_assert_eq!(srv.sim_now(), twin.sim_now());
+        prop_assert_eq!(format!("{:?}", traffic), format!("{:?}", twin.traffic()));
+        let bytes = |srv: &EmbedServer| {
+            let st = srv.stats();
+            (st.cold_read_bytes, st.dram_read_bytes, st.dram_write_bytes)
+        };
+        prop_assert_eq!(bytes(srv), bytes(&twin));
+    } else {
+        for (i, (&got, &want)) in result.sim_latency_ns.iter().zip(&alone).enumerate() {
+            prop_assert!(
+                got <= want,
+                "request {}: {} ns batched, {} alone",
+                i,
+                got,
+                want
+            );
+        }
+    }
+    Ok(())
+}
+
 /// One draw: every request of `picks`, batched at threads 1, 2 and 8 (the
 /// pool forced on, so 2 and 8 really fan out whatever the host), against
-/// what it gets alone.
+/// what it gets alone — answers at every thread count, charges once (the
+/// simulated side does not depend on the thread count).
 fn check_batch(
     emb: &Embedding,
     rows_per_shard: usize,
     nlist: usize,
+    cold: DeviceKind,
+    faulted: bool,
     picks: &[(u32, u8, u8)],
 ) -> Result<(), TestCaseError> {
     let nodes = emb.nodes();
-    let sys = MemSystem::new(Topology::paper_machine_scaled(16 << 20));
+    let mut sys = MemSystem::new(Topology::paper_machine_scaled(16 << 20));
+    if faulted {
+        let plan = FaultPlanSpec::new(plan_seed())
+            .with_transient(cold, 0.3, 3_000)
+            .with_timeout(cold, 0.1, 40_000);
+        sys = install_plan(&sys, plan);
+    }
     // nlist 0 draws an exact server.
     let index = match nlist {
         0 => IndexMode::Exact,
@@ -87,6 +237,7 @@ fn check_batch(
     };
     let cfg = ServeConfig::new(4 << 10)
         .rows_per_shard(rows_per_shard)
+        .cold(Placement::node(0, cold))
         .index(index);
     // What each query gets alone, from a server that never batches.
     let mut alone = EmbedServer::new(&sys, emb, cfg).unwrap();
@@ -103,6 +254,7 @@ fn check_batch(
     };
     let full_probe = alone.ivf().map(|ivf| ivf.nlist());
     let requests = batch(picks, nodes, &probes);
+    let mut latencies: Option<Vec<u64>> = None;
     for threads in [1usize, 2, 8] {
         let mut srv = EmbedServer::new(&sys, emb, cfg.threads(threads)).unwrap();
         let result = with_dispatch_policy(DispatchPolicy::always_parallel(), || {
@@ -124,6 +276,13 @@ fn check_batch(
                 (kind, resp) => prop_assert!(false, "{:?} answered {:?}", kind, resp),
             }
         }
+        match &latencies {
+            None => {
+                check_charges(&sys, emb, cfg, &requests, &srv, &result, faulted)?;
+                latencies = Some(result.sim_latency_ns);
+            }
+            Some(first) => prop_assert_eq!(first, &result.sim_latency_ns),
+        }
     }
     Ok(())
 }
@@ -140,9 +299,12 @@ proptest! {
         rows_per_shard in 1usize..96,
         nlist in 0usize..28,
         seed in 0u64..500,
+        cold in 0usize..COLD.len(),
+        faulted in any::<bool>(),
         picks in proptest::collection::vec((any::<u32>(), any::<u8>(), any::<u8>()), 1..14),
     ) {
-        check_batch(&tie_rich_embedding(nodes, d, seed), rows_per_shard, nlist, &picks)?;
+        let emb = tie_rich_embedding(nodes, d, seed);
+        check_batch(&emb, rows_per_shard, nlist, COLD[cold], faulted, &picks)?;
     }
 }
 
@@ -155,7 +317,7 @@ fn a_zero_width_table_answers_like_the_oracle() {
     let emb = Embedding::from_row_major(10, 0, vec![]);
     let picks: Vec<(u32, u8, u8)> = (0..12).map(|i| (i * 7, i as u8, 0)).collect();
     for nlist in [0, 4] {
-        check_batch(&emb, 4, nlist, &picks).unwrap();
+        check_batch(&emb, 4, nlist, DeviceKind::Pm, false, &picks).unwrap();
     }
     let sys = MemSystem::new(Topology::paper_machine_scaled(16 << 20));
     let mut srv =

@@ -177,8 +177,10 @@ fn counters_match_access_summary_bytes() {
         st.cold_read_bytes + st.dram_read_bytes + st.dram_write_bytes
     );
 
-    // Fetch invariant: whatever streams out of the cold tier on the serving
-    // path is staged into DRAM (top-k scans read cold without staging).
+    // Nothing is written to DRAM that was not read out of the cold tier: a
+    // fetch stages what it read, a top-k scan stages only the blocks
+    // several queries of its batch share, and one query's scan stages
+    // nothing.
     assert!(st.dram_write_bytes <= st.cold_read_bytes);
 
     // Published counters mirror the ledger exactly.
@@ -397,6 +399,116 @@ fn a_batch_scores_its_top_k_queries_in_one_pool_call() {
         });
         assert_eq!(rec.cursor(Track::MAIN).as_nanos(), srv.sim_now().as_nanos());
     }
+}
+
+/// Bytes one batch moved: `(cold read, DRAM read, DRAM write)`.
+fn batch_bytes(srv: &mut EmbedServer, requests: &[Request]) -> (u64, u64, u64) {
+    let before = srv.stats().clone();
+    let result = srv.serve_batch(requests);
+    assert_eq!(result.responses.len(), requests.len());
+    let st = srv.stats();
+    (
+        st.cold_read_bytes - before.cold_read_bytes,
+        st.dram_read_bytes - before.dram_read_bytes,
+        st.dram_write_bytes - before.dram_write_bytes,
+    )
+}
+
+/// A batch of `n >= 2` exact top-k queries streams the table's uncached
+/// shards out of the cold tier once, into DRAM, and every query reads the
+/// whole table from DRAM: `m` cached shards and the staged rest. The
+/// queries' own rows come out of cached shards, so the batch fetches
+/// nothing, and each costs one row serve on top.
+#[test]
+fn an_exact_batch_streams_its_uncached_shards_once() {
+    let emb = embedding(400, 13);
+    let sys = system();
+    let row_bytes = (DIM * 4) as u64;
+    for (m, n) in [(1u64, 2u64), (3, 2), (3, 5), (8, 16)] {
+        let mut srv = EmbedServer::new(&sys, &emb, config(m)).unwrap();
+        // One node of each of the first `m` shards.
+        let cached: Vec<u32> = (0..m as u32).map(|sid| sid * 16).collect();
+        srv.get_vectors(&cached);
+        assert_eq!(srv.stats().fetches, m);
+        let total = srv.store().total_bytes();
+        let uncached = total - m * 16 * row_bytes;
+        let queries: Vec<Request> = (0..n as usize)
+            .map(|i| Request {
+                node: cached[i % cached.len()],
+                kind: RequestKind::top_k(5),
+            })
+            .collect();
+        assert_eq!(
+            batch_bytes(&mut srv, &queries),
+            (uncached, n * total + n * row_bytes, uncached),
+            "{m} cached shards, {n} queries"
+        );
+    }
+}
+
+/// An IVF batch streams the union of its queries' probed cold lists out of
+/// the cold tier once. A cold list two or more queries probe is staged
+/// into DRAM and read there by each of them, like a hot list; a cold list
+/// one query probes is streamed by that query alone. Every query also
+/// reads the centroid table and its own row.
+#[test]
+fn an_ivf_batch_streams_the_union_of_its_cold_lists_once() {
+    let emb = embedding(400, 9);
+    let sys = system();
+    let cfg = config(32)
+        .index(IndexMode::Ivf {
+            nlist: 0,
+            nprobe: 0,
+        })
+        .ivf_hot_bytes(1 << 10);
+    let mut srv = EmbedServer::new(&sys, &emb, cfg).unwrap();
+    // The queries' rows are cached first, so the batch fetches nothing.
+    // Two probes a query, so some lists are shared and some are not.
+    const NPROBE: usize = 2;
+    let nodes = [0u32, 13, 200, 399, 13, 77];
+    srv.get_vectors(&nodes);
+    let ivf = srv.ivf().unwrap();
+    let bytes = |lid: u32| (ivf.list_ids(lid as usize).len() * DIM * 4) as u64;
+    let mut scores = Vec::new();
+    let probed: Vec<Vec<u32>> = nodes
+        .iter()
+        .map(|&node| ivf.select_lists(emb.vector(node), Metric::Dot, NPROBE, &mut scores))
+        .collect();
+    let mut readers = std::collections::BTreeMap::<u32, u64>::new();
+    for &lid in probed.iter().flatten() {
+        *readers.entry(lid).or_default() += 1;
+    }
+    let cold = |lid: u32| !ivf.list_is_hot(lid as usize);
+    let union: u64 = readers
+        .keys()
+        .filter(|&&l| cold(l))
+        .map(|&l| bytes(l))
+        .sum();
+    let staged: u64 = (readers.iter())
+        .filter(|&(&l, &n)| cold(l) && n >= 2)
+        .map(|(&l, _)| bytes(l))
+        .sum();
+    let from_dram: u64 = (probed.iter().flatten())
+        .filter(|&&l| !cold(l) || readers[&l] >= 2)
+        .map(|&l| bytes(l))
+        .sum();
+    assert!(staged > 0 && staged < union, "shared and sole cold lists");
+    let per_query = ivf.centroid_bytes() + (DIM * 4) as u64;
+    let queries: Vec<Request> = nodes
+        .iter()
+        .map(|&node| Request {
+            node,
+            kind: RequestKind::TopK {
+                k: 10,
+                nprobe: Some(NPROBE),
+            },
+        })
+        .collect();
+    let n = nodes.len() as u64;
+    assert_eq!(
+        batch_bytes(&mut srv, &queries),
+        (union, from_dram + n * per_query, staged)
+    );
 }
 
 /// The worker-pool width is a wall-clock knob only: the full report —
