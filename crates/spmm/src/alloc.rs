@@ -232,27 +232,6 @@ fn advance_until(csdb: &Csdb, rst: u32, target: u64) -> u32 {
     red
 }
 
-/// Maximum predicted-time imbalance of an allocation: the heaviest thread's
-/// predicted time (`W_i` divided by its entropy-degraded bandwidth factor,
-/// Eq. 5) over the mean. 1.0 is perfect balance. Used by tests and the
-/// Fig. 13 analysis.
-pub fn weighted_imbalance(workloads: &[Workload], total_cols: u32, beta: f64) -> f64 {
-    use crate::entropy::bandwidth_factor;
-    use omega_graph::stats::normalized_entropy;
-    let times: Vec<f64> = workloads
-        .iter()
-        .map(|w| {
-            let z = normalized_entropy(w.entropy, total_cols);
-            w.nnzs as f64 / bandwidth_factor(z, beta).max(f64::MIN_POSITIVE)
-        })
-        .collect();
-    let mean = times.iter().sum::<f64>() / times.len().max(1) as f64;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    times.iter().cloned().fold(0.0, f64::max) / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,7 +247,7 @@ mod tests {
     fn coverage(ws: &[Workload], csdb: &Csdb) {
         let nnz: u64 = ws.iter().map(|w| w.nnzs).sum();
         assert_eq!(nnz, csdb.nnz() as u64, "all nnz covered exactly once");
-        let rows: usize = ws.iter().map(|w| w.row_count()).sum();
+        let rows: usize = ws.iter().map(|w| w.rows.len()).sum();
         assert_eq!(rows, csdb.rows() as usize, "all rows covered exactly once");
     }
 
@@ -298,7 +277,6 @@ mod tests {
                 w.nnzs
             );
         }
-        assert!(ws.iter().all(|w| w.rows.is_contiguous()));
     }
 
     #[test]

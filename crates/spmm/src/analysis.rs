@@ -2,7 +2,7 @@
 //! VTune profiling of §III-D and the execution-time breakdown of Fig. 7(a).
 
 use crate::SpmmRun;
-use omega_hetmem::{AccessClass, AccessOp, AccessPattern, AccessSummary, BandwidthModel};
+use omega_hetmem::{AccessClass, AccessOp, AccessPattern, BandwidthModel};
 use serde::{Deserialize, Serialize};
 
 /// Aggregate thread-seconds attributed to each of Algorithm 1's operation
@@ -57,18 +57,12 @@ impl OpBreakdown {
     }
 }
 
-/// The VTune-style access summary of a run (§III-D: the "average remote
-/// access is more than 43 %" statistic for interleaved placements).
-pub fn traffic_summary(run: &SpmmRun) -> AccessSummary {
-    AccessSummary::from_counters(&run.counters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{SpmmConfig, SpmmEngine};
     use omega_graph::{Csdb, RmatConfig};
-    use omega_hetmem::{MemSystem, Topology};
+    use omega_hetmem::{AccessSummary, MemSystem, Topology};
     use omega_linalg::gaussian_matrix;
 
     fn run(cfg: SpmmConfig) -> SpmmRun {
@@ -107,7 +101,7 @@ mod tests {
         // The paper's S III-D observation: with OS interleaving, >43% of
         // accesses are remote. Our two-socket interleave splits ~50/50.
         let r = run(SpmmConfig::omega(8).with_nadp(false).with_asl(None));
-        let s = traffic_summary(&r);
+        let s = AccessSummary::from_counters(&r.counters);
         assert!(
             s.remote_fraction() > 0.40,
             "remote fraction {} too low for interleaved placement",
@@ -115,7 +109,7 @@ mod tests {
         );
         // NaDP pushes it down.
         let r = run(SpmmConfig::omega(8).with_asl(None));
-        let s_nadp = traffic_summary(&r);
+        let s_nadp = AccessSummary::from_counters(&r.counters);
         assert!(s_nadp.remote_fraction() < s.remote_fraction());
     }
 }

@@ -14,7 +14,6 @@ use crate::config::SpmmConfig;
 use crate::kernel::{run_workload, KernelStats, Panel};
 use crate::plan::GroupPlan;
 use crate::report::{GroupRun, SpmmRun, WorkloadReport};
-use crate::workload::RowSet;
 use crate::{Result, SpmmError};
 use omega_graph::Csdb;
 use omega_hetmem::{
@@ -188,7 +187,7 @@ impl SpmmEngine {
 
     /// Execute one planned group: every column batch through the kernel on
     /// the wall-clock pool, its ASL load before and flush after, numeric
-    /// blocks scattered into `result`, accounting folded per workload.
+    /// blocks copied into `result`, accounting folded per workload.
     fn run_group(&self, plan: &GroupPlan<'_>, result: &mut DenseMatrix) -> GroupRun {
         let model = self.sys.model();
         let sim_threads = self.cfg.threads as u32;
@@ -229,21 +228,13 @@ impl SpmmEngine {
                 batch_max = batch_max.max(t);
                 times[wi] += t;
                 stats[wi].absorb_batch(&chunk_stats);
-                // Scatter the block into the global result: a contiguous
-                // workload's column is one slice of the result's.
-                let nrows = w.row_count();
-                for (block_col, t_global) in block.chunks_exact(nrows.max(1)).zip(batch.clone()) {
-                    let col = result.col_mut(t_global);
-                    match w.rows {
-                        RowSet::Range { start, end } => {
-                            col[start as usize..end as usize].copy_from_slice(block_col)
-                        }
-                        _ => {
-                            for (v, &x) in w.rows.iter().zip(block_col) {
-                                col[v as usize] = x;
-                            }
-                        }
-                    }
+                // Copy the block into the global result: a workload's
+                // column is one slice of the result's.
+                let rows = w.rows.start as usize..w.rows.end as usize;
+                for (block_col, t_global) in
+                    block.chunks_exact(rows.len().max(1)).zip(batch.clone())
+                {
+                    result.col_mut(t_global)[rows.clone()].copy_from_slice(block_col);
                 }
             }
             compute_times.push(batch_max);
@@ -254,7 +245,7 @@ impl SpmmEngine {
             .zip(times.into_iter().zip(stats))
             .map(|((w, prefetcher), (time, stats))| WorkloadReport {
                 thread: w.thread,
-                rows: w.row_count(),
+                rows: w.rows.len(),
                 nnzs: w.nnzs,
                 entropy: w.entropy,
                 scatter: w.scatter,

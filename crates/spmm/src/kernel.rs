@@ -24,7 +24,7 @@
 //! pricing the paper's traffic while the host does the cache-friendly walk.
 
 use crate::wofp::{Prefetcher, PrefetcherKind};
-use crate::workload::{range_nnz, RowSet, Workload};
+use crate::workload::{range_nnz, Workload};
 use omega_graph::Csdb;
 use omega_hetmem::{AccessOp, AccessPattern, Placement, ThreadMem};
 use omega_linalg::kernels::{sparse_dot_strip, STRIP};
@@ -32,7 +32,7 @@ use omega_linalg::DenseMatrix;
 use std::ops::Range;
 
 /// Static inputs shared by every workload of one SpMM phase.
-pub struct KernelInputs<'a> {
+pub(crate) struct KernelInputs<'a> {
     pub csdb: &'a Csdb,
     /// `(row range, home placement)` partition of the sparse matrix, in row
     /// order (one entry when NaDP is off).
@@ -51,7 +51,7 @@ pub struct KernelInputs<'a> {
 
 /// Traffic statistics one workload's execution produced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KernelStats {
+pub(crate) struct KernelStats {
     /// Total `get_dense_nnz` fetches (step ③) — the Fig. 16 throughput
     /// numerator.
     pub dense_fetches: u64,
@@ -72,7 +72,7 @@ impl KernelStats {
     /// Fold in another column batch of the same workload: fetches add up;
     /// the wasted count is a property of the workload's prefetcher,
     /// identical in every batch, so it is taken, not summed.
-    pub fn absorb_batch(&mut self, batch: &KernelStats) {
+    pub(crate) fn absorb_batch(&mut self, batch: &KernelStats) {
         self.dense_fetches += batch.dense_fetches;
         self.prefetch_hits += batch.prefetch_hits;
         self.prefetch_misses += batch.prefetch_misses;
@@ -84,7 +84,7 @@ impl KernelStats {
 /// row-major in whole strips, every row padded with zeros to a whole number
 /// of them. Packed once per (group, batch) and shared by all of its
 /// workloads.
-pub struct Panel {
+pub(crate) struct Panel {
     /// Columns in the batch.
     ncols: usize,
     /// Strips per panel row.
@@ -97,7 +97,7 @@ const PACK_ROWS: usize = 1024;
 
 impl Panel {
     /// Pack columns `cols` of `dense` on up to `threads` pool workers.
-    pub fn pack(dense: &DenseMatrix, cols: Range<usize>, threads: usize) -> Panel {
+    pub(crate) fn pack(dense: &DenseMatrix, cols: Range<usize>, threads: usize) -> Panel {
         let strips = cols.len().div_ceil(STRIP);
         let mut data = vec![[0f32; STRIP]; dense.rows() * strips];
         let stride = strips * STRIP;
@@ -119,14 +119,14 @@ impl Panel {
 /// Execute one workload over the column batch packed in `panel`, returning
 /// the result block (column-major, `rows.len() × cols.len()`) and the
 /// traffic stats. All traffic is charged to `ctx`.
-pub fn run_workload(
+pub(crate) fn run_workload(
     inp: &KernelInputs<'_>,
     workload: &Workload,
     panel: &Panel,
     prefetcher: Option<&Prefetcher>,
     ctx: &mut ThreadMem,
 ) -> (Vec<f32>, KernelStats) {
-    let nrows = workload.row_count();
+    let nrows = workload.rows.len();
     let ncols = panel.ncols;
     let mut out = vec![0f32; nrows * ncols];
     if nrows == 0 || ncols == 0 {
@@ -144,7 +144,7 @@ pub fn run_workload(
             let mut total = 0u64;
             let mut referenced = vec![false; inp.csdb.cols() as usize];
             let mut distinct = 0u64;
-            for v in workload.rows.iter() {
+            for v in workload.rows.clone() {
                 let (row_cols, _) = inp.csdb.row(v);
                 total += row_cols.len() as u64;
                 for &c in row_cols {
@@ -181,30 +181,17 @@ pub fn run_workload(
     // Per-column charges, following Algorithm 1's column-outer loop: for
     // every dense column the workload re-streams its sparse structures
     // (steps ① + ②), fetches the dense entries (step ③) and writes its
-    // result slice (step ⑤). Contiguous workloads (WaTA/EaTA over CSDB)
-    // scan the sparse arrays sequentially; a scattered visit order
-    // (round-robin over unsorted ids) jumps per row and pays random-pattern
-    // media costs.
-    let contiguous = workload.rows.is_contiguous();
+    // result slice (step ⑤). A workload is a contiguous row range of the
+    // degree-sorted CSDB matrix, so the sparse arrays stream sequentially.
     for _ in 0..ncols {
         for seg in &segments {
-            if contiguous {
-                ctx.charge_block(
-                    seg.placement,
-                    AccessOp::Read,
-                    AccessPattern::Seq,
-                    seg.rows * 8 + seg.nnzs * 8,
-                    2,
-                );
-            } else {
-                ctx.charge_block(
-                    seg.placement,
-                    AccessOp::Read,
-                    AccessPattern::Rand,
-                    seg.rows * 8 + seg.nnzs * 8,
-                    seg.rows.max(1),
-                );
-            }
+            ctx.charge_block(
+                seg.placement,
+                AccessOp::Read,
+                AccessPattern::Seq,
+                seg.rows * 8 + seg.nnzs * 8,
+                2,
+            );
         }
         if fill_entries > 0 {
             ctx.charge_block(
@@ -274,7 +261,7 @@ pub fn run_workload(
 
     // Step ④: the actual math, rows outermost, a strip of columns per pass
     // over a row's non-zeros (the row stays in L1 from strip to strip).
-    for (li, v) in workload.rows.iter().enumerate() {
+    for (li, v) in workload.rows.clone().enumerate() {
         let (row_cols, row_vals) = inp.csdb.row(v);
         for strip in 0..panel.strips {
             let sums = sparse_dot_strip(row_cols, row_vals, &panel.data, panel.strips, strip);
@@ -297,39 +284,19 @@ struct Segment {
 /// Intersect the workload's rows with the sparse partition, producing
 /// placement-homogeneous segments with row/nnz totals.
 fn segment_workload(inp: &KernelInputs<'_>, workload: &Workload) -> Vec<Segment> {
-    match workload.rows {
-        RowSet::Range { start, end } => inp
-            .sparse_parts
-            .iter()
-            .filter_map(|(part, placement)| {
-                let s = start.max(part.start);
-                let e = end.min(part.end);
-                (s < e).then(|| Segment {
-                    placement: *placement,
-                    rows: (e - s) as u64,
-                    nnzs: range_nnz(inp.csdb, s..e),
-                })
+    let rows = &workload.rows;
+    inp.sparse_parts
+        .iter()
+        .filter_map(|(part, placement)| {
+            let s = rows.start.max(part.start);
+            let e = rows.end.min(part.end);
+            (s < e).then(|| Segment {
+                placement: *placement,
+                rows: (e - s) as u64,
+                nnzs: range_nnz(inp.csdb, s..e),
             })
-            .collect(),
-        RowSet::Strided { .. } | RowSet::Scattered(_) => {
-            // Round-robin workloads visit every partition; attribute rows
-            // and nnz proportionally to each part's share.
-            let total_rows = workload.row_count() as u64;
-            let total_nnz = workload.nnzs;
-            let matrix_rows = inp.csdb.rows() as u64;
-            inp.sparse_parts
-                .iter()
-                .map(|(part, placement)| {
-                    let frac = (part.end - part.start) as u64;
-                    Segment {
-                        placement: *placement,
-                        rows: total_rows * frac / matrix_rows.max(1),
-                        nnzs: total_nnz * frac / matrix_rows.max(1),
-                    }
-                })
-                .collect()
-        }
-    }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -411,9 +378,10 @@ mod tests {
         assert!(ctx.counters().total_bytes() > 0);
     }
 
-    /// Whatever the row set's shape and the batch's offset and width, every
-    /// entry of the block is `spmv`'s for its (row, column), bit for bit —
-    /// rows without a non-zero included.
+    /// Whatever the row range and the batch's offset and width, every entry
+    /// of the block is `spmv`'s for its (row, column), bit for bit — rows
+    /// without a non-zero included, and ranges that cross a NaDP part
+    /// boundary.
     #[test]
     fn every_row_set_and_batch_is_bit_equal_to_spmv() {
         let (g, sys) = setup();
@@ -421,21 +389,23 @@ mod tests {
         assert!((0..n).any(|v| g.degree(v) == 0), "the graph has empty rows");
         let b = gaussian_matrix(n as usize, 21, 5);
         let expect = reference(&g, &b);
-        let parts = [(0..n, PM0)];
+        let mid = n / 2;
+        let parts = [(0..mid, PM0), (mid..n, Placement::node(1, DeviceKind::Pm))];
         let inp = inputs(&g, &parts);
         let workloads = [
-            Workload::contiguous(0, &g, 17, n - 5),
-            Workload::strided(0, &g, 1, 3),
-            Workload::strided(0, &g, 0, 1),
-            Workload::scattered(0, &g, (0..n).rev().step_by(2).collect()),
+            Workload::contiguous(0, &g, 9, 9),
+            Workload::contiguous(0, &g, n - 1, n),
+            Workload::contiguous(0, &g, 0, n),
+            Workload::contiguous(0, &g, mid - 17, mid + 5),
         ];
         let mut ctx = sys.thread_ctx(0);
         for cols in [0..21, 3..4, 5..13, 2..19] {
             let panel = Panel::pack(&b, cols.clone(), 2);
             for w in &workloads {
                 let (out, _) = run_workload(&inp, w, &panel, None, &mut ctx);
-                for (block_col, t) in out.chunks_exact(w.row_count()).zip(cols.clone()) {
-                    for (v, got) in w.rows.iter().zip(block_col) {
+                assert_eq!(out.len(), w.rows.len() * cols.len(), "{:?}", w.rows);
+                for (block_col, t) in out.chunks_exact(w.rows.len().max(1)).zip(cols.clone()) {
+                    for (v, got) in w.rows.clone().zip(block_col) {
                         let want = expect[(v as usize, t)];
                         assert_eq!(got.to_bits(), want.to_bits(), "{:?} ({v}, {t})", w.rows);
                     }
@@ -538,21 +508,6 @@ mod tests {
             c.locality == omega_hetmem::Locality::Remote && c.pattern == AccessPattern::Seq
         });
         assert!(remote > 0, "boundary-straddling reads include remote");
-    }
-
-    #[test]
-    fn strided_workload_computes_correctly() {
-        let (g, sys) = setup();
-        let b = gaussian_matrix(g.rows() as usize, 2, 8);
-        let parts = [(0..g.rows(), PM0)];
-        let inp = inputs(&g, &parts);
-        let w = Workload::strided(0, &g, 1, 3);
-        let mut ctx = sys.thread_ctx(0);
-        let (out, _) = run(&inp, &w, &b, 0..2, None, &mut ctx);
-        let expect = reference(&g, &b);
-        for (li, v) in w.rows.iter().enumerate() {
-            assert!((out[li] - expect[(v as usize, 0)]).abs() < 1e-3);
-        }
     }
 
     #[test]

@@ -4,46 +4,49 @@
 //! spends ~70 % of its time in (paper §II-A); this crate implements the
 //! paper's entire §III around it:
 //!
-//! * [`alloc`] — thread-allocation schemes: Round-Robin (`RR`),
+//! * thread allocation ([`AllocScheme`]) — Round-Robin (`RR`),
 //!   workload-balancing (`WaTA`), and the paper's entropy-aware `EaTA`
-//!   (Algorithm 2, Eq. 3–7);
+//!   (Algorithm 2, Eq. 3–7), each cutting the rows into one contiguous
+//!   [`Workload`] per thread;
 //! * [`entropy`] — workload entropy, normalisation and the β-weighted
 //!   allocation weight of Eq. 5–7;
-//! * [`wofp`] — the workload feature-aware prefetcher (§III-C): hybrid
+//! * the workload feature-aware prefetcher ([`WofpConfig`], §III-C): hybrid
 //!   frequency-/degree-based top-M prefetching into DRAM;
-//! * [`nadp`] — NUMA-aware data placement (§III-D): partitioned sparse and
-//!   dense operands, CPU-bound thread groups, local intermediates,
-//!   global-sequential-read / local-write discipline;
+//! * NUMA-aware data placement (`SpmmConfig::nadp`, §III-D): partitioned
+//!   sparse and dense operands, CPU-bound thread groups, local
+//!   intermediates, global-sequential-read / local-write discipline;
 //! * [`asl`] — asynchronous adaptive streaming loading (§III-E, Eq. 8–9);
-//! * [`exec`] — the simulated-time executor: [`SpmmEngine::spmm`] plans
-//!   each socket group (placements, capacity, batches, workloads,
-//!   prefetchers), runs its column batches through the charged Algorithm 1
-//!   kernel, and folds per-thread costs into a [`SpmmRun`];
+//! * the simulated-time executor: [`SpmmEngine::spmm`] plans each socket
+//!   group (placements, capacity, batches, workloads, prefetchers), runs its
+//!   column batches through the charged Algorithm 1 kernel, and folds
+//!   per-thread costs into a [`SpmmRun`];
 //! * [`analysis`] — post-run traffic breakdowns (Fig. 7(a), §III-D).
 //!
 //! Configuration ([`SpmmConfig`], [`MemMode`]) and report types
 //! ([`SpmmRun`], [`WorkloadReport`], [`ThreadStats`]) are re-exported here.
 
-pub mod alloc;
+#![warn(unreachable_pub)]
+
+mod alloc;
 pub mod analysis;
 pub mod asl;
 mod config;
 pub mod entropy;
-pub mod exec;
+mod exec;
 mod kernel;
-pub mod nadp;
+mod nadp;
 mod plan;
 mod report;
-pub mod wofp;
-pub mod workload;
+mod wofp;
+mod workload;
 
 pub use alloc::AllocScheme;
 pub use asl::AslConfig;
 pub use config::{MemMode, SpmmConfig};
 pub use exec::SpmmEngine;
 pub use report::{SpmmRun, ThreadStats, WorkloadReport};
-pub use wofp::WofpConfig;
-pub use workload::{RowSet, Workload};
+pub use wofp::{PrefetcherKind, WofpConfig};
+pub use workload::Workload;
 
 /// Errors from the SpMM engine.
 #[derive(Debug)]

@@ -24,7 +24,7 @@ use std::ops::Range;
 /// The placement plan for one SpMM: per-socket partitions of both operands
 /// and the thread split.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NadpPlan {
+pub(crate) struct NadpPlan {
     /// Row ranges of the sparse matrix homed on each node (nnz-balanced so
     /// remote sequential traffic splits evenly).
     pub sparse_rows: Vec<Range<u32>>,
@@ -37,7 +37,12 @@ pub struct NadpPlan {
 impl NadpPlan {
     /// Build the plan: sparse rows split at nnz midpoints, dense columns
     /// split evenly, threads dealt round-robin across sockets.
-    pub fn build(csdb: &Csdb, dense_cols: usize, topo: &Topology, threads: usize) -> NadpPlan {
+    pub(crate) fn build(
+        csdb: &Csdb,
+        dense_cols: usize,
+        topo: &Topology,
+        threads: usize,
+    ) -> NadpPlan {
         let nodes = topo.nodes();
         let total_nnz = csdb.nnz() as u64;
 
@@ -93,11 +98,6 @@ impl NadpPlan {
             threads: thread_groups,
         }
     }
-
-    /// Number of sockets in the plan.
-    pub fn nodes(&self) -> usize {
-        self.sparse_rows.len()
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +119,7 @@ mod tests {
     fn partitions_cover_everything() {
         let (g, topo) = setup();
         let plan = NadpPlan::build(&g, 32, &topo, 8);
-        assert_eq!(plan.nodes(), 2);
+        assert_eq!(plan.sparse_rows.len(), 2);
         // Rows: contiguous, disjoint, complete.
         assert_eq!(plan.sparse_rows[0].start, 0);
         assert_eq!(plan.sparse_rows[0].end, plan.sparse_rows[1].start);
@@ -173,7 +173,7 @@ mod tests {
         let (g, _) = setup();
         let topo = Topology::single_node(8, 1 << 20, 1 << 23).unwrap();
         let plan = NadpPlan::build(&g, 8, &topo, 4);
-        assert_eq!(plan.nodes(), 1);
+        assert_eq!(plan.sparse_rows.len(), 1);
         assert_eq!(plan.sparse_rows[0], 0..g.rows());
         assert_eq!(plan.dense_cols[0], 0..8);
         assert_eq!(plan.threads[0], vec![0, 1, 2, 3]);

@@ -14,7 +14,7 @@ use crate::exec::SpmmEngine;
 use crate::kernel::KernelInputs;
 use crate::nadp::NadpPlan;
 use crate::wofp::Prefetcher;
-use crate::workload::{range_nnz, RowSet, Workload};
+use crate::workload::{range_nnz, Workload};
 use crate::Result;
 use omega_graph::Csdb;
 use omega_hetmem::{
@@ -56,14 +56,14 @@ pub(crate) struct Group {
 
 impl Group {
     /// Whether the group has anything to run.
-    pub fn runs(&self) -> bool {
+    pub(crate) fn runs(&self) -> bool {
         !self.cols.is_empty() && !self.threads.is_empty()
     }
 
     /// The socket simulated thread `thread` of this group runs on: the
     /// group's home under NaDP's CPU binding, else the default block
     /// binding.
-    pub fn node_of(&self, thread: usize, topo: &Topology) -> NodeId {
+    pub(crate) fn node_of(&self, thread: usize, topo: &Topology) -> NodeId {
         self.home.unwrap_or_else(|| topo.node_of_thread(thread))
     }
 }
@@ -226,10 +226,7 @@ impl SpmmEngine {
                 // The counting pass streams the workload's indices.
                 let scanned = sparse_parts
                     .iter()
-                    .find(|(part, _)| match w.rows {
-                        RowSet::Range { start, .. } => part.contains(&start),
-                        _ => true,
-                    })
+                    .find(|(part, _)| part.contains(&w.rows.start))
                     .map_or(dense_home, |(_, placement)| *placement);
                 ctx.charge_block(
                     scanned,

@@ -53,7 +53,7 @@ pub enum PrefetcherKind {
 /// A built prefetcher for one workload: the membership set of dense-matrix
 /// row indices staged in DRAM, plus accounting of how it was built.
 #[derive(Debug)]
-pub struct Prefetcher {
+pub(crate) struct Prefetcher {
     kind: PrefetcherKind,
     /// Dense-row membership (index into the dense operand's rows). Kept as
     /// a direct-mapped bitmap over |V| for O(1) kernel-side tests.
@@ -69,8 +69,12 @@ pub struct Prefetcher {
 impl Prefetcher {
     /// The hybrid selection rule: frequency-based iff
     /// `W_i / Rows_i ≥ |V| · η`.
-    pub fn select_kind(cfg: &WofpConfig, workload: &Workload, total_cols: u32) -> PrefetcherKind {
-        let rows = workload.row_count().max(1) as f64;
+    pub(crate) fn select_kind(
+        cfg: &WofpConfig,
+        workload: &Workload,
+        total_cols: u32,
+    ) -> PrefetcherKind {
+        let rows = workload.rows.len().max(1) as f64;
         let avg_row_nnz = workload.nnzs as f64 / rows;
         if avg_row_nnz >= total_cols as f64 * cfg.eta {
             PrefetcherKind::Frequency
@@ -81,7 +85,7 @@ impl Prefetcher {
 
     /// Build the prefetcher for a workload. `in_degrees` are the matrix's
     /// global per-column counts (precomputed once per SpMM).
-    pub fn build(
+    pub(crate) fn build(
         cfg: &WofpConfig,
         csdb: &Csdb,
         workload: &Workload,
@@ -105,7 +109,7 @@ impl Prefetcher {
                 // Counting pass over the workload's column indices.
                 let mut freq: HashMap<u32, u64> = HashMap::new();
                 let mut scanned = 0u64;
-                for row in workload.rows.iter() {
+                for row in workload.rows.clone() {
                     let (cols, _) = csdb.row(row);
                     scanned += cols.len() as u64;
                     for &c in cols {
@@ -154,19 +158,19 @@ impl Prefetcher {
     }
 
     #[inline]
-    pub fn kind(&self) -> PrefetcherKind {
+    pub(crate) fn kind(&self) -> PrefetcherKind {
         self.kind
     }
 
     /// Number of dense rows staged (`M`, capped by distinct indices).
     #[inline]
-    pub fn entries(&self) -> usize {
+    pub(crate) fn entries(&self) -> usize {
         self.entries
     }
 
     /// Whether dense row `c` is staged in DRAM.
     #[inline]
-    pub fn contains(&self, c: u32) -> bool {
+    pub(crate) fn contains(&self, c: u32) -> bool {
         self.member[c as usize]
     }
 }
@@ -187,7 +191,7 @@ mod tests {
     fn hybrid_selection_follows_eta_rule() {
         let g = graph();
         let w = Workload::contiguous(0, &g, 0, g.rows());
-        let avg = w.nnzs as f64 / w.row_count() as f64;
+        let avg = w.nnzs as f64 / w.rows.len() as f64;
         // eta below avg/|V| -> frequency; above -> degree.
         let low = WofpConfig {
             eta: avg / g.cols() as f64 * 0.5,
@@ -223,7 +227,7 @@ mod tests {
         assert!(p.build_scan_bytes > 0);
         // The staged set contains the most frequent column of the workload.
         let mut freq = std::collections::HashMap::new();
-        for row in w.rows.iter() {
+        for row in w.rows.clone() {
             for &c in g.row(row).0 {
                 *freq.entry(c).or_insert(0u64) += 1;
             }

@@ -87,7 +87,7 @@ proptest! {
             prop_assert_eq!(ws.len(), threads);
             let nnz: u64 = ws.iter().map(|w| w.nnzs).sum();
             prop_assert_eq!(nnz, csdb.nnz() as u64);
-            let rows: usize = ws.iter().map(|w| w.row_count()).sum();
+            let rows: usize = ws.iter().map(|w| w.rows.len()).sum();
             prop_assert_eq!(rows, csdb.rows() as usize);
         }
     }
