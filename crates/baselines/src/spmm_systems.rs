@@ -12,8 +12,7 @@
 
 use crate::RunOutcome;
 use omega_graph::{Csdb, Csr};
-use omega_hetmem::ssd::SsdModel;
-use omega_hetmem::{DeviceKind, MemSystem, SimDuration, Topology};
+use omega_hetmem::{DeviceKind, MemSystem, SimDuration, SsdModel, Topology};
 use omega_linalg::DenseMatrix;
 use omega_spmm::{SpmmConfig, SpmmEngine};
 

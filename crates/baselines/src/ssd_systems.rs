@@ -7,7 +7,7 @@
 //! * **Ginex-like** (VLDB'22): GNN mini-batch training with neighbour
 //!   sampling; features are fetched per sampled node through an in-DRAM
 //!   page cache, so the SSD sees *random* 4 KiB reads whose hit rate the
-//!   actual [`omega_hetmem::ssd::PageCache`] determines (Ginex's provably
+//!   actual [`omega_hetmem::PageCache`] determines (Ginex's provably
 //!   optimal caching is approximated by LRU over the real access stream).
 //!   Sampling and feature-gather CPU work is charged per sampled node.
 //! * **MariusGNN-like** (EuroSys'23): out-of-core partition swapping;
@@ -19,8 +19,7 @@
 
 use crate::RunOutcome;
 use omega_graph::Csr;
-use omega_hetmem::ssd::{PageCache, SsdModel};
-use omega_hetmem::{DeviceKind, MemSystem, SimDuration, Topology};
+use omega_hetmem::{DeviceKind, MemSystem, PageCache, SimDuration, SsdModel, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -95,7 +95,7 @@ pub struct AccessClass {
 
 /// Number of distinct access classes (3 devices × 2 localities × 2 ops × 2
 /// patterns).
-pub const NUM_CLASSES: usize = 24;
+pub(crate) const NUM_CLASSES: usize = 24;
 
 impl AccessClass {
     #[inline]
@@ -255,11 +255,6 @@ impl BandwidthModel {
         self.classes[class.index()]
     }
 
-    /// Mutable access for model surgery in ablation studies.
-    pub fn class_mut(&mut self, class: AccessClass) -> &mut ClassBandwidth {
-        &mut self.classes[class.index()]
-    }
-
     /// Device access latency for a class, in nanoseconds.
     #[inline]
     pub fn latency_ns(&self, class: AccessClass) -> f64 {
@@ -385,8 +380,8 @@ impl BandwidthModel {
     }
 
     /// Whether this model's PM slots keep Optane's contention collapse.
-    /// `paper_machine` does; `cxl_machine` and `dram_uniform` do not — the
-    /// degradation rule consults this flag.
+    /// `paper_machine` does; `cxl_machine` does not — the degradation rule
+    /// consults this flag.
     fn pm_collapses(&self) -> bool {
         // Optane signature: PM sequential write peak far below its read.
         let w = self.class(AccessClass::new(
@@ -402,24 +397,6 @@ impl BandwidthModel {
             AccessPattern::Seq,
         ));
         w.peak_gib_s < r.peak_gib_s * 0.5
-    }
-
-    /// A DRAM-uniform model: PM classes are overwritten with the DRAM
-    /// numbers. Used to express the "DRAM-based system" latency baseline the
-    /// paper compares against.
-    pub fn dram_uniform() -> Self {
-        let mut m = Self::paper_machine();
-        for l in [Locality::Local, Locality::Remote] {
-            for o in [AccessOp::Read, AccessOp::Write] {
-                for p in [AccessPattern::Seq, AccessPattern::Rand] {
-                    let dram = AccessClass::new(DeviceKind::Dram, l, o, p);
-                    let pm = AccessClass::new(DeviceKind::Pm, l, o, p);
-                    m.classes[pm.index()] = m.classes[dram.index()];
-                    m.latency_ns[pm.index()] = m.latency_ns[dram.index()];
-                }
-            }
-        }
-        m
     }
 }
 
@@ -602,14 +579,5 @@ mod tests {
         // The Optane model still collapses.
         let opt = BandwidthModel::paper_machine();
         assert!(opt.aggregate_bandwidth(c, 30) < opt.aggregate_bandwidth(c, 8));
-    }
-
-    #[test]
-    fn dram_uniform_removes_pm_gap() {
-        let m = BandwidthModel::dram_uniform();
-        assert_eq!(
-            peak(&m, Pm, Local, Read, Seq),
-            peak(&m, Dram, Local, Read, Seq)
-        );
     }
 }

@@ -165,11 +165,6 @@ impl SimInstant {
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
-
-    #[inline]
-    pub fn elapsed_since(self, earlier: SimInstant) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl Add<SimDuration> for SimInstant {
@@ -219,8 +214,8 @@ mod tests {
     fn instants_advance() {
         let t0 = SimInstant::EPOCH;
         let t1 = t0 + SimDuration::from_nanos(7);
-        assert_eq!(t1.elapsed_since(t0).as_nanos(), 7);
-        assert_eq!(t0.elapsed_since(t1), SimDuration::ZERO);
+        assert_eq!(t1.as_nanos(), 7);
+        assert!(t0 < t1);
     }
 
     #[test]

@@ -46,19 +46,6 @@ impl DeviceKind {
         }
     }
 
-    /// Whether the device retains data across power loss.
-    #[inline]
-    pub const fn is_persistent(self) -> bool {
-        !matches!(self, DeviceKind::Dram)
-    }
-
-    /// Whether the device is on the memory bus (byte-addressable load/store)
-    /// as opposed to a block device behind a driver.
-    #[inline]
-    pub const fn is_byte_addressable(self) -> bool {
-        !matches!(self, DeviceKind::Ssd)
-    }
-
     /// Short display label used in reports.
     pub const fn label(self) -> &'static str {
         match self {
@@ -102,15 +89,6 @@ mod tests {
     fn granularity_ordering_matches_hardware() {
         assert!(DeviceKind::Dram.access_granularity() < DeviceKind::Pm.access_granularity());
         assert!(DeviceKind::Pm.access_granularity() < DeviceKind::Ssd.access_granularity());
-    }
-
-    #[test]
-    fn persistence_flags() {
-        assert!(!DeviceKind::Dram.is_persistent());
-        assert!(DeviceKind::Pm.is_persistent());
-        assert!(DeviceKind::Ssd.is_persistent());
-        assert!(DeviceKind::Pm.is_byte_addressable());
-        assert!(!DeviceKind::Ssd.is_byte_addressable());
     }
 
     #[test]

@@ -109,12 +109,6 @@ impl HetMemError {
         matches!(self, HetMemError::OutOfMemory { .. })
     }
 
-    /// Whether this error is an injected transient failure that a consumer
-    /// may retry against the same device.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, HetMemError::Transient { .. })
-    }
-
     /// Whether this error is an injected timeout, where the robust response
     /// is hedging to a replica rather than retrying.
     pub fn is_timeout(&self) -> bool {

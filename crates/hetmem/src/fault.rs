@@ -112,7 +112,7 @@ mod tests {
         assert!(ctx.take_fault().is_none());
         ctx.charge_block(pm, AccessOp::Read, AccessPattern::Seq, 64, 1);
         let err = ctx.take_fault().expect("second consult fails");
-        assert!(err.is_transient());
+        assert!(matches!(err, HetMemError::Transient { .. }));
         assert_eq!(ctx.injected_penalty(), SimDuration::from_nanos(500));
         // take_fault consumes the parked error.
         assert!(ctx.take_fault().is_none());

@@ -20,14 +20,6 @@ impl MemUsage {
     pub fn available(&self) -> u64 {
         self.capacity.saturating_sub(self.used)
     }
-
-    pub fn utilization(&self) -> f64 {
-        if self.capacity == 0 {
-            0.0
-        } else {
-            self.used as f64 / self.capacity as f64
-        }
-    }
 }
 
 #[derive(Debug, Default)]
@@ -169,18 +161,6 @@ impl MemGovernor {
             capacity: self.topology.total_capacity(device),
         }
     }
-
-    /// Machine-wide peak usage of a device kind.
-    pub fn total_peak(&self, device: DeviceKind) -> u64 {
-        self.locked().peak.iter().map(|u| u[device.index()]).sum()
-    }
-
-    /// Reset peaks (between experiment phases).
-    pub fn reset_peaks(&self) {
-        let mut usage = self.locked();
-        let snapshot = usage.used.clone();
-        usage.peak = snapshot;
-    }
 }
 
 /// RAII capacity reservation: `bytes` held at a [`Placement`] until drop —
@@ -293,17 +273,6 @@ mod tests {
         assert!(g.allocate(0, DeviceKind::Ssd, 10).is_ok());
         let err = g.allocate(1, DeviceKind::Ssd, 10).unwrap_err();
         assert!(matches!(err, HetMemError::DeviceUnavailable { .. }));
-    }
-
-    #[test]
-    fn peak_tracking_and_reset() {
-        let g = small();
-        g.allocate(0, DeviceKind::Dram, 800).unwrap();
-        g.free(0, DeviceKind::Dram, 700).unwrap();
-        assert_eq!(g.peak(0, DeviceKind::Dram), 800);
-        g.reset_peaks();
-        assert_eq!(g.peak(0, DeviceKind::Dram), 100);
-        assert_eq!(g.total_peak(DeviceKind::Dram), 100);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Placed, cost-accounted buffers: [`HetVec`] and borrowed [`HetSlice`] views.
+//! Placed, cost-accounted buffers: [`HetVec`] and its [`Placement`].
 
 use crate::bandwidth::{AccessOp, AccessPattern};
 use crate::device::DeviceKind;
@@ -64,7 +64,7 @@ impl std::fmt::Display for Placement {
 pub struct HetVec<T> {
     data: Vec<T>,
     placement: Placement,
-    _lease: Option<MemReservation>,
+    _lease: MemReservation,
 }
 
 impl<T: Copy> HetVec<T> {
@@ -81,17 +81,8 @@ impl<T: Copy> HetVec<T> {
         Ok(HetVec {
             data,
             placement,
-            _lease: Some(lease),
+            _lease: lease,
         })
-    }
-
-    /// Wrap data without capacity accounting (unit tests / scratch buffers).
-    pub fn unaccounted(placement: Placement, data: Vec<T>) -> Self {
-        HetVec {
-            data,
-            placement,
-            _lease: None,
-        }
     }
 
     #[inline]
@@ -161,33 +152,6 @@ impl<T: Copy> HetVec<T> {
         }
     }
 
-    /// Overwrite a contiguous range from `src`, charging one sequential
-    /// streamed write.
-    pub fn write_block(&mut self, start: usize, src: &[T], ctx: &mut ThreadMem) {
-        let bytes = std::mem::size_of_val(src) as u64;
-        ctx.charge_block(
-            self.placement,
-            AccessOp::Write,
-            AccessPattern::Seq,
-            bytes,
-            1,
-        );
-        self.data[start..start + src.len()].copy_from_slice(src);
-    }
-
-    /// A charged sub-slice view for kernels that partition work (NaDP).
-    pub fn slice(&self, range: Range<usize>) -> HetSlice<'_, T> {
-        HetSlice {
-            data: &self.data[range],
-            placement: self.placement,
-        }
-    }
-
-    /// Full-buffer view.
-    pub fn as_het_slice(&self) -> HetSlice<'_, T> {
-        self.slice(0..self.data.len())
-    }
-
     /// Raw data access, bypassing accounting. For initialization and result
     /// extraction only — kernel code must use the charged accessors.
     #[inline]
@@ -195,78 +159,9 @@ impl<T: Copy> HetVec<T> {
         &self.data
     }
 
-    /// Raw mutable access, bypassing accounting. See [`HetVec::raw`].
-    #[inline]
-    pub fn raw_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Consume, returning the backing vector (releases the lease).
     pub fn into_inner(self) -> Vec<T> {
         self.data
-    }
-}
-
-/// A borrowed, placed view over part of a [`HetVec`]. Carries the parent's
-/// placement so accesses are classified identically.
-#[derive(Debug, Clone, Copy)]
-pub struct HetSlice<'a, T> {
-    data: &'a [T],
-    placement: Placement,
-}
-
-impl<'a, T: Copy> HetSlice<'a, T> {
-    /// Build a view over a plain slice with an explicit placement.
-    pub fn new(data: &'a [T], placement: Placement) -> Self {
-        HetSlice { data, placement }
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    #[inline]
-    pub fn placement(&self) -> Placement {
-        self.placement
-    }
-
-    /// Read one element, charging the access.
-    #[inline]
-    pub fn get(&self, i: usize, pattern: AccessPattern, ctx: &mut ThreadMem) -> T {
-        ctx.charge_access(
-            self.placement,
-            AccessOp::Read,
-            pattern,
-            std::mem::size_of::<T>() as u64,
-        );
-        self.data[i]
-    }
-
-    /// Charged sequential read of a range as a single streamed access.
-    pub fn read_block(&self, range: Range<usize>, ctx: &mut ThreadMem) -> &'a [T] {
-        let bytes = (range.len() * std::mem::size_of::<T>()) as u64;
-        ctx.charge_block(self.placement, AccessOp::Read, AccessPattern::Seq, bytes, 1);
-        &self.data[range]
-    }
-
-    /// Uncharged raw view.
-    #[inline]
-    pub fn raw(&self) -> &'a [T] {
-        self.data
-    }
-
-    /// Sub-view.
-    pub fn slice(&self, range: Range<usize>) -> HetSlice<'a, T> {
-        HetSlice {
-            data: &self.data[range],
-            placement: self.placement,
-        }
     }
 }
 
@@ -340,7 +235,8 @@ mod tests {
 
     #[test]
     fn charged_reads_and_writes() {
-        let mut v = HetVec::unaccounted(Placement::node(1, DeviceKind::Pm), vec![1.0f64; 16]);
+        let pm1 = Placement::node(1, DeviceKind::Pm);
+        let mut v = HetVec::with_governor(system(), pm1, vec![1.0f64; 16]).unwrap();
         let mut ctx = ThreadMem::new(0, 2);
         let x = v.get(3, AccessPattern::Rand, &mut ctx);
         assert_eq!(x, 1.0);
@@ -358,25 +254,15 @@ mod tests {
 
     #[test]
     fn block_ops_stream() {
-        let mut v = HetVec::unaccounted(Placement::node(0, DeviceKind::Dram), vec![0u32; 100]);
+        let dram0 = Placement::node(0, DeviceKind::Dram);
+        let v = HetVec::with_governor(system(), dram0, (0..100u32).collect()).unwrap();
         let mut ctx = ThreadMem::new(0, 2);
-        v.write_block(10, &[7; 20], &mut ctx);
         let got = v.read_block(10..30, &mut ctx);
-        assert!(got.iter().all(|&x| x == 7));
+        assert_eq!(got, (10..30).collect::<Vec<_>>());
+        let again = v.try_read_block(30..50, &mut ctx).unwrap();
+        assert_eq!(again[0], 30);
         assert_eq!(ctx.counters().total_accesses(), 2);
         assert_eq!(ctx.counters().total_bytes(), 160);
-    }
-
-    #[test]
-    fn slices_carry_placement() {
-        let v = HetVec::unaccounted(Placement::node(1, DeviceKind::Pm), vec![5i32; 10]);
-        let s = v.slice(2..8);
-        assert_eq!(s.len(), 6);
-        assert_eq!(s.placement(), v.placement());
-        let mut ctx = ThreadMem::new(1, 2);
-        assert_eq!(s.get(0, AccessPattern::Seq, &mut ctx), 5);
-        let s2 = s.slice(1..3);
-        assert_eq!(s2.len(), 2);
     }
 
     #[test]

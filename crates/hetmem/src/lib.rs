@@ -54,20 +54,21 @@
 //! assert!(cost.as_nanos() > 0);
 //! ```
 
-pub mod bandwidth;
-pub mod clock;
-pub mod device;
-pub mod error;
-pub mod fault;
-pub mod governor;
-pub mod hetvec;
-pub mod net;
-pub mod policy;
-pub mod ssd;
-pub mod stats;
-pub mod system;
-pub mod topology;
-pub mod tracker;
+#![warn(unreachable_pub)]
+
+mod bandwidth;
+mod clock;
+mod device;
+mod error;
+mod fault;
+mod governor;
+mod hetvec;
+mod net;
+mod ssd;
+mod stats;
+mod system;
+mod topology;
+mod tracker;
 
 pub use bandwidth::{AccessClass, AccessOp, AccessPattern, BandwidthModel, Locality};
 pub use clock::{SimDuration, SimInstant};
@@ -75,10 +76,9 @@ pub use device::DeviceKind;
 pub use error::HetMemError;
 pub use fault::{FaultAccess, FaultHook, FaultVerdict};
 pub use governor::{MemGovernor, MemReservation, MemUsage};
-pub use hetvec::{HetSlice, HetVec, Placement};
+pub use hetvec::{HetVec, Placement};
 pub use net::{Cluster, NetModel};
-pub use policy::PlacementPolicy;
-pub use ssd::SsdModel;
+pub use ssd::{PageCache, SsdModel};
 pub use stats::AccessSummary;
 pub use system::MemSystem;
 pub use topology::{NodeId, Topology};

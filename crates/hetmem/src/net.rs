@@ -6,7 +6,7 @@
 //! end-to-end times are dominated by traffic volume (gradient synchronisation
 //! for DistDGL, walk/message exchange for DistGER) over a datacenter
 //! network. This module models that: machines with private memory connected
-//! by a bandwidth/latency link, with collective-communication helpers. The
+//! by a bandwidth/latency link, with an all-reduce helper. The
 //! same link model charges the request plane's front-to-replica RPC hops,
 //! so serving and training traffic share one set of network parameters.
 
@@ -90,27 +90,6 @@ impl Cluster {
         let wire_bytes = 2 * bytes * (p - 1) / p;
         self.network.transfer_time(wire_bytes, 2 * (p - 1))
     }
-
-    /// Time for an all-to-all exchange of `bytes` total leaving each machine.
-    pub fn alltoall_time(&self, bytes_per_machine: u64) -> SimDuration {
-        let p = self.machines as u64;
-        if p <= 1 {
-            return SimDuration::ZERO;
-        }
-        // Each machine sends (p-1)/p of its data over its NIC.
-        let wire = bytes_per_machine * (p - 1) / p;
-        self.network.transfer_time(wire, p - 1)
-    }
-
-    /// Time to broadcast `bytes` from one machine to all others (tree).
-    pub fn broadcast_time(&self, bytes: u64) -> SimDuration {
-        let p = self.machines as u64;
-        if p <= 1 {
-            return SimDuration::ZERO;
-        }
-        let rounds = (usize::BITS - (self.machines - 1).leading_zeros()) as u64;
-        self.network.transfer_time(bytes * rounds, rounds)
-    }
 }
 
 #[cfg(test)]
@@ -135,16 +114,6 @@ mod tests {
         assert_eq!(t, expect);
         let single = Cluster { machines: 1, ..c };
         assert_eq!(single.allreduce_time(1 << 20), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn alltoall_and_broadcast() {
-        let c = Cluster::paper_cluster_scaled(1 << 30);
-        assert!(c.alltoall_time(1 << 20).as_nanos() > 0);
-        // 4 machines -> 2 broadcast rounds.
-        let b = c.broadcast_time(1 << 20);
-        let expect = c.network.transfer_time(2 << 20, 2);
-        assert_eq!(b, expect);
     }
 
     #[test]

@@ -44,12 +44,6 @@ impl SsdModel {
         bytes.div_ceil(self.page_size)
     }
 
-    /// Page index holding byte offset `off`.
-    #[inline]
-    pub fn page_of(&self, off: u64) -> u64 {
-        off / self.page_size
-    }
-
     /// Charge a sequential streamed read of `bytes` from SSD.
     pub fn charge_seq_read(&self, bytes: u64, ctx: &mut ThreadMem) {
         let pages = self.pages_for(bytes);
@@ -108,10 +102,6 @@ impl PageCache {
             hits: 0,
             misses: 0,
         }
-    }
-
-    pub fn capacity_pages(&self) -> usize {
-        self.capacity_pages
     }
 
     pub fn len(&self) -> usize {
@@ -195,8 +185,6 @@ mod tests {
         assert_eq!(ssd.pages_for(1), 1);
         assert_eq!(ssd.pages_for(4096), 1);
         assert_eq!(ssd.pages_for(4097), 2);
-        assert_eq!(ssd.page_of(4095), 0);
-        assert_eq!(ssd.page_of(4096), 1);
     }
 
     #[test]

@@ -30,7 +30,7 @@ impl MemSystem {
         Self::with_model(topology, BandwidthModel::paper_machine())
     }
 
-    /// Build with an explicit cost model (ablations, DRAM-uniform baselines).
+    /// Build with an explicit cost model (ablations, the CXL model).
     pub fn with_model(topology: Topology, model: BandwidthModel) -> Self {
         MemSystem {
             governor: Arc::new(MemGovernor::new(topology)),

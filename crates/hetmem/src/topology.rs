@@ -99,12 +99,6 @@ impl Topology {
         self.cores_per_socket
     }
 
-    /// Total physical cores in the machine.
-    #[inline]
-    pub fn total_cores(&self) -> usize {
-        self.sockets * self.cores_per_socket
-    }
-
     /// Capacity of a device on a node, in bytes.
     pub fn capacity(&self, node: NodeId, device: DeviceKind) -> u64 {
         if node >= self.sockets {
@@ -175,7 +169,7 @@ mod tests {
         let t = Topology::paper_machine();
         const GIB: u64 = 1 << 30;
         assert_eq!(t.nodes(), 2);
-        assert_eq!(t.total_cores(), 36);
+        assert_eq!(t.cores_per_socket(), 18);
         assert_eq!(t.capacity(0, DeviceKind::Dram), 96 * GIB);
         assert_eq!(t.capacity(1, DeviceKind::Pm), 768 * GIB);
         assert_eq!(t.total_capacity(DeviceKind::Dram), 192 * GIB);

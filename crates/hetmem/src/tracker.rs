@@ -287,11 +287,6 @@ impl ThreadMem {
         self.node
     }
 
-    /// Rebind the context to another node (used by NaDP phase changes).
-    pub fn set_node(&mut self, node: NodeId) {
-        self.node = node;
-    }
-
     /// Accumulated counters.
     #[inline]
     pub fn counters(&self) -> &ClassCounters {
@@ -363,63 +358,6 @@ impl ThreadMem {
                 placement.home_node(),
                 op,
                 pattern,
-                bytes,
-                accesses,
-            );
-        }
-    }
-
-    /// Charge random accesses with an explicit count of *distinct media
-    /// units* touched. Dense workloads with long rows revisit the same
-    /// 64 B line / 256 B XPLine many times within one column pass; the
-    /// caller computes the expected distinct-unit count (spatial locality)
-    /// and the media traffic is billed per unit instead of per access —
-    /// the physical mechanism behind the paper's scatter factor `W_sca`.
-    #[inline]
-    pub fn charge_rand_distinct(
-        &mut self,
-        placement: Placement,
-        op: AccessOp,
-        bytes: u64,
-        accesses: u64,
-        distinct_units: u64,
-    ) {
-        match placement {
-            Placement::Node { node, device } => {
-                let locality = if node == self.node {
-                    Locality::Local
-                } else {
-                    Locality::Remote
-                };
-                self.counters.charge(
-                    AccessClass::new(device, locality, op, AccessPattern::Rand),
-                    bytes,
-                    distinct_units * device.access_granularity(),
-                    accesses,
-                );
-            }
-            Placement::Interleaved { device } => {
-                let n = self.sockets as u64;
-                self.counters.charge(
-                    AccessClass::new(device, Locality::Local, op, AccessPattern::Rand),
-                    bytes / n,
-                    distinct_units / n * device.access_granularity(),
-                    accesses / n,
-                );
-                self.counters.charge(
-                    AccessClass::new(device, Locality::Remote, op, AccessPattern::Rand),
-                    bytes - bytes / n,
-                    (distinct_units - distinct_units / n) * device.access_granularity(),
-                    accesses - accesses / n,
-                );
-            }
-        }
-        if self.hook.is_some() {
-            self.consult(
-                placement.device(),
-                placement.home_node(),
-                op,
-                AccessPattern::Rand,
                 bytes,
                 accesses,
             );
@@ -586,50 +524,6 @@ mod tests {
         let taken = ctx.take_counters();
         assert_eq!(taken.cpu_ops(), 3);
         assert_eq!(ctx.counters().cpu_ops(), 0);
-    }
-
-    #[test]
-    fn rand_distinct_bills_units_not_accesses() {
-        let mut ctx = ThreadMem::new(0, 2);
-        // 1000 accesses but only 5 distinct 256 B XPLines touched.
-        ctx.charge_rand_distinct(pm_on(0), AccessOp::Read, 4000, 1000, 5);
-        let c = ctx.counters().get(AccessClass::new(
-            DeviceKind::Pm,
-            Locality::Local,
-            AccessOp::Read,
-            AccessPattern::Rand,
-        ));
-        assert_eq!(c.bytes, 4000);
-        assert_eq!(c.accesses, 1000);
-        assert_eq!(c.media_bytes, 5 * 256);
-    }
-
-    #[test]
-    fn rand_distinct_interleaved_splits() {
-        let mut ctx = ThreadMem::new(0, 2);
-        ctx.charge_rand_distinct(
-            Placement::interleaved(DeviceKind::Pm),
-            AccessOp::Read,
-            800,
-            100,
-            10,
-        );
-        let counters = ctx.counters();
-        assert_eq!(counters.total_bytes(), 800);
-        assert_eq!(counters.total_accesses(), 100);
-        let local = counters.get(AccessClass::new(
-            DeviceKind::Pm,
-            Locality::Local,
-            AccessOp::Read,
-            AccessPattern::Rand,
-        ));
-        let remote = counters.get(AccessClass::new(
-            DeviceKind::Pm,
-            Locality::Remote,
-            AccessOp::Read,
-            AccessPattern::Rand,
-        ));
-        assert_eq!(local.media_bytes + remote.media_bytes, 10 * 256);
     }
 
     #[test]

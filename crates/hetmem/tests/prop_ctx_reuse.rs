@@ -13,11 +13,9 @@
 //! once reset, is observationally indistinguishable from a fresh one no
 //! matter which worker ran which task in which pool call.
 
-use omega_hetmem::clock::SimDuration;
-use omega_hetmem::fault::{FaultAccess, FaultHook, FaultVerdict};
 use omega_hetmem::{
-    AccessOp, AccessPattern, ClassCounters, DeviceKind, HetMemError, MemSystem, Placement,
-    ThreadMem, Topology,
+    AccessOp, AccessPattern, ClassCounters, DeviceKind, FaultAccess, FaultHook, FaultVerdict,
+    HetMemError, MemSystem, Placement, SimDuration, ThreadMem, Topology,
 };
 use omega_par::DispatchPolicy;
 use proptest::prelude::*;
