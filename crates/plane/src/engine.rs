@@ -325,7 +325,6 @@ struct Queued {
 struct CostEst {
     get_ns: u64,
     topk_ns: u64,
-    any_ns: u64,
 }
 
 impl CostEst {
@@ -333,7 +332,6 @@ impl CostEst {
         CostEst {
             get_ns: EST_GET_PRIOR_NS,
             topk_ns: EST_TOPK_PRIOR_NS,
-            any_ns: (EST_GET_PRIOR_NS + EST_TOPK_PRIOR_NS) / 2,
         }
     }
 
@@ -539,7 +537,6 @@ impl ReplicaLane<'_> {
                     RequestKind::Get => CostEst::update(&mut self.est.get_ns, service),
                     RequestKind::TopK { .. } => CostEst::update(&mut self.est.topk_ns, service),
                 }
-                CostEst::update(&mut self.est.any_ns, service);
 
                 self.events.push(LaneEvent {
                     event_ns: completion,
