@@ -9,7 +9,6 @@
 
 use crate::RunOutcome;
 use omega_embed::prone::{Prone, ProneConfig};
-use omega_embed::EmbedError;
 use omega_graph::read_cost::GraphFormat;
 use omega_graph::Csr;
 use omega_hetmem::{MemSystem, Topology};
@@ -82,17 +81,6 @@ impl ProneBaseline {
             Ok((_, report)) => RunOutcome::Completed(report.total()),
             Err(e) if e.is_oom() => RunOutcome::OutOfMemory,
             Err(other) => panic!("unexpected baseline failure: {other}"),
-        }
-    }
-
-    /// Like [`ProneBaseline::run`] but surfacing the error for tests.
-    pub fn try_run(&self, adj: &Csr) -> Result<RunOutcome, EmbedError> {
-        let sys = MemSystem::new(self.topology.clone());
-        let engine = SpmmEngine::new(sys, self.spmm).map_err(EmbedError::Spmm)?;
-        match Prone::new(engine, self.prone).embed(adj) {
-            Ok((_, report)) => Ok(RunOutcome::Completed(report.total())),
-            Err(e) if e.is_oom() => Ok(RunOutcome::OutOfMemory),
-            Err(other) => Err(other),
         }
     }
 }

@@ -7,19 +7,21 @@ use omega_graph::{Csdb, Dataset};
 use omega_hetmem::MemSystem;
 use omega_linalg::gaussian_matrix;
 use omega_obs::export::json_line;
+use omega_obs::json::object;
 use omega_spmm::{SpmmConfig, SpmmEngine};
-use serde::Serialize;
+use serde::Value;
 
 /// One machine-readable throughput measurement (a row of panel a or b).
-#[derive(Serialize)]
-struct Row {
-    panel: String,
-    graph: String,
-    threads: u64,
-    omega_mnnz_s: f64,
-    no_nadp_mnnz_s: f64,
-    gain: f64,
-    wofp_hit_rate: f64,
+fn row(panel: &str, d: Dataset, threads: usize, with: f64, without: f64, hit_rate: f64) -> Value {
+    object([
+        ("panel", Value::Str(panel.to_string())),
+        ("graph", Value::Str(d.label().to_string())),
+        ("threads", Value::U64(threads as u64)),
+        ("omega_mnnz_s", Value::F64(with)),
+        ("no_nadp_mnnz_s", Value::F64(without)),
+        ("gain", Value::F64(with / without)),
+        ("wofp_hit_rate", Value::F64(hit_rate)),
+    ])
 }
 
 /// Throughput plus the run's aggregate WoFP hit rate (Fig. 14 companion).
@@ -40,15 +42,7 @@ fn main() {
         let b = gaussian_matrix(g.rows() as usize, DIM, 16);
         let (with, hit_rate) = throughput(SpmmConfig::omega(THREADS), &csdb, &b);
         let (without, _) = throughput(SpmmConfig::omega(THREADS).with_nadp(false), &csdb, &b);
-        jsonl.push_str(&json_line(&Row {
-            panel: "a".to_string(),
-            graph: d.label().to_string(),
-            threads: THREADS as u64,
-            omega_mnnz_s: with,
-            no_nadp_mnnz_s: without,
-            gain: with / without,
-            wofp_hit_rate: hit_rate,
-        }));
+        jsonl.push_str(&json_line(&row("a", d, THREADS, with, without, hit_rate)));
         rows.push(vec![
             d.label().to_string(),
             format!("{with:.1}"),
@@ -70,15 +64,14 @@ fn main() {
     for threads in [1usize, 2, 4, 8, 12, 18, 24, 30, 36] {
         let (with, hit_rate) = throughput(SpmmConfig::omega(threads), &csdb, &b);
         let (without, _) = throughput(SpmmConfig::omega(threads).with_nadp(false), &csdb, &b);
-        jsonl.push_str(&json_line(&Row {
-            panel: "b".to_string(),
-            graph: Dataset::Lj.label().to_string(),
-            threads: threads as u64,
-            omega_mnnz_s: with,
-            no_nadp_mnnz_s: without,
-            gain: with / without,
-            wofp_hit_rate: hit_rate,
-        }));
+        jsonl.push_str(&json_line(&row(
+            "b",
+            Dataset::Lj,
+            threads,
+            with,
+            without,
+            hit_rate,
+        )));
         rows.push(vec![
             threads.to_string(),
             format!("{with:.1}"),

@@ -36,7 +36,7 @@ pub mod report;
 pub mod system;
 
 pub use config::{OmegaConfig, SystemVariant};
-pub use report::{OmegaRun, RunMetrics};
+pub use report::OmegaRun;
 pub use system::Omega;
 
 // Re-export the building blocks a downstream user needs.

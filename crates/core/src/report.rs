@@ -3,7 +3,6 @@
 use omega_embed::prone::ProneReport;
 use omega_embed::Embedding;
 use omega_hetmem::{AccessSummary, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// The result of one end-to-end OMeGa run.
 #[derive(Debug)]
@@ -19,43 +18,11 @@ pub struct OmegaRun {
     pub traffic: AccessSummary,
 }
 
-/// Machine-readable snapshot of one run: simulated timings plus the traffic
-/// summary, serializable for JSONL results files.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RunMetrics {
-    pub variant: String,
-    pub nodes: u64,
-    pub dim: u64,
-    pub total_time_s: f64,
-    pub read_time_s: f64,
-    pub factorization_time_s: f64,
-    pub propagation_time_s: f64,
-    pub spmm_time_s: f64,
-    pub spmm_count: u64,
-    pub traffic: AccessSummary,
-}
-
 impl OmegaRun {
     /// End-to-end simulated time (graph reading + embedding generation), the
     /// quantity Fig. 12 plots.
     pub fn total_time(&self) -> SimDuration {
         self.report.total()
-    }
-
-    /// Machine-readable metrics snapshot of this run.
-    pub fn metrics(&self) -> RunMetrics {
-        RunMetrics {
-            variant: self.variant.to_string(),
-            nodes: self.embedding.nodes() as u64,
-            dim: self.embedding.dim() as u64,
-            total_time_s: self.report.total().as_secs_f64(),
-            read_time_s: self.report.read_time.as_secs_f64(),
-            factorization_time_s: self.report.factorization_time.as_secs_f64(),
-            propagation_time_s: self.report.propagation_time.as_secs_f64(),
-            spmm_time_s: self.report.spmm_time.as_secs_f64(),
-            spmm_count: self.report.spmm_count as u64,
-            traffic: self.traffic.clone(),
-        }
     }
 
     /// One-line human summary.
@@ -116,17 +83,6 @@ mod tests {
         let s = run.summary();
         assert!(s.contains("OMeGa"));
         assert!(s.contains("7 calls"));
-    }
-
-    #[test]
-    fn metrics_snapshot_serde_round_trips() {
-        let m = sample_run().metrics();
-        assert_eq!(m.spmm_count, 7);
-        assert!((m.total_time_s - 0.006).abs() < 1e-12);
-        let back = RunMetrics::from_value(&serde::to_value(&m)).unwrap();
-        assert_eq!(back.variant, m.variant);
-        assert_eq!(back.traffic.total_bytes, m.traffic.total_bytes);
-        assert_eq!(back.spmm_count, m.spmm_count);
     }
 
     #[test]

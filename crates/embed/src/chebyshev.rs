@@ -44,7 +44,7 @@ impl Default for ChebyshevConfig {
 
 /// Outcome of one propagation pass.
 #[derive(Debug)]
-pub struct ChebyshevResult {
+pub(crate) struct ChebyshevResult {
     /// Smoothed embedding, rows in the *original* node order.
     pub embedding: DenseMatrix,
     pub spmm_time: SimDuration,
@@ -53,7 +53,7 @@ pub struct ChebyshevResult {
 }
 
 impl ChebyshevResult {
-    pub fn total_time(&self) -> SimDuration {
+    pub(crate) fn total_time(&self) -> SimDuration {
         self.spmm_time + self.dense_time
     }
 }
@@ -85,7 +85,7 @@ pub fn bessel_iv(order: usize, x: f64) -> f64 {
 /// Bessel-weighted terms alternate sign, the filtered signal is multiplied
 /// by the self-looped adjacency, and a final dense SVD re-orthogonalises
 /// and L2-normalises the embedding.
-pub fn propagate(
+pub(crate) fn propagate(
     engine: &SpmmEngine,
     adj: &Csr,
     x_original: &DenseMatrix,
@@ -205,7 +205,7 @@ fn dense_embedding(mm: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
 
 /// Reorder a dense matrix's rows from original order into a CSDB's
 /// permuted space.
-pub fn permute_matrix(csdb: &Csdb, m: &DenseMatrix) -> DenseMatrix {
+pub(crate) fn permute_matrix(csdb: &Csdb, m: &DenseMatrix) -> DenseMatrix {
     assert_eq!(m.rows(), csdb.perm().len(), "one row per node");
     let mut out = DenseMatrix::zeros(m.rows(), m.cols());
     for c in 0..m.cols() {
@@ -219,7 +219,7 @@ pub fn permute_matrix(csdb: &Csdb, m: &DenseMatrix) -> DenseMatrix {
 
 /// Reorder a dense matrix's rows from a CSDB's permuted space back to the
 /// original order.
-pub fn unpermute_matrix(csdb: &Csdb, m: &DenseMatrix) -> DenseMatrix {
+pub(crate) fn unpermute_matrix(csdb: &Csdb, m: &DenseMatrix) -> DenseMatrix {
     assert_eq!(m.rows(), csdb.perm().len(), "one row per node");
     let mut out = DenseMatrix::zeros(m.rows(), m.cols());
     for c in 0..m.cols() {

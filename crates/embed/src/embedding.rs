@@ -3,7 +3,6 @@
 //! exchange).
 
 use omega_linalg::{kernels, DenseMatrix};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -12,7 +11,7 @@ use std::collections::BinaryHeap;
 const TOPK_BLOCK_ROWS: usize = 256;
 
 /// Similarity metric used to score a query vector against node vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Raw dot product (the link-prediction score).
     Dot,

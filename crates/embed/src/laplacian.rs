@@ -72,19 +72,8 @@ pub fn normalized_adjacency(adj: &Csr) -> Csr {
     g
 }
 
-/// The modulated Laplacian operator ProNE's Chebyshev filter expands:
-/// `M̂ = L − μI = (I − G) − μI = (1−μ)·I − G`.
-pub fn modulated_laplacian(adj: &Csr, mu: f32) -> Result<Csr> {
-    let g = normalized_adjacency(adj);
-    let diag: Vec<(u32, u32, f32)> = (0..adj.rows()).map(|r| (r, r, 1.0 - mu)).collect();
-    let eye = Csr::from_triples(adj.rows(), adj.cols(), diag)?;
-    let mut neg_g = g;
-    neg_g.scale(-1.0);
-    Ok(eye.add(&neg_g)?)
-}
-
 /// Convert an operator to CSDB for the OMeGa engine.
-pub fn to_csdb(m: &Csr) -> Result<Csdb> {
+pub(crate) fn to_csdb(m: &Csr) -> Result<Csdb> {
     Ok(Csdb::from_csr(m)?)
 }
 
@@ -159,24 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn modulated_laplacian_has_diagonal() {
-        let m = modulated_laplacian(&triangle_plus_leaf(), 0.2).unwrap();
-        for r in 0..m.rows() {
-            let (cols, vals) = m.row(r);
-            let diag = vals[cols.iter().position(|&c| c == r).unwrap()];
-            assert!((diag - 0.8).abs() < 1e-6);
-        }
-        // Off-diagonal entries are the negated normalised adjacency.
-        let g = normalized_adjacency(&triangle_plus_leaf());
-        let (cols, vals) = m.row(0);
-        let (gc, gv) = g.row(0);
-        for (&c, &v) in gc.iter().zip(gv) {
-            let at = cols.iter().position(|&x| x == c).unwrap();
-            assert!((vals[at] + v).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn zero_degree_rows_stay_zero() {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1, 1.0).unwrap();
@@ -210,7 +181,7 @@ mod tests {
 
     #[test]
     fn csdb_conversion() {
-        let m = modulated_laplacian(&triangle_plus_leaf(), 0.2).unwrap();
+        let m = modulated_rw_laplacian(&triangle_plus_leaf(), 0.2).unwrap();
         let csdb = to_csdb(&m).unwrap();
         assert_eq!(csdb.nnz(), m.nnz());
     }

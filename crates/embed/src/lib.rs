@@ -4,7 +4,7 @@
 //! the fastest matrix-factorisation embedding method, whose runtime is ~70 %
 //! SpMM. This crate re-implements it from scratch:
 //!
-//! 1. **Sparse matrix factorisation** ([`tsvd`]): a randomized truncated
+//! 1. **Sparse matrix factorisation** (`tsvd`): a randomized truncated
 //!    SVD (Halko et al.) of the log-transformed transition matrix yields the
 //!    initial embedding;
 //! 2. **Spectral propagation** ([`chebyshev`]): a Chebyshev expansion of a
@@ -14,12 +14,14 @@
 //! pipeline is costed on the simulated heterogeneous memory system, and the
 //! per-phase simulated times aggregate into a [`prone::ProneReport`].
 
+#![warn(unreachable_pub)]
+
 pub mod chebyshev;
-pub mod embedding;
+mod embedding;
 pub mod eval;
 pub mod laplacian;
 pub mod prone;
-pub mod tsvd;
+mod tsvd;
 
 pub use embedding::{Embedding, Metric, TopK};
 pub use prone::{Prone, ProneConfig, ProneReport};

@@ -10,7 +10,6 @@ use omega_graph::Csr;
 use omega_hetmem::SimDuration;
 use omega_obs::Track;
 use omega_spmm::SpmmEngine;
-use serde::{Deserialize, Serialize};
 
 /// ProNE hyper-parameters (defaults follow the reference implementation).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,7 +52,7 @@ impl Default for ProneConfig {
 }
 
 /// Simulated-time breakdown of one embedding run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProneReport {
     /// Graph reading procedure (edge list → CSDB), included in end-to-end
     /// times as in Fig. 12.

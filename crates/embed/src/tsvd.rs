@@ -14,7 +14,7 @@ use omega_spmm::SpmmEngine;
 
 /// Randomized t-SVD parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TsvdConfig {
+pub(crate) struct TsvdConfig {
     /// Target rank (the embedding dimension `d`).
     pub rank: usize,
     /// Oversampling columns (Halko recommends 5–20).
@@ -43,11 +43,12 @@ impl Default for TsvdConfig {
 
 /// Outcome of the randomized factorisation.
 #[derive(Debug)]
-pub struct TsvdResult {
+pub(crate) struct TsvdResult {
     /// `U · diag(√σ)` truncated to `rank` — ProNE's initial embedding, rows
     /// in the CSDB's permuted space.
     pub embedding: DenseMatrix,
-    /// Leading singular values, descending.
+    /// Leading singular values, descending. Only the tests read them.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub singular_values: Vec<f32>,
     /// Simulated time spent in SpMM.
     pub spmm_time: SimDuration,
@@ -58,7 +59,7 @@ pub struct TsvdResult {
 }
 
 impl TsvdResult {
-    pub fn total_time(&self) -> SimDuration {
+    pub(crate) fn total_time(&self) -> SimDuration {
         self.spmm_time + self.dense_time
     }
 }
@@ -75,7 +76,12 @@ pub(crate) struct SpmmMeter {
 
 impl SpmmMeter {
     /// `a·b` on the engine, its makespan added to the stage's SpMM time.
-    pub fn spmm(&mut self, engine: &SpmmEngine, a: &Csdb, b: &DenseMatrix) -> Result<DenseMatrix> {
+    pub(crate) fn spmm(
+        &mut self,
+        engine: &SpmmEngine,
+        a: &Csdb,
+        b: &DenseMatrix,
+    ) -> Result<DenseMatrix> {
         let out = engine.spmm(a, b)?;
         self.spmm_time += out.makespan;
         self.spmm_count += 1;
@@ -84,7 +90,7 @@ impl SpmmMeter {
 
     /// Charge `flops` of dense CPU work, spread analytically over the
     /// engine's simulated threads.
-    pub fn dense(&mut self, engine: &SpmmEngine, flops: u64) {
+    pub(crate) fn dense(&mut self, engine: &SpmmEngine, flops: u64) {
         let threads = engine.config().threads.max(1) as f64;
         let rate = engine.system().model().cpu_ops_per_sec * threads;
         self.dense_time += SimDuration::from_secs_f64(flops as f64 / rate);
@@ -97,7 +103,7 @@ impl SpmmMeter {
 /// `mt` must be the transpose of `m` in the *same* permuted id space (for
 /// the symmetric-structure matrices ProNE uses, [`Csdb::transpose`]
 /// preserves the permutation).
-pub fn randomized_tsvd(
+pub(crate) fn randomized_tsvd(
     engine: &SpmmEngine,
     m: &Csdb,
     mt: &Csdb,

@@ -40,7 +40,6 @@ use omega_hetmem::{
     AccessOp, BandwidthModel, DeviceKind, FaultAccess, FaultHook, FaultVerdict, HetMemError,
     MemSystem, NodeId, Placement, SimDuration, ThreadMem,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Open-ended window end.
@@ -49,7 +48,7 @@ const FOREVER: u64 = u64::MAX;
 /// One declarative misbehaviour. Probabilistic rules (`rate`) draw an
 /// independent deterministic sample per consult; window rules compare the
 /// consulting context's simulated clock against `[from_ns, until_ns)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultRule {
     /// Transient read failures on a device (optionally one node's).
     Transient {
@@ -103,7 +102,7 @@ pub enum FaultRule {
 /// A seed plus rules: the portable, serialisable description of a chaos
 /// scenario. Compile with [`FaultPlan::new`] (or install directly via
 /// [`install_plan`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlanSpec {
     pub seed: u64,
     pub rules: Vec<FaultRule>,
@@ -632,29 +631,6 @@ impl FaultHook for FaultPlan {
 pub fn install_plan(sys: &MemSystem, spec: FaultPlanSpec) -> MemSystem {
     let plan = FaultPlan::new(spec, sys.model().clone());
     sys.clone().with_fault_hook(Arc::new(plan))
-}
-
-/// A seeded access-pattern independent sample of whether a coordinator-level
-/// work chunk fails: used by the SpMM executor's degraded mode, which
-/// consults the plan once per (batch, workload) chunk rather than per
-/// access. Kept here so the schedule derives from the same plan seed.
-pub fn chunk_fails(
-    plan: &FaultPlan,
-    rate_rule_device: DeviceKind,
-    batch: usize,
-    chunk: usize,
-) -> bool {
-    for (i, rule) in plan.spec().rules.iter().enumerate() {
-        if let FaultRule::Transient { device, rate, .. } = rule {
-            if *device == rate_rule_device {
-                let seq = (batch as u64) << 32 | chunk as u64;
-                if plan.draw(i, seq, 0) < *rate {
-                    return true;
-                }
-            }
-        }
-    }
-    false
 }
 
 #[cfg(test)]

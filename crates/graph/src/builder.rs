@@ -66,11 +66,6 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Number of raw (pre-clean) edges added.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Build the symmetric CSR adjacency matrix.
     pub fn build_csr(self) -> Result<Csr> {
         let n = self.nodes as usize;

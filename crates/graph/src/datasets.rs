@@ -13,10 +13,9 @@
 use crate::csr::Csr;
 use crate::rmat::RmatConfig;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// The six graphs of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// soc-Pokec.
     Pk,
@@ -33,7 +32,7 @@ pub enum Dataset {
 }
 
 /// Table I row: the original graph's published statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatasetStats {
     pub name: &'static str,
     pub nodes: u64,

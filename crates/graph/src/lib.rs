@@ -6,8 +6,8 @@
 //! * [`builder`] — undirected graph construction (dedup, self-loop removal);
 //! * [`csr`] — the standard Compressed Sparse Row baseline format;
 //! * [`csdb`] — the paper's Compressed Sparse Degree-Block format (§III-A)
-//!   with `Deg_list`/`Deg_ind` indices and matrix operators;
-//! * [`convert`] — CSR ↔ CSDB conversions with the degree permutation;
+//!   with `Deg_list`/`Deg_ind` indices, matrix operators and the CSR ↔ CSDB
+//!   conversions (`Csdb::from_csr`, `Csdb::to_csr_original`);
 //! * [`rmat`] — the seeded recursive-matrix generator used for the
 //!   scalability study (Fig. 17(b));
 //! * [`datasets`] — scaled-down synthetic twins of the paper's six
@@ -19,7 +19,6 @@
 
 pub mod algo;
 pub mod builder;
-pub mod convert;
 pub mod csdb;
 pub mod csr;
 pub mod datasets;

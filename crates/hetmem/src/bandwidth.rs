@@ -9,11 +9,10 @@
 use crate::clock::SimDuration;
 use crate::device::DeviceKind;
 use crate::tracker::ClassCounters;
-use serde::{Deserialize, Serialize};
 
 /// Whether an access stream is sequential (stride-1 over the buffer) or
 /// random (data-dependent indices, as in `get_dense_nnz` of Algorithm 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessPattern {
     Seq,
     Rand,
@@ -37,7 +36,7 @@ impl AccessPattern {
 }
 
 /// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessOp {
     Read,
     Write,
@@ -61,7 +60,7 @@ impl AccessOp {
 }
 
 /// Whether the accessed memory is on the accessing thread's socket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Locality {
     Local,
     Remote,
@@ -85,7 +84,7 @@ impl Locality {
 }
 
 /// A fully-classified memory access stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AccessClass {
     pub device: DeviceKind,
     pub locality: Locality,
@@ -164,7 +163,7 @@ impl std::fmt::Display for AccessClass {
 }
 
 /// Per-class bandwidth parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassBandwidth {
     /// Peak aggregate bandwidth in GiB/s once saturated.
     pub peak_gib_s: f64,
@@ -175,7 +174,7 @@ pub struct ClassBandwidth {
 
 /// The full cost model: per-class bandwidth table, per-class latency, and a
 /// scalar CPU throughput for the arithmetic term of Eq. 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthModel {
     classes: [ClassBandwidth; NUM_CLASSES],
     latency_ns: [f64; NUM_CLASSES],

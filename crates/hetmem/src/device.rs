@@ -1,13 +1,11 @@
 //! Memory device kinds and their physical media characteristics.
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of memory device backing an allocation.
 ///
 /// The simulated machine mirrors the paper's testbed (§IV-A): each socket
 /// holds DRAM DIMMs and Optane DC PM DIMMs, and the machine also has an NVMe
 /// SSD used by the out-of-core baselines (Ginex, MariusGNN, SEM-SpMM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DeviceKind {
     /// DDR4 DRAM: fast, low capacity, expensive.
     Dram,

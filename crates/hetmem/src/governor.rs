@@ -6,11 +6,10 @@ use crate::error::HetMemError;
 use crate::hetvec::Placement;
 use crate::topology::{NodeId, Topology};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A snapshot of usage for one (node, device) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemUsage {
     pub used: u64,
     pub capacity: u64,

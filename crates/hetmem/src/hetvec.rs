@@ -5,12 +5,11 @@ use crate::device::DeviceKind;
 use crate::governor::{MemGovernor, MemReservation};
 use crate::topology::NodeId;
 use crate::tracker::ThreadMem;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Where a buffer physically lives in the simulated machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// Entirely on one device of one NUMA node (app-directed placement).
     Node { node: NodeId, device: DeviceKind },

@@ -11,12 +11,11 @@
 //! so serving and training traffic share one set of network parameters.
 
 use crate::clock::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A full-duplex network link between cluster machines — the one shared
 /// latency/bandwidth parameter set for every simulated network in the
 /// workspace (distributed baselines and the serving request plane alike).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetModel {
     /// Per-machine NIC bandwidth in GiB/s (10 GbE ≈ 1.16, 25 GbE ≈ 2.9).
     pub bandwidth_gib_s: f64,
@@ -56,7 +55,7 @@ impl NetModel {
 }
 
 /// A cluster of identical machines for the distributed baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cluster {
     pub machines: usize,
     /// DRAM per machine, bytes.

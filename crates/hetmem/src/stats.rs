@@ -4,10 +4,9 @@
 use crate::bandwidth::{AccessClass, AccessOp, AccessPattern, Locality};
 use crate::device::DeviceKind;
 use crate::tracker::ClassCounters;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated view of a phase's memory traffic.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccessSummary {
     pub total_bytes: u64,
     pub total_accesses: u64,
@@ -24,7 +23,7 @@ pub struct AccessSummary {
 }
 
 /// One non-empty class in the summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClassRow {
     pub label: String,
     pub bytes: u64,
@@ -151,45 +150,6 @@ mod tests {
         assert_eq!(s.total_bytes, 0);
         assert_eq!(s.remote_fraction(), 0.0);
         assert!(s.rows.is_empty());
-    }
-
-    #[test]
-    fn summary_serde_round_trips() {
-        let mut ctx = ThreadMem::new(0, 2);
-        ctx.charge_block(
-            Placement::node(0, DeviceKind::Pm),
-            AccessOp::Read,
-            AccessPattern::Seq,
-            100,
-            1,
-        );
-        ctx.charge_block(
-            Placement::node(1, DeviceKind::Dram),
-            AccessOp::Write,
-            AccessPattern::Rand,
-            75,
-            2,
-        );
-        ctx.add_cpu_ops(7);
-        let s = AccessSummary::from_counters(ctx.counters());
-        let back = AccessSummary::from_value(&s.to_value()).unwrap();
-        assert_eq!(back.total_bytes, s.total_bytes);
-        assert_eq!(back.total_accesses, s.total_accesses);
-        assert_eq!(back.remote_bytes, s.remote_bytes);
-        assert_eq!(back.random_bytes, s.random_bytes);
-        assert_eq!(back.pm_bytes, s.pm_bytes);
-        assert_eq!(back.dram_bytes, s.dram_bytes);
-        assert_eq!(back.ssd_bytes, s.ssd_bytes);
-        assert_eq!(back.read_bytes, s.read_bytes);
-        assert_eq!(back.write_bytes, s.write_bytes);
-        assert_eq!(back.cpu_ops, s.cpu_ops);
-        assert_eq!(back.rows.len(), s.rows.len());
-        for (a, b) in back.rows.iter().zip(&s.rows) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.bytes, b.bytes);
-            assert_eq!(a.media_bytes, b.media_bytes);
-            assert_eq!(a.accesses, b.accesses);
-        }
     }
 
     #[test]

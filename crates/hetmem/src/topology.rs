@@ -3,7 +3,6 @@
 use crate::device::DeviceKind;
 use crate::error::HetMemError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a NUMA node (socket). Dense, `0..topology.nodes()`.
 pub type NodeId = usize;
@@ -16,7 +15,7 @@ pub type NodeId = usize;
 /// reproduces it exactly; [`Topology::paper_machine_scaled`] shrinks the
 /// capacities proportionally so the scaled-down dataset twins exhibit the
 /// same "fits in PM but not in DRAM" regimes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     sockets: usize,
     cores_per_socket: usize,

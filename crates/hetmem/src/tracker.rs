@@ -8,11 +8,10 @@ use crate::error::HetMemError;
 use crate::fault::{FaultAccess, FaultHook, FaultVerdict};
 use crate::hetvec::Placement;
 use crate::topology::NodeId;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Accumulated traffic for one access class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter {
     /// Useful (payload) bytes requested by the kernel.
     pub bytes: u64,
@@ -27,7 +26,7 @@ pub struct Counter {
 
 /// Dense per-class counter table for one simulated thread (or one merged
 /// phase). Cheap to update: one array index plus three additions per access.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassCounters {
     classes: [Counter; NUM_CLASSES],
     cpu_ops: u64,

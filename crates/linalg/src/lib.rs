@@ -7,10 +7,11 @@
 //! [`kernels`] holds the blocked, lane-unrolled f32 hot loops (dense dot,
 //! sparse gather-dot and its eight-column strip form, batched scoring, row
 //! gather) shared by the serving scan, the embedding top-k and the SpMM
-//! accumulation step. [`par`] holds the deterministic parallel counterparts
-//! of the big dense routines (blocked GEMM/GEMM-TN, the symmetric Gram,
-//! chunked axpy/scale, column-parallel QR and tall SVD), bit-identical to
-//! the sequential kernels at every thread count.
+//! accumulation step. The `*_threads` and `*_blocked` functions are the
+//! deterministic parallel counterparts of the big dense routines (blocked
+//! GEMM/GEMM-TN, the symmetric Gram, chunked axpy/scale, column-parallel QR
+//! and tall SVD), bit-identical to the sequential kernels at every thread
+//! count.
 //!
 //! **No contraction.** Every sum in this crate is a stated sequence of
 //! steps, each one rounded f32 multiply followed by one rounded f32 add.
@@ -31,21 +32,22 @@
 // The crate's only `unsafe` is the intrinsics in `kernels`.
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(clippy::undocumented_unsafe_blocks)]
+#![warn(unreachable_pub)]
 
-pub mod gemm;
+mod gemm;
 pub mod kernels;
-pub mod matrix;
+mod matrix;
 pub mod ops;
-pub mod par;
-pub mod qr;
-pub mod random;
-pub mod svd;
+mod par;
+mod qr;
+mod random;
+mod svd;
 
 pub use gemm::{gemm, gemm_tn, gram};
 pub use matrix::DenseMatrix;
 pub use par::{
-    axpy_threads, gemm_blocked, gemm_threads, gemm_tn_blocked, gemm_tn_threads, gram_threads,
-    qr_thin_threads, scale_threads, svd_tall_threads,
+    axpy_threads, gemm_blocked, gemm_threads, gemm_tn_blocked, gram_threads, qr_thin_threads,
+    scale_threads, svd_tall_threads,
 };
 pub use qr::qr_thin;
 pub use random::gaussian_matrix;

@@ -35,7 +35,7 @@ impl DenseMatrix {
     }
 
     /// Wrap a column-major buffer.
-    pub fn from_column_major(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self> {
+    pub(crate) fn from_column_major(rows: usize, cols: usize, data: Vec<f32>) -> Result<Self> {
         if data.len() != rows * cols {
             return Err(LinalgError::ShapeMismatch {
                 left: (rows, cols),
@@ -99,13 +99,8 @@ impl DenseMatrix {
     }
 
     #[inline]
-    pub fn data_mut(&mut self) -> &mut [f32] {
+    pub(crate) fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consume into the raw buffer.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
     }
 
     /// Transposed copy: the row-major form of `self`, read as column-major.

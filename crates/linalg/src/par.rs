@@ -28,16 +28,16 @@
 //! sequential configuration and tiny inner factorisations pay no spawn
 //! overhead.
 
-use crate::gemm::{gemm, gemm_tn, gemm_tn_cols, gram, mirror_upper};
+use crate::gemm::{gemm, gemm_tn_cols, gram, mirror_upper};
 use crate::matrix::DenseMatrix;
 use crate::qr::{apply_reflector, build_q_columns, build_reflector, quads, upper_triangle};
 use crate::svd::{svd_jacobi, Svd};
 use crate::{LinalgError, Result};
 
 /// Default row-panel height for [`gemm_blocked`].
-pub const GEMM_PANEL_ROWS: usize = 512;
+pub(crate) const GEMM_PANEL_ROWS: usize = 512;
 /// Default output-column panel width for [`gemm_tn_blocked`].
-pub const GEMM_TN_PANEL_COLS: usize = 4;
+pub(crate) const GEMM_TN_PANEL_COLS: usize = 4;
 /// Element count per chunk for the element-wise kernels.
 const ELEM_CHUNK: usize = 1 << 15;
 /// Flop count below which the blocked GEMMs run the plain sequential loop.
@@ -105,7 +105,7 @@ pub fn gemm_blocked(
 
 /// `C = Aᵀ · B` with output columns computed in fixed panels of
 /// `panel_cols`. The reduction over `A`'s rows is never split, so every
-/// element accumulates exactly as in [`gemm_tn`].
+/// element accumulates exactly as in [`gemm_tn`](crate::gemm_tn).
 pub fn gemm_tn_blocked(
     a: &DenseMatrix,
     b: &DenseMatrix,
@@ -122,7 +122,7 @@ pub fn gemm_tn_blocked(
 }
 
 /// `AᵀB` by column panels on the pool, each panel through the tile routine
-/// of [`gemm_tn`]; with `upper`, only down to each panel's diagonal tile
+/// of [`gemm_tn`](crate::gemm_tn); with `upper`, only down to each panel's diagonal tile
 /// (the rows below stay zero).
 fn tn_panels(
     a: &DenseMatrix,
@@ -158,14 +158,6 @@ pub fn gemm_threads(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<
         return omega_par::record_seq("linalg.gemm", || gemm(a, b));
     }
     gemm_blocked(a, b, threads, GEMM_PANEL_ROWS)
-}
-
-/// [`gemm_tn`] that fans out on `threads` workers when large enough.
-pub fn gemm_tn_threads(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-    if threads <= 1 || 2 * a.rows() * a.cols() * b.cols() < GEMM_SEQ_FLOPS {
-        return omega_par::record_seq("linalg.gemm_tn", || gemm_tn(a, b));
-    }
-    gemm_tn_blocked(a, b, threads, GEMM_TN_PANEL_COLS)
 }
 
 /// [`gram`] that fans out on `threads` workers when large enough: panels
@@ -299,7 +291,7 @@ pub fn svd_tall_threads(a: &DenseMatrix, threads: usize) -> Result<Svd> {
 mod tests {
     use super::*;
     use crate::random::gaussian_matrix;
-    use crate::svd_tall;
+    use crate::{gemm_tn, svd_tall};
 
     fn assert_bits_eq(a: &DenseMatrix, b: &DenseMatrix, what: &str) {
         assert_eq!(a.shape(), b.shape(), "{what}: shape");
@@ -398,12 +390,6 @@ mod tests {
             &gemm_threads(&a, &b, 8).unwrap(),
             &gemm(&a, &b).unwrap(),
             "gemm_threads",
-        );
-        let c = gaussian_matrix(300, 24, 9);
-        assert_bits_eq(
-            &gemm_tn_threads(&a, &c, 8).unwrap(),
-            &gemm_tn(&a, &c).unwrap(),
-            "gemm_tn_threads",
         );
     }
 }

@@ -35,16 +35,6 @@ fn box_muller(rng: &mut SmallRng) -> (f32, f32) {
     ((r * theta.cos()) as f32, (r * theta.sin()) as f32)
 }
 
-/// A seeded uniform [-1, 1) matrix (cheap initialisation where Gaussian
-/// tails are unnecessary).
-pub fn uniform_matrix(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let data = (0..rows * cols)
-        .map(|_| rng.gen_range(-1.0f32..1.0))
-        .collect();
-    DenseMatrix::from_column_major(rows, cols, data).expect("sized buffer")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,13 +56,6 @@ mod tests {
         let var: f64 = data.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / n;
         assert!(mean.abs() < 0.05, "mean={mean}");
         assert!((var - 1.0).abs() < 0.1, "var={var}");
-    }
-
-    #[test]
-    fn uniform_range() {
-        let m = uniform_matrix(50, 10, 3);
-        assert!(m.data().iter().all(|&x| (-1.0..1.0).contains(&x)));
-        assert_eq!(m.shape(), (50, 10));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! one thread per lane. Wall-clock measurements ride along in each event's
 //! `args` (`wall_start_us`, `wall_dur_us`).
 
+use crate::json::object;
 use crate::metrics::MetricsSnapshot;
 use crate::{Recorder, SpanRecord};
-use serde::{Serialize, Value};
+use serde::Value;
 
 /// Render all completed spans as a Chrome-trace-event JSON document
 /// (`{"traceEvents": [...]}`), loadable in Perfetto / `chrome://tracing`.
@@ -16,15 +17,12 @@ pub fn chrome_trace_json(rec: &Recorder) -> String {
     let mut events: Vec<Value> = Vec::new();
 
     for (track, name) in rec.track_names() {
-        events.push(Value::Map(vec![
-            ("ph".to_string(), Value::Str("M".to_string())),
-            ("name".to_string(), Value::Str("thread_name".to_string())),
-            ("pid".to_string(), Value::U64(track.pid as u64)),
-            ("tid".to_string(), Value::U64(track.tid as u64)),
-            (
-                "args".to_string(),
-                Value::Map(vec![("name".to_string(), Value::Str(name))]),
-            ),
+        events.push(object([
+            ("ph", Value::Str("M".to_string())),
+            ("name", Value::Str("thread_name".to_string())),
+            ("pid", Value::U64(track.pid as u64)),
+            ("tid", Value::U64(track.tid as u64)),
+            ("args", object([("name", Value::Str(name))])),
         ]));
     }
 
@@ -32,41 +30,37 @@ pub fn chrome_trace_json(rec: &Recorder) -> String {
         events.push(span_event(&span));
     }
 
-    let doc = Value::Map(vec![
-        ("traceEvents".to_string(), Value::Seq(events)),
-        ("displayTimeUnit".to_string(), Value::Str("ns".to_string())),
+    let doc = object([
+        ("traceEvents", Value::Seq(events)),
+        ("displayTimeUnit", Value::Str("ns".to_string())),
     ]);
     crate::json::to_string(&doc)
 }
 
 fn span_event(span: &SpanRecord) -> Value {
-    let mut args: Vec<(String, Value)> = vec![
-        ("sim_start_ns".to_string(), Value::U64(span.sim_start_ns)),
-        ("sim_dur_ns".to_string(), Value::U64(span.sim_dur_ns)),
-        ("wall_start_us".to_string(), Value::U64(span.wall_start_us)),
-        ("wall_dur_us".to_string(), Value::U64(span.wall_dur_us)),
-        ("depth".to_string(), Value::U64(span.depth as u64)),
-    ];
+    let mut args: Vec<(String, Value)> = [
+        ("sim_start_ns", span.sim_start_ns),
+        ("sim_dur_ns", span.sim_dur_ns),
+        ("wall_start_us", span.wall_start_us),
+        ("wall_dur_us", span.wall_dur_us),
+        ("depth", span.depth as u64),
+    ]
+    .map(|(k, n)| (k.to_string(), Value::U64(n)))
+    .into();
     for (k, v) in &span.args {
         args.push((k.clone(), Value::Str(v.clone())));
     }
-    Value::Map(vec![
-        ("name".to_string(), Value::Str(span.name.clone())),
-        ("cat".to_string(), Value::Str("omega".to_string())),
-        ("ph".to_string(), Value::Str("X".to_string())),
+    object([
+        ("name", Value::Str(span.name.clone())),
+        ("cat", Value::Str("omega".to_string())),
+        ("ph", Value::Str("X".to_string())),
         // Chrome trace timestamps are microseconds; keep ns precision as a
         // fraction.
-        (
-            "ts".to_string(),
-            Value::F64(span.sim_start_ns as f64 / 1_000.0),
-        ),
-        (
-            "dur".to_string(),
-            Value::F64(span.sim_dur_ns as f64 / 1_000.0),
-        ),
-        ("pid".to_string(), Value::U64(span.track.pid as u64)),
-        ("tid".to_string(), Value::U64(span.track.tid as u64)),
-        ("args".to_string(), Value::Map(args)),
+        ("ts", Value::F64(span.sim_start_ns as f64 / 1_000.0)),
+        ("dur", Value::F64(span.sim_dur_ns as f64 / 1_000.0)),
+        ("pid", Value::U64(span.track.pid as u64)),
+        ("tid", Value::U64(span.track.tid as u64)),
+        ("args", Value::Map(args)),
     ])
 }
 
@@ -75,35 +69,29 @@ fn span_event(span: &SpanRecord) -> Value {
 pub fn metrics_jsonl(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snap.counters {
-        let line = Value::Map(vec![
-            ("kind".to_string(), Value::Str("counter".to_string())),
-            ("name".to_string(), Value::Str(name.clone())),
-            ("value".to_string(), Value::U64(*value)),
-        ]);
-        out.push_str(&crate::json::to_string(&line));
-        out.push('\n');
+        out.push_str(&json_line(&object([
+            ("kind", Value::Str("counter".to_string())),
+            ("name", Value::Str(name.clone())),
+            ("value", Value::U64(*value)),
+        ])));
     }
     for (name, value) in &snap.gauges {
-        let line = Value::Map(vec![
-            ("kind".to_string(), Value::Str("gauge".to_string())),
-            ("name".to_string(), Value::Str(name.clone())),
-            ("value".to_string(), Value::F64(*value)),
-        ]);
-        out.push_str(&crate::json::to_string(&line));
-        out.push('\n');
+        out.push_str(&json_line(&object([
+            ("kind", Value::Str("gauge".to_string())),
+            ("name", Value::Str(name.clone())),
+            ("value", Value::F64(*value)),
+        ])));
     }
     for (name, hist) in &snap.histograms {
-        let line = Value::Map(vec![
-            ("kind".to_string(), Value::Str("histogram".to_string())),
-            ("name".to_string(), Value::Str(name.clone())),
-            ("count".to_string(), Value::U64(hist.count)),
-            ("sum".to_string(), Value::F64(hist.sum)),
-            ("min".to_string(), Value::F64(hist.min)),
-            ("max".to_string(), Value::F64(hist.max)),
-            ("mean".to_string(), Value::F64(hist.mean())),
-        ]);
-        out.push_str(&crate::json::to_string(&line));
-        out.push('\n');
+        out.push_str(&json_line(&object([
+            ("kind", Value::Str("histogram".to_string())),
+            ("name", Value::Str(name.clone())),
+            ("count", Value::U64(hist.count)),
+            ("sum", Value::F64(hist.sum)),
+            ("min", Value::F64(hist.min)),
+            ("max", Value::F64(hist.max)),
+            ("mean", Value::F64(hist.mean())),
+        ])));
     }
     out
 }
@@ -212,10 +200,10 @@ pub fn text_report(rec: &Recorder) -> String {
     out
 }
 
-/// Serialize any `Serialize` value as one JSON line (convenience for bench
-/// binaries appending machine-readable rows to results files).
-pub fn json_line<T: Serialize>(value: &T) -> String {
-    let mut s = crate::json::to_string(&value.to_value());
+/// Encode one value as a JSON line (a metrics row, or a row a bench binary
+/// appends to its results file).
+pub fn json_line(value: &Value) -> String {
+    let mut s = crate::json::to_string(value);
     s.push('\n');
     s
 }

@@ -1,11 +1,20 @@
 //! Tiny JSON encoder/decoder over the vendored serde [`Value`] tree.
 //!
-//! The workspace has no `serde_json`; the trace and metrics exporters only
-//! need plain RFC 8259 JSON, so this module provides exactly that: encode a
-//! `serde::Value` to a string and parse a string back into one. Parsing is
-//! used by the integration tests to validate exported traces.
+//! The workspace has no `serde_json`; every exporter builds a `Value` by
+//! hand and only needs plain RFC 8259 JSON, so this module provides exactly
+//! that: encode a `serde::Value` to a string and parse a string back into
+//! one. Parsing reads files from outside the process (`omega-cli profile`
+//! reads a trace, the benchmark reads metrics JSONL), so it returns a
+//! [`ParseError`] on any malformed or too deeply nested input rather than
+//! panicking.
 
 use serde::Value;
+
+/// A JSON object with `fields` in the order given: how every exporter
+/// builds its rows.
+pub fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Map(fields.map(|(k, v)| (k.to_string(), v)).into())
+}
 
 /// Encode a value tree as compact JSON.
 pub fn to_string(v: &Value) -> String {
@@ -93,11 +102,17 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The exporters emit at
+/// most a handful of levels; the cap keeps hostile input from overflowing
+/// the stack of the recursive parser.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document into a value tree.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -111,6 +126,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -164,11 +181,24 @@ impl Parser<'_> {
                 Ok(Value::Bool(false))
             }
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.map(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::map),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
@@ -193,13 +223,14 @@ impl Parser<'_> {
                         Some(b'b') => s.push('\u{8}'),
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .ok_or_else(|| self.err("\\u escape needs four hex digits"))?;
+                            let code = hex
+                                .iter()
+                                .fold(0, |acc, &b| acc * 16 + (b as char).to_digit(16).unwrap());
                             // Surrogate pairs are not needed by our exporters.
                             s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
@@ -361,5 +392,37 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("tru").is_err());
         assert!(parse("1 2").is_err());
+    }
+
+    #[test]
+    fn rejects_nesting_past_the_cap() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // Hostile input is an error, not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn unicode_escape_takes_exactly_four_hex_digits() {
+        assert_eq!(
+            parse(r#""\u0041\u00e9""#).unwrap(),
+            Value::Str("Aé".to_string())
+        );
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04""#,
+            r#""\u""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad} parsed");
+        }
     }
 }

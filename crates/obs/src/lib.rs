@@ -7,8 +7,8 @@
 //! single trace shows where the *simulated machine* spends its time next to
 //! what the reproduction itself costs.
 //!
-//! Three pieces, zero external dependencies beyond the workspace's existing
-//! `serde`:
+//! Three pieces, zero external dependencies beyond the vendored `serde`
+//! `Value` tree:
 //!
 //! * **Spans** — nestable, labeled intervals (`spmm.eata_assign`,
 //!   `wofp.prefetch`, `asl.batch`, `prone.factorize`, …) on per-track
@@ -337,14 +337,6 @@ impl Recorder {
         let Some(inner) = &self.inner else { return };
         let mut st = inner.state();
         *st.cursors.entry(track).or_insert(0) += by.as_nanos();
-    }
-
-    /// Set a track's cursor to at least `at` (aligning parallel tracks).
-    pub fn align_cursor(&self, track: Track, at: SimInstant) {
-        let Some(inner) = &self.inner else { return };
-        let mut st = inner.state();
-        let cursor = st.cursors.entry(track).or_insert(0);
-        *cursor = (*cursor).max(at.as_nanos());
     }
 
     // ---- metrics ----------------------------------------------------------

@@ -2,15 +2,14 @@
 //!
 //! The registry lives behind the recorder's single mutex (metrics are
 //! updated at phase granularity, not per memory access, so contention is
-//! negligible). Snapshots are plain serde-serializable structs; the JSONL
-//! exporter in [`crate::export`] renders one metric per line.
+//! negligible). Snapshots are plain structs; the JSONL exporter in
+//! [`crate::export`] renders one metric per line.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Aggregating histogram: count/sum/min/max plus powers-of-two buckets,
 /// enough for latency- and size-shaped distributions without storing samples.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
     pub count: u64,
     pub sum: f64,
@@ -269,7 +268,7 @@ impl Registry {
 }
 
 /// Point-in-time copy of every metric, ordered by name.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     pub gauges: Vec<(String, f64)>,
@@ -427,15 +426,5 @@ mod tests {
         }
         ha.merge(&hb);
         assert_eq!(ha, fwd);
-    }
-
-    #[test]
-    fn snapshot_serde_round_trip() {
-        let mut r = Registry::default();
-        r.counter_add("a", 1);
-        r.observe("h", 2.5);
-        let snap = r.snapshot();
-        let back = MetricsSnapshot::from_value(&snap.to_value()).unwrap();
-        assert_eq!(back, snap);
     }
 }

@@ -23,7 +23,6 @@
 //! tenant index mixed into the stream seed so tenants are independent.
 
 use omega_serve::{Request, RequestStream, WorkloadConfig};
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64: the workspace's standard keyed-stream mixer (the fault
 /// plans use the same construction).
@@ -60,7 +59,7 @@ impl DrawStream {
 }
 
 /// The shape of a tenant's arrival intensity over simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Homogeneous Poisson arrivals at a constant rate.
     Poisson { rate_per_s: f64 },
@@ -188,7 +187,7 @@ impl ArrivalProcess {
 
 /// Scheduling priority carried by every request. Lower discriminant =
 /// more important; the dispatcher orders by `(priority, arrival)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     High = 0,
     Normal = 1,
@@ -197,7 +196,7 @@ pub enum Priority {
 
 /// One tenant of the request plane: an arrival process, a request mix,
 /// a latency SLO, and an admission quota.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantSpec {
     pub name: String,
     pub process: ArrivalProcess,

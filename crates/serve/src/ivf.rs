@@ -38,7 +38,7 @@ use omega_hetmem::{HetVec, MemSystem};
 /// Fixed k-means refinement rounds. A constant (not a knob): recall is
 /// steered by `nprobe`, and a fixed iteration count keeps builds
 /// reproducible across configurations.
-pub const KMEANS_ITERS: usize = 8;
+pub(crate) const KMEANS_ITERS: usize = 8;
 
 /// Seed of the k-means init stream. Builds are deterministic, not
 /// configurable-random: the index is infrastructure, not an experiment.
@@ -55,8 +55,8 @@ pub enum IndexMode {
     /// Brute-force blocked scan over every shard (the oracle).
     Exact,
     /// Cluster-then-probe through an [`IvfIndex`]. `nlist == 0` resolves
-    /// to `ceil(sqrt(|V|))`; `nprobe == 0` resolves to
-    /// [`default_nprobe`]. Both are clamped into `1..=nlist`.
+    /// to `ceil(sqrt(|V|))`; `nprobe == 0` resolves to five-eighths of
+    /// `nlist`, rounded up. Both are clamped into `1..=nlist`.
     Ivf { nlist: usize, nprobe: usize },
 }
 
@@ -71,7 +71,7 @@ pub(crate) fn auto_nlist(nodes: u32) -> usize {
 /// default probes 5/8 of them for ~98 % recall with margin while still
 /// cutting the simulated probe cost by over a third; the sweep is pinned by
 /// `tests/integration_serving.rs::ivf_recall_sweep_is_pinned`.
-pub fn default_nprobe(nlist: usize) -> usize {
+pub(crate) fn default_nprobe(nlist: usize) -> usize {
     (nlist * 5).div_ceil(8).max(1)
 }
 

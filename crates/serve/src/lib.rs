@@ -64,6 +64,8 @@
 //! assert!(report.stats.hit_rate() > 0.5); // the Zipf head stays resident
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod cache;
 mod config;
 mod fetch;
@@ -76,7 +78,7 @@ mod workload;
 
 pub use cache::{HotCache, InsertOutcome};
 pub use config::ServeConfig;
-pub use ivf::{default_nprobe, IndexMode, IvfIndex};
+pub use ivf::{IndexMode, IvfIndex};
 pub use server::{BatchResult, EmbedServer, Response};
 pub use stats::{ServeReport, ServeSignals, ServeStats};
 pub use store::ShardedStore;

@@ -93,7 +93,7 @@ impl ShardedStore {
     }
 
     /// The node-id range of shard `sid`.
-    pub fn shard_rows(&self, sid: usize) -> Range<u32> {
+    pub(crate) fn shard_rows(&self, sid: usize) -> Range<u32> {
         let lo = (sid * self.rows_per_shard) as u32;
         lo..self.nodes.min(lo + self.rows_per_shard as u32)
     }
@@ -117,7 +117,7 @@ impl ShardedStore {
 
     /// Offset of `node`'s row within its shard's data.
     #[inline]
-    pub fn row_offset(&self, node: u32) -> usize {
+    pub(crate) fn row_offset(&self, node: u32) -> usize {
         (node as usize % self.rows_per_shard) * self.dim
     }
 

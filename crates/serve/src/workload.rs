@@ -9,10 +9,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Node-popularity distribution of the generated stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Popularity {
     /// Every node equally likely.
     Uniform,
@@ -62,7 +61,7 @@ impl Request {
 }
 
 /// Configuration of a [`RequestStream`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of addressable nodes (requests draw ids from `0..nodes`).
     pub nodes: u32,
@@ -137,7 +136,7 @@ impl RequestStream {
     }
 
     /// Draw one node id from the configured popularity distribution.
-    pub fn next_node(&mut self) -> u32 {
+    pub(crate) fn next_node(&mut self) -> u32 {
         if self.cdf.is_empty() {
             self.rng.gen_range(0..self.cfg.nodes)
         } else {

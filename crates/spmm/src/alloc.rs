@@ -3,7 +3,6 @@
 
 use crate::workload::Workload;
 use omega_graph::Csdb;
-use serde::{Deserialize, Serialize};
 
 /// Which allocation scheme assigns sparse-matrix rows to threads.
 ///
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let nnz: u64 = workloads.iter().map(|w| w.nnzs).sum();
 /// assert_eq!(nnz, csdb.nnz() as u64); // every nnz assigned exactly once
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AllocScheme {
     /// Library-default scheduling (Fig. 6(a)): the row space dealt out in
     /// equal-row contiguous chunks, one per thread, blind to the nnz

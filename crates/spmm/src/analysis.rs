@@ -3,11 +3,10 @@
 
 use crate::SpmmRun;
 use omega_hetmem::{AccessClass, AccessOp, AccessPattern, BandwidthModel};
-use serde::{Deserialize, Serialize};
 
 /// Aggregate thread-seconds attributed to each of Algorithm 1's operation
 /// groups (Fig. 7(a)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpBreakdown {
     /// Steps ① + ②: sequential sparse-structure streams.
     pub sparse_read_s: f64,

@@ -13,11 +13,10 @@
 //! intervals and schedule length.
 
 use omega_hetmem::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// ASL tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AslConfig {
     /// Fraction of the node's *free* DRAM the streaming window may claim.
     pub dram_fraction: f64,

@@ -5,10 +5,9 @@ use crate::alloc::AllocScheme;
 use crate::asl::AslConfig;
 use crate::wofp::WofpConfig;
 use omega_hetmem::DeviceKind;
-use serde::{Deserialize, Serialize};
 
 /// Which devices hold the operands (the paper's configurations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemMode {
     /// Everything in DRAM — the ideal baseline (`OMeGa-DRAM`).
     DramOnly,
@@ -49,7 +48,7 @@ impl MemMode {
 }
 
 /// Full engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpmmConfig {
     /// Simulated thread count (the paper's experiments use 30).
     pub threads: usize,

@@ -5,10 +5,9 @@ use crate::asl::StreamingSchedule;
 use crate::wofp::PrefetcherKind;
 use omega_hetmem::{ClassCounters, SimDuration};
 use omega_linalg::DenseMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Distribution statistics over per-thread times (Fig. 13).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadStats {
     pub mean_s: f64,
     pub stddev_s: f64,
@@ -52,7 +51,7 @@ impl ThreadStats {
 }
 
 /// Per-workload diagnostics (Fig. 7(b)/(c) and Fig. 13 inputs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadReport {
     pub thread: usize,
     pub rows: usize,

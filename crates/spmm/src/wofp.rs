@@ -19,11 +19,10 @@
 
 use crate::workload::Workload;
 use omega_graph::Csdb;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// WoFP tuning parameters (swept in Fig. 19(b)/(c)).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WofpConfig {
     /// Prefetcher-type selection threshold `η`: frequency-based when the
     /// workload's average row nnz ≥ `|V| · η`.
@@ -44,7 +43,7 @@ impl Default for WofpConfig {
 }
 
 /// Which flavour a workload selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PrefetcherKind {
     Frequency,
     Degree,

@@ -1,7 +1,6 @@
 //! Cross-crate integration and property-based tests for the graph formats
 //! and the SpMM engine's numerics.
 
-use omega_graph::convert::{csdb_to_csr, csr_to_csdb};
 use omega_graph::{Csdb, Csr, GraphBuilder, RmatConfig};
 use omega_hetmem::{MemSystem, Topology};
 use omega_linalg::{gaussian_matrix, DenseMatrix};
@@ -31,8 +30,8 @@ proptest! {
     /// CSDB -> CSR round-trips to the original matrix for any graph.
     #[test]
     fn csdb_roundtrip(csr in arb_graph()) {
-        let csdb = csr_to_csdb(&csr).unwrap();
-        prop_assert_eq!(csdb_to_csr(&csdb), csr);
+        let csdb = Csdb::from_csr(&csr).unwrap();
+        prop_assert_eq!(csdb.to_csr_original(), csr);
     }
 
     /// Deg_ptr equals the cumulative degree for every node (Eq. 1).

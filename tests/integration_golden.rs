@@ -12,12 +12,13 @@
 
 use omega::faults::{install_plan, FaultPlanSpec};
 use omega::hetmem::{DeviceKind, MemSystem, Placement, Topology};
-use omega::obs::{Recorder, Track};
+use omega::obs::{json, Recorder, Track};
 use omega::serve::{
     EmbedServer, IndexMode, Popularity, RequestStream, ServeConfig, WorkloadConfig,
 };
 use omega::{Omega, OmegaConfig};
 use omega_graph::RmatConfig;
+use serde::Value;
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -311,43 +312,41 @@ fn spmm_matrix() -> String {
                     sys
                 };
                 let engine = SpmmEngine::new(sys, *cfg).unwrap().with_wall_threads(2);
-                let head =
-                    format!(r#"{{"topology":"{topo_name}","faulted":{faulted},"config":"{name}""#);
-                let run = match engine.spmm(&a, &b) {
-                    Ok(run) => run,
-                    Err(e) => {
-                        out.push_str(&format!("{head},\"error\":\"{e}\"}}\n"));
-                        continue;
-                    }
-                };
-                let mut fnv = 0xcbf2_9ce4_8422_2325u64;
-                for x in run.result.data() {
-                    for byte in x.to_bits().to_le_bytes() {
-                        fnv ^= byte as u64;
-                        fnv = fnv.wrapping_mul(0x100_0000_01b3);
+                let field = |k: &str, v: Value| (k.to_string(), v);
+                let mut row = vec![
+                    field("topology", Value::Str(topo_name.to_string())),
+                    field("faulted", Value::Bool(faulted)),
+                    field("config", Value::Str(name.to_string())),
+                ];
+                match engine.spmm(&a, &b) {
+                    Err(e) => row.push(field("error", Value::Str(e.to_string()))),
+                    Ok(run) => {
+                        let mut fnv = 0xcbf2_9ce4_8422_2325u64;
+                        for x in run.result.data() {
+                            for byte in x.to_bits().to_le_bytes() {
+                                fnv ^= byte as u64;
+                                fnv = fnv.wrapping_mul(0x100_0000_01b3);
+                            }
+                        }
+                        let u = Value::U64;
+                        let threads = run.thread_times.iter().map(|t| u(t.as_nanos()));
+                        row.extend([
+                            field("makespan_ns", u(run.makespan.as_nanos())),
+                            field("alloc_ns", u(run.alloc_time.as_nanos())),
+                            field("thread_ns", Value::Seq(threads.collect())),
+                            field("bytes", u(run.counters.total_bytes())),
+                            field("accesses", u(run.counters.total_accesses())),
+                            field("dense_fetches", u(run.dense_fetches)),
+                            field("prefetch_hits", u(run.prefetch_hits)),
+                            field("prefetch_misses", u(run.prefetch_misses)),
+                            field("wasted_prefetches", u(run.wasted_prefetches)),
+                            field("degraded_chunks", u(run.degraded_chunks)),
+                        ]);
+                        row.push(field("result_fnv", Value::Str(format!("{fnv:016x}"))));
                     }
                 }
-                let threads: Vec<String> = run
-                    .thread_times
-                    .iter()
-                    .map(|t| t.as_nanos().to_string())
-                    .collect();
-                out.push_str(&format!(
-                    "{head},\"makespan_ns\":{},\"alloc_ns\":{},\"thread_ns\":[{}],\
-                     \"bytes\":{},\"accesses\":{},\"dense_fetches\":{},\"prefetch_hits\":{},\
-                     \"prefetch_misses\":{},\"wasted_prefetches\":{},\"degraded_chunks\":{},\
-                     \"result_fnv\":\"{fnv:016x}\"}}\n",
-                    run.makespan.as_nanos(),
-                    run.alloc_time.as_nanos(),
-                    threads.join(","),
-                    run.counters.total_bytes(),
-                    run.counters.total_accesses(),
-                    run.dense_fetches,
-                    run.prefetch_hits,
-                    run.prefetch_misses,
-                    run.wasted_prefetches,
-                    run.degraded_chunks,
-                ));
+                out.push_str(&json::to_string(&Value::Map(row)));
+                out.push('\n');
             }
         }
     }
