@@ -1,25 +1,12 @@
-//! Conversions between CSR and CSDB spaces.
+//! Round trips between the CSR and CSDB spaces ([`Csdb::from_csr`] and
+//! [`Csdb::to_csr_original`]) through the degree permutation.
 
-use crate::csdb::Csdb;
-use crate::csr::Csr;
-use crate::Result;
-
-/// Build a CSDB from CSR (thin alias around [`Csdb::from_csr`], kept for
-/// discoverability alongside the other conversion directions).
-pub fn csr_to_csdb(csr: &Csr) -> Result<Csdb> {
-    Csdb::from_csr(csr)
-}
-
-/// Recover the CSR in the original id space.
-pub fn csdb_to_csr(csdb: &Csdb) -> Csr {
-    csdb.to_csr_original()
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::builder::GraphBuilder;
+    use crate::csdb::Csdb;
+    use crate::csr::Csr;
 
+    // A path's degree order (1, 2, 2, 1) permutes its rows.
     fn path4() -> Csr {
         let mut b = GraphBuilder::new(4);
         b.add_edge(0, 1, 1.0).unwrap();
@@ -31,7 +18,7 @@ mod tests {
     #[test]
     fn roundtrip_csr_csdb_csr() {
         let csr = path4();
-        let csdb = csr_to_csdb(&csr).unwrap();
-        assert_eq!(csdb_to_csr(&csdb), csr);
+        let csdb = Csdb::from_csr(&csr).unwrap();
+        assert_eq!(csdb.to_csr_original(), csr);
     }
 }

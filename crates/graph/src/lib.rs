@@ -19,6 +19,8 @@
 
 pub mod algo;
 pub mod builder;
+#[cfg(test)]
+mod convert;
 pub mod csdb;
 pub mod csr;
 pub mod datasets;
