@@ -3,25 +3,20 @@
 //! decomposition DESIGN.md calls out, beyond the paper's one-at-a-time
 //! ablations (Table II, Fig. 14, Fig. 15).
 
-use omega_bench::{experiment_topology, fmt_time, load, print_table, DIM, THREADS};
-use omega_graph::{Csdb, Dataset};
-use omega_hetmem::MemSystem;
-use omega_linalg::gaussian_matrix;
-use omega_spmm::{AllocScheme, AslConfig, SpmmConfig, SpmmEngine, WofpConfig};
+use crate::{fmt_time, machine, print_table, spmm, spmm_operands, twin, THREADS};
+use omega_graph::Dataset;
+use omega_spmm::{AllocScheme, AslConfig, SpmmConfig, WofpConfig};
+use serde::Value;
 
-fn main() {
-    let topo = experiment_topology();
-    let g = load(Dataset::Pk);
-    let csdb = Csdb::from_csr(&g).unwrap();
-    let b = gaussian_matrix(g.rows() as usize, DIM, 0xab1a);
+pub(crate) fn run(scale: u64) -> Vec<Value> {
+    let topo = machine(scale);
+    let g = twin(Dataset::Pk, scale);
+    let (csdb, b) = spmm_operands(&g, 0xab1a);
 
     let mut rows = Vec::new();
     let mut baseline = None;
     for mask in 0..16u32 {
-        let eata = mask & 1 != 0;
-        let wofp = mask & 2 != 0;
-        let nadp = mask & 4 != 0;
-        let asl = mask & 8 != 0;
+        let [eata, wofp, nadp, asl] = [1, 2, 4, 8].map(|bit| mask & bit != 0);
         let cfg = SpmmConfig::omega(THREADS)
             .with_alloc(if eata {
                 AllocScheme::eata_default()
@@ -31,23 +26,14 @@ fn main() {
             .with_wofp(wofp.then(WofpConfig::default))
             .with_nadp(nadp)
             .with_asl(asl.then(AslConfig::default));
-        let run = SpmmEngine::new(MemSystem::new(topo.clone()), cfg)
-            .unwrap()
-            .spmm(&csdb, &b)
-            .unwrap();
-        let t = run.makespan;
-        if mask == 0 {
-            baseline = Some(t);
-        }
-        let onoff = |b: bool| if b { "on" } else { "-" };
-        rows.push(vec![
-            onoff(eata).to_string(),
-            onoff(wofp).to_string(),
-            onoff(nadp).to_string(),
-            onoff(asl).to_string(),
-            fmt_time(Some(t)),
-            format!("{:.2}x", baseline.unwrap().ratio(t)),
-        ]);
+        let t = spmm(&topo, cfg, &csdb, &b).makespan;
+        // Mask 0, the first run, is the all-off baseline.
+        let baseline = *baseline.get_or_insert(t);
+        let mut row: Vec<String> = [eata, wofp, nadp, asl]
+            .map(|on| if on { "on" } else { "-" }.to_string())
+            .to_vec();
+        row.extend([fmt_time(Some(t)), format!("{:.2}x", baseline.ratio(t))]);
+        rows.push(row);
     }
 
     print_table(
@@ -60,4 +46,5 @@ fn main() {
          adds nothing on top (see DESIGN.md section 6.2); the WoFP rows matter \
          in the ASL-off half of the table."
     );
+    Vec::new()
 }

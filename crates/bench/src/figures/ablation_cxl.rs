@@ -8,76 +8,43 @@
 //! does the hetero system get to DRAM, and how much less do OMeGa's
 //! optimisations matter when the capacity tier stops being hostile?
 
-use omega_bench::{experiment_topology, fmt_time, load, print_table, DIM, THREADS};
-use omega_graph::{Csdb, Dataset};
-use omega_hetmem::{BandwidthModel, MemSystem, SimDuration};
-use omega_linalg::gaussian_matrix;
+use crate::{fmt_time, machine, print_table, spmm_operands, twin, THREADS};
+use omega_graph::Dataset;
+use omega_hetmem::{BandwidthModel, MemSystem};
 use omega_spmm::{SpmmConfig, SpmmEngine};
+use serde::Value;
 
-fn spmm(
-    model: BandwidthModel,
-    cfg: SpmmConfig,
-    csdb: &Csdb,
-    b: &omega_linalg::DenseMatrix,
-) -> SimDuration {
-    let sys = MemSystem::with_model(experiment_topology(), model);
-    SpmmEngine::new(sys, cfg)
-        .unwrap()
-        .spmm(csdb, b)
-        .unwrap()
-        .makespan
-}
-
-fn main() {
+pub(crate) fn run(scale: u64) -> Vec<Value> {
+    let topo = machine(scale);
+    let (optane, cxl) = (
+        BandwidthModel::paper_machine(),
+        BandwidthModel::cxl_machine(),
+    );
+    let full = SpmmConfig::omega(THREADS);
+    let resident = full.with_asl(None);
+    // The DRAM ideal for reference, then the full system and the
+    // PM-resident (streaming-off) regime on both capacity tiers.
+    let runs = [
+        (&optane, SpmmConfig::omega_dram(THREADS)),
+        (&optane, full),
+        (&cxl, full),
+        (&optane, resident),
+        (&cxl, resident),
+    ];
     let mut rows = Vec::new();
     // The four twins whose DRAM-only reference fits the machine.
     for &d in &[Dataset::Pk, Dataset::Lj, Dataset::Or, Dataset::Tw] {
-        let g = load(d);
-        let csdb = Csdb::from_csr(&g).unwrap();
-        let b = gaussian_matrix(g.rows() as usize, DIM, 0xc1);
-
-        // Full system and the PM-resident (streaming-off) regime on both
-        // capacity tiers, plus the DRAM ideal for reference.
-        let optane_full = spmm(
-            BandwidthModel::paper_machine(),
-            SpmmConfig::omega(THREADS),
-            &csdb,
-            &b,
-        );
-        let cxl_full = spmm(
-            BandwidthModel::cxl_machine(),
-            SpmmConfig::omega(THREADS),
-            &csdb,
-            &b,
-        );
-        let optane_resident = spmm(
-            BandwidthModel::paper_machine(),
-            SpmmConfig::omega(THREADS).with_asl(None),
-            &csdb,
-            &b,
-        );
-        let cxl_resident = spmm(
-            BandwidthModel::cxl_machine(),
-            SpmmConfig::omega(THREADS).with_asl(None),
-            &csdb,
-            &b,
-        );
-        let dram = spmm(
-            BandwidthModel::paper_machine(),
-            SpmmConfig::omega_dram(THREADS),
-            &csdb,
-            &b,
-        );
-
-        rows.push(vec![
-            d.label().to_string(),
-            fmt_time(Some(dram)),
-            fmt_time(Some(optane_full)),
-            fmt_time(Some(cxl_full)),
-            fmt_time(Some(optane_resident)),
-            fmt_time(Some(cxl_resident)),
-            format!("{:.2}x", optane_resident.ratio(cxl_resident)),
-        ]);
+        let g = twin(d, scale);
+        let (csdb, b) = spmm_operands(&g, 0xc1);
+        let times = runs.map(|(model, cfg)| {
+            let sys = MemSystem::with_model(topo.clone(), model.clone());
+            let run = SpmmEngine::new(sys, cfg).unwrap().spmm(&csdb, &b).unwrap();
+            run.makespan
+        });
+        let mut row = vec![d.label().to_string()];
+        row.extend(times.iter().map(|&t| fmt_time(Some(t))));
+        row.push(format!("{:.2}x", times[3].ratio(times[4])));
+        rows.push(row);
     }
 
     print_table(
@@ -100,4 +67,5 @@ fn main() {
          expectation that OMeGa 'is equally effective on other PM products \
          like CXL' while the DRAM-PM gap itself narrows."
     );
+    Vec::new()
 }

@@ -4,51 +4,42 @@
 //! workload entropy (the linear `T = K·H` relationship), all under WaTA on
 //! the soc-LiveJournal twin.
 
-use omega_bench::{experiment_topology, load, print_table, DIM, THREADS};
-use omega_graph::{Csdb, Dataset};
-use omega_hetmem::{DeviceKind, MemSystem};
-use omega_linalg::gaussian_matrix;
+use crate::{machine, print_table, spmm, spmm_operands, twin, THREADS};
+use omega_graph::Dataset;
+use omega_hetmem::DeviceKind;
 use omega_spmm::entropy::{predicted_cost_secs, CostInputs};
-use omega_spmm::{AllocScheme, SpmmConfig, SpmmEngine};
+use omega_spmm::{AllocScheme, SpmmConfig};
+use serde::Value;
 
-fn main() {
-    let topo = experiment_topology();
-    let g = load(Dataset::Lj);
-    let csdb = Csdb::from_csr(&g).unwrap();
-    let b = gaussian_matrix(g.rows() as usize, DIM, 7);
+pub(crate) fn run(scale: u64) -> Vec<Value> {
+    let g = twin(Dataset::Lj, scale);
+    let (csdb, b) = spmm_operands(&g, 7);
 
     // WaTA without prefetching/streaming: the configuration §III-B analyses.
     let cfg = SpmmConfig::omega(THREADS)
         .with_alloc(AllocScheme::WaTA)
         .with_wofp(None)
         .with_asl(None);
-    let run = SpmmEngine::new(MemSystem::new(topo), cfg)
-        .unwrap()
-        .spmm(&csdb, &b)
-        .unwrap();
+    let run = spmm(&machine(scale), cfg, &csdb, &b);
 
     // (a) breakdown via the library's Fig. 7(a) analysis.
     let model = omega_hetmem::BandwidthModel::paper_machine();
     let breakdown = omega_spmm::analysis::OpBreakdown::of(&run, &model, THREADS as u32);
-    let shares = breakdown.shares();
+    let operations = [
+        "read_index + get_sparse_nnz (seq)",
+        "get_dense_nnz (random)",
+        "write_result",
+        "accumulation (CPU)",
+    ];
+    let rows: Vec<Vec<String>> = operations
+        .iter()
+        .zip(breakdown.shares())
+        .map(|(op, share)| vec![op.to_string(), format!("{:.1}%", share * 100.0)])
+        .collect();
     print_table(
         "Fig. 7(a): SpMM time breakdown (aggregate thread-seconds)",
         &["operation", "share"],
-        &[
-            vec![
-                "read_index + get_sparse_nnz (seq)".into(),
-                format!("{:.1}%", shares[0] * 100.0),
-            ],
-            vec![
-                "get_dense_nnz (random)".into(),
-                format!("{:.1}%", shares[1] * 100.0),
-            ],
-            vec!["write_result".into(), format!("{:.1}%", shares[2] * 100.0)],
-            vec![
-                "accumulation (CPU)".into(),
-                format!("{:.1}%", shares[3] * 100.0),
-            ],
-        ],
+        &rows,
     );
     println!("(paper: get_dense_nnz dominates the breakdown)");
 
@@ -115,4 +106,5 @@ fn main() {
         "Eq. 2 predicted per-thread cost at mean entropy on PM: {:.3} ms/column-pass",
         predicted_cost_secs(&model, DeviceKind::Pm, avg) * 1e3
     );
+    Vec::new()
 }

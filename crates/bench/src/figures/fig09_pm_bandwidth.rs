@@ -7,71 +7,30 @@
 //! seq read ≈ 2.4× any random read; seq local write ≈ 3.2× seq remote and
 //! ≈ 5× rand remote; PM rand/write aggregates collapse past saturation.
 
-use omega_bench::print_table;
-use omega_hetmem::{AccessClass, AccessOp, AccessPattern, BandwidthModel, DeviceKind, Locality};
+use crate::print_table;
+use omega_hetmem::AccessOp::{Read, Write};
+use omega_hetmem::AccessPattern::{Rand, Seq};
+use omega_hetmem::Locality::{Local, Remote};
+use omega_hetmem::{AccessClass, BandwidthModel, DeviceKind};
+use serde::Value;
 
-fn main() {
+/// The cost model alone: no twin is built, so `_scale` changes nothing.
+pub(crate) fn run(_scale: u64) -> Vec<Value> {
     let model = BandwidthModel::paper_machine();
-    let combos = [
-        (
-            "SEQ-R-L",
-            Locality::Local,
-            AccessOp::Read,
-            AccessPattern::Seq,
-        ),
-        (
-            "SEQ-R-R",
-            Locality::Remote,
-            AccessOp::Read,
-            AccessPattern::Seq,
-        ),
-        (
-            "RAND-R-L",
-            Locality::Local,
-            AccessOp::Read,
-            AccessPattern::Rand,
-        ),
-        (
-            "RAND-R-R",
-            Locality::Remote,
-            AccessOp::Read,
-            AccessPattern::Rand,
-        ),
-        (
-            "SEQ-W-L",
-            Locality::Local,
-            AccessOp::Write,
-            AccessPattern::Seq,
-        ),
-        (
-            "SEQ-W-R",
-            Locality::Remote,
-            AccessOp::Write,
-            AccessPattern::Seq,
-        ),
-        (
-            "RAND-W-L",
-            Locality::Local,
-            AccessOp::Write,
-            AccessPattern::Rand,
-        ),
-        (
-            "RAND-W-R",
-            Locality::Remote,
-            AccessOp::Write,
-            AccessPattern::Rand,
-        ),
-    ];
     let threads = [1u32, 2, 4, 6, 8, 12, 18];
 
     let mut rows = Vec::new();
-    for (label, l, o, p) in combos {
-        let class = AccessClass::new(DeviceKind::Pm, l, o, p);
-        let mut row = vec![label.to_string()];
-        for &t in &threads {
-            row.push(format!("{:.2}", model.aggregate_bandwidth(class, t)));
+    for (o, op) in [(Read, "R"), (Write, "W")] {
+        for (p, pattern) in [(Seq, "SEQ"), (Rand, "RAND")] {
+            for (l, locality) in [(Local, "L"), (Remote, "R")] {
+                let class = AccessClass::new(DeviceKind::Pm, l, o, p);
+                let mut row = vec![format!("{pattern}-{op}-{locality}")];
+                for &t in &threads {
+                    row.push(format!("{:.2}", model.aggregate_bandwidth(class, t)));
+                }
+                rows.push(row);
+            }
         }
-        rows.push(row);
     }
     let mut header = vec!["PM class"];
     let labels: Vec<String> = threads.iter().map(|t| format!("{t}t")).collect();
@@ -80,52 +39,38 @@ fn main() {
 
     // The paper's headline ratios, at peak.
     let peak = |l, o, p| {
-        let c = AccessClass::new(DeviceKind::Pm, l, o, p);
-        model.class(c).peak_gib_s
+        model
+            .class(AccessClass::new(DeviceKind::Pm, l, o, p))
+            .peak_gib_s
     };
     println!("\ncalibration ratios (paper values in parentheses):");
     println!(
         "  seq local read / rand local read   = {:.2} (2.41)",
-        peak(Locality::Local, AccessOp::Read, AccessPattern::Seq)
-            / peak(Locality::Local, AccessOp::Read, AccessPattern::Rand)
+        peak(Local, Read, Seq) / peak(Local, Read, Rand)
     );
     println!(
         "  seq local read / rand remote read  = {:.2} (2.45)",
-        peak(Locality::Local, AccessOp::Read, AccessPattern::Seq)
-            / peak(Locality::Remote, AccessOp::Read, AccessPattern::Rand)
+        peak(Local, Read, Seq) / peak(Remote, Read, Rand)
     );
     println!(
         "  seq local write / seq remote write = {:.2} (3.23)",
-        peak(Locality::Local, AccessOp::Write, AccessPattern::Seq)
-            / peak(Locality::Remote, AccessOp::Write, AccessPattern::Seq)
+        peak(Local, Write, Seq) / peak(Remote, Write, Seq)
     );
     println!(
         "  seq local write / rand remote write= {:.2} (4.99)",
-        peak(Locality::Local, AccessOp::Write, AccessPattern::Seq)
-            / peak(Locality::Remote, AccessOp::Write, AccessPattern::Rand)
+        peak(Local, Write, Seq) / peak(Remote, Write, Rand)
     );
-    let dram = |l: Locality| {
-        model.latency_ns(AccessClass::new(
-            DeviceKind::Dram,
-            l,
-            AccessOp::Read,
-            AccessPattern::Seq,
-        ))
-    };
-    let pm = |l: Locality| {
-        model.latency_ns(AccessClass::new(
-            DeviceKind::Pm,
-            l,
-            AccessOp::Read,
-            AccessPattern::Seq,
-        ))
+    let pm_over_dram = |l| {
+        let latency = |d| model.latency_ns(AccessClass::new(d, l, Read, Seq));
+        latency(DeviceKind::Pm) / latency(DeviceKind::Dram)
     };
     println!(
         "  PM local / DRAM local latency      = {:.2} (4.2)",
-        pm(Locality::Local) / dram(Locality::Local)
+        pm_over_dram(Local)
     );
     println!(
         "  PM remote / DRAM remote latency    = {:.2} (3.3)",
-        pm(Locality::Remote) / dram(Locality::Remote)
+        pm_over_dram(Remote)
     );
+    Vec::new()
 }

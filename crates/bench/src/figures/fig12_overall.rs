@@ -4,16 +4,15 @@
 //! DRAM-only systems must report OOM on the two billion-scale twins
 //! (TW-2010, FR), exactly as the paper's Fig. 12 shows.
 
-use omega::{Omega, OmegaConfig, OmegaRun, SystemVariant};
+use crate::{
+    embed_or_oom, fmt_time, geomean, machine, omega_config, print_table, twin, DIM, THREADS,
+};
+use omega::{Omega, OmegaRun, SystemVariant};
 use omega_baselines::prone_like::ProneBaseline;
 use omega_baselines::ssd_systems::{GinexLike, MariusLike, SsdSystemConfig};
 use omega_baselines::RunOutcome;
-use omega_bench::{
-    experiment_topology, fmt_time, geomean, load, print_table, write_results_jsonl, DIM, THREADS,
-};
-use omega_graph::Dataset;
+use omega_graph::{Csr, Dataset};
 use omega_hetmem::SimDuration;
-use omega_obs::export::json_line;
 use omega_obs::json::object;
 use serde::Value;
 
@@ -82,101 +81,74 @@ fn run_metrics_row(graph: &str, run: &OmegaRun) -> Value {
     ])
 }
 
-fn main() {
-    let topo = experiment_topology();
-    let base = OmegaConfig::default()
-        .with_topology(topo.clone())
-        .with_threads(THREADS)
-        .with_dim(DIM);
+/// The systems of Fig. 12, in column order.
+const SYSTEMS: [&str; 7] = [
+    "OMeGa",
+    "OMeGa-DRAM",
+    "OMeGa-PM",
+    "ProNE-DRAM",
+    "ProNE-HM",
+    "Ginex",
+    "MariusGNN",
+];
+
+pub(crate) fn run(scale: u64) -> Vec<Value> {
+    let topo = machine(scale);
+    let base = omega_config(&topo);
     let ssd_cfg = SsdSystemConfig {
         threads: THREADS,
         dim: DIM,
         ..SsdSystemConfig::default()
     };
-
-    let variant = |d: Dataset, v: SystemVariant| -> (RunOutcome, Option<OmegaRun>) {
-        let g = load(d);
-        match Omega::new(base.clone().with_variant(v)).unwrap().embed(&g) {
-            Ok(r) => (RunOutcome::Completed(r.total_time()), Some(r)),
-            Err(e) if e.is_oom() => (RunOutcome::OutOfMemory, None),
-            Err(e) => panic!("{e}"),
-        }
+    let variant = |g: &Csr, v: SystemVariant| {
+        let run = embed_or_oom(Omega::new(base.clone().with_variant(v)).unwrap(), g);
+        run.map_or(RunOutcome::OutOfMemory, |r| {
+            RunOutcome::Completed(r.total_time())
+        })
     };
 
     let mut rows = Vec::new();
     let mut speedups: Vec<f64> = Vec::new();
-    let mut jsonl = String::new();
+    let mut jsonl = Vec::new();
     for &d in &Dataset::ALL {
-        let g = load(d);
-        let (omega, run) = variant(d, SystemVariant::Omega);
-        let omega_t = omega.time().expect("OMeGa completes everywhere");
-        let run = run.expect("OMeGa completes everywhere");
-        jsonl.push_str(&json_line(&run_metrics_row(d.label(), &run)));
-        let systems = [
-            "OMeGa",
-            "OMeGa-DRAM",
-            "OMeGa-PM",
-            "ProNE-DRAM",
-            "ProNE-HM",
-            "Ginex",
-            "MariusGNN",
-        ];
-        let outcomes: Vec<RunOutcome> = vec![
-            omega,
-            variant(d, SystemVariant::OmegaDram).0,
+        let g = twin(d, scale);
+        let run = embed_or_oom(Omega::new(base.clone()).unwrap(), &g)
+            .expect("OMeGa completes everywhere");
+        let omega_t = run.total_time();
+        jsonl.push(run_metrics_row(d.label(), &run));
+        let outcomes = [
+            RunOutcome::Completed(omega_t),
+            variant(&g, SystemVariant::OmegaDram),
             // OMeGa-PM is skipped past LJ in the paper (> 1 day); we compute
             // it and let the day cap annotate it.
-            variant(d, SystemVariant::OmegaPm).0,
+            variant(&g, SystemVariant::OmegaPm),
             ProneBaseline::dram(topo.clone(), THREADS, DIM).run(&g),
             ProneBaseline::hm(topo.clone(), THREADS, DIM).run(&g),
             GinexLike::new(topo.clone(), ssd_cfg).run(&g),
             MariusLike::new(topo.clone(), ssd_cfg).run(&g),
         ];
-        for (sys, out) in systems.iter().zip(&outcomes) {
-            jsonl.push_str(&json_line(&cell_row(d.label(), sys, out)));
+        for (sys, out) in SYSTEMS.iter().zip(&outcomes) {
+            jsonl.push(cell_row(d.label(), sys, out));
         }
-        for out in outcomes.iter().skip(3) {
-            if let Some(t) = out.time() {
-                speedups.push(t.ratio(omega_t));
-            }
-        }
-        let cell = |o: &RunOutcome| fmt_time(o.time());
-        rows.push(vec![
-            d.label().to_string(),
-            cell(&outcomes[0]),
-            cell(&outcomes[1]),
-            cell(&outcomes[2]),
-            cell(&outcomes[3]),
-            cell(&outcomes[4]),
-            cell(&outcomes[5]),
-            cell(&outcomes[6]),
-        ]);
+        let competitors = outcomes.iter().skip(3).filter_map(RunOutcome::time);
+        speedups.extend(competitors.map(|t| t.ratio(omega_t)));
+        let mut row = vec![d.label().to_string()];
+        row.extend(outcomes.iter().map(|o| fmt_time(o.time())));
+        rows.push(row);
     }
 
-    print_table(
-        "Fig. 12: end-to-end running time",
-        &[
-            "graph",
-            "OMeGa",
-            "OMeGa-DRAM",
-            "OMeGa-PM",
-            "ProNE-DRAM",
-            "ProNE-HM",
-            "Ginex",
-            "MariusGNN",
-        ],
-        &rows,
-    );
+    let header: Vec<&str> = ["graph"].into_iter().chain(SYSTEMS).collect();
+    print_table("Fig. 12: end-to-end running time", &header, &rows);
     let gm = geomean(&speedups);
     println!(
         "\ngeomean speedup of OMeGa over the completed competitor runs: {gm:.2}x \
          (paper: average 32.03x, dominated by ProNE-HM / OMeGa-PM factors)"
     );
-    jsonl.push_str(&json_line(&object([
+    jsonl.push(object([
         ("kind", text("geomean_speedup")),
         ("value", Value::F64(gm)),
-    ])));
-    write_results_jsonl("fig12_overall", &jsonl);
+    ]));
+    jsonl
 }
 
 #[cfg(test)]
@@ -185,6 +157,7 @@ mod tests {
     use omega::Embedding;
     use omega_embed::prone::ProneReport;
     use omega_hetmem::{AccessOp, AccessPattern, AccessSummary, DeviceKind, Placement, ThreadMem};
+    use omega_obs::export::json_line;
 
     /// The rows read as the `#[derive(Serialize)]` structs they replaced
     /// wrote them: fields in declaration order, `None` as `null`.

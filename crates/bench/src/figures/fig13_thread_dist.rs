@@ -2,20 +2,10 @@
 //! soc-LiveJournal twin under WaTA vs EaTA: histogram, standard deviation,
 //! and P95/P99 tail latencies.
 
-use omega_bench::{experiment_topology, load, print_table, DIM, THREADS};
-use omega_graph::{Csdb, Dataset};
-use omega_hetmem::MemSystem;
-use omega_linalg::gaussian_matrix;
-use omega_spmm::{AllocScheme, SpmmConfig, SpmmEngine, SpmmRun};
-
-fn run(alloc: AllocScheme) -> SpmmRun {
-    let g = load(Dataset::Lj);
-    let csdb = Csdb::from_csr(&g).unwrap();
-    let b = gaussian_matrix(g.rows() as usize, DIM, 13);
-    let sys = MemSystem::new(experiment_topology());
-    let eng = SpmmEngine::new(sys, SpmmConfig::omega(THREADS).with_alloc(alloc)).unwrap();
-    eng.spmm(&csdb, &b).unwrap()
-}
+use crate::{machine, print_table, spmm, spmm_operands, twin, THREADS};
+use omega_graph::Dataset;
+use omega_spmm::{AllocScheme, SpmmConfig, SpmmRun};
+use serde::Value;
 
 fn histogram(times_s: &[f64], buckets: usize) -> Vec<(f64, usize)> {
     let max = times_s.iter().cloned().fold(0.0, f64::max);
@@ -31,8 +21,15 @@ fn histogram(times_s: &[f64], buckets: usize) -> Vec<(f64, usize)> {
         .collect()
 }
 
-fn main() {
+pub(crate) fn run(scale: u64) -> Vec<Value> {
     println!("Fig. 13: thread running-time distribution on the LJ twin, {THREADS} threads");
+    let topo = machine(scale);
+    let g = twin(Dataset::Lj, scale);
+    let (csdb, b) = spmm_operands(&g, 13);
+    let run = |alloc| {
+        let cfg = SpmmConfig::omega(THREADS).with_alloc(alloc);
+        spmm(&topo, cfg, &csdb, &b)
+    };
     let wata = run(AllocScheme::WaTA);
     let eata = run(AllocScheme::eata_default());
 
@@ -45,14 +42,12 @@ fn main() {
     }
 
     let row = |name: &str, r: &SpmmRun| {
-        vec![
-            name.to_string(),
-            format!("{:.3} ms", r.stats.mean_s * 1e3),
-            format!("{:.3} ms", r.stats.stddev_s * 1e3),
-            format!("{:.3} ms", r.stats.p95_s * 1e3),
-            format!("{:.3} ms", r.stats.p99_s * 1e3),
-            format!("{:.3} ms", r.stats.max_s * 1e3),
-        ]
+        let s = &r.stats;
+        let mut row = vec![name.to_string()];
+        row.extend(
+            [s.mean_s, s.stddev_s, s.p95_s, s.p99_s, s.max_s].map(|t| format!("{:.3} ms", t * 1e3)),
+        );
+        row
     };
     print_table(
         "Fig. 13 statistics",
@@ -66,4 +61,5 @@ fn main() {
         (eata.stats.p95_s / wata.stats.p95_s - 1.0) * 100.0,
         eata.stats.stddev_s / wata.stats.stddev_s,
     );
+    Vec::new()
 }

@@ -6,28 +6,25 @@
 //! would otherwise hit PM. Reported times include allocation and
 //! prefetching overheads.
 
-use omega_bench::{experiment_topology, fmt_time, load, print_table, DIM, THREADS};
-use omega_graph::{Csdb, Dataset};
-use omega_hetmem::{MemSystem, SimDuration};
-use omega_linalg::gaussian_matrix;
-use omega_spmm::{SpmmConfig, SpmmEngine, WofpConfig};
+use crate::{fmt_time, machine, print_table, spmm, spmm_operands, twin, THREADS};
+use omega_graph::Dataset;
+use omega_spmm::{SpmmConfig, WofpConfig};
+use serde::Value;
 
-fn main() {
-    let topo = experiment_topology();
+pub(crate) fn run(scale: u64) -> Vec<Value> {
+    let topo = machine(scale);
     let mut rows = Vec::new();
     let mut improvements = Vec::new();
     for &d in &Dataset::SMALL_FIVE {
-        let g = load(d);
-        let csdb = Csdb::from_csr(&g).unwrap();
-        let b = gaussian_matrix(g.rows() as usize, DIM, 14);
-        let time = |wofp: Option<WofpConfig>| -> (SimDuration, u64, u64) {
+        let g = twin(d, scale);
+        let (csdb, b) = spmm_operands(&g, 14);
+        let run = |wofp| {
             let cfg = SpmmConfig::omega(THREADS).with_asl(None).with_wofp(wofp);
-            let eng = SpmmEngine::new(MemSystem::new(topo.clone()), cfg).unwrap();
-            let run = eng.spmm(&csdb, &b).unwrap();
-            (run.makespan, run.prefetch_hits, run.dense_fetches)
+            spmm(&topo, cfg, &csdb, &b)
         };
-        let (with, hits, fetches) = time(Some(WofpConfig::default()));
-        let (without, _, _) = time(None);
+        let prefetched = run(Some(WofpConfig::default()));
+        let (hits, fetches) = (prefetched.prefetch_hits, prefetched.dense_fetches);
+        let (with, without) = (prefetched.makespan, run(None).makespan);
         let improvement = (1.0 - with.ratio(without)) * 100.0;
         improvements.push(improvement);
         rows.push(vec![
@@ -48,4 +45,5 @@ fn main() {
         "\naverage improvement {:.1}% (paper: 37.28% average, up to 52% on OR)",
         improvements.iter().sum::<f64>() / improvements.len() as f64
     );
+    Vec::new()
 }

@@ -6,19 +6,35 @@
 //! memory devices (with full ASL staging, DRAM absorbs most of it at twin
 //! scale — see EXPERIMENTS.md).
 
-use omega::{Omega, OmegaConfig, SystemVariant};
-use omega_bench::{experiment_topology, fmt_time, geomean, load, print_table, DIM, THREADS};
-use omega_graph::{Csdb, Dataset};
+use crate::{
+    embed_or_oom, fmt_time, geomean, machine, omega_config, print_table, spmm_operands, twin,
+    THREADS,
+};
+use omega::{Omega, SystemVariant};
+use omega_graph::Dataset;
 use omega_hetmem::{MemSystem, SimDuration};
-use omega_linalg::gaussian_matrix;
-use omega_spmm::SpmmEngine;
+use omega_spmm::{SpmmConfig, SpmmEngine};
+use serde::Value;
 
-fn main() {
-    let topo = experiment_topology();
-    let base = OmegaConfig::default()
-        .with_topology(topo.clone())
-        .with_threads(THREADS)
-        .with_dim(DIM);
+/// One row of either panel: OMeGa, w/o NaDP and OMeGa-DRAM times, then the
+/// NaDP speedup, which also joins `speedups` when both OMeGa runs fit.
+fn nadp_row(d: Dataset, times: [Option<SimDuration>; 3], speedups: &mut Vec<f64>) -> Vec<String> {
+    let [omega, wo, dram] = times;
+    let speedup = omega.zip(wo).map(|(a, b)| b.ratio(a));
+    speedups.extend(speedup);
+    let speedup = speedup.map_or("-".into(), |s| format!("{s:.2}x"));
+    vec![
+        d.label().to_string(),
+        fmt_time(omega),
+        fmt_time(wo),
+        fmt_time(dram),
+        speedup,
+    ]
+}
+
+pub(crate) fn run(scale: u64) -> Vec<Value> {
+    let topo = machine(scale);
+    let base = omega_config(&topo);
 
     // (a) overall performance.
     let mut rows_a = Vec::new();
@@ -28,80 +44,46 @@ fn main() {
     let mut spmm_speedups = Vec::new();
 
     for &d in &Dataset::SMALL_FIVE {
-        let g = load(d);
+        let g = twin(d, scale);
 
-        let end_to_end = |variant: SystemVariant, nadp: bool| -> Option<SimDuration> {
-            let over = base
+        let end_to_end = |variant: SystemVariant| -> Option<SimDuration> {
+            let mut over = base
                 .clone()
                 .with_variant(variant)
                 .with_wofp(Some(Default::default()));
-            let mut over = over;
             over.asl_override = Some(None);
-            if !nadp {
-                // Variant already encodes it for OmegaWithoutNadp.
-            }
-            match Omega::with_overrides(over).unwrap().embed(&g) {
-                Ok(r) => Some(r.total_time()),
-                Err(e) if e.is_oom() => None,
-                Err(e) => panic!("{e}"),
-            }
+            embed_or_oom(Omega::with_overrides(over).unwrap(), &g).map(|r| r.total_time())
         };
-        let omega = end_to_end(SystemVariant::Omega, true);
-        let wo = end_to_end(SystemVariant::OmegaWithoutNadp, false);
-        let dram = end_to_end(SystemVariant::OmegaDram, true);
-        if let (Some(a), Some(b)) = (omega, wo) {
-            overall_speedups.push(b.ratio(a));
-        }
-        rows_a.push(vec![
-            d.label().to_string(),
-            fmt_time(omega),
-            fmt_time(wo),
-            fmt_time(dram),
-            match (omega, wo) {
-                (Some(a), Some(b)) => format!("{:.2}x", b.ratio(a)),
-                _ => "-".into(),
-            },
-        ]);
+        let variants = [
+            SystemVariant::Omega,
+            SystemVariant::OmegaWithoutNadp,
+            SystemVariant::OmegaDram,
+        ];
+        rows_a.push(nadp_row(d, variants.map(end_to_end), &mut overall_speedups));
 
-        let csdb = Csdb::from_csr(&g).unwrap();
-        let bmat = gaussian_matrix(g.rows() as usize, DIM, 15);
-        let spmm = |nadp: bool, variant: SystemVariant| -> Option<SimDuration> {
-            let cfg = variant
-                .spmm_config(THREADS)
-                .with_asl(None)
-                .with_nadp(nadp && variant != SystemVariant::OmegaWithoutNadp);
+        let (csdb, bmat) = spmm_operands(&g, 15);
+        let spmm = |cfg: SpmmConfig| -> Option<SimDuration> {
             let eng = SpmmEngine::new(MemSystem::new(topo.clone()), cfg).ok()?;
             eng.spmm(&csdb, &bmat).ok().map(|r| r.makespan)
         };
-        let s_omega = spmm(true, SystemVariant::Omega);
-        let s_wo = spmm(false, SystemVariant::Omega);
-        let s_dram = spmm(true, SystemVariant::OmegaDram);
+        let resident = |variant: SystemVariant, nadp: bool| {
+            spmm(variant.spmm_config(THREADS).with_asl(None).with_nadp(nadp))
+        };
+        let times = [
+            resident(SystemVariant::Omega, true),
+            resident(SystemVariant::Omega, false),
+            resident(SystemVariant::OmegaDram, true),
+        ];
+        let mut row = nadp_row(d, times, &mut spmm_speedups);
         // Gap to DRAM in the *full* configuration (streaming on), the
         // regime of the paper's 40% figure.
-        let full = |variant: SystemVariant| -> Option<SimDuration> {
-            let cfg = variant.spmm_config(THREADS);
-            let eng = SpmmEngine::new(MemSystem::new(topo.clone()), cfg).ok()?;
-            eng.spmm(&csdb, &bmat).ok().map(|r| r.makespan)
-        };
-        let f_omega = full(SystemVariant::Omega);
-        let f_dram = full(SystemVariant::OmegaDram);
-        if let (Some(a), Some(b)) = (s_omega, s_wo) {
-            spmm_speedups.push(b.ratio(a));
-        }
-        rows_b.push(vec![
-            d.label().to_string(),
-            fmt_time(s_omega),
-            fmt_time(s_wo),
-            fmt_time(s_dram),
-            match (s_omega, s_wo) {
-                (Some(a), Some(b)) => format!("{:.2}x", b.ratio(a)),
-                _ => "-".into(),
-            },
-            match (f_omega, f_dram) {
-                (Some(a), Some(c)) => format!("{:.0}%", (a.ratio(c) - 1.0) * 100.0),
-                _ => "-".into(),
-            },
-        ]);
+        let [f_omega, f_dram] =
+            [SystemVariant::Omega, SystemVariant::OmegaDram].map(|v| spmm(v.spmm_config(THREADS)));
+        row.push(match (f_omega, f_dram) {
+            (Some(a), Some(c)) => format!("{:.0}%", (a.ratio(c) - 1.0) * 100.0),
+            _ => "-".into(),
+        });
+        rows_b.push(row);
     }
 
     print_table(
@@ -127,4 +109,5 @@ fn main() {
         geomean(&overall_speedups),
         geomean(&spmm_speedups)
     );
+    Vec::new()
 }

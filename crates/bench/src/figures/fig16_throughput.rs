@@ -2,47 +2,41 @@
 //! (a) OMeGa vs OMeGa-w/o-NaDP on five twins at 30 threads,
 //! (b) sweep over thread counts on the soc-LiveJournal twin.
 
-use omega_bench::{experiment_topology, load, print_table, write_results_jsonl, DIM, THREADS};
+use crate::{machine, print_table, spmm, spmm_operands, twin, THREADS};
 use omega_graph::{Csdb, Dataset};
-use omega_hetmem::MemSystem;
-use omega_linalg::gaussian_matrix;
-use omega_obs::export::json_line;
+use omega_linalg::DenseMatrix;
 use omega_obs::json::object;
-use omega_spmm::{SpmmConfig, SpmmEngine};
+use omega_spmm::SpmmConfig;
 use serde::Value;
 
-/// One machine-readable throughput measurement (a row of panel a or b).
-fn row(panel: &str, d: Dataset, threads: usize, with: f64, without: f64, hit_rate: f64) -> Value {
-    object([
-        ("panel", Value::Str(panel.to_string())),
-        ("graph", Value::Str(d.label().to_string())),
-        ("threads", Value::U64(threads as u64)),
-        ("omega_mnnz_s", Value::F64(with)),
-        ("no_nadp_mnnz_s", Value::F64(without)),
-        ("gain", Value::F64(with / without)),
-        ("wofp_hit_rate", Value::F64(hit_rate)),
-    ])
-}
-
-/// Throughput plus the run's aggregate WoFP hit rate (Fig. 14 companion).
-fn throughput(cfg: SpmmConfig, csdb: &Csdb, b: &omega_linalg::DenseMatrix) -> (f64, f64) {
-    let eng = SpmmEngine::new(MemSystem::new(experiment_topology()), cfg).unwrap();
-    let run = eng.spmm(csdb, b).unwrap();
-    (run.throughput_mnnz_s(), run.hit_rate())
-}
-
-fn main() {
-    let mut jsonl = String::new();
+pub(crate) fn run(scale: u64) -> Vec<Value> {
+    let topo = machine(scale);
+    let mut jsonl = Vec::new();
+    // OMeGa's and w/o NaDP's throughput at `threads`, recorded as one
+    // machine-readable row of `panel` with OMeGa's aggregate WoFP hit rate
+    // (Fig. 14 companion).
+    let mut measure = |panel: &str, d: Dataset, threads: usize, csdb: &Csdb, b: &DenseMatrix| {
+        let run = spmm(&topo, SpmmConfig::omega(threads), csdb, b);
+        let no_nadp = spmm(&topo, SpmmConfig::omega(threads).with_nadp(false), csdb, b);
+        let (with, without) = (run.throughput_mnnz_s(), no_nadp.throughput_mnnz_s());
+        jsonl.push(object([
+            ("panel", Value::Str(panel.to_string())),
+            ("graph", Value::Str(d.label().to_string())),
+            ("threads", Value::U64(threads as u64)),
+            ("omega_mnnz_s", Value::F64(with)),
+            ("no_nadp_mnnz_s", Value::F64(without)),
+            ("gain", Value::F64(with / without)),
+            ("wofp_hit_rate", Value::F64(run.hit_rate())),
+        ]));
+        (with, without)
+    };
 
     // (a) per graph.
     let mut rows = Vec::new();
     for &d in &Dataset::SMALL_FIVE {
-        let g = load(d);
-        let csdb = Csdb::from_csr(&g).unwrap();
-        let b = gaussian_matrix(g.rows() as usize, DIM, 16);
-        let (with, hit_rate) = throughput(SpmmConfig::omega(THREADS), &csdb, &b);
-        let (without, _) = throughput(SpmmConfig::omega(THREADS).with_nadp(false), &csdb, &b);
-        jsonl.push_str(&json_line(&row("a", d, THREADS, with, without, hit_rate)));
+        let g = twin(d, scale);
+        let (csdb, b) = spmm_operands(&g, 16);
+        let (with, without) = measure("a", d, THREADS, &csdb, &b);
         rows.push(vec![
             d.label().to_string(),
             format!("{with:.1}"),
@@ -57,21 +51,11 @@ fn main() {
     );
 
     // (b) thread sweep on LJ.
-    let g = load(Dataset::Lj);
-    let csdb = Csdb::from_csr(&g).unwrap();
-    let b = gaussian_matrix(g.rows() as usize, DIM, 17);
+    let g = twin(Dataset::Lj, scale);
+    let (csdb, b) = spmm_operands(&g, 17);
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4, 8, 12, 18, 24, 30, 36] {
-        let (with, hit_rate) = throughput(SpmmConfig::omega(threads), &csdb, &b);
-        let (without, _) = throughput(SpmmConfig::omega(threads).with_nadp(false), &csdb, &b);
-        jsonl.push_str(&json_line(&row(
-            "b",
-            Dataset::Lj,
-            threads,
-            with,
-            without,
-            hit_rate,
-        )));
+        let (with, without) = measure("b", Dataset::Lj, threads, &csdb, &b);
         rows.push(vec![
             threads.to_string(),
             format!("{with:.1}"),
@@ -83,5 +67,5 @@ fn main() {
         &["threads", "OMeGa", "w/o NaDP"],
         &rows,
     );
-    write_results_jsonl("fig16_throughput", &jsonl);
+    jsonl
 }

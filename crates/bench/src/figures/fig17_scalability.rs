@@ -3,37 +3,33 @@
 //! graph size on synthetic R-MAT graphs at 30 threads (sparse and dense
 //! parameterisations).
 
-use omega::{Omega, OmegaConfig};
-use omega_bench::{experiment_topology, fmt_time, load, print_table, DIM, THREADS};
-use omega_graph::{Csdb, Dataset, RmatConfig};
-use omega_hetmem::{MemSystem, SimDuration, Topology};
-use omega_linalg::gaussian_matrix;
-use omega_spmm::{SpmmConfig, SpmmEngine};
+use crate::{
+    embed_or_oom, fmt_time, machine, omega_config, print_table, spmm, spmm_operands, twin,
+};
+use omega::Omega;
+use omega_graph::{Dataset, RmatConfig};
+use omega_hetmem::Topology;
+use omega_spmm::SpmmConfig;
+use serde::Value;
 
-fn main() {
-    let topo = experiment_topology();
+/// The smallest R-MAT graph of panel (b): coarse scales would otherwise
+/// shrink it below the `d + oversample` columns an embedding needs.
+const MIN_NODES: u64 = 128;
+
+pub(crate) fn run(scale: u64) -> Vec<Value> {
+    let topo = machine(scale);
 
     // (a) thread sweep on LJ.
-    let g = load(Dataset::Lj);
-    let csdb = Csdb::from_csr(&g).unwrap();
-    let b = gaussian_matrix(g.rows() as usize, DIM, 18);
+    let g = twin(Dataset::Lj, scale);
+    let (csdb, b) = spmm_operands(&g, 18);
     let mut rows = Vec::new();
     for threads in [1usize, 2, 4, 8, 12, 18, 24, 30] {
-        let overall = Omega::new(
-            OmegaConfig::default()
-                .with_topology(topo.clone())
-                .with_threads(threads)
-                .with_dim(DIM),
-        )
-        .unwrap()
-        .embed(&g)
-        .unwrap()
-        .total_time();
-        let spmm = SpmmEngine::new(MemSystem::new(topo.clone()), SpmmConfig::omega(threads))
+        let overall = Omega::new(omega_config(&topo).with_threads(threads))
             .unwrap()
-            .spmm(&csdb, &b)
+            .embed(&g)
             .unwrap()
-            .makespan;
+            .total_time();
+        let spmm = spmm(&topo, SpmmConfig::omega(threads), &csdb, &b).makespan;
         rows.push(vec![
             threads.to_string(),
             fmt_time(Some(overall)),
@@ -46,35 +42,33 @@ fn main() {
         &rows,
     );
 
-    // (b) R-MAT size sweep: node counts across four orders of magnitude,
-    // sparse (avg deg ~16) and dense (avg deg ~64) variants. The machine
-    // grows with the graph, like the paper's fixed testbed headroom.
+    // (b) R-MAT size sweep: node counts 2^10..2^17 at scale 1000, divided
+    // by scale / 1000 like the twins', sparse (avg deg ~16) and dense (avg
+    // deg ~64) variants. The machine grows with the graph, like the paper's
+    // fixed testbed headroom.
     let mut rows = Vec::new();
     for exp in [10u32, 12, 14, 16, 17] {
-        let nodes = 1u32 << exp;
+        let nodes = ((1u64 << exp) * 1000 / scale).max(MIN_NODES) as u32;
+        let label = if nodes.is_power_of_two() {
+            format!("2^{}", nodes.ilog2())
+        } else {
+            nodes.to_string()
+        };
         for (kind, avg_deg) in [("sparse", 16u64), ("dense", 64u64)] {
             let cfg = RmatConfig::social(nodes, nodes as u64 * avg_deg / 2, 17 + exp as u64);
             let graph = cfg.generate_csr().unwrap();
             let dram = ((nodes as u64 * avg_deg * 16).max(8 << 20)).next_power_of_two();
             let machine = Topology::paper_machine_scaled(dram);
-            let run = Omega::new(
-                OmegaConfig::default()
-                    .with_topology(machine.clone())
-                    .with_threads(THREADS)
-                    .with_dim(DIM),
-            )
-            .unwrap()
-            .embed(&graph);
-            let (overall, spmm_share): (Option<SimDuration>, String) = match run {
-                Ok(r) => (
+            let run = embed_or_oom(Omega::new(omega_config(&machine)).unwrap(), &graph);
+            let (overall, spmm_share) = match run {
+                Some(r) => (
                     Some(r.total_time()),
                     format!("{:.0}%", r.report.spmm_share() * 100.0),
                 ),
-                Err(e) if e.is_oom() => (None, "-".into()),
-                Err(e) => panic!("{e}"),
+                None => (None, "-".into()),
             };
             rows.push(vec![
-                format!("2^{exp}"),
+                label.clone(),
                 kind.to_string(),
                 graph.nnz().to_string(),
                 fmt_time(overall),
@@ -87,4 +81,5 @@ fn main() {
         &["nodes", "density", "nnz", "overall", "SpMM share"],
         &rows,
     );
+    Vec::new()
 }

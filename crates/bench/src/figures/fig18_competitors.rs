@@ -3,20 +3,18 @@
 //! SpMM-specialised systems SEM-SpMM and FusedMM. FusedMM must OOM on the
 //! billion-scale TW-2010 twin, as the paper reports.
 
-use omega::{Omega, OmegaConfig};
+use crate::{
+    fmt_time, geomean, machine, omega_config, print_table, spmm_operands, twin, DIM, THREADS,
+};
+use omega::Omega;
 use omega_baselines::dist::{DistConfig, DistDglLike, DistGerLike};
 use omega_baselines::spmm_systems::{omega_spmm_time, FusedMm, SemSpmm};
-use omega_baselines::RunOutcome;
-use omega_bench::{experiment_topology, fmt_time, geomean, load, print_table, DIM, THREADS};
-use omega_graph::{Csdb, Dataset};
-use omega_linalg::gaussian_matrix;
+use omega_graph::Dataset;
+use serde::Value;
 
-fn main() {
-    let topo = experiment_topology();
-    let base = OmegaConfig::default()
-        .with_topology(topo.clone())
-        .with_threads(THREADS)
-        .with_dim(DIM);
+pub(crate) fn run(scale: u64) -> Vec<Value> {
+    let topo = machine(scale);
+    let base = omega_config(&topo);
 
     // (a) distributed systems, end to end.
     let dist_cfg = DistConfig::paper_cluster(DIM);
@@ -24,7 +22,7 @@ fn main() {
     let mut dgl_speedups = Vec::new();
     let mut ger_ratios = Vec::new();
     for &d in &Dataset::ALL {
-        let g = load(d);
+        let g = twin(d, scale);
         let omega = Omega::new(base.clone())
             .unwrap()
             .embed(&g)
@@ -32,12 +30,8 @@ fn main() {
             .total_time();
         let dgl = DistDglLike::new(dist_cfg).run(&g);
         let ger = DistGerLike::new(dist_cfg).run(&g);
-        if let Some(t) = dgl.time() {
-            dgl_speedups.push(t.ratio(omega));
-        }
-        if let Some(t) = ger.time() {
-            ger_ratios.push(t.ratio(omega));
-        }
+        dgl_speedups.extend(dgl.time().map(|t| t.ratio(omega)));
+        ger_ratios.extend(ger.time().map(|t| t.ratio(omega)));
         rows.push(vec![
             d.label().to_string(),
             fmt_time(Some(omega)),
@@ -62,25 +56,19 @@ fn main() {
     let mut sem_speedups = Vec::new();
     let mut fused_speedups = Vec::new();
     for &d in &Dataset::ALL {
-        let g = load(d);
-        let csdb = Csdb::from_csr(&g).unwrap();
-        let b = gaussian_matrix(g.rows() as usize, DIM, 18);
+        let g = twin(d, scale);
+        let (csdb, b) = spmm_operands(&g, 18);
         let omega = omega_spmm_time(topo.clone(), THREADS, &csdb, &b);
         let sem = SemSpmm::new(topo.clone(), THREADS).run_spmm(&g, DIM);
         let fused = FusedMm::new(topo.clone(), THREADS).run_spmm(&g, DIM);
         let omega_t = omega.time().expect("OMeGa completes");
-        if let Some(t) = sem.time() {
-            sem_speedups.push(t.ratio(omega_t));
-        }
-        if let Some(t) = fused.time() {
-            fused_speedups.push(t.ratio(omega_t));
-        }
-        let cell = |o: &RunOutcome| fmt_time(o.time());
+        sem_speedups.extend(sem.time().map(|t| t.ratio(omega_t)));
+        fused_speedups.extend(fused.time().map(|t| t.ratio(omega_t)));
         rows.push(vec![
             d.label().to_string(),
             fmt_time(Some(omega_t)),
-            cell(&sem),
-            cell(&fused),
+            fmt_time(sem.time()),
+            fmt_time(fused.time()),
         ]);
     }
     print_table(
@@ -94,4 +82,5 @@ fn main() {
         geomean(&sem_speedups),
         geomean(&fused_speedups)
     );
+    Vec::new()
 }

@@ -3,20 +3,20 @@
 //! prefetcher-type threshold η and (c) the prefetch-size factor σ
 //! (normalised SpMM execution time).
 
-use omega_bench::{experiment_topology, fmt_time, geomean, load, print_table, DIM, THREADS};
+use crate::{fmt_time, geomean, machine, print_table, spmm, spmm_operands, twin, THREADS};
 use omega_graph::read_cost::{csdb_read_time, csr_read_time};
 use omega_graph::{Csdb, Dataset};
-use omega_hetmem::{BandwidthModel, DeviceKind, MemSystem};
-use omega_linalg::gaussian_matrix;
-use omega_spmm::{SpmmConfig, SpmmEngine, WofpConfig};
+use omega_hetmem::{BandwidthModel, DeviceKind};
+use omega_spmm::{SpmmConfig, WofpConfig};
+use serde::Value;
 
-fn main() {
+pub(crate) fn run(scale: u64) -> Vec<Value> {
     // (a) CSDB vs CSR reading.
     let model = BandwidthModel::paper_machine();
     let mut rows = Vec::new();
     let mut speedups = Vec::new();
     for &d in &Dataset::ALL {
-        let g = load(d);
+        let g = twin(d, scale);
         let csdb = Csdb::from_csr(&g).unwrap();
         let t_csr = csr_read_time(&g, &model, DeviceKind::Pm);
         let t_csdb = csdb_read_time(&csdb, &model, DeviceKind::Pm);
@@ -49,36 +49,31 @@ fn main() {
 
     // Parameter sweeps on the PK twin: one SpMM in the WoFP regime
     // (EaTA base, streaming off), normalised to the default setting.
-    let topo = experiment_topology();
-    let g = load(Dataset::Pk);
-    let csdb = Csdb::from_csr(&g).unwrap();
-    let b = gaussian_matrix(g.rows() as usize, DIM, 19);
+    let topo = machine(scale);
+    let g = twin(Dataset::Pk, scale);
+    let (csdb, b) = spmm_operands(&g, 19);
     let time = |wofp: WofpConfig| -> f64 {
         let cfg = SpmmConfig::omega(THREADS)
             .with_asl(None)
             .with_wofp(Some(wofp));
-        SpmmEngine::new(MemSystem::new(topo.clone()), cfg)
-            .unwrap()
-            .spmm(&csdb, &b)
-            .unwrap()
-            .makespan
-            .as_secs_f64()
+        spmm(&topo, cfg, &csdb, &b).makespan.as_secs_f64()
     };
     let baseline = time(WofpConfig::default());
+    let sweep = |values: [f64; 7], set: fn(f64) -> WofpConfig| -> Vec<Vec<String>> {
+        let row = |v: f64| vec![format!("{v}"), format!("{:.3}", time(set(v)) / baseline)];
+        values.into_iter().map(row).collect()
+    };
 
     // (b) eta sweep.
-    let mut rows = Vec::new();
-    for eta in [0.0005, 0.002, 0.005, 0.01, 0.02, 0.05, 0.2] {
-        let t = time(WofpConfig {
-            eta,
-            ..WofpConfig::default()
-        });
-        rows.push(vec![format!("{eta}"), format!("{:.3}", t / baseline)]);
-    }
     print_table(
         "Fig. 19(b): eta sweep on PK (normalised time)",
         &["eta", "time / default"],
-        &rows,
+        &sweep([0.0005, 0.002, 0.005, 0.01, 0.02, 0.05, 0.2], |eta| {
+            WofpConfig {
+                eta,
+                ..WofpConfig::default()
+            }
+        }),
     );
     println!(
         "(On the symmetric power-law twins the two prefetcher flavours select\n\
@@ -87,17 +82,15 @@ fn main() {
     );
 
     // (c) sigma sweep.
-    let mut rows = Vec::new();
-    for sigma in [0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4] {
-        let t = time(WofpConfig {
-            sigma,
-            ..WofpConfig::default()
-        });
-        rows.push(vec![format!("{sigma}"), format!("{:.3}", t / baseline)]);
-    }
     print_table(
         "Fig. 19(c): sigma sweep on PK (normalised time)",
         &["sigma", "time / default"],
-        &rows,
+        &sweep([0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4], |sigma| {
+            WofpConfig {
+                sigma,
+                ..WofpConfig::default()
+            }
+        }),
     );
+    Vec::new()
 }

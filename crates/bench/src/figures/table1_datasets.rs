@@ -2,22 +2,21 @@
 //!
 //! Prints the paper's published statistics for each of the six evaluation
 //! graphs next to the measured statistics of the scaled synthetic twins the
-//! reproduction runs on (R-MAT, 1:`OMEGA_SCALE`, default 1:1000).
+//! reproduction runs on (R-MAT, 1:`scale`, 1:1000 for the paper-scale runs).
 
-use omega_bench::{load, print_table};
+use crate::{print_table, twin};
 use omega_graph::stats::GraphStats;
-use omega_graph::{datasets::default_scale, Dataset};
+use omega_graph::Dataset;
+use serde::Value;
 
-fn main() {
-    let scale = default_scale();
+pub(crate) fn run(scale: u64) -> Vec<Value> {
     println!("Table I: dataset statistics (twins at 1:{scale})");
 
     let rows: Vec<Vec<String>> = Dataset::ALL
         .iter()
         .map(|&d| {
             let paper = d.paper_stats();
-            let twin = load(d);
-            let s = GraphStats::of(&twin);
+            let s = GraphStats::of(&twin(d, scale));
             vec![
                 d.label().to_string(),
                 paper.name.to_string(),
@@ -49,4 +48,5 @@ fn main() {
         ],
         &rows,
     );
+    Vec::new()
 }

@@ -4,14 +4,13 @@
 //! three thread-allocation schemes, full OMeGa configuration otherwise
 //! (30 simulated threads, heterogeneous memory).
 
-use omega_bench::{experiment_topology, fmt_time, geomean, load, print_table, DIM, THREADS};
-use omega_graph::{Csdb, Dataset};
-use omega_hetmem::MemSystem;
-use omega_linalg::gaussian_matrix;
-use omega_spmm::{AllocScheme, SpmmConfig, SpmmEngine};
+use crate::{fmt_time, geomean, machine, print_table, spmm, spmm_operands, twin, THREADS};
+use omega_graph::Dataset;
+use omega_spmm::{AllocScheme, SpmmConfig};
+use serde::Value;
 
-fn main() {
-    let topo = experiment_topology();
+pub(crate) fn run(scale: u64) -> Vec<Value> {
+    let topo = machine(scale);
     let schemes = [
         AllocScheme::RoundRobin,
         AllocScheme::WaTA,
@@ -22,16 +21,13 @@ fn main() {
     let mut rr_speedups = Vec::new();
     let mut wata_speedups = Vec::new();
     for &d in &Dataset::ALL {
-        let g = load(d);
-        let csdb = Csdb::from_csr(&g).unwrap();
-        let b = gaussian_matrix(g.rows() as usize, DIM, 0x7ab2 ^ g.rows() as u64);
+        let g = twin(d, scale);
+        let (csdb, b) = spmm_operands(&g, 0x7ab2 ^ g.rows() as u64);
         let times: Vec<f64> = schemes
             .iter()
             .map(|&alloc| {
-                let sys = MemSystem::new(topo.clone());
-                let eng =
-                    SpmmEngine::new(sys, SpmmConfig::omega(THREADS).with_alloc(alloc)).unwrap();
-                eng.spmm(&csdb, &b).unwrap().makespan.as_secs_f64()
+                let cfg = SpmmConfig::omega(THREADS).with_alloc(alloc);
+                spmm(&topo, cfg, &csdb, &b).makespan.as_secs_f64()
             })
             .collect();
         rr_speedups.push(times[0] / times[2]);
@@ -57,4 +53,5 @@ fn main() {
         geomean(&rr_speedups),
         geomean(&wata_speedups)
     );
+    Vec::new()
 }

@@ -3,23 +3,21 @@
 //! every dataset twin, plus node-classification micro-F1 on labelled SBM
 //! graphs of matching sizes, against a random-embedding floor.
 
-use omega::{Omega, OmegaConfig};
-use omega_bench::{experiment_topology, load, print_table, THREADS};
+use crate::{machine, omega_config, print_table, twin};
+use omega::Omega;
 use omega_embed::eval::{link_prediction_auc, node_classification_micro_f1};
 use omega_embed::Embedding;
 use omega_graph::{Dataset, SbmConfig};
 use omega_linalg::gaussian_matrix;
+use serde::Value;
 
-fn main() {
-    let base = OmegaConfig::default()
-        .with_topology(experiment_topology())
-        .with_threads(THREADS)
-        .with_dim(32);
+pub(crate) fn run(scale: u64) -> Vec<Value> {
+    let base = omega_config(&machine(scale)).with_dim(32);
 
     // Link prediction on the six twins.
     let mut rows = Vec::new();
     for &d in &[Dataset::Pk, Dataset::Lj, Dataset::Or, Dataset::Tw] {
-        let g = load(d);
+        let g = twin(d, scale);
         let run = Omega::new(base.clone()).unwrap().embed(&g).unwrap();
         let auc = link_prediction_auc(&run.embedding, &g, 500, 42);
         let random = Embedding::from_matrix(&gaussian_matrix(g.rows() as usize, 32, 1));
@@ -57,4 +55,5 @@ fn main() {
         &["graph", "OMeGa", "random", "chance"],
         &rows,
     );
+    Vec::new()
 }

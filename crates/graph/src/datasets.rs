@@ -6,9 +6,9 @@
 //! every OMeGa mechanism — EaTA's entropy, WoFP's hit rates, NaDP's traffic
 //! split — is the *degree distribution shape* and the node/edge ratio, both
 //! of which a skewed R-MAT reproduces. Each twin divides the paper's node
-//! and edge counts by a configurable scale factor (default 1000) while the
-//! simulated machine's capacities are scaled by the same policy, so
-//! capacity-limited outcomes (DRAM OOM on TW-2010/FR) reproduce.
+//! and edge counts by the caller's scale factor (1000 for the paper-scale
+//! runs) while the simulated machine's capacities are scaled by the same
+//! policy, so capacity-limited outcomes (DRAM OOM on TW-2010/FR) reproduce.
 
 use crate::csr::Csr;
 use crate::rmat::RmatConfig;
@@ -145,27 +145,12 @@ impl Dataset {
     pub fn load_scaled(self, scale: u64) -> Result<Csr> {
         self.twin_config(scale).generate_csr()
     }
-
-    /// Generate the twin at the default 1:1000 scale.
-    pub fn load(self) -> Result<Csr> {
-        self.load_scaled(default_scale())
-    }
 }
 
 impl std::fmt::Display for Dataset {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// The default twin scale (1:1000), overridable via the `OMEGA_SCALE`
-/// environment variable for quicker smoke runs or heavier sweeps.
-pub fn default_scale() -> u64 {
-    std::env::var("OMEGA_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(1000)
 }
 
 #[cfg(test)]
@@ -223,13 +208,5 @@ mod tests {
         let cfg = Dataset::Pk.twin_config(u64::MAX);
         assert!(cfg.nodes >= 64);
         assert!(cfg.edges >= 256);
-    }
-
-    #[test]
-    fn default_scale_is_1000_without_env() {
-        // The test environment does not set OMEGA_SCALE.
-        if std::env::var("OMEGA_SCALE").is_err() {
-            assert_eq!(default_scale(), 1000);
-        }
     }
 }
