@@ -14,8 +14,6 @@
 //! pipeline is costed on the simulated heterogeneous memory system, and the
 //! per-phase simulated times aggregate into a [`prone::ProneReport`].
 
-#![warn(unreachable_pub)]
-
 pub mod chebyshev;
 mod embedding;
 pub mod eval;

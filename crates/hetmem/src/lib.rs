@@ -54,8 +54,6 @@
 //! assert!(cost.as_nanos() > 0);
 //! ```
 
-#![warn(unreachable_pub)]
-
 mod bandwidth;
 mod clock;
 mod device;

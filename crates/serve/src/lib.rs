@@ -64,8 +64,6 @@
 //! assert!(report.stats.hit_rate() > 0.5); // the Zipf head stays resident
 //! ```
 
-#![warn(unreachable_pub)]
-
 mod cache;
 mod config;
 mod fetch;

@@ -25,8 +25,6 @@
 //! Configuration ([`SpmmConfig`], [`MemMode`]) and report types
 //! ([`SpmmRun`], [`WorkloadReport`], [`ThreadStats`]) are re-exported here.
 
-#![warn(unreachable_pub)]
-
 mod alloc;
 pub mod analysis;
 pub mod asl;
