@@ -6,13 +6,13 @@
 //! DistGER's competitiveness to its information-oriented walks needing far
 //! fewer sampled steps. Both are modelled with explicit traffic volumes
 //! over a 25 GbE [`Cluster`] whose link parameters are the shared
-//! [`NetModel`] (also used by the `omega-plane` request plane): what crosses
+//! [`NetModel`](omega_hetmem::NetModel) (also used by the `omega-plane` request plane): what crosses
 //! machines is derived from random edge-cut partitioning (an expected
 //! `(p−1)/p` of neighbour accesses are remote).
 
 use crate::RunOutcome;
 use omega_graph::Csr;
-use omega_hetmem::{Cluster, NetModel, SimDuration};
+use omega_hetmem::{Cluster, SimDuration};
 use omega_walk::{InfoWalkConfig, InfoWalker, SgnsConfig, SgnsModel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -40,11 +40,6 @@ impl DistConfig {
         }
     }
 
-    /// The shared link parameters this cluster runs over.
-    pub fn network(&self) -> NetModel {
-        self.cluster.network
-    }
-
     fn compute_time(&self, ops: f64) -> SimDuration {
         SimDuration::from_secs_f64(
             ops / (self.cpu_ops_per_sec * (self.threads * self.cluster.machines) as f64),
@@ -70,10 +65,10 @@ pub struct DistDglLike {
 
 /// Per-epoch cost split of the DistDGL model (the paper: sampling ≈ 80 %).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DglEpochBreakdown {
-    pub sampling: SimDuration,
-    pub compute: SimDuration,
-    pub sync: SimDuration,
+pub(crate) struct DglEpochBreakdown {
+    sampling: SimDuration,
+    compute: SimDuration,
+    sync: SimDuration,
 }
 
 impl DistDglLike {
@@ -89,12 +84,8 @@ impl DistDglLike {
         }
     }
 
-    pub fn name(&self) -> &'static str {
-        "DistDGL"
-    }
-
     /// Cost split of one epoch.
-    pub fn epoch_breakdown(&self, adj: &Csr) -> DglEpochBreakdown {
+    pub(crate) fn epoch_breakdown(&self, adj: &Csr) -> DglEpochBreakdown {
         let cfg = &self.cfg;
         let n = adj.rows() as u64;
         let p = cfg.cluster.machines as u64;
@@ -180,10 +171,6 @@ impl DistGerLike {
             probe_starts: 500,
             combine_factor: 16.0,
         }
-    }
-
-    pub fn name(&self) -> &'static str {
-        "DistGER"
     }
 
     /// Estimate the total corpus steps by probing adaptive walks from a

@@ -3,17 +3,17 @@
 //! Every system OMeGa is compared against in §IV, rebuilt over the same
 //! simulated machine so the comparisons are apples-to-apples:
 //!
-//! * [`prone_like`] — ProNE-DRAM and ProNE-HM (§IV-B): the unmodified ProNE
+//! * [`ProneBaseline`] — ProNE-DRAM and ProNE-HM (§IV-B): the unmodified ProNE
 //!   pipeline (CSR format, library-default round-robin threading, OS NUMA
 //!   policy, no prefetching/streaming) on DRAM and on the naive DRAM-PM
 //!   split;
-//! * [`ssd_systems`] — Ginex-like and MariusGNN-like out-of-core systems:
+//! * [`GinexLike`] and [`MariusLike`] — Ginex-like and MariusGNN-like out-of-core systems:
 //!   SSD-resident features/embeddings behind a DRAM page cache
 //!   (random-access, Ginex) or partition swapping (sequential, Marius),
 //!   with GPU-accelerated compute;
-//! * [`dist`] — DistDGL-like and DistGER-like four-machine distributed
+//! * [`DistDglLike`] and [`DistGerLike`] — DistDGL-like and DistGER-like four-machine distributed
 //!   systems over the [`omega_hetmem::Cluster`] network model (§IV-G);
-//! * [`spmm_systems`] — the SpMM-specialised comparators SEM-SpMM
+//! * [`SemSpmm`] and [`FusedMm`] — the SpMM-specialised comparators SEM-SpMM
 //!   (semi-external, sparse on SSD) and FusedMM (fused in-memory kernel)
 //!   of §IV-H.
 //!
@@ -21,10 +21,15 @@
 //! the paper's *orderings and rough factors* reproduce — documented per
 //! system; the harness reports measured ratios in `EXPERIMENTS.md`.
 
-pub mod dist;
-pub mod prone_like;
-pub mod spmm_systems;
-pub mod ssd_systems;
+mod dist;
+mod prone_like;
+mod spmm_systems;
+mod ssd_systems;
+
+pub use dist::{DistConfig, DistDglLike, DistGerLike};
+pub use prone_like::ProneBaseline;
+pub use spmm_systems::{omega_spmm_time, FusedMm, SemSpmm};
+pub use ssd_systems::{GinexLike, MariusLike, SsdSystemConfig};
 
 use omega_hetmem::SimDuration;
 

@@ -9,15 +9,14 @@
 
 use crate::RunOutcome;
 use omega_embed::prone::{Prone, ProneConfig};
-use omega_graph::read_cost::GraphFormat;
 use omega_graph::Csr;
+use omega_graph::GraphFormat;
 use omega_hetmem::{MemSystem, Topology};
 use omega_spmm::{AllocScheme, MemMode, SpmmConfig, SpmmEngine};
 
 /// Shared construction for the two ProNE variants.
 #[derive(Debug, Clone)]
 pub struct ProneBaseline {
-    name: &'static str,
     topology: Topology,
     spmm: SpmmConfig,
     prone: ProneConfig,
@@ -26,29 +25,16 @@ pub struct ProneBaseline {
 impl ProneBaseline {
     /// ProNE on DRAM only.
     pub fn dram(topology: Topology, threads: usize, dim: usize) -> ProneBaseline {
-        Self::build("ProNE-DRAM", topology, threads, dim, MemMode::DramOnly)
+        Self::build(topology, threads, dim, MemMode::DramOnly)
     }
 
     /// ProNE on the naive DRAM-PM split.
     pub fn hm(topology: Topology, threads: usize, dim: usize) -> ProneBaseline {
-        Self::build(
-            "ProNE-HM",
-            topology,
-            threads,
-            dim,
-            MemMode::SparsePmDenseDram,
-        )
+        Self::build(topology, threads, dim, MemMode::SparsePmDenseDram)
     }
 
-    fn build(
-        name: &'static str,
-        topology: Topology,
-        threads: usize,
-        dim: usize,
-        mode: MemMode,
-    ) -> ProneBaseline {
+    fn build(topology: Topology, threads: usize, dim: usize, mode: MemMode) -> ProneBaseline {
         ProneBaseline {
-            name,
             topology,
             spmm: SpmmConfig {
                 threads,
@@ -64,10 +50,6 @@ impl ProneBaseline {
                 ..ProneConfig::default()
             },
         }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// End-to-end run (graph reading + embedding generation).
@@ -118,11 +100,5 @@ mod tests {
         let tiny = Topology::new(2, 4, 48 << 10, 64 << 20, 1 << 30).unwrap();
         let out = ProneBaseline::dram(tiny, 4, 16).run(&g);
         assert!(out.is_oom());
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(ProneBaseline::dram(topo(), 1, 8).name(), "ProNE-DRAM");
-        assert_eq!(ProneBaseline::hm(topo(), 1, 8).name(), "ProNE-HM");
     }
 }

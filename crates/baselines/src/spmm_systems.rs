@@ -12,7 +12,7 @@
 
 use crate::RunOutcome;
 use omega_graph::{Csdb, Csr};
-use omega_hetmem::{DeviceKind, MemSystem, SimDuration, SsdModel, Topology};
+use omega_hetmem::{DeviceKind, MemSystem, SsdModel, Topology};
 use omega_linalg::DenseMatrix;
 use omega_spmm::{SpmmConfig, SpmmEngine};
 
@@ -40,10 +40,6 @@ impl SemSpmm {
             cols_per_pass: 8,
             framework_overhead: 9.0,
         }
-    }
-
-    pub fn name(&self) -> &'static str {
-        "SEM-SpMM"
     }
 
     /// Simulated time of one SpMM `A·B` with `d` dense columns.
@@ -104,10 +100,6 @@ impl FusedMm {
             threads,
             fused_factor: 2,
         }
-    }
-
-    pub fn name(&self) -> &'static str {
-        "FusedMM"
     }
 
     /// Simulated time of one SpMM `A·B` with `d` dense columns, or OOM when
@@ -184,14 +176,14 @@ pub fn omega_spmm_time(
     }
 }
 
-/// One SpMM's simulated time, ignoring OOM (tests).
-pub fn expect_time(outcome: RunOutcome) -> SimDuration {
-    outcome.time().expect("system completed")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One SpMM's simulated time, ignoring OOM.
+    fn expect_time(outcome: RunOutcome) -> omega_hetmem::SimDuration {
+        outcome.time().expect("system completed")
+    }
     use omega_graph::RmatConfig;
     use omega_linalg::gaussian_matrix;
 

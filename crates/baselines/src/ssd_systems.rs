@@ -82,10 +82,6 @@ impl GinexLike {
         GinexLike { topology, cfg }
     }
 
-    pub fn name(&self) -> &'static str {
-        "Ginex"
-    }
-
     /// End-to-end training time on the simulated machine.
     pub fn run(&self, adj: &Csr) -> RunOutcome {
         let sys = MemSystem::new(self.topology.clone());
@@ -178,10 +174,6 @@ impl MariusLike {
             replication: 4.0,
             edge_ops: 800.0,
         }
-    }
-
-    pub fn name(&self) -> &'static str {
-        "MariusGNN"
     }
 
     pub fn run(&self, adj: &Csr) -> RunOutcome {

@@ -8,9 +8,9 @@ use crate::{
     embed_or_oom, fmt_time, geomean, machine, omega_config, print_table, twin, DIM, THREADS,
 };
 use omega::{Omega, OmegaRun, SystemVariant};
-use omega_baselines::prone_like::ProneBaseline;
-use omega_baselines::ssd_systems::{GinexLike, MariusLike, SsdSystemConfig};
+use omega_baselines::ProneBaseline;
 use omega_baselines::RunOutcome;
+use omega_baselines::{GinexLike, MariusLike, SsdSystemConfig};
 use omega_graph::{Csr, Dataset};
 use omega_hetmem::SimDuration;
 use omega_obs::json::object;

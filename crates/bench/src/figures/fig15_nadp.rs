@@ -47,12 +47,9 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
         let g = twin(d, scale);
 
         let end_to_end = |variant: SystemVariant| -> Option<SimDuration> {
-            let mut over = base
-                .clone()
-                .with_variant(variant)
-                .with_wofp(Some(Default::default()));
-            over.asl_override = Some(None);
-            embed_or_oom(Omega::with_overrides(over).unwrap(), &g).map(|r| r.total_time())
+            let spmm = variant.spmm_config(THREADS).with_asl(None);
+            let omega = Omega::with_spmm_config(base.clone().with_variant(variant), spmm).unwrap();
+            embed_or_oom(omega, &g).map(|r| r.total_time())
         };
         let variants = [
             SystemVariant::Omega,

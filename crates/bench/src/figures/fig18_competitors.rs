@@ -7,8 +7,8 @@ use crate::{
     fmt_time, geomean, machine, omega_config, print_table, spmm_operands, twin, DIM, THREADS,
 };
 use omega::Omega;
-use omega_baselines::dist::{DistConfig, DistDglLike, DistGerLike};
-use omega_baselines::spmm_systems::{omega_spmm_time, FusedMm, SemSpmm};
+use omega_baselines::{omega_spmm_time, FusedMm, SemSpmm};
+use omega_baselines::{DistConfig, DistDglLike, DistGerLike};
 use omega_graph::Dataset;
 use serde::Value;
 

@@ -4,7 +4,7 @@
 //! (normalised SpMM execution time).
 
 use crate::{fmt_time, geomean, machine, print_table, spmm, spmm_operands, twin, THREADS};
-use omega_graph::read_cost::{csdb_read_time, csr_read_time};
+use omega_graph::{csdb_read_time, csr_read_time};
 use omega_graph::{Csdb, Dataset};
 use omega_hetmem::{BandwidthModel, DeviceKind};
 use omega_spmm::{SpmmConfig, WofpConfig};

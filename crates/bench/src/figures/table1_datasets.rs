@@ -5,8 +5,8 @@
 //! reproduction runs on (R-MAT, 1:`scale`, 1:1000 for the paper-scale runs).
 
 use crate::{print_table, twin};
-use omega_graph::stats::GraphStats;
 use omega_graph::Dataset;
+use omega_graph::GraphStats;
 use serde::Value;
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {

@@ -5,7 +5,7 @@ use omega_embed::prone::ProneConfig;
 use omega_hetmem::Topology;
 #[cfg(test)]
 use omega_spmm::MemMode;
-use omega_spmm::{AllocScheme, AslConfig, SpmmConfig, WofpConfig};
+use omega_spmm::SpmmConfig;
 
 /// The paper's named system variants (§IV-A baselines plus ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,54 +111,9 @@ impl OmegaConfig {
         self
     }
 
-    /// Override the allocation scheme (Table II ablations).
-    pub fn with_alloc(self, alloc: AllocScheme) -> OmegaConfigWithSpmmOverride {
-        OmegaConfigWithSpmmOverride {
-            base: self,
-            alloc: Some(alloc),
-            wofp_override: None,
-            asl_override: None,
-        }
-    }
-
-    /// Override WoFP parameters (Fig. 19 sensitivity sweeps).
-    pub fn with_wofp(self, wofp: Option<WofpConfig>) -> OmegaConfigWithSpmmOverride {
-        OmegaConfigWithSpmmOverride {
-            base: self,
-            alloc: None,
-            wofp_override: Some(wofp),
-            asl_override: None,
-        }
-    }
-
     /// The resolved SpMM configuration.
-    pub fn spmm_config(&self) -> SpmmConfig {
+    pub(crate) fn spmm_config(&self) -> SpmmConfig {
         self.variant.spmm_config(self.threads)
-    }
-}
-
-/// An [`OmegaConfig`] with explicit SpMM-layer overrides for ablations.
-#[derive(Debug, Clone)]
-pub struct OmegaConfigWithSpmmOverride {
-    pub base: OmegaConfig,
-    pub alloc: Option<AllocScheme>,
-    pub wofp_override: Option<Option<WofpConfig>>,
-    pub asl_override: Option<Option<AslConfig>>,
-}
-
-impl OmegaConfigWithSpmmOverride {
-    pub fn spmm_config(&self) -> SpmmConfig {
-        let mut cfg = self.base.spmm_config();
-        if let Some(alloc) = self.alloc {
-            cfg = cfg.with_alloc(alloc);
-        }
-        if let Some(wofp) = self.wofp_override {
-            cfg = cfg.with_wofp(wofp);
-        }
-        if let Some(asl) = self.asl_override {
-            cfg = cfg.with_asl(asl);
-        }
-        cfg
     }
 }
 
@@ -215,9 +170,6 @@ mod tests {
             .with_variant(SystemVariant::OmegaDram);
         assert_eq!(cfg.threads, 4);
         assert_eq!(cfg.prone.dim, 16);
-        let over = cfg.clone().with_alloc(AllocScheme::WaTA);
-        assert_eq!(over.spmm_config().alloc, AllocScheme::WaTA);
-        let over = cfg.with_wofp(None);
-        assert!(over.spmm_config().wofp.is_none());
+        assert_eq!(cfg.spmm_config().mode, MemMode::DramOnly);
     }
 }

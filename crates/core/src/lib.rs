@@ -31,25 +31,23 @@
 //! println!("simulated end-to-end time: {}", run.report.total());
 //! ```
 
-pub mod config;
-pub mod report;
-pub mod system;
+mod config;
+mod report;
+mod system;
 
-pub use config::{OmegaConfig, SystemVariant};
+pub use config::{OmegaConfig, SystemVariant, SCALED_DRAM_PER_NODE};
 pub use report::OmegaRun;
 pub use system::Omega;
 
 // Re-export the building blocks a downstream user needs.
-pub use omega_embed::{EmbedError, Embedding};
+pub use omega_embed::Embedding;
 pub use omega_faults as faults;
-pub use omega_graph as graph;
 pub use omega_hetmem as hetmem;
 pub use omega_linalg as linalg;
 pub use omega_obs as obs;
 pub use omega_par as par;
 pub use omega_plane as plane;
 pub use omega_serve as serve;
-pub use omega_spmm as spmm;
 
 /// Crate-wide result alias.
-pub type Result<T> = std::result::Result<T, EmbedError>;
+type Result<T> = std::result::Result<T, omega_embed::EmbedError>;

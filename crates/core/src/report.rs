@@ -44,18 +44,6 @@ impl OmegaRun {
     }
 }
 
-/// Pretty-print an access summary alongside a run (the VTune-style view of
-/// §III-D).
-pub fn traffic_report(summary: &AccessSummary) -> String {
-    format!(
-        "remote {:.1}% | random {:.1}% | PM share {:.1}% | {:.1} MiB moved",
-        summary.remote_fraction() * 100.0,
-        summary.random_fraction() * 100.0,
-        summary.pm_fraction() * 100.0,
-        summary.total_bytes as f64 / (1 << 20) as f64,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,11 +71,5 @@ mod tests {
         let s = run.summary();
         assert!(s.contains("OMeGa"));
         assert!(s.contains("7 calls"));
-    }
-
-    #[test]
-    fn traffic_report_renders() {
-        let s = traffic_report(&AccessSummary::from_counters(&ClassCounters::default()));
-        assert!(s.contains("remote 0.0%"));
     }
 }

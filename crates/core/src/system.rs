@@ -1,6 +1,6 @@
 //! The assembled OMeGa system.
 
-use crate::config::{OmegaConfig, OmegaConfigWithSpmmOverride};
+use crate::config::OmegaConfig;
 use crate::report::OmegaRun;
 use crate::Result;
 use omega_embed::prone::Prone;
@@ -21,18 +21,14 @@ impl Omega {
     /// Build the system for a configuration.
     pub fn new(cfg: OmegaConfig) -> Result<Omega> {
         let spmm = cfg.spmm_config();
-        Ok(Omega {
-            cfg,
-            spmm,
-            rec: Recorder::disabled(),
-        })
+        Omega::with_spmm_config(cfg, spmm)
     }
 
-    /// Build with explicit SpMM-layer overrides (ablation studies).
-    pub fn with_overrides(over: OmegaConfigWithSpmmOverride) -> Result<Omega> {
-        let spmm = over.spmm_config();
+    /// Build with an explicit SpMM configuration in place of the one
+    /// `cfg.variant` implies (ablation studies).
+    pub fn with_spmm_config(cfg: OmegaConfig, spmm: SpmmConfig) -> Result<Omega> {
         Ok(Omega {
-            cfg: over.base,
+            cfg,
             spmm,
             rec: Recorder::disabled(),
         })
@@ -46,21 +42,9 @@ impl Omega {
         self
     }
 
-    pub fn recorder(&self) -> &Recorder {
-        &self.rec
-    }
-
-    pub fn config(&self) -> &OmegaConfig {
-        &self.cfg
-    }
-
-    pub fn spmm_config(&self) -> &SpmmConfig {
-        &self.spmm
-    }
-
     /// A fresh engine on a fresh instance of the simulated machine (each
     /// run gets clean capacity accounting, like a fresh process).
-    pub fn engine(&self) -> Result<SpmmEngine> {
+    fn engine(&self) -> Result<SpmmEngine> {
         let sys = MemSystem::new(self.cfg.topology.clone());
         Ok(SpmmEngine::new(sys, self.spmm)
             .map_err(omega_embed::EmbedError::Spmm)?

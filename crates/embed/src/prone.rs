@@ -5,8 +5,8 @@ use crate::embedding::Embedding;
 use crate::laplacian::{log_proximity, to_csdb};
 use crate::tsvd::{randomized_tsvd, TsvdConfig};
 use crate::{EmbedError, Result};
-use omega_graph::read_cost::{csdb_read_time, csr_read_time, GraphFormat};
 use omega_graph::Csr;
+use omega_graph::{csdb_read_time, csr_read_time, GraphFormat};
 use omega_hetmem::SimDuration;
 use omega_obs::Track;
 use omega_spmm::SpmmEngine;

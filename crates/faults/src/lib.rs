@@ -6,7 +6,7 @@
 //! replayable byte-for-byte.
 //!
 //! A [`FaultPlanSpec`] is a seed plus declarative [`FaultRule`]s; compiled
-//! against a system's bandwidth model it becomes a [`FaultPlan`], which
+//! against a system's bandwidth model it becomes a `FaultPlan`, which
 //! implements the substrate's [`FaultHook`] and is installed with
 //! [`MemSystem::with_fault_hook`]. Every charged access consults the plan:
 //!
@@ -100,8 +100,7 @@ pub enum FaultRule {
 }
 
 /// A seed plus rules: the portable, serialisable description of a chaos
-/// scenario. Compile with [`FaultPlan::new`] (or install directly via
-/// [`install_plan`]).
+/// scenario. Install it on a system with [`install_plan`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlanSpec {
     pub seed: u64,
@@ -278,8 +277,10 @@ impl FaultPlanSpec {
     }
 
     /// Render back to the plan-file format ([`FaultPlanSpec::parse`]
-    /// round-trips it).
-    pub fn to_text(&self) -> String {
+    /// round-trips it). The tests use it to check that the parser reads
+    /// every field of every rule kind.
+    #[cfg(test)]
+    fn to_text(&self) -> String {
         let mut out = format!("seed = {}\n", self.seed);
         let node = |n: &Option<NodeId>| match n {
             Some(id) => format!(" node={id}"),
@@ -476,18 +477,14 @@ fn parse_device(v: &str) -> Result<DeviceKind, String> {
 /// A compiled plan: spec + the system's bandwidth model (for composing
 /// injected costs with the calibrated ratios). Implements [`FaultHook`].
 #[derive(Debug, Clone)]
-pub struct FaultPlan {
+pub(crate) struct FaultPlan {
     spec: FaultPlanSpec,
     model: BandwidthModel,
 }
 
 impl FaultPlan {
-    pub fn new(spec: FaultPlanSpec, model: BandwidthModel) -> FaultPlan {
+    pub(crate) fn new(spec: FaultPlanSpec, model: BandwidthModel) -> FaultPlan {
         FaultPlan { spec, model }
-    }
-
-    pub fn spec(&self) -> &FaultPlanSpec {
-        &self.spec
     }
 
     /// Model cost of the access if it ran alone, local to its home node —

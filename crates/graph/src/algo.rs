@@ -1,13 +1,13 @@
 //! Classic graph algorithms used for dataset validation and analysis:
-//! connected components, BFS, clustering coefficient and degree
-//! assortativity — the structural checks that confirm the synthetic twins
-//! behave like the social networks they stand in for.
+//! connected components and the clustering coefficient — the structural
+//! checks that confirm the synthetic twins behave like the social networks
+//! they stand in for.
 
 use crate::csr::Csr;
 use std::collections::VecDeque;
 
 /// Connected-component labels (`0..k`) per node, plus the component count.
-pub fn connected_components(g: &Csr) -> (Vec<u32>, u32) {
+fn connected_components(g: &Csr) -> (Vec<u32>, u32) {
     let n = g.rows() as usize;
     let mut label = vec![u32::MAX; n];
     let mut next = 0u32;
@@ -41,25 +41,8 @@ pub fn largest_component_size(g: &Csr) -> usize {
     sizes.into_iter().max().unwrap_or(0)
 }
 
-/// BFS distances from `source` (`u32::MAX` = unreachable).
-pub fn bfs_distances(g: &Csr, source: u32) -> Vec<u32> {
-    let mut dist = vec![u32::MAX; g.rows() as usize];
-    dist[source as usize] = 0;
-    let mut queue = VecDeque::from([source]);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v as usize];
-        for &w in g.row(v).0 {
-            if dist[w as usize] == u32::MAX {
-                dist[w as usize] = d + 1;
-                queue.push_back(w);
-            }
-        }
-    }
-    dist
-}
-
 /// Local clustering coefficient of one node: closed wedges / wedges.
-pub fn local_clustering(g: &Csr, v: u32) -> f64 {
+fn local_clustering(g: &Csr, v: u32) -> f64 {
     let (neigh, _) = g.row(v);
     let k = neigh.len();
     if k < 2 {
@@ -89,47 +72,47 @@ pub fn avg_clustering(g: &Csr, sample: usize) -> f64 {
     total / nodes.len() as f64
 }
 
-/// Degree assortativity: the Pearson correlation of endpoint degrees over
-/// edges. Social networks are typically weakly assortative-to-neutral;
-/// pure R-MAT is disassortative.
-pub fn degree_assortativity(g: &Csr) -> f64 {
-    let mut sx = 0f64;
-    let mut sy = 0f64;
-    let mut sxx = 0f64;
-    let mut syy = 0f64;
-    let mut sxy = 0f64;
-    let mut m = 0f64;
-    for u in 0..g.rows() {
-        let du = g.degree(u) as f64;
-        for &v in g.row(u).0 {
-            let dv = g.degree(v) as f64;
-            sx += du;
-            sy += dv;
-            sxx += du * du;
-            syy += dv * dv;
-            sxy += du * dv;
-            m += 1.0;
-        }
-    }
-    if m == 0.0 {
-        return 0.0;
-    }
-    let cov = sxy / m - (sx / m) * (sy / m);
-    let vx = sxx / m - (sx / m).powi(2);
-    let vy = syy / m - (sy / m).powi(2);
-    let denom = (vx * vy).sqrt();
-    if denom <= 0.0 {
-        0.0
-    } else {
-        cov / denom
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::rmat::RmatConfig;
+
+    /// Degree assortativity: the Pearson correlation of endpoint degrees over
+    /// edges. Social networks are typically weakly assortative-to-neutral;
+    /// pure R-MAT is disassortative.
+    fn degree_assortativity(g: &Csr) -> f64 {
+        let mut sx = 0f64;
+        let mut sy = 0f64;
+        let mut sxx = 0f64;
+        let mut syy = 0f64;
+        let mut sxy = 0f64;
+        let mut m = 0f64;
+        for u in 0..g.rows() {
+            let du = g.degree(u) as f64;
+            for &v in g.row(u).0 {
+                let dv = g.degree(v) as f64;
+                sx += du;
+                sy += dv;
+                sxx += du * du;
+                syy += dv * dv;
+                sxy += du * dv;
+                m += 1.0;
+            }
+        }
+        if m == 0.0 {
+            return 0.0;
+        }
+        let cov = sxy / m - (sx / m) * (sy / m);
+        let vx = sxx / m - (sx / m).powi(2);
+        let vy = syy / m - (sy / m).powi(2);
+        let denom = (vx * vy).sqrt();
+        if denom <= 0.0 {
+            0.0
+        } else {
+            cov / denom
+        }
+    }
 
     fn two_triangles() -> Csr {
         let mut b = GraphBuilder::new(7); // node 6 isolated
@@ -150,26 +133,6 @@ mod tests {
         assert_ne!(labels[0], labels[3]);
         assert_ne!(labels[6], labels[0]);
         assert_eq!(largest_component_size(&g), 3);
-    }
-
-    #[test]
-    fn bfs_distances_on_path() {
-        let mut b = GraphBuilder::new(5);
-        for v in 0..4 {
-            b.add_edge(v, v + 1, 1.0).unwrap();
-        }
-        let g = b.build_csr().unwrap();
-        assert_eq!(bfs_distances(&g, 0), vec![0, 1, 2, 3, 4]);
-        assert_eq!(bfs_distances(&g, 2), vec![2, 1, 0, 1, 2]);
-    }
-
-    #[test]
-    fn bfs_marks_unreachable() {
-        let g = two_triangles();
-        let d = bfs_distances(&g, 0);
-        assert_eq!(d[6], u32::MAX);
-        assert_eq!(d[3], u32::MAX);
-        assert_eq!(d[2], 1);
     }
 
     #[test]
@@ -203,7 +166,6 @@ mod tests {
         let r = degree_assortativity(&g);
         assert!(r < 0.05, "assortativity {r} should be <= ~0");
     }
-
     #[test]
     fn assortativity_of_regular_graph_is_degenerate_zero() {
         // A cycle: all degrees equal -> zero variance -> defined as 0.

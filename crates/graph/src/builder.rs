@@ -12,8 +12,6 @@ use crate::{GraphError, Result};
 pub struct GraphBuilder {
     nodes: u32,
     edges: Vec<(u32, u32, f32)>,
-    keep_self_loops: bool,
-    sum_duplicates: bool,
 }
 
 impl GraphBuilder {
@@ -22,8 +20,6 @@ impl GraphBuilder {
         GraphBuilder {
             nodes,
             edges: Vec::new(),
-            keep_self_loops: false,
-            sum_duplicates: true,
         }
     }
 
@@ -34,18 +30,6 @@ impl GraphBuilder {
             b.edges.push((s, d, w));
         }
         b
-    }
-
-    /// Keep self-loops instead of dropping them (default: drop).
-    pub fn keep_self_loops(mut self, keep: bool) -> Self {
-        self.keep_self_loops = keep;
-        self
-    }
-
-    /// When duplicates appear, sum their weights (default) or keep the first.
-    pub fn sum_duplicates(mut self, sum: bool) -> Self {
-        self.sum_duplicates = sum;
-        self
     }
 
     /// Add one undirected edge.
@@ -73,29 +57,21 @@ impl GraphBuilder {
             return Err(GraphError::EmptyGraph);
         }
 
-        // Symmetrise: store (u,v) and (v,u); drop self-loops unless kept.
+        // Symmetrise: store (u,v) and (v,u); drop self-loops.
         let mut directed: Vec<(u32, u32, f32)> = Vec::with_capacity(self.edges.len() * 2);
         for (u, v, w) in self.edges {
-            if u == v {
-                if self.keep_self_loops {
-                    directed.push((u, v, w));
-                }
-                continue;
+            if u != v {
+                directed.push((u, v, w));
+                directed.push((v, u, w));
             }
-            directed.push((u, v, w));
-            directed.push((v, u, w));
         }
 
-        // Sort by (row, col) then dedup.
+        // Sort by (row, col), then merge duplicates by summing weights.
         directed.sort_unstable_by_key(|a| (a.0, a.1));
         let mut dedup: Vec<(u32, u32, f32)> = Vec::with_capacity(directed.len());
         for (u, v, w) in directed {
             match dedup.last_mut() {
-                Some(last) if last.0 == u && last.1 == v => {
-                    if self.sum_duplicates {
-                        last.2 += w;
-                    }
-                }
+                Some(last) if last.0 == u && last.1 == v => last.2 += w,
                 _ => dedup.push((u, v, w)),
             }
         }
@@ -156,15 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn keeps_self_loops_when_asked() {
-        let mut b = GraphBuilder::new(2).keep_self_loops(true);
-        b.add_edge(0, 0, 5.0).unwrap();
-        let g = b.build_csr().unwrap();
-        assert_eq!(g.nnz(), 1);
-        assert_eq!(g.row(0), (&[0u32][..], &[5.0f32][..]));
-    }
-
-    #[test]
     fn duplicate_edges_sum_weights() {
         let mut b = GraphBuilder::new(2);
         b.add_edge(0, 1, 1.0).unwrap();
@@ -173,15 +140,6 @@ mod tests {
         assert_eq!(g.nnz(), 2);
         assert_eq!(g.row(0).1, &[3.0]);
         assert_eq!(g.row(1).1, &[3.0]);
-    }
-
-    #[test]
-    fn duplicate_edges_keep_first_when_disabled() {
-        let mut b = GraphBuilder::new(2).sum_duplicates(false);
-        b.add_edge(0, 1, 1.0).unwrap();
-        b.add_edge(0, 1, 9.0).unwrap();
-        let g = b.build_csr().unwrap();
-        assert_eq!(g.row(0).1, &[1.0]);
     }
 
     #[test]

@@ -170,28 +170,10 @@ impl Csdb {
         &self.perm
     }
 
-    /// Original id → permuted id.
-    #[inline]
-    pub fn inv_perm(&self) -> &[u32] {
-        &self.inv_perm
-    }
-
-    /// Column list in permuted id space.
-    #[inline]
-    pub fn col_list(&self) -> &[u32] {
-        &self.col_list
-    }
-
-    /// Edge weight list.
-    #[inline]
-    pub fn nnz_list(&self) -> &[f32] {
-        &self.nnz_list
-    }
-
     /// Block index containing permuted node `v` (binary search over
     /// `Deg_ind`).
     #[inline]
-    pub fn block_of(&self, v: u32) -> usize {
+    fn block_of(&self, v: u32) -> usize {
         debug_assert!(v < self.rows);
         match self.deg_ind.binary_search(&v) {
             Ok(b) if b == self.deg_ind.len() - 1 => b - 1,
@@ -220,18 +202,6 @@ impl Csdb {
         let start = self.deg_ptr(v) as usize;
         let end = start + self.degree(v) as usize;
         (&self.col_list[start..end], &self.nnz_list[start..end])
-    }
-
-    /// Iterate `(degree, node_range, nnz_range)` per block — the access
-    /// pattern the SpMM engine and EaTA walk.
-    pub fn block_iter(&self) -> impl Iterator<Item = BlockInfo> + '_ {
-        (0..self.blocks()).map(move |b| BlockInfo {
-            degree: self.deg_list[b],
-            node_start: self.deg_ind[b],
-            node_end: self.deg_ind[b + 1],
-            nnz_start: self.block_cum[b],
-            nnz_end: self.block_cum[b + 1],
-        })
     }
 
     /// In-degree of each permuted node (entries per column), the metric the
@@ -306,24 +276,6 @@ impl Csdb {
         )
     }
 
-    /// Scale all weights in place.
-    pub fn scale(&mut self, factor: f32) {
-        for v in &mut self.nnz_list {
-            *v *= factor;
-        }
-    }
-
-    /// Map weights in place with the (permuted-row, permuted-col) position.
-    pub fn map_values(&mut self, mut f: impl FnMut(u32, u32, f32) -> f32) {
-        for v in 0..self.rows {
-            let start = self.deg_ptr(v) as usize;
-            let end = start + self.degree(v) as usize;
-            for i in start..end {
-                self.nnz_list[i] = f(v, self.col_list[i], self.nnz_list[i]);
-            }
-        }
-    }
-
     /// Reference SpMV in permuted space: `y = A'·x`.
     pub fn spmv(&self, x: &[f32]) -> Result<Vec<f32>> {
         if x.len() != self.cols as usize {
@@ -392,27 +344,6 @@ impl Csdb {
             inv_perm: composed_inv,
             ..fresh
         })
-    }
-}
-
-/// One degree block: all nodes of equal degree, contiguous in id and nnz
-/// space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockInfo {
-    pub degree: u32,
-    pub node_start: u32,
-    pub node_end: u32,
-    pub nnz_start: u64,
-    pub nnz_end: u64,
-}
-
-impl BlockInfo {
-    pub fn nodes(&self) -> u32 {
-        self.node_end - self.node_start
-    }
-
-    pub fn nnzs(&self) -> u64 {
-        self.nnz_end - self.nnz_start
     }
 }
 
@@ -521,12 +452,12 @@ mod tests {
         let csr = fig5();
         let a = Csdb::from_csr(&csr).unwrap();
         let mut b = a.clone();
-        b.scale(2.0);
+        b.nnz_list.iter_mut().for_each(|w| *w *= 2.0);
         let sum = a.add(&b).unwrap();
         assert_eq!(sum.nnz(), a.nnz());
-        assert!(sum.nnz_list().iter().all(|&w| (w - 3.0).abs() < 1e-6));
+        assert!(sum.nnz_list.iter().all(|&w| (w - 3.0).abs() < 1e-6));
         let diff = sum.sub(&a).unwrap();
-        assert!(diff.nnz_list().iter().all(|&w| (w - 2.0).abs() < 1e-6));
+        assert!(diff.nnz_list.iter().all(|&w| (w - 2.0).abs() < 1e-6));
         // The permutation is preserved through the operators.
         assert_eq!(sum.perm(), a.perm());
     }
@@ -536,18 +467,6 @@ mod tests {
         let a = Csdb::from_csr(&fig5()).unwrap();
         let t = a.transpose().unwrap();
         assert_eq!(t.to_csr_original(), a.to_csr_original());
-    }
-
-    #[test]
-    fn map_values_sees_positions() {
-        let mut a = Csdb::from_csr(&fig5()).unwrap();
-        a.map_values(|r, c, _| (r + c) as f32);
-        for v in 0..a.rows() {
-            let (cols, vals) = a.row(v);
-            for (&c, &w) in cols.iter().zip(vals) {
-                assert_eq!(w, (v + c) as f32);
-            }
-        }
     }
 
     #[test]
@@ -564,12 +483,13 @@ mod tests {
     #[test]
     fn block_iter_covers_everything() {
         let csdb = Csdb::from_csr(&fig5()).unwrap();
-        let blocks: Vec<_> = csdb.block_iter().collect();
-        assert_eq!(blocks.len(), 3);
-        assert_eq!(blocks[0].nodes(), 3);
-        assert_eq!(blocks[0].nnzs(), 12);
-        let total_nodes: u32 = blocks.iter().map(|b| b.nodes()).sum();
-        let total_nnz: u64 = blocks.iter().map(|b| b.nnzs()).sum();
+        assert_eq!(csdb.blocks(), 3);
+        let nodes = |b: usize| csdb.deg_ind[b + 1] - csdb.deg_ind[b];
+        let nnzs = |b: usize| csdb.block_cum[b + 1] - csdb.block_cum[b];
+        assert_eq!(nodes(0), 3);
+        assert_eq!(nnzs(0), 12);
+        let total_nodes: u32 = (0..csdb.blocks()).map(nodes).sum();
+        let total_nnz: u64 = (0..csdb.blocks()).map(nnzs).sum();
         assert_eq!(total_nodes, 7);
         assert_eq!(total_nnz, 22);
     }

@@ -16,7 +16,7 @@ pub struct Csr {
 
 impl Csr {
     /// Assemble from raw parts, validating the invariants.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         rows: u32,
         cols: u32,
         row_ptr: Vec<u64>,
@@ -114,22 +114,12 @@ impl Csr {
     }
 
     #[inline]
-    pub fn row_ptr(&self) -> &[u64] {
-        &self.row_ptr
-    }
-
-    #[inline]
-    pub fn col_idx(&self) -> &[u32] {
-        &self.col_idx
-    }
-
-    #[inline]
     pub fn values(&self) -> &[f32] {
         &self.values
     }
 
     /// All degrees.
-    pub fn degrees(&self) -> Vec<u64> {
+    pub(crate) fn degrees(&self) -> Vec<u64> {
         (0..self.rows).map(|r| self.degree(r)).collect()
     }
 
@@ -138,17 +128,8 @@ impl Csr {
         (0..self.rows).map(|r| self.degree(r)).max().unwrap_or(0)
     }
 
-    /// In-degrees (number of stored entries per column).
-    pub fn in_degrees(&self) -> Vec<u64> {
-        let mut deg = vec![0u64; self.cols as usize];
-        for &c in &self.col_idx {
-            deg[c as usize] += 1;
-        }
-        deg
-    }
-
     /// Transpose.
-    pub fn transpose(&self) -> Csr {
+    pub(crate) fn transpose(&self) -> Csr {
         let mut row_ptr = vec![0u64; self.cols as usize + 1];
         for &c in &self.col_idx {
             row_ptr[c as usize + 1] += 1;
@@ -377,12 +358,6 @@ mod tests {
         m.map_values(|r, c, v| v + (r + c) as f32);
         assert_eq!(m.row(0).1, &[2.0]);
         assert_eq!(m.row(1).1, &[3.0]);
-    }
-
-    #[test]
-    fn in_degrees_count_columns() {
-        let m = Csr::from_triples(3, 3, vec![(0, 1, 1.0), (1, 1, 1.0), (2, 0, 1.0)]).unwrap();
-        assert_eq!(m.in_degrees(), vec![1, 2, 0]);
     }
 
     #[test]

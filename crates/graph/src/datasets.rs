@@ -114,12 +114,6 @@ impl Dataset {
         }
     }
 
-    /// Whether the paper reports DRAM-only systems failing on this graph
-    /// (the billion-edge pair).
-    pub const fn is_billion_scale(self) -> bool {
-        matches!(self, Dataset::Tw2010 | Dataset::Fr)
-    }
-
     /// Deterministic per-dataset seed so every harness sees the same twin.
     const fn seed(self) -> u64 {
         match self {
@@ -134,7 +128,7 @@ impl Dataset {
 
     /// The R-MAT configuration of the twin at scale `scale` (paper counts
     /// divided by `scale`).
-    pub fn twin_config(self, scale: u64) -> RmatConfig {
+    fn twin_config(self, scale: u64) -> RmatConfig {
         let stats = self.paper_stats();
         let nodes = (stats.nodes / scale).max(64) as u32;
         let edges = (stats.edges / scale).max(256);
@@ -163,13 +157,6 @@ mod tests {
         let labels: Vec<_> = Dataset::ALL.iter().map(|d| d.label()).collect();
         assert_eq!(labels, ["PK", "LJ", "OR", "TW", "TW-2010", "FR"]);
         assert_eq!(Dataset::Pk.paper_stats().name, "soc-Pokec");
-    }
-
-    #[test]
-    fn billion_scale_flags() {
-        assert!(Dataset::Tw2010.is_billion_scale());
-        assert!(Dataset::Fr.is_billion_scale());
-        assert!(!Dataset::Pk.is_billion_scale());
     }
 
     #[test]

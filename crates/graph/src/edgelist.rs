@@ -5,7 +5,6 @@
 //! and writes that format.
 
 use crate::{GraphError, Result};
-use std::io::{BufReader, Read, Write};
 
 /// A raw list of (possibly weighted, possibly directed) edges.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -14,17 +13,17 @@ pub struct EdgeList {
 }
 
 impl EdgeList {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EdgeList::default()
     }
 
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         EdgeList {
             edges: Vec::with_capacity(cap),
         }
     }
 
-    pub fn push(&mut self, src: u32, dst: u32, weight: f32) {
+    pub(crate) fn push(&mut self, src: u32, dst: u32, weight: f32) {
         self.edges.push((src, dst, weight));
     }
 
@@ -37,7 +36,7 @@ impl EdgeList {
     }
 
     /// Largest node id referenced plus one, or 0 for an empty list.
-    pub fn max_node_plus_one(&self) -> u32 {
+    pub(crate) fn max_node_plus_one(&self) -> u32 {
         self.edges
             .iter()
             .map(|&(s, d, _)| s.max(d) + 1)
@@ -80,19 +79,6 @@ impl EdgeList {
         Ok(list)
     }
 
-    /// Parse from any reader (buffered internally).
-    pub fn read_from<R: Read>(reader: R) -> Result<Self> {
-        let mut buf = String::new();
-        let mut reader = BufReader::new(reader);
-        reader
-            .read_to_string(&mut buf)
-            .map_err(|_| GraphError::Parse {
-                line: 0,
-                content: "<io error>".into(),
-            })?;
-        Self::parse(&buf)
-    }
-
     /// Serialise to the `src dst weight` text format. Unit weights are
     /// omitted to keep files in the common SNAP shape.
     pub fn to_text(&self) -> String {
@@ -107,17 +93,6 @@ impl EdgeList {
             line.expect("writing to a String cannot fail");
         }
         out
-    }
-
-    /// Write the text form to a writer.
-    pub fn write_to<W: Write>(&self, writer: &mut W) -> std::io::Result<()> {
-        writer.write_all(self.to_text().as_bytes())
-    }
-
-    /// Total bytes of the in-memory representation, used by the graph-read
-    /// cost accounting (Fig. 19(a)).
-    pub fn size_bytes(&self) -> u64 {
-        (self.edges.len() * std::mem::size_of::<(u32, u32, f32)>()) as u64
     }
 
     /// Iterate over edges.
@@ -173,19 +148,9 @@ mod tests {
     }
 
     #[test]
-    fn read_write_io() {
-        let list: EdgeList = vec![(3u32, 4u32)].into_iter().collect();
-        let mut buf = Vec::new();
-        list.write_to(&mut buf).unwrap();
-        let back = EdgeList::read_from(buf.as_slice()).unwrap();
-        assert_eq!(back, list);
-    }
-
-    #[test]
     fn empty_list() {
         let list = EdgeList::parse("").unwrap();
         assert!(list.is_empty());
         assert_eq!(list.max_node_plus_one(), 0);
-        assert_eq!(list.size_bytes(), 0);
     }
 }

@@ -2,41 +2,49 @@
 //!
 //! Provides everything between raw edge data and the SpMM engine:
 //!
-//! * [`edgelist`] — whitespace-separated edge-list parsing/serialisation;
-//! * [`builder`] — undirected graph construction (dedup, self-loop removal);
-//! * [`csr`] — the standard Compressed Sparse Row baseline format;
-//! * [`csdb`] — the paper's Compressed Sparse Degree-Block format (§III-A)
+//! * [`EdgeList`] — whitespace-separated edge-list parsing/serialisation;
+//! * [`GraphBuilder`] — undirected graph construction (dedup, self-loop
+//!   removal);
+//! * [`Csr`] — the standard Compressed Sparse Row baseline format;
+//! * [`Csdb`] — the paper's Compressed Sparse Degree-Block format (§III-A)
 //!   with `Deg_list`/`Deg_ind` indices, matrix operators and the CSR ↔ CSDB
 //!   conversions (`Csdb::from_csr`, `Csdb::to_csr_original`);
-//! * [`rmat`] — the seeded recursive-matrix generator used for the
-//!   scalability study (Fig. 17(b));
-//! * [`datasets`] — scaled-down synthetic twins of the paper's six
+//! * [`RmatConfig`] — the seeded recursive-matrix generator used for the
+//!   scalability study (Fig. 17(b)), and [`SbmConfig`], a stochastic block
+//!   model with ground-truth communities;
+//! * [`Dataset`] — scaled-down synthetic twins of the paper's six
 //!   real-world graphs (Table I);
-//! * [`stats`] — degree distributions, workload entropy and scatter factors.
+//! * [`GraphStats`] and [`workload_entropy`] — degree distributions,
+//!   workload entropy and scatter factors;
+//! * [`csr_read_time`] / [`csdb_read_time`] — the simulated cost of loading
+//!   a graph in either format (Fig. 19(a)).
 //!
 //! Node ids are `u32`; edge weights (`nnz` values) are `f32`, matching the
 //! paper's initial unit weights.
 
-pub mod algo;
-pub mod builder;
+mod algo;
+mod builder;
 #[cfg(test)]
 mod convert;
-pub mod csdb;
-pub mod csr;
-pub mod datasets;
-pub mod edgelist;
-pub mod read_cost;
-pub mod rmat;
-pub mod sbm;
-pub mod stats;
+mod csdb;
+mod csr;
+mod datasets;
+mod edgelist;
+mod read_cost;
+mod rmat;
+mod sbm;
+mod stats;
 
+pub use algo::{avg_clustering, largest_component_size};
 pub use builder::GraphBuilder;
 pub use csdb::Csdb;
 pub use csr::Csr;
 pub use datasets::{Dataset, DatasetStats};
 pub use edgelist::EdgeList;
+pub use read_cost::{csdb_read_time, csr_read_time, GraphFormat};
 pub use rmat::RmatConfig;
 pub use sbm::SbmConfig;
+pub use stats::{normalized_entropy, scatter_factor, workload_entropy, GraphStats};
 
 /// Errors from graph construction and IO.
 #[derive(Debug, Clone, PartialEq, Eq)]

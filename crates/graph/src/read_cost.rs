@@ -24,15 +24,6 @@ pub enum GraphFormat {
     Csdb,
 }
 
-impl GraphFormat {
-    pub const fn label(self) -> &'static str {
-        match self {
-            GraphFormat::Csr => "CSR",
-            GraphFormat::Csdb => "CSDB",
-        }
-    }
-}
-
 /// Bytes of one edge-list text line (`u\td\n` with ~7-digit ids).
 const TEXT_BYTES_PER_EDGE: u64 = 16;
 /// CPU ops to tokenise and convert one stored nnz.
@@ -44,7 +35,7 @@ const CSDB_BUILD_OPS_PER_NODE: u64 = 2;
 
 /// Simulated time to read a graph of `nodes` / `nnz` stored non-zeros into
 /// `format`, with the structure written to `device` (node 0, local).
-pub fn read_time(
+pub(crate) fn read_time(
     format: GraphFormat,
     nodes: u64,
     nnz: u64,

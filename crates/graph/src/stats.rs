@@ -6,7 +6,7 @@ use crate::csr::Csr;
 use std::collections::BTreeMap;
 
 /// Degree histogram: degree → node count, sorted by degree.
-pub fn degree_histogram(csr: &Csr) -> BTreeMap<u64, u64> {
+fn degree_histogram(csr: &Csr) -> BTreeMap<u64, u64> {
     let mut hist = BTreeMap::new();
     for r in 0..csr.rows() {
         *hist.entry(csr.degree(r)).or_insert(0u64) += 1;
@@ -15,12 +15,12 @@ pub fn degree_histogram(csr: &Csr) -> BTreeMap<u64, u64> {
 }
 
 /// Number of distinct degrees (`|Degree|`, the size driver of CSDB).
-pub fn distinct_degrees(csr: &Csr) -> usize {
+fn distinct_degrees(csr: &Csr) -> usize {
     degree_histogram(csr).len()
 }
 
 /// Average degree.
-pub fn avg_degree(csr: &Csr) -> f64 {
+fn avg_degree(csr: &Csr) -> f64 {
     if csr.rows() == 0 {
         return 0.0;
     }
@@ -69,23 +69,6 @@ pub fn scatter_factor(row_nnz: &[u64], total_cols: u32) -> f64 {
     avg_per_row / total_cols as f64
 }
 
-/// Maximum-likelihood estimate of the power-law exponent for degrees ≥
-/// `d_min` (Clauset et al.): `α = 1 + n / Σ ln(d_i / (d_min − ½))`.
-/// Returns `None` if no nodes reach `d_min`.
-pub fn power_law_alpha(csr: &Csr, d_min: u64) -> Option<f64> {
-    let d_min = d_min.max(1);
-    let mut n = 0u64;
-    let mut log_sum = 0f64;
-    for r in 0..csr.rows() {
-        let d = csr.degree(r);
-        if d >= d_min {
-            n += 1;
-            log_sum += (d as f64 / (d_min as f64 - 0.5)).ln();
-        }
-    }
-    (n > 0 && log_sum > 0.0).then(|| 1.0 + n as f64 / log_sum)
-}
-
 /// Full per-graph report used by the Table I harness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
@@ -120,6 +103,23 @@ mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use crate::rmat::RmatConfig;
+
+    /// Maximum-likelihood estimate of the power-law exponent for degrees ≥
+    /// `d_min` (Clauset et al.): `α = 1 + n / Σ ln(d_i / (d_min − ½))`.
+    /// Returns `None` if no nodes reach `d_min`.
+    fn power_law_alpha(csr: &Csr, d_min: u64) -> Option<f64> {
+        let d_min = d_min.max(1);
+        let mut n = 0u64;
+        let mut log_sum = 0f64;
+        for r in 0..csr.rows() {
+            let d = csr.degree(r);
+            if d >= d_min {
+                n += 1;
+                log_sum += (d as f64 / (d_min as f64 - 0.5)).ln();
+            }
+        }
+        (n > 0 && log_sum > 0.0).then(|| 1.0 + n as f64 / log_sum)
+    }
 
     fn star(leaves: u32) -> Csr {
         let mut b = GraphBuilder::new(leaves + 1);

@@ -1,6 +1,5 @@
 //! Property-based tests of graph IO, construction and generators.
 
-use omega_graph::algo::{bfs_distances, connected_components};
 use omega_graph::{EdgeList, GraphBuilder, RmatConfig, SbmConfig};
 use proptest::prelude::*;
 
@@ -73,32 +72,5 @@ proptest! {
         prop_assert!(labels.iter().all(|&l| l < cfg.communities));
         let g = cfg.generate_csr().unwrap();
         prop_assert!(g.is_symmetric());
-    }
-
-    /// BFS distances respect the triangle property along edges and label
-    /// exactly the source's component.
-    #[test]
-    fn bfs_consistency(n in 3u32..60, edges in proptest::collection::vec((0u32..60, 0u32..60), 2..80)) {
-        let mut b = GraphBuilder::new(n);
-        for (u, v) in edges {
-            if u < n && v < n && u != v {
-                b.add_edge(u, v, 1.0).unwrap();
-            }
-        }
-        b.add_edge(0, 1 % n, 1.0).ok();
-        let g = b.build_csr().unwrap();
-        let dist = bfs_distances(&g, 0);
-        let (labels, _) = connected_components(&g);
-        for u in 0..g.rows() {
-            let reach = dist[u as usize] != u32::MAX;
-            let same_comp = labels[u as usize] == labels[0];
-            prop_assert_eq!(reach, same_comp, "reachability disagrees at {}", u);
-            for &v in g.row(u).0 {
-                let (du, dv) = (dist[u as usize], dist[v as usize]);
-                if du != u32::MAX {
-                    prop_assert!(dv != u32::MAX && dv <= du + 1 && du <= dv + 1);
-                }
-            }
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! Exporters: Chrome trace events (Perfetto), JSONL metrics, text tables.
+//! Exporters: Chrome trace events (Perfetto) and JSONL metrics.
 //!
 //! The Chrome trace uses **simulated time** for `ts`/`dur` (microseconds,
 //! as the format requires) so Perfetto renders the simulated machine's
@@ -13,7 +13,7 @@ use serde::Value;
 
 /// Render all completed spans as a Chrome-trace-event JSON document
 /// (`{"traceEvents": [...]}`), loadable in Perfetto / `chrome://tracing`.
-pub fn chrome_trace_json(rec: &Recorder) -> String {
+pub(crate) fn chrome_trace_json(rec: &Recorder) -> String {
     let mut events: Vec<Value> = Vec::new();
 
     for (track, name) in rec.track_names() {
@@ -66,7 +66,7 @@ fn span_event(span: &SpanRecord) -> Value {
 
 /// One JSON object per line: every counter, gauge, and histogram in the
 /// snapshot. Stable field order; counters first, then gauges, histograms.
-pub fn metrics_jsonl(snap: &MetricsSnapshot) -> String {
+pub(crate) fn metrics_jsonl(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snap.counters {
         out.push_str(&json_line(&object([
@@ -124,80 +124,6 @@ pub fn parse_metrics_jsonl(
         rows.push((kind, name, value));
     }
     Ok(rows)
-}
-
-/// Human-readable report: a span table (dual clocks side by side), the
-/// per-name self/total profile, and a metrics table.
-///
-/// Every section is deterministically ordered — spans by
-/// `(track, sim_start, duration desc, name)`, profile aggregates by name,
-/// metrics lexicographically — so two runs with identical simulated
-/// behaviour produce diffable reports.
-pub fn text_report(rec: &Recorder) -> String {
-    let mut out = String::new();
-    let spans = rec.spans();
-    if !spans.is_empty() {
-        out.push_str(&format!(
-            "{:<34} {:>6} {:>16} {:>16} {:>12}\n",
-            "span", "track", "sim_start", "sim_dur", "wall_dur"
-        ));
-        let mut ordered: Vec<&SpanRecord> = spans.iter().collect();
-        ordered.sort_by(|a, b| {
-            (
-                a.track,
-                a.sim_start_ns,
-                std::cmp::Reverse(a.sim_dur_ns),
-                &a.name,
-            )
-                .cmp(&(
-                    b.track,
-                    b.sim_start_ns,
-                    std::cmp::Reverse(b.sim_dur_ns),
-                    &b.name,
-                ))
-        });
-        for s in ordered {
-            let indent = "  ".repeat(s.depth as usize);
-            out.push_str(&format!(
-                "{:<34} {:>6} {:>14}ns {:>14}ns {:>10}us\n",
-                format!("{indent}{}", s.name),
-                format!("{}.{}", s.track.pid, s.track.tid),
-                s.sim_start_ns,
-                s.sim_dur_ns,
-                s.wall_dur_us,
-            ));
-        }
-    }
-    let profile = crate::profile::aggregate(&spans);
-    if !profile.is_empty() {
-        out.push_str(&format!(
-            "\n{:<34} {:>8} {:>13} {:>13} {:>13} {:>13}\n",
-            "profile", "count", "self_wall", "total_wall", "self_sim", "total_sim"
-        ));
-        for a in &profile {
-            out.push_str(&format!(
-                "{:<34} {:>8} {:>11}us {:>11}us {:>11}ns {:>11}ns\n",
-                a.name, a.count, a.self_wall_us, a.total_wall_us, a.self_sim_ns, a.total_sim_ns
-            ));
-        }
-    }
-    let snap = rec.metrics_snapshot();
-    if !(snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty()) {
-        out.push_str(&format!("\n{:<40} {:>20}\n", "metric", "value"));
-        for (name, v) in &snap.counters {
-            out.push_str(&format!("{name:<40} {v:>20}\n"));
-        }
-        for (name, v) in &snap.gauges {
-            out.push_str(&format!("{name:<40} {v:>20.6}\n"));
-        }
-        for (name, h) in &snap.histograms {
-            out.push_str(&format!(
-                "{name:<40} {:>20}\n",
-                format!("n={} mean={:.3} max={:.3}", h.count, h.mean(), h.max)
-            ));
-        }
-    }
-    out
 }
 
 /// Encode one value as a JSON line (a metrics row, or a row a bench binary
@@ -262,19 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn text_report_mentions_spans_and_metrics() {
-        let rec = sample_recorder();
-        let text = rec.text_report();
-        assert!(text.contains("root"));
-        assert!(
-            text.contains("  leaf"),
-            "leaf should be indented under root"
-        );
-        assert!(text.contains("mem.pm_bytes"));
-        assert!(text.contains("wofp.hit_rate"));
-    }
-
-    #[test]
     fn disabled_recorder_exports_empty_documents() {
         let rec = Recorder::disabled();
         let doc = crate::json::parse(&rec.chrome_trace_json()).unwrap();
@@ -283,6 +196,5 @@ mod tests {
             Some(0)
         );
         assert!(rec.metrics_jsonl().is_empty());
-        assert!(rec.text_report().is_empty());
     }
 }

@@ -14,10 +14,9 @@
 //!   `wofp.prefetch`, `asl.batch`, `prone.factorize`, …) on per-track
 //!   timelines (one track per simulated socket/thread).
 //! * **Metrics** — a thread-safe registry of counters, gauges, and
-//!   histograms ([`metrics`]).
+//!   histograms ([`MetricsSnapshot`]).
 //! * **Exporters** — Chrome-trace-event JSON loadable in Perfetto (simulated
-//!   nanoseconds as timestamps), JSONL metric snapshots, and a human text
-//!   table ([`export`]).
+//!   nanoseconds as timestamps) and JSONL metric snapshots ([`export`]).
 //!
 //! A disabled [`Recorder`] (the default) is a no-op: every call checks one
 //! `Option` and returns. Instrumented code paths therefore stay free when
@@ -35,11 +34,11 @@
 
 pub mod export;
 pub mod json;
-pub mod metrics;
+mod metrics;
 pub mod profile;
 
 pub use metrics::{percentile_u64, Histogram, LatencyHistogram, MetricsSnapshot};
-pub use profile::{record_pool_timeline, SpanAggregate};
+pub use profile::record_pool_timeline;
 
 use omega_hetmem::{SimDuration, SimInstant};
 use std::collections::HashMap;
@@ -299,7 +298,7 @@ impl Recorder {
     /// the recorder's epoch) with zero simulated duration. Used to replay
     /// measured host timelines — e.g. pool worker intervals — onto
     /// dedicated tracks without perturbing any simulated cursor.
-    pub fn record_wall_interval(
+    pub(crate) fn record_wall_interval(
         &self,
         name: &str,
         track: Track,
@@ -330,13 +329,6 @@ impl Recorder {
         };
         let st = inner.state();
         SimInstant::EPOCH + SimDuration::from_nanos(*st.cursors.get(&track).unwrap_or(&0))
-    }
-
-    /// Advance a track's cursor without recording a span (idle gaps).
-    pub fn advance(&self, track: Track, by: SimDuration) {
-        let Some(inner) = &self.inner else { return };
-        let mut st = inner.state();
-        *st.cursors.entry(track).or_insert(0) += by.as_nanos();
     }
 
     // ---- metrics ----------------------------------------------------------
@@ -376,7 +368,7 @@ impl Recorder {
     }
 
     /// Registered track names.
-    pub fn track_names(&self) -> Vec<(Track, String)> {
+    pub(crate) fn track_names(&self) -> Vec<(Track, String)> {
         match &self.inner {
             None => Vec::new(),
             Some(inner) => inner.state().track_names.clone(),
@@ -389,11 +381,6 @@ impl Recorder {
             None => MetricsSnapshot::default(),
             Some(inner) => inner.state().registry.snapshot(),
         }
-    }
-
-    /// Per-name self/total profile over both clocks; see [`profile`].
-    pub fn profile(&self) -> Vec<SpanAggregate> {
-        profile::aggregate(&self.spans())
     }
 
     /// Collapsed-stack (flamegraph) rendering of the span tree, weighted
@@ -410,11 +397,6 @@ impl Recorder {
     /// One JSON object per metric, one per line; see [`export`].
     pub fn metrics_jsonl(&self) -> String {
         export::metrics_jsonl(&self.metrics_snapshot())
-    }
-
-    /// Human-readable span/metric tables; see [`export`].
-    pub fn text_report(&self) -> String {
-        export::text_report(self)
     }
 }
 

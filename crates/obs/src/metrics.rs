@@ -23,7 +23,7 @@ pub struct Histogram {
 const NUM_BUCKETS: usize = 64;
 
 impl Histogram {
-    pub fn observe(&mut self, value: f64) {
+    pub(crate) fn observe(&mut self, value: f64) {
         if self.count == 0 {
             self.min = value;
             self.max = value;
@@ -42,7 +42,7 @@ impl Histogram {
         self.buckets[idx] += 1;
     }
 
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -162,11 +162,8 @@ impl LatencyHistogram {
         self.count
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    pub fn min(&self) -> u64 {
+    #[cfg(test)]
+    fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -174,7 +171,8 @@ impl LatencyHistogram {
         }
     }
 
-    pub fn max(&self) -> u64 {
+    #[cfg(test)]
+    fn max(&self) -> u64 {
         self.max
     }
 
@@ -228,33 +226,33 @@ impl LatencyHistogram {
 
 /// Registry state (owned by the recorder).
 #[derive(Debug, Default)]
-pub struct Registry {
-    pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, f64>,
-    pub histograms: BTreeMap<String, Histogram>,
+pub(crate) struct Registry {
+    counters: BTreeMap<String, u64>,
+    gauges: BTreeMap<String, f64>,
+    histograms: BTreeMap<String, Histogram>,
 }
 
 impl Registry {
-    pub fn counter_add(&mut self, name: &str, delta: u64) {
+    pub(crate) fn counter_add(&mut self, name: &str, delta: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
-    pub fn counter_set(&mut self, name: &str, value: u64) {
+    pub(crate) fn counter_set(&mut self, name: &str, value: u64) {
         self.counters.insert(name.to_string(), value);
     }
 
-    pub fn gauge_set(&mut self, name: &str, value: f64) {
+    pub(crate) fn gauge_set(&mut self, name: &str, value: f64) {
         self.gauges.insert(name.to_string(), value);
     }
 
-    pub fn observe(&mut self, name: &str, value: f64) {
+    pub(crate) fn observe(&mut self, name: &str, value: f64) {
         self.histograms
             .entry(name.to_string())
             .or_default()
             .observe(value);
     }
 
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
             gauges: self.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
@@ -282,17 +280,6 @@ impl MetricsSnapshot {
             .find(|(k, _)| k == name)
             .map(|(_, v)| *v)
     }
-
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
-    }
-
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-    }
 }
 
 #[cfg(test)]
@@ -309,7 +296,7 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.counter("mem.pm_bytes"), Some(15));
         assert_eq!(snap.counter("spmm.runs"), Some(3));
-        assert_eq!(snap.gauge("wofp.hit_rate"), Some(0.75));
+        assert_eq!(snap.gauges, vec![("wofp.hit_rate".to_string(), 0.75)]);
         assert_eq!(snap.counter("missing"), None);
     }
 

@@ -17,7 +17,7 @@
 //! ## Execution model
 //!
 //! Parallel calls dispatch onto one process-wide **persistent pool**
-//! ([`pool`]): long-lived workers parked on a condvar between calls, the
+//! (`pool.rs`): long-lived workers parked on a condvar between calls, the
 //! caller participating as slot 0, and per-slot **range deques** claimed
 //! ascending by their owner and stolen descending by everyone else — so
 //! skewed task costs (a cold shard retrying through a fault plan amid
@@ -27,7 +27,7 @@
 //! score-buffer and `ThreadMem` setup over the whole run.
 //!
 //! Small calls never touch the pool: an adaptive per-site estimate of
-//! task cost (see [`pool::DispatchPolicy`]) routes below-cutoff work —
+//! task cost (see [`DispatchPolicy`]) routes below-cutoff work —
 //! and every call on a single-core host — through the inline path, the
 //! same code the parallel slots execute, attributed via the profiler's
 //! sequential-call accounting. Which path runs is a pure wall-clock
@@ -35,7 +35,7 @@
 //! every steal interleaving by construction, because work items partition
 //! only output indices and merges happen in index order on the caller.
 //!
-//! [`for_each_chunk`] is the in-place companion for element-wise kernels:
+//! [`for_each_chunk_labeled`] is the in-place companion for element-wise kernels:
 //! it applies a closure to a list of disjoint mutable chunks (e.g.
 //! `chunks_mut` of a matrix buffer). Because the chunk boundaries are
 //! chosen by the caller — never by the thread count — and each chunk
@@ -44,7 +44,7 @@
 //!
 //! ## Profiling
 //!
-//! The [`profile`] module adds opt-in wall-clock attribution: install a
+//! The profiler adds opt-in wall-clock attribution: install a
 //! [`PoolProfiler`] on the calling thread and every pool call decomposes
 //! into execute/idle/park/barrier intervals per worker slot (plus steal
 //! counts), attributed to the innermost [`phase_scope`] (or the call
@@ -52,13 +52,10 @@
 //! Profiling observes wall time only — results, ordering, and everything
 //! downstream of the simulated clock are untouched, at any thread count.
 
-pub mod pool;
-pub mod profile;
+mod pool;
+mod profile;
 
-pub use pool::{
-    prime_task_estimate, task_estimate, with_dispatch_policy, with_scratch, DispatchPolicy,
-    MAX_WORKER_SLOTS, SEQ_CUTOFF_NS,
-};
+pub use pool::{prime_task_estimate, task_estimate, with_dispatch_policy, DispatchPolicy};
 pub use profile::{
     install, phase_scope, record_seq, PoolCallRecord, PoolProfile, PoolProfiler, ProfilerGuard,
     WorkerTimeline,
@@ -111,8 +108,8 @@ where
 }
 
 /// [`run`] with a static call-site label for wall-clock attribution and
-/// the adaptive sequential-fallback estimate (see [`profile`] and
-/// [`pool::DispatchPolicy`]). With no profiler installed the label costs
+/// the adaptive sequential-fallback estimate (see [`PoolProfiler`] and
+/// [`DispatchPolicy`]). With no profiler installed the label costs
 /// one thread-local read.
 pub fn run_labeled<T, S, F>(site: &'static str, threads: usize, n: usize, f: F) -> Vec<T>
 where
@@ -174,7 +171,9 @@ unsafe impl<T: Send> Send for ChunkPart<T> {}
 unsafe impl<T: Send> Sync for ChunkPart<T> {}
 
 /// Apply `f(chunk_index, chunk)` to every chunk of a pre-partitioned
-/// mutable buffer on up to `threads` workers.
+/// mutable buffer on up to `threads` workers. `site` is a static call-site
+/// label for wall-clock attribution and the adaptive sequential-fallback
+/// estimate (see [`PoolProfiler`]).
 ///
 /// The chunks must be disjoint (as produced by `chunks_mut`) and their
 /// boundaries must be chosen independently of `threads`; then each element
@@ -182,17 +181,6 @@ unsafe impl<T: Send> Sync for ChunkPart<T> {}
 /// same data at every worker count, so the result is bit-identical to the
 /// sequential loop. Chunk indices are claimed through the same stealing
 /// deques as [`run`] tasks, so stragglers rebalance.
-pub fn for_each_chunk<T, F>(threads: usize, chunks: Vec<&mut [T]>, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    for_each_chunk_labeled("pool.for_each_chunk", threads, chunks, f)
-}
-
-/// [`for_each_chunk`] with a static call-site label for wall-clock
-/// attribution and the adaptive sequential-fallback estimate (see
-/// [`profile`]).
 pub fn for_each_chunk_labeled<T, F>(site: &'static str, threads: usize, chunks: Vec<&mut [T]>, f: F)
 where
     T: Send,
@@ -354,7 +342,7 @@ mod tests {
             for threads in [0, 1, 2, 4, 8] {
                 let mut data: Vec<u64> = (0..1000).collect();
                 let chunks: Vec<&mut [u64]> = data.chunks_mut(64).collect();
-                for_each_chunk(threads, chunks, |i, chunk| {
+                for_each_chunk_labeled("test.chunks", threads, chunks, |i, chunk| {
                     for v in chunk.iter_mut() {
                         *v = v.wrapping_mul(3).wrapping_add(i as u64);
                     }
@@ -394,8 +382,8 @@ mod tests {
                 p.exec_wall_ns + p.idle_wall_ns + p.park_wall_ns + p.barrier_wall_ns,
                 p.wall_ns
             );
-            assert!(p.utilization() > 0.0 && p.utilization() <= 1.0);
-            assert!(p.imbalance() >= 1.0);
+            assert!(p.exec_ns > 0 && p.exec_ns <= p.worker_wall_ns);
+            assert!(p.sum_max_exec_ns >= p.sum_mean_exec_ns);
             let records = prof.call_records();
             assert_eq!(records.len(), 1);
             assert_eq!(records[0].site, "test.site");
@@ -521,10 +509,10 @@ mod tests {
     fn for_each_chunk_handles_empty_and_single() {
         let mut empty: Vec<u8> = Vec::new();
         let chunks: Vec<&mut [u8]> = empty.chunks_mut(8).collect();
-        for_each_chunk(8, chunks, |_, _| unreachable!());
+        for_each_chunk_labeled("test.chunks", 8, chunks, |_, _| unreachable!());
         let mut one = vec![1u8, 2, 3];
         let chunks: Vec<&mut [u8]> = one.chunks_mut(8).collect();
-        for_each_chunk(8, chunks, |_, c| {
+        for_each_chunk_labeled("test.chunks", 8, chunks, |_, c| {
             for v in c.iter_mut() {
                 *v += 1;
             }

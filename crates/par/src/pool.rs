@@ -1,5 +1,5 @@
 //! The persistent work-stealing pool behind [`crate::run`] and
-//! [`crate::for_each_chunk`].
+//! [`crate::for_each_chunk_labeled`].
 //!
 //! ## Why persistent
 //!
@@ -72,13 +72,13 @@ use std::time::Instant;
 use crate::profile::{SlotMeter, WorkerMeter, WorkerTimeline};
 
 /// Hard cap on worker slots per call (caller + spawned pool workers).
-pub const MAX_WORKER_SLOTS: usize = 16;
+pub(crate) const MAX_WORKER_SLOTS: usize = 16;
 
 /// Default projected-work cutoff: calls whose estimated total task time
 /// is below this run inline. Roughly 10x the measured cost of one pool
 /// dispatch (wake + latch) on commodity hardware, so the pool is only
 /// entered when it can plausibly pay for itself.
-pub const SEQ_CUTOFF_NS: u64 = 120_000;
+const SEQ_CUTOFF_NS: u64 = 120_000;
 
 // ---- dispatch policy -------------------------------------------------------
 
@@ -231,7 +231,7 @@ thread_local! {
 /// setup over the whole run) and is **dirty** — `f` must initialise
 /// whatever it reads. The entry is taken out of the arena while `f` runs,
 /// so nested uses of the same type get an independent scratch.
-pub fn with_scratch<S, R>(f: impl FnOnce(&mut S) -> R) -> R
+pub(crate) fn with_scratch<S, R>(f: impl FnOnce(&mut S) -> R) -> R
 where
     S: Default + Send + 'static,
 {
@@ -396,9 +396,10 @@ fn pool() -> &'static Pool {
 /// Pool worker threads spawned so far in this process. Workers are
 /// lazily spawned up to the largest slot count any call has asked for
 /// (capped at [`MAX_WORKER_SLOTS`]` - 1`) and then live for the process
-/// lifetime — the stress suite asserts this never grows past the
-/// warm-up high-water mark.
-pub fn workers_spawned() -> usize {
+/// lifetime — the tests assert this never grows past the warm-up
+/// high-water mark.
+#[cfg(test)]
+fn workers_spawned() -> usize {
     lock(&pool().state).spawned
 }
 
@@ -644,6 +645,30 @@ mod tests {
         });
         assert_eq!((a, b), (1, 2), "scratch must persist on this thread");
         with_scratch(|v: &mut Vec<u32>| v.clear());
+    }
+
+    #[test]
+    fn workers_are_reused_never_respawned() {
+        with_dispatch_policy(DispatchPolicy::always_parallel(), || {
+            // Warm-up: reach the pool's high-water mark for 8-thread calls.
+            for _ in 0..8 {
+                let _: Vec<usize> = crate::run(8, 64, |_: &mut (), i| i);
+            }
+            let baseline = workers_spawned();
+            assert!(
+                baseline < MAX_WORKER_SLOTS,
+                "pool can never exceed its slot cap"
+            );
+            for call in 0..500usize {
+                let threads = [1, 2, 8][call % 3];
+                let _: Vec<usize> = crate::run(threads, call % 65, |_: &mut (), i| i);
+            }
+            assert_eq!(
+                workers_spawned(),
+                baseline,
+                "pool workers must be reused, never respawned (leak)"
+            );
+        });
     }
 
     #[test]

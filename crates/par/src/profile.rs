@@ -98,23 +98,6 @@ pub struct PoolProfile {
 }
 
 impl PoolProfile {
-    /// Fraction of worker wall spans spent executing tasks, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.worker_wall_ns == 0 {
-            return 0.0;
-        }
-        self.exec_ns as f64 / self.worker_wall_ns as f64
-    }
-
-    /// Mean over calls of `max worker exec / mean worker exec`; 1.0 is a
-    /// perfectly balanced pool, larger means stragglers.
-    pub fn imbalance(&self) -> f64 {
-        if self.sum_mean_exec_ns == 0 {
-            return 1.0;
-        }
-        self.sum_max_exec_ns as f64 / self.sum_mean_exec_ns as f64
-    }
-
     /// Wall nanoseconds attributed to useful work under this label.
     ///
     /// For labels with phase scopes the scope self time already contains
@@ -122,7 +105,7 @@ impl PoolProfile {
     /// so the task component is the scope self time minus the non-work
     /// pool components. For bare call-site labels it is the wall-share of
     /// execution plus sequential fallbacks.
-    pub fn task_wall_ns(&self) -> u64 {
+    fn task_wall_ns(&self) -> u64 {
         if self.scope_calls > 0 {
             self.scope_self_wall_ns
                 .saturating_sub(self.idle_wall_ns)
@@ -140,7 +123,7 @@ impl PoolProfile {
     }
 
     /// Fold another profile into this one (used for whole-run totals).
-    pub fn merge(&mut self, other: &PoolProfile) {
+    fn merge(&mut self, other: &PoolProfile) {
         self.calls += other.calls;
         self.seq_calls += other.seq_calls;
         self.tasks += other.tasks;
@@ -199,7 +182,6 @@ pub struct PoolCallRecord {
 struct ProfState {
     labels: BTreeMap<String, PoolProfile>,
     calls: Vec<PoolCallRecord>,
-    dropped_calls: u64,
 }
 
 struct ProfInner {
@@ -272,15 +254,6 @@ impl PoolProfiler {
         match &self.inner {
             None => Vec::new(),
             Some(inner) => inner.state.lock().unwrap().calls.clone(),
-        }
-    }
-
-    /// Parallel calls whose timelines were dropped by the cap (their
-    /// aggregates are still exact).
-    pub fn dropped_call_records(&self) -> u64 {
-        match &self.inner {
-            None => 0,
-            Some(inner) => inner.state.lock().unwrap().dropped_calls,
         }
     }
 
@@ -373,8 +346,6 @@ impl PoolProfiler {
                 end_us: start_us + call_ns / 1_000,
                 workers,
             });
-        } else {
-            st.dropped_calls += 1;
         }
     }
 }
@@ -410,7 +381,8 @@ impl ProfilerGuard {
     /// Whether this guard actually installed its profiler. `false` means
     /// the install was a no-op because an enabled profiler was already
     /// ambient on this thread (the outer install wins).
-    pub fn installed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn installed(&self) -> bool {
         self.prev.is_some()
     }
 }
@@ -422,9 +394,8 @@ impl ProfilerGuard {
 ///
 /// Nested installs are a **documented no-op**: if an enabled profiler is
 /// already ambient on this thread (e.g. the plane engine installs while
-/// serve scopes are live), the outer profiler keeps recording, the
-/// returned guard reports [`ProfilerGuard::installed`]` == false`, and
-/// dropping it restores nothing — so an inner layer can never silently
+/// serve scopes are live), the outer profiler keeps recording and
+/// dropping the returned guard restores nothing — so an inner layer can never silently
 /// steal or truncate an outer layer's attribution window.
 pub fn install(profiler: &PoolProfiler) -> ProfilerGuard {
     let already = AMBIENT.with(|a| a.borrow().profiler.is_enabled());

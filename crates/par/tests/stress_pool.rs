@@ -4,8 +4,8 @@
 //! sizes across wall threads 1/2/8, asserting:
 //!
 //! * results are bit-identical to the sequential loop on every call,
-//! * no worker leak — the pool's spawned-thread count is stable after
-//!   warm-up (workers park between calls; they are never respawned),
+//! * no thread leak — the OS thread count stays bounded (the pool's own
+//!   spawned-worker count is pinned exactly by its unit tests),
 //! * the profiler identities (`exec + idle + park + barrier == worker
 //!   wall`, wall-split partition) stay exact under stealing,
 //! * the adaptive sequential fallback pins its boundary behaviour
@@ -16,7 +16,6 @@
 //! the machinery runs even on single-core hosts, where the default policy
 //! would (correctly) keep everything inline.
 
-use omega_par::pool::workers_spawned;
 use omega_par::{
     install, prime_task_estimate, run_labeled, task_estimate, with_dispatch_policy, DispatchPolicy,
     PoolProfiler,
@@ -56,11 +55,6 @@ fn soak_thousands_of_calls_bit_identical_and_leak_free() {
         for _ in 0..8 {
             let _: Vec<u64> = omega_par::run(8, 64, |_: &mut (), i| busy(4, i));
         }
-        let spawned_baseline = workers_spawned();
-        assert!(
-            spawned_baseline < omega_par::MAX_WORKER_SLOTS,
-            "pool can never exceed its slot cap"
-        );
         let os_baseline = os_thread_count();
 
         let mut rng = 0x0000_EE6A_5EED_u64;
@@ -76,14 +70,10 @@ fn soak_thousands_of_calls_bit_identical_and_leak_free() {
             );
         }
 
-        assert_eq!(
-            workers_spawned(),
-            spawned_baseline,
-            "pool workers must be reused, never respawned (leak)"
-        );
         // OS-level sanity (Linux): thread count stays bounded. Other tests
         // in this binary run concurrently on harness threads, so allow a
-        // small fixed slack — the pool itself is pinned exactly above.
+        // small fixed slack — the pool's worker count itself is pinned
+        // exactly by the `workers_are_reused_never_respawned` unit test.
         if let (Some(before), Some(after)) = (os_baseline, os_thread_count()) {
             assert!(
                 after <= before + 8,

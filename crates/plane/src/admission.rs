@@ -31,7 +31,7 @@ pub enum Verdict {
 
 /// A deterministic token bucket over simulated time.
 #[derive(Debug, Clone)]
-pub struct TokenBucket {
+pub(crate) struct TokenBucket {
     /// Tokens added per simulated nanosecond.
     rate_per_ns: f64,
     /// Capacity: tokens never accumulate beyond this.
@@ -43,7 +43,7 @@ pub struct TokenBucket {
 impl TokenBucket {
     /// A bucket refilling at `quota_qps` requests per simulated second,
     /// starting full at `burst` tokens.
-    pub fn new(quota_qps: f64, burst: f64) -> TokenBucket {
+    pub(crate) fn new(quota_qps: f64, burst: f64) -> TokenBucket {
         assert!(quota_qps > 0.0, "quota must be positive");
         assert!(burst >= 1.0, "burst must allow at least one request");
         TokenBucket {
@@ -65,7 +65,7 @@ impl TokenBucket {
     /// Take one token at `now_ns` if the balance (plus `overdraft`) covers
     /// it. The overdraft lets high-priority work run the balance negative
     /// — the debt is repaid by refill before any further admission.
-    pub fn try_take(&mut self, now_ns: u64, overdraft: f64) -> bool {
+    pub(crate) fn try_take(&mut self, now_ns: u64, overdraft: f64) -> bool {
         self.refill(now_ns);
         if self.tokens + overdraft >= 1.0 {
             self.tokens -= 1.0;
@@ -77,7 +77,8 @@ impl TokenBucket {
 
     /// Current balance (after refilling to `now_ns`); may be negative
     /// while a high-priority overdraft is being repaid.
-    pub fn balance(&mut self, now_ns: u64) -> f64 {
+    #[cfg(test)]
+    fn balance(&mut self, now_ns: u64) -> f64 {
         self.refill(now_ns);
         self.tokens
     }
@@ -104,7 +105,7 @@ impl Admission {
     }
 
     /// Depth at which this priority stops being admitted.
-    pub fn depth_limit(&self, priority: Priority) -> usize {
+    pub(crate) fn depth_limit(&self, priority: Priority) -> usize {
         match priority {
             Priority::High => self.max_queue,
             Priority::Normal => self.max_queue - self.max_queue / 8,

@@ -5,7 +5,8 @@
 //!
 //! ## Round-based event loop
 //!
-//! Simulated time advances in fixed *quanta* ([`PlaneConfig::quantum_ns`]).
+//! Simulated time advances in fixed *quanta* ([`PlaneConfig`]'s
+//! `quantum_ns`).
 //! Each round has three strictly ordered stages:
 //!
 //! 1. **Front (sequential).** Every arrival inside the round is admitted,
@@ -156,17 +157,6 @@ impl PlaneConfig {
 
     pub fn hedge_wait_ns(mut self, ns: u64) -> Self {
         self.hedge_wait_ns = ns;
-        self
-    }
-
-    pub fn quantum_ns(mut self, ns: u64) -> Self {
-        assert!(ns > 0, "round quantum must be positive");
-        self.quantum_ns = ns;
-        self
-    }
-
-    pub fn net(mut self, net: NetModel) -> Self {
-        self.net = net;
         self
     }
 }

@@ -6,17 +6,17 @@
 //! is open-loop (users do not wait for each other), multi-tenant, bursty,
 //! and pointed at a *tier* of replicas. This crate is that front half:
 //!
-//! * [`arrivals`] — seeded open-loop traffic: Poisson, diurnal and
+//! * [`generate_timeline`] — seeded open-loop traffic: Poisson, diurnal and
 //!   flash-crowd [`ArrivalProcess`]es per tenant, layered over the
 //!   existing `workload::Popularity` skews; every request carries a
 //!   tenant, a priority, and a simulated-ns deadline.
-//! * [`admission`] — the front door: per-tenant token-bucket quotas with
+//! * [`Admission`] — the front door: per-tenant token-bucket quotas with
 //!   a high-priority overdraft, and priority-tiered queue-depth shedding,
 //!   so queues stay bounded no matter the offered load.
-//! * [`router`] — consistent-hash routing of shards onto replicas with a
+//! * [`Ring`] — consistent-hash routing of shards onto replicas with a
 //!   deterministic hedge to the ring successor when the primary's
 //!   estimated wait is too long.
-//! * [`engine`] — the round-based [`RequestPlane`]: a sequential front
+//! * [`RequestPlane`] — the round-based engine: a sequential front
 //!   admits and routes each quantum of arrivals, then every replica runs
 //!   its *own* event loop concurrently on the persistent `omega-par`
 //!   pool (priority-ordered batches, deadline triage, `serve_batch`),
@@ -68,12 +68,12 @@
 //!     + report.stats.rejected_quota + report.stats.rejected_queue);
 //! ```
 
-pub mod admission;
-pub mod arrivals;
-pub mod engine;
-pub mod router;
+mod admission;
+mod arrivals;
+mod engine;
+mod router;
 
-pub use admission::{Admission, TokenBucket, Verdict};
+pub use admission::{Admission, Verdict};
 pub use arrivals::{generate_timeline, ArrivalProcess, PlaneRequest, Priority, TenantSpec};
 pub use engine::{Outage, PlaneConfig, PlaneReport, PlaneStats, PlaneTrace, RequestPlane};
 pub use router::Ring;

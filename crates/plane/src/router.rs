@@ -49,10 +49,6 @@ impl Ring {
         Ring { points, replicas }
     }
 
-    pub fn replicas(&self) -> u32 {
-        self.replicas
-    }
-
     fn successor_index(&self, hash: u64) -> usize {
         let i = self.points.partition_point(|&(p, _)| p < hash);
         if i == self.points.len() {
@@ -70,7 +66,7 @@ impl Ring {
     /// The next *distinct* replica after the owner — the hedge target.
     /// With a single replica there is no alternative and the primary is
     /// returned.
-    pub fn successor(&self, key: u64) -> u32 {
+    pub(crate) fn successor(&self, key: u64) -> u32 {
         let start = self.successor_index(key_hash(key));
         let owner = self.points[start].1;
         for step in 1..self.points.len() {
@@ -88,7 +84,7 @@ impl Ring {
     /// down the list, so routing around an outage is a pure function of
     /// the ring and the set of live replicas — not of when the outage was
     /// noticed.
-    pub fn preference(&self, key: u64) -> Vec<u32> {
+    pub(crate) fn preference(&self, key: u64) -> Vec<u32> {
         let start = self.successor_index(key_hash(key));
         let mut order = Vec::with_capacity(self.replicas as usize);
         let mut seen = vec![false; self.replicas as usize];

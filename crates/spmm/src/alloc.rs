@@ -210,7 +210,7 @@ fn allocate_eata(csdb: &Csdb, threads: usize, beta: f64) -> Vec<Workload> {
 /// The model's (Eq. 4–5) price of a workload, in arbitrary units: `W`
 /// non-zeros at the per-nnz cost its normalised entropy `Z(H)` implies.
 fn predicted_time(nnzs: f64, entropy: f64, cols: u32, beta: f64) -> f64 {
-    let z = omega_graph::stats::normalized_entropy(entropy, cols);
+    let z = omega_graph::normalized_entropy(entropy, cols);
     nnzs * crate::entropy::affine_cost_factor(z, beta)
 }
 

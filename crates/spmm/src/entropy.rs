@@ -9,7 +9,7 @@
 //! `β = BW_rand / BW_seq`; Eq. 7 then rescales each thread's nnz budget so
 //! that *predicted times*, not nnz counts, equalise.
 
-use omega_graph::stats::normalized_entropy;
+use omega_graph::normalized_entropy;
 use omega_hetmem::{AccessClass, AccessOp, AccessPattern, BandwidthModel, DeviceKind, Locality};
 
 /// The bandwidth ratio `β = BW_r_rand / BW_r_seq` of the device serving the

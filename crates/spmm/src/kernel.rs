@@ -170,7 +170,7 @@ pub(crate) fn run_workload(
     // sweeping most of the column) behave near-sequentially; scattered tail
     // workloads pay one media unit per fetch. We split each workload's
     // fetch traffic into a (1−Z) sequential share and a Z random share.
-    let z = omega_graph::stats::normalized_entropy(workload.entropy, inp.csdb.cols());
+    let z = omega_graph::normalized_entropy(workload.entropy, inp.csdb.cols());
     let rand_count = |count: u64| -> u64 { ((count as f64) * z).round() as u64 };
 
     let mut stats = KernelStats {

@@ -31,8 +31,8 @@ impl Workload {
             thread,
             rows,
             nnzs: row_nnz.iter().sum(),
-            entropy: omega_graph::stats::workload_entropy(&row_nnz),
-            scatter: omega_graph::stats::scatter_factor(&row_nnz, csdb.cols()),
+            entropy: omega_graph::workload_entropy(&row_nnz),
+            scatter: omega_graph::scatter_factor(&row_nnz, csdb.cols()),
         }
     }
 }

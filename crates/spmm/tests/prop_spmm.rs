@@ -197,7 +197,7 @@ proptest! {
         beta in 0.05f64..0.9,
     ) {
         use omega_graph::{Csdb, RmatConfig};
-        use omega_graph::stats::normalized_entropy;
+        use omega_graph::normalized_entropy;
         use omega_spmm::AllocScheme;
 
         let csr = RmatConfig::social(nodes, nodes as u64 * edge_factor, seed)

@@ -5,14 +5,14 @@ use rand::Rng;
 /// A pre-built table for sampling `0..n` with probabilities proportional to
 /// the construction weights.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AliasTable {
+pub(crate) struct AliasTable {
     prob: Vec<f64>,
     alias: Vec<u32>,
 }
 
 impl AliasTable {
     /// Build from non-negative weights (at least one must be positive).
-    pub fn new(weights: &[f32]) -> AliasTable {
+    pub(crate) fn new(weights: &[f32]) -> AliasTable {
         assert!(!weights.is_empty(), "alias table needs at least one weight");
         let total: f64 = weights.iter().map(|&w| w.max(0.0) as f64).sum();
         assert!(total > 0.0, "alias table needs positive total weight");
@@ -48,18 +48,9 @@ impl AliasTable {
         AliasTable { prob, alias }
     }
 
-    /// Number of outcomes.
-    pub fn len(&self) -> usize {
-        self.prob.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty()
-    }
-
     /// Draw one index.
     #[inline]
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         let i = rng.gen_range(0..self.prob.len());
         if rng.gen::<f64>() < self.prob[i] {
             i
@@ -117,7 +108,7 @@ mod tests {
         let t = AliasTable::new(&[5.0]);
         let mut rng = SmallRng::seed_from_u64(4);
         assert_eq!(t.sample(&mut rng), 0);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.prob.len(), 1);
     }
 
     #[test]

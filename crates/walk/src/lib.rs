@@ -5,22 +5,22 @@
 //! against the distributed walk-based system DistGER. This crate implements
 //! that family from scratch:
 //!
-//! * [`alias`] — O(1) weighted sampling (Walker's alias method);
-//! * [`walker`] — uniform (DeepWalk) and biased (node2vec p/q) walks;
-//! * [`corpus`] — walks → (center, context) skip-gram pairs;
-//! * [`sgns`] — skip-gram with negative sampling, plain SGD;
-//! * [`infowalk`] — DistGER/HuGE-style information-oriented walks whose
+//! * O(1) weighted sampling (Walker's alias method) under every walk step;
+//! * [`Walker`] — uniform (DeepWalk) and biased (node2vec p/q) walks;
+//! * [`pairs_from_walks`] — walks → (center, context) skip-gram pairs;
+//! * [`SgnsModel`] — skip-gram with negative sampling, plain SGD;
+//! * [`LineModel`] — LINE's first- and second-order edge objectives;
+//! * [`InfoWalker`] — DistGER/HuGE-style information-oriented walks whose
 //!   length adapts to the entropy gain of newly visited nodes.
 
-pub mod alias;
-pub mod corpus;
-pub mod infowalk;
-pub mod line;
-pub mod sgns;
-pub mod walker;
+mod alias;
+mod corpus;
+mod infowalk;
+mod line;
+mod sgns;
+mod walker;
 
-pub use alias::AliasTable;
-pub use corpus::{pairs_from_walks, SkipGramPair};
+pub use corpus::{pairs_from_walks, unigram_counts, SkipGramPair};
 pub use infowalk::{InfoWalkConfig, InfoWalker};
 pub use line::{LineConfig, LineModel, LineOrder};
 pub use sgns::{SgnsConfig, SgnsModel};

@@ -55,14 +55,6 @@ impl SgnsModel {
         }
     }
 
-    pub fn nodes(&self) -> u32 {
-        self.nodes
-    }
-
-    pub fn dim(&self) -> usize {
-        self.cfg.dim
-    }
-
     #[inline]
     fn in_vec(&mut self, v: u32) -> &mut [f32] {
         let d = self.cfg.dim;

@@ -33,7 +33,7 @@ impl WalkConfig {
     }
 
     /// Whether the walk is biased (requires the slower second-order step).
-    pub fn is_biased(&self) -> bool {
+    pub(crate) fn is_biased(&self) -> bool {
         (self.p - 1.0).abs() > 1e-6 || (self.q - 1.0).abs() > 1e-6
     }
 }
@@ -69,12 +69,8 @@ impl<'g> Walker<'g> {
         Walker { graph, tables, cfg }
     }
 
-    pub fn config(&self) -> &WalkConfig {
-        &self.cfg
-    }
-
     /// One walk from `start`. Stops early at sink nodes.
-    pub fn walk_from(&self, start: u32, rng: &mut SmallRng) -> Vec<u32> {
+    pub(crate) fn walk_from(&self, start: u32, rng: &mut SmallRng) -> Vec<u32> {
         let mut walk = Vec::with_capacity(self.cfg.walk_length);
         walk.push(start);
         let mut prev: Option<u32> = None;
@@ -172,11 +168,6 @@ impl<'g> Walker<'g> {
         .flatten()
         .collect()
     }
-
-    /// Total steps a corpus would contain (for cost models).
-    pub fn expected_steps(&self) -> u64 {
-        self.graph.rows() as u64 * self.cfg.walks_per_node as u64 * self.cfg.walk_length as u64
-    }
 }
 
 #[cfg(test)]
@@ -218,7 +209,6 @@ mod tests {
         let b = w.generate_all();
         assert_eq!(a, b);
         assert_eq!(a.len(), 5 * 3);
-        assert_eq!(w.expected_steps(), 5 * 3 * 6);
     }
 
     #[test]

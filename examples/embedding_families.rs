@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         let walks = walker.generate_all();
         let pairs = pairs_from_walks(&walks, 4);
-        let unigram = omega_walk::corpus::unigram_counts(&walks, graph.rows());
+        let unigram = omega_walk::unigram_counts(&walks, graph.rows());
         let mut model = SgnsModel::new(
             graph.rows(),
             SgnsConfig {

@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let walker = Walker::new(&train, WalkConfig::deepwalk(6, 20, 3));
     let walks = walker.generate_all();
     let pairs = pairs_from_walks(&walks, 4);
-    let unigram = omega_walk::corpus::unigram_counts(&walks, train.rows());
+    let unigram = omega_walk::unigram_counts(&walks, train.rows());
     let mut sgns = SgnsModel::new(
         train.rows(),
         SgnsConfig {

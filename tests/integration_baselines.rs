@@ -2,10 +2,10 @@
 //! hold on the dataset twins.
 
 use omega::{Omega, OmegaConfig, SystemVariant};
-use omega_baselines::dist::{DistConfig, DistDglLike, DistGerLike};
-use omega_baselines::prone_like::ProneBaseline;
-use omega_baselines::spmm_systems::{omega_spmm_time, FusedMm, SemSpmm};
-use omega_baselines::ssd_systems::{GinexLike, MariusLike, SsdSystemConfig};
+use omega_baselines::ProneBaseline;
+use omega_baselines::{omega_spmm_time, FusedMm, SemSpmm};
+use omega_baselines::{DistConfig, DistDglLike, DistGerLike};
+use omega_baselines::{GinexLike, MariusLike, SsdSystemConfig};
 use omega_graph::{Csdb, Dataset};
 use omega_hetmem::{SimDuration, Topology};
 use omega_linalg::gaussian_matrix;

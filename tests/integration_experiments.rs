@@ -1,7 +1,7 @@
 //! Integration tests pinning the paper's headline experiment *shapes* at a
 //! quick twin scale — the same assertions the full harness binaries print.
 
-use omega_graph::read_cost::{csdb_read_time, csr_read_time};
+use omega_graph::{csdb_read_time, csr_read_time};
 use omega_graph::{Csdb, Dataset};
 use omega_hetmem::{BandwidthModel, DeviceKind, MemSystem, Topology};
 use omega_linalg::gaussian_matrix;
