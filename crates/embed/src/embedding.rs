@@ -271,14 +271,6 @@ impl Embedding {
             .collect()
     }
 
-    /// L2-normalise every node vector in place.
-    pub fn normalize_rows(&mut self) {
-        for v in 0..self.nodes as usize {
-            let row = &mut self.data[v * self.d..(v + 1) * self.d];
-            omega_linalg::ops::normalize(row);
-        }
-    }
-
     /// Serialise in the word2vec text format (`nodes d` header then one
     /// line per node).
     pub fn to_text(&self) -> String {
@@ -577,16 +569,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn normalization() {
-        let mut e = sample();
-        e.normalize_rows();
-        for v in 0..3 {
-            let n = omega_linalg::ops::norm2(e.vector(v));
-            assert!((n - 1.0).abs() < 1e-6);
         }
     }
 

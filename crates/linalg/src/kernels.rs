@@ -341,22 +341,6 @@ pub fn cosine_scores_into(query: &[f32], rows: &[f32], d: usize, out: &mut Vec<f
     }
 }
 
-/// Gather `d`-wide rows (by row index into `src`) into `out` (cleared
-/// first) as one dense block — the dense-gather kernel behind shard
-/// staging and grouped point lookups.
-#[inline]
-pub fn gather_rows_into(
-    src: &[f32],
-    d: usize,
-    rows: impl IntoIterator<Item = usize>,
-    out: &mut Vec<f32>,
-) {
-    out.clear();
-    for r in rows {
-        out.extend_from_slice(&src[r * d..(r + 1) * d]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,15 +644,5 @@ mod tests {
         let mut out2 = Vec::new();
         cosine_scores_into(&vec![0f32; d], &seq(d, 1.0), d, &mut out2);
         assert_eq!(out2, vec![0.0]);
-    }
-
-    #[test]
-    fn gather_rows_collects_in_order() {
-        let src: Vec<f32> = (0..12).map(|i| i as f32).collect(); // 4 rows × 3
-        let mut out = Vec::new();
-        gather_rows_into(&src, 3, [3usize, 0, 2], &mut out);
-        assert_eq!(out, vec![9.0, 10.0, 11.0, 0.0, 1.0, 2.0, 6.0, 7.0, 8.0]);
-        gather_rows_into(&src, 3, [1usize], &mut out);
-        assert_eq!(out, vec![3.0, 4.0, 5.0]);
     }
 }

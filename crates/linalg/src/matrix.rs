@@ -190,23 +190,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Horizontally concatenate column blocks.
-    pub fn hcat(blocks: &[&DenseMatrix]) -> Result<DenseMatrix> {
-        let rows = blocks.first().map(|b| b.rows).unwrap_or(0);
-        if blocks.iter().any(|b| b.rows != rows) {
-            return Err(LinalgError::ShapeMismatch {
-                left: (rows, 0),
-                right: (0, 0),
-            });
-        }
-        let cols = blocks.iter().map(|b| b.cols).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for b in blocks {
-            data.extend_from_slice(&b.data);
-        }
-        Ok(DenseMatrix { rows, cols, data })
-    }
-
     /// Payload bytes.
     pub fn size_bytes(&self) -> u64 {
         (self.data.len() * std::mem::size_of::<f32>()) as u64
@@ -351,16 +334,13 @@ mod tests {
     }
 
     #[test]
-    fn column_blocks_and_hcat() {
+    fn column_blocks() {
         let m = DenseMatrix::from_row_major(2, 4, &[1., 2., 3., 4., 5., 6., 7., 8.]).unwrap();
         let left = m.columns(0..2);
         let right = m.columns(2..4);
         assert_eq!(left.shape(), (2, 2));
         assert_eq!(right[(0, 0)], 3.0);
-        let back = DenseMatrix::hcat(&[&left, &right]).unwrap();
-        assert_eq!(back, m);
-        let bad = DenseMatrix::zeros(3, 1);
-        assert!(DenseMatrix::hcat(&[&left, &bad]).is_err());
+        assert_eq!(right[(1, 1)], 8.0);
     }
 
     #[test]

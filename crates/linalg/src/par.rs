@@ -259,10 +259,11 @@ pub fn qr_thin_threads(a: &DenseMatrix, threads: usize) -> Result<(DenseMatrix, 
     Ok((q, r))
 }
 
-/// [`crate::svd_tall`] with its two big dense products (the `n × n` Gram
-/// matrix and the `U` recovery) running on the blocked parallel GEMMs. The
-/// tiny `n × n` Jacobi stays sequential. Bit-identical to the sequential
-/// routine at every thread count.
+/// SVD of a tall matrix via its `n × n` Gram matrix (`AᵀA = V·Σ²·Vᵀ`, then
+/// `U = A·V·Σ⁻¹`; [`crate::svd_jacobi`] below 3:1), with its two big dense
+/// products (the Gram matrix and the `U` recovery) running on the blocked
+/// parallel GEMMs. The tiny `n × n` Jacobi stays sequential. Bit-identical
+/// to the sequential routine at every thread count.
 pub fn svd_tall_threads(a: &DenseMatrix, threads: usize) -> Result<Svd> {
     let (m, n) = a.shape();
     if m < 3 * n || n == 0 {
@@ -290,8 +291,9 @@ pub fn svd_tall_threads(a: &DenseMatrix, threads: usize) -> Result<Svd> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm_tn;
     use crate::random::gaussian_matrix;
-    use crate::{gemm_tn, svd_tall};
+    use crate::svd::svd_tall;
 
     fn assert_bits_eq(a: &DenseMatrix, b: &DenseMatrix, what: &str) {
         assert_eq!(a.shape(), b.shape(), "{what}: shape");

@@ -115,8 +115,10 @@ pub fn svd_jacobi(a: &DenseMatrix) -> Result<Svd> {
 /// then `U = A·V·Σ⁻¹`. For `m ≫ n` this replaces Jacobi sweeps over long
 /// columns (`O(sweeps·n²·m)`) with one Gram product plus a tiny Jacobi
 /// (`O(m·n²)`), at the cost of squaring the condition number — fine for
-/// the well-conditioned embedding matrices ProNE decomposes.
-pub fn svd_tall(a: &DenseMatrix) -> Result<Svd> {
+/// the well-conditioned embedding matrices ProNE decomposes. Kept as the
+/// reference `svd_tall_threads` is tested against.
+#[cfg(test)]
+pub(crate) fn svd_tall(a: &DenseMatrix) -> Result<Svd> {
     let (m, n) = a.shape();
     if m < 3 * n || n == 0 {
         return svd_jacobi(a);

@@ -356,7 +356,8 @@ impl IvfIndex {
     /// FNV-1a digest of everything the build decided: centroid bits, list
     /// membership and placement. Two builds are interchangeable iff their
     /// digests match — the determinism tests' one-number assert.
-    pub fn build_digest(&self) -> u64 {
+    #[cfg(test)]
+    fn build_digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |x: u64| {
             for b in x.to_le_bytes() {
