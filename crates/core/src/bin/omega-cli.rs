@@ -284,15 +284,25 @@ fn embed(opts: &Opts) -> Result<(), String> {
 }
 
 /// Reject a value that must be strictly positive, with the flag named in
-/// the error so the user knows what to fix.
+/// the error so the user knows what to fix. A NaN is not positive: it
+/// compares neither above nor below zero.
 fn require_positive<T: PartialOrd + Default + std::fmt::Display>(
     value: T,
     flag: &str,
 ) -> Result<T, String> {
-    if value <= T::default() {
-        Err(format!("--{flag} must be positive (got {value})"))
-    } else {
+    if value.partial_cmp(&T::default()) == Some(std::cmp::Ordering::Greater) {
         Ok(value)
+    } else {
+        Err(format!("--{flag} must be positive (got {value})"))
+    }
+}
+
+/// Reject an infinite or NaN float flag.
+fn require_finite(value: f64, flag: &str) -> Result<f64, String> {
+    if value.is_finite() {
+        Ok(value)
+    } else {
+        Err(format!("--{flag} must be finite (got {value})"))
     }
 }
 
@@ -339,9 +349,11 @@ impl ServingOpts {
         let popularity = if opts.flag("uniform") {
             Popularity::Uniform
         } else {
-            Popularity::Zipf {
-                s: opts.get_or("zipf", 1.0)?,
+            let s = require_finite(opts.get_or("zipf", 1.0)?, "zipf")?;
+            if s < 0.0 {
+                return Err(format!("--zipf must be at least 0 (got {s})"));
             }
+            Popularity::Zipf { s }
         };
         let cold_device = match opts.values.get("cold").map(String::as_str).unwrap_or("pm") {
             "pm" => DeviceKind::Pm,
@@ -559,7 +571,10 @@ fn plane(opts: &Opts) -> Result<(), String> {
     use omega::serve::WorkloadConfig;
 
     let replicas: usize = require_positive(opts.get_or("replicas", 2)?, "replicas")?;
-    let rate: f64 = require_positive(opts.get_or("rate", 50_000.0)?, "rate")?;
+    let rate = require_positive(
+        require_finite(opts.get_or("rate", 50_000.0)?, "rate")?,
+        "rate",
+    )?;
     let horizon_ms: u64 = require_positive(opts.get_or("horizon-ms", 50)?, "horizon-ms")?;
     let so = ServingOpts::parse(opts, 32, 0.2)?;
     let max_queue: usize = require_positive(opts.get_or("max-queue", 256)?, "max-queue")?;
@@ -861,6 +876,14 @@ mod tests {
         assert!(err.contains("--replicas must be positive"), "{err}");
         let err = run(&s(&["plane", "--rate", "-5"])).unwrap_err();
         assert!(err.contains("--rate must be positive"), "{err}");
+        let err = run(&s(&["plane", "--rate", "nan"])).unwrap_err();
+        assert!(err.contains("--rate must be finite"), "{err}");
+        let err = run(&s(&["plane", "--rate", "inf"])).unwrap_err();
+        assert!(err.contains("--rate must be finite"), "{err}");
+        let err = run(&s(&["serve", "--zipf", "nan"])).unwrap_err();
+        assert!(err.contains("--zipf must be finite"), "{err}");
+        let err = run(&s(&["serve", "--zipf", "-0.5"])).unwrap_err();
+        assert!(err.contains("--zipf must be at least 0"), "{err}");
         let err = run(&s(&["plane", "--arrival", "lumpy"])).unwrap_err();
         assert!(err.contains("unknown --arrival"), "{err}");
         let err = run(&s(&["serve", "--topk-fraction", "1.5"])).unwrap_err();
