@@ -12,8 +12,10 @@ pub(crate) const HOT_NODE: NodeId = 0;
 /// tier, IVF centroids and hot lists all live in its DRAM.
 pub(crate) const HOT: Placement = Placement::node(HOT_NODE, DeviceKind::Dram);
 
-/// Concurrent threads assumed by the bandwidth model when a task's
-/// counters convert to simulated time.
+/// Concurrent threads assumed by the bandwidth model when a fetch, a
+/// lookup or a top-k pass converts its counters to simulated time. One,
+/// for all three: DESIGN §6, decision 12, records why the pass is not yet
+/// cut over the socket's cores.
 pub(crate) const MODEL_THREADS: u32 = 1;
 
 /// Similarity metric of top-k queries and of the IVF quantizer.

@@ -21,10 +21,9 @@ use omega_hetmem::{
 pub(crate) const FETCH_STREAM: u64 = 1 << 20;
 pub(crate) const SCAN_STREAM: u64 = 2 << 20;
 pub(crate) const LOOKUP_STREAM: u64 = 3 << 20;
-pub(crate) const IVF_CENTROID_STREAM: u64 = 4 << 20;
 pub(crate) const IVF_PROBE_STREAM: u64 = 5 << 20;
-/// The one aggregated DRAM read of a top-k query (its cached shards, hot
-/// lists and staged windows).
+/// The one aggregated DRAM read of a top-k pass (its cached shards, hot
+/// lists, staged windows and centroid tables).
 pub(crate) const WINDOW_STREAM: u64 = 6 << 20;
 
 /// How a failed cold read is answered. Both replica outcomes read the
@@ -164,10 +163,10 @@ pub(crate) fn row_limits(sys: &MemSystem, store: &ShardedStore) -> Vec<u32> {
 /// Whether a cold block that two or more top-k queries of one batch read
 /// is staged: streamed once into a DRAM window on the background channel
 /// (a cold `Seq` read plus a DRAM `Seq` write, priced by
-/// `stream_time` as an ASL leg is), then read there by every reader.
-/// Staged only when that leg plus one DRAM read is strictly cheaper than
-/// one reader's cold read, so no reader pays more than it would alone and
-/// a DRAM cold tier, where staging can only add, never stages. Priced once
+/// `stream_time` as an ASL leg is), then read there once by the batch's
+/// pass. Staged only when that leg plus one DRAM read is strictly cheaper
+/// than one cold read, so staging never makes a pass dearer and a DRAM
+/// cold tier, where staging can only add, never stages. Priced once
 /// per server at the first shard's size: both prices are linear in the
 /// bytes moved plus a per-access term that staging amortises over the
 /// device's queue, so one size decides for every block.

@@ -19,17 +19,22 @@
 //!   and the host copies nothing.
 //! * **Serve** (every request): one random DRAM read of the requested row
 //!   plus `d` CPU ops for result extraction.
-//! * **Top-k scan** (the paper's ASL rule: load a block once, use it for
-//!   every consumer): each query is charged, in arrival order, for every
-//!   block it reads — every shard, or its probed lists — plus `2·d` CPU ops
-//!   per scored candidate. Cached shards and hot lists stream from DRAM. A
-//!   cold block two or more top-k queries of the batch read is staged once
-//!   per batch: its first reader pays a `Seq` cold read plus a `Seq` DRAM
-//!   write on the background channel (`stream_time`), and every reader
-//!   streams the DRAM window. A cold block one query reads — or every cold
-//!   block, on a tier where [`fetch::stage_pays`] finds staging no cheaper
-//!   — streams from the cold tier to its reader directly. Scans never
-//!   touch the cache: no admission, no recency bump.
+//! * **Top-k pass** (the paper's ASL rule: load a block once, use it for
+//!   every consumer): a batch's top-k queries are charged as the one pass
+//!   the host runs over the blocks they read — every shard, or the lists
+//!   their centroid preludes probed. Each block is charged once: a cached
+//!   shard or hot list is one DRAM `Seq` read; a cold block two or more
+//!   queries read is staged once, when [`fetch::stage_pays`] prices that
+//!   cheaper — a `Seq` cold read plus a `Seq` DRAM write on the background
+//!   channel (`stream_time`) — and then read from DRAM once; any other
+//!   cold block is one `Seq` cold read. Every scored (row, reader) adds
+//!   `2·d` CPU ops; on an IVF server every query adds its centroid
+//!   prelude, one DRAM read of the centroid table plus `2·d` ops a
+//!   centroid. The pass runs on one simulated thread, like the fetches
+//!   and lookups: its reads and compute are priced by one `thread_time`,
+//!   its staging by one `stream_time`. It is charged where the batch's
+//!   first top-k answer is due, and every top-k answer is due at its end.
+//!   Scans never touch the cache: no admission, no recency bump.
 //!
 //! The server keeps its own byte ledger (`cold_read_bytes`,
 //! `dram_read_bytes`, `dram_write_bytes`) alongside the merged
@@ -45,13 +50,13 @@
 //! deterministic fault stream derived from *what* they process, never
 //! from which thread ran it) and return an outcome struct; scoring tasks
 //! touch no context at all. The caller then merges outcomes in a fixed
-//! order — ascending shard id for fetches, arrival order for lookups and
-//! for the per-query top-k charge — applying counters, stats, simulated
-//! time and spans exactly as the sequential loop would. Thread count is
-//! therefore a pure wall-clock knob: simulated clocks, metrics and results
-//! are byte-identical at `threads = 1` and `threads = 64`. Each fan-out is
-//! announced by a zero-sim-duration `serve.shard.parallel` span carrying
-//! `phase` / `tasks` / `threads` args.
+//! order — ascending shard id for fetches, arrival order for lookups,
+//! one pass for a batch's top-k queries — applying counters, stats,
+//! simulated time and spans exactly as the sequential loop would. Thread
+//! count is therefore a pure wall-clock knob: simulated clocks, metrics
+//! and results are byte-identical at `threads = 1` and `threads = 64`.
+//! Each fan-out is announced by a zero-sim-duration `serve.shard.parallel`
+//! span carrying `phase` / `tasks` / `threads` args.
 
 use crate::cache::HotCache;
 use crate::config::{ServeConfig, HOT};
@@ -202,11 +207,11 @@ impl EmbedServer {
     /// worker pool, and their outcomes merge in ascending shard order.
     /// Phase 2 resolves every request's row in parallel (cache state is
     /// frozen for the phase), scores the batch's top-k queries in one pass
-    /// over the table, then answers **in arrival order**, charging each
-    /// top-k query where its answer is due — batching coalesces I/O and
-    /// scoring but never reorders responses. A request's simulated latency
-    /// is the full fetch phase plus every serve up to and including its
-    /// own.
+    /// over the table, then answers **in arrival order**, charging that
+    /// pass where the first top-k answer is due — batching coalesces I/O
+    /// and scoring but never reorders responses. A request's simulated
+    /// latency is the full fetch phase plus every serve up to and
+    /// including its own; every top-k answer waits for the whole pass.
     pub fn serve_batch(&mut self, requests: &[Request]) -> BatchResult {
         let wall_start = Instant::now();
         let batch_span = self.rec.begin("serve.batch", self.track);
@@ -262,8 +267,8 @@ impl EmbedServer {
         // of the batch in one pass (a query vector is the row its lookup
         // just resolved), then answer in arrival order. Point lookups
         // accumulate into one `serve.lookup` leaf span per contiguous run;
-        // each top-k query is charged, and gets its own span, where its
-        // answer is due.
+        // the pass is charged, and gets its own span, where the first
+        // top-k answer is due.
         let (responses, latencies) = omega_par::phase_scope("lookup", || {
             let lookups = if requests.is_empty() {
                 Vec::new()
@@ -297,7 +302,9 @@ impl EmbedServer {
                     }),
                 })
                 .collect();
-            let mut answers = self.score_top_k(&queries).into_iter();
+            let (answers, pass) = self.score_top_k(&queries);
+            let mut answers = answers.into_iter();
+            let mut pass = Some(pass);
             let mut responses = Vec::with_capacity(requests.len());
             let mut latencies = Vec::with_capacity(requests.len());
             let mut served = SimDuration::ZERO;
@@ -322,12 +329,16 @@ impl EmbedServer {
                         self.stats.lookups += 1;
                         responses.push(Response::Vector(lk.row));
                     }
-                    RequestKind::TopK { k, .. } => {
-                        flush_lookups(&self.rec, self.track, &mut lookup_acc);
+                    RequestKind::TopK { .. } => {
+                        // The batch's first top-k answer is due at the
+                        // pass's end, and every later one with it.
+                        if let Some(pass) = pass.take() {
+                            flush_lookups(&self.rec, self.track, &mut lookup_acc);
+                            served += self.charge_pass(&pass);
+                        }
                         let answer = answers.next().expect("one answer per top-k request");
-                        served += self.charge_top_k(k, &answer.scan);
                         self.stats.topks += 1;
-                        responses.push(Response::Neighbors(answer.neighbors));
+                        responses.push(Response::Neighbors(answer));
                     }
                 }
                 latencies.push((fetch_dur + served).as_nanos());
@@ -384,13 +395,10 @@ impl EmbedServer {
         self.stats.batches += 1;
         self.stats.requests += 1;
         self.stats.topks += 1;
-        let answer = self
-            .score_top_k(&[TopKQuery { query, k, nprobe }])
-            .pop()
-            .expect("one answer per query");
-        self.charge_top_k(k, &answer.scan);
+        let (mut answers, pass) = self.score_top_k(&[TopKQuery { query, k, nprobe }]);
+        self.charge_pass(&pass);
         self.rec.end(span, None);
-        answer.neighbors
+        answers.pop().expect("one answer per query")
     }
 
     /// Closed-loop run: draw `n` requests from `stream`, serve them in
