@@ -27,8 +27,8 @@
 //!   order, and charges every byte (cold fetch, DRAM staging, row
 //!   serve, top-k scan) to the simulated clock. One resolver answers every
 //!   failed cold read (retry → hedge → degrade); a batch's top-k queries
-//!   are scored in one pass over the table and charged one by one in
-//!   arrival order, a cold block several of them read staged into DRAM
+//!   are scored in one pass over the table and charged as that pass,
+//!   each block once, a cold block several of them read staged into DRAM
 //!   once for all of them, exact scans and IVF probes through the same
 //!   two halves; and one ledger
 //!   ([`ServeStats`]) counts it. Thread count is a pure wall-clock knob —
