@@ -10,6 +10,13 @@ use std::collections::BinaryHeap;
 /// the selector, small enough that the score scratch stays cache-resident.
 const TOPK_BLOCK_ROWS: usize = 256;
 
+/// Most candidates [`TopK::new`] makes room for up front. The heap never
+/// holds more than `k`, but `k` is the caller's, and a `k` far past any
+/// table (a request may ask for 2^40) must not reserve memory for it: past
+/// this the heap grows only as candidates arrive, which a scan of `n` rows
+/// bounds by `n`.
+const PREALLOCATED_CANDIDATES: usize = 1 << 12;
+
 /// Similarity metric used to score a query vector against node vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
@@ -101,7 +108,7 @@ impl TopK {
             } else {
                 f32::NEG_INFINITY
             },
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(k.min(PREALLOCATED_CANDIDATES)),
         }
     }
 
@@ -469,6 +476,21 @@ mod tests {
         let e = sample();
         assert!(e.top_k(&[1.0, 0.0], 0, Metric::Dot).is_empty());
         assert_eq!(e.top_k(&[1.0, 0.0], 10, Metric::Dot).len(), 3);
+    }
+
+    /// A `k` no table reaches returns every row, best first, without
+    /// reserving room for `k` candidates or computing `k + 1`.
+    #[test]
+    fn top_k_past_any_table_returns_every_row() {
+        let e = sample();
+        let every = e.top_k(&[1.0, 0.0], 3, Metric::Dot);
+        for k in [usize::MAX, 1 << 40] {
+            assert_eq!(e.top_k(&[1.0, 0.0], k, Metric::Dot), every, "k = {k}");
+            let mut sel = TopK::new(k);
+            sel.push(7, 1.0);
+            sel.merge(TopK::new(k));
+            assert_eq!(sel.into_sorted_vec(), vec![(7, 1.0)]);
+        }
     }
 
     #[test]
