@@ -896,6 +896,28 @@ mod tests {
         assert!(err.contains("--dim must be positive"), "{err}");
     }
 
+    /// A `--k` past any table answers every row: neither command reserves
+    /// memory for `k` candidates (2^40 of them once asked for 8 TB).
+    #[test]
+    fn a_k_past_any_table_runs() {
+        for command in ["serve", "plane"] {
+            let args = [
+                command,
+                "--requests",
+                "200",
+                "--k",
+                "1099511627776",
+                "--topk-fraction",
+                "0.5",
+                "--nodes",
+                "200",
+                "--dim",
+                "8",
+            ];
+            assert_eq!(run(&s(&args)), Ok(()), "{command}");
+        }
+    }
+
     #[test]
     fn plane_metrics_are_deterministic_across_wall_threads() {
         let dir = std::env::temp_dir().join("omega_cli_plane_test");
