@@ -38,15 +38,18 @@ impl Metric {
         }
     }
 
-    /// Score `query` against every `d`-wide row of a contiguous row-major
-    /// block, writing into the reusable `out` scratch (cleared first). The
-    /// blocked form of [`Metric::score`]: entry `i` is bit-identical to
-    /// `self.score(query, &rows[i*d..(i+1)*d])`.
+    /// Score a set of queries — one or more `d`-wide queries back to
+    /// back — against every `d`-wide row of a contiguous row-major block,
+    /// writing into the reusable `out` scratch (cleared first), `n =
+    /// rows.len() / d` entries a query. The blocked form of
+    /// [`Metric::score`]: entry `q * n + i` is bit-identical to
+    /// `self.score(query q, &rows[i*d..(i+1)*d])`, however many queries
+    /// share the call.
     #[inline]
-    pub fn scores_into(self, query: &[f32], rows: &[f32], d: usize, out: &mut Vec<f32>) {
+    pub fn scores_into(self, queries: &[f32], rows: &[f32], d: usize, out: &mut Vec<f32>) {
         match self {
-            Metric::Dot => kernels::dot_scores_into(query, rows, d, out),
-            Metric::Cosine => kernels::cosine_scores_into(query, rows, d, out),
+            Metric::Dot => kernels::dot_scores_into(queries, rows, d, out),
+            Metric::Cosine => kernels::cosine_scores_into(queries, rows, d, out),
         }
     }
 

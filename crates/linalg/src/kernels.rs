@@ -13,14 +13,20 @@
 //!
 //! The dense dot has **one definition** — eight lanes by element position
 //! (`dot_lanes_portable`), the `reduce8` adder tree, a sequential tail —
-//! and, on x86_64, **two bodies pinned with intrinsics**, each tested
+//! and, on x86_64, **three bodies pinned with intrinsics**, each tested
 //! bit-equal to it: the SSE lane loop inside [`dot`] (the x86_64 baseline,
-//! so nothing to detect) and an AVX2 tile of four rows per step that
-//! [`dot_scores_into`] uses for a block's whole tiles when CPUID reports
-//! AVX2. Nothing else selects a body — no caller, configuration, cargo
-//! feature or environment variable — and both return the same bits. The
-//! tile enables `avx2` and never `fma`: a fused multiply-add rounds once
-//! where the definition rounds twice.
+//! so nothing to detect), an AVX2 tile of four rows per step, and an
+//! AVX-512 body that scores a pair of queries per 512-bit register, four
+//! rows per step. [`dot_scores_into`] scores a block against a set of
+//! queries: pairs through the AVX-512 body where CPUID reports AVX-512F
+//! and -DQ, any other query through the AVX2 tile where it reports AVX2,
+//! the rows past a tile's last whole one through [`dot`]. Nothing
+//! else selects a body — no caller, configuration, cargo feature or
+//! environment variable — and all return the same bits. Multiplies and
+//! adds are separate intrinsics and no body enables `fma`; the AVX-512
+//! one gets it anyway, because rustc implies `fma` from `avx512f`, so the
+//! tests hold every body to inputs that a fused multiply-add would round
+//! differently.
 //!
 //! [`sparse_dot`] is the definition of a sparse row · dense column and the
 //! kernel of `Csr::spmv` / `Csdb::spmv`; [`sparse_dot_strip`] is the SpMM
@@ -223,34 +229,84 @@ pub fn sparse_dot_strip(
     std::array::from_fn(|j| ((lanes[0][j] + lanes[1][j]) + (lanes[2][j] + lanes[3][j])) + tail[j])
 }
 
-/// Dot-product scores of `query` against every `d`-wide row of a contiguous
-/// row-major block, written into `out` (cleared first). The scratch-reusing
-/// inner loop of the blocked top-k scans. Entry `i` is bit-identical to
-/// `dot(query, row i)`: where the CPU reports AVX2 the block's whole
-/// four-row tiles go through `dot_tiles_avx2`, and the rows left over —
-/// all of them on any other CPU or target — through [`dot`] itself.
+/// Dot-product scores of a set of queries against every `d`-wide row of a
+/// contiguous row-major block, written into `out` (cleared first): the one
+/// place the workspace scores a block of rows, and the scratch-reusing
+/// inner loop of the blocked top-k scans.
+///
+/// `queries` holds one or more `d`-wide queries back to back — a single
+/// query is the set of one. With `n = rows.len() / d`, `out` comes back
+/// `n` entries a query, query-major: entry `q * n + i` is bit-identical to
+/// `dot(query q, row i)`. CPUID picks the bodies, nothing else does: where
+/// it reports AVX-512F and -DQ, queries go two at a time through
+/// `dot_pairs_avx512`; a query left without a partner, and every query
+/// where the CPU has AVX2 only, through `dot_tiles_avx2`; the rows past
+/// either tile's last whole one, and everything on any other CPU or
+/// target, through [`dot`] itself.
 #[inline]
-pub fn dot_scores_into(query: &[f32], rows: &[f32], d: usize, out: &mut Vec<f32>) {
+pub fn dot_scores_into(queries: &[f32], rows: &[f32], d: usize, out: &mut Vec<f32>) {
     debug_assert!(d > 0 && rows.len().is_multiple_of(d));
-    debug_assert_eq!(query.len(), d);
+    debug_assert!(!queries.is_empty() && queries.len().is_multiple_of(d));
+    let n = rows.len() / d;
     out.clear();
-    out.reserve(rows.len() / d);
+    if n == 0 {
+        return;
+    }
+    out.resize(queries.len() / d * n, 0.0);
+    #[allow(unused_mut)]
+    let (mut queries, mut out) = (queries, &mut out[..]);
     #[cfg(target_arch = "x86_64")]
-    let rows = if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU reports AVX2, the one target feature the tile
-        // body is compiled with (std caches the CPUID query).
-        unsafe { dot_tiles_avx2(query, rows, d, out) }
-    } else {
-        rows
-    };
-    for row in rows.chunks_exact(d) {
-        out.push(dot(query, row));
+    if std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+    {
+        while queries.len() >= 2 * d {
+            let (pair, more) = queries.split_at(2 * d);
+            let (scores, more_out) = std::mem::take(&mut out).split_at_mut(2 * n);
+            let (a, b) = scores.split_at_mut(n);
+            // SAFETY: the CPU reports AVX-512F and -DQ, the target
+            // features the pair body is compiled with (std caches the
+            // CPUID query).
+            let tiled = unsafe { dot_pairs_avx512(pair, rows, d, a, b) };
+            dot_rows_from(tiled, &pair[..d], rows, a);
+            dot_rows_from(tiled, &pair[d..], rows, b);
+            (queries, out) = (more, more_out);
+        }
+    }
+    for (query, scores) in queries.chunks_exact(d).zip(out.chunks_exact_mut(n)) {
+        #[cfg(target_arch = "x86_64")]
+        let tiled = if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU reports AVX2, the one target feature the
+            // tile body is compiled with.
+            unsafe { dot_tiles_avx2(query, rows, d, scores) }
+        } else {
+            0
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let tiled = 0;
+        dot_rows_from(tiled, query, rows, scores);
     }
 }
 
-/// [`dot`] of `query` against four adjacent rows per step, appended to
-/// `out` for every whole four-row tile of `rows`; returns the rows left
-/// over (fewer than four) for the caller to score one by one.
+/// [`dot`] of `query` against rows `from..` of `rows`, into the matching
+/// entries of `scores`: the rows a tile body left over.
+#[inline]
+fn dot_rows_from(from: usize, query: &[f32], rows: &[f32], scores: &mut [f32]) {
+    let d = query.len();
+    for (score, row) in scores[from..]
+        .iter_mut()
+        .zip(rows[from * d..].chunks_exact(d))
+    {
+        *score = dot(query, row);
+    }
+}
+
+/// Rows a tile body scores per step.
+#[cfg(target_arch = "x86_64")]
+const TILE: usize = 4;
+
+/// [`dot`] of `query` against four adjacent rows per step, for every whole
+/// four-row tile of `rows`, into the matching entries of `scores`; returns
+/// the rows it scored, a multiple of four.
 ///
 /// Each row keeps [`dot`]'s arithmetic to the bit: one `__m256`
 /// accumulator holds exactly that row's lanes 0–7 (`vmulps` then `vaddps`
@@ -265,21 +321,18 @@ pub fn dot_scores_into(query: &[f32], rows: &[f32], d: usize, out: &mut Vec<f32>
 /// The CPU must support AVX2. Slice bounds are checked here, not assumed.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn dot_tiles_avx2<'a>(
-    query: &[f32],
-    rows: &'a [f32],
-    d: usize,
-    out: &mut Vec<f32>,
-) -> &'a [f32] {
+unsafe fn dot_tiles_avx2(query: &[f32], rows: &[f32], d: usize, scores: &mut [f32]) -> usize {
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_castps256_ps128, _mm256_extractf128_ps, _mm256_hadd_ps,
         _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps, _mm_add_ps, _mm_setr_ps, _mm_storeu_ps,
     };
-    const TILE: usize = 4;
     let query = &query[..d];
     let main = d - d % DOT_LANES;
-    let mut tiles = rows.chunks_exact(TILE * d);
-    for tile in &mut tiles {
+    let mut tiled = 0;
+    for (tile, out) in rows
+        .chunks_exact(TILE * d)
+        .zip(scores.chunks_exact_mut(TILE))
+    {
         let (q, t) = (query.as_ptr(), tile.as_ptr());
         let mut acc = [_mm256_setzero_ps(); TILE];
         let mut i = 0;
@@ -309,35 +362,131 @@ unsafe fn dot_tiles_avx2<'a>(
             _mm256_castps256_ps128(halves),
             _mm256_extractf128_ps::<1>(halves),
         );
-        let scores = _mm_add_ps(trees, _mm_setr_ps(tail[0], tail[1], tail[2], tail[3]));
-        let mut four = [0f32; TILE];
-        // SAFETY: `four` holds four writable f32; `storeu` has no
-        // alignment requirement.
-        unsafe { _mm_storeu_ps(four.as_mut_ptr(), scores) };
-        out.extend_from_slice(&four);
+        let sums = _mm_add_ps(trees, _mm_setr_ps(tail[0], tail[1], tail[2], tail[3]));
+        // SAFETY: `out` holds four writable f32 (`chunks_exact_mut(4)`);
+        // `storeu` has no alignment requirement.
+        unsafe { _mm_storeu_ps(out.as_mut_ptr(), sums) };
+        tiled += TILE;
     }
-    tiles.remainder()
+    tiled
 }
 
-/// Cosine scores of `query` against every `d`-wide row of a block, written
-/// into `out` (cleared first). Bit-identical to calling [`cosine`] per row.
+/// [`dot`] of a pair of queries against four adjacent rows per step, two
+/// queries a 512-bit register, for every whole four-row tile of `rows`:
+/// query *a*'s scores into `a`, query *b*'s into `b`. Returns the rows it
+/// scored, a multiple of four.
+///
+/// `pair` is the two queries back to back. Each step loads the pair's
+/// eight-element chunks into the low (*a*) and high (*b*) halves of one
+/// `__m512`, and broadcasts each row's chunk into both halves with one
+/// load, so one `vmulps` then one `vaddps` — never fused — advance two
+/// (row, query) accumulators of eight lanes each: exactly [`dot`]'s lanes
+/// for that row and that query. The eight adder trees then run side by
+/// side in registers, in [`reduce8`]'s order, and each score gets its own
+/// sequential tail, as in `dot_tiles_avx2`. Against that tile, a row chunk
+/// is loaded once for two queries, and the arithmetic and reduction
+/// instructions per score are halved.
+///
+/// `avx512f` implies `fma` in rustc's feature table: the body has the
+/// instruction and must not use it, which the bitwise tests guard.
+///
+/// # Safety
+/// The CPU must support AVX-512F and AVX-512DQ. Slice bounds are checked
+/// here, not assumed.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn dot_pairs_avx512(
+    pair: &[f32],
+    rows: &[f32],
+    d: usize,
+    a: &mut [f32],
+    b: &mut [f32],
+) -> usize {
+    use std::arch::x86_64::{
+        _mm256_loadu_ps, _mm512_add_ps, _mm512_broadcast_f32x8, _mm512_castps256_ps512,
+        _mm512_castps512_ps128, _mm512_extractf32x4_ps, _mm512_insertf32x8, _mm512_mul_ps,
+        _mm512_setzero_ps, _mm512_shuffle_f32x4, _mm512_shuffle_ps, _mm_add_ps, _mm_setr_ps,
+        _mm_storeu_ps,
+    };
+    let (qa, qb) = pair[..2 * d].split_at(d);
+    let main = d - d % DOT_LANES;
+    let mut tiled = 0;
+    let outs = a.chunks_exact_mut(TILE).zip(b.chunks_exact_mut(TILE));
+    for (tile, (out_a, out_b)) in rows.chunks_exact(TILE * d).zip(outs) {
+        let (pa, pb, t) = (qa.as_ptr(), qb.as_ptr(), tile.as_ptr());
+        let mut acc = [_mm512_setzero_ps(); TILE];
+        let mut i = 0;
+        while i < main {
+            // SAFETY: `i + 8 <= main <= d`, so the eight floats at `i` are
+            // inside `qa` and `qb` (`d` long each) and inside row `r` of
+            // the tile at `r * d + i`: `chunks_exact(4 * d)` yields exactly
+            // `4 * d` floats. `loadu` has no alignment requirement.
+            unsafe {
+                let q = _mm512_insertf32x8::<1>(
+                    _mm512_castps256_ps512(_mm256_loadu_ps(pa.add(i))),
+                    _mm256_loadu_ps(pb.add(i)),
+                );
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let row = _mm512_broadcast_f32x8(_mm256_loadu_ps(t.add(r * d + i)));
+                    *acc = _mm512_add_ps(*acc, _mm512_mul_ps(q, row));
+                }
+            }
+            i += DOT_LANES;
+        }
+        // The AVX2 tile's reduction on both halves at once. Within each
+        // 128-bit lane, even + odd elements of (x, y) is `hadd(x, y)`;
+        // the second round leaves row r's (l0+l1)+(l2+l3) of query a in
+        // element r of lane 0 and its (l4+l5)+(l6+l7) in lane 1, query b's
+        // in lanes 2 and 3, and swapping lanes within each half adds them.
+        let hadd = |x, y| {
+            _mm512_add_ps(
+                _mm512_shuffle_ps::<0b10_00_10_00>(x, y),
+                _mm512_shuffle_ps::<0b11_01_11_01>(x, y),
+            )
+        };
+        let halves = hadd(hadd(acc[0], acc[1]), hadd(acc[2], acc[3]));
+        let trees = _mm512_add_ps(
+            halves,
+            _mm512_shuffle_f32x4::<0b10_11_00_01>(halves, halves),
+        );
+        for (out, query, trees) in [
+            (out_a, qa, _mm512_castps512_ps128(trees)),
+            (out_b, qb, _mm512_extractf32x4_ps::<2>(trees)),
+        ] {
+            let tail: [f32; TILE] =
+                std::array::from_fn(|r| dot_tail(&query[main..], &tile[r * d + main..(r + 1) * d]));
+            let scores = _mm_add_ps(trees, _mm_setr_ps(tail[0], tail[1], tail[2], tail[3]));
+            // SAFETY: `out` holds four writable f32 (`chunks_exact_mut(4)`);
+            // `storeu` has no alignment requirement.
+            unsafe { _mm_storeu_ps(out.as_mut_ptr(), scores) };
+        }
+        tiled += TILE;
+    }
+    tiled
+}
+
+/// Cosine scores of a set of queries against every `d`-wide row of a
+/// block, written into `out` (cleared first) in [`dot_scores_into`]'s
+/// layout. Bit-identical to calling [`cosine`] per (row, query): the dots
+/// come from the same kernel, and the norms [`cosine`] would recompute per
+/// pair are the same f32s computed once a query and once a row per query.
 #[inline]
-pub fn cosine_scores_into(query: &[f32], rows: &[f32], d: usize, out: &mut Vec<f32>) {
-    debug_assert!(d > 0 && rows.len().is_multiple_of(d));
-    debug_assert_eq!(query.len(), d);
-    out.clear();
-    out.reserve(rows.len() / d);
-    // `cosine` recomputes the query norm per row; hoisting it produces the
-    // very same f32 (same kernel, same inputs), so the block path stays
-    // bit-identical to the scalar path while doing 1/3 of the work.
-    let nq = norm2(query);
-    for row in rows.chunks_exact(d) {
-        let nr = norm2(row);
-        out.push(if nq == 0.0 || nr == 0.0 {
-            0.0
-        } else {
-            dot(query, row) / (nq * nr)
-        });
+pub fn cosine_scores_into(queries: &[f32], rows: &[f32], d: usize, out: &mut Vec<f32>) {
+    dot_scores_into(queries, rows, d, out);
+    let n = rows.len() / d;
+    if n == 0 {
+        return;
+    }
+    for (query, scores) in queries.chunks_exact(d).zip(out.chunks_exact_mut(n)) {
+        let nq = norm2(query);
+        for (score, row) in scores.iter_mut().zip(rows.chunks_exact(d)) {
+            let nr = norm2(row);
+            *score = if nq == 0.0 || nr == 0.0 {
+                0.0
+            } else {
+                *score / (nq * nr)
+            };
+        }
     }
 }
 
@@ -422,9 +571,15 @@ mod tests {
         RowKind::Tiny,
     ];
 
-    /// A query and `n` rows of width `d` for the bitwise suites, plus each
-    /// row's kind. Kinds rotate with `d`, so every kind meets every tile
-    /// slot and the one-row remainder path.
+    /// Queries a hostile block carries: past two pairs, so a set of any
+    /// size up to it has a query left without a partner or not.
+    const QUERIES: usize = 5;
+
+    /// [`QUERIES`] queries and `n` rows of width `d` for the bitwise
+    /// suites, plus each row's kind. Kinds rotate with `d`, so every kind
+    /// meets every tile slot and the one-row remainder path. Every query is
+    /// full-mantissa with one zero; the third is scaled down so that its
+    /// products with the tiny rows underflow.
     fn hostile_block(d: usize, n: usize) -> (Vec<f32>, Vec<f32>, Vec<RowKind>) {
         let mut rng = SmallRng::seed_from_u64((d * 16 + n) as u64);
         // 24 random mantissa bits in [1, 2), sign from the draw's top bit.
@@ -456,6 +611,12 @@ mod tests {
             }
             kinds.push(kind);
         }
+        for j in 1..QUERIES {
+            let scale = if j == 2 { 1e-3 } else { 1.0 };
+            let at = query.len();
+            query.extend((0..d).map(|_| dense(scale)));
+            query[at + (d / 2 + j) % d] = 0.0;
+        }
         (query, rows, kinds)
     }
 
@@ -467,7 +628,8 @@ mod tests {
     fn dot_lanes_match_the_portable_loop_bitwise() {
         assert_eq!(dot(&[], &[]).to_bits(), 0f32.to_bits());
         for d in 1..=130usize {
-            let (query, rows, kinds) = hostile_block(d, ROW_KINDS.len());
+            let (queries, rows, kinds) = hostile_block(d, ROW_KINDS.len());
+            let query = &queries[..d];
             for (row, kind) in rows.chunks_exact(d).zip(kinds) {
                 let main = d - d % DOT_LANES;
                 let want = dot_lanes_portable(&query[..main], &row[..main]);
@@ -478,8 +640,8 @@ mod tests {
                     "d={d} {kind:?}"
                 );
                 assert_eq!(
-                    dot(&query, row).to_bits(),
-                    dot_defined(&query, row).to_bits(),
+                    dot(query, row).to_bits(),
+                    dot_defined(query, row).to_bits(),
                     "d={d} {kind:?}"
                 );
             }
@@ -487,48 +649,83 @@ mod tests {
     }
 
     /// Every body that scores a block — `dot_scores_into` as this CPU
-    /// dispatches it and, called directly wherever the CPU has it, the AVX2
-    /// tile — returns the definition's bits for every row: every width
-    /// around the lane boundary × every row count around the tile size, on
-    /// rows of every hostile kind. The inputs are FMA-sensitive (checked
-    /// below), so a body that fused a multiply into its add fails here and
-    /// not in a golden three crates away.
+    /// dispatches it, on every query set of one to [`QUERIES`] queries,
+    /// and, called directly wherever the CPU has them, the AVX2 tile on
+    /// each query and the AVX-512 pair body on each pair — returns the
+    /// definition's bits for every (row, query): every width around the
+    /// lane boundary × every row count around the tile size, on rows of
+    /// every hostile kind. The inputs are FMA-sensitive (checked below, on
+    /// the rows the pair body scores too), so a body that fused a multiply
+    /// into its add fails here and not in a golden three crates away.
     #[test]
     fn every_block_body_matches_the_definition_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        let (avx2, avx512) = (
+            std::arch::is_x86_feature_detected!("avx2"),
+            std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512dq"),
+        );
         let (mut plain, mut fused_differs) = (0usize, 0usize);
+        let (mut tiled_avx2, mut tiled_avx512) = (0usize, 0usize);
         for d in 1..=130usize {
             for n in 0..=9usize {
-                let (query, rows, kinds) = hostile_block(d, n);
-                let want: Vec<u32> = rows
+                let (queries, rows, kinds) = hostile_block(d, n);
+                let want: Vec<u32> = queries
                     .chunks_exact(d)
-                    .map(|row| dot_defined(&query, row).to_bits())
+                    .flat_map(|query| rows.chunks_exact(d).map(|row| dot_defined(query, row)))
+                    .map(f32::to_bits)
                     .collect();
-                for ((row, kind), &want) in rows.chunks_exact(d).zip(&kinds).zip(&want) {
-                    match kind {
-                        RowKind::NegZero => assert_eq!(want, 0f32.to_bits(), "d={d}"),
-                        RowKind::Nan => assert!(f32::from_bits(want).is_nan(), "d={d}"),
-                        RowKind::Plain if d >= 4 => {
-                            plain += 1;
-                            fused_differs += (dot_fused(&query, row).to_bits() != want) as usize;
+                for (query, want) in queries.chunks_exact(d).zip(want.chunks(n.max(1))) {
+                    for ((row, kind), &want) in rows.chunks_exact(d).zip(&kinds).zip(want) {
+                        match kind {
+                            RowKind::NegZero => assert_eq!(want, 0f32.to_bits(), "d={d}"),
+                            RowKind::Nan => assert!(f32::from_bits(want).is_nan(), "d={d}"),
+                            RowKind::Plain if d >= 4 => {
+                                plain += 1;
+                                let fused = dot_fused(query, row).to_bits();
+                                fused_differs += (fused != want) as usize;
+                            }
+                            _ => {}
                         }
-                        _ => {}
                     }
                 }
-                // Stale entries from a larger block must not survive.
-                let mut got = vec![f32::NAN; 12];
-                dot_scores_into(&query, &rows, d, &mut got);
-                let got: Vec<u32> = got.into_iter().map(f32::to_bits).collect();
-                assert_eq!(got, want, "dot_scores_into d={d} n={n} {kinds:?}");
+                for count in 1..=QUERIES {
+                    // Stale entries from a larger block must not survive.
+                    let mut got = vec![f32::NAN; 64];
+                    dot_scores_into(&queries[..count * d], &rows, d, &mut got);
+                    let got: Vec<u32> = got.into_iter().map(f32::to_bits).collect();
+                    assert_eq!(
+                        got,
+                        want[..count * n],
+                        "d={d} n={n} {count} queries {kinds:?}"
+                    );
+                }
 
                 #[cfg(target_arch = "x86_64")]
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    let mut got = Vec::new();
-                    // SAFETY: AVX2 was detected on the line above.
-                    let rest = unsafe { dot_tiles_avx2(&query, &rows, d, &mut got) };
-                    let tiled = n - n % 4;
-                    assert_eq!(rest.len(), (n - tiled) * d, "d={d} n={n}");
-                    let got: Vec<u32> = got.into_iter().map(f32::to_bits).collect();
-                    assert_eq!(got, want[..tiled], "avx2 tile d={d} n={n} {kinds:?}");
+                if avx2 {
+                    for (query, want) in queries.chunks_exact(d).zip(want.chunks(n.max(1))) {
+                        let mut got = vec![f32::NAN; n];
+                        // SAFETY: AVX2 was detected above.
+                        let tiled = unsafe { dot_tiles_avx2(query, &rows, d, &mut got) };
+                        assert_eq!(tiled, n - n % TILE, "d={d} n={n}");
+                        let got: Vec<u32> = got[..tiled].iter().map(|s| s.to_bits()).collect();
+                        assert_eq!(got, want[..tiled], "avx2 tile d={d} n={n} {kinds:?}");
+                        tiled_avx2 += tiled;
+                    }
+                }
+                #[cfg(target_arch = "x86_64")]
+                if avx512 {
+                    for (pair, want) in queries.chunks_exact(2 * d).zip(want.chunks(2 * n.max(1))) {
+                        let (mut a, mut b) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+                        // SAFETY: AVX-512F and -DQ were detected above.
+                        let tiled = unsafe { dot_pairs_avx512(pair, &rows, d, &mut a, &mut b) };
+                        assert_eq!(tiled, n - n % TILE, "d={d} n={n}");
+                        for (got, want) in [(a, &want[..tiled]), (b, &want[n..n + tiled])] {
+                            let got: Vec<u32> = got[..tiled].iter().map(|s| s.to_bits()).collect();
+                            assert_eq!(got, want, "avx512 pair d={d} n={n} {kinds:?}");
+                        }
+                        tiled_avx512 += 2 * tiled;
+                    }
                 }
             }
         }
@@ -536,6 +733,20 @@ mod tests {
             fused_differs * 2 > plain,
             "the plain rows must tell fused from unfused arithmetic: {fused_differs} of {plain}"
         );
+        // The pinned bodies ran exactly where CPUID says they exist.
+        #[cfg(target_arch = "x86_64")]
+        {
+            assert_eq!(
+                tiled_avx2 > 0,
+                avx2,
+                "{tiled_avx2} rows through the AVX2 tile"
+            );
+            assert_eq!(
+                tiled_avx512 > 0,
+                avx512,
+                "{tiled_avx512} scores through the pair body"
+            );
+        }
     }
 
     #[test]
@@ -618,19 +829,23 @@ mod tests {
     fn scores_into_match_per_row_kernels_bitwise() {
         let d = 13;
         let rows = seq(6 * d, 0.4);
-        let query = seq(d, 1.7);
+        let queries = seq(3 * d, 1.7);
         let mut dots = Vec::new();
         let mut coss = Vec::new();
-        dot_scores_into(&query, &rows, d, &mut dots);
-        cosine_scores_into(&query, &rows, d, &mut coss);
-        assert_eq!(dots.len(), 6);
-        for (i, row) in rows.chunks_exact(d).enumerate() {
-            assert_eq!(dots[i].to_bits(), dot(&query, row).to_bits());
-            assert_eq!(coss[i].to_bits(), cosine(&query, row).to_bits());
+        dot_scores_into(&queries, &rows, d, &mut dots);
+        cosine_scores_into(&queries, &rows, d, &mut coss);
+        assert_eq!((dots.len(), coss.len()), (18, 18));
+        for (q, query) in queries.chunks_exact(d).enumerate() {
+            for (i, row) in rows.chunks_exact(d).enumerate() {
+                assert_eq!(dots[q * 6 + i].to_bits(), dot(query, row).to_bits());
+                assert_eq!(coss[q * 6 + i].to_bits(), cosine(query, row).to_bits());
+            }
         }
         // Scratch reuse: a second, smaller block leaves no stale entries.
-        dot_scores_into(&query, &rows[..2 * d], d, &mut dots);
+        dot_scores_into(&queries[..d], &rows[..2 * d], d, &mut dots);
         assert_eq!(dots.len(), 2);
+        dot_scores_into(&queries, &[], d, &mut dots);
+        assert!(dots.is_empty());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! SVD. No external BLAS/LAPACK — the reproduction builds every substrate.
 //!
 //! [`kernels`] holds the blocked, lane-unrolled f32 hot loops (dense dot,
-//! sparse gather-dot and its eight-column strip form, batched scoring, row
-//! gather) shared by the serving scan, the embedding top-k and the SpMM
+//! sparse gather-dot and its eight-column strip form, scoring a block
+//! against a set of queries) shared by the serving scan, the embedding top-k and the SpMM
 //! accumulation step. The `*_threads` and `*_blocked` functions are the
 //! deterministic parallel counterparts of the big dense routines (blocked
 //! GEMM/GEMM-TN, the symmetric Gram, chunked axpy/scale, column-parallel QR
@@ -24,7 +24,9 @@
 //! bit-identity claim in the workspace (goldens, thread counts, `spmv` vs
 //! the SpMM engine) depends on that staying so. The same rule binds the
 //! bodies pinned with intrinsics in [`kernels`]: a `#[target_feature]`
-//! there enables the register width it needs (`avx2`) and never `fma`,
+//! there enables the register width it needs (`avx2`, or `avx512f` and
+//! `avx512dq`) and never names `fma` — though rustc implies `fma` from
+//! `avx512f`, so that body has the instruction and must not use it —
 //! multiplies and adds are separate intrinsics, and each body is tested
 //! against the plain-Rust definition on inputs that a fused multiply-add
 //! would round differently.

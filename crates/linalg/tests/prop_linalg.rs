@@ -1,5 +1,6 @@
 //! Property-based tests of the dense linear-algebra substrate.
 
+use omega_linalg::kernels::{cosine, cosine_scores_into, dot, dot_scores_into};
 use omega_linalg::{
     gaussian_matrix, gemm, gemm_blocked, gemm_tn, gemm_tn_blocked, gram, gram_threads, qr_thin,
     qr_thin_threads, svd_jacobi, DenseMatrix,
@@ -181,6 +182,32 @@ proptest! {
         let b = gaussian_matrix(k, n, seed.wrapping_add(1));
         assert_bits_equal(&gemm_tn(&a, &b).unwrap(), &gemm_tn_by_definition(&a, &b))?;
         assert_bits_equal(&gram(&a), &gemm_tn_by_definition(&a, &a))?;
+    }
+
+    /// Every (row, query) score of the query-set scorer is `dot` of that
+    /// row and that query, bit for bit — and its cosine form `cosine` —
+    /// whatever the set's size (pairs and a query left over), the width
+    /// around the eight-lane step and the row count around the four-row
+    /// tile. Scores come back `n` a query, query-major.
+    #[test]
+    fn query_set_scores_are_dot_bitwise(
+        d in 1usize..80,
+        n in 0usize..12,
+        nq in 1usize..7,
+        seed in any::<u64>(),
+    ) {
+        let draw = gaussian_matrix((n + nq) * d, 1, seed);
+        let (rows, queries) = draw.data().split_at(n * d);
+        let (mut dots, mut coss) = (vec![f32::NAN; 3], Vec::new());
+        dot_scores_into(queries, rows, d, &mut dots);
+        cosine_scores_into(queries, rows, d, &mut coss);
+        prop_assert_eq!((dots.len(), coss.len()), (nq * n, nq * n));
+        for (q, query) in queries.chunks_exact(d).enumerate() {
+            for (i, row) in rows.chunks_exact(d).enumerate() {
+                prop_assert_eq!(dots[q * n + i].to_bits(), dot(query, row).to_bits());
+                prop_assert_eq!(coss[q * n + i].to_bits(), cosine(query, row).to_bits());
+            }
+        }
     }
 
     /// QR reconstructs A and produces an orthonormal Q for any tall matrix.
