@@ -10,10 +10,10 @@
 //! * **Init** — a partial Fisher–Yates shuffle driven by a splitmix64
 //!   stream picks `nlist` distinct seed rows.
 //! * **Assignment** — rows are scored against every centroid through the
-//!   shared [`Metric::scores_into`] kernels in fixed 256-row blocks; the
-//!   worker pool only partitions the *block index space*, and per-block
-//!   results are concatenated in block order, so the assignment vector is
-//!   byte-identical at any wall-thread count.
+//!   shared [`Metric::scores_into`] kernels, two rows a call, in fixed
+//!   256-row blocks; the worker pool only partitions the *block index
+//!   space*, and per-block results are concatenated in block order, so the
+//!   assignment vector is byte-identical at any wall-thread count.
 //! * **Update** — centroid accumulation walks rows in ascending id order
 //!   on the caller thread (empty clusters keep their previous centroid),
 //!   so float summation order never depends on scheduling.
@@ -132,9 +132,11 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Assign every row to its best centroid (highest metric score, ties to
 /// the smaller centroid id), in parallel over fixed-size row blocks.
-/// Returns the per-row centroid ids in row order — byte-identical at any
-/// wall-thread count because blocks are fixed and results concatenate in
-/// block order.
+/// Consecutive rows are scored as one query pair, so the kernel reads each
+/// centroid once for two rows; a pair's scores are each row's own, bit for
+/// bit. Returns the per-row centroid ids in row order — byte-identical at
+/// any wall-thread count because blocks are fixed and results concatenate
+/// in block order.
 fn assign_rows(emb: &Embedding, centroids: &[f32], nlist: usize, threads: usize) -> Vec<u32> {
     let d = emb.dim();
     let n = emb.nodes() as usize;
@@ -147,16 +149,17 @@ fn assign_rows(emb: &Embedding, centroids: &[f32], nlist: usize, threads: usize)
             let lo = b * ASSIGN_BLOCK_ROWS;
             let hi = n.min(lo + ASSIGN_BLOCK_ROWS);
             let mut out = Vec::with_capacity(hi - lo);
-            for v in lo..hi {
-                let row = &emb.data()[v * d..(v + 1) * d];
-                METRIC.scores_into(row, centroids, d, scores);
-                let mut best = 0usize;
-                for c in 1..nlist {
-                    if scores[c].total_cmp(&scores[best]) == std::cmp::Ordering::Greater {
-                        best = c;
+            for pair in emb.data()[lo * d..hi * d].chunks(2 * d) {
+                METRIC.scores_into(pair, centroids, d, scores);
+                for scores in scores.chunks_exact(nlist) {
+                    let mut best = 0usize;
+                    for c in 1..nlist {
+                        if scores[c].total_cmp(&scores[best]) == std::cmp::Ordering::Greater {
+                            best = c;
+                        }
                     }
+                    out.push(best as u32);
                 }
-                out.push(best as u32);
             }
             out
         },
@@ -344,6 +347,19 @@ impl IvfIndex {
         scores: &mut Vec<f32>,
     ) -> Vec<u32> {
         metric.scores_into(query, self.centroids.raw(), self.dim, scores);
+        Self::rank_lists(scores, nprobe)
+    }
+
+    /// The centroid scores of a query set (`d`-wide queries back to back),
+    /// `nlist` a query in query order, through the serving metric: the
+    /// centroid preludes of a batch, scored together.
+    pub(crate) fn score_centroids(&self, queries: &[f32], scores: &mut Vec<f32>) {
+        METRIC.scores_into(queries, self.centroids.raw(), self.dim, scores);
+    }
+
+    /// [`IvfIndex::select_lists`]' choice from one query's centroid
+    /// scores.
+    pub(crate) fn rank_lists(scores: &[f32], nprobe: usize) -> Vec<u32> {
         let mut sel = TopK::new(nprobe);
         for (c, &score) in scores.iter().enumerate() {
             sel.push(c as u32, score);
@@ -452,6 +468,28 @@ mod tests {
                 base,
                 "threads {threads}"
             );
+        }
+    }
+
+    /// The builds of the scorer that took one row a call, pinned: scoring
+    /// rows two a call moves no row to another list and no centroid bit.
+    /// Widths on both sides of the eight-lane step, row counts odd and
+    /// even, at one and two threads.
+    #[test]
+    fn build_digest_is_pinned() {
+        for (nodes, d, nlist, digest) in [
+            (300, 8, 16, 0x879e_ba16_c100_b307u64),
+            (700, 13, 24, 0x3876_5bf0_0e2c_5243),
+            (1000, 64, 31, 0x988c_5e41_b624_30a8),
+            (257, 3, 9, 0x4c24_0ae2_d26b_4f18),
+        ] {
+            for threads in [1, 2] {
+                let got = build(nodes, d, nlist, threads).build_digest();
+                assert_eq!(
+                    got, digest,
+                    "{nodes} x {d}, nlist {nlist}, {threads} threads"
+                );
+            }
         }
     }
 

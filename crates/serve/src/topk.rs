@@ -99,8 +99,10 @@ enum BlockIds<'a> {
 }
 
 /// The `(block, query)` reads of one scoring pass, cut into pool tasks.
-/// Reads are ordered by block, so a block stays cache-resident while
-/// every query that reads it scores it.
+/// Reads are grouped by the block id the plan gives — never by slice
+/// address: two empty lists may share one — so each block is scored once,
+/// against every query that reads it as one query set, while it is
+/// cache-resident.
 #[derive(Debug)]
 enum ScorePlan {
     /// Exact: every shard against every query. Task `t` owns shards
@@ -150,12 +152,15 @@ impl EmbedServer {
         for q in queries {
             assert_eq!(q.query.len(), dim, "query dimension mismatch");
         }
+        // The batch's queries back to back: the query set blocks are scored
+        // against, or the run of it a block's readers form.
+        let batch: Vec<f32> = queries.iter().flat_map(|q| q.query).copied().collect();
         // Wall-clock phase attribution only; simulated time is unaffected.
         omega_par::phase_scope("topk", || {
             // The site labels key the pool's per-site task-size estimates.
             let (phase, site, plan, tasks) = match &self.ivf {
                 Some(ivf) => {
-                    let (plan, tasks) = plan_probes(ivf, queries);
+                    let (plan, tasks) = plan_probes(ivf, queries, &batch);
                     ("ivf.probe", "serve.ivf.probe", plan, tasks)
                 }
                 None => {
@@ -172,24 +177,27 @@ impl EmbedServer {
                 site,
                 self.cfg.threads,
                 tasks,
-                |scores: &mut Vec<f32>, t| match &plan {
+                |scratch: &mut ScoreScratch, t| match &plan {
                     ScorePlan::Shards { per_task } => {
                         let shards = t * per_task..self.store.num_shards().min((t + 1) * per_task);
-                        let reads = shards.flat_map(|sid| {
+                        let blocks = shards.map(|sid| {
                             let ids = BlockIds::Shard(self.store.shard_rows(sid));
-                            let rows = self.store.shard_raw(sid);
-                            (0..queries.len()).map(move |q| (rows, ids.clone(), q))
+                            (self.store.shard_raw(sid), ids, 0..queries.len())
                         });
-                        score_reads(queries, dim, reads, scores)
+                        score_blocks(queries, &batch, dim, blocks, scratch)
                     }
                     ScorePlan::Lists { reads, cuts } => {
                         let ivf = self.ivf.as_ref().expect("list plan without an index");
-                        let reads = reads[cuts[t]..cuts[t + 1]].iter().map(|&(lid, q)| {
-                            let lid = lid as usize;
-                            let ids = BlockIds::List(ivf.list_ids(lid));
-                            (ivf.list_rows(lid).raw(), ids, q as usize)
-                        });
-                        score_reads(queries, dim, reads, scores)
+                        let blocks =
+                            reads[cuts[t]..cuts[t + 1]]
+                                .chunk_by(|a, b| a.0 == b.0)
+                                .map(|run| {
+                                    let lid = run[0].0 as usize;
+                                    let ids = BlockIds::List(ivf.list_ids(lid));
+                                    let readers = run.iter().map(|&(_, q)| q as usize);
+                                    (ivf.list_rows(lid).raw(), ids, readers)
+                                });
+                        score_blocks(queries, &batch, dim, blocks, scratch)
                     }
                 },
             );
@@ -392,13 +400,20 @@ impl EmbedServer {
 
 /// IVF planning: each query's probed lists (one centroid ranking per
 /// query), as the batch's `(list, query)` reads sorted and cut into tasks
-/// of at least [`SCORE_TASK_ROWS`] list rows.
-fn plan_probes(ivf: &IvfIndex, queries: &[TopKQuery<'_>]) -> (ScorePlan, usize) {
-    let mut scores = Vec::with_capacity(ivf.nlist());
+/// of at least [`SCORE_TASK_ROWS`] list rows. The centroid preludes are
+/// scored as one query set, `batch` (the queries back to back), so the
+/// kernel takes them two a register.
+fn plan_probes(ivf: &IvfIndex, queries: &[TopKQuery<'_>], batch: &[f32]) -> (ScorePlan, usize) {
+    let mut scores = Vec::with_capacity(ivf.nlist() * queries.len());
+    ivf.score_centroids(batch, &mut scores);
     let mut reads: Vec<(u32, u32)> = Vec::new();
-    for (q, query) in queries.iter().enumerate() {
+    for (q, (query, scores)) in queries
+        .iter()
+        .zip(scores.chunks_exact(ivf.nlist()))
+        .enumerate()
+    {
         let nprobe = query.nprobe.unwrap_or(ivf.nprobe()).clamp(1, ivf.nlist());
-        let lists = ivf.select_lists(query.query, METRIC, nprobe, &mut scores);
+        let lists = IvfIndex::rank_lists(scores, nprobe);
         reads.extend(lists.into_iter().map(|lid| (lid, q as u32)));
     }
     reads.sort_unstable();
@@ -419,42 +434,79 @@ fn plan_probes(ivf: &IvfIndex, queries: &[TopKQuery<'_>]) -> (ScorePlan, usize) 
     (ScorePlan::Lists { reads, cuts }, tasks)
 }
 
-/// Score every `(rows, ids, query)` read of one task through the shared
-/// blocked kernels into the worker's reusable `scores` scratch, and keep
-/// each query's `k` best: one selector per query of the batch, in batch
-/// order (queries the task never reads keep an empty one). The only place
-/// the serving tier scores a row.
-fn score_reads<'a>(
+/// A scoring task's reusable buffers.
+#[derive(Debug, Default)]
+struct ScoreScratch {
+    /// The scores of one block, `n` a reader, reader-major.
+    scores: Vec<f32>,
+    /// A block's readers' queries, gathered back to back when they are
+    /// not already a run of the batch.
+    readers: Vec<f32>,
+}
+
+/// Score every `(rows, ids, readers)` block of one task through the shared
+/// blocked kernel — one call a block, its readers as one query set, which
+/// the kernel takes two a register — into the worker's reusable scratch,
+/// and keep each query's `k` best: one selector per query of the batch, in
+/// batch order (queries the task never reads keep an empty one). `readers`
+/// are the batch indices of the queries that read the block, ascending;
+/// `batch` is every query of the batch back to back. The only place the
+/// serving tier scores a row.
+fn score_blocks<'a, R>(
     queries: &[TopKQuery<'_>],
+    batch: &[f32],
     dim: usize,
-    reads: impl Iterator<Item = (&'a [f32], BlockIds<'a>, usize)>,
-    scores: &mut Vec<f32>,
-) -> Vec<TopK> {
+    blocks: impl Iterator<Item = (&'a [f32], BlockIds<'a>, R)>,
+    scratch: &mut ScoreScratch,
+) -> Vec<TopK>
+where
+    R: ExactSizeIterator<Item = usize> + Clone,
+{
     let mut sels: Vec<TopK> = queries.iter().map(|q| TopK::new(q.k)).collect();
-    for (rows, ids, q) in reads {
+    let ScoreScratch {
+        scores,
+        readers: gathered,
+    } = scratch;
+    for (rows, ids, readers) in blocks {
+        let n = match &ids {
+            BlockIds::Shard(ids) => ids.len(),
+            BlockIds::List(ids) => ids.len(),
+        };
+        if n == 0 {
+            continue;
+        }
         if dim == 0 {
             // `Embedding::top_k`'s degenerate rule: a zero-width row scores
             // the empty dot product. The kernels take their row count from
             // `rows.len() / dim`, so it is applied here, where `ids` has it.
-            let n = match &ids {
-                BlockIds::Shard(ids) => ids.len(),
-                BlockIds::List(ids) => ids.len(),
-            };
             scores.clear();
-            scores.resize(n, 0.0);
+            scores.resize(readers.len() * n, 0.0);
         } else {
-            METRIC.scores_into(queries[q].query, rows, dim, scores);
-        }
-        let sel = &mut sels[q];
-        match ids {
-            BlockIds::Shard(ids) => {
-                for (id, &score) in ids.zip(scores.iter()) {
-                    sel.push(id, score);
+            let first = readers.clone().next().unwrap_or(0);
+            let run = readers.clone().enumerate().all(|(j, q)| q == first + j);
+            let set = if run {
+                &batch[first * dim..(first + readers.len()) * dim]
+            } else {
+                gathered.clear();
+                for q in readers.clone() {
+                    gathered.extend_from_slice(&batch[q * dim..(q + 1) * dim]);
                 }
-            }
-            BlockIds::List(ids) => {
-                for (&id, &score) in ids.iter().zip(scores.iter()) {
-                    sel.push(id, score);
+                &gathered[..]
+            };
+            METRIC.scores_into(set, rows, dim, scores);
+        }
+        for (q, scores) in readers.zip(scores.chunks_exact(n)) {
+            let sel = &mut sels[q];
+            match &ids {
+                BlockIds::Shard(ids) => {
+                    for (id, &score) in ids.clone().zip(scores) {
+                        sel.push(id, score);
+                    }
+                }
+                BlockIds::List(ids) => {
+                    for (&id, &score) in ids.iter().zip(scores) {
+                        sel.push(id, score);
+                    }
                 }
             }
         }

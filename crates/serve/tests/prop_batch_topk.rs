@@ -5,6 +5,11 @@
 //! by some queries of the batch and not others, a task boundary falling
 //! inside a tie group.
 //!
+//! The scorer takes each block's readers as one query set, two queries a
+//! register where the CPU has AVX-512, so how a batch's queries group and
+//! pair up is on trial as well: odd and even counts, one node asked
+//! twice, lists two queries share, empty lists among the probed.
+//!
 //! The contract: each request gets exactly what it would get alone.
 //! Exact servers, and IVF servers probing every list, answer
 //! `Embedding::top_k` bit for bit; an IVF request with a smaller probe
@@ -300,4 +305,57 @@ fn a_zero_width_table_answers_like_the_oracle() {
     let mut srv =
         EmbedServer::new(&sys, &emb, ServeConfig::new(4 << 10).rows_per_shard(4)).unwrap();
     assert_eq!(srv.top_k(&[], 3), vec![(0, 0.0), (1, 0.0), (2, 0.0)]);
+}
+
+/// Each way the query-set scorer can group a block's readers, made to
+/// happen rather than left to the draws: one to six top-k requests in a
+/// batch (whole pairs, or one query left without a partner), one node
+/// asked twice, lists that two queries' probes share, and empty lists
+/// among those probed. Six distinct rows repeat through the table, so
+/// k-means leaves six of ten lists empty and every score ties with
+/// dozens of others. Exact and IVF, at 1, 2 and 8 threads, against
+/// `Embedding::top_k` and what each request gets alone.
+#[test]
+fn every_grouping_of_a_blocks_readers_answers_like_the_oracle() {
+    let (nodes, d, nlist) = (400u32, 5usize, 10usize);
+    let data: Vec<f32> = (0..nodes as usize)
+        .flat_map(|v| {
+            let base = (v * 7) % 6;
+            (0..d).map(move |i| (((base * 31 + i * 17) % 23) as f32 - 11.0) * 0.25)
+        })
+        .collect();
+    let emb = Embedding::from_row_major(nodes, d, data);
+    let sys = MemSystem::new(Topology::paper_machine_scaled(16 << 20));
+    let cfg = ServeConfig::new(4 << 10)
+        .rows_per_shard(16)
+        .index(IndexMode::Ivf { nlist, nprobe: 0 });
+    let srv = EmbedServer::new(&sys, &emb, cfg).unwrap();
+    let ivf = srv.ivf().unwrap();
+    assert_eq!(ivf.empty_list_count(), 6);
+    let mut scores = Vec::new();
+    let probed = |node: u32, scores: &mut Vec<f32>| {
+        ivf.select_lists(emb.vector(node), Metric::Dot, ivf.nprobe(), scores)
+    };
+    let (a, b) = (probed(5, &mut scores), probed(1, &mut scores));
+    assert!(
+        a.iter().any(|lid| b.contains(lid)),
+        "{a:?} and {b:?} share no list"
+    );
+    assert!(a.iter().any(|&lid| ivf.list_ids(lid as usize).is_empty()));
+    // Node 5 twice, then distinct nodes; `k` kinds rotate through n / 3,
+    // 7 and past the table; probes alternate between the index's own
+    // count and every list. A Get leads and one sits between the queries.
+    let nodes_asked = [5u32, 5, 1, 2, 3, 4];
+    for top_ks in 1..=nodes_asked.len() {
+        let mut picks = vec![(0u32, 0u8, 0u8)];
+        for (j, &node) in nodes_asked[..top_ks].iter().enumerate() {
+            picks.push((node, 3 + (j % 3) as u8, (j % 2) as u8));
+            if j == 1 {
+                picks.push((8, 1, 0));
+            }
+        }
+        for nlist in [0, nlist] {
+            check_batch(&emb, 16, nlist, DeviceKind::Pm, false, &picks).unwrap();
+        }
+    }
 }
