@@ -40,8 +40,8 @@ impl Metric {
 
     /// Score a set of queries — one or more `d`-wide queries back to
     /// back — against every `d`-wide row of a contiguous row-major block,
-    /// writing into the reusable `out` scratch (cleared first), `n =
-    /// rows.len() / d` entries a query. The blocked form of
+    /// writing into the reusable `out` scratch (no old entry survives),
+    /// `n = rows.len() / d` entries a query. The blocked form of
     /// [`Metric::score`]: entry `q * n + i` is bit-identical to
     /// `self.score(query q, &rows[i*d..(i+1)*d])`, however many queries
     /// share the call.

@@ -230,9 +230,9 @@ pub fn sparse_dot_strip(
 }
 
 /// Dot-product scores of a set of queries against every `d`-wide row of a
-/// contiguous row-major block, written into `out` (cleared first): the one
-/// place the workspace scores a block of rows, and the scratch-reusing
-/// inner loop of the blocked top-k scans.
+/// contiguous row-major block, written into `out` (nothing of its old
+/// contents survives): the one place the workspace scores a block of
+/// rows, and the scratch-reusing inner loop of the blocked top-k scans.
 ///
 /// `queries` holds one or more `d`-wide queries back to back — a single
 /// query is the set of one. With `n = rows.len() / d`, `out` comes back
@@ -248,10 +248,12 @@ pub fn dot_scores_into(queries: &[f32], rows: &[f32], d: usize, out: &mut Vec<f3
     debug_assert!(d > 0 && rows.len().is_multiple_of(d));
     debug_assert!(!queries.is_empty() && queries.len().is_multiple_of(d));
     let n = rows.len() / d;
-    out.clear();
     if n == 0 {
+        out.clear();
         return;
     }
+    // Every entry is written below, so only the entries `out` lacks need
+    // a value here: a reused scratch is not zeroed first.
     out.resize(queries.len() / d * n, 0.0);
     #[allow(unused_mut)]
     let (mut queries, mut out) = (queries, &mut out[..]);
@@ -466,10 +468,11 @@ unsafe fn dot_pairs_avx512(
 }
 
 /// Cosine scores of a set of queries against every `d`-wide row of a
-/// block, written into `out` (cleared first) in [`dot_scores_into`]'s
-/// layout. Bit-identical to calling [`cosine`] per (row, query): the dots
-/// come from the same kernel, and the norms [`cosine`] would recompute per
-/// pair are the same f32s computed once a query and once a row per query.
+/// block, written into `out` (no old entry survives) in
+/// [`dot_scores_into`]'s layout. Bit-identical to calling [`cosine`] per
+/// (row, query): the dots come from the same kernel, and the norms
+/// [`cosine`] would recompute per pair are the same f32s, computed once a
+/// query and once a row per query.
 #[inline]
 pub fn cosine_scores_into(queries: &[f32], rows: &[f32], d: usize, out: &mut Vec<f32>) {
     dot_scores_into(queries, rows, d, out);

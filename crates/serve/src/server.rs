@@ -110,7 +110,7 @@ impl EmbedServer {
         let stage_shared = fetch::stage_pays(sys, &store);
         // A degenerate table (no rows, or zero-width rows) has nothing to
         // cluster, so the exact scan stays the fallback: no rows is no
-        // shards, and `score_reads` scores a zero-width row as the oracle
+        // shards, and `score_blocks` scores a zero-width row as the oracle
         // does.
         let ivf = match cfg.index.resolved(emb.nodes()) {
             IndexMode::Exact => None,
