@@ -20,8 +20,8 @@
 //! rows per step. [`dot_scores_into`] scores a block against a set of
 //! queries: pairs through the AVX-512 body where CPUID reports AVX-512F
 //! and -DQ, any other query through the AVX2 tile where it reports AVX2,
-//! the rows past a tile's last whole one through [`dot`]. Nothing
-//! else selects a body — no caller, configuration, cargo feature or
+//! the rows past a tile's last whole one through [`dot`]. Nothing else
+//! selects a body — no caller, configuration, cargo feature or
 //! environment variable — and all return the same bits. Multiplies and
 //! adds are separate intrinsics and no body enables `fma`; the AVX-512
 //! one gets it anyway, because rustc implies `fma` from `avx512f`, so the
@@ -254,16 +254,13 @@ pub fn dot_scores_into(queries: &[f32], rows: &[f32], d: usize, out: &mut Vec<f3
     }
     // Every entry is written below, so only the entries `out` lacks need
     // a value here: a reused scratch is not zeroed first.
-    out.resize(queries.len() / d * n, 0.0);
-    #[allow(unused_mut)]
-    let (mut queries, mut out) = (queries, &mut out[..]);
+    let nq = queries.len() / d;
+    out.resize(nq * n, 0.0);
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx512f")
+    let paired = if std::arch::is_x86_feature_detected!("avx512f")
         && std::arch::is_x86_feature_detected!("avx512dq")
     {
-        while queries.len() >= 2 * d {
-            let (pair, more) = queries.split_at(2 * d);
-            let (scores, more_out) = std::mem::take(&mut out).split_at_mut(2 * n);
+        for (pair, scores) in queries.chunks_exact(2 * d).zip(out.chunks_exact_mut(2 * n)) {
             let (a, b) = scores.split_at_mut(n);
             // SAFETY: the CPU reports AVX-512F and -DQ, the target
             // features the pair body is compiled with (std caches the
@@ -271,10 +268,15 @@ pub fn dot_scores_into(queries: &[f32], rows: &[f32], d: usize, out: &mut Vec<f3
             let tiled = unsafe { dot_pairs_avx512(pair, rows, d, a, b) };
             dot_rows_from(tiled, &pair[..d], rows, a);
             dot_rows_from(tiled, &pair[d..], rows, b);
-            (queries, out) = (more, more_out);
         }
-    }
-    for (query, scores) in queries.chunks_exact(d).zip(out.chunks_exact_mut(n)) {
+        nq - nq % 2
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let paired = 0;
+    let rest = queries[paired * d..].chunks_exact(d);
+    for (query, scores) in rest.zip(out[paired * n..].chunks_exact_mut(n)) {
         #[cfg(target_arch = "x86_64")]
         let tiled = if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: the CPU reports AVX2, the one target feature the
@@ -669,6 +671,7 @@ mod tests {
                 && std::arch::is_x86_feature_detected!("avx512dq"),
         );
         let (mut plain, mut fused_differs) = (0usize, 0usize);
+        #[cfg(target_arch = "x86_64")]
         let (mut tiled_avx2, mut tiled_avx512) = (0usize, 0usize);
         for d in 1..=130usize {
             for n in 0..=9usize {

@@ -441,7 +441,7 @@ struct ScoreScratch {
     scores: Vec<f32>,
     /// A block's readers' queries, gathered back to back when they are
     /// not already a run of the batch.
-    readers: Vec<f32>,
+    gathered: Vec<f32>,
 }
 
 /// Score every `(rows, ids, readers)` block of one task through the shared
@@ -463,10 +463,7 @@ where
     R: ExactSizeIterator<Item = usize> + Clone,
 {
     let mut sels: Vec<TopK> = queries.iter().map(|q| TopK::new(q.k)).collect();
-    let ScoreScratch {
-        scores,
-        readers: gathered,
-    } = scratch;
+    let ScoreScratch { scores, gathered } = scratch;
     for (rows, ids, readers) in blocks {
         let n = match &ids {
             BlockIds::Shard(ids) => ids.len(),
