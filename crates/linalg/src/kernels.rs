@@ -592,9 +592,9 @@ mod tests {
             let bits: u32 = rng.gen();
             f32::from_bits(0x3f80_0000 | (bits & 0x007f_ffff) | (bits & 0x8000_0000)) * scale
         };
-        let mut query: Vec<f32> = (0..d).map(|_| dense(1.0)).collect();
+        let mut queries: Vec<f32> = (0..d).map(|_| dense(1.0)).collect();
         if d > 2 {
-            query[d / 2] = 0.0;
+            queries[d / 2] = 0.0;
         }
         let mut rows = Vec::with_capacity(n * d);
         let mut kinds = Vec::with_capacity(n);
@@ -618,11 +618,11 @@ mod tests {
         }
         for j in 1..QUERIES {
             let scale = if j == 2 { 1e-3 } else { 1.0 };
-            let at = query.len();
-            query.extend((0..d).map(|_| dense(scale)));
-            query[at + (d / 2 + j) % d] = 0.0;
+            let at = queries.len();
+            queries.extend((0..d).map(|_| dense(scale)));
+            queries[at + (d / 2 + j) % d] = 0.0;
         }
-        (query, rows, kinds)
+        (queries, rows, kinds)
     }
 
     /// The pinned lane loop is the portable one, bit for bit, at every
