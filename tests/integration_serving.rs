@@ -982,3 +982,136 @@ fn a_lone_top_k_on_one_core_keeps_its_charge() {
     ];
     assert_eq!(got, want);
 }
+
+/// Digest of one lookup run's ledger: `(sim ns, traffic, stats,
+/// latencies)`. `traffic` folds every `AccessSummary` total and every
+/// `(class, bytes, media bytes, accesses)` row; `stats` every field of the
+/// run's `ServeStats`; `latencies` the count and each request's simulated
+/// latency in order.
+fn lookup_ledger(faulted: bool, threads: usize) -> (u64, u64, u64, u64) {
+    // The `serve_lookup` shape, shrunk: 64-d rows in 64-row shards on PM,
+    // a Zipf 1.0 `Get` stream in batches of 64, a cache of a third of the
+    // table.
+    const NODES: u32 = 6_400;
+    const D: usize = 64;
+    let emb = Embedding::from_matrix(&omega_linalg::gaussian_matrix(NODES as usize, D, 39));
+    let sys = if faulted {
+        // A literal plan seed: the pin must not move with OMEGA_FAULT_SEED.
+        let plan = omega_faults::FaultPlanSpec::new(3939)
+            .with_transient(DeviceKind::Pm, 0.2, 3_000)
+            .with_timeout(DeviceKind::Pm, 0.05, 40_000);
+        omega_faults::install_plan(&system(), plan)
+    } else {
+        system()
+    };
+    let cfg = ServeConfig::new(33 * 64 * D as u64 * 4)
+        .rows_per_shard(64)
+        .batch_size(64)
+        .threads(threads);
+    let mut srv = EmbedServer::new(&sys, &emb, cfg).unwrap();
+    let mut load = RequestStream::new(WorkloadConfig::lookups(
+        NODES,
+        Popularity::Zipf { s: 1.0 },
+        101,
+    ));
+    let report = srv.run(&mut load, 64 * 50);
+    let t = srv.traffic();
+    let mut traffic = Fnv::new();
+    for x in [
+        t.total_bytes,
+        t.total_accesses,
+        t.remote_bytes,
+        t.random_bytes,
+        t.pm_bytes,
+        t.dram_bytes,
+        t.ssd_bytes,
+        t.read_bytes,
+        t.write_bytes,
+        t.cpu_ops,
+    ] {
+        traffic.eat(x);
+    }
+    for row in &t.rows {
+        row.label.bytes().for_each(|b| traffic.eat(b as u64));
+        traffic.eat(row.bytes);
+        traffic.eat(row.media_bytes);
+        traffic.eat(row.accesses);
+    }
+    let s = &report.stats;
+    let mut stats = Fnv::new();
+    for x in [
+        s.requests,
+        s.lookups,
+        s.topks,
+        s.batches,
+        s.hits,
+        s.misses,
+        s.fetches,
+        s.evictions,
+        s.admission_rejects,
+        s.cold_read_bytes,
+        s.dram_read_bytes,
+        s.dram_write_bytes,
+        s.faults_injected,
+        s.faults_retried,
+        s.hedges_won,
+        s.degraded,
+        s.ivf_queries,
+        s.ivf_probes,
+        s.ivf_centroid_bytes,
+        s.ivf_dram_bytes,
+        s.ivf_cold_bytes,
+    ] {
+        stats.eat(x);
+    }
+    let mut latencies = Fnv::new();
+    latencies.eat(report.sim_latency_ns.len() as u64);
+    report
+        .sim_latency_ns
+        .iter()
+        .for_each(|&ns| latencies.eat(ns));
+    (srv.sim_now().as_nanos(), traffic.0, stats.0, latencies.0)
+}
+
+/// What a `serve_lookup`-shaped run books, pinned from the commit before a
+/// lookup outcome stopped carrying its own counter table and the ledger
+/// began folding each batch's lookup charge at once (`84a1493`): the
+/// traffic summary, the simulated clock, the stats ledger and every
+/// request's latency, clean and under a transient + timeout PM plan, at
+/// one and four threads. Where a lookup's charge is booked is host
+/// bookkeeping; none of these may move.
+#[test]
+fn lookup_ledger_is_pinned() {
+    let want = [
+        (
+            false,
+            (
+                1_451_154,
+                17_296_493_431_878_995_744,
+                2_498_167_956_602_480_719,
+                2_315_973_286_625_814_599,
+            ),
+        ),
+        (
+            true,
+            (
+                2_554_135,
+                12_597_346_031_271_439_128,
+                5_068_800_828_418_483_343,
+                4_976_832_422_294_365_949,
+            ),
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (faulted, want) in want {
+        for threads in [1, 4] {
+            let got = lookup_ledger(faulted, threads);
+            if got != want {
+                moved.push(format!(
+                    "faulted {faulted} threads {threads}: {got:?}, pinned {want:?}"
+                ));
+            }
+        }
+    }
+    assert!(moved.is_empty(), "ledger moved:\n{}", moved.join("\n"));
+}
