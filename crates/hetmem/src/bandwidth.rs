@@ -122,7 +122,7 @@ impl AccessClass {
     }
 
     /// Inverse of [`AccessClass::index`].
-    pub fn from_index(i: usize) -> Self {
+    pub(crate) fn from_index(i: usize) -> Self {
         debug_assert!(i < NUM_CLASSES);
         let device = DeviceKind::ALL[i / 8];
         let locality = if (i / 4).is_multiple_of(2) {
@@ -302,11 +302,13 @@ impl BandwidthModel {
     /// Memory term: per class, `media_bytes / per_thread_bandwidth`.
     /// SSD additionally pays a per-IO latency (block device semantics).
     /// CPU term: `cpu_ops / cpu_ops_per_sec` (the `BW_CPU` term of Eq. 2).
+    /// Only the classes the counters charged are walked, in ascending
+    /// class order: an uncharged class adds nothing, so the sum is the one
+    /// a walk over every class makes, bit for bit.
     pub fn thread_time(&self, counters: &ClassCounters, active_threads: u32) -> SimDuration {
         const GIB: f64 = (1u64 << 30) as f64;
         let mut ns = 0.0f64;
-        for class in AccessClass::all() {
-            let ctr = counters.get(class);
+        for (class, ctr) in counters.touched() {
             if ctr.media_bytes == 0 && ctr.accesses == 0 {
                 continue;
             }
@@ -326,12 +328,12 @@ impl BandwidthModel {
     /// bandwidth. SSD per-IO latency is amortised by a deep NVMe queue.
     /// Used by the analytic system models (out-of-core baselines); per
     /// simulated-thread accounting uses [`BandwidthModel::thread_time`].
+    /// Walks the charged classes only, as `thread_time` does.
     pub fn stream_time(&self, counters: &ClassCounters) -> SimDuration {
         const GIB: f64 = (1u64 << 30) as f64;
         const SSD_QUEUE_DEPTH: f64 = 64.0;
         let mut ns = 0.0f64;
-        for class in AccessClass::all() {
-            let ctr = counters.get(class);
+        for (class, ctr) in counters.touched() {
             if ctr.media_bytes == 0 && ctr.accesses == 0 {
                 continue;
             }

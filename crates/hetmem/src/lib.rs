@@ -20,7 +20,10 @@
 //! unit: 64 B DRAM line, 256 B PM XPLine, 4 KiB SSD page) are accumulated in
 //! per-thread [`ClassCounters`]. At the end of a parallel phase the
 //! [`BandwidthModel`] converts each thread's counters into simulated
-//! nanoseconds; the phase's makespan is the maximum over threads.
+//! nanoseconds; the phase's makespan is the maximum over threads. The
+//! counters remember which classes a thread charged, and merging, resetting
+//! and pricing them walk only those, so settling a task costs what the task
+//! touched: one class for a point lookup, not the whole table.
 //!
 //! The model is *relative*: absolute numbers are plausible for the paper's
 //! hardware generation, but what the reproduction relies on — and what the

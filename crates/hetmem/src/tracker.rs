@@ -24,12 +24,35 @@ pub struct Counter {
     pub accesses: u64,
 }
 
-/// Dense per-class counter table for one simulated thread (or one merged
-/// phase). Cheap to update: one array index plus three additions per access.
+/// Per-class counter table for one simulated thread (or one merged
+/// phase), with a bitmask of the classes charged so far. A charge is one
+/// array index, three additions and one bit set; merging, clearing and
+/// pricing walk only the set bits, so a task that touched one class pays
+/// for one class, not for all 24.
+///
+/// Bit `i` is set exactly when class `i` holds a nonzero byte, media-byte
+/// or access count. Counters only grow, so the mask is a function of the
+/// values and derived equality stays exact.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClassCounters {
     classes: [Counter; NUM_CLASSES],
     cpu_ops: u64,
+    touched: u32,
+}
+
+// One bit of `touched` per class.
+const _: () = assert!(NUM_CLASSES <= u32::BITS as usize);
+
+/// The set bits of `mask`, in ascending order.
+#[inline]
+fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
 }
 
 impl Default for ClassCounters {
@@ -37,19 +60,32 @@ impl Default for ClassCounters {
         ClassCounters {
             classes: [Counter::default(); NUM_CLASSES],
             cpu_ops: 0,
+            touched: 0,
         }
     }
 }
 
 impl ClassCounters {
     /// Charge `bytes` payload / `media_bytes` media traffic as `accesses`
-    /// discrete accesses of the given class.
+    /// discrete accesses of the given class. An all-zero charge changes
+    /// nothing, not even which classes count as touched.
     #[inline]
     pub fn charge(&mut self, class: AccessClass, bytes: u64, media_bytes: u64, accesses: u64) {
-        let c = &mut self.classes[class.index()];
+        if bytes | media_bytes | accesses == 0 {
+            return;
+        }
+        let i = class.index();
+        let c = &mut self.classes[i];
         c.bytes += bytes;
         c.media_bytes += media_bytes;
         c.accesses += accesses;
+        self.touched |= 1 << i;
+    }
+
+    /// The charged classes and their counters, in ascending class order.
+    #[inline]
+    pub(crate) fn touched(&self) -> impl Iterator<Item = (AccessClass, Counter)> + '_ {
+        set_bits(self.touched).map(|i| (AccessClass::from_index(i), self.classes[i]))
     }
 
     /// Counter for one class.
@@ -71,19 +107,30 @@ impl ClassCounters {
 
     /// Merge another thread's counters into this one.
     pub fn merge(&mut self, other: &ClassCounters) {
-        for i in 0..NUM_CLASSES {
-            self.classes[i].bytes += other.classes[i].bytes;
-            self.classes[i].media_bytes += other.classes[i].media_bytes;
-            self.classes[i].accesses += other.classes[i].accesses;
+        for i in set_bits(other.touched) {
+            let (c, o) = (&mut self.classes[i], &other.classes[i]);
+            c.bytes += o.bytes;
+            c.media_bytes += o.media_bytes;
+            c.accesses += o.accesses;
         }
+        self.touched |= other.touched;
         self.cpu_ops += other.cpu_ops;
+    }
+
+    /// Zero every counter, writing only the classes that were charged.
+    fn clear(&mut self) {
+        for i in set_bits(self.touched) {
+            self.classes[i] = Counter::default();
+        }
+        self.touched = 0;
+        self.cpu_ops = 0;
     }
 
     /// Total payload bytes across classes matching a predicate.
     pub fn bytes_where(&self, mut pred: impl FnMut(AccessClass) -> bool) -> u64 {
-        AccessClass::all()
-            .filter(|&c| pred(c))
-            .map(|c| self.get(c).bytes)
+        self.touched()
+            .filter(|&(c, _)| pred(c))
+            .map(|(_, ctr)| ctr.bytes)
             .sum()
     }
 
@@ -94,7 +141,7 @@ impl ClassCounters {
 
     /// Total discrete accesses.
     pub fn total_accesses(&self) -> u64 {
-        AccessClass::all().map(|c| self.get(c).accesses).sum()
+        self.touched().map(|(_, ctr)| ctr.accesses).sum()
     }
 
     /// Fraction of payload bytes that crossed the socket interconnect — the
@@ -180,7 +227,7 @@ impl ThreadMem {
     /// across pool calls with byte-identical schedules (the cross-call
     /// reuse proptests pin this equivalence).
     pub fn reset(&mut self) {
-        self.counters = ClassCounters::default();
+        self.counters.clear();
         self.sim_now = SimDuration::ZERO;
         self.fault_seq = 0;
         self.penalty = SimDuration::ZERO;

@@ -82,7 +82,19 @@ struct Observed {
     counters: ClassCounters,
 }
 
+/// Run `task` on `ctx` and observe it, taking the counters (so the next
+/// task's context starts from an empty table).
 fn run_task(ctx: &mut ThreadMem, task: &TaskSpec) -> Observed {
+    charge_task(ctx, task);
+    Observed {
+        penalty_ns: ctx.injected_penalty().as_nanos(),
+        fault: ctx.take_fault().map(|e| format!("{e:?}")),
+        counters: ctx.take_counters(),
+    }
+}
+
+/// Rebase `ctx` onto `task`'s stream and clock, then charge its accesses.
+fn charge_task(ctx: &mut ThreadMem, task: &TaskSpec) {
     ctx.set_fault_stream(task.stream);
     ctx.set_sim_now(SimDuration::from_nanos(task.now_ns));
     for &(bytes, is_write, is_rand) in &task.accesses {
@@ -103,11 +115,6 @@ fn run_task(ctx: &mut ThreadMem, task: &TaskSpec) -> Observed {
             bytes,
             1,
         );
-    }
-    Observed {
-        penalty_ns: ctx.injected_penalty().as_nanos(),
-        fault: ctx.take_fault().map(|e| format!("{e:?}")),
-        counters: ctx.take_counters(),
     }
 }
 
@@ -156,6 +163,35 @@ proptest! {
             .map(|t| run_task(sys.recycle_ctx_on(&mut slot, t.node), t))
             .collect();
         prop_assert_eq!(fresh, reused, "pooled reuse changed the fault schedule");
+    }
+
+    /// A context recycled with its last task's counters still charged —
+    /// nothing took them — resets to an empty table, and the next task
+    /// observes on it exactly what it observes on a fresh context: the
+    /// reset clears only the classes the last task touched, and those are
+    /// all the classes that hold anything.
+    #[test]
+    fn recycled_dirty_context_matches_fresh(
+        seed in any::<u64>(),
+        tasks in proptest::collection::vec(task_strategy(), 1..24),
+    ) {
+        let sys = system_with_plan(seed);
+        let mut slot: Option<ThreadMem> = None;
+        for task in &tasks {
+            let mut fresh = sys.thread_ctx_on(task.node);
+            let recycled = sys.recycle_ctx_on(&mut slot, task.node);
+            prop_assert_eq!(recycled.counters(), &ClassCounters::default());
+            for ctx in [&mut fresh, recycled] {
+                charge_task(ctx, task);
+            }
+            let recycled = slot.as_mut().expect("recycled above");
+            prop_assert_eq!(recycled.counters(), fresh.counters());
+            prop_assert_eq!(recycled.injected_penalty(), fresh.injected_penalty());
+            prop_assert_eq!(
+                recycled.take_fault().map(|e| format!("{e:?}")),
+                fresh.take_fault().map(|e| format!("{e:?}"))
+            );
+        }
     }
 
     /// The same equivalence holds when the tasks run through the

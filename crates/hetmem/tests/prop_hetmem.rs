@@ -22,8 +22,265 @@ fn arb_pattern() -> impl Strategy<Value = AccessPattern> {
     prop_oneof![Just(AccessPattern::Seq), Just(AccessPattern::Rand)]
 }
 
+fn arb_class() -> impl Strategy<Value = AccessClass> {
+    (
+        arb_device(),
+        prop_oneof![Just(Locality::Local), Just(Locality::Remote)],
+        arb_op(),
+        arb_pattern(),
+    )
+        .prop_map(|(device, locality, op, pattern)| AccessClass::new(device, locality, op, pattern))
+}
+
+/// A count that is zero a quarter of the time.
+fn arb_count(max: u64) -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), 1..max, 1..max, 1..max]
+}
+
+/// The dense reference: all 24 classes, each `[bytes, media bytes,
+/// accesses]`, walked and priced in full.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Dense {
+    classes: [[u64; 3]; 24],
+    cpu_ops: u64,
+}
+
+impl Dense {
+    fn charge(&mut self, class: AccessClass, bytes: u64, media: u64, accesses: u64) {
+        let c = &mut self.classes[class.index()];
+        c[0] += bytes;
+        c[1] += media;
+        c[2] += accesses;
+    }
+
+    /// What a context on node 0 books for one `charge_block` to a buffer
+    /// on `node`: payload bytes, or for random accesses the per-access
+    /// payload rounded up to the device granule (at least one access).
+    fn charge_block(
+        &mut self,
+        node: usize,
+        class: (DeviceKind, AccessOp, AccessPattern),
+        bytes: u64,
+        accesses: u64,
+    ) {
+        let (device, op, pattern) = class;
+        let locality = if node == 0 {
+            Locality::Local
+        } else {
+            Locality::Remote
+        };
+        let media = match pattern {
+            AccessPattern::Seq => bytes,
+            AccessPattern::Rand => {
+                let per_access = if accesses == 0 {
+                    0
+                } else {
+                    bytes.div_ceil(accesses)
+                };
+                accesses.max(1) * device.access_granularity().max(per_access)
+            }
+        };
+        self.charge(
+            AccessClass::new(device, locality, op, pattern),
+            bytes,
+            media,
+            accesses,
+        );
+    }
+
+    fn merge(&mut self, other: &Dense) {
+        for (c, o) in self.classes.iter_mut().zip(&other.classes) {
+            for (x, y) in c.iter_mut().zip(o) {
+                *x += y;
+            }
+        }
+        self.cpu_ops += other.cpu_ops;
+    }
+
+    /// `BandwidthModel::thread_time` over every class.
+    fn thread_time(&self, model: &BandwidthModel, threads: u32) -> SimDuration {
+        const GIB: f64 = (1u64 << 30) as f64;
+        let mut ns = 0.0f64;
+        for class in AccessClass::all() {
+            let [_, media, accesses] = self.classes[class.index()];
+            if media == 0 && accesses == 0 {
+                continue;
+            }
+            let bw = model.per_thread_bandwidth(class, threads);
+            ns += media as f64 / (bw * GIB) * 1e9;
+            if class.device == DeviceKind::Ssd {
+                ns += accesses as f64 * model.latency_ns(class);
+            }
+        }
+        ns += self.cpu_ops as f64 / model.cpu_ops_per_sec * 1e9;
+        SimDuration::from_nanos(ns.round() as u64)
+    }
+
+    /// `BandwidthModel::stream_time` over every class.
+    fn stream_time(&self, model: &BandwidthModel) -> SimDuration {
+        const GIB: f64 = (1u64 << 30) as f64;
+        let mut ns = 0.0f64;
+        for class in AccessClass::all() {
+            let [_, media, accesses] = self.classes[class.index()];
+            if media == 0 && accesses == 0 {
+                continue;
+            }
+            ns += media as f64 / (model.class(class).peak_gib_s * GIB) * 1e9;
+            if class.device == DeviceKind::Ssd {
+                ns += accesses as f64 * model.latency_ns(class) / 64.0;
+            }
+        }
+        ns += self.cpu_ops as f64 / model.cpu_ops_per_sec * 1e9;
+        SimDuration::from_nanos(ns.round() as u64)
+    }
+
+    /// A fresh table charged with this one's values, class by class.
+    fn counters(&self) -> ClassCounters {
+        let mut out = ClassCounters::default();
+        for class in AccessClass::all() {
+            let [bytes, media, accesses] = self.classes[class.index()];
+            out.charge(class, bytes, media, accesses);
+        }
+        out.add_cpu_ops(self.cpu_ops);
+        out
+    }
+}
+
+/// One step on a task context and the ledger it folds into.
+#[derive(Debug, Clone)]
+enum Step {
+    /// `charge_block` on the context, to a buffer on node 0 or node 1.
+    Block(usize, (DeviceKind, AccessOp, AccessPattern), u64, u64),
+    /// CPU work on the context.
+    Cpu(u64),
+    /// A direct ledger charge: bytes, media bytes, accesses.
+    Ledger(AccessClass, u64, u64, u64),
+    /// `ledger.merge(ctx.counters())`.
+    Merge,
+    /// `ctx.reset()`.
+    Reset,
+    /// `ledger.merge(&ctx.take_counters())`.
+    Take,
+}
+
+fn arb_block() -> impl Strategy<Value = Step> {
+    (
+        0usize..2,
+        (arb_device(), arb_op(), arb_pattern()),
+        arb_count(100_000),
+        arb_count(64),
+    )
+        .prop_map(|(node, class, bytes, accesses)| Step::Block(node, class, bytes, accesses))
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        // Context charges, twice as likely as any other step.
+        arb_block(),
+        arb_block(),
+        arb_count(1_000_000).prop_map(Step::Cpu),
+        (
+            arb_class(),
+            arb_count(100_000),
+            arb_count(100_000),
+            arb_count(64)
+        )
+            .prop_map(|(class, bytes, media, accesses)| Step::Ledger(
+                class, bytes, media, accesses
+            )),
+        Just(Step::Merge),
+        Just(Step::Reset),
+        Just(Step::Take),
+    ]
+}
+
+/// `counters` against its dense reference, on everything a consumer reads.
+fn agrees(
+    counters: &ClassCounters,
+    dense: &Dense,
+    models: &[BandwidthModel],
+) -> Result<(), String> {
+    if *counters != dense.counters() {
+        return Err(format!("{counters:?} != {dense:?}"));
+    }
+    for class in AccessClass::all() {
+        let c = counters.get(class);
+        if [c.bytes, c.media_bytes, c.accesses] != dense.classes[class.index()] {
+            return Err(format!("class {class}: {c:?} vs {dense:?}"));
+        }
+    }
+    let dense_bytes: u64 = dense.classes.iter().map(|c| c[0]).sum();
+    let dense_accesses: u64 = dense.classes.iter().map(|c| c[2]).sum();
+    if counters.total_bytes() != dense_bytes || counters.total_accesses() != dense_accesses {
+        return Err(format!("totals differ from {dense:?}"));
+    }
+    for model in models {
+        for threads in 1..=36 {
+            let (got, want) = (
+                model.thread_time(counters, threads),
+                dense.thread_time(model, threads),
+            );
+            if got != want {
+                return Err(format!("thread_time at {threads}: {got:?} vs {want:?}"));
+            }
+        }
+        let (got, want) = (model.stream_time(counters), dense.stream_time(model));
+        if got != want {
+            return Err(format!("stream_time: {got:?} vs {want:?}"));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Pricing walks only the classes a table charged; it must price
+    /// exactly what a walk over all 24 prices. After every step of a
+    /// random sequence — context charges to every device, locality, op
+    /// and pattern, zero-byte and zero-access ones among them, direct
+    /// ledger charges, merges, resets and takes — the context and the
+    /// ledger each agree with a dense reference: per-class counters,
+    /// totals, `==`, `thread_time` at every width 1..=36 and `stream_time`,
+    /// bit for bit, on the Optane and the CXL model.
+    #[test]
+    fn masked_pricing_equals_dense_pricing(steps in proptest::collection::vec(arb_step(), 1..40)) {
+        let models = [BandwidthModel::paper_machine(), BandwidthModel::cxl_machine()];
+        let mut ctx = ThreadMem::new(0, 2);
+        let mut ledger = ClassCounters::default();
+        let (mut dense_ctx, mut dense_ledger) = (Dense::default(), Dense::default());
+        for step in steps {
+            match step {
+                Step::Block(node, (device, op, pattern), bytes, accesses) => {
+                    ctx.charge_block(Placement::node(node, device), op, pattern, bytes, accesses);
+                    dense_ctx.charge_block(node, (device, op, pattern), bytes, accesses);
+                }
+                Step::Cpu(ops) => {
+                    ctx.add_cpu_ops(ops);
+                    dense_ctx.cpu_ops += ops;
+                }
+                Step::Ledger(class, bytes, media, accesses) => {
+                    ledger.charge(class, bytes, media, accesses);
+                    dense_ledger.charge(class, bytes, media, accesses);
+                }
+                Step::Merge => {
+                    ledger.merge(ctx.counters());
+                    dense_ledger.merge(&dense_ctx);
+                }
+                Step::Reset => {
+                    ctx.reset();
+                    dense_ctx = Dense::default();
+                }
+                Step::Take => {
+                    ledger.merge(&ctx.take_counters());
+                    dense_ledger.merge(&std::mem::take(&mut dense_ctx));
+                }
+            }
+            prop_assert_eq!(agrees(ctx.counters(), &dense_ctx, &models), Ok(()));
+            prop_assert_eq!(agrees(&ledger, &dense_ledger, &models), Ok(()));
+            prop_assert_eq!(*ctx.counters() == ledger, dense_ctx == dense_ledger);
+        }
+    }
 
     /// Payload bytes are conserved exactly through any sequence of charges,
     /// node-local or interleaved.

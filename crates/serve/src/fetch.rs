@@ -219,13 +219,14 @@ impl FetchOutcome {
     }
 }
 
-/// Everything one parallel point lookup produced.
+/// Everything one parallel point lookup produced: its row and its priced
+/// duration. Every lookup charges the same
+/// ([`EmbedServer::charge_lookups`]), so the ledger books a batch's
+/// lookups at once and no counter table rides along.
 #[derive(Debug)]
 pub(crate) struct LookupOutcome {
     pub(crate) row: Vec<f32>,
-    pub(crate) counters: ClassCounters,
     pub(crate) dur: SimDuration,
-    pub(crate) row_bytes: u64,
 }
 
 impl EmbedServer {
@@ -249,14 +250,35 @@ impl EmbedServer {
         ctx
     }
 
-    /// Convert a task context's charges into simulated time — model cost
-    /// plus whatever the active fault plan injected — and fold its counters
-    /// into the task's ledger (merged into the run ledger at merge time).
+    /// Convert a task context's charges into simulated time: model cost
+    /// plus whatever the active fault plan injected.
+    fn task_price(&self, ctx: &ThreadMem) -> SimDuration {
+        self.sys.model().thread_time(ctx.counters(), MODEL_THREADS) + ctx.injected_penalty()
+    }
+
+    /// [`EmbedServer::task_price`], folding the context's counters into
+    /// the task's ledger (merged into the run ledger at merge time).
     fn task_settle(&self, ctx: &ThreadMem, counters: &mut ClassCounters) -> SimDuration {
-        let dur =
-            self.sys.model().thread_time(ctx.counters(), MODEL_THREADS) + ctx.injected_penalty();
         counters.merge(ctx.counters());
-        dur
+        self.task_price(ctx)
+    }
+
+    /// The one definition of what `n` point lookups charge: each reads one
+    /// row from the hot tier at random and spends `d` CPU ops extracting
+    /// it. Returns the DRAM bytes read. A lookup task charges one to its
+    /// context; `serve_batch` folds a whole batch's into the run ledger
+    /// with one charge, which books the same integers, since `n` rows in
+    /// `n` accesses round up per access exactly as `n` single rows do. The
+    /// charge does not depend on the fault verdict: the hook is consulted
+    /// after the traffic is booked, and its penalty rides on the task's
+    /// duration. `n` must be nonzero: a random charge of no accesses
+    /// still bills one granule.
+    pub(crate) fn charge_lookups(&self, ctx: &mut ThreadMem, n: u64) -> u64 {
+        debug_assert!(n > 0, "a lookup charge of no lookups");
+        let bytes = n * self.store.row_bytes();
+        ctx.charge_block(HOT, AccessOp::Read, AccessPattern::Rand, bytes, n);
+        ctx.add_cpu_ops(n * self.store.dim() as u64);
+        bytes
     }
 
     /// Decide step of the miss path, before any byte moves: group the
@@ -415,7 +437,7 @@ impl EmbedServer {
     /// batch's own rows, or the whole block); the host reads the slot's
     /// copy or, for a shard that passed through, the store's identical
     /// row — no staging copy exists to read. Merged in arrival order by
-    /// `serve_batch`.
+    /// `serve_batch`, which books the lookup's charge in the ledger.
     pub(crate) fn lookup_task(
         &self,
         slot: &mut Option<ThreadMem>,
@@ -430,17 +452,11 @@ impl EmbedServer {
             Some(slot) => slot.raw()[off..off + d].to_vec(),
             None => self.store.shard_raw(sid)[off..off + d].to_vec(),
         };
-        let row_bytes = self.store.row_bytes();
         let ctx = self.task_ctx_in(slot, stream, sim_now);
-        ctx.charge_block(HOT, AccessOp::Read, AccessPattern::Rand, row_bytes, 1);
-        ctx.add_cpu_ops(d as u64);
-        let mut counters = ClassCounters::default();
-        let dur = self.task_settle(ctx, &mut counters);
+        self.charge_lookups(ctx, 1);
         LookupOutcome {
             row,
-            counters,
-            dur,
-            row_bytes,
+            dur: self.task_price(ctx),
         }
     }
 }
@@ -519,6 +535,32 @@ mod tests {
             (refused.stats.fetches, refused.stats.admission_rejects),
             (1, 1)
         );
+    }
+
+    /// The ledger's fold of a lookup books what a fresh context holds
+    /// after one `lookup_task`, whatever the row width (under, at and over
+    /// the DRAM granule) and the cold tier; `n` lookups folded at once
+    /// book what `n` tasks' counters merged do.
+    #[test]
+    fn the_ledger_folds_what_a_lookup_task_charged() {
+        for cold in [DeviceKind::Pm, DeviceKind::Ssd] {
+            for d in [1, 8, 64, 100] {
+                let srv = server(d, 16, cold, 2);
+                let mut slot = None;
+                srv.lookup_task(&mut slot, 17, LOOKUP_STREAM, SimDuration::ZERO);
+                let task = slot.expect("the task's context").counters().clone();
+                let nodes = srv.sys.topology().nodes();
+                let mut one = ThreadMem::new(HOT_NODE, nodes);
+                let bytes = srv.charge_lookups(&mut one, 1);
+                assert_eq!(one.counters(), &task, "d {d}, {cold:?}");
+                assert_eq!(bytes, task.total_bytes(), "d {d}, {cold:?}");
+                let mut batch = ThreadMem::new(HOT_NODE, nodes);
+                srv.charge_lookups(&mut batch, 5);
+                let mut merged = ClassCounters::default();
+                (0..5).for_each(|_| merged.merge(&task));
+                assert_eq!(batch.counters(), &merged, "d {d}, {cold:?}");
+            }
+        }
     }
 
     /// The decision table, row by row: for both failure kinds and every

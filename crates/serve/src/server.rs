@@ -59,7 +59,7 @@
 //! span carrying `phase` / `tasks` / `threads` args.
 
 use crate::cache::HotCache;
-use crate::config::{ServeConfig, HOT};
+use crate::config::{ServeConfig, HOT, HOT_NODE};
 use crate::fetch::{self, LOOKUP_STREAM};
 use crate::ivf::{IndexMode, IvfIndex};
 use crate::stats::{ServeReport, ServeSignals, ServeStats};
@@ -276,7 +276,7 @@ impl EmbedServer {
                 self.parallel_span("lookup", requests.len(), &[]);
                 let phase_start = self.sim_now;
                 let this: &EmbedServer = self;
-                omega_par::run_labeled(
+                let lookups = omega_par::run_labeled(
                     "serve.lookup",
                     this.cfg.threads,
                     requests.len(),
@@ -288,7 +288,16 @@ impl EmbedServer {
                             phase_start,
                         )
                     },
-                )
+                );
+                // Every lookup charges the same, so the batch's charge is
+                // booked at once on a context with no fault plan: the
+                // verdicts were drawn by the tasks, and never change what
+                // is booked.
+                let mut ledger = ThreadMem::new(HOT_NODE, self.sys.topology().nodes());
+                self.stats.dram_read_bytes +=
+                    self.charge_lookups(&mut ledger, requests.len() as u64);
+                self.counters.merge(ledger.counters());
+                lookups
             };
             let queries: Vec<TopKQuery<'_>> = requests
                 .iter()
@@ -317,9 +326,7 @@ impl EmbedServer {
                 }
             };
             for (req, lk) in requests.iter().zip(lookups) {
-                self.counters.merge(&lk.counters);
                 self.sim_now += lk.dur;
-                self.stats.dram_read_bytes += lk.row_bytes;
                 // Resolving a query vector is itself a row serve, so it
                 // folds into the lookup span like any other.
                 lookup_acc += lk.dur;
