@@ -233,19 +233,31 @@ fn embed(opts: &Opts) -> Result<(), String> {
         .map(String::as_str)
         .unwrap_or("hetero");
 
-    let variant = if opts.flag("no-wofp") {
-        SystemVariant::OmegaWithoutWofp
-    } else if opts.flag("no-nadp") {
-        SystemVariant::OmegaWithoutNadp
-    } else if opts.flag("no-asl") {
-        SystemVariant::OmegaWithoutAsl
-    } else {
-        match mode {
-            "hetero" => SystemVariant::Omega,
-            "dram" => SystemVariant::OmegaDram,
-            "pm" => SystemVariant::OmegaPm,
-            other => return Err(format!("unknown --mode {other:?}")),
+    // Each `--no-*` flag names one ablation of the hetero system: at most
+    // one of them, and no other mode beside it.
+    let ablations: Vec<&str> = ["no-wofp", "no-nadp", "no-asl"]
+        .into_iter()
+        .filter(|&flag| opts.flag(flag))
+        .collect();
+    if ablations.len() > 1 {
+        return Err(format!(
+            "--{} are mutually exclusive",
+            ablations.join(" and --")
+        ));
+    }
+    let variant = match (ablations.first().copied(), mode) {
+        (Some("no-wofp"), "hetero") => SystemVariant::OmegaWithoutWofp,
+        (Some("no-nadp"), "hetero") => SystemVariant::OmegaWithoutNadp,
+        (Some(_), "hetero") => SystemVariant::OmegaWithoutAsl,
+        (Some(flag), other) => {
+            return Err(format!(
+                "--{flag} ablates --mode hetero and cannot run with --mode {other}"
+            ))
         }
+        (None, "hetero") => SystemVariant::Omega,
+        (None, "dram") => SystemVariant::OmegaDram,
+        (None, "pm") => SystemVariant::OmegaPm,
+        (None, other) => return Err(format!("unknown --mode {other:?}")),
     };
 
     let outputs = Outputs::parse(opts, true);
@@ -621,20 +633,16 @@ fn plane(opts: &Opts) -> Result<(), String> {
     // system; its `outage` rules address the plane itself and are
     // extracted into replica outage windows for the router to steer
     // around.
-    let outages: Vec<omega::plane::Outage> = so
+    let outages = so
         .fault_plan
         .as_ref()
-        .map(|(_, spec)| {
-            spec.outages()
-                .into_iter()
-                .map(|(replica, from_ns, until_ns)| omega::plane::Outage {
-                    replica,
-                    from_ns,
-                    until_ns,
-                })
-                .collect()
-        })
+        .map(|(_, spec)| spec.outages())
         .unwrap_or_default();
+    if let Some(&(replica, ..)) = outages.iter().find(|o| o.0 as usize >= replicas) {
+        return Err(format!(
+            "fault plan: outage on replica {replica}, but --replicas is {replicas}"
+        ));
+    }
     let systems: Vec<MemSystem> = (0..replicas)
         .map(|_| {
             so.with_faults(MemSystem::new(Topology::paper_machine_scaled(
@@ -698,14 +706,14 @@ fn plane(opts: &Opts) -> Result<(), String> {
     );
     println!(
         "latency (sim ns)  p50 {}  p95 {}  p99 {}",
-        report.latency_percentile_ns(0.50),
-        report.latency_percentile_ns(0.95),
-        report.latency_percentile_ns(0.99)
+        report.latency.percentile(0.50),
+        report.latency.percentile(0.95),
+        report.latency.percentile(0.99)
     );
     println!(
         "queue wait (ns)   p50 {}  p99 {}",
-        report.queue_wait_percentile_ns(0.50),
-        report.queue_wait_percentile_ns(0.99)
+        report.queue_wait.percentile(0.50),
+        report.queue_wait.percentile(0.99)
     );
     if !s.identity_holds() {
         return Err("plane accounting identity violated (PlaneStats::identity_holds)".into());
@@ -894,6 +902,58 @@ mod tests {
         assert!(err.contains("--dim must be positive"), "{err}");
         let err = run(&s(&["plane", "--dim", "0"])).unwrap_err();
         assert!(err.contains("--dim must be positive"), "{err}");
+        // One ablation at a time, and only of the hetero system.
+        let embed = |flags: &[&str]| {
+            let mut args = vec![
+                "embed",
+                "--input",
+                "unread.txt",
+                "--output",
+                "unwritten.txt",
+            ];
+            args.extend_from_slice(flags);
+            run(&s(&args)).unwrap_err()
+        };
+        let err = embed(&["--no-wofp", "--no-nadp"]);
+        assert!(
+            err.contains("--no-wofp and --no-nadp are mutually exclusive"),
+            "{err}"
+        );
+        let err = embed(&["--no-asl", "--no-nadp", "--no-wofp"]);
+        assert!(err.contains("mutually exclusive"), "{err}");
+        let err = embed(&["--mode", "pm", "--no-asl"]);
+        assert!(
+            err.contains("--no-asl") && err.contains("--mode pm"),
+            "{err}"
+        );
+        let err = embed(&["--no-nadp", "--mode", "dram"]);
+        assert!(
+            err.contains("--no-nadp") && err.contains("--mode dram"),
+            "{err}"
+        );
+    }
+
+    /// An outage on a replica the plane does not have is refused before
+    /// the run, not ignored.
+    #[test]
+    fn plane_refuses_an_outage_past_its_replicas() {
+        let dir = std::env::temp_dir().join("omega_cli_outage_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let plan = dir.join("plan.txt");
+        std::fs::write(&plan, "seed = 1\noutage replica=3 from_ms=0 until_ms=5\n").unwrap();
+        let plan = plan.to_str().unwrap();
+        let args = ["plane", "--nodes", "200", "--dim", "8", "--horizon-ms", "5"];
+        let with = |replicas: &str| {
+            let mut a = args.to_vec();
+            a.extend(["--replicas", replicas, "--fault-plan", plan]);
+            run(&s(&a))
+        };
+        let err = with("2").unwrap_err();
+        assert!(
+            err.contains("replica 3") && err.contains("--replicas is 2"),
+            "{err}"
+        );
+        assert_eq!(with("4"), Ok(()));
     }
 
     /// A `--k` past any table answers every row: neither command reserves

@@ -201,9 +201,11 @@ impl FaultPlanSpec {
     /// spike device=ssd factor=4 from_ms=0 until_ms=2
     /// timeout device=ssd node=0 rate=0.005 timeout_us=200
     /// degrade node=1 factor=1.5 from_ms=0
+    /// outage replica=0 from_ms=10 until_ms=30
     /// ```
     ///
-    /// Durations accept `_ns`, `_us` and `_ms` suffixes on the key.
+    /// Durations take a `_ns`, `_us` or `_ms` suffix on the key and must
+    /// be finite and non-negative; a window's `until` must follow `from`.
     pub fn parse(text: &str) -> Result<FaultPlanSpec, String> {
         let mut seed: Option<u64> = None;
         let mut rules = Vec::new();
@@ -226,49 +228,7 @@ impl FaultPlanSpec {
                 );
                 continue;
             }
-            let mut words = line.split_whitespace();
-            let kind = words.next().expect("non-empty line has a first word");
-            let mut fields = Fields::parse(words).map_err(&err)?;
-            let rule = match kind {
-                "transient" => FaultRule::Transient {
-                    device: fields.device()?,
-                    node: fields.node_opt()?,
-                    rate: fields.rate()?,
-                    penalty_ns: fields.duration_ns("penalty")?.unwrap_or(0),
-                },
-                "spike" => FaultRule::Spike {
-                    device: fields.device()?,
-                    node: fields.node_opt()?,
-                    factor: fields.factor()?,
-                    from_ns: fields.duration_ns("from")?.unwrap_or(0),
-                    until_ns: fields.duration_ns("until")?.unwrap_or(FOREVER),
-                },
-                "timeout" => FaultRule::Timeout {
-                    device: fields.device_or(DeviceKind::Ssd)?,
-                    node: fields.node_opt()?,
-                    rate: fields.rate()?,
-                    timeout_ns: fields
-                        .duration_ns("timeout")?
-                        .ok_or_else(|| "timeout rule needs timeout_{ns,us,ms}".to_string())?,
-                    from_ns: fields.duration_ns("from")?.unwrap_or(0),
-                    until_ns: fields.duration_ns("until")?.unwrap_or(FOREVER),
-                },
-                "degrade" => FaultRule::Degrade {
-                    node: fields
-                        .node_opt()?
-                        .ok_or_else(|| "degrade rule needs node=<id>".to_string())?,
-                    factor: fields.factor()?,
-                    from_ns: fields.duration_ns("from")?.unwrap_or(0),
-                },
-                "outage" => FaultRule::Outage {
-                    replica: fields.replica()?,
-                    from_ns: fields.duration_ns("from")?.unwrap_or(0),
-                    until_ns: fields.duration_ns("until")?.unwrap_or(FOREVER),
-                },
-                other => return Err(err(format!("unknown rule kind `{other}`"))),
-            };
-            fields.finish().map_err(&err)?;
-            rules.push(rule);
+            rules.push(parse_rule(line).map_err(err)?);
         }
         Ok(FaultPlanSpec {
             seed: seed.ok_or("plan file missing `seed = <u64>` directive")?,
@@ -366,6 +326,68 @@ impl FaultPlanSpec {
     }
 }
 
+/// One rule line (comment stripped, not a seed directive). The caller
+/// prefixes every error with the line number.
+fn parse_rule(line: &str) -> Result<FaultRule, String> {
+    let mut words = line.split_whitespace();
+    let kind = words.next().expect("non-empty line has a first word");
+    let mut fields = Fields::parse(words)?;
+    let rule = match kind {
+        "transient" => FaultRule::Transient {
+            device: fields.device(None)?,
+            node: fields.node_opt()?,
+            rate: fields.rate()?,
+            penalty_ns: fields.duration_ns("penalty")?.unwrap_or(0),
+        },
+        "spike" => FaultRule::Spike {
+            device: fields.device(None)?,
+            node: fields.node_opt()?,
+            factor: fields.factor()?,
+            from_ns: fields.duration_ns("from")?.unwrap_or(0),
+            until_ns: fields.duration_ns("until")?.unwrap_or(FOREVER),
+        },
+        "timeout" => FaultRule::Timeout {
+            device: fields.device(Some(DeviceKind::Ssd))?,
+            node: fields.node_opt()?,
+            rate: fields.rate()?,
+            timeout_ns: fields
+                .duration_ns("timeout")?
+                .ok_or_else(|| "timeout rule needs timeout_{ns,us,ms}".to_string())?,
+            from_ns: fields.duration_ns("from")?.unwrap_or(0),
+            until_ns: fields.duration_ns("until")?.unwrap_or(FOREVER),
+        },
+        "degrade" => FaultRule::Degrade {
+            node: fields
+                .node_opt()?
+                .ok_or_else(|| "degrade rule needs node=<id>".to_string())?,
+            factor: fields.factor()?,
+            from_ns: fields.duration_ns("from")?.unwrap_or(0),
+        },
+        "outage" => FaultRule::Outage {
+            replica: fields.replica()?,
+            from_ns: fields.duration_ns("from")?.unwrap_or(0),
+            until_ns: fields.duration_ns("until")?.unwrap_or(FOREVER),
+        },
+        other => return Err(format!("unknown rule kind `{other}`")),
+    };
+    fields.finish()?;
+    // A window that closes before it opens never fires.
+    match rule {
+        FaultRule::Spike {
+            from_ns, until_ns, ..
+        }
+        | FaultRule::Timeout {
+            from_ns, until_ns, ..
+        }
+        | FaultRule::Outage {
+            from_ns, until_ns, ..
+        } if until_ns <= from_ns => Err(format!(
+            "empty window: until {until_ns} ns is not after from {from_ns} ns"
+        )),
+        _ => Ok(rule),
+    }
+}
+
 /// Key=value field bag for the plan-file parser.
 struct Fields {
     pairs: Vec<(String, String)>,
@@ -388,17 +410,12 @@ impl Fields {
         Some(self.pairs.remove(idx).1)
     }
 
-    fn device(&mut self) -> Result<DeviceKind, String> {
-        let v = self
-            .take("device")
-            .ok_or_else(|| "missing device=<dram|pm|ssd>".to_string())?;
-        parse_device(&v)
-    }
-
-    fn device_or(&mut self, default: DeviceKind) -> Result<DeviceKind, String> {
-        match self.take("device") {
-            Some(v) => parse_device(&v),
-            None => Ok(default),
+    /// The `device=` field, falling back to `default` when it is absent.
+    fn device(&mut self, default: Option<DeviceKind>) -> Result<DeviceKind, String> {
+        match (self.take("device"), default) {
+            (Some(v), _) => parse_device(&v),
+            (None, Some(device)) => Ok(device),
+            (None, None) => Err("missing device=<dram|pm|ssd>".to_string()),
         }
     }
 
@@ -448,8 +465,8 @@ impl Fields {
             let key = format!("{base}{suffix}");
             if let Some(v) = self.take(&key) {
                 let n: f64 = v.parse().map_err(|e| format!("bad {key} `{v}`: {e}"))?;
-                if n < 0.0 {
-                    return Err(format!("{key} must be non-negative"));
+                if !n.is_finite() || n < 0.0 {
+                    return Err(format!("{key} must be finite and non-negative, got `{v}`"));
                 }
                 return Ok(Some((n * scale as f64).round() as u64));
             }
@@ -829,19 +846,31 @@ degrade node=1 factor=1.5 from_ms=0
 
     #[test]
     fn parse_rejects_malformed_plans() {
-        assert!(
-            FaultPlanSpec::parse("transient device=pm rate=0.1").is_err(),
-            "missing seed"
-        );
-        assert!(
-            FaultPlanSpec::parse("seed = 1\ntransient rate=0.1").is_err(),
-            "missing device"
-        );
-        assert!(FaultPlanSpec::parse("seed = 1\ntransient device=flash rate=0.1").is_err());
-        assert!(FaultPlanSpec::parse("seed = 1\ntransient device=pm rate=1.5").is_err());
-        assert!(FaultPlanSpec::parse("seed = 1\nspike device=pm factor=0.5").is_err());
-        assert!(FaultPlanSpec::parse("seed = 1\ntransient device=pm rate=0.1 bogus=1").is_err());
-        assert!(FaultPlanSpec::parse("seed = 1\nexplode device=pm rate=0.1").is_err());
+        let no_seed = FaultPlanSpec::parse("transient device=pm rate=0.1");
+        assert!(no_seed.is_err());
+        // Each bad rule is refused with its line named, whichever field
+        // raised the error. A NaN or infinite duration and a window that
+        // closes before it opens are refused too.
+        for rule in [
+            "transient rate=0.1",
+            "transient device=flash rate=0.1",
+            "transient device=pm rate=1.5",
+            "transient device=pm rate=0.1 bogus=1",
+            "transient device=pm rate=0.1 penalty_us=-1",
+            "explode device=pm rate=0.1",
+            "spike device=pm factor=0.5",
+            "outage replica=x",
+            "timeout device=pm node=x rate=0.1 timeout_us=5",
+            "timeout device=pm rate=0.1",
+            "outage replica=0 from_ms=nan",
+            "spike device=pm factor=2 until_ms=inf",
+            "spike device=pm factor=2 from_ms=5 until_ms=5",
+            "timeout rate=0.1 timeout_us=5 from_ms=3 until_ms=1",
+            "outage replica=1 from_ms=30 until_ms=10",
+        ] {
+            let err = FaultPlanSpec::parse(&format!("seed = 1\n\n{rule}")).unwrap_err();
+            assert!(err.starts_with("plan line 3: "), "{rule}: {err}");
+        }
     }
 
     #[test]

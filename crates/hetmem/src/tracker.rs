@@ -422,8 +422,10 @@ impl ThreadMem {
     ) {
         let media = match pattern {
             AccessPattern::Seq => bytes,
-            // Each random access moves at least one media granularity unit;
-            // larger payloads bill their (ceiling) per-access size.
+            // An empty charge moves nothing. Otherwise each random access
+            // moves at least one media granularity unit, and larger
+            // payloads bill their (ceiling) per-access size.
+            AccessPattern::Rand if bytes | accesses == 0 => 0,
             AccessPattern::Rand => {
                 let per_access = if accesses == 0 {
                     0
@@ -486,6 +488,32 @@ mod tests {
         assert_eq!(c.bytes, 8);
         assert_eq!(c.media_bytes, 256);
         assert_eq!(c.accesses, 1);
+    }
+
+    /// A random charge of no bytes in no accesses bills nothing, on any
+    /// placement, and still consults the fault hook once.
+    #[test]
+    fn empty_random_charge_bills_nothing() {
+        #[derive(Debug)]
+        struct AlwaysFails;
+        impl FaultHook for AlwaysFails {
+            fn on_access(&self, _: SimDuration, _: u64, access: &FaultAccess) -> FaultVerdict {
+                FaultVerdict::Fail {
+                    error: HetMemError::Transient {
+                        node: 0,
+                        device: access.device,
+                        penalty_ns: 7,
+                    },
+                    penalty: SimDuration::from_nanos(7),
+                }
+            }
+        }
+        let mut ctx = ThreadMem::new(0, 2).with_hook(Arc::new(AlwaysFails));
+        for placement in [pm_on(0), pm_on(1), Placement::interleaved(DeviceKind::Pm)] {
+            ctx.charge_block(placement, AccessOp::Read, AccessPattern::Rand, 0, 0);
+        }
+        assert_eq!(ctx.counters().touched().count(), 0, "{:?}", ctx.counters());
+        assert_eq!(ctx.injected_penalty(), SimDuration::from_nanos(21));
     }
 
     #[test]

@@ -71,6 +71,7 @@ impl Dense {
         };
         let media = match pattern {
             AccessPattern::Seq => bytes,
+            AccessPattern::Rand if bytes | accesses == 0 => 0,
             AccessPattern::Rand => {
                 let per_access = if accesses == 0 {
                     0

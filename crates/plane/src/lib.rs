@@ -1,10 +1,11 @@
 //! # omega-plane — the admission-controlled request plane
 //!
 //! The serving stack in `omega-serve` answers a *closed-loop* stream: one
-//! client, one [`EmbedServer`], the next request issued only after the
-//! previous answer returns. Production traffic is nothing like that — it
-//! is open-loop (users do not wait for each other), multi-tenant, bursty,
-//! and pointed at a *tier* of replicas. This crate is that front half:
+//! client, one [`EmbedServer`](omega_serve::EmbedServer), the next
+//! request issued only after the previous answer returns. Production
+//! traffic is nothing like that — it is open-loop (users do not wait for
+//! each other), multi-tenant, bursty, and pointed at a *tier* of
+//! replicas. This crate is that front half:
 //!
 //! * [`generate_timeline`] — seeded open-loop traffic: Poisson, diurnal and
 //!   flash-crowd [`ArrivalProcess`]es per tenant, layered over the
@@ -13,11 +14,12 @@
 //! * [`Admission`] — the front door: per-tenant token-bucket quotas with
 //!   a high-priority overdraft, and priority-tiered queue-depth shedding,
 //!   so queues stay bounded no matter the offered load.
-//! * [`Ring`] — consistent-hash routing of shards onto replicas with a
-//!   deterministic hedge to the ring successor when the primary's
-//!   estimated wait is too long.
+//! * [`Ring`] — consistent-hash routing of shards onto replicas: each
+//!   shard's preference order over the replicas, computed once per plane,
+//!   names its primary, where it goes when the primary is down, and where
+//!   it hedges when the chosen replica's estimated wait is too long.
 //! * [`RequestPlane`] — the round-based engine: a sequential front
-//!   admits and routes each quantum of arrivals, then every replica runs
+//!   routes and admits each quantum of arrivals, then every replica runs
 //!   its *own* event loop concurrently on the persistent `omega-par`
 //!   pool (priority-ordered batches, deadline triage, `serve_batch`),
 //!   and completions merge back in fixed `(sim_time, replica, seq)`
@@ -28,7 +30,7 @@
 //!   never queued unboundedly. The degrade ladder and router price work
 //!   from *live* replica signals — cost EWMAs corrected by real IVF
 //!   probe counts and inflated by the measured cache miss rate — and
-//!   [`Outage`] windows steer traffic around dead replicas until they
+//!   outage windows steer traffic around dead replicas until they
 //!   recover.
 //!
 //! ## Determinism
@@ -41,8 +43,9 @@
 //! what it processes (never by which worker ran it), and the caller
 //! merges lane events in a fixed total order before any counter or
 //! histogram is touched — so the concurrent lanes (and the replicas'
-//! worker pools, the [`ServeConfig::threads`] knob) change wall time
-//! only. Every admitted request reaches exactly one terminal state, so
+//! worker pools, the
+//! [`ServeConfig::threads`](omega_serve::ServeConfig::threads) knob)
+//! change wall time only. Every admitted request reaches exactly one terminal state, so
 //! `admitted == completed + degraded + dropped` — the identity the
 //! integration suite pins alongside golden metrics bytes.
 //!
@@ -71,13 +74,13 @@
 mod admission;
 mod arrivals;
 mod engine;
+mod front;
+mod lane;
+mod report;
 mod router;
 
 pub use admission::{Admission, Verdict};
 pub use arrivals::{generate_timeline, ArrivalProcess, PlaneRequest, Priority, TenantSpec};
-pub use engine::{Outage, PlaneConfig, PlaneReport, PlaneStats, PlaneTrace, RequestPlane};
+pub use engine::{PlaneConfig, RequestPlane};
+pub use report::{PlaneReport, PlaneStats, PlaneTrace};
 pub use router::Ring;
-
-// Doc-link anchors used by the crate docs above.
-#[allow(unused_imports)]
-use omega_serve::{EmbedServer, ServeConfig};

@@ -271,10 +271,8 @@ impl EmbedServer {
     /// `n` accesses round up per access exactly as `n` single rows do. The
     /// charge does not depend on the fault verdict: the hook is consulted
     /// after the traffic is booked, and its penalty rides on the task's
-    /// duration. `n` must be nonzero: a random charge of no accesses
-    /// still bills one granule.
+    /// duration.
     pub(crate) fn charge_lookups(&self, ctx: &mut ThreadMem, n: u64) -> u64 {
-        debug_assert!(n > 0, "a lookup charge of no lookups");
         let bytes = n * self.store.row_bytes();
         ctx.charge_block(HOT, AccessOp::Read, AccessPattern::Rand, bytes, n);
         ctx.add_cpu_ops(n * self.store.dim() as u64);
