@@ -8,7 +8,7 @@
 
 use crate::json::object;
 use crate::metrics::MetricsSnapshot;
-use crate::{Recorder, SpanRecord};
+use crate::{Recorder, SpanRecord, Track};
 use serde::Value;
 
 /// Render all completed spans as a Chrome-trace-event JSON document
@@ -62,6 +62,52 @@ fn span_event(span: &SpanRecord) -> Value {
         ("tid", Value::U64(span.track.tid as u64)),
         ("args", Value::Map(args)),
     ])
+}
+
+/// Read a [`Recorder::chrome_trace_json`] document back into its spans,
+/// in the recorder's completion order (the order `profile::aggregate`'s
+/// tree walk needs). Every X event must carry the exporter's exact
+/// dual-clock args; span args are not read back.
+pub fn parse_chrome_trace(text: &str) -> Result<Vec<SpanRecord>, String> {
+    let doc = crate::json::parse(text).map_err(|e| e.to_string())?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_seq)
+        .ok_or("not a chrome trace (no traceEvents array)")?;
+    let mut spans = Vec::new();
+    for ev in events {
+        let num = |v: Option<&Value>| v.and_then(Value::as_u64);
+        let arg = |key: &str| num(ev.get("args").and_then(|a| a.get(key)));
+        let (Some("X"), Some(name), Some(pid), Some(tid)) = (
+            ev.get("ph").and_then(Value::as_str),
+            ev.get("name").and_then(Value::as_str),
+            num(ev.get("pid")),
+            num(ev.get("tid")),
+        ) else {
+            continue;
+        };
+        let clocks = ["sim_start_ns", "sim_dur_ns", "wall_start_us", "wall_dur_us"].map(arg);
+        let [Some(sim_start_ns), Some(sim_dur_ns), Some(wall_start_us), Some(wall_dur_us)] = clocks
+        else {
+            return Err(format!(
+                "X event {name:?} lacks dual-clock args — not an omega trace"
+            ));
+        };
+        spans.push(SpanRecord {
+            name: name.to_string(),
+            track: Track::new(pid as u32, tid as u32),
+            sim_start_ns,
+            sim_dur_ns,
+            wall_start_us,
+            wall_dur_us,
+            depth: arg("depth").unwrap_or(0) as u32,
+            args: Vec::new(),
+        });
+    }
+    if spans.is_empty() {
+        return Err("trace holds no spans".into());
+    }
+    Ok(spans)
 }
 
 /// One JSON object per line: every counter, gauge, and histogram in the
@@ -137,7 +183,6 @@ pub fn json_line(value: &Value) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Track;
     use omega_hetmem::SimDuration;
 
     fn sample_recorder() -> Recorder {
@@ -196,5 +241,33 @@ mod tests {
             Some(0)
         );
         assert!(rec.metrics_jsonl().is_empty());
+    }
+
+    #[test]
+    fn chrome_trace_parses_back_to_its_spans() {
+        let rec = sample_recorder();
+        let worker = Track::new(2, 3);
+        let pass = rec.begin("pass", worker);
+        rec.end(pass, Some(SimDuration::from_nanos(700)));
+        let spans = parse_chrome_trace(&rec.chrome_trace_json()).unwrap();
+        let want = rec.spans();
+        assert_eq!(spans.len(), want.len());
+        for (got, want) in spans.iter().zip(&want) {
+            let key = |s: &SpanRecord| {
+                let clocks = (s.sim_start_ns, s.sim_dur_ns, s.wall_start_us, s.wall_dur_us);
+                (s.name.clone(), s.track, clocks, s.depth)
+            };
+            assert_eq!(key(got), key(want));
+        }
+    }
+
+    #[test]
+    fn chrome_trace_reader_refuses_what_it_cannot_profile() {
+        let err = |text: &str| parse_chrome_trace(text).unwrap_err();
+        assert!(err("{}").contains("no traceEvents"));
+        assert!(err(r#"{"traceEvents":[]}"#).contains("no spans"));
+        let bare = r#"{"traceEvents":[{"ph":"X","name":"a","pid":0,"tid":0,"args":{}}]}"#;
+        assert!(err(bare).contains("\"a\" lacks dual-clock args"));
+        assert!(parse_chrome_trace("not json").is_err());
     }
 }
