@@ -3,7 +3,10 @@
 //! All experiment results in this reproduction are *simulated* times produced
 //! by the cost model, so they are deterministic across machines and runs.
 //! Plain `u64` nanoseconds wrapped in newtypes keep the arithmetic explicit
-//! and prevent mixing simulated time with wall-clock time.
+//! and prevent mixing simulated time with wall-clock time. Sums and
+//! products saturate at `u64::MAX` ns: a charge too large for the clock
+//! (a fault plan's huge slowdown factor, say) stops it at its end instead
+//! of wrapping it back towards zero.
 
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
@@ -85,14 +88,14 @@ impl Add for SimDuration {
     type Output = SimDuration;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign for SimDuration {
     #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        self.0 = self.0.saturating_add(rhs.0);
     }
 }
 
@@ -108,7 +111,7 @@ impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     #[inline]
     fn mul(self, rhs: u64) -> SimDuration {
-        SimDuration(self.0 * rhs)
+        SimDuration(self.0.saturating_mul(rhs))
     }
 }
 
@@ -130,7 +133,7 @@ impl Div<u64> for SimDuration {
 
 impl Sum for SimDuration {
     fn sum<I: Iterator<Item = SimDuration>>(iter: I) -> SimDuration {
-        SimDuration(iter.map(|d| d.0).sum())
+        iter.fold(SimDuration::ZERO, |a, b| a + b)
     }
 }
 
@@ -166,7 +169,7 @@ impl Add<SimDuration> for SimInstant {
     type Output = SimInstant;
     #[inline]
     fn add(self, rhs: SimDuration) -> SimInstant {
-        SimInstant(self.0 + rhs.as_nanos())
+        SimInstant(self.0.saturating_add(rhs.as_nanos()))
     }
 }
 
@@ -225,5 +228,18 @@ mod tests {
     fn sum_of_durations() {
         let total: SimDuration = (1..=4).map(SimDuration::from_nanos).sum();
         assert_eq!(total.as_nanos(), 10);
+    }
+
+    #[test]
+    fn sums_and_products_stop_at_the_end_of_the_clock() {
+        let end = SimDuration::from_nanos(u64::MAX);
+        let big = SimDuration::from_nanos(u64::MAX / 2 + 1);
+        assert_eq!(big + big, end);
+        let mut acc = big;
+        acc += big;
+        assert_eq!(acc, end);
+        assert_eq!([big, big, big].into_iter().sum::<SimDuration>(), end);
+        assert_eq!(big * 3, end);
+        assert_eq!((SimInstant::EPOCH + end + big).as_nanos(), u64::MAX);
     }
 }

@@ -246,7 +246,7 @@ impl Recorder {
 
         let cursor = st.cursors.entry(track).or_insert(0);
         let sim_end_ns = match sim_elapsed {
-            Some(d) => (sim_start_ns + d.as_nanos()).max(*cursor),
+            Some(d) => sim_start_ns.saturating_add(d.as_nanos()).max(*cursor),
             None => (*cursor).max(sim_start_ns),
         };
         *cursor = sim_end_ns;
@@ -278,7 +278,7 @@ impl Recorder {
         let Some(inner) = &self.inner else { return };
         let mut st = inner.state();
         let sim_start_ns = sim_start.as_nanos();
-        let sim_end_ns = sim_start_ns + sim_dur.as_nanos();
+        let sim_end_ns = sim_start_ns.saturating_add(sim_dur.as_nanos());
         let cursor = st.cursors.entry(track).or_insert(0);
         *cursor = (*cursor).max(sim_end_ns);
         let wall_start_us = inner.epoch.elapsed().as_micros() as u64;

@@ -37,7 +37,9 @@ struct FrontGauge {
 impl FrontGauge {
     /// Estimated wait a request joining this replica at `now_ns` sees.
     fn est_wait(&self, now_ns: u64) -> u64 {
-        self.vready_ns.saturating_sub(now_ns) + self.backlog_ns
+        self.vready_ns
+            .saturating_sub(now_ns)
+            .saturating_add(self.backlog_ns)
     }
 
     fn price(&self, kind: RequestKind) -> u64 {
@@ -51,7 +53,7 @@ impl FrontGauge {
     /// gets its estimates marked up 25%, one that hits everything keeps
     /// them as-is.
     fn inflate(ns: u64, hit_rate: f64) -> u64 {
-        ns + (ns as f64 * (1.0 - hit_rate) * 0.5) as u64
+        ns.saturating_add((ns as f64 * (1.0 - hit_rate) * 0.5) as u64)
     }
 
     fn refresh(lane: &ReplicaLane<'_>) -> FrontGauge {
@@ -67,7 +69,7 @@ impl FrontGauge {
             .queue
             .iter()
             .map(|q| gauge.price(q.req.request.kind))
-            .sum();
+            .fold(0, u64::saturating_add);
         gauge
     }
 }
@@ -152,7 +154,7 @@ impl<'a> Front<'a> {
             if wait_p > self.hedge_wait_ns {
                 if let Some(&alt) = pref.iter().filter(|&&r| r != chosen).find(live) {
                     let wait_s = self.gauges[alt as usize].est_wait(now);
-                    if wait_s + self.hop_ns < wait_p {
+                    if wait_s.saturating_add(self.hop_ns) < wait_p {
                         route.replica = alt as usize;
                         route.hedged = true;
                     }
@@ -170,7 +172,9 @@ impl<'a> Front<'a> {
         if verdict == Verdict::Admitted {
             let gauge = &mut self.gauges[route.replica];
             gauge.vdepth += 1;
-            gauge.backlog_ns += gauge.price(req.request.kind);
+            gauge.backlog_ns = gauge
+                .backlog_ns
+                .saturating_add(gauge.price(req.request.kind));
         }
         (verdict, route)
     }

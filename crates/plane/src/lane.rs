@@ -64,7 +64,8 @@ pub(crate) struct CostEst {
 
 impl CostEst {
     fn update(est: &mut u64, sample: u64) {
-        *est = (*est * 3 + sample) / 4;
+        // In u128: a sample at the end of the clock must not wrap.
+        *est = ((*est as u128 * 3 + sample as u128) / 4) as u64;
     }
 }
 
@@ -231,14 +232,16 @@ impl<'a> ReplicaLane<'a> {
             let sim_before = self.server.sim_now();
             let result = self.server.serve_batch(&batch);
             let batch_sim = self.server.sim_now() - sim_before;
-            self.ready_ns = t + batch_sim.as_nanos();
+            self.ready_ns = t.saturating_add(batch_sim.as_nanos());
 
             let net = NetModel::datacenter_25gbe();
             for (j, (q, outcome)) in meta.iter().enumerate() {
                 let rpc = net
                     .rpc_time(REQ_BYTES, self.resp_bytes(batch[j].kind))
                     .as_nanos();
-                let completion = t + result.sim_latency_ns[j] + rpc;
+                let completion = t
+                    .saturating_add(result.sim_latency_ns[j])
+                    .saturating_add(rpc);
                 let service = completion - t;
 
                 match batch[j].kind {
