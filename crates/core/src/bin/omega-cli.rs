@@ -306,6 +306,25 @@ mod tests {
         }
     }
 
+    /// The README's IVF line: the cold tier holds the index's cold lists
+    /// beside the table (the table alone once filled it), and top-k
+    /// queries go through the index.
+    #[test]
+    fn the_readme_ivf_line_places_its_lists_and_answers_through_them() {
+        let dir = std::env::temp_dir().join("omega_cli_ivf_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let metrics = dir.join("m.jsonl");
+        let mut args: Vec<&str> = "serve --requests 1000 --zipf 1.0 --nodes 20000 --dim 64 \
+            --topk-fraction 0.05 --ivf-nlist 0 --ivf-nprobe 0 --metrics-out"
+            .split_whitespace()
+            .collect();
+        args.push(metrics.to_str().unwrap());
+        run(&s(&args)).unwrap();
+        let counter = counter(&std::fs::read_to_string(&metrics).unwrap());
+        assert!(counter("serve.ivf.queries") > 0.0);
+        assert!(counter("serve.ivf.list.cold.bytes") > 0.0);
+    }
+
     /// A fault factor too large for the clock stops it at its end instead of
     /// wrapping it: one top-k query over 5 000 one-row cold shards adds up
     /// 5 000 spike delays, and a factor of 1e30 still reads no faster than

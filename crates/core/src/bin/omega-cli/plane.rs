@@ -65,7 +65,7 @@ pub(crate) fn run(mut opts: Opts) -> Result<(), String> {
     let systems: Vec<MemSystem> = (0..replicas)
         .map(|_| {
             so.with_faults(MemSystem::new(Topology::paper_machine_scaled(
-                so.dram_bytes(&emb),
+                so.dram_bytes(&emb, 1),
             )))
         })
         .collect();

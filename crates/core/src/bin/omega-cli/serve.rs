@@ -47,12 +47,14 @@ pub(crate) fn run(mut opts: Opts) -> Result<(), String> {
     }
 
     // DRAM holds the cache budget, plus the IVF index's DRAM residency
-    // (centroid table + hot-list budget) when an index is configured.
-    let ivf_dram_bytes = cfg.ivf_params(emb.nodes()).map_or(0, |(nlist, _)| {
-        nlist as u64 * emb.dim() as u64 * 4 + cfg.ivf_hot_bytes
+    // (centroid table + hot-list budget) when an index is configured; the
+    // cold tier then holds the index's cold lists beside the table, at most
+    // one more copy of it.
+    let (ivf_dram_bytes, copies) = cfg.ivf_params(emb.nodes()).map_or((0, 1), |(nlist, _)| {
+        (nlist as u64 * emb.dim() as u64 * 4 + cfg.ivf_hot_bytes, 2)
     });
     let sys = MemSystem::new(Topology::paper_machine_scaled(
-        so.dram_bytes(&emb) + ivf_dram_bytes,
+        so.dram_bytes(&emb, copies) + ivf_dram_bytes,
     ));
 
     // Optional deterministic fault plan: same plan file + same seed means the

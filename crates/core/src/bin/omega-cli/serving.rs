@@ -110,14 +110,14 @@ impl ServingOpts {
         self.rows_per_shard as u64 * emb.dim() as u64 * 4
     }
 
-    /// DRAM per node such that the cold tier always holds the table (PM is
-    /// 8x DRAM per node, SSD 40x) while the cache budget stays
-    /// `--cache-shards` shards: the larger of twice that budget and an
-    /// eighth of the table.
-    pub(crate) fn dram_bytes(&self, emb: &Embedding) -> u64 {
+    /// DRAM per node such that the cold tier always holds `copies` copies
+    /// of the table (PM is 8x DRAM per node, SSD 40x) while the cache
+    /// budget stays `--cache-shards` shards: the larger of twice that
+    /// budget and an eighth of the copies.
+    pub(crate) fn dram_bytes(&self, emb: &Embedding, copies: u64) -> u64 {
         let table_bytes = emb.nodes() as u64 * emb.dim() as u64 * 4;
         (2 * self.cache_shards * self.shard_bytes(emb))
-            .max(table_bytes.div_ceil(8))
+            .max((copies * table_bytes).div_ceil(8))
             .max(1 << 16)
     }
 

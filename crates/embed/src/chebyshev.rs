@@ -25,10 +25,6 @@ pub struct ChebyshevConfig {
     pub mu: f32,
     /// Band-pass sharpness `θ`.
     pub theta: f32,
-    /// Worker-pool width for the dense term combination and final SVD.
-    /// Wall-clock only: every kernel is bit-identical at any value, and the
-    /// simulated dense cost is charged from the *simulated* thread count.
-    pub threads: usize,
 }
 
 impl Default for ChebyshevConfig {
@@ -37,7 +33,6 @@ impl Default for ChebyshevConfig {
             order: 10,
             mu: 0.2,
             theta: 0.5,
-            threads: 1,
         }
     }
 }
@@ -85,11 +80,17 @@ pub fn bessel_iv(order: usize, x: f64) -> f64 {
 /// Bessel-weighted terms alternate sign, the filtered signal is multiplied
 /// by the self-looped adjacency, and a final dense SVD re-orthogonalises
 /// and L2-normalises the embedding.
+///
+/// `threads` is the pool width of the dense term combination and the final
+/// SVD, a wall-clock knob only: every kernel is bit-identical at every
+/// width, and the simulated dense cost is charged from the engine's
+/// *simulated* thread count.
 pub(crate) fn propagate(
     engine: &SpmmEngine,
     adj: &Csr,
     x_original: &DenseMatrix,
     cfg: &ChebyshevConfig,
+    threads: usize,
 ) -> Result<ChebyshevResult> {
     let n = adj.rows() as usize;
     let d = x_original.cols();
@@ -116,8 +117,6 @@ pub(crate) fn propagate(
 
     let theta = cfg.theta as f64;
 
-    let wt = cfg.threads;
-
     // The dense term combinations run under a `combine` wall-clock phase
     // scope so the bench phase breakdown separates them from the SpMM
     // recurrence (which stays attributed to the enclosing `propagate`
@@ -129,18 +128,18 @@ pub(crate) fn propagate(
     let t = meter.spmm(engine, &m_hat, &x)?;
     let mut lx1 = meter.spmm(engine, &m_hat, &t)?;
     phase_scope("combine", || -> Result<()> {
-        scale_threads(&mut lx1, 0.5, wt);
-        axpy_threads(&mut lx1, -1.0, &x, wt)?;
+        scale_threads(&mut lx1, 0.5, threads);
+        axpy_threads(&mut lx1, -1.0, &x, threads)?;
         Ok(())
     })?;
 
     // conv = I₀(θ)·Lx0 − 2·I₁(θ)·Lx1.
     let mut conv = lx0.clone();
     phase_scope("combine", || -> Result<()> {
-        scale_threads(&mut conv, bessel_iv(0, theta) as f32, wt);
+        scale_threads(&mut conv, bessel_iv(0, theta) as f32, threads);
         let mut term = lx1.clone();
-        scale_threads(&mut term, -2.0 * bessel_iv(1, theta) as f32, wt);
-        axpy_threads(&mut conv, 1.0, &term, wt)?;
+        scale_threads(&mut term, -2.0 * bessel_iv(1, theta) as f32, threads);
+        axpy_threads(&mut conv, 1.0, &term, threads)?;
         Ok(())
     })?;
 
@@ -149,12 +148,12 @@ pub(crate) fn propagate(
         let t = meter.spmm(engine, &m_hat, &lx1)?;
         let mut lx2 = meter.spmm(engine, &m_hat, &t)?;
         phase_scope("combine", || -> Result<()> {
-            axpy_threads(&mut lx2, -2.0, &lx1, wt)?;
-            axpy_threads(&mut lx2, -1.0, &lx0, wt)?;
+            axpy_threads(&mut lx2, -2.0, &lx1, threads)?;
+            axpy_threads(&mut lx2, -1.0, &lx0, threads)?;
             let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
             let mut term = lx2.clone();
-            scale_threads(&mut term, sign * 2.0 * bessel_iv(i, theta) as f32, wt);
-            axpy_threads(&mut conv, 1.0, &term, wt)?;
+            scale_threads(&mut term, sign * 2.0 * bessel_iv(i, theta) as f32, threads);
+            axpy_threads(&mut conv, 1.0, &term, threads)?;
             Ok(())
         })?;
         meter.dense(engine, 6 * (n * d) as u64);
@@ -164,13 +163,15 @@ pub(crate) fn propagate(
 
     // mm = (A+I)·(x − conv), then SVD-based re-embedding.
     let mut filtered = x;
-    phase_scope("combine", || axpy_threads(&mut filtered, -1.0, &conv, wt))?;
+    phase_scope("combine", || {
+        axpy_threads(&mut filtered, -1.0, &conv, threads)
+    })?;
     meter.dense(engine, 2 * (n * d) as u64);
     let filtered_original = unpermute_matrix(&m_hat, &filtered);
     let filtered_a1 = permute_matrix(&a1_csdb, &filtered_original);
     let mm = meter.spmm(engine, &a1_csdb, &filtered_a1)?;
     let mm_original = unpermute_matrix(&a1_csdb, &mm);
-    let embedding = phase_scope("combine", || dense_embedding(&mm_original, wt))?;
+    let embedding = phase_scope("combine", || dense_embedding(&mm_original, threads))?;
     meter.dense(engine, 12 * (n * d * d) as u64);
 
     Ok(ChebyshevResult {
@@ -273,7 +274,7 @@ mod tests {
     fn propagation_runs_and_reports() {
         let adj = RmatConfig::social(256, 1_500, 4).generate_csr().unwrap();
         let x = gaussian_matrix(256, 8, 2);
-        let out = propagate(&engine(), &adj, &x, &ChebyshevConfig::default()).unwrap();
+        let out = propagate(&engine(), &adj, &x, &ChebyshevConfig::default(), 1).unwrap();
         assert_eq!(out.embedding.shape(), (256, 8));
         // Order-10 expansion: 2 for Lx1, 2 per step for i in 2..10, plus
         // the final (A+I) multiply = 2 + 16 + 1.
@@ -291,7 +292,7 @@ mod tests {
         let adj = cfg.generate_csr().unwrap();
         let labels = cfg.labels();
         let x = gaussian_matrix(200, 16, 3);
-        let out = propagate(&engine(), &adj, &x, &ChebyshevConfig::default()).unwrap();
+        let out = propagate(&engine(), &adj, &x, &ChebyshevConfig::default(), 1).unwrap();
 
         let coherence = |m: &DenseMatrix| {
             let mut same = 0.0f64;

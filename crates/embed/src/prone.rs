@@ -158,24 +158,24 @@ impl Prone {
                 rank: self.cfg.dim,
                 oversample: self.cfg.oversample,
                 power_iters: self.cfg.power_iters,
-                threads: self.cfg.threads,
                 seed: self.cfg.seed,
             };
-            let fact = randomized_tsvd(&self.engine, &m, &mt, &tsvd_cfg)?;
+            let fact = randomized_tsvd(&self.engine, &m, &mt, &tsvd_cfg, self.cfg.threads)?;
             let initial = unpermute_matrix(&m, &fact.embedding);
             Ok((fact, initial))
         })?;
         rec.end(fact_span, Some(fact.total_time()));
 
-        // Stage 2: spectral propagation. The workspace-wide thread knob
-        // overrides whatever the Chebyshev sub-config carries.
+        // Stage 2: spectral propagation.
         let prop_span = rec.begin("prone.propagate", Track::MAIN);
         let prop = omega_par::phase_scope("propagate", || {
-            let cheb_cfg = ChebyshevConfig {
-                threads: self.cfg.threads,
-                ..self.cfg.chebyshev
-            };
-            propagate(&self.engine, adj, &initial, &cheb_cfg)
+            propagate(
+                &self.engine,
+                adj,
+                &initial,
+                &self.cfg.chebyshev,
+                self.cfg.threads,
+            )
         })?;
         rec.end(prop_span, Some(prop.total_time()));
         rec.end(root, None);

@@ -21,24 +21,7 @@ pub(crate) struct TsvdConfig {
     pub oversample: usize,
     /// Subspace (power) iterations for spectral decay sharpening.
     pub power_iters: usize,
-    /// Worker-pool width for the dense QR/SVD/GEMM stages. A wall-clock
-    /// knob only: the kernels are bit-identical at every value and the
-    /// simulated dense cost is charged analytically from the *simulated*
-    /// thread count, so results and metrics never observe it.
-    pub threads: usize,
     pub seed: u64,
-}
-
-impl Default for TsvdConfig {
-    fn default() -> Self {
-        TsvdConfig {
-            rank: 64,
-            oversample: 16,
-            power_iters: 1,
-            threads: 1,
-            seed: 0x5eed,
-        }
-    }
 }
 
 /// Outcome of the randomized factorisation.
@@ -103,11 +86,17 @@ impl SpmmMeter {
 /// `mt` must be the transpose of `m` in the *same* permuted id space (for
 /// the symmetric-structure matrices ProNE uses, [`Csdb::transpose`]
 /// preserves the permutation).
+///
+/// `threads` is the pool width of the dense QR/SVD/GEMM stages, a
+/// wall-clock knob only: the kernels are bit-identical at every width and
+/// the simulated dense cost is charged from the engine's *simulated*
+/// thread count.
 pub(crate) fn randomized_tsvd(
     engine: &SpmmEngine,
     m: &Csdb,
     mt: &Csdb,
     cfg: &TsvdConfig,
+    threads: usize,
 ) -> Result<TsvdResult> {
     let n = m.rows() as usize;
     let k = cfg.rank + cfg.oversample;
@@ -128,17 +117,17 @@ pub(crate) fn randomized_tsvd(
     }
 
     // Orthonormal basis Q of the range.
-    let (q, _) = qr_thin_threads(&y, cfg.threads)?;
+    let (q, _) = qr_thin_threads(&y, threads)?;
     meter.dense(engine, 2 * (n * k * k) as u64);
 
     // Project: Z = Mᵀ·Q  (so B = Zᵀ = Qᵀ·M), then SVD the tall Z.
     let z = meter.spmm(engine, mt, &q)?;
-    let svd = svd_tall_threads(&z, cfg.threads)?;
+    let svd = svd_tall_threads(&z, threads)?;
     meter.dense(engine, 12 * (n * k * k) as u64);
 
     // Z = U_z Σ V_zᵀ  ⇒  M ≈ Q·Zᵀ = (Q·V_z)·Σ·U_zᵀ.
     let v_z = svd.vt.transposed();
-    let u = gemm_threads(&q, &v_z, cfg.threads)?;
+    let u = gemm_threads(&q, &v_z, threads)?;
     meter.dense(engine, 2 * (n * k * k) as u64);
 
     // Embedding = U[:, :rank] · diag(√σ).
@@ -198,9 +187,8 @@ mod tests {
             oversample: 8,
             power_iters: 2,
             seed: 3,
-            ..TsvdConfig::default()
         };
-        let out = randomized_tsvd(&eng, &csdb, &mt, &cfg).unwrap();
+        let out = randomized_tsvd(&eng, &csdb, &mt, &cfg, 1).unwrap();
         // Two cliques of 20: eigenvalues 19, 19, then -1s.
         assert!((out.singular_values[0] - 19.0).abs() < 0.5);
         assert!((out.singular_values[1] - 19.0).abs() < 0.5);
@@ -223,8 +211,8 @@ mod tests {
                 oversample: 8,
                 power_iters: 1,
                 seed: 1,
-                ..TsvdConfig::default()
             },
+            1,
         )
         .unwrap();
         // U columns orthonormal => embedding gram is ~diag(σ).
@@ -255,17 +243,15 @@ mod tests {
             oversample: 8,
             power_iters: 0,
             seed: 0,
-            ..TsvdConfig::default()
         };
-        assert!(randomized_tsvd(&eng, &g, &mt, &bad).is_err());
+        assert!(randomized_tsvd(&eng, &g, &mt, &bad, 1).is_err());
         let zero = TsvdConfig {
             rank: 0,
             oversample: 1,
             power_iters: 0,
             seed: 0,
-            ..TsvdConfig::default()
         };
-        assert!(randomized_tsvd(&eng, &g, &mt, &zero).is_err());
+        assert!(randomized_tsvd(&eng, &g, &mt, &zero, 1).is_err());
     }
 
     #[test]
@@ -278,10 +264,9 @@ mod tests {
             oversample: 4,
             power_iters: 1,
             seed: 11,
-            ..TsvdConfig::default()
         };
-        let a = randomized_tsvd(&eng, &g, &mt, &cfg).unwrap();
-        let b = randomized_tsvd(&eng, &g, &mt, &cfg).unwrap();
+        let a = randomized_tsvd(&eng, &g, &mt, &cfg, 1).unwrap();
+        let b = randomized_tsvd(&eng, &g, &mt, &cfg, 1).unwrap();
         assert_eq!(a.embedding, b.embedding);
         assert_eq!(a.spmm_time, b.spmm_time);
     }

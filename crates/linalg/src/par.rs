@@ -23,12 +23,12 @@
 //! pipeline, exactly as it is for the serving path: simulated clocks and
 //! metrics cannot observe it, and the golden-snapshot tests pin that.
 //!
-//! Small problems bypass the pool entirely (the dispatch decision depends
-//! only on operand shapes, and both paths compute identical bits), so the
-//! sequential configuration and tiny inner factorisations pay no spawn
-//! overhead.
+//! Every kernel hands the pool its width at every problem size: the pool's
+//! per-site cost estimate alone decides whether a call runs inline (one
+//! thread, one panel, a tiny inner factorisation) or fans out, and both
+//! paths compute identical bits.
 
-use crate::gemm::{gemm, gemm_tn_cols, gram, mirror_upper};
+use crate::gemm::{gemm_tn_cols, mirror_upper};
 use crate::matrix::DenseMatrix;
 use crate::qr::{apply_reflector, build_q_columns, build_reflector, quads, upper_triangle};
 use crate::svd::{svd_jacobi, Svd};
@@ -40,16 +40,12 @@ pub(crate) const GEMM_PANEL_ROWS: usize = 512;
 pub(crate) const GEMM_TN_PANEL_COLS: usize = 4;
 /// Element count per chunk for the element-wise kernels.
 const ELEM_CHUNK: usize = 1 << 15;
-/// Flop count below which the blocked GEMMs run the plain sequential loop.
-const GEMM_SEQ_FLOPS: usize = 1 << 20;
-/// Element count below which the QR column fan-outs stay inline.
-const QR_SEQ_ELEMS: usize = 1 << 14;
 
 /// `C = A · B` with rows of `C` computed in fixed panels of `panel_rows`
-/// on up to `threads` workers. Bit-identical to [`gemm`] for every panel
-/// size and thread count: a panel kernel runs the sequential loop
-/// restricted to its row range, which preserves each element's
-/// accumulation order exactly.
+/// on up to `threads` workers. Bit-identical to [`gemm`](crate::gemm())
+/// for every panel size and thread count: a panel kernel runs the
+/// sequential loop restricted to its row range, which preserves each
+/// element's accumulation order exactly.
 pub fn gemm_blocked(
     a: &DenseMatrix,
     b: &DenseMatrix,
@@ -151,21 +147,15 @@ fn tn_panels(
     c
 }
 
-/// [`gemm`] that fans out on `threads` workers when the product is large
-/// enough to amortise the spawn, at the default panel height.
+/// [`gemm`](crate::gemm()) on up to `threads` workers, in row panels of
+/// the default height.
 pub fn gemm_threads(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-    if threads <= 1 || 2 * a.rows() * a.cols() * b.cols() < GEMM_SEQ_FLOPS {
-        return omega_par::record_seq("linalg.gemm", || gemm(a, b));
-    }
     gemm_blocked(a, b, threads, GEMM_PANEL_ROWS)
 }
 
-/// [`gram`] that fans out on `threads` workers when large enough: panels
-/// of the upper triangle on the pool, mirrored by the caller.
+/// [`gram`](crate::gram) on up to `threads` workers: panels of the upper
+/// triangle on the pool, mirrored by the caller.
 pub fn gram_threads(a: &DenseMatrix, threads: usize) -> DenseMatrix {
-    if threads <= 1 || 2 * a.rows() * a.cols() * a.cols() < GEMM_SEQ_FLOPS {
-        return omega_par::record_seq("linalg.gemm_tn", || gram(a));
-    }
     let mut c = tn_panels(a, a, threads, GEMM_TN_PANEL_COLS, true);
     mirror_upper(&mut c);
     c
@@ -186,9 +176,6 @@ pub fn axpy_threads(
             right: src.shape(),
         });
     }
-    if threads <= 1 || dst.data().len() < 2 * ELEM_CHUNK {
-        return omega_par::record_seq("linalg.axpy", || dst.axpy(alpha, src));
-    }
     let s = src.data();
     let chunks: Vec<&mut [f32]> = dst.data_mut().chunks_mut(ELEM_CHUNK).collect();
     omega_par::for_each_chunk_labeled("linalg.axpy", threads, chunks, |ci, chunk| {
@@ -203,10 +190,6 @@ pub fn axpy_threads(
 
 /// Element-wise `m *= alpha` over fixed chunks on up to `threads` workers.
 pub fn scale_threads(m: &mut DenseMatrix, alpha: f32, threads: usize) {
-    if threads <= 1 || m.data().len() < 2 * ELEM_CHUNK {
-        omega_par::record_seq("linalg.scale", || m.scale(alpha));
-        return;
-    }
     let chunks: Vec<&mut [f32]> = m.data_mut().chunks_mut(ELEM_CHUNK).collect();
     omega_par::for_each_chunk_labeled("linalg.scale", threads, chunks, |_, chunk| {
         for v in chunk.iter_mut() {
@@ -222,9 +205,6 @@ pub fn scale_threads(m: &mut DenseMatrix, alpha: f32, threads: usize) {
 /// independent, so the result is bit-identical at every thread count.
 pub fn qr_thin_threads(a: &DenseMatrix, threads: usize) -> Result<(DenseMatrix, DenseMatrix)> {
     let (n, k) = a.shape();
-    if threads <= 1 || n * k < QR_SEQ_ELEMS {
-        return omega_par::record_seq("linalg.qr", || crate::qr_thin(a));
-    }
     let steps = n.min(k);
     let mut work = a.clone();
     let mut reflectors: Vec<Vec<f32>> = Vec::with_capacity(steps);
@@ -236,17 +216,11 @@ pub fn qr_thin_threads(a: &DenseMatrix, threads: usize) -> Result<(DenseMatrix, 
             reflectors.push(vec![0.0; n]);
             continue;
         };
-        // Trailing columns j..k transform independently; fan them out when
-        // the step still carries enough work.
-        let trailing = &mut work.data_mut()[j * n..];
-        if (k - j) * (n - j) >= QR_SEQ_ELEMS {
-            let groups: Vec<&mut [f32]> = quads(trailing, n).collect();
-            omega_par::for_each_chunk_labeled("linalg.qr", threads, groups, |_, cols| {
-                apply_reflector(&v, j, cols)
-            });
-        } else {
-            omega_par::record_seq("linalg.qr", || apply_reflector(&v, j, trailing));
-        }
+        // Trailing columns j..k transform independently.
+        let groups: Vec<&mut [f32]> = quads(&mut work.data_mut()[j * n..], n).collect();
+        omega_par::for_each_chunk_labeled("linalg.qr", threads, groups, |_, cols| {
+            apply_reflector(&v, j, cols)
+        });
         reflectors.push(v);
     }
 
@@ -267,10 +241,10 @@ pub fn qr_thin_threads(a: &DenseMatrix, threads: usize) -> Result<(DenseMatrix, 
 pub fn svd_tall_threads(a: &DenseMatrix, threads: usize) -> Result<Svd> {
     let (m, n) = a.shape();
     if m < 3 * n || n == 0 {
-        return omega_par::record_seq("linalg.svd_jacobi", || svd_jacobi(a));
+        return svd_jacobi(a);
     }
     let gram = gram_threads(a, threads);
-    let eig = omega_par::record_seq("linalg.svd_jacobi", || svd_jacobi(&gram))?;
+    let eig = svd_jacobi(&gram)?;
     let s: Vec<f32> = eig.s.iter().map(|&x| x.max(0.0).sqrt()).collect();
     let v = eig.u;
     let mut u = gemm_threads(a, &v, threads)?;
@@ -291,9 +265,10 @@ pub fn svd_tall_threads(a: &DenseMatrix, threads: usize) -> Result<Svd> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm_tn;
     use crate::random::gaussian_matrix;
     use crate::svd::svd_tall;
+    use crate::{gemm, gemm_tn};
+    use omega_par::{with_dispatch_policy, DispatchPolicy};
 
     fn assert_bits_eq(a: &DenseMatrix, b: &DenseMatrix, what: &str) {
         assert_eq!(a.shape(), b.shape(), "{what}: shape");
@@ -352,7 +327,7 @@ mod tests {
 
     #[test]
     fn elementwise_kernels_bit_identical() {
-        // Above the chunk threshold so the parallel path actually runs.
+        // Three chunks, so a pool run has chunks to spread over workers.
         let rows = 3 * ELEM_CHUNK / 4;
         let src = gaussian_matrix(rows, 4, 11);
         let mut seq = gaussian_matrix(rows, 4, 12);
@@ -384,14 +359,43 @@ mod tests {
         }
     }
 
+    /// The `_threads` wrappers match the sequential kernels bit for bit at
+    /// every width, whether the pool runs them inline or fans them out —
+    /// including shapes that once took a sequential bypass in front of the
+    /// pool: a tall product of few flops, a small QR with two column
+    /// groups, and element-wise passes over one chunk and over exactly two.
     #[test]
     fn threads_wrappers_match_sequential() {
-        let a = gaussian_matrix(300, 40, 7);
-        let b = gaussian_matrix(40, 24, 8);
-        assert_bits_eq(
-            &gemm_threads(&a, &b, 8).unwrap(),
-            &gemm(&a, &b).unwrap(),
-            "gemm_threads",
-        );
+        let products = [(300, 40, 24), (600, 2, 3)].map(|(m, k, n)| {
+            let (a, b) = (gaussian_matrix(m, k, 7), gaussian_matrix(k, n, 8));
+            let want = gemm(&a, &b).unwrap();
+            (a, b, want)
+        });
+        let tall = gaussian_matrix(200, 6, 33);
+        let (want_q, want_r) = crate::qr_thin(&tall).unwrap();
+        for policy in [DispatchPolicy::default(), DispatchPolicy::always_parallel()] {
+            for threads in [1, 2, 8] {
+                let what = format!("{policy:?} threads={threads}");
+                with_dispatch_policy(policy, || {
+                    for (a, b, want) in &products {
+                        assert_bits_eq(&gemm_threads(a, b, threads).unwrap(), want, &what);
+                    }
+                    let (q, r) = qr_thin_threads(&tall, threads).unwrap();
+                    assert_bits_eq(&q, &want_q, &what);
+                    assert_bits_eq(&r, &want_r, &what);
+                    for rows in [100, ELEM_CHUNK / 2] {
+                        let src = gaussian_matrix(rows, 4, 34);
+                        let mut seq = gaussian_matrix(rows, 4, 35);
+                        let mut par = seq.clone();
+                        seq.axpy(0.37, &src).unwrap();
+                        axpy_threads(&mut par, 0.37, &src, threads).unwrap();
+                        assert_bits_eq(&par, &seq, &what);
+                        seq.scale(-1.25);
+                        scale_threads(&mut par, -1.25, threads);
+                        assert_bits_eq(&par, &seq, &what);
+                    }
+                });
+            }
+        }
     }
 }

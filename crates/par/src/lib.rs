@@ -30,7 +30,9 @@
 //! task cost (see [`DispatchPolicy`]) routes below-cutoff work —
 //! and every call on a single-core host — through the inline path, the
 //! same code the parallel slots execute, attributed via the profiler's
-//! sequential-call accounting. Which path runs is a pure wall-clock
+//! sequential-call accounting. That decision is made here and nowhere
+//! else: callers pass the width they may use, at any problem size, and
+//! keep no size gates of their own. Which path runs is a pure wall-clock
 //! decision: results are bit-identical at every thread count and under
 //! every steal interleaving by construction, because work items partition
 //! only output indices and merges happen in index order on the caller.
@@ -57,18 +59,18 @@ mod profile;
 
 pub use pool::{prime_task_estimate, task_estimate, with_dispatch_policy, DispatchPolicy};
 pub use profile::{
-    install, phase_scope, record_seq, PoolCallRecord, PoolProfile, PoolProfiler, ProfilerGuard,
-    WorkerTimeline,
+    install, phase_scope, PoolCallRecord, PoolProfile, PoolProfiler, ProfilerGuard, WorkerTimeline,
 };
 
 use profile::CallMeter;
 use std::time::Instant;
 
-/// Raw view of the per-index result slots: each index is claimed exactly
-/// once across all pool slots, so each `Option<T>` cell is written by
-/// exactly one task and read only after the dispatch latch.
+/// Raw view of a call's output buffer: each index in `0..n` runs exactly
+/// once (inline, or claimed once from the range deques), so each cell is
+/// written by exactly one task, and the buffer's length is set only after
+/// the last one has returned.
 struct ResultSlots<T> {
-    ptr: *mut Option<T>,
+    ptr: *mut T,
 }
 
 unsafe impl<T: Send> Send for ResultSlots<T> {}
@@ -76,11 +78,47 @@ unsafe impl<T: Send> Sync for ResultSlots<T> {}
 
 impl<T> ResultSlots<T> {
     /// # Safety
-    /// `i` must be in bounds and claimed by exactly one task (the range
-    /// deques guarantee this), and the backing vec must outlive the
-    /// dispatch (the caller blocks on the completion latch).
+    /// `i` must be below the buffer's capacity and written by exactly one
+    /// task, and the buffer must outlive the call.
     unsafe fn store(&self, i: usize, value: T) {
-        unsafe { *self.ptr.add(i) = Some(value) };
+        unsafe { self.ptr.add(i).write(value) };
+    }
+}
+
+/// The one fan-out behind [`run_labeled`] and [`for_each_chunk_labeled`]:
+/// run `task(scratch, i)` once for every `i in 0..n`, inline on the caller
+/// or on the pool as the site's width decision says, then fold the measured
+/// per-task cost into the site's estimate and report the call to an
+/// installed profiler. Returns only after every index has run.
+fn fan_out<S, F>(site: &'static str, threads: usize, n: usize, task: F)
+where
+    S: Default + Send + 'static,
+    F: Fn(&mut S, usize) + Sync,
+{
+    let width = pool::parallel_width(site, threads, n);
+    let meter = CallMeter::begin(site);
+    let (work_ns, timelines) = if width <= 1 {
+        let t0 = Instant::now();
+        pool::with_scratch(|scratch: &mut S| (0..n).for_each(|i| task(scratch, i)));
+        (t0.elapsed().as_nanos() as u64, None)
+    } else {
+        let epoch = meter.as_ref().map(CallMeter::epoch);
+        let report = pool::dispatch(width, n, epoch, &|_slot, claimer, sm| {
+            pool::with_scratch(|scratch: &mut S| {
+                while let Some(i) = claimer.next() {
+                    sm.task(|| task(scratch, i));
+                }
+            });
+        });
+        (report.work_ns, Some(report.timelines))
+    };
+    if n > 0 {
+        pool::update_task_estimate(site, work_ns / n as u64);
+    }
+    match (meter, timelines) {
+        (Some(meter), Some(timelines)) => meter.finish(n as u64, timelines),
+        (Some(meter), None) => meter.finish_seq(n as u64),
+        (None, _) => {}
     }
 }
 
@@ -117,51 +155,24 @@ where
     S: Default + Send + 'static,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    let width = pool::parallel_width(site, threads, n);
-    if width <= 1 {
-        let meter = CallMeter::begin(site);
-        let t0 = Instant::now();
-        let out: Vec<T> =
-            pool::with_scratch(|scratch: &mut S| (0..n).map(|i| f(scratch, i)).collect());
-        if n > 0 {
-            pool::update_task_estimate(site, t0.elapsed().as_nanos() as u64 / n as u64);
-        }
-        if let Some(meter) = meter {
-            meter.finish_seq(n as u64);
-        }
-        return out;
-    }
-    let meter = CallMeter::begin(site);
-    let epoch = meter.as_ref().map(|m| m.epoch());
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    let mut results: Vec<T> = Vec::with_capacity(n);
     let slots = ResultSlots {
         ptr: results.as_mut_ptr(),
     };
-    let report = pool::dispatch(width, n, epoch, &|_slot, claimer, sm| {
-        pool::with_scratch(|scratch: &mut S| {
-            while let Some(i) = claimer.next() {
-                sm.task(|| {
-                    let out = f(scratch, i);
-                    // SAFETY: `i` came from the deques (in bounds, claimed
-                    // once); `results` outlives the dispatch.
-                    unsafe { slots.store(i, out) };
-                });
-            }
-        });
+    fan_out(site, threads, n, |scratch: &mut S, i| {
+        let out = f(scratch, i);
+        // SAFETY: `fan_out` runs each `i in 0..n` once, and `results`
+        // (capacity `n`) outlives it.
+        unsafe { slots.store(i, out) };
     });
-    pool::update_task_estimate(site, report.work_ns / n as u64);
-    if let Some(meter) = meter {
-        meter.finish(n as u64, report.timelines);
-    }
+    // SAFETY: `fan_out` returned, so all `n` cells are written; a panicking
+    // task unwinds past this line and leaks the cells stored before it.
+    unsafe { results.set_len(n) };
     results
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| slot.unwrap_or_else(|| panic!("task {i} produced no result")))
-        .collect()
 }
 
-/// Raw view of one pre-partitioned chunk, reconstructed by whichever slot
-/// claims its index.
+/// Raw view of one pre-partitioned chunk, reconstructed by whichever task
+/// runs its index.
 struct ChunkPart<T> {
     ptr: *mut T,
     len: usize,
@@ -186,24 +197,6 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let n = chunks.len();
-    let width = pool::parallel_width(site, threads, n);
-    if width <= 1 {
-        let meter = CallMeter::begin(site);
-        let t0 = Instant::now();
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            f(i, chunk);
-        }
-        if n > 0 {
-            pool::update_task_estimate(site, t0.elapsed().as_nanos() as u64 / n as u64);
-        }
-        if let Some(meter) = meter {
-            meter.finish_seq(n as u64);
-        }
-        return;
-    }
-    let meter = CallMeter::begin(site);
-    let epoch = meter.as_ref().map(|m| m.epoch());
     let parts: Vec<ChunkPart<T>> = chunks
         .into_iter()
         .map(|c| ChunkPart {
@@ -211,23 +204,14 @@ where
             len: c.len(),
         })
         .collect();
-    let report = pool::dispatch(width, n, epoch, &|_slot, claimer, sm| {
-        while let Some(i) = claimer.next() {
-            sm.task(|| {
-                let part = &parts[i];
-                // SAFETY: chunks are caller-guaranteed disjoint and index
-                // `i` is claimed by exactly one task, so this is the only
-                // live `&mut` over the chunk; the borrow ends before the
-                // dispatch latch releases the caller.
-                let chunk = unsafe { std::slice::from_raw_parts_mut(part.ptr, part.len) };
-                f(i, chunk);
-            });
-        }
+    fan_out(site, threads, parts.len(), |_: &mut (), i| {
+        let part = &parts[i];
+        // SAFETY: chunks are caller-guaranteed disjoint and index `i` runs
+        // exactly once, so this is the only live `&mut` over the chunk; the
+        // borrow ends before `fan_out` returns.
+        let chunk = unsafe { std::slice::from_raw_parts_mut(part.ptr, part.len) };
+        f(i, chunk);
     });
-    pool::update_task_estimate(site, report.work_ns / n as u64);
-    if let Some(meter) = meter {
-        meter.finish(n as u64, report.timelines);
-    }
 }
 
 #[cfg(test)]
@@ -401,7 +385,7 @@ mod tests {
             phase_scope("outer", || {
                 let _: Vec<usize> = run_labeled("site.a", 2, 8, |_: &mut (), i| i);
                 phase_scope("inner", || {
-                    record_seq("site.b", || {
+                    let _: Vec<()> = run_labeled("site.b", 1, 1, |_: &mut (), _| {
                         std::thread::sleep(std::time::Duration::from_micros(100))
                     });
                 });
@@ -418,7 +402,7 @@ mod tests {
             let outer = find("outer");
             let inner = find("inner");
             assert_eq!(outer.calls, 1, "pool call attributes to innermost scope");
-            assert_eq!(inner.seq_calls, 1, "record_seq attributes to its scope");
+            assert_eq!(inner.seq_calls, 1, "inline calls attribute to their scope");
             assert!(inner.scope_self_wall_ns > 0);
             // Outer self time excludes the nested scope entirely.
             assert!(outer.scope_self_wall_ns >= outer.wall_ns);
@@ -426,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_paths_record_seq_calls() {
+    fn inline_paths_count_as_seq_calls() {
         let prof = PoolProfiler::enabled();
         let _guard = install(&prof);
         let _: Vec<usize> = run_labeled("seq.site", 1, 16, |_: &mut (), i| i);

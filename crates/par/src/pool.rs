@@ -50,8 +50,8 @@
 //! estimate of its per-task wall cost (measured on every call, sequential
 //! or parallel); a call dispatches to the pool only when
 //! `estimated_task_ns × task_count` reaches the policy cutoff — below it
-//! the call runs inline on the caller (attributed through `record_seq`,
-//! so phase breakdowns still account for it). With an unknown estimate
+//! the call runs inline on the caller (recorded as a sequential call, so
+//! phase breakdowns still account for it). With an unknown estimate
 //! the call dispatches optimistically and the measurement adapts the next
 //! one. On a host without real parallelism the pool can never win, so the
 //! default [`DispatchPolicy`] also runs everything inline when
@@ -430,18 +430,9 @@ fn worker_main() {
                 st = pool.work.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        struct TaskFlag;
-        impl Drop for TaskFlag {
-            fn drop(&mut self) {
-                IN_POOL_TASK.with(|f| f.set(false));
-            }
-        }
-        IN_POOL_TASK.with(|f| f.set(true));
-        let flag = TaskFlag;
         // SAFETY: the caller blocks on the latch below before releasing
         // the closure, so the pointer is live for the whole call.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*call)(slot, park_ns) }));
-        drop(flag);
+        let result = in_pool_task(|| unsafe { (*call)(slot, park_ns) });
         // SAFETY: the caller cannot return until this slot signals.
         let sync = unsafe { &*sync };
         if let Err(payload) = result {
@@ -454,6 +445,15 @@ fn worker_main() {
         *fin += 1;
         sync.done.notify_all();
     }
+}
+
+/// Run a slot with this thread marked as inside a pool task (so nested
+/// pool calls run inline), catching its panic for the caller.
+fn in_pool_task(slot: impl FnOnce()) -> std::thread::Result<()> {
+    IN_POOL_TASK.with(|f| f.set(true));
+    let result = catch_unwind(AssertUnwindSafe(slot));
+    IN_POOL_TASK.with(|f| f.set(false));
+    result
 }
 
 /// Everything a dispatch measured, for estimates and profiling.
@@ -548,17 +548,7 @@ pub(crate) fn dispatch(
     // The caller is slot 0: it starts immediately (zero park) and steals
     // from slow-to-wake slots, so no call waits on the scheduler to make
     // progress.
-    struct TaskFlag;
-    impl Drop for TaskFlag {
-        fn drop(&mut self) {
-            IN_POOL_TASK.with(|f| f.set(false));
-        }
-    }
-    let caller_result = catch_unwind(AssertUnwindSafe(|| {
-        IN_POOL_TASK.with(|f| f.set(true));
-        let _flag = TaskFlag;
-        run_slot(0, 0);
-    }));
+    let caller_result = in_pool_task(|| run_slot(0, 0));
 
     // Revoke whatever slots no worker claimed, then wait for the claimed
     // ones. After the revocation `claimed` is final (claims happen under

@@ -39,9 +39,9 @@
 //!
 //! Attribution is by **label**: the innermost [`phase_scope`] on the
 //! calling thread if one is active (e.g. `"tsvd"`, `"topk"`), otherwise
-//! the call site's static label (e.g. `"linalg.gemm"`). Sequential
-//! fallbacks that bypass the pool entirely are attributed through
-//! [`record_seq`] so phase breakdowns still account for them.
+//! the call site's static label (e.g. `"linalg.gemm"`). Calls the pool
+//! runs inline are attributed the same way, as sequential calls, so phase
+//! breakdowns account for them too.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -59,7 +59,7 @@ const MAX_TASK_INTERVALS: usize = 64;
 pub struct PoolProfile {
     /// Parallel pool calls attributed to this label.
     pub calls: u64,
-    /// Sequential executions (inline pool path or [`record_seq`]).
+    /// Pool calls that ran inline on the caller.
     pub seq_calls: u64,
     /// Tasks executed (parallel tasks + sequential items).
     pub tasks: u64,
@@ -104,7 +104,7 @@ impl PoolProfile {
     /// the pool-call wall time (and any sequential work inside the scope),
     /// so the task component is the scope self time minus the non-work
     /// pool components. For bare call-site labels it is the wall-share of
-    /// execution plus sequential fallbacks.
+    /// execution plus inline calls.
     fn task_wall_ns(&self) -> u64 {
         if self.scope_calls > 0 {
             self.scope_self_wall_ns
@@ -261,7 +261,7 @@ impl PoolProfiler {
         self.inner.as_ref().map(|i| i.epoch)
     }
 
-    fn record_seq_ns(&self, label: &str, wall_ns: u64, tasks: u64) {
+    fn record_inline_ns(&self, label: &str, wall_ns: u64, tasks: u64) {
         let Some(inner) = &self.inner else { return };
         let mut st = inner.state.lock().unwrap();
         let p = st.labels.entry(label.to_string()).or_default();
@@ -388,8 +388,8 @@ impl ProfilerGuard {
 }
 
 /// Install `profiler` as the calling thread's ambient profiler for the
-/// lifetime of the returned guard. Pool entry points and [`phase_scope`] /
-/// [`record_seq`] invoked from this thread report into it; worker threads
+/// lifetime of the returned guard. Pool entry points and [`phase_scope`]
+/// invoked from this thread report into it; worker threads
 /// spawned by the pool do not inherit it.
 ///
 /// Nested installs are a **documented no-op**: if an enabled profiler is
@@ -458,8 +458,8 @@ impl Drop for ScopeGuard {
 
 /// Run `f` inside a named wall-clock phase.
 ///
-/// While the scope is active, pool calls and [`record_seq`] on this thread
-/// attribute to `label` instead of their call-site labels. The scope's
+/// While the scope is active, pool calls on this thread, inline or
+/// parallel, attribute to `label` instead of their call-site labels. The scope's
 /// *self* time (duration minus nested scopes) accrues to the label's
 /// profile. With no profiler installed this is a single thread-local read.
 pub fn phase_scope<R>(label: &'static str, f: impl FnOnce() -> R) -> R {
@@ -476,20 +476,6 @@ pub fn phase_scope<R>(label: &'static str, f: impl FnOnce() -> R) -> R {
     });
     let _guard = ScopeGuard;
     f()
-}
-
-/// Time a sequential computation that bypasses the pool (e.g. a
-/// below-threshold dense-kernel fallback), attributing it like a pool call
-/// would be: to the innermost phase scope, else to `label`.
-pub fn record_seq<R>(label: &'static str, f: impl FnOnce() -> R) -> R {
-    let Some(profiler) = active_profiler() else {
-        return f();
-    };
-    let t0 = Instant::now();
-    let out = f();
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    profiler.record_seq_ns(&current_label(label), wall_ns, 1);
-    out
 }
 
 // ---- hooks used by the pool entry points ----------------------------------
@@ -606,6 +592,6 @@ impl CallMeter {
     pub(crate) fn finish_seq(self, tasks: u64) {
         let call_ns = self.start.elapsed().as_nanos() as u64;
         self.profiler
-            .record_seq_ns(&self.label, call_ns, tasks.max(1));
+            .record_inline_ns(&self.label, call_ns, tasks.max(1));
     }
 }

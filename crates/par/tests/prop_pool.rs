@@ -8,7 +8,7 @@
 //! machinery is exercised deterministically even on single-core runners,
 //! where the default policy would (correctly) run everything inline.
 
-use omega_par::{install, phase_scope, record_seq, DispatchPolicy, PoolProfiler};
+use omega_par::{install, phase_scope, DispatchPolicy, PoolProfiler};
 use proptest::prelude::*;
 
 /// Deterministic busy work whose duration scales with `spin`.
@@ -86,8 +86,7 @@ proptest! {
     }
 
     /// Per-call stored timelines obey the same identity worker by worker,
-    /// and sequential fallbacks recorded through `record_seq` land in the
-    /// active scope's label.
+    /// and a call the pool runs inline lands in the active scope's label.
     #[test]
     fn call_records_and_seq_attribution(
         threads in 2usize..6,
@@ -99,7 +98,8 @@ proptest! {
             let _guard = install(&prof);
             phase_scope("outer", || {
                 let _ = omega_par::run(threads, n, |_: &mut (), i| busy(spin) ^ i as u64);
-                record_seq("fallback.site", || busy(spin));
+                let _: Vec<u64> =
+                    omega_par::run_labeled("fallback.site", 1, 1, |_: &mut (), _| busy(spin));
             });
         });
         let records = prof.call_records();
@@ -121,7 +121,7 @@ proptest! {
         }
         let steals: u64 = rec.workers.iter().map(|w| w.steals).sum();
         prop_assert!(steals <= n as u64);
-        // Both the pool call and the sequential fallback attribute to the
+        // Both the pool call and the inline call attribute to the
         // scope label, so the profile has exactly one entry.
         let profiles = prof.profiles();
         prop_assert_eq!(profiles.len(), 1);

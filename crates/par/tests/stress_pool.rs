@@ -10,7 +10,7 @@
 //!   wall`, wall-split partition) stay exact under stealing,
 //! * the adaptive sequential fallback pins its boundary behaviour
 //!   (single task, below cutoff, exactly at cutoff, unknown estimate)
-//!   with `record_seq` attribution firing on every inline path.
+//!   with sequential-call attribution firing on every inline path.
 //!
 //! Every pool-exercising test pins `DispatchPolicy::always_parallel()` so
 //! the machinery runs even on single-core hosts, where the default policy
@@ -167,7 +167,7 @@ fn single_task_always_runs_inline() {
         }
         let p = prof.total();
         assert_eq!(p.calls, 0, "a single task must never dispatch to the pool");
-        assert_eq!(p.seq_calls, 1, "record_seq attribution must fire");
+        assert_eq!(p.seq_calls, 1, "inline attribution must fire");
         assert_eq!(p.tasks, 1);
     });
 }

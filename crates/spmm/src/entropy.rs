@@ -6,8 +6,10 @@
 //! entropy `H`, low scatter factor `W_sca`) degrades the `get_dense_nnz`
 //! stream from sequential towards random bandwidth. Eq. 5 interpolates the
 //! two with the normalised entropy `Z(H)` and the bandwidth ratio
-//! `β = BW_rand / BW_seq`; Eq. 7 then rescales each thread's nnz budget so
-//! that *predicted times*, not nnz counts, equalise.
+//! `β = BW_rand / BW_seq`; Eq. 7 then sizes each thread's nnz budget so
+//! that *predicted times*, not nnz counts, equalise. That step lives in
+//! the allocator (`alloc.rs`, `allocate_eata`), which solves Eq. 7's fixed
+//! point directly instead of applying its one-step rescale.
 
 use omega_graph::normalized_entropy;
 use omega_hetmem::{AccessClass, AccessOp, AccessPattern, BandwidthModel, DeviceKind, Locality};
@@ -57,25 +59,6 @@ pub fn bandwidth_factor(z: f64, beta: f64) -> f64 {
 #[inline]
 pub fn affine_cost_factor(z: f64, beta: f64) -> f64 {
     1.0 + (1.0 / beta.max(1e-6) - 1.0) * z.clamp(0.0, 1.0)
-}
-
-/// The EaTA allocation weight `H · (1 − Z(H) + β·Z(H))` — the denominator /
-/// numerator of Eq. 7. Proportional to a workload's predicted running time
-/// per allocated nnz.
-pub fn eata_weight(h: f64, total_cols: u32, beta: f64) -> f64 {
-    let z = normalized_entropy(h, total_cols);
-    h * bandwidth_factor(z, beta)
-}
-
-/// Eq. 7: the optimal workload `W_i^p` given the initial `W_i`, the
-/// workload's entropy `h_i` and the target (running-average) entropy `h_p`.
-pub fn optimal_workload(w_i: u64, h_i: f64, h_p: f64, total_cols: u32, beta: f64) -> u64 {
-    let denom = eata_weight(h_i, total_cols, beta);
-    let numer = eata_weight(h_p, total_cols, beta);
-    if denom <= 0.0 || numer <= 0.0 {
-        return w_i;
-    }
-    ((w_i as f64) * numer / denom).round().max(1.0) as u64
 }
 
 /// Predicted per-thread cost of Eq. 2 in simulated seconds: index reads and
@@ -151,26 +134,6 @@ mod tests {
         assert!((bandwidth_factor(1.0, 0.4) - 0.4).abs() < 1e-12);
         let mid = bandwidth_factor(0.5, 0.4);
         assert!(mid > 0.4 && mid < 1.0);
-    }
-
-    #[test]
-    fn optimal_workload_shrinks_scattered_workloads() {
-        // High-entropy workload vs a lower-entropy target: Eq. 7 shrinks it.
-        let cols = 1000;
-        let h_high = (cols as f64).ln() * 0.9;
-        let h_low = (cols as f64).ln() * 0.3;
-        let w = optimal_workload(10_000, h_high, h_low, cols, 0.4);
-        assert!(w < 10_000, "w={w}");
-        // And grows compact ones.
-        let w2 = optimal_workload(10_000, h_low, h_high, cols, 0.4);
-        assert!(w2 > 10_000, "w2={w2}");
-    }
-
-    #[test]
-    fn optimal_workload_degenerate_inputs() {
-        assert_eq!(optimal_workload(100, 0.0, 1.0, 10, 0.4), 100);
-        assert_eq!(optimal_workload(100, 1.0, 0.0, 10, 0.4), 100);
-        assert!(optimal_workload(0, 1.0, 1.0, 10, 0.4) >= 1);
     }
 
     #[test]

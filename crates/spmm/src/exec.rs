@@ -307,11 +307,10 @@ impl SpmmEngine {
         // reorders the fixed-order merge downstream. Each worker recycles
         // one context across workloads; a reset context is observationally
         // identical to a fresh one.
-        let threads = self.wall_threads.min(plan.workloads.len().max(1));
         let panel = Panel::pack(plan.dense, batch.clone(), self.wall_threads);
         omega_par::run_labeled(
             "spmm.workload",
-            threads,
+            self.wall_threads,
             plan.workloads.len(),
             |slot: &mut Option<ThreadMem>, wi| {
                 let w = &plan.workloads[wi];

@@ -1,5 +1,6 @@
 //! Walker's alias method: O(n) construction, O(1) weighted sampling.
 
+use omega_graph::Csr;
 use rand::Rng;
 
 /// A pre-built table for sampling `0..n` with probabilities proportional to
@@ -46,6 +47,16 @@ impl AliasTable {
             prob[i] = 1.0;
         }
         AliasTable { prob, alias }
+    }
+
+    /// One table per node over its weighted out-edges; `None` at sinks.
+    pub(crate) fn per_node(graph: &Csr) -> Vec<Option<AliasTable>> {
+        (0..graph.rows())
+            .map(|v| {
+                let (_, w) = graph.row(v);
+                (!w.is_empty()).then(|| AliasTable::new(w))
+            })
+            .collect()
     }
 
     /// Draw one index.

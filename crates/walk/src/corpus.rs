@@ -1,4 +1,44 @@
-//! Skip-gram pair extraction from walk corpora.
+//! Walk corpora: generation on the shared pool and skip-gram pair
+//! extraction.
+
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+/// Walks per pool task. Fixed, so the tasks are the same at every width,
+/// and small, so the pool's stealing deques rebalance skewed walk lengths
+/// (hub-heavy regions and adaptive stops walk longer).
+const WALKS_PER_TASK: usize = 128;
+
+/// `walks_per_node` walks from every one of `nodes` nodes, in `(round,
+/// node)` order, on up to `threads` pool workers under the call-site label
+/// `site`. Walk `(round, v)` is `walk(v, rng)` with its own RNG seeded from
+/// `seed + (round << 32) + v`, so the corpus is identical at every width.
+pub(crate) fn generate_corpus(
+    site: &'static str,
+    nodes: u32,
+    walks_per_node: usize,
+    seed: u64,
+    threads: usize,
+    walk: impl Fn(u32, &mut SmallRng) -> Vec<u32> + Sync,
+) -> Vec<Vec<u32>> {
+    let n = nodes as usize;
+    let total = n * walks_per_node;
+    let tasks = total.div_ceil(WALKS_PER_TASK);
+    omega_par::run_labeled(site, threads, tasks, |_: &mut (), t| {
+        (t * WALKS_PER_TASK..((t + 1) * WALKS_PER_TASK).min(total))
+            .map(|idx| {
+                let (round, v) = (idx / n, (idx % n) as u32);
+                let walk_seed = seed
+                    .wrapping_add((round as u64) << 32)
+                    .wrapping_add(v as u64);
+                walk(v, &mut SmallRng::seed_from_u64(walk_seed))
+            })
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
 
 /// One (center, context) training pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

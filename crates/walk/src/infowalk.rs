@@ -9,9 +9,9 @@
 //! than DeepWalk-style systems for the same quality.
 
 use crate::alias::AliasTable;
+use crate::corpus::generate_corpus;
 use omega_graph::Csr;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 
 /// Information-oriented walk parameters.
@@ -50,13 +50,11 @@ pub struct InfoWalker<'g> {
 
 impl<'g> InfoWalker<'g> {
     pub fn new(graph: &'g Csr, cfg: InfoWalkConfig) -> InfoWalker<'g> {
-        let tables = (0..graph.rows())
-            .map(|v| {
-                let (_, w) = graph.row(v);
-                (!w.is_empty()).then(|| AliasTable::new(w))
-            })
-            .collect();
-        InfoWalker { graph, tables, cfg }
+        InfoWalker {
+            graph,
+            tables: AliasTable::per_node(graph),
+            cfg,
+        }
     }
 
     /// Shannon entropy of a visit-count multiset.
@@ -108,56 +106,18 @@ impl<'g> InfoWalker<'g> {
         walk
     }
 
-    /// Generate the adaptive corpus (deterministic in the seed).
-    pub fn generate_all(&self) -> Vec<Vec<u32>> {
-        let n = self.graph.rows();
-        let mut walks = Vec::with_capacity(n as usize * self.cfg.walks_per_node);
-        for round in 0..self.cfg.walks_per_node {
-            for v in 0..n {
-                let mut rng = SmallRng::seed_from_u64(
-                    self.cfg
-                        .seed
-                        .wrapping_add((round as u64) << 32)
-                        .wrapping_add(v as u64),
-                );
-                walks.push(self.walk_from(v, &mut rng));
-            }
-        }
-        walks
-    }
-
-    /// Generate the adaptive corpus on the shared [`omega_par`] worker
-    /// pool. Identical output to [`InfoWalker::generate_all`] at every
-    /// worker count — per-walk seeding makes the index space freely
-    /// partitionable, and chunks merge in index order. Chunks are capped
-    /// well below `total / workers`: adaptive walk lengths are exactly the
-    /// skew the pool's work-stealing deques are there to rebalance.
-    pub fn generate_all_parallel(&self, workers: usize) -> Vec<Vec<u32>> {
-        let n = self.graph.rows() as usize;
-        let total = n * self.cfg.walks_per_node;
-        let workers = workers.max(1).min(total.max(1));
-        let chunk = total.div_ceil(workers).clamp(1, 128);
-        let tasks = total.div_ceil(chunk);
-        omega_par::run_labeled("walk.infowalk", workers, tasks, |_: &mut (), w| {
-            let start = w * chunk;
-            let end = ((w + 1) * chunk).min(total);
-            (start..end)
-                .map(|idx| {
-                    let round = idx / n;
-                    let v = (idx % n) as u32;
-                    let mut rng = SmallRng::seed_from_u64(
-                        self.cfg
-                            .seed
-                            .wrapping_add((round as u64) << 32)
-                            .wrapping_add(v as u64),
-                    );
-                    self.walk_from(v, &mut rng)
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+    /// Generate the adaptive corpus on up to `threads` pool workers:
+    /// deterministic in the seed and identical at every width.
+    pub fn generate_all(&self, threads: usize) -> Vec<Vec<u32>> {
+        let cfg = &self.cfg;
+        generate_corpus(
+            "walk.infowalk",
+            self.graph.rows(),
+            cfg.walks_per_node,
+            cfg.seed,
+            threads,
+            |v, rng| self.walk_from(v, rng),
+        )
     }
 }
 
@@ -170,7 +130,7 @@ mod tests {
     fn adaptive_walks_are_shorter_than_the_cap() {
         let g = RmatConfig::social(512, 4_000, 6).generate_csr().unwrap();
         let w = InfoWalker::new(&g, InfoWalkConfig::default());
-        let walks = w.generate_all();
+        let walks = w.generate_all(1);
         let total: usize = walks.iter().map(|w| w.len()).sum();
         let avg = total as f64 / walks.len() as f64;
         assert!(
@@ -208,7 +168,7 @@ mod tests {
         };
         let avg = |g: &Csr| {
             let w = InfoWalker::new(g, cfg);
-            let walks = w.generate_all();
+            let walks = w.generate_all(1);
             walks.iter().map(|w| w.len()).sum::<usize>() as f64 / walks.len() as f64
         };
         assert!(
@@ -221,20 +181,16 @@ mod tests {
     fn deterministic() {
         let g = RmatConfig::social(128, 600, 2).generate_csr().unwrap();
         let w = InfoWalker::new(&g, InfoWalkConfig::default());
-        assert_eq!(w.generate_all(), w.generate_all());
+        assert_eq!(w.generate_all(1), w.generate_all(1));
     }
 
     #[test]
     fn parallel_generation_matches_serial() {
         let g = RmatConfig::social(150, 900, 8).generate_csr().unwrap();
         let w = InfoWalker::new(&g, InfoWalkConfig::default());
-        let serial = w.generate_all();
+        let serial = w.generate_all(1);
         for workers in [1, 2, 5, 16] {
-            assert_eq!(
-                w.generate_all_parallel(workers),
-                serial,
-                "{workers} workers"
-            );
+            assert_eq!(w.generate_all(workers), serial, "{workers} workers");
         }
     }
 

@@ -140,7 +140,7 @@ mod tests {
         let sbm = SbmConfig::assortative(120, 4);
         let g = sbm.generate_csr().unwrap();
         let walker = Walker::new(&g, WalkConfig::deepwalk(4, 10, 2));
-        let walks = walker.generate_all();
+        let walks = walker.generate_all(1);
         let pairs = pairs_from_walks(&walks, 3);
         let unigram = unigram_counts(&walks, 120);
 
@@ -172,7 +172,7 @@ mod tests {
         let g = sbm.generate_csr().unwrap();
         let labels = sbm.labels();
         let walker = Walker::new(&g, WalkConfig::deepwalk(6, 12, 3));
-        let walks = walker.generate_all();
+        let walks = walker.generate_all(1);
         let pairs = pairs_from_walks(&walks, 3);
         let unigram = unigram_counts(&walks, 120);
         let mut model = SgnsModel::new(

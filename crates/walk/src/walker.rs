@@ -2,9 +2,9 @@
 //! second-order (node2vec) walks.
 
 use crate::alias::AliasTable;
+use crate::corpus::generate_corpus;
 use omega_graph::Csr;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 /// Walk-generation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,7 +46,7 @@ impl WalkConfig {
 ///
 /// let g = RmatConfig::social(128, 800, 2).generate_csr().unwrap();
 /// let walker = Walker::new(&g, WalkConfig::deepwalk(2, 10, 9));
-/// let walks = walker.generate_all();
+/// let walks = walker.generate_all(1);
 /// assert_eq!(walks.len(), 128 * 2);
 /// assert!(walks.iter().all(|w| w.len() <= 10));
 /// ```
@@ -59,14 +59,11 @@ pub struct Walker<'g> {
 
 impl<'g> Walker<'g> {
     pub fn new(graph: &'g Csr, cfg: WalkConfig) -> Walker<'g> {
-        // Per-node alias tables over (weighted) neighbours.
-        let tables = (0..graph.rows())
-            .map(|v| {
-                let (_, w) = graph.row(v);
-                (!w.is_empty()).then(|| AliasTable::new(w))
-            })
-            .collect();
-        Walker { graph, tables, cfg }
+        Walker {
+            graph,
+            tables: AliasTable::per_node(graph),
+            cfg,
+        }
     }
 
     /// One walk from `start`. Stops early at sink nodes.
@@ -114,59 +111,19 @@ impl<'g> Walker<'g> {
         neigh[AliasTable::new(&biased).sample(rng)]
     }
 
-    /// Generate the full corpus: `walks_per_node` walks from every node,
-    /// deterministic in the seed.
-    pub fn generate_all(&self) -> Vec<Vec<u32>> {
-        let n = self.graph.rows();
-        let mut walks = Vec::with_capacity(n as usize * self.cfg.walks_per_node);
-        for round in 0..self.cfg.walks_per_node {
-            for v in 0..n {
-                let mut rng = SmallRng::seed_from_u64(
-                    self.cfg
-                        .seed
-                        .wrapping_add((round as u64) << 32)
-                        .wrapping_add(v as u64),
-                );
-                walks.push(self.walk_from(v, &mut rng));
-            }
-        }
-        walks
-    }
-
-    /// Generate the corpus on the shared [`omega_par`] worker pool.
-    /// Identical output to [`Walker::generate_all`] at every worker count:
-    /// each walk's RNG is seeded from its `(round, node)` index, so
-    /// partitioning the walk index space is free, and chunks are merged in
-    /// index order. Chunks are capped well below `total / workers` so the
-    /// pool's work-stealing deques can rebalance skewed walk lengths
-    /// (hub-heavy regions walk slower) instead of waiting on the slowest
-    /// fixed partition.
-    pub fn generate_all_parallel(&self, workers: usize) -> Vec<Vec<u32>> {
-        let n = self.graph.rows() as usize;
-        let total = n * self.cfg.walks_per_node;
-        let workers = workers.max(1).min(total.max(1));
-        let chunk = total.div_ceil(workers).clamp(1, 128);
-        let tasks = total.div_ceil(chunk);
-        omega_par::run_labeled("walk.generate", workers, tasks, |_: &mut (), w| {
-            let start = w * chunk;
-            let end = ((w + 1) * chunk).min(total);
-            (start..end)
-                .map(|idx| {
-                    let round = idx / n;
-                    let v = (idx % n) as u32;
-                    let mut rng = SmallRng::seed_from_u64(
-                        self.cfg
-                            .seed
-                            .wrapping_add((round as u64) << 32)
-                            .wrapping_add(v as u64),
-                    );
-                    self.walk_from(v, &mut rng)
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+    /// Generate the full corpus, `walks_per_node` walks from every node,
+    /// on up to `threads` pool workers: deterministic in the seed and
+    /// identical at every width.
+    pub fn generate_all(&self, threads: usize) -> Vec<Vec<u32>> {
+        let cfg = &self.cfg;
+        generate_corpus(
+            "walk.generate",
+            self.graph.rows(),
+            cfg.walks_per_node,
+            cfg.seed,
+            threads,
+            |v, rng| self.walk_from(v, rng),
+        )
     }
 }
 
@@ -174,6 +131,7 @@ impl<'g> Walker<'g> {
 mod tests {
     use super::*;
     use omega_graph::{GraphBuilder, RmatConfig};
+    use rand::SeedableRng;
 
     fn path_graph() -> Csr {
         let mut b = GraphBuilder::new(5);
@@ -187,7 +145,7 @@ mod tests {
     fn walks_follow_edges() {
         let g = RmatConfig::social(256, 2_000, 3).generate_csr().unwrap();
         let w = Walker::new(&g, WalkConfig::deepwalk(2, 10, 5));
-        for walk in w.generate_all() {
+        for walk in w.generate_all(1) {
             assert!(!walk.is_empty() && walk.len() <= 10);
             for pair in walk.windows(2) {
                 assert!(
@@ -205,8 +163,8 @@ mod tests {
         let g = path_graph();
         let cfg = WalkConfig::deepwalk(3, 6, 9);
         let w = Walker::new(&g, cfg);
-        let a = w.generate_all();
-        let b = w.generate_all();
+        let a = w.generate_all(1);
+        let b = w.generate_all(1);
         assert_eq!(a, b);
         assert_eq!(a.len(), 5 * 3);
     }
@@ -225,13 +183,9 @@ mod tests {
     fn parallel_generation_matches_serial() {
         let g = RmatConfig::social(200, 1_500, 4).generate_csr().unwrap();
         let w = Walker::new(&g, WalkConfig::deepwalk(3, 8, 11));
-        let serial = w.generate_all();
+        let serial = w.generate_all(1);
         for workers in [1, 2, 5, 16] {
-            assert_eq!(
-                w.generate_all_parallel(workers),
-                serial,
-                "{workers} workers"
-            );
+            assert_eq!(w.generate_all(workers), serial, "{workers} workers");
         }
     }
 
@@ -249,7 +203,7 @@ mod tests {
                 seed: 7,
             };
             let w = Walker::new(&g, cfg);
-            let walks = w.generate_all();
+            let walks = w.generate_all(1);
             let total: u32 = walks
                 .iter()
                 .filter(|wk| wk[0] == 0)

@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 seed: 5,
             },
         );
-        let walks = walker.generate_all();
+        let walks = walker.generate_all(1);
         let pairs = pairs_from_walks(&walks, 4);
         let unigram = omega_walk::unigram_counts(&walks, graph.rows());
         let mut model = SgnsModel::new(

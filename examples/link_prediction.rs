@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // DeepWalk baseline: walks + skip-gram negative sampling.
     let walker = Walker::new(&train, WalkConfig::deepwalk(6, 20, 3));
-    let walks = walker.generate_all();
+    let walks = walker.generate_all(1);
     let pairs = pairs_from_walks(&walks, 4);
     let unigram = omega_walk::unigram_counts(&walks, train.rows());
     let mut sgns = SgnsModel::new(

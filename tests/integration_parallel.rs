@@ -224,17 +224,17 @@ fn walk_corpora_identical_across_worker_counts() {
     use omega_walk::{InfoWalkConfig, InfoWalker, WalkConfig, Walker};
     let csr = RmatConfig::social(300, 2_500, 23).generate_csr().unwrap();
     let walker = Walker::new(&csr, WalkConfig::deepwalk(3, 10, 7));
-    let serial = walker.generate_all();
+    let serial = walker.generate_all(1);
     let info = InfoWalker::new(&csr, InfoWalkConfig::default());
-    let info_serial = info.generate_all();
+    let info_serial = info.generate_all(1);
     for threads in THREAD_COUNTS {
         assert_eq!(
-            walker.generate_all_parallel(threads),
+            walker.generate_all(threads),
             serial,
             "walk corpus drifted at workers={threads}"
         );
         assert_eq!(
-            info.generate_all_parallel(threads),
+            info.generate_all(threads),
             info_serial,
             "info-walk corpus drifted at workers={threads}"
         );
