@@ -49,7 +49,8 @@ const USAGE: &str = "usage:
                      [--threads T] [--rows-per-shard R]
                      [--cache-shards C] [--batch B] [--cold pm|ssd]
                      [--topk-fraction F] [--k K] [--no-admission]
-                     [--ivf-nlist L] [--ivf-nprobe P] (0 = auto)
+                     [--ivf-nlist L] [--ivf-nprobe P] (0 = auto;
+                     both need --topk-fraction above 0)
                      [--fault-plan <file>]
                      [--trace-out <file>] [--metrics-out <file>]
                      [--profile-out <file>]
@@ -192,6 +193,14 @@ mod tests {
                 "drop them with --input",
             ),
             (
+                &["serve", "--ivf-nlist", "0", "--ivf-nprobe", "0"],
+                "give --topk-fraction above 0",
+            ),
+            (
+                &["serve", "--ivf-nprobe", "4", "--topk-fraction", "0"],
+                "give --topk-fraction above 0",
+            ),
+            (
                 &["stats", "--input", "unread.txt", "--top", "3"],
                 "stats does not take --top",
             ),
@@ -323,6 +332,28 @@ mod tests {
         let counter = counter(&std::fs::read_to_string(&metrics).unwrap());
         assert!(counter("serve.ivf.queries") > 0.0);
         assert!(counter("serve.ivf.list.cold.bytes") > 0.0);
+    }
+
+    /// A word2vec header whose table could not be in the file is refused
+    /// with the parse error, not by a capacity-overflow panic or an
+    /// allocation abort.
+    #[test]
+    fn serve_refuses_an_embedding_header_past_its_file() {
+        let dir = std::env::temp_dir().join("omega_cli_header_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, header) in [
+            ("overflow", "4000000000 4000000000"),
+            ("terabytes", "3 1000000000000"),
+        ] {
+            let path = dir.join(format!("{name}.txt"));
+            std::fs::write(&path, format!("{header}\n0 1 2\n")).unwrap();
+            let path = path.to_str().unwrap();
+            let err = run(&s(&["serve", "--requests", "10", "--input", path])).unwrap_err();
+            assert!(
+                err.contains("not a word2vec-text embedding"),
+                "{header}: {err}"
+            );
+        }
     }
 
     /// A fault factor too large for the clock stops it at its end instead of

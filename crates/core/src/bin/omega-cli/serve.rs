@@ -29,6 +29,11 @@ pub(crate) fn run(mut opts: Opts) -> Result<(), String> {
         ..Outputs::parse(&mut opts)?
     };
     let so = ServingOpts::parse(opts, 64, 0.0)?;
+    if ivf.is_some() && so.topk_fraction == 0.0 {
+        return Err(
+            "--ivf-nlist/--ivf-nprobe index the top-k queries; give --topk-fraction above 0".into(),
+        );
+    }
 
     let emb = match input {
         Some(path) => {

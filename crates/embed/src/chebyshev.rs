@@ -305,7 +305,7 @@ mod tests {
                     }
                     let a = m.row_copied(u);
                     let b = m.row_copied(v);
-                    let cos = omega_linalg::ops::cosine(&a, &b) as f64;
+                    let cos = omega_linalg::kernels::cosine(&a, &b) as f64;
                     if labels[u] == labels[v] {
                         same += cos;
                         ns += 1;

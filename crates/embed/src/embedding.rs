@@ -297,24 +297,35 @@ impl Embedding {
         out
     }
 
-    /// Parse the word2vec text format.
+    /// Parse the word2vec text format: a `nodes d` header, then one row per
+    /// node, its id and `d` values. `None` unless every id below `nodes`
+    /// has exactly one row. A header whose table could not fit in the text
+    /// (every id and value takes at least two bytes) is refused before
+    /// anything is allocated.
     pub fn parse(text: &str) -> Option<Embedding> {
         let mut lines = text.lines();
         let mut header = lines.next()?.split_whitespace();
         let nodes: u32 = header.next()?.parse().ok()?;
         let d: usize = header.next()?.parse().ok()?;
+        let tokens = (nodes as usize).checked_mul(d.checked_add(1)?)?;
+        if tokens.checked_mul(2)? > text.len() {
+            return None;
+        }
         let mut data = vec![0f32; nodes as usize * d];
+        let mut seen = vec![false; nodes as usize];
         for line in lines {
             let mut parts = line.split_whitespace();
             let v: usize = parts.next()?.parse().ok()?;
-            if v >= nodes as usize {
+            if std::mem::replace(seen.get_mut(v)?, true) {
                 return None;
             }
             for i in 0..d {
                 data[v * d + i] = parts.next()?.parse().ok()?;
             }
         }
-        Some(Embedding { nodes, d, data })
+        seen.iter()
+            .all(|&s| s)
+            .then_some(Embedding { nodes, d, data })
     }
 
     /// Payload bytes.
@@ -616,6 +627,22 @@ mod tests {
         assert!(Embedding::parse("").is_none());
         assert!(Embedding::parse("2 2\n5 1 2\n").is_none()); // id out of range
         assert!(Embedding::parse("1 2\n0 1\n").is_none()); // short row
+    }
+
+    /// Headers whose table cannot be in the text are refused before the
+    /// table is allocated: one that overflows `nodes × (d + 1)` bytes and one
+    /// that asks for terabytes; and a table with a node missing or listed
+    /// twice is refused, not served with zero rows.
+    #[test]
+    fn parse_refuses_hostile_headers_and_missing_or_repeated_rows() {
+        assert!(Embedding::parse("4000000000 4000000000\n0 1 2\n").is_none());
+        assert!(Embedding::parse("3 1000000000000\n0 1 2\n").is_none());
+        assert!(Embedding::parse("3 2\n0 1 2\n").is_none());
+        assert!(Embedding::parse("2 1\n0 1\n0 2\n").is_none());
+        assert!(Embedding::parse("2 1\n1 1\n1 2\n").is_none());
+        let e = Embedding::parse("2 1\n1 1\n0 2").unwrap();
+        assert_eq!((e.vector(0), e.vector(1)), (&[2.0][..], &[1.0][..]));
+        assert_eq!(Embedding::parse("0 5\n").unwrap().nodes(), 0);
     }
 
     #[test]

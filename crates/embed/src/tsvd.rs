@@ -153,7 +153,7 @@ mod tests {
     use super::*;
     use omega_graph::{Csdb, RmatConfig};
     use omega_hetmem::{MemSystem, Topology};
-    use omega_linalg::gemm_tn;
+    use omega_linalg::gram_threads;
     use omega_spmm::SpmmConfig;
 
     fn engine() -> SpmmEngine {
@@ -216,7 +216,7 @@ mod tests {
         )
         .unwrap();
         // U columns orthonormal => embedding gram is ~diag(σ).
-        let gram = gemm_tn(&out.embedding, &out.embedding).unwrap();
+        let gram = gram_threads(&out.embedding, 1);
         for i in 0..8 {
             for j in 0..8 {
                 if i != j {

@@ -1,70 +1,15 @@
-//! Dense matrix-matrix products.
+//! The tile routine of the dense `AᵀB` products.
 //!
-//! Simple cache-aware loops are sufficient here: all dense-dense products in
-//! ProNE involve at least one small (`d × d` or `n × d`, `d ≤ 256`)
+//! Simple cache-aware loops are sufficient for the dense products in
+//! ProNE: each involves at least one small (`d × d` or `n × d`, `d ≤ 256`)
 //! operand; the heavy kernel is the *sparse* SpMM in `omega-spmm`. The one
 //! product whose every element is a long reduction — `AᵀB` over tall
-//! operands — runs through a 4 × 4 register tile ([`gemm_tn`], [`gram`]).
+//! operands, in practice the Gram matrix `AᵀA` of
+//! [`gram_threads`](crate::gram_threads) — runs through a 4 × 4 register
+//! tile, [`gemm_tn_cols`], which the pooled panels of `par` call.
 
 use crate::matrix::DenseMatrix;
-use crate::{LinalgError, Result};
 use std::ops::Range;
-
-/// `C = A · B`.
-pub fn gemm(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-    if a.cols() != b.rows() {
-        return Err(LinalgError::ShapeMismatch {
-            left: a.shape(),
-            right: b.shape(),
-        });
-    }
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = DenseMatrix::zeros(m, n);
-    // Column-major friendly order: for each output column, accumulate
-    // columns of A scaled by B's entries (axpy formulation).
-    for j in 0..n {
-        let bj = b.col(j);
-        let cj = c.col_mut(j);
-        for (l, &blj) in bj.iter().enumerate().take(k) {
-            if blj == 0.0 {
-                continue;
-            }
-            let al = a.col(l);
-            for i in 0..m {
-                cj[i] += al[i] * blj;
-            }
-        }
-    }
-    Ok(c)
-}
-
-/// `C = Aᵀ · B` without materialising the transpose (the Gram-style product
-/// used by randomized SVD: both operands are tall and skinny). Element
-/// `(i, j)` is the strictly sequential sum `Σ_l a[l, i] · b[l, j]`, one
-/// rounded multiply and one rounded add per step.
-pub fn gemm_tn(a: &DenseMatrix, b: &DenseMatrix) -> Result<DenseMatrix> {
-    if a.rows() != b.rows() {
-        return Err(LinalgError::ShapeMismatch {
-            left: a.shape(),
-            right: b.shape(),
-        });
-    }
-    let mut c = DenseMatrix::zeros(a.cols(), b.cols());
-    gemm_tn_cols(a, b, 0..b.cols(), false, c.data_mut());
-    Ok(c)
-}
-
-/// The Gram matrix `AᵀA`, bit-identical to `gemm_tn(a, a)` at half the
-/// work: only the tiles on and above the diagonal are computed and the rest
-/// is mirrored — `x · y` and `y · x` round to the same f32, and element
-/// `(j, i)` sums the same products in the same order as `(i, j)`.
-pub fn gram(a: &DenseMatrix) -> DenseMatrix {
-    let n = a.cols();
-    let mut c = DenseMatrix::zeros(n, n);
-    gemm_tn_cols(a, a, 0..n, true, c.data_mut());
-    mirror_upper(&mut c);
-    c
-}
 
 /// Edge of the register tile of [`tile_tn`].
 const TILE: usize = 4;
@@ -91,11 +36,11 @@ fn tile_tn(a: [&[f32]; TILE], b: [&[f32]; TILE]) -> [[f32; TILE]; TILE] {
 }
 
 /// Columns `cols` of `AᵀB` into `out` (column-major, `a.cols()` rows per
-/// column), tile by tile — the one routine behind [`gemm_tn`], [`gram`] and
-/// their blocked parallel forms. With `upper`, a column's tiles stop at the
-/// one that holds its diagonal element and the rows below stay as they
-/// were. A ragged last tile repeats its final column to stay 4 × 4 and
-/// drops the copies.
+/// column), tile by tile — the one routine behind every `AᵀB` panel and so
+/// behind [`gram_threads`](crate::gram_threads). With `upper`, a column's
+/// tiles stop at the one that holds its diagonal element and the rows
+/// below stay as they were. A ragged last tile repeats its final column to
+/// stay 4 × 4 and drops the copies.
 pub(crate) fn gemm_tn_cols(
     a: &DenseMatrix,
     b: &DenseMatrix,
@@ -135,12 +80,13 @@ pub(crate) fn mirror_upper(c: &mut DenseMatrix) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm_threads;
 
     #[test]
     fn gemm_small_known_product() {
         let a = DenseMatrix::from_row_major(2, 3, &[1., 2., 3., 4., 5., 6.]).unwrap();
         let b = DenseMatrix::from_row_major(3, 2, &[7., 8., 9., 10., 11., 12.]).unwrap();
-        let c = gemm(&a, &b).unwrap();
+        let c = gemm_threads(&a, &b, 1).unwrap();
         assert_eq!(c.shape(), (2, 2));
         assert_eq!(c[(0, 0)], 58.0);
         assert_eq!(c[(0, 1)], 64.0);
@@ -152,16 +98,17 @@ mod tests {
     fn gemm_identity_is_noop() {
         let a = DenseMatrix::from_row_major(2, 2, &[1., 2., 3., 4.]).unwrap();
         let i = DenseMatrix::identity(2);
-        assert_eq!(gemm(&a, &i).unwrap(), a);
-        assert_eq!(gemm(&i, &a).unwrap(), a);
+        assert_eq!(gemm_threads(&a, &i, 1).unwrap(), a);
+        assert_eq!(gemm_threads(&i, &a, 1).unwrap(), a);
     }
 
     #[test]
     fn gemm_tn_matches_explicit_transpose() {
         let a = DenseMatrix::from_row_major(3, 2, &[1., 2., 3., 4., 5., 6.]).unwrap();
         let b = DenseMatrix::from_row_major(3, 2, &[7., 8., 9., 10., 11., 12.]).unwrap();
-        let via_t = gemm(&a.transposed(), &b).unwrap();
-        let direct = gemm_tn(&a, &b).unwrap();
+        let via_t = gemm_threads(&a.transposed(), &b, 1).unwrap();
+        let mut direct = DenseMatrix::zeros(2, 2);
+        gemm_tn_cols(&a, &b, 0..2, false, direct.data_mut());
         assert!(direct.max_abs_diff(&via_t) < 1e-5);
     }
 
@@ -169,8 +116,6 @@ mod tests {
     fn shape_mismatch_rejected() {
         let a = DenseMatrix::zeros(2, 3);
         let b = DenseMatrix::zeros(2, 3);
-        assert!(gemm(&a, &b).is_err());
-        let c = DenseMatrix::zeros(3, 1);
-        assert!(gemm_tn(&a, &c).is_err());
+        assert!(gemm_threads(&a, &b, 1).is_err());
     }
 }

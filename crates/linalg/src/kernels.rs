@@ -135,12 +135,13 @@ fn reduce8(l: [f32; 8]) -> f32 {
 
 /// Euclidean norm through the lane-reduced [`dot`].
 #[inline]
-pub fn norm2(a: &[f32]) -> f32 {
+fn norm2(a: &[f32]) -> f32 {
     dot(a, a).sqrt()
 }
 
-/// Cosine similarity through the lane-reduced [`dot`] (0 when either vector
-/// is zero), mirroring `ops::cosine`'s formula exactly.
+/// Cosine similarity through the lane-reduced [`dot`]: `a · b / (|a| |b|)`,
+/// each norm the square root of the vector's own `dot`, and 0 when either
+/// vector is zero.
 #[inline]
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     let na = norm2(a);
@@ -852,6 +853,14 @@ mod tests {
         assert_eq!(dots.len(), 2);
         dot_scores_into(&queries, &[], d, &mut dots);
         assert!(dots.is_empty());
+    }
+
+    #[test]
+    fn cosine_similarity() {
+        assert!((cosine(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-6);
+        assert!(cosine(&[1.0, 0.0], &[0.0, 1.0]).abs() < 1e-6);
+        assert!((cosine(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-6);
+        assert_eq!(cosine(&[0.0], &[1.0]), 0.0);
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! [`kernels`] holds the blocked, lane-unrolled f32 hot loops (dense dot,
 //! sparse gather-dot and its eight-column strip form, scoring a block
 //! against a set of queries) shared by the serving scan, the embedding top-k and the SpMM
-//! accumulation step. The `*_threads` and `*_blocked` functions are the
-//! deterministic parallel counterparts of the big dense routines (blocked
-//! GEMM/GEMM-TN, the symmetric Gram, chunked axpy/scale, column-parallel QR
-//! and tall SVD), bit-identical to the sequential kernels at every thread
-//! count.
+//! accumulation step. Each dense operation has one entry point, a
+//! `*_threads` function on the shared pool (row-panelled GEMM, the
+//! symmetric Gram, chunked axpy/scale, column-parallel QR and the tall
+//! SVD): it takes a width, gives the same bits at every width, and at
+//! width 1 is the sequential routine. [`svd_jacobi`] is the small dense
+//! SVD they build on, and [`ops::normalize`] the row normalisation of the
+//! embedding code.
 //!
 //! **No contraction.** Every sum in this crate is a stated sequence of
 //! steps, each one rounded f32 multiply followed by one rounded f32 add.
@@ -35,6 +37,9 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
+#[cfg(test)]
+#[path = "../tests/by_definition/mod.rs"]
+mod by_definition;
 mod gemm;
 pub mod kernels;
 mod matrix;
@@ -44,13 +49,10 @@ mod qr;
 mod random;
 mod svd;
 
-pub use gemm::{gemm, gemm_tn, gram};
 pub use matrix::DenseMatrix;
 pub use par::{
-    axpy_threads, gemm_blocked, gemm_threads, gemm_tn_blocked, gram_threads, qr_thin_threads,
-    scale_threads, svd_tall_threads,
+    axpy_threads, gemm_threads, gram_threads, qr_thin_threads, scale_threads, svd_tall_threads,
 };
-pub use qr::qr_thin;
 pub use random::gaussian_matrix;
 pub use svd::{svd_jacobi, Svd};
 

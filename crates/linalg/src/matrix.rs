@@ -144,27 +144,6 @@ impl DenseMatrix {
         transpose_tiles(block, self.rows, rows, cols.len(), out, stride);
     }
 
-    /// Element-wise `self + alpha * other`.
-    pub fn axpy(&mut self, alpha: f32, other: &DenseMatrix) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
-    /// Scale in place.
-    pub fn scale(&mut self, alpha: f32) {
-        for v in &mut self.data {
-            *v *= alpha;
-        }
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data.iter().map(|&v| v * v).sum::<f32>().sqrt()
@@ -315,14 +294,15 @@ mod tests {
 
     #[test]
     fn axpy_and_scale() {
+        use crate::{axpy_threads, scale_threads};
         let mut a = DenseMatrix::identity(2);
         let b = DenseMatrix::identity(2);
-        a.axpy(2.0, &b).unwrap();
+        axpy_threads(&mut a, 2.0, &b, 1).unwrap();
         assert_eq!(a[(0, 0)], 3.0);
-        a.scale(0.5);
+        scale_threads(&mut a, 0.5, 1);
         assert_eq!(a[(1, 1)], 1.5);
         let c = DenseMatrix::zeros(3, 2);
-        assert!(a.axpy(1.0, &c).is_err());
+        assert!(axpy_threads(&mut a, 1.0, &c, 1).is_err());
     }
 
     #[test]

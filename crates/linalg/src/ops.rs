@@ -1,33 +1,13 @@
-//! Vector primitives shared by the QR/SVD routines and the embedding code.
+//! The sequential vector norm of the QR reflectors and the Jacobi SVD, and
+//! the row normalisation of the embedding code.
 
-/// Dot product.
+/// Euclidean norm: the square root of `Σ a[i]²` summed in index order,
+/// one rounded multiply and one rounded add per step. The QR and SVD
+/// results, and so the goldens, pin that order; `kernels::dot` sums in
+/// eight lanes instead.
 #[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-}
-
-/// Euclidean norm.
-#[inline]
-pub fn norm2(a: &[f32]) -> f32 {
-    dot(a, a).sqrt()
-}
-
-/// `y += alpha * x`.
-#[inline]
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Scale a vector in place.
-#[inline]
-pub fn scale(alpha: f32, x: &mut [f32]) {
-    for v in x {
-        *v *= alpha;
-    }
+pub(crate) fn norm2(a: &[f32]) -> f32 {
+    a.iter().map(|&x| x * x).sum::<f32>().sqrt()
 }
 
 /// Normalise to unit length; returns the original norm. Zero vectors are
@@ -35,39 +15,29 @@ pub fn scale(alpha: f32, x: &mut [f32]) {
 pub fn normalize(x: &mut [f32]) -> f32 {
     let n = norm2(x);
     if n > 0.0 {
-        scale(1.0 / n, x);
+        let alpha = 1.0 / n;
+        for v in x {
+            *v *= alpha;
+        }
     }
     n
-}
-
-/// Cosine similarity (0 when either vector is zero).
-pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    let na = norm2(a);
-    let nb = norm2(b);
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot(a, b) / (na * nb)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The norm is the square root of the index-order dot of the vector
+    /// with itself, bit for bit.
     #[test]
     fn dot_and_norm() {
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn axpy_scale() {
-        let mut y = vec![1.0, 1.0];
-        axpy(2.0, &[1.0, 2.0], &mut y);
-        assert_eq!(y, vec![3.0, 5.0]);
-        scale(0.5, &mut y);
-        assert_eq!(y, vec![1.5, 2.5]);
+        let x: Vec<f32> = (1..40).map(|i| (i as f32).sin() * 1e3).collect();
+        let mut dot = 0f32;
+        for &v in &x {
+            dot += v * v;
+        }
+        assert_eq!(norm2(&x).to_bits(), dot.sqrt().to_bits());
     }
 
     #[test]
@@ -79,13 +49,5 @@ mod tests {
         let mut z = vec![0.0, 0.0];
         assert_eq!(normalize(&mut z), 0.0);
         assert_eq!(z, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn cosine_similarity() {
-        assert!((cosine(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-6);
-        assert!(cosine(&[1.0, 0.0], &[0.0, 1.0]).abs() < 1e-6);
-        assert!((cosine(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-6);
-        assert_eq!(cosine(&[0.0], &[1.0]), 0.0);
     }
 }

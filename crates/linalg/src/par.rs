@@ -1,22 +1,21 @@
-//! Deterministic parallel dense kernels on the shared [`omega_par`] pool.
+//! Deterministic parallel dense kernels on the shared [`omega_par`] pool:
+//! the one entry point of each dense operation.
 //!
-//! Every routine here is **bit-identical** to its sequential counterpart at
-//! any thread count, by construction rather than by tolerance:
+//! Every routine here gives the same bits at any thread count, by
+//! construction rather than by tolerance:
 //!
 //! * the work is partitioned over *output elements* only — row panels for
-//!   [`gemm_blocked`], output-column panels for [`gemm_tn_blocked`] and
-//!   [`gram_threads`], groups of four columns for the QR reflector applies
-//!   — never over a floating-point reduction, so each output element
-//!   accumulates in exactly the order the sequential loop uses;
-//! * panel boundaries are fixed by the caller (or a compile-time default),
-//!   never derived from the thread count, so the same panels exist at
-//!   `threads = 1` and `threads = 8`;
+//!   [`gemm_threads`], output-column panels for [`gram_threads`], groups of
+//!   four columns for the QR reflector applies — never over a
+//!   floating-point reduction, so each output element accumulates in
+//!   exactly the order of its one-element definition;
+//! * panel sizes are compile-time constants, never derived from the thread
+//!   count, so the same panels exist at `threads = 1` and `threads = 8`;
 //! * workers only fill private panel buffers; the caller merges them back
 //!   in ascending panel order.
 //!
 //! Inside a task the same rule applies one level down: the tile routine of
-//! `gemm_tn` and the multi-column reflector of `qr_thin` (both shared with
-//! the sequential entry points, not re-implemented here) run several output
+//! `AᵀB` and the multi-column Householder reflector run several output
 //! elements' chains side by side and leave each chain's order alone.
 //!
 //! Thread count is therefore a pure wall-clock knob for the training
@@ -26,7 +25,8 @@
 //! Every kernel hands the pool its width at every problem size: the pool's
 //! per-site cost estimate alone decides whether a call runs inline (one
 //! thread, one panel, a tiny inner factorisation) or fans out, and both
-//! paths compute identical bits.
+//! paths compute identical bits — at width 1 a kernel is the sequential
+//! routine.
 
 use crate::gemm::{gemm_tn_cols, mirror_upper};
 use crate::matrix::DenseMatrix;
@@ -34,24 +34,19 @@ use crate::qr::{apply_reflector, build_q_columns, build_reflector, quads, upper_
 use crate::svd::{svd_jacobi, Svd};
 use crate::{LinalgError, Result};
 
-/// Default row-panel height for [`gemm_blocked`].
-pub(crate) const GEMM_PANEL_ROWS: usize = 512;
-/// Default output-column panel width for [`gemm_tn_blocked`].
-pub(crate) const GEMM_TN_PANEL_COLS: usize = 4;
+/// Row-panel height of [`gemm_threads`].
+const GEMM_PANEL_ROWS: usize = 512;
+/// Output-column panel width of the `AᵀB` panels behind [`gram_threads`].
+const GEMM_TN_PANEL_COLS: usize = 4;
 /// Element count per chunk for the element-wise kernels.
 const ELEM_CHUNK: usize = 1 << 15;
 
-/// `C = A · B` with rows of `C` computed in fixed panels of `panel_rows`
-/// on up to `threads` workers. Bit-identical to [`gemm`](crate::gemm())
-/// for every panel size and thread count: a panel kernel runs the
-/// sequential loop restricted to its row range, which preserves each
-/// element's accumulation order exactly.
-pub fn gemm_blocked(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    threads: usize,
-    panel_rows: usize,
-) -> Result<DenseMatrix> {
+/// `C = A · B` on up to `threads` workers, rows of `C` in fixed panels of
+/// `GEMM_PANEL_ROWS` (512). Element `(i, j)` is the sequential sum of
+/// `a[i, l] · b[l, j]` over ascending `l`, skipping the steps where
+/// `b[l, j]` is exactly zero; a panel runs that loop over its row range
+/// only, so every thread count gives the same bits.
+pub fn gemm_threads(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
     if a.cols() != b.rows() {
         return Err(LinalgError::ShapeMismatch {
             left: a.shape(),
@@ -59,17 +54,16 @@ pub fn gemm_blocked(
         });
     }
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let panel_rows = panel_rows.max(1);
-    let panels = m.div_ceil(panel_rows.min(m.max(1)));
     let mut c = DenseMatrix::zeros(m, n);
     if m == 0 || n == 0 {
         return Ok(c);
     }
-    // Each task fills a private (rows × n) column-major panel buffer with
-    // the same axpy-formulated loop `gemm` uses, over its row range only.
+    let panels = m.div_ceil(GEMM_PANEL_ROWS);
+    // Each task fills a private (rows × n) column-major panel buffer,
+    // accumulating columns of A scaled by B's entries (axpy formulation).
     let blocks = omega_par::run_labeled("linalg.gemm", threads, panels, |_: &mut (), p| {
-        let r0 = p * panel_rows;
-        let r1 = ((p + 1) * panel_rows).min(m);
+        let r0 = p * GEMM_PANEL_ROWS;
+        let r1 = (r0 + GEMM_PANEL_ROWS).min(m);
         let rows = r1 - r0;
         let mut buf = vec![0f32; rows * n];
         for j in 0..n {
@@ -90,7 +84,7 @@ pub fn gemm_blocked(
     // Fixed-order merge: panels scatter back ascending; every element is
     // written exactly once.
     for (p, buf) in blocks.iter().enumerate() {
-        let r0 = p * panel_rows;
+        let r0 = p * GEMM_PANEL_ROWS;
         let rows = buf.len() / n;
         for j in 0..n {
             c.col_mut(j)[r0..r0 + rows].copy_from_slice(&buf[j * rows..(j + 1) * rows]);
@@ -99,64 +93,38 @@ pub fn gemm_blocked(
     Ok(c)
 }
 
-/// `C = Aᵀ · B` with output columns computed in fixed panels of
-/// `panel_cols`. The reduction over `A`'s rows is never split, so every
-/// element accumulates exactly as in [`gemm_tn`](crate::gemm_tn).
-pub fn gemm_tn_blocked(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    threads: usize,
-    panel_cols: usize,
-) -> Result<DenseMatrix> {
-    if a.rows() != b.rows() {
-        return Err(LinalgError::ShapeMismatch {
-            left: a.shape(),
-            right: b.shape(),
-        });
-    }
-    Ok(tn_panels(a, b, threads, panel_cols, false))
-}
-
-/// `AᵀB` by column panels on the pool, each panel through the tile routine
-/// of [`gemm_tn`](crate::gemm_tn); with `upper`, only down to each panel's diagonal tile
-/// (the rows below stay zero).
-fn tn_panels(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    threads: usize,
-    panel_cols: usize,
-    upper: bool,
-) -> DenseMatrix {
+/// `AᵀB` (`a` and `b` sharing their row count) in output-column panels of
+/// [`GEMM_TN_PANEL_COLS`] on the pool, each panel through the tile routine
+/// `gemm_tn_cols`; the reduction over the shared rows is never split. With
+/// `upper`, only down to each panel's diagonal tile (the rows below stay
+/// zero).
+fn tn_panels(a: &DenseMatrix, b: &DenseMatrix, threads: usize, upper: bool) -> DenseMatrix {
     let (m, n) = (a.cols(), b.cols());
-    let panel_cols = panel_cols.max(1);
-    let panels = n.div_ceil(panel_cols.min(n.max(1)));
     let mut c = DenseMatrix::zeros(m, n);
     if m == 0 || n == 0 {
         return c;
     }
+    let panels = n.div_ceil(GEMM_TN_PANEL_COLS);
     let blocks = omega_par::run_labeled("linalg.gemm_tn", threads, panels, |_: &mut (), p| {
-        let cols = p * panel_cols..((p + 1) * panel_cols).min(n);
+        let cols = p * GEMM_TN_PANEL_COLS..((p + 1) * GEMM_TN_PANEL_COLS).min(n);
         let mut buf = vec![0f32; m * cols.len()];
         gemm_tn_cols(a, b, cols, upper, &mut buf);
         buf
     });
     for (p, buf) in blocks.iter().enumerate() {
-        let at = p * panel_cols * m;
+        let at = p * GEMM_TN_PANEL_COLS * m;
         c.data_mut()[at..at + buf.len()].copy_from_slice(buf);
     }
     c
 }
 
-/// [`gemm`](crate::gemm()) on up to `threads` workers, in row panels of
-/// the default height.
-pub fn gemm_threads(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<DenseMatrix> {
-    gemm_blocked(a, b, threads, GEMM_PANEL_ROWS)
-}
-
-/// [`gram`](crate::gram) on up to `threads` workers: panels of the upper
-/// triangle on the pool, mirrored by the caller.
+/// The Gram matrix `AᵀA` on up to `threads` workers: the panels of the
+/// upper triangle on the pool, mirrored by the caller. Only the tiles on
+/// and above the diagonal are computed — `x · y` and `y · x` round to the
+/// same f32, and element `(j, i)` sums the same products in the same order
+/// as `(i, j)` — so the result is the full `AᵀB` with `B = A`, bit for bit.
 pub fn gram_threads(a: &DenseMatrix, threads: usize) -> DenseMatrix {
-    let mut c = tn_panels(a, a, threads, GEMM_TN_PANEL_COLS, true);
+    let mut c = tn_panels(a, a, threads, true);
     mirror_upper(&mut c);
     c
 }
@@ -198,11 +166,13 @@ pub fn scale_threads(m: &mut DenseMatrix, alpha: f32, threads: usize) {
     });
 }
 
-/// Thin Householder QR with the per-step trailing-column applies and the
-/// final Q build fanned out over groups of four columns (`quads`). Each
-/// column is transformed by exactly the same `apply_reflector`
-/// arithmetic, in the same order, as in [`crate::qr_thin`] — columns are
-/// independent, so the result is bit-identical at every thread count.
+/// Thin Householder QR: `(Q, R)` with `Q` of shape `(n, k)` having
+/// orthonormal columns and `R` upper-triangular `(k, k)`, such that
+/// `A = Q·R`. The per-step trailing-column applies and the final `Q` build
+/// fan out over groups of four columns (`quads`); every column is
+/// transformed by the same `apply_reflector` arithmetic in the same order
+/// whichever task holds it, so the result is bit-identical at every thread
+/// count.
 pub fn qr_thin_threads(a: &DenseMatrix, threads: usize) -> Result<(DenseMatrix, DenseMatrix)> {
     let (n, k) = a.shape();
     let steps = n.min(k);
@@ -211,7 +181,7 @@ pub fn qr_thin_threads(a: &DenseMatrix, threads: usize) -> Result<(DenseMatrix, 
 
     for j in 0..steps {
         // Reflector construction reads one column — inherently sequential
-        // across steps, identical to the reference implementation.
+        // across steps.
         let Some(v) = build_reflector(work.col(j), j) else {
             reflectors.push(vec![0.0; n]);
             continue;
@@ -233,18 +203,21 @@ pub fn qr_thin_threads(a: &DenseMatrix, threads: usize) -> Result<(DenseMatrix, 
     Ok((q, r))
 }
 
-/// SVD of a tall matrix via its `n × n` Gram matrix (`AᵀA = V·Σ²·Vᵀ`, then
-/// `U = A·V·Σ⁻¹`; [`crate::svd_jacobi`] below 3:1), with its two big dense
-/// products (the Gram matrix and the `U` recovery) running on the blocked
-/// parallel GEMMs. The tiny `n × n` Jacobi stays sequential. Bit-identical
-/// to the sequential routine at every thread count.
+/// SVD of a tall matrix via its `n × n` Gram matrix: `AᵀA = V·Σ²·Vᵀ`, then
+/// `U = A·V·Σ⁻¹` ([`crate::svd_jacobi`] below 3:1). For `m ≫ n` this
+/// replaces Jacobi sweeps over long columns (`O(sweeps·n²·m)`) with one
+/// Gram product plus a tiny Jacobi (`O(m·n²)`), at the cost of squaring the
+/// condition number — fine for the well-conditioned embedding matrices
+/// ProNE decomposes. The two big dense products (the Gram matrix and the
+/// `U` recovery) run on the pooled kernels; the tiny `n × n` Jacobi stays
+/// sequential. Bit-identical at every thread count.
 pub fn svd_tall_threads(a: &DenseMatrix, threads: usize) -> Result<Svd> {
     let (m, n) = a.shape();
     if m < 3 * n || n == 0 {
         return svd_jacobi(a);
     }
     let gram = gram_threads(a, threads);
-    let eig = svd_jacobi(&gram)?;
+    let eig = svd_jacobi(&gram)?; // symmetric PSD: U = V, s = sigma^2
     let s: Vec<f32> = eig.s.iter().map(|&x| x.max(0.0).sqrt()).collect();
     let v = eig.u;
     let mut u = gemm_threads(a, &v, threads)?;
@@ -265,9 +238,8 @@ pub fn svd_tall_threads(a: &DenseMatrix, threads: usize) -> Result<Svd> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::by_definition::{gemm_by_definition, gemm_tn_by_definition, qr_by_definition};
     use crate::random::gaussian_matrix;
-    use crate::svd::svd_tall;
-    use crate::{gemm, gemm_tn};
     use omega_par::{with_dispatch_policy, DispatchPolicy};
 
     fn assert_bits_eq(a: &DenseMatrix, b: &DenseMatrix, what: &str) {
@@ -277,125 +249,146 @@ mod tests {
         }
     }
 
-    #[test]
-    fn blocked_gemm_bit_identical_across_panels_and_threads() {
-        let a = gaussian_matrix(97, 13, 3);
-        let b = gaussian_matrix(13, 9, 4);
-        let want = gemm(&a, &b).unwrap();
-        for panel in [1, 2, 7, 64, 512] {
+    /// `check(threads, label)` at 1, 2 and 8 workers, under the default
+    /// dispatch policy (which may keep the call inline) and under
+    /// `always_parallel` (which fans out whenever the width allows).
+    fn at_every_width(mut check: impl FnMut(usize, &str)) {
+        for policy in [DispatchPolicy::default(), DispatchPolicy::always_parallel()] {
             for threads in [1, 2, 8] {
-                let got = gemm_blocked(&a, &b, threads, panel).unwrap();
-                assert_bits_eq(&got, &want, &format!("panel={panel} threads={threads}"));
+                let what = format!("{policy:?} threads={threads}");
+                with_dispatch_policy(policy, || check(threads, &what));
             }
         }
     }
 
+    /// A product over three row panels, the last one ragged, with exact
+    /// zeros in `B` (the kernel skips those steps, as the definition does).
+    #[test]
+    fn blocked_gemm_bit_identical_across_panels_and_threads() {
+        let a = gaussian_matrix(2 * GEMM_PANEL_ROWS + 76, 13, 3);
+        let mut b = gaussian_matrix(13, 9, 4);
+        b.col_mut(5).fill(0.0);
+        b[(2, 1)] = 0.0;
+        let want = gemm_by_definition(&a, &b);
+        at_every_width(|threads, what| {
+            assert_bits_eq(&gemm_threads(&a, &b, threads).unwrap(), &want, what);
+        });
+    }
+
+    /// `AᵀB` with two operands over ragged column panels, and the mirrored
+    /// Gram, against the definition.
     #[test]
     fn blocked_gemm_tn_bit_identical() {
         let a = gaussian_matrix(83, 7, 5);
         let b = gaussian_matrix(83, 11, 6);
-        let want = gemm_tn(&a, &b).unwrap();
-        for panel in [1, 3, 16] {
-            for threads in [1, 2, 8] {
-                let got = gemm_tn_blocked(&a, &b, threads, panel).unwrap();
-                assert_bits_eq(&got, &want, &format!("panel={panel} threads={threads}"));
-            }
-        }
+        let want = gemm_tn_by_definition(&a, &b);
+        let want_gram = gemm_tn_by_definition(&b, &b);
+        at_every_width(|threads, what| {
+            assert_bits_eq(&tn_panels(&a, &b, threads, false), &want, what);
+            assert_bits_eq(&gram_threads(&b, threads), &want_gram, what);
+        });
     }
 
     #[test]
     fn degenerate_shapes() {
-        // k = 0: the product is all zeros, at every partition.
+        // k = 0: the product is all zeros.
         let a = DenseMatrix::zeros(5, 0);
         let b = DenseMatrix::zeros(0, 3);
-        let c = gemm_blocked(&a, &b, 8, 2).unwrap();
+        let c = gemm_threads(&a, &b, 8).unwrap();
         assert_eq!(c, DenseMatrix::zeros(5, 3));
         // Fewer rows than threads.
         let a = gaussian_matrix(3, 2, 9);
         let b = gaussian_matrix(2, 2, 10);
         assert_bits_eq(
-            &gemm_blocked(&a, &b, 8, 1).unwrap(),
-            &gemm(&a, &b).unwrap(),
+            &gemm_threads(&a, &b, 8).unwrap(),
+            &gemm_by_definition(&a, &b),
             "rows < threads",
         );
         // Shape mismatches still rejected.
-        assert!(gemm_blocked(&DenseMatrix::zeros(2, 3), &DenseMatrix::zeros(2, 3), 2, 4).is_err());
-        assert!(
-            gemm_tn_blocked(&DenseMatrix::zeros(2, 3), &DenseMatrix::zeros(3, 1), 2, 4).is_err()
-        );
+        assert!(gemm_threads(&DenseMatrix::zeros(2, 3), &DenseMatrix::zeros(2, 3), 2).is_err());
     }
 
+    /// `axpy_threads` and `scale_threads` against the one-element loops, on
+    /// part of one chunk, exactly two chunks and three chunks.
     #[test]
     fn elementwise_kernels_bit_identical() {
-        // Three chunks, so a pool run has chunks to spread over workers.
-        let rows = 3 * ELEM_CHUNK / 4;
-        let src = gaussian_matrix(rows, 4, 11);
-        let mut seq = gaussian_matrix(rows, 4, 12);
-        let mut par = seq.clone();
-        seq.axpy(0.37, &src).unwrap();
-        axpy_threads(&mut par, 0.37, &src, 8).unwrap();
-        assert_bits_eq(&par, &seq, "axpy");
-        seq.scale(-1.25);
-        scale_threads(&mut par, -1.25, 8);
-        assert_bits_eq(&par, &seq, "scale");
-        assert!(axpy_threads(&mut par, 1.0, &DenseMatrix::zeros(1, 1), 8).is_err());
+        for rows in [100, ELEM_CHUNK / 2, 3 * ELEM_CHUNK / 4] {
+            let src = gaussian_matrix(rows, 4, 11);
+            let start = gaussian_matrix(rows, 4, 12);
+            let mut want = start.clone();
+            for (x, &y) in want.data_mut().iter_mut().zip(src.data()) {
+                *x += 0.37 * y;
+            }
+            let mut want_scaled = want.clone();
+            for x in want_scaled.data_mut() {
+                *x *= -1.25;
+            }
+            at_every_width(|threads, what| {
+                let mut got = start.clone();
+                axpy_threads(&mut got, 0.37, &src, threads).unwrap();
+                assert_bits_eq(&got, &want, &format!("axpy {rows} rows {what}"));
+                scale_threads(&mut got, -1.25, threads);
+                assert_bits_eq(&got, &want_scaled, &format!("scale {rows} rows {what}"));
+            });
+        }
+        let mut m = DenseMatrix::zeros(2, 2);
+        assert!(axpy_threads(&mut m, 1.0, &DenseMatrix::zeros(1, 1), 8).is_err());
+    }
+
+    /// The tall SVD from its definition: Jacobi on the Gram matrix, then
+    /// `U = A·V·Σ⁻¹` with the negligible singular values cut to zero.
+    fn svd_tall_by_definition(a: &DenseMatrix) -> Svd {
+        let eig = svd_jacobi(&gemm_tn_by_definition(a, a)).unwrap();
+        let s: Vec<f32> = eig.s.iter().map(|&x| x.max(0.0).sqrt()).collect();
+        let mut u = gemm_by_definition(a, &eig.u);
+        let tol = s[0] * 1e-6;
+        for (c, &sc) in s.iter().enumerate() {
+            let inv = if sc > tol { 1.0 / sc } else { 0.0 };
+            u.col_mut(c).iter_mut().for_each(|x| *x *= inv);
+        }
+        Svd {
+            u,
+            s,
+            vt: eig.u.transposed(),
+        }
     }
 
     #[test]
     fn parallel_qr_and_svd_bit_identical() {
         let a = gaussian_matrix(600, 24, 21);
-        let (q1, r1) = crate::qr_thin(&a).unwrap();
-        for threads in [1, 2, 8] {
+        let (want_q, want_r) = qr_by_definition(&a);
+        let want = svd_tall_by_definition(&a);
+        at_every_width(|threads, what| {
             let (q, r) = qr_thin_threads(&a, threads).unwrap();
-            assert_bits_eq(&q, &q1, &format!("Q threads={threads}"));
-            assert_bits_eq(&r, &r1, &format!("R threads={threads}"));
-        }
-        let want = svd_tall(&a).unwrap();
-        for threads in [1, 2, 8] {
+            assert_bits_eq(&q, &want_q, &format!("Q {what}"));
+            assert_bits_eq(&r, &want_r, &format!("R {what}"));
             let got = svd_tall_threads(&a, threads).unwrap();
-            assert_bits_eq(&got.u, &want.u, "svd U");
-            assert_bits_eq(&got.vt, &want.vt, "svd Vt");
-            assert_eq!(got.s, want.s);
-        }
+            assert_bits_eq(&got.u, &want.u, &format!("svd U {what}"));
+            assert_bits_eq(&got.vt, &want.vt, &format!("svd Vt {what}"));
+            assert_eq!(got.s, want.s, "svd s {what}");
+        });
     }
 
-    /// The `_threads` wrappers match the sequential kernels bit for bit at
-    /// every width, whether the pool runs them inline or fans them out —
-    /// including shapes that once took a sequential bypass in front of the
-    /// pool: a tall product of few flops, a small QR with two column
-    /// groups, and element-wise passes over one chunk and over exactly two.
+    /// The pooled kernels match the definitions bit for bit at every width,
+    /// whether the pool runs them inline or fans them out, on shapes that
+    /// once took a sequential bypass in front of the pool: a tall product
+    /// of few flops and a small QR with two column groups.
     #[test]
     fn threads_wrappers_match_sequential() {
         let products = [(300, 40, 24), (600, 2, 3)].map(|(m, k, n)| {
             let (a, b) = (gaussian_matrix(m, k, 7), gaussian_matrix(k, n, 8));
-            let want = gemm(&a, &b).unwrap();
+            let want = gemm_by_definition(&a, &b);
             (a, b, want)
         });
         let tall = gaussian_matrix(200, 6, 33);
-        let (want_q, want_r) = crate::qr_thin(&tall).unwrap();
-        for policy in [DispatchPolicy::default(), DispatchPolicy::always_parallel()] {
-            for threads in [1, 2, 8] {
-                let what = format!("{policy:?} threads={threads}");
-                with_dispatch_policy(policy, || {
-                    for (a, b, want) in &products {
-                        assert_bits_eq(&gemm_threads(a, b, threads).unwrap(), want, &what);
-                    }
-                    let (q, r) = qr_thin_threads(&tall, threads).unwrap();
-                    assert_bits_eq(&q, &want_q, &what);
-                    assert_bits_eq(&r, &want_r, &what);
-                    for rows in [100, ELEM_CHUNK / 2] {
-                        let src = gaussian_matrix(rows, 4, 34);
-                        let mut seq = gaussian_matrix(rows, 4, 35);
-                        let mut par = seq.clone();
-                        seq.axpy(0.37, &src).unwrap();
-                        axpy_threads(&mut par, 0.37, &src, threads).unwrap();
-                        assert_bits_eq(&par, &seq, &what);
-                        seq.scale(-1.25);
-                        scale_threads(&mut par, -1.25, threads);
-                        assert_bits_eq(&par, &seq, &what);
-                    }
-                });
+        let (want_q, want_r) = qr_by_definition(&tall);
+        at_every_width(|threads, what| {
+            for (a, b, want) in &products {
+                assert_bits_eq(&gemm_threads(a, b, threads).unwrap(), want, what);
             }
-        }
+            let (q, r) = qr_thin_threads(&tall, threads).unwrap();
+            assert_bits_eq(&q, &want_q, what);
+            assert_bits_eq(&r, &want_r, what);
+        });
     }
 }

@@ -2,38 +2,11 @@
 //!
 //! Randomized truncated SVD (Halko et al., the t-SVD inside ProNE) needs the
 //! orthonormal range basis `Q` of an `n × k` sample matrix with `n ≫ k`;
-//! Householder reflections give that stably in `O(n·k²)`.
+//! Householder reflections give that stably in `O(n·k²)`. The steps are
+//! here; [`qr_thin_threads`](crate::qr_thin_threads) runs them on the pool.
 
 use crate::matrix::DenseMatrix;
 use crate::ops::norm2;
-use crate::Result;
-
-/// Thin QR: returns `(Q, R)` with `Q` of shape `(n, k)` having orthonormal
-/// columns and `R` upper-triangular `(k, k)`, such that `A = Q·R`.
-pub fn qr_thin(a: &DenseMatrix) -> Result<(DenseMatrix, DenseMatrix)> {
-    let (n, k) = a.shape();
-    let steps = n.min(k);
-    let mut work = a.clone();
-    // Householder vectors, stored per step (length n, zero above the pivot).
-    let mut reflectors: Vec<Vec<f32>> = Vec::with_capacity(steps);
-
-    for j in 0..steps {
-        let Some(v) = build_reflector(work.col(j), j) else {
-            reflectors.push(vec![0.0; n]);
-            continue;
-        };
-        // Apply H = I - 2vvᵀ to the remaining columns of the workspace.
-        apply_reflector(&v, j, &mut work.data_mut()[j * n..]);
-        reflectors.push(v);
-    }
-
-    let r = upper_triangle(&work, steps);
-    let mut q = DenseMatrix::zeros(n, k);
-    for (quad, cols) in quads(q.data_mut(), n).enumerate() {
-        build_q_columns(&reflectors, quad, cols);
-    }
-    Ok((q, r))
-}
 
 /// The unit Householder vector that zeroes `col` below row `j` (length
 /// `col.len()`, zero above the pivot), or `None` when the column is already
@@ -107,8 +80,8 @@ pub(crate) fn build_q_columns(reflectors: &[Vec<f32>], quad: usize, cols: &mut [
 /// the exact-zero early-out, its own update — so how columns are grouped
 /// changes no bit; [`REFLECT_COLS`] projections at a time merely run as
 /// independent chains over one load of `v`. The one reflector routine of
-/// [`qr_thin`] and [`crate::qr_thin_threads`], which is what makes them
-/// bit-identical.
+/// [`crate::qr_thin_threads`], which is what makes it bit-identical at
+/// every width.
 #[inline]
 pub(crate) fn apply_reflector(v: &[f32], from: usize, cols: &mut [f32]) {
     let n = v.len();
@@ -154,11 +127,11 @@ fn reflect<const Q: usize>(v: &[f32], cols: [&mut [f32]; Q]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gemm, gemm_tn};
     use crate::random::gaussian_matrix;
+    use crate::{gemm_threads, gram_threads, qr_thin_threads};
 
     fn assert_orthonormal(q: &DenseMatrix, tol: f32) {
-        let gram = gemm_tn(q, q).unwrap();
+        let gram = gram_threads(q, 1);
         let eye = DenseMatrix::identity(q.cols());
         assert!(
             gram.max_abs_diff(&eye) < tol,
@@ -170,18 +143,18 @@ mod tests {
     #[test]
     fn reconstructs_a_from_qr() {
         let a = gaussian_matrix(20, 5, 17);
-        let (q, r) = qr_thin(&a).unwrap();
+        let (q, r) = qr_thin_threads(&a, 1).unwrap();
         assert_eq!(q.shape(), (20, 5));
         assert_eq!(r.shape(), (5, 5));
         assert_orthonormal(&q, 1e-4);
-        let back = gemm(&q, &r).unwrap();
+        let back = gemm_threads(&q, &r, 1).unwrap();
         assert!(back.max_abs_diff(&a) < 1e-4);
     }
 
     #[test]
     fn r_is_upper_triangular() {
         let a = gaussian_matrix(10, 4, 3);
-        let (_, r) = qr_thin(&a).unwrap();
+        let (_, r) = qr_thin_threads(&a, 1).unwrap();
         for c in 0..4 {
             for row in c + 1..4 {
                 assert_eq!(r[(row, c)], 0.0);
@@ -198,8 +171,8 @@ mod tests {
             a[(i, 0)] = (i + 1) as f32;
             a[(i, 1)] = (i + 1) as f32;
         }
-        let (q, r) = qr_thin(&a).unwrap();
-        let back = gemm(&q, &r).unwrap();
+        let (q, r) = qr_thin_threads(&a, 1).unwrap();
+        let back = gemm_threads(&q, &r, 1).unwrap();
         assert!(back.max_abs_diff(&a) < 1e-4);
         // Rank 1: second diagonal entry of R vanishes.
         assert!(r[(1, 1)].abs() < 1e-4);
@@ -208,17 +181,17 @@ mod tests {
     #[test]
     fn square_and_identity_inputs() {
         let i = DenseMatrix::identity(4);
-        let (q, r) = qr_thin(&i).unwrap();
+        let (q, r) = qr_thin_threads(&i, 1).unwrap();
         assert_orthonormal(&q, 1e-5);
-        let back = gemm(&q, &r).unwrap();
+        let back = gemm_threads(&q, &r, 1).unwrap();
         assert!(back.max_abs_diff(&i) < 1e-5);
     }
 
     #[test]
     fn zero_matrix() {
         let z = DenseMatrix::zeros(5, 2);
-        let (q, r) = qr_thin(&z).unwrap();
-        let back = gemm(&q, &r).unwrap();
+        let (q, r) = qr_thin_threads(&z, 1).unwrap();
+        let back = gemm_threads(&q, &r, 1).unwrap();
         assert!(back.max_abs_diff(&z) < 1e-6);
     }
 }

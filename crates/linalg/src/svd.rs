@@ -111,37 +111,6 @@ pub fn svd_jacobi(a: &DenseMatrix) -> Result<Svd> {
     })
 }
 
-/// SVD of a tall matrix via its `n × n` Gram matrix: `AᵀA = V·Σ²·Vᵀ`,
-/// then `U = A·V·Σ⁻¹`. For `m ≫ n` this replaces Jacobi sweeps over long
-/// columns (`O(sweeps·n²·m)`) with one Gram product plus a tiny Jacobi
-/// (`O(m·n²)`), at the cost of squaring the condition number — fine for
-/// the well-conditioned embedding matrices ProNE decomposes. Kept as the
-/// reference `svd_tall_threads` is tested against.
-#[cfg(test)]
-pub(crate) fn svd_tall(a: &DenseMatrix) -> Result<Svd> {
-    let (m, n) = a.shape();
-    if m < 3 * n || n == 0 {
-        return svd_jacobi(a);
-    }
-    let gram = crate::gemm::gram(a);
-    let eig = svd_jacobi(&gram)?; // symmetric PSD: U = V, s = sigma^2
-    let s: Vec<f32> = eig.s.iter().map(|&x| x.max(0.0).sqrt()).collect();
-    let v = eig.u;
-    let mut u = crate::gemm::gemm(a, &v)?;
-    let tol = s.first().copied().unwrap_or(0.0) * 1e-6;
-    for (c, &sc) in s.iter().enumerate().take(n) {
-        let inv = if sc > tol { 1.0 / sc } else { 0.0 };
-        for x in u.col_mut(c) {
-            *x *= inv;
-        }
-    }
-    Ok(Svd {
-        u,
-        s,
-        vt: v.transposed(),
-    })
-}
-
 #[inline]
 fn rotate_columns(m: &mut DenseMatrix, p: usize, q: usize, c: f32, s: f32) {
     let rows = m.rows();
@@ -156,8 +125,8 @@ fn rotate_columns(m: &mut DenseMatrix, p: usize, q: usize, c: f32, s: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{gemm, gemm_tn};
     use crate::random::gaussian_matrix;
+    use crate::{gemm_threads, gram_threads, svd_tall_threads};
 
     fn reconstruct(svd: &Svd) -> DenseMatrix {
         let k = svd.s.len();
@@ -168,7 +137,7 @@ mod tests {
                 *v *= sc;
             }
         }
-        gemm(&us, &svd.vt).unwrap()
+        gemm_threads(&us, &svd.vt, 1).unwrap()
     }
 
     #[test]
@@ -185,10 +154,10 @@ mod tests {
     fn factors_are_orthonormal() {
         let a = gaussian_matrix(10, 4, 5);
         let svd = svd_jacobi(&a).unwrap();
-        let utu = gemm_tn(&svd.u, &svd.u).unwrap();
+        let utu = gram_threads(&svd.u, 1);
         assert!(utu.max_abs_diff(&DenseMatrix::identity(4)) < 1e-3);
         let v = svd.vt.transposed();
-        let vtv = gemm_tn(&v, &v).unwrap();
+        let vtv = gram_threads(&v, 1);
         assert!(vtv.max_abs_diff(&DenseMatrix::identity(4)) < 1e-3);
     }
 
@@ -231,7 +200,7 @@ mod tests {
     #[test]
     fn svd_tall_matches_jacobi_on_tall_matrices() {
         let a = gaussian_matrix(100, 6, 31);
-        let fast = svd_tall(&a).unwrap();
+        let fast = svd_tall_threads(&a, 1).unwrap();
         let slow = svd_jacobi(&a).unwrap();
         for (x, y) in fast.s.iter().zip(&slow.s) {
             assert!((x - y).abs() / y.max(1e-3) < 1e-2, "{x} vs {y}");
@@ -239,7 +208,7 @@ mod tests {
         assert!(reconstruct(&fast).max_abs_diff(&a) < 1e-2);
         // Small inputs fall back to plain Jacobi.
         let small = gaussian_matrix(5, 4, 2);
-        let f = svd_tall(&small).unwrap();
+        let f = svd_tall_threads(&small, 1).unwrap();
         assert!(reconstruct(&f).max_abs_diff(&small) < 1e-3);
     }
 
@@ -248,7 +217,7 @@ mod tests {
         let a = gaussian_matrix(9, 3, 77);
         let svd = svd_jacobi(&a).unwrap();
         // trace(AtA) = sum of squared singular values.
-        let gram = gemm_tn(&a, &a).unwrap();
+        let gram = gram_threads(&a, 1);
         let trace: f32 = (0..3).map(|i| gram[(i, i)]).sum();
         let s2: f32 = svd.s.iter().map(|&x| x * x).sum();
         assert!((trace - s2).abs() / trace < 1e-4);

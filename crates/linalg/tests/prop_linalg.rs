@@ -1,10 +1,14 @@
 //! Property-based tests of the dense linear-algebra substrate.
 
+mod by_definition;
+
+use by_definition::{gemm_by_definition, gemm_tn_by_definition, qr_by_definition};
 use omega_linalg::kernels::{cosine, cosine_scores_into, dot, dot_scores_into};
 use omega_linalg::{
-    gaussian_matrix, gemm, gemm_blocked, gemm_tn, gemm_tn_blocked, gram, gram_threads, qr_thin,
-    qr_thin_threads, svd_jacobi, DenseMatrix,
+    axpy_threads, gaussian_matrix, gemm_threads, gram_threads, qr_thin_threads, svd_jacobi,
+    DenseMatrix,
 };
+use omega_par::{with_dispatch_policy, DispatchPolicy};
 use proptest::prelude::*;
 
 fn arb_tall() -> impl Strategy<Value = DenseMatrix> {
@@ -36,75 +40,21 @@ fn assert_bits_equal(
     Ok(())
 }
 
-/// `AᵀB` transcribed from its definition: one accumulator per element,
-/// summed over the shared dimension in order.
-fn gemm_tn_by_definition(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    let mut c = DenseMatrix::zeros(a.cols(), b.cols());
-    for j in 0..b.cols() {
-        for i in 0..a.cols() {
-            let mut acc = 0f32;
-            for l in 0..a.rows() {
-                acc += a[(l, i)] * b[(l, j)];
-            }
-            c[(i, j)] = acc;
-        }
-    }
-    c
+/// Worker counts the pooled kernels are checked at.
+fn widths() -> impl Strategy<Value = usize> {
+    (0usize..3).prop_map(|i| [1usize, 2, 8][i])
 }
 
-/// Householder QR transcribed from its definition: every reflector applied
-/// to one column at a time, `Q` built by applying all of them, last first,
-/// to every identity column.
-fn qr_by_definition(a: &DenseMatrix) -> (DenseMatrix, DenseMatrix) {
-    fn reflect(v: &[f32], from: usize, x: &mut [f32]) {
-        let mut proj = 0f32;
-        for i in from..x.len() {
-            proj += v[i] * x[i];
-        }
-        if proj == 0.0 {
-            return;
-        }
-        let proj2 = 2.0 * proj;
-        for i in from..x.len() {
-            x[i] -= proj2 * v[i];
-        }
-    }
-    let norm = |x: &[f32]| x.iter().map(|&v| v * v).sum::<f32>().sqrt();
-    let (n, k) = a.shape();
-    let mut work = a.clone();
-    let mut reflectors = Vec::new();
-    for j in 0..n.min(k) {
-        let mut v = vec![0f32; n];
-        v[j..].copy_from_slice(&work.col(j)[j..]);
-        let alpha = -v[j].signum() * norm(&v[j..]);
-        if alpha != 0.0 {
-            v[j] -= alpha;
-            let vnorm = norm(&v[j..]);
-            if vnorm > 0.0 {
-                v[j..].iter_mut().for_each(|x| *x /= vnorm);
-            }
-            for c in j..k {
-                reflect(&v, j, work.col_mut(c));
-            }
+/// The default dispatch policy (which may keep a call inline) or
+/// `always_parallel` (which fans out whenever the width allows).
+fn policies() -> impl Strategy<Value = DispatchPolicy> {
+    any::<bool>().prop_map(|fan_out| {
+        if fan_out {
+            DispatchPolicy::always_parallel()
         } else {
-            v.fill(0.0);
+            DispatchPolicy::default()
         }
-        reflectors.push(v);
-    }
-    let mut r = DenseMatrix::zeros(k, k);
-    let mut q = DenseMatrix::zeros(n, k);
-    for c in 0..k {
-        for row in 0..(c + 1).min(n) {
-            r[(row, c)] = work[(row, c)];
-        }
-        if c < n {
-            q[(c, c)] = 1.0;
-        }
-        for (j, v) in reflectors.iter().enumerate().rev() {
-            reflect(v, j, q.col_mut(c));
-        }
-    }
-    (q, r)
+    })
 }
 
 /// The quad-column reflectors against the one-column definition, bit for
@@ -120,8 +70,6 @@ fn quad_reflectors_match_the_definition_bitwise() {
         }
         let (q, r) = qr_by_definition(&a);
         let bits = |m: &DenseMatrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let (qs, rs) = qr_thin(&a).unwrap();
-        assert_eq!((bits(&qs), bits(&rs)), (bits(&q), bits(&r)), "{n}x{k}");
         for threads in [1, 2, 8] {
             let (qt, rt) = qr_thin_threads(&a, threads).unwrap();
             assert_eq!(
@@ -140,7 +88,7 @@ fn quad_reflectors_match_the_definition_bitwise() {
 fn non_finite_input_still_poisons_q() {
     let mut a = gaussian_matrix(1_500, 13, 3);
     a[(700, 6)] = f32::NAN;
-    let (seq, _) = qr_thin(&a).unwrap();
+    let (seq, _) = qr_thin_threads(&a, 1).unwrap();
     let (par, _) = qr_thin_threads(&a, 2).unwrap();
     for q in [seq, par] {
         for c in 6..13 {
@@ -170,7 +118,8 @@ proptest! {
 
     /// The register-tiled `AᵀB` and the mirrored Gram are the definition,
     /// bit for bit, on shapes with `m`, `n` on every side of the 4-wide
-    /// tile and an empty shared dimension.
+    /// tile and an empty shared dimension. `AᵀB` is read off the Gram
+    /// matrix of `[A B]`, whose upper-right block it is.
     #[test]
     fn tiled_gemm_tn_and_gram_match_the_definition(
         k in 0usize..40,
@@ -178,10 +127,16 @@ proptest! {
         n in 0usize..11,
         seed in any::<u64>(),
     ) {
-        let a = gaussian_matrix(k, m, seed);
-        let b = gaussian_matrix(k, n, seed.wrapping_add(1));
-        assert_bits_equal(&gemm_tn(&a, &b).unwrap(), &gemm_tn_by_definition(&a, &b))?;
-        assert_bits_equal(&gram(&a), &gemm_tn_by_definition(&a, &a))?;
+        let ab = gaussian_matrix(k, m + n, seed);
+        let (a, b) = (ab.columns(0..m), ab.columns(m..m + n));
+        let gram = gram_threads(&ab, 1);
+        assert_bits_equal(&gram, &gemm_tn_by_definition(&ab, &ab))?;
+        let tn = gemm_tn_by_definition(&a, &b);
+        for j in 0..n {
+            for i in 0..m {
+                prop_assert_eq!(gram[(i, m + j)].to_bits(), tn[(i, j)].to_bits());
+            }
+        }
     }
 
     /// Every (row, query) score of the query-set scorer is `dot` of that
@@ -213,11 +168,11 @@ proptest! {
     /// QR reconstructs A and produces an orthonormal Q for any tall matrix.
     #[test]
     fn qr_reconstructs(a in arb_tall()) {
-        let (q, r) = qr_thin(&a).unwrap();
-        let back = gemm(&q, &r).unwrap();
+        let (q, r) = qr_thin_threads(&a, 1).unwrap();
+        let back = gemm_threads(&q, &r, 1).unwrap();
         let scale = a.frobenius_norm().max(1.0);
         prop_assert!(back.max_abs_diff(&a) / scale < 1e-3);
-        let gram = gemm_tn(&q, &q).unwrap();
+        let gram = gram_threads(&q, 1);
         prop_assert!(gram.max_abs_diff(&DenseMatrix::identity(q.cols())) < 1e-3);
     }
 
@@ -235,7 +190,7 @@ proptest! {
                 *v *= s;
             }
         }
-        let back = gemm(&us, &svd.vt).unwrap();
+        let back = gemm_threads(&us, &svd.vt, 1).unwrap();
         let scale = a.frobenius_norm().max(1.0);
         prop_assert!(back.max_abs_diff(&a) / scale < 1e-2);
     }
@@ -252,14 +207,14 @@ proptest! {
         prop_assert_eq!(back, a);
     }
 
-    /// GEMM with identity is the identity map; gemm_tn matches the explicit
-    /// transpose product.
+    /// GEMM with identity is the identity map; the Gram matrix matches the
+    /// explicit transpose product.
     #[test]
     fn gemm_identities(a in arb_tall()) {
         let i = DenseMatrix::identity(a.cols());
-        prop_assert_eq!(gemm(&a, &i).unwrap(), a.clone());
-        let direct = gemm_tn(&a, &a).unwrap();
-        let explicit = gemm(&a.transposed(), &a).unwrap();
+        prop_assert_eq!(gemm_threads(&a, &i, 1).unwrap(), a.clone());
+        let direct = gram_threads(&a, 1);
+        let explicit = gemm_threads(&a.transposed(), &a, 1).unwrap();
         prop_assert!(direct.max_abs_diff(&explicit) < 1e-3);
     }
 
@@ -269,34 +224,37 @@ proptest! {
         let x = gaussian_matrix(10, 3, seed);
         let y = gaussian_matrix(10, 3, seed.wrapping_add(1));
         let mut z = x.clone();
-        z.axpy(2.0, &y).unwrap();
-        z.axpy(-2.0, &y).unwrap();
+        axpy_threads(&mut z, 2.0, &y, 1).unwrap();
+        axpy_threads(&mut z, -2.0, &y, 1).unwrap();
         prop_assert!(z.max_abs_diff(&x) < 1e-4);
     }
 
-    /// Blocked parallel GEMM is *bit-identical* to the sequential kernel for
-    /// every panel size and worker count, on ragged shapes too (rows fewer
-    /// than workers, k = 0): the partition covers only the output rows, so
-    /// each element's reduction order never changes.
+    /// The pooled GEMM is the definition, bit for bit, at every worker
+    /// count under either dispatch policy, on ragged shapes too (rows fewer
+    /// than workers, k = 0) and with exact zeros in `B`: the partition
+    /// covers only the output rows, so each element's reduction order never
+    /// changes.
     #[test]
-    fn blocked_gemm_bit_identical((a, b) in arb_gemm_pair(),
-                                  panel in 1usize..64,
-                                  threads in (0usize..3).prop_map(|i| [1usize, 2, 8][i])) {
-        let seq = gemm(&a, &b).unwrap();
-        let par = gemm_blocked(&a, &b, threads, panel).unwrap();
-        assert_bits_equal(&seq, &par)?;
+    fn blocked_gemm_bit_identical((a, mut b) in arb_gemm_pair(),
+                                  zero in any::<usize>(),
+                                  threads in widths(),
+                                  policy in policies()) {
+        if !b.data().is_empty() {
+            let (l, j) = (zero % b.rows(), zero / b.rows() % b.cols());
+            b[(l, j)] = 0.0;
+        }
+        let par = with_dispatch_policy(policy, || gemm_threads(&a, &b, threads)).unwrap();
+        assert_bits_equal(&par, &gemm_by_definition(&a, &b))?;
     }
 
-    /// Same contract for GEMM-TN (AᵀB): output-column panels keep the full
-    /// k-reduction per element intact at every panel size and worker count.
+    /// Same contract for the pooled `AᵀA`: output-column panels keep the
+    /// full reduction per element intact at every worker count, on shapes
+    /// with fewer columns than workers and with none at all.
     #[test]
-    fn blocked_gemm_tn_bit_identical((a, c) in arb_gemm_pair(),
-                                     panel in 1usize..64,
-                                     threads in (0usize..3).prop_map(|i| [1usize, 2, 8][i])) {
-        // a is (m, k); pair it with a second (m, n) operand sharing rows.
-        let b = gaussian_matrix(a.rows(), c.cols(), 0xb10c);
-        let seq = gemm_tn(&a, &b).unwrap();
-        let par = gemm_tn_blocked(&a, &b, threads, panel).unwrap();
-        assert_bits_equal(&seq, &par)?;
+    fn blocked_gemm_tn_bit_identical((a, _) in arb_gemm_pair(),
+                                     threads in widths(),
+                                     policy in policies()) {
+        let par = with_dispatch_policy(policy, || gram_threads(&a, threads));
+        assert_bits_equal(&par, &gemm_tn_by_definition(&a, &a))?;
     }
 }

@@ -125,6 +125,7 @@ impl<'g> InfoWalker<'g> {
 mod tests {
     use super::*;
     use omega_graph::{GraphBuilder, RmatConfig};
+    use rand::SeedableRng;
 
     #[test]
     fn adaptive_walks_are_shorter_than_the_cap() {
@@ -184,11 +185,21 @@ mod tests {
         assert_eq!(w.generate_all(1), w.generate_all(1));
     }
 
+    /// At every width the corpus is the serial loop `generate_corpus`
+    /// documents: walk `(round, v)` in `(round, node)` order, each from an
+    /// RNG seeded `seed + (round << 32) + v`.
     #[test]
     fn parallel_generation_matches_serial() {
         let g = RmatConfig::social(150, 900, 8).generate_csr().unwrap();
-        let w = InfoWalker::new(&g, InfoWalkConfig::default());
-        let serial = w.generate_all(1);
+        let cfg = InfoWalkConfig::default();
+        let w = InfoWalker::new(&g, cfg);
+        let mut serial = Vec::new();
+        for round in 0..cfg.walks_per_node as u64 {
+            for v in 0..g.rows() {
+                let seed = cfg.seed + (round << 32) + v as u64;
+                serial.push(w.walk_from(v, &mut SmallRng::seed_from_u64(seed)));
+            }
+        }
         for workers in [1, 2, 5, 16] {
             assert_eq!(w.generate_all(workers), serial, "{workers} workers");
         }

@@ -159,7 +159,7 @@ const TRAIN_SEED_TWEAK: u64 = 0x0001_111e;
 mod tests {
     use super::*;
     use omega_graph::SbmConfig;
-    use omega_linalg::ops::cosine;
+    use omega_linalg::kernels::cosine;
 
     fn community_gap(emb: &DenseMatrix, labels: &[u32]) -> f64 {
         let n = emb.rows();

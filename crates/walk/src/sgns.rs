@@ -194,7 +194,8 @@ mod tests {
                 if u == v {
                     continue;
                 }
-                let cos = omega_linalg::ops::cosine(&emb.row_copied(u), &emb.row_copied(v)) as f64;
+                let cos =
+                    omega_linalg::kernels::cosine(&emb.row_copied(u), &emb.row_copied(v)) as f64;
                 if labels[u] == labels[v] {
                     same += cos;
                     ns += 1;

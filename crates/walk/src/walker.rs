@@ -179,13 +179,36 @@ mod tests {
         assert_eq!(w.walk_from(2, &mut rng), vec![2]);
     }
 
+    /// At every width the corpus is the serial loop `generate_corpus`
+    /// documents: walk `(round, v)` in `(round, node)` order, each from an
+    /// RNG seeded `seed + (round << 32) + v`; unbiased and node2vec-biased.
     #[test]
     fn parallel_generation_matches_serial() {
         let g = RmatConfig::social(200, 1_500, 4).generate_csr().unwrap();
-        let w = Walker::new(&g, WalkConfig::deepwalk(3, 8, 11));
-        let serial = w.generate_all(1);
-        for workers in [1, 2, 5, 16] {
-            assert_eq!(w.generate_all(workers), serial, "{workers} workers");
+        let deepwalk = WalkConfig::deepwalk(3, 8, 11);
+        for cfg in [
+            deepwalk,
+            WalkConfig {
+                p: 0.5,
+                q: 2.0,
+                ..deepwalk
+            },
+        ] {
+            let w = Walker::new(&g, cfg);
+            let mut serial = Vec::new();
+            for round in 0..cfg.walks_per_node as u64 {
+                for v in 0..g.rows() {
+                    let seed = cfg.seed + (round << 32) + v as u64;
+                    serial.push(w.walk_from(v, &mut SmallRng::seed_from_u64(seed)));
+                }
+            }
+            for workers in [1, 2, 5, 16] {
+                assert_eq!(
+                    w.generate_all(workers),
+                    serial,
+                    "{cfg:?}, {workers} workers"
+                );
+            }
         }
     }
 
