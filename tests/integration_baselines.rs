@@ -5,8 +5,8 @@ use omega::{Omega, OmegaConfig, SystemVariant};
 use omega_baselines::ProneBaseline;
 use omega_baselines::{omega_spmm_time, FusedMm, SemSpmm};
 use omega_baselines::{DistConfig, DistDglLike, DistGerLike};
-use omega_baselines::{GinexLike, MariusLike, SsdSystemConfig};
-use omega_graph::{Csdb, Dataset};
+use omega_baselines::{GinexLike, MariusLike, RunOutcome, SsdSystemConfig};
+use omega_graph::{Csdb, Csr, Dataset};
 use omega_hetmem::{SimDuration, Topology};
 use omega_linalg::gaussian_matrix;
 
@@ -16,6 +16,55 @@ const DIM: usize = 32;
 
 fn topo() -> Topology {
     Topology::paper_machine_scaled((24 << 20) / 4)
+}
+
+/// `system`'s outcome on `g` at 30 threads and [`DIM`], by its figure
+/// label: an end-to-end embedding, or one SpMM for SEM-SpMM and FusedMM.
+fn comparator(system: &str, g: &Csr) -> RunOutcome {
+    let threads = 30;
+    let ssd = SsdSystemConfig {
+        threads,
+        dim: DIM,
+        ..SsdSystemConfig::default()
+    };
+    let dist = DistConfig::paper_cluster(DIM);
+    match system {
+        "ProNE-DRAM" => ProneBaseline::dram(topo(), threads, DIM).run(g),
+        "ProNE-HM" => ProneBaseline::hm(topo(), threads, DIM).run(g),
+        "Ginex" => GinexLike::new(topo(), ssd).run(g),
+        "MariusGNN" => MariusLike::new(topo(), ssd).run(g),
+        "DistDGL" => DistDglLike::new(dist).run(g),
+        "DistGER" => DistGerLike::new(dist).run(g),
+        "SEM-SpMM" => SemSpmm::new(topo(), threads).run_spmm(g, DIM),
+        "FusedMM" => FusedMm::new(topo(), threads).run_spmm(g, DIM),
+        other => panic!("no comparator {other}"),
+    }
+}
+
+/// Every comparator's exact simulated nanoseconds (`None`: out of memory)
+/// on the PK and TW-2010 twins. A change that moves one of these moves a
+/// figure.
+#[test]
+fn comparators_are_pinned() {
+    const PINNED: [(&str, [Option<u64>; 2]); 8] = [
+        ("ProNE-DRAM", [Some(91_825_103), Some(16_566_922_868)]),
+        ("ProNE-HM", [Some(104_026_524), Some(18_190_744_079)]),
+        ("Ginex", [Some(286_305_300), Some(48_207_838_740)]),
+        ("MariusGNN", [Some(124_876_740), Some(3_606_177_480)]),
+        ("DistDGL", [Some(184_658_280), Some(4_653_026_310)]),
+        ("DistGER", [Some(49_401_821), Some(1_069_429_467)]),
+        ("SEM-SpMM", [Some(12_174_381), Some(851_890_275)]),
+        ("FusedMM", [Some(2_422_010), Some(170_136_064)]),
+    ];
+    let twins = [Dataset::Pk, Dataset::Tw2010].map(|d| d.load_scaled(SCALE).unwrap());
+    let mut got = Vec::new();
+    for (system, _) in PINNED {
+        let ns = twins
+            .each_ref()
+            .map(|g| comparator(system, g).time().map(|t| t.as_nanos()));
+        got.push((system, ns));
+    }
+    assert_eq!(got, PINNED);
 }
 
 fn omega_time(d: Dataset) -> SimDuration {
