@@ -1,4 +1,5 @@
-//! ProNE-DRAM and ProNE-HM: the unmodified ProNE system (§IV-A baselines).
+//! [`Comparator::ProneDram`] and [`Comparator::ProneHm`]: the unmodified
+//! ProNE system (§IV-A baselines).
 //!
 //! The reference ProNE has none of OMeGa's machinery: CSR graph reading, the
 //! threading library's default round-robin work split, the OS NUMA policy
@@ -6,6 +7,9 @@
 //! with everything in DRAM; `ProNE-HM` is the naive DRAM-PM port the paper
 //! describes ("matrix operations are handled on DRAM"): sparse matrix in
 //! PM, dense matrices in DRAM.
+//!
+//! [`Comparator::ProneDram`]: crate::Comparator::ProneDram
+//! [`Comparator::ProneHm`]: crate::Comparator::ProneHm
 
 use crate::RunOutcome;
 use omega_embed::prone::{Prone, ProneConfig};
@@ -14,63 +18,44 @@ use omega_graph::GraphFormat;
 use omega_hetmem::{MemSystem, Topology};
 use omega_spmm::{AllocScheme, MemMode, SpmmConfig, SpmmEngine};
 
-/// Shared construction for the two ProNE variants.
-#[derive(Debug, Clone)]
-pub struct ProneBaseline {
-    topology: Topology,
-    spmm: SpmmConfig,
-    prone: ProneConfig,
-}
-
-impl ProneBaseline {
-    /// ProNE on DRAM only.
-    pub fn dram(topology: Topology, threads: usize, dim: usize) -> ProneBaseline {
-        Self::build(topology, threads, dim, MemMode::DramOnly)
-    }
-
-    /// ProNE on the naive DRAM-PM split.
-    pub fn hm(topology: Topology, threads: usize, dim: usize) -> ProneBaseline {
-        Self::build(topology, threads, dim, MemMode::SparsePmDenseDram)
-    }
-
-    fn build(topology: Topology, threads: usize, dim: usize, mode: MemMode) -> ProneBaseline {
-        ProneBaseline {
-            topology,
-            spmm: SpmmConfig {
-                threads,
-                alloc: AllocScheme::RoundRobin,
-                wofp: None,
-                nadp: false,
-                asl: None,
-                mode,
-            },
-            prone: ProneConfig {
-                dim,
-                read_format: GraphFormat::Csr,
-                ..ProneConfig::default()
-            },
-        }
-    }
-
-    /// End-to-end run (graph reading + embedding generation).
-    pub fn run(&self, adj: &Csr) -> RunOutcome {
-        let sys = MemSystem::new(self.topology.clone());
-        let engine = match SpmmEngine::new(sys, self.spmm) {
-            Ok(e) => e,
-            Err(_) => return RunOutcome::OutOfMemory,
-        };
-        match Prone::new(engine, self.prone).embed(adj) {
-            Ok((_, report)) => RunOutcome::Completed(report.total()),
-            Err(e) if e.is_oom() => RunOutcome::OutOfMemory,
-            Err(other) => panic!("unexpected baseline failure: {other}"),
-        }
+/// The unmodified ProNE with its memory in `mode`: end-to-end run (graph
+/// reading + embedding generation).
+pub(crate) fn prone(
+    topology: &Topology,
+    adj: &Csr,
+    threads: usize,
+    dim: usize,
+    mode: MemMode,
+) -> RunOutcome {
+    let spmm = SpmmConfig {
+        threads,
+        alloc: AllocScheme::RoundRobin,
+        wofp: None,
+        nadp: false,
+        asl: None,
+        mode,
+    };
+    let prone = ProneConfig {
+        dim,
+        read_format: GraphFormat::Csr,
+        ..ProneConfig::default()
+    };
+    let engine = match SpmmEngine::new(MemSystem::new(topology.clone()), spmm) {
+        Ok(e) => e,
+        Err(_) => return RunOutcome::OutOfMemory,
+    };
+    match Prone::new(engine, prone).embed(adj) {
+        Ok((_, report)) => RunOutcome::Completed(report.total()),
+        Err(e) if e.is_oom() => RunOutcome::OutOfMemory,
+        Err(other) => panic!("unexpected baseline failure: {other}"),
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use omega_graph::RmatConfig;
+    use crate::Comparator::{ProneDram, ProneHm};
+    use omega_graph::{Csr, RmatConfig};
+    use omega_hetmem::Topology;
 
     fn topo() -> Topology {
         Topology::paper_machine_scaled(24 << 20)
@@ -83,10 +68,10 @@ mod tests {
     #[test]
     fn both_variants_complete_on_small_graphs() {
         let g = graph();
-        let dram = ProneBaseline::dram(topo(), 8, 16).run(&g);
-        let hm = ProneBaseline::hm(topo(), 8, 16).run(&g);
-        let t_dram = dram.time().expect("ProNE-DRAM completes");
-        let t_hm = hm.time().expect("ProNE-HM completes");
+        let t_dram = ProneDram.run(&topo(), &g, 8, 16).time();
+        let t_hm = ProneHm.run(&topo(), &g, 8, 16).time();
+        let t_dram = t_dram.expect("ProNE-DRAM completes");
+        let t_hm = t_hm.expect("ProNE-HM completes");
         // The HM split pays PM for sparse streams: slower than pure DRAM.
         assert!(
             t_hm > t_dram,
@@ -98,7 +83,6 @@ mod tests {
     fn dram_variant_ooms_when_dram_is_tiny() {
         let g = graph();
         let tiny = Topology::new(2, 4, 48 << 10, 64 << 20, 1 << 30).unwrap();
-        let out = ProneBaseline::dram(tiny, 4, 16).run(&g);
-        assert!(out.is_oom());
+        assert!(ProneDram.run(&tiny, &g, 4, 16).is_oom());
     }
 }

@@ -1,4 +1,5 @@
-//! SpMM-specialised comparators for Fig. 18(b): SEM-SpMM and FusedMM.
+//! SpMM-specialised comparators for Fig. 18(b): [`Comparator::SemSpmm`] and
+//! [`Comparator::FusedMm`], each pricing one SpMM.
 //!
 //! * **SEM-SpMM** (TPDS'17): semi-external-memory SpMM — the sparse matrix
 //!   stays on SSD and streams through memory once per *vector batch* while
@@ -9,183 +10,128 @@
 //!   fails on the billion-scale twins exactly as the paper reports; on
 //!   graphs that fit it is competitive but NUMA-oblivious (OS interleaved
 //!   pages, plain workload-balanced threading, no degree-aware layout).
+//!
+//! [`Comparator::SemSpmm`]: crate::Comparator::SemSpmm
+//! [`Comparator::FusedMm`]: crate::Comparator::FusedMm
 
+use crate::ssd;
 use crate::RunOutcome;
-use omega_graph::{Csdb, Csr};
-use omega_hetmem::{DeviceKind, MemSystem, SsdModel, Topology};
-use omega_linalg::DenseMatrix;
-use omega_spmm::{SpmmConfig, SpmmEngine};
+use omega_graph::Csr;
+use omega_hetmem::{AccessOp, AccessPattern, DeviceKind, MemSystem, Placement, Topology};
 
-/// SEM-SpMM: sparse on SSD, dense in DRAM.
-#[derive(Debug, Clone)]
-pub struct SemSpmm {
-    topology: Topology,
-    pub threads: usize,
-    /// Dense columns processed per sparse-matrix stream (SEM-SpMM's vector
-    /// batching; the reference system uses small batches to bound memory).
-    pub cols_per_pass: usize,
-    /// Framework inefficiency of the page-based SEM abstraction (FlashX):
-    /// its kernel works through a page cache indirection per element, so
-    /// memory-side work runs at a fraction of a native kernel's rate. The
-    /// factor is calibrated so the Fig. 18(b) speedup band (~15×) holds on
-    /// the twins and is documented in DESIGN.md.
-    pub framework_overhead: f64,
-}
+/// Dense columns SEM-SpMM processes per sparse-matrix stream (its vector
+/// batching; the reference system uses small batches to bound memory).
+const SEM_COLS_PER_PASS: usize = 8;
 
-impl SemSpmm {
-    pub fn new(topology: Topology, threads: usize) -> SemSpmm {
-        SemSpmm {
-            topology,
-            threads,
-            cols_per_pass: 8,
-            framework_overhead: 9.0,
-        }
+/// Framework inefficiency of SEM-SpMM's page-based SEM abstraction
+/// (FlashX): its kernel works through a page cache indirection per
+/// element, so memory-side work runs at a fraction of a native kernel's
+/// rate. The factor is calibrated so the Fig. 18(b) speedup band (~15×)
+/// holds on the twins and is documented in DESIGN.md.
+const SEM_FRAMEWORK_OVERHEAD: f64 = 9.0;
+
+/// FusedMM executes the *fused* SDDMM+SpMM semiring for embedding
+/// workloads — roughly twice the dense traffic and arithmetic of the plain
+/// SpMM OMeGa runs (both embedding operands are read per nnz).
+const FUSED_FACTOR: u64 = 2;
+
+/// SEM-SpMM, sparse on SSD and dense in DRAM: simulated time of one SpMM
+/// `A·B` with `d` dense columns.
+pub(crate) fn sem_spmm(topology: &Topology, a: &Csr, threads: usize, d: usize) -> RunOutcome {
+    let sys = MemSystem::new(topology.clone());
+    let n = a.rows() as u64;
+    // Dense operand + result must fit DRAM.
+    let dense_bytes = n * d as u64 * 4 * 2;
+    if dense_bytes > topology.total_capacity(DeviceKind::Dram) {
+        return RunOutcome::OutOfMemory;
+    }
+    let sparse_bytes = a.size_bytes();
+    if sparse_bytes > topology.total_capacity(DeviceKind::Ssd) {
+        return RunOutcome::OutOfMemory;
     }
 
-    /// Simulated time of one SpMM `A·B` with `d` dense columns.
-    pub fn run_spmm(&self, a: &Csr, d: usize) -> RunOutcome {
-        let sys = MemSystem::new(self.topology.clone());
-        let n = a.rows() as u64;
-        // Dense operand + result must fit DRAM.
-        let dense_bytes = n * d as u64 * 4 * 2;
-        if dense_bytes > self.topology.total_capacity(DeviceKind::Dram) {
-            return RunOutcome::OutOfMemory;
-        }
-        let sparse_bytes = a.size_bytes();
-        if sparse_bytes > self.topology.total_capacity(DeviceKind::Ssd) {
-            return RunOutcome::OutOfMemory;
-        }
+    let dram = Placement::interleaved(DeviceKind::Dram);
+    let passes = d.div_ceil(SEM_COLS_PER_PASS) as u64;
+    let mut ctx = sys.thread_ctx(0);
+    // Per pass: stream the sparse matrix from SSD, random-read the
+    // dense operand in DRAM, write the result block.
+    ssd::charge_seq_read(sparse_bytes * passes, &mut ctx);
+    let gathers = a.nnz() as u64 * d as u64;
+    ctx.charge_block(
+        dram,
+        AccessOp::Read,
+        AccessPattern::Rand,
+        gathers * 4,
+        gathers,
+    );
+    ctx.charge_block(
+        dram,
+        AccessOp::Write,
+        AccessPattern::Seq,
+        n * d as u64 * 4,
+        passes,
+    );
+    ctx.add_cpu_ops(gathers / threads.max(1) as u64);
+    let t = sys.model().stream_time(ctx.counters());
+    RunOutcome::Completed(t * SEM_FRAMEWORK_OVERHEAD)
+}
 
-        let ssd = SsdModel::default();
-        let passes = d.div_ceil(self.cols_per_pass) as u64;
-        let mut ctx = sys.thread_ctx(0);
-        // Per pass: stream the sparse matrix from SSD, random-read the
-        // dense operand in DRAM, write the result block.
-        ssd.charge_seq_read(sparse_bytes * passes, &mut ctx);
+/// FusedMM, an in-memory fused CSR kernel on DRAM: simulated time of one
+/// SpMM `A·B` with `d` dense columns, or OOM when DRAM cannot hold the
+/// operands.
+///
+/// FusedMM works on the unsorted CSR with OS-interleaved pages and
+/// nnz-balanced threads: without CSDB's degree blocks there are no
+/// near-sequential hub workloads, so dense fetches take the conventional
+/// all-random cost (the assumption the paper itself makes for CSR SpMM),
+/// and half the interleaved traffic crosses the socket.
+pub(crate) fn fused_mm(topology: &Topology, a: &Csr, threads: usize, d: usize) -> RunOutcome {
+    let sys = MemSystem::new(topology.clone());
+    let n = a.rows() as u64;
+    // The fused kernel holds the sparse matrix plus three dense matrices:
+    // both embedding operands of the fused SDDMM+SpMM and the result.
+    let needed = a.size_bytes() + n * d as u64 * 4 * 3;
+    if needed > topology.total_capacity(DeviceKind::Dram) {
+        return RunOutcome::OutOfMemory;
+    }
+    let dram = Placement::interleaved(DeviceKind::Dram);
+    // Per-thread share of a WaTA split (nnz-balanced), per dense column:
+    // the fused kernel makes one pass (its selling point), streaming the
+    // sparse structures once per column like Algorithm 1.
+    let per_thread_nnz = a.nnz() as u64 / threads.max(1) as u64;
+    let per_thread_rows = n / threads.max(1) as u64;
+    let gathers = per_thread_nnz * FUSED_FACTOR;
+    let mut ctx = sys.thread_ctx(0);
+    for _col in 0..d {
+        let sparse_bytes = per_thread_rows * 8 + per_thread_nnz * 8;
+        ctx.charge_block(dram, AccessOp::Read, AccessPattern::Seq, sparse_bytes, 2);
         ctx.charge_block(
-            omega_hetmem::Placement::interleaved(DeviceKind::Dram),
-            omega_hetmem::AccessOp::Read,
-            omega_hetmem::AccessPattern::Rand,
-            a.nnz() as u64 * d as u64 * 4,
-            a.nnz() as u64 * d as u64,
+            dram,
+            AccessOp::Read,
+            AccessPattern::Rand,
+            gathers * 4,
+            gathers,
         );
         ctx.charge_block(
-            omega_hetmem::Placement::interleaved(DeviceKind::Dram),
-            omega_hetmem::AccessOp::Write,
-            omega_hetmem::AccessPattern::Seq,
-            n * d as u64 * 4,
-            passes,
+            dram,
+            AccessOp::Write,
+            AccessPattern::Seq,
+            per_thread_rows * 4,
+            1,
         );
-        ctx.add_cpu_ops(a.nnz() as u64 * d as u64 / self.threads.max(1) as u64);
-        let t = sys.model().stream_time(ctx.counters());
-        RunOutcome::Completed(t * self.framework_overhead)
     }
-}
-
-/// FusedMM: in-memory fused CSR kernel on DRAM.
-#[derive(Debug, Clone)]
-pub struct FusedMm {
-    topology: Topology,
-    pub threads: usize,
-    /// FusedMM executes the *fused* SDDMM+SpMM semiring for embedding
-    /// workloads — roughly twice the dense traffic and arithmetic of the
-    /// plain SpMM OMeGa runs (both embedding operands are read per nnz).
-    pub fused_factor: u64,
-}
-
-impl FusedMm {
-    pub fn new(topology: Topology, threads: usize) -> FusedMm {
-        FusedMm {
-            topology,
-            threads,
-            fused_factor: 2,
-        }
-    }
-
-    /// Simulated time of one SpMM `A·B` with `d` dense columns, or OOM when
-    /// DRAM cannot hold the operands.
-    ///
-    /// FusedMM works on the unsorted CSR with OS-interleaved pages and
-    /// nnz-balanced threads: without CSDB's degree blocks there are no
-    /// near-sequential hub workloads, so dense fetches take the
-    /// conventional all-random cost (the assumption the paper itself makes
-    /// for CSR SpMM), and half the interleaved traffic crosses the socket.
-    pub fn run_spmm(&self, a: &Csr, d: usize) -> RunOutcome {
-        let sys = MemSystem::new(self.topology.clone());
-        let n = a.rows() as u64;
-        // The fused kernel holds the sparse matrix plus three dense
-        // matrices: both embedding operands of the fused SDDMM+SpMM and the
-        // result.
-        let needed = a.size_bytes() + n * d as u64 * 4 * 3;
-        if needed > self.topology.total_capacity(DeviceKind::Dram) {
-            return RunOutcome::OutOfMemory;
-        }
-        let dram = omega_hetmem::Placement::interleaved(DeviceKind::Dram);
-        // Per-thread share of a WaTA split (nnz-balanced), per dense column:
-        // the fused kernel makes one pass (its selling point), streaming the
-        // sparse structures once per column like Algorithm 1.
-        let per_thread_nnz = a.nnz() as u64 / self.threads.max(1) as u64;
-        let per_thread_rows = n / self.threads.max(1) as u64;
-        let mut ctx = sys.thread_ctx(0);
-        for _col in 0..d {
-            ctx.charge_block(
-                dram,
-                omega_hetmem::AccessOp::Read,
-                omega_hetmem::AccessPattern::Seq,
-                per_thread_rows * 8 + per_thread_nnz * 8,
-                2,
-            );
-            ctx.charge_block(
-                dram,
-                omega_hetmem::AccessOp::Read,
-                omega_hetmem::AccessPattern::Rand,
-                per_thread_nnz * 4 * self.fused_factor,
-                per_thread_nnz * self.fused_factor,
-            );
-            ctx.charge_block(
-                dram,
-                omega_hetmem::AccessOp::Write,
-                omega_hetmem::AccessPattern::Seq,
-                per_thread_rows * 4,
-                1,
-            );
-        }
-        ctx.add_cpu_ops(per_thread_nnz * d as u64 * self.fused_factor);
-        let t = sys.model().thread_time(ctx.counters(), self.threads as u32);
-        RunOutcome::Completed(t)
-    }
-}
-
-/// Convenience: one full-OMeGa SpMM on the same topology, for the Fig. 18(b)
-/// comparisons.
-pub fn omega_spmm_time(
-    topology: Topology,
-    threads: usize,
-    a: &Csdb,
-    b: &DenseMatrix,
-) -> RunOutcome {
-    let sys = MemSystem::new(topology);
-    let engine = match SpmmEngine::new(sys, SpmmConfig::omega(threads)) {
-        Ok(e) => e,
-        Err(_) => return RunOutcome::OutOfMemory,
-    };
-    match engine.spmm(a, b) {
-        Ok(run) => RunOutcome::Completed(run.makespan),
-        Err(e) if e.is_oom() => RunOutcome::OutOfMemory,
-        Err(other) => panic!("unexpected OMeGa failure: {other}"),
-    }
+    ctx.add_cpu_ops(gathers * d as u64);
+    let t = sys.model().thread_time(ctx.counters(), threads as u32);
+    RunOutcome::Completed(t)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    /// One SpMM's simulated time, ignoring OOM.
-    fn expect_time(outcome: RunOutcome) -> omega_hetmem::SimDuration {
-        outcome.time().expect("system completed")
-    }
-    use omega_graph::RmatConfig;
+    use crate::Comparator::{FusedMm, SemSpmm};
+    use omega_graph::{Csdb, Csr, RmatConfig};
+    use omega_hetmem::{MemSystem, SimDuration, Topology};
     use omega_linalg::gaussian_matrix;
+    use omega_spmm::{SpmmConfig, SpmmEngine};
 
     fn topo() -> Topology {
         Topology::paper_machine_scaled(24 << 20)
@@ -195,46 +141,44 @@ mod tests {
         RmatConfig::social(n, e, 11).generate_csr().unwrap()
     }
 
+    /// One full-OMeGa SpMM of `csr` with `d` Gaussian columns at 8 threads.
+    fn omega_spmm(csr: &Csr, d: usize) -> SimDuration {
+        let csdb = Csdb::from_csr(csr).unwrap();
+        let b = gaussian_matrix(csr.rows() as usize, d, 3);
+        let engine = SpmmEngine::new(MemSystem::new(topo()), SpmmConfig::omega(8)).unwrap();
+        engine.spmm(&csdb, &b).unwrap().makespan
+    }
+
     #[test]
     fn omega_beats_sem_spmm() {
         let csr = graph(1 << 11, 20_000);
-        let csdb = Csdb::from_csr(&csr).unwrap();
-        let d = 32;
-        let b = gaussian_matrix(csr.rows() as usize, d, 3);
-        let sem = expect_time(SemSpmm::new(topo(), 8).run_spmm(&csr, d));
-        let omega = expect_time(omega_spmm_time(topo(), 8, &csdb, &b));
-        let speedup = sem.ratio(omega);
+        let sem = SemSpmm.run(&topo(), &csr, 8, 32).time().unwrap();
+        let speedup = sem.ratio(omega_spmm(&csr, 32));
         assert!(speedup > 2.0, "OMeGa speedup over SEM-SpMM only {speedup}");
     }
 
     #[test]
     fn fusedmm_completes_small_but_ooms_when_dram_tiny() {
         let csr = graph(1 << 10, 8_000);
-        let ok = FusedMm::new(topo(), 8).run_spmm(&csr, 16);
+        let ok = FusedMm.run(&topo(), &csr, 8, 16);
         assert!(ok.time().is_some());
         let tiny = Topology::new(2, 4, 16 << 10, 512 << 20, 1 << 30).unwrap();
-        let oom = FusedMm::new(tiny, 8).run_spmm(&csr, 16);
-        assert!(oom.is_oom());
+        assert!(FusedMm.run(&tiny, &csr, 8, 16).is_oom());
     }
 
     #[test]
     fn omega_beats_fusedmm() {
         let csr = graph(1 << 11, 20_000);
-        let csdb = Csdb::from_csr(&csr).unwrap();
-        let d = 32;
-        let b = gaussian_matrix(csr.rows() as usize, d, 3);
-        let fused = expect_time(FusedMm::new(topo(), 8).run_spmm(&csr, d));
-        let omega = expect_time(omega_spmm_time(topo(), 8, &csdb, &b));
-        let speedup = fused.ratio(omega);
+        let fused = FusedMm.run(&topo(), &csr, 8, 32).time().unwrap();
+        let speedup = fused.ratio(omega_spmm(&csr, 32));
         assert!(speedup > 1.2, "OMeGa speedup over FusedMM only {speedup}");
     }
 
     #[test]
     fn sem_spmm_passes_scale_with_dimension() {
         let csr = graph(1 << 10, 8_000);
-        let sem = SemSpmm::new(topo(), 8);
-        let d8 = expect_time(sem.run_spmm(&csr, 8));
-        let d64 = expect_time(sem.run_spmm(&csr, 64));
+        let d8 = SemSpmm.run(&topo(), &csr, 8, 8).time().unwrap();
+        let d64 = SemSpmm.run(&topo(), &csr, 8, 64).time().unwrap();
         // 8x the columns -> 8x the sparse streams (plus dense term growth).
         assert!(d64 > d8 * 6);
     }
@@ -243,6 +187,6 @@ mod tests {
     fn sem_spmm_ooms_without_dram_for_dense() {
         let csr = graph(1 << 12, 30_000);
         let tiny = Topology::new(2, 4, 64 << 10, 512 << 20, 1 << 30).unwrap();
-        assert!(SemSpmm::new(tiny, 8).run_spmm(&csr, 128).is_oom());
+        assert!(SemSpmm.run(&tiny, &csr, 8, 128).is_oom());
     }
 }

@@ -1,4 +1,5 @@
-//! SSD-based out-of-core systems: Ginex-like and MariusGNN-like.
+//! SSD-based out-of-core systems: [`Comparator::Ginex`] and
+//! [`Comparator::Marius`].
 //!
 //! Both store the large feature/embedding state on the NVMe SSD and are,
 //! as the paper argues (§IV-B), bottlenecked by I/O and framework overheads
@@ -6,212 +7,170 @@
 //!
 //! * **Ginex-like** (VLDB'22): GNN mini-batch training with neighbour
 //!   sampling; features are fetched per sampled node through an in-DRAM
-//!   page cache, so the SSD sees *random* 4 KiB reads whose hit rate the
-//!   actual [`omega_hetmem::PageCache`] determines (Ginex's provably
-//!   optimal caching is approximated by LRU over the real access stream).
-//!   Sampling and feature-gather CPU work is charged per sampled node.
+//!   page cache, so the SSD sees *random* 4 KiB reads whose hit rate an LRU
+//!   page cache over the real access stream determines (Ginex's provably
+//!   optimal caching is approximated by LRU). Sampling and feature-gather
+//!   CPU work is charged per sampled node.
 //! * **MariusGNN-like** (EuroSys'23): out-of-core partition swapping;
 //!   embedding partitions stream *sequentially* between SSD and memory,
 //!   which is why Marius beats Ginex but still trails OMeGa.
 //!
-//! GPU acceleration is folded into `gpu_speedup` on the dense-compute term.
-//! Bulk I/O is billed device-saturated ([`omega_hetmem::BandwidthModel::stream_time`]).
+//! GPU acceleration is folded into [`GPU_SPEEDUP`] on the dense-compute
+//! term. Bulk I/O is billed device-saturated
+//! ([`omega_hetmem::BandwidthModel::stream_time`]).
+//!
+//! [`Comparator::Ginex`]: crate::Comparator::Ginex
+//! [`Comparator::Marius`]: crate::Comparator::Marius
 
+use crate::ssd::{self, PageCache};
 use crate::RunOutcome;
 use omega_graph::Csr;
-use omega_hetmem::{DeviceKind, MemSystem, PageCache, SimDuration, SsdModel, Topology};
+use omega_hetmem::{DeviceKind, MemSystem, SimDuration, Topology};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Configuration shared by the SSD systems.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SsdSystemConfig {
-    pub threads: usize,
-    /// Embedding dimension trained.
-    pub dim: usize,
-    /// Raw input-feature dimension held on SSD (GNN feature stores carry
-    /// wide raw features, e.g. 100–1024 floats).
-    pub feature_dim: usize,
-    pub epochs: usize,
-    /// Compute acceleration factor of the V100 over one CPU thread
-    /// (14 TFLOPS vs ~2 Gops scalar ≈ several thousand; a conservative 500
-    /// accounts for kernel-launch and transfer inefficiency).
-    pub gpu_speedup: f64,
-    /// Fraction of DRAM granted to the feature page cache (Ginex).
-    pub cache_fraction: f64,
-    /// Neighbour-sampling fan-out per layer (Ginex).
-    pub fanout: usize,
-    /// GNN layers (Ginex).
-    pub layers: usize,
-    /// CPU ops per sampled node: sampling, gather, tensor assembly — the
-    /// framework overhead that dominates on graphs whose features fit the
-    /// cache.
-    pub sampling_ops_per_node: f64,
-    /// Seed-node sample used to extrapolate the epoch cost.
-    pub probe_seeds: usize,
-    pub seed: u64,
-}
+/// Raw input-feature dimension held on SSD (GNN feature stores carry wide
+/// raw features, e.g. 100–1024 floats).
+const FEATURE_DIM: usize = 256;
 
-impl Default for SsdSystemConfig {
-    fn default() -> Self {
-        SsdSystemConfig {
-            threads: 30,
-            dim: 64,
-            feature_dim: 256,
-            epochs: 60,
-            gpu_speedup: 500.0,
-            cache_fraction: 0.2,
-            fanout: 10,
-            layers: 2,
-            sampling_ops_per_node: 7_000.0,
-            probe_seeds: 2_000,
-            seed: 0x55d,
-        }
-    }
-}
+/// Training epochs of both systems.
+const EPOCHS: u64 = 60;
+
+/// Compute acceleration factor of the V100 over one CPU thread (14 TFLOPS
+/// vs ~2 Gops scalar ≈ several thousand; a conservative 500 accounts for
+/// kernel-launch and transfer inefficiency).
+const GPU_SPEEDUP: f64 = 500.0;
+
+/// Fraction of DRAM granted to Ginex's feature page cache.
+const CACHE_FRACTION: f64 = 0.2;
+
+/// Ginex's neighbour-sampling fan-out per layer.
+const FANOUT: usize = 10;
+
+/// Ginex's GNN layers.
+const LAYERS: usize = 2;
+
+/// Ginex's CPU ops per sampled node: sampling, gather, tensor assembly —
+/// the framework overhead that dominates on graphs whose features fit the
+/// cache.
+const SAMPLING_OPS_PER_NODE: f64 = 7_000.0;
+
+/// Seed nodes Ginex's probe replays to extrapolate the epoch cost.
+const PROBE_SEEDS: u64 = 2_000;
+
+/// Seed of the probe's seed-node and neighbour draws.
+const PROBE_SEED: u64 = 0x55d;
+
+/// Partition replication factor of Marius's BETA ordering (extra traffic to
+/// cover cross-partition edges).
+const MARIUS_REPLICATION: f64 = 4.0;
+
+/// Marius's CPU ops per edge for batch construction / negative sampling.
+const MARIUS_EDGE_OPS: f64 = 800.0;
 
 /// Ginex-like: SSD feature store + DRAM page cache + sampled GNN training.
-#[derive(Debug, Clone)]
-pub struct GinexLike {
-    topology: Topology,
-    cfg: SsdSystemConfig,
-}
-
-impl GinexLike {
-    pub fn new(topology: Topology, cfg: SsdSystemConfig) -> GinexLike {
-        GinexLike { topology, cfg }
+/// End-to-end training time on the simulated machine.
+pub(crate) fn ginex(topology: &Topology, adj: &Csr, threads: usize, dim: usize) -> RunOutcome {
+    let sys = MemSystem::new(topology.clone());
+    let n = adj.rows() as u64;
+    let feature_bytes = n * FEATURE_DIM as u64 * 4;
+    if feature_bytes > topology.total_capacity(DeviceKind::Ssd) {
+        return RunOutcome::OutOfMemory;
     }
 
-    /// End-to-end training time on the simulated machine.
-    pub fn run(&self, adj: &Csr) -> RunOutcome {
-        let sys = MemSystem::new(self.topology.clone());
-        let cfg = &self.cfg;
-        let n = adj.rows() as u64;
-        let feature_bytes = n * cfg.feature_dim as u64 * 4;
-        if feature_bytes > self.topology.total_capacity(DeviceKind::Ssd) {
-            return RunOutcome::OutOfMemory;
-        }
+    let page_size = DeviceKind::Ssd.access_granularity();
+    let dram_budget = (topology.total_capacity(DeviceKind::Dram) as f64 * CACHE_FRACTION) as u64;
+    let nodes_per_page = (page_size / (FEATURE_DIM as u64 * 4)).max(1);
+    let mut cache = PageCache::new((dram_budget / page_size) as usize);
 
-        let ssd = SsdModel::default();
-        let dram_budget =
-            (self.topology.total_capacity(DeviceKind::Dram) as f64 * cfg.cache_fraction) as u64;
-        let nodes_per_page = (ssd.page_size / (cfg.feature_dim as u64 * 4)).max(1);
-        let mut cache = PageCache::new((dram_budget / ssd.page_size) as usize);
-
-        // Probe: replay the true sampled feature access stream of a subset
-        // of seed nodes through the cache.
-        let probe = (cfg.probe_seeds as u64).min(n).max(1);
-        let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        let mut ctx = sys.thread_ctx(0);
-        let mut sampled_nodes = 0u64;
-        for _ in 0..probe {
-            let seed_node = rng.gen_range(0..adj.rows());
-            let mut frontier = vec![seed_node];
-            for _ in 0..cfg.layers {
-                let mut next = Vec::new();
-                for &v in &frontier {
-                    let (neigh, _) = adj.row(v);
-                    for _ in 0..cfg.fanout.min(neigh.len()) {
-                        next.push(neigh[rng.gen_range(0..neigh.len())]);
-                    }
+    // Probe: replay the true sampled feature access stream of a subset
+    // of seed nodes through the cache.
+    let probe = PROBE_SEEDS.min(n).max(1);
+    let mut rng = SmallRng::seed_from_u64(PROBE_SEED);
+    let mut ctx = sys.thread_ctx(0);
+    let mut sampled_nodes = 0u64;
+    for _ in 0..probe {
+        let seed_node = rng.gen_range(0..adj.rows());
+        let mut frontier = vec![seed_node];
+        for _ in 0..LAYERS {
+            let mut next = Vec::new();
+            for &v in &frontier {
+                let (neigh, _) = adj.row(v);
+                for _ in 0..FANOUT.min(neigh.len()) {
+                    next.push(neigh[rng.gen_range(0..neigh.len())]);
                 }
-                frontier = next;
-                for &v in &frontier {
-                    sampled_nodes += 1;
-                    let page = v as u64 / nodes_per_page;
-                    if !cache.access(page) {
-                        ssd.charge_rand_page_read(&mut ctx);
-                    }
+            }
+            frontier = next;
+            for &v in &frontier {
+                sampled_nodes += 1;
+                let page = v as u64 / nodes_per_page;
+                if !cache.access(page) {
+                    ssd::charge_rand_page_read(&mut ctx);
                 }
             }
         }
-        let probe_io = sys.model().stream_time(ctx.counters());
-
-        // Extrapolate the probe to all seeds.
-        let scale = n as f64 / probe as f64;
-        let io_per_epoch = probe_io * scale;
-        let sampled_per_epoch = sampled_nodes as f64 * scale;
-
-        // CPU: sampling + gather + tensor assembly across the thread pool.
-        let sampling_per_epoch = SimDuration::from_secs_f64(
-            sampled_per_epoch * cfg.sampling_ops_per_node
-                / (sys.model().cpu_ops_per_sec * cfg.threads as f64),
-        );
-        // GPU: aggregation flops.
-        let compute_per_epoch = SimDuration::from_secs_f64(
-            sampled_per_epoch * (cfg.feature_dim * cfg.dim) as f64 * 2.0
-                / (sys.model().cpu_ops_per_sec * cfg.gpu_speedup),
-        );
-        // Ginex's superbatch inspection pass: one sequential feature sweep.
-        let mut sweep_ctx = sys.thread_ctx(0);
-        ssd.charge_seq_read(feature_bytes, &mut sweep_ctx);
-        let sweep = sys.model().stream_time(sweep_ctx.counters());
-
-        // The I/O pipeline overlaps the GPU, not the CPU-side sampling.
-        let epoch = io_per_epoch.max(compute_per_epoch) + sampling_per_epoch + sweep;
-        RunOutcome::Completed(epoch * cfg.epochs as u64)
     }
+    let probe_io = sys.model().stream_time(ctx.counters());
+
+    // Extrapolate the probe to all seeds.
+    let scale = n as f64 / probe as f64;
+    let io_per_epoch = probe_io * scale;
+    let sampled_per_epoch = sampled_nodes as f64 * scale;
+
+    // CPU: sampling + gather + tensor assembly across the thread pool.
+    let sampling_per_epoch = SimDuration::from_secs_f64(
+        sampled_per_epoch * SAMPLING_OPS_PER_NODE / (sys.model().cpu_ops_per_sec * threads as f64),
+    );
+    // GPU: aggregation flops.
+    let compute_per_epoch = SimDuration::from_secs_f64(
+        sampled_per_epoch * (FEATURE_DIM * dim) as f64 * 2.0
+            / (sys.model().cpu_ops_per_sec * GPU_SPEEDUP),
+    );
+    // Ginex's superbatch inspection pass: one sequential feature sweep.
+    let mut sweep_ctx = sys.thread_ctx(0);
+    ssd::charge_seq_read(feature_bytes, &mut sweep_ctx);
+    let sweep = sys.model().stream_time(sweep_ctx.counters());
+
+    // The I/O pipeline overlaps the GPU, not the CPU-side sampling.
+    let epoch = io_per_epoch.max(compute_per_epoch) + sampling_per_epoch + sweep;
+    RunOutcome::Completed(epoch * EPOCHS)
 }
 
 /// MariusGNN-like: partition-swapping out-of-core training with sequential
 /// SSD traffic.
-#[derive(Debug, Clone)]
-pub struct MariusLike {
-    topology: Topology,
-    cfg: SsdSystemConfig,
-    /// Partition replication factor of the BETA ordering (extra traffic to
-    /// cover cross-partition edges).
-    pub replication: f64,
-    /// CPU ops per edge for batch construction / negative sampling.
-    pub edge_ops: f64,
-}
-
-impl MariusLike {
-    pub fn new(topology: Topology, cfg: SsdSystemConfig) -> MariusLike {
-        MariusLike {
-            topology,
-            cfg,
-            replication: 4.0,
-            edge_ops: 800.0,
-        }
+pub(crate) fn marius(topology: &Topology, adj: &Csr, threads: usize, dim: usize) -> RunOutcome {
+    let sys = MemSystem::new(topology.clone());
+    let n = adj.rows() as u64;
+    let state_bytes = n * (FEATURE_DIM + dim) as u64 * 4;
+    if state_bytes > topology.total_capacity(DeviceKind::Ssd) {
+        return RunOutcome::OutOfMemory;
     }
 
-    pub fn run(&self, adj: &Csr) -> RunOutcome {
-        let sys = MemSystem::new(self.topology.clone());
-        let cfg = &self.cfg;
-        let n = adj.rows() as u64;
-        let state_bytes = n * (cfg.feature_dim + cfg.dim) as u64 * 4;
-        if state_bytes > self.topology.total_capacity(DeviceKind::Ssd) {
-            return RunOutcome::OutOfMemory;
-        }
+    // Per epoch: every partition is read and written back, with BETA's
+    // replication overhead; all sequential and device-saturated.
+    let mut ctx = sys.thread_ctx(0);
+    let traffic = (state_bytes as f64 * MARIUS_REPLICATION) as u64;
+    ssd::charge_seq_read(traffic, &mut ctx);
+    ssd::charge_seq_write(traffic, &mut ctx);
+    let io_per_epoch = sys.model().stream_time(ctx.counters());
 
-        // Per epoch: every partition is read and written back, with BETA's
-        // replication overhead; all sequential and device-saturated.
-        let ssd = SsdModel::default();
-        let mut ctx = sys.thread_ctx(0);
-        let traffic = (state_bytes as f64 * self.replication) as u64;
-        ssd.charge_seq_read(traffic, &mut ctx);
-        ssd.charge_seq_write(traffic, &mut ctx);
-        let io_per_epoch = sys.model().stream_time(ctx.counters());
+    // CPU batch construction + GPU compute over the edges.
+    let cpu_per_epoch = SimDuration::from_secs_f64(
+        adj.nnz() as f64 * MARIUS_EDGE_OPS / (sys.model().cpu_ops_per_sec * threads as f64),
+    );
+    let gpu_per_epoch = SimDuration::from_secs_f64(
+        adj.nnz() as f64 * (dim * 6) as f64 / (sys.model().cpu_ops_per_sec * GPU_SPEEDUP),
+    );
 
-        // CPU batch construction + GPU compute over the edges.
-        let cpu_per_epoch = SimDuration::from_secs_f64(
-            adj.nnz() as f64 * self.edge_ops / (sys.model().cpu_ops_per_sec * cfg.threads as f64),
-        );
-        let gpu_per_epoch = SimDuration::from_secs_f64(
-            adj.nnz() as f64 * (cfg.dim * 6) as f64
-                / (sys.model().cpu_ops_per_sec * cfg.gpu_speedup),
-        );
-
-        let epoch = io_per_epoch.max(gpu_per_epoch) + cpu_per_epoch;
-        RunOutcome::Completed(epoch * cfg.epochs as u64)
-    }
+    let epoch = io_per_epoch.max(gpu_per_epoch) + cpu_per_epoch;
+    RunOutcome::Completed(epoch * EPOCHS)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use omega_graph::RmatConfig;
+    use crate::Comparator::{Ginex, Marius};
+    use omega_graph::{Csr, RmatConfig};
+    use omega_hetmem::Topology;
 
     fn topo() -> Topology {
         Topology::paper_machine_scaled(24 << 20)
@@ -226,13 +185,8 @@ mod tests {
     #[test]
     fn both_complete_and_marius_beats_ginex() {
         let g = graph();
-        let cfg = SsdSystemConfig {
-            threads: 8,
-            dim: 32,
-            ..SsdSystemConfig::default()
-        };
-        let ginex = GinexLike::new(topo(), cfg).run(&g).time().unwrap();
-        let marius = MariusLike::new(topo(), cfg).run(&g).time().unwrap();
+        let ginex = Ginex.run(&topo(), &g, 8, 32).time().unwrap();
+        let marius = Marius.run(&topo(), &g, 8, 32).time().unwrap();
         assert!(
             marius < ginex,
             "sequential swapping (Marius {marius}) should beat random paging (Ginex {ginex})"
@@ -242,53 +196,27 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = graph();
-        let cfg = SsdSystemConfig::default();
-        let a = GinexLike::new(topo(), cfg).run(&g);
-        let b = GinexLike::new(topo(), cfg).run(&g);
+        let a = Ginex.run(&topo(), &g, 30, 64);
+        let b = Ginex.run(&topo(), &g, 30, 64);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn epochs_scale_time() {
-        let g = graph();
-        let short = SsdSystemConfig {
-            epochs: 2,
-            ..SsdSystemConfig::default()
-        };
-        let long = SsdSystemConfig {
-            epochs: 8,
-            ..SsdSystemConfig::default()
-        };
-        let a = MariusLike::new(topo(), short).run(&g).time().unwrap();
-        let b = MariusLike::new(topo(), long).run(&g).time().unwrap();
-        assert_eq!(b.as_nanos(), a.as_nanos() * 4);
     }
 
     #[test]
     fn no_ssd_means_oom() {
         let g = graph();
         let topo = Topology::new(2, 4, 24 << 20, 192 << 20, 0).unwrap();
-        assert!(GinexLike::new(topo.clone(), SsdSystemConfig::default())
-            .run(&g)
-            .is_oom());
-        assert!(MariusLike::new(topo, SsdSystemConfig::default())
-            .run(&g)
-            .is_oom());
+        assert!(Ginex.run(&topo, &g, 30, 64).is_oom());
+        assert!(Marius.run(&topo, &g, 30, 64).is_oom());
     }
 
     #[test]
     fn bigger_cache_reduces_ginex_io() {
+        // The page cache is a fixed fraction of DRAM: more DRAM, fewer misses.
         let g = graph();
-        let small = SsdSystemConfig {
-            cache_fraction: 0.01,
-            ..SsdSystemConfig::default()
-        };
-        let large = SsdSystemConfig {
-            cache_fraction: 0.9,
-            ..SsdSystemConfig::default()
-        };
-        let slow = GinexLike::new(topo(), small).run(&g).time().unwrap();
-        let fast = GinexLike::new(topo(), large).run(&g).time().unwrap();
-        assert!(fast <= slow, "{fast} !<= {slow}");
+        let small = Topology::new(2, 18, 1 << 20, 8 << 20, 80 << 20).unwrap();
+        let large = Topology::new(2, 18, 64 << 20, 8 << 20, 80 << 20).unwrap();
+        let slow = Ginex.run(&small, &g, 30, 64).time().unwrap();
+        let fast = Ginex.run(&large, &g, 30, 64).time().unwrap();
+        assert!(fast < slow, "{fast} !< {slow}");
     }
 }

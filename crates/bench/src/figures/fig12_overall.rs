@@ -8,9 +8,7 @@ use crate::{
     embed_or_oom, fmt_time, geomean, machine, omega_config, print_table, twin, DIM, THREADS,
 };
 use omega::{Omega, OmegaRun, SystemVariant};
-use omega_baselines::ProneBaseline;
-use omega_baselines::RunOutcome;
-use omega_baselines::{GinexLike, MariusLike, SsdSystemConfig};
+use omega_baselines::{Comparator, RunOutcome};
 use omega_graph::{Csr, Dataset};
 use omega_hetmem::SimDuration;
 use omega_obs::json::object;
@@ -81,25 +79,28 @@ fn run_metrics_row(graph: &str, run: &OmegaRun) -> Value {
     ])
 }
 
+/// The competitors of Fig. 12, in column order after OMeGa's variants.
+const COMPETITORS: [Comparator; 4] = [
+    Comparator::ProneDram,
+    Comparator::ProneHm,
+    Comparator::Ginex,
+    Comparator::Marius,
+];
+
 /// The systems of Fig. 12, in column order.
 const SYSTEMS: [&str; 7] = [
-    "OMeGa",
-    "OMeGa-DRAM",
-    "OMeGa-PM",
-    "ProNE-DRAM",
-    "ProNE-HM",
-    "Ginex",
-    "MariusGNN",
+    SystemVariant::Omega.label(),
+    SystemVariant::OmegaDram.label(),
+    SystemVariant::OmegaPm.label(),
+    COMPETITORS[0].label(),
+    COMPETITORS[1].label(),
+    COMPETITORS[2].label(),
+    COMPETITORS[3].label(),
 ];
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
     let topo = machine(scale);
     let base = omega_config(&topo);
-    let ssd_cfg = SsdSystemConfig {
-        threads: THREADS,
-        dim: DIM,
-        ..SsdSystemConfig::default()
-    };
     let variant = |g: &Csr, v: SystemVariant| {
         let run = embed_or_oom(Omega::new(base.clone().with_variant(v)).unwrap(), g);
         run.map_or(RunOutcome::OutOfMemory, |r| {
@@ -116,17 +117,14 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
             .expect("OMeGa completes everywhere");
         let omega_t = run.total_time();
         jsonl.push(run_metrics_row(d.label(), &run));
-        let outcomes = [
+        let mut outcomes = vec![
             RunOutcome::Completed(omega_t),
             variant(&g, SystemVariant::OmegaDram),
             // OMeGa-PM is skipped past LJ in the paper (> 1 day); we compute
             // it and let the day cap annotate it.
             variant(&g, SystemVariant::OmegaPm),
-            ProneBaseline::dram(topo.clone(), THREADS, DIM).run(&g),
-            ProneBaseline::hm(topo.clone(), THREADS, DIM).run(&g),
-            GinexLike::new(topo.clone(), ssd_cfg).run(&g),
-            MariusLike::new(topo.clone(), ssd_cfg).run(&g),
         ];
+        outcomes.extend(COMPETITORS.map(|c| c.run(&topo, &g, THREADS, DIM)));
         for (sys, out) in SYSTEMS.iter().zip(&outcomes) {
             jsonl.push(cell_row(d.label(), sys, out));
         }

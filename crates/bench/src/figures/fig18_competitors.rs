@@ -4,12 +4,12 @@
 //! billion-scale TW-2010 twin, as the paper reports.
 
 use crate::{
-    fmt_time, geomean, machine, omega_config, print_table, spmm_operands, twin, DIM, THREADS,
+    fmt_time, geomean, machine, omega_config, print_table, spmm, spmm_operands, twin, DIM, THREADS,
 };
 use omega::Omega;
-use omega_baselines::{omega_spmm_time, FusedMm, SemSpmm};
-use omega_baselines::{DistConfig, DistDglLike, DistGerLike};
+use omega_baselines::Comparator::{DistDgl, DistGer, FusedMm, SemSpmm};
 use omega_graph::Dataset;
+use omega_spmm::SpmmConfig;
 use serde::Value;
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
@@ -17,7 +17,6 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
     let base = omega_config(&topo);
 
     // (a) distributed systems, end to end.
-    let dist_cfg = DistConfig::paper_cluster(DIM);
     let mut rows = Vec::new();
     let mut dgl_speedups = Vec::new();
     let mut ger_ratios = Vec::new();
@@ -28,8 +27,8 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
             .embed(&g)
             .unwrap()
             .total_time();
-        let dgl = DistDglLike::new(dist_cfg).run(&g);
-        let ger = DistGerLike::new(dist_cfg).run(&g);
+        let dgl = DistDgl.run(&topo, &g, THREADS, DIM);
+        let ger = DistGer.run(&topo, &g, THREADS, DIM);
         dgl_speedups.extend(dgl.time().map(|t| t.ratio(omega)));
         ger_ratios.extend(ger.time().map(|t| t.ratio(omega)));
         rows.push(vec![
@@ -41,7 +40,7 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
     }
     print_table(
         "Fig. 18(a): vs distributed systems (4-machine 25GbE cluster)",
-        &["graph", "OMeGa", "DistGER", "DistDGL"],
+        &["graph", "OMeGa", DistGer.label(), DistDgl.label()],
         &rows,
     );
     println!(
@@ -58,10 +57,9 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
     for &d in &Dataset::ALL {
         let g = twin(d, scale);
         let (csdb, b) = spmm_operands(&g, 18);
-        let omega = omega_spmm_time(topo.clone(), THREADS, &csdb, &b);
-        let sem = SemSpmm::new(topo.clone(), THREADS).run_spmm(&g, DIM);
-        let fused = FusedMm::new(topo.clone(), THREADS).run_spmm(&g, DIM);
-        let omega_t = omega.time().expect("OMeGa completes");
+        let omega_t = spmm(&topo, SpmmConfig::omega(THREADS), &csdb, &b).makespan;
+        let sem = SemSpmm.run(&topo, &g, THREADS, DIM);
+        let fused = FusedMm.run(&topo, &g, THREADS, DIM);
         sem_speedups.extend(sem.time().map(|t| t.ratio(omega_t)));
         fused_speedups.extend(fused.time().map(|t| t.ratio(omega_t)));
         rows.push(vec![
@@ -73,7 +71,7 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
     }
     print_table(
         "Fig. 18(b): one SpMM vs SEM-SpMM and FusedMM",
-        &["graph", "OMeGa", "SEM-SpMM", "FusedMM"],
+        &["graph", "OMeGa", SemSpmm.label(), FusedMm.label()],
         &rows,
     );
     println!(

@@ -65,7 +65,6 @@ mod fault;
 mod governor;
 mod hetvec;
 mod net;
-mod ssd;
 mod stats;
 mod system;
 mod topology;
@@ -79,7 +78,6 @@ pub use fault::{FaultAccess, FaultHook, FaultVerdict};
 pub use governor::{MemGovernor, MemReservation, MemUsage};
 pub use hetvec::{HetVec, Placement};
 pub use net::{Cluster, NetModel};
-pub use ssd::{PageCache, SsdModel};
 pub use stats::AccessSummary;
 pub use system::MemSystem;
 pub use topology::{NodeId, Topology};

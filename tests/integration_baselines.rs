@@ -2,13 +2,12 @@
 //! hold on the dataset twins.
 
 use omega::{Omega, OmegaConfig, SystemVariant};
-use omega_baselines::ProneBaseline;
-use omega_baselines::{omega_spmm_time, FusedMm, SemSpmm};
-use omega_baselines::{DistConfig, DistDglLike, DistGerLike};
-use omega_baselines::{GinexLike, MariusLike, RunOutcome, SsdSystemConfig};
+use omega_baselines::Comparator::{self, *};
+use omega_baselines::RunOutcome;
 use omega_graph::{Csdb, Csr, Dataset};
-use omega_hetmem::{SimDuration, Topology};
+use omega_hetmem::{MemSystem, SimDuration, Topology};
 use omega_linalg::gaussian_matrix;
+use omega_spmm::{SpmmConfig, SpmmEngine};
 
 const SCALE: u64 = 4_000;
 const THREADS: usize = 16;
@@ -21,24 +20,11 @@ fn topo() -> Topology {
 /// `system`'s outcome on `g` at 30 threads and [`DIM`], by its figure
 /// label: an end-to-end embedding, or one SpMM for SEM-SpMM and FusedMM.
 fn comparator(system: &str, g: &Csr) -> RunOutcome {
-    let threads = 30;
-    let ssd = SsdSystemConfig {
-        threads,
-        dim: DIM,
-        ..SsdSystemConfig::default()
-    };
-    let dist = DistConfig::paper_cluster(DIM);
-    match system {
-        "ProNE-DRAM" => ProneBaseline::dram(topo(), threads, DIM).run(g),
-        "ProNE-HM" => ProneBaseline::hm(topo(), threads, DIM).run(g),
-        "Ginex" => GinexLike::new(topo(), ssd).run(g),
-        "MariusGNN" => MariusLike::new(topo(), ssd).run(g),
-        "DistDGL" => DistDglLike::new(dist).run(g),
-        "DistGER" => DistGerLike::new(dist).run(g),
-        "SEM-SpMM" => SemSpmm::new(topo(), threads).run_spmm(g, DIM),
-        "FusedMM" => FusedMm::new(topo(), threads).run_spmm(g, DIM),
-        other => panic!("no comparator {other}"),
-    }
+    let all = [
+        ProneDram, ProneHm, Ginex, Marius, DistDgl, DistGer, SemSpmm, FusedMm,
+    ];
+    let c = all.into_iter().find(|c| c.label() == system);
+    c.expect("a comparator label").run(&topo(), g, 30, DIM)
 }
 
 /// Every comparator's exact simulated nanoseconds (`None`: out of memory)
@@ -86,36 +72,19 @@ fn fig12_ordering_on_pk_twin() {
     let d = Dataset::Pk;
     let g = d.load_scaled(SCALE).unwrap();
     let omega = omega_time(d);
-    let prone_dram = ProneBaseline::dram(topo(), THREADS, DIM)
-        .run(&g)
-        .time()
-        .unwrap();
-    let prone_hm = ProneBaseline::hm(topo(), THREADS, DIM)
-        .run(&g)
-        .time()
-        .unwrap();
-    let cfg = SsdSystemConfig {
-        threads: THREADS,
-        dim: DIM,
-        ..SsdSystemConfig::default()
-    };
-    let ginex = GinexLike::new(topo(), cfg).run(&g).time().unwrap();
-    let marius = MariusLike::new(topo(), cfg).run(&g).time().unwrap();
+    let time = |c: Comparator| c.run(&topo(), &g, THREADS, DIM).time().unwrap();
 
     // The paper's Fig. 12 ordering: OMeGa beats every competitor.
-    for (name, t) in [
-        ("ProNE-DRAM", prone_dram),
-        ("ProNE-HM", prone_hm),
-        ("Ginex", ginex),
-        ("MariusGNN", marius),
-    ] {
+    for c in [ProneDram, ProneHm, Ginex, Marius] {
+        let t = time(c);
         assert!(
             t > omega,
-            "{name} ({t}) should be slower than OMeGa ({omega})"
+            "{} ({t}) should be slower than OMeGa ({omega})",
+            c.label()
         );
     }
     // And ProNE-HM is slower than ProNE-DRAM (the PM sparse streams).
-    assert!(prone_hm > prone_dram);
+    assert!(time(ProneHm) > time(ProneDram));
 }
 
 #[test]
@@ -130,7 +99,7 @@ fn dram_only_systems_oom_on_billion_scale_twins() {
         let err = Omega::new(cfg).unwrap().embed(&g).unwrap_err();
         assert!(err.is_oom(), "{} should OOM on DRAM", d.label());
         // FusedMM (in-memory) fails on TW-2010 as the paper reports.
-        let fused = FusedMm::new(topo(), THREADS).run_spmm(&g, 64);
+        let fused = FusedMm.run(&topo(), &g, THREADS, 64);
         assert!(fused.is_oom(), "FusedMM should OOM on {}", d.label());
         // OMeGa itself completes.
         let cfg = OmegaConfig::default()
@@ -145,9 +114,8 @@ fn dram_only_systems_oom_on_billion_scale_twins() {
 fn fig18a_distributed_ordering() {
     let g = Dataset::Lj.load_scaled(SCALE).unwrap();
     let omega = omega_time(Dataset::Lj);
-    let cfg = DistConfig::paper_cluster(DIM);
-    let dgl = DistDglLike::new(cfg).run(&g).time().unwrap();
-    let ger = DistGerLike::new(cfg).run(&g).time().unwrap();
+    let dgl = DistDgl.run(&topo(), &g, 30, DIM).time().unwrap();
+    let ger = DistGer.run(&topo(), &g, 30, DIM).time().unwrap();
     assert!(dgl > omega, "DistDGL should trail OMeGa");
     assert!(ger < dgl, "DistGER should beat DistDGL");
     // DistGER is competitive: within an order of magnitude of OMeGa.
@@ -159,15 +127,10 @@ fn fig18b_spmm_ordering() {
     let g = Dataset::Pk.load_scaled(SCALE).unwrap();
     let csdb = Csdb::from_csr(&g).unwrap();
     let b = gaussian_matrix(g.rows() as usize, DIM, 1);
-    let omega = omega_spmm_time(topo(), THREADS, &csdb, &b).time().unwrap();
-    let sem = SemSpmm::new(topo(), THREADS)
-        .run_spmm(&g, DIM)
-        .time()
-        .unwrap();
-    let fused = FusedMm::new(topo(), THREADS)
-        .run_spmm(&g, DIM)
-        .time()
-        .unwrap();
+    let engine = SpmmEngine::new(MemSystem::new(topo()), SpmmConfig::omega(THREADS)).unwrap();
+    let omega = engine.spmm(&csdb, &b).unwrap().makespan;
+    let sem = SemSpmm.run(&topo(), &g, THREADS, DIM).time().unwrap();
+    let fused = FusedMm.run(&topo(), &g, THREADS, DIM).time().unwrap();
     assert!(
         sem.ratio(omega) > 4.0,
         "SEM-SpMM should trail OMeGa clearly ({})",
