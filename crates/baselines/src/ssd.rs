@@ -10,7 +10,7 @@ use omega_hetmem::{AccessOp, AccessPattern, DeviceKind, Placement, ThreadMem};
 use std::collections::HashMap;
 
 /// Bytes one SSD I/O moves.
-const PAGE_SIZE: u64 = DeviceKind::Ssd.access_granularity();
+pub(crate) const PAGE_SIZE: u64 = DeviceKind::Ssd.access_granularity();
 
 /// Charge `pages` whole pages of `op`/`pattern` traffic on the SSD.
 fn charge_pages(op: AccessOp, pattern: AccessPattern, pages: u64, ctx: &mut ThreadMem) {

@@ -78,10 +78,9 @@ pub(crate) fn ginex(topology: &Topology, adj: &Csr, threads: usize, dim: usize) 
         return RunOutcome::OutOfMemory;
     }
 
-    let page_size = DeviceKind::Ssd.access_granularity();
     let dram_budget = (topology.total_capacity(DeviceKind::Dram) as f64 * CACHE_FRACTION) as u64;
-    let nodes_per_page = (page_size / (FEATURE_DIM as u64 * 4)).max(1);
-    let mut cache = PageCache::new((dram_budget / page_size) as usize);
+    let nodes_per_page = (ssd::PAGE_SIZE / (FEATURE_DIM as u64 * 4)).max(1);
+    let mut cache = PageCache::new((dram_budget / ssd::PAGE_SIZE) as usize);
 
     // Probe: replay the true sampled feature access stream of a subset
     // of seed nodes through the cache.

@@ -336,22 +336,24 @@ mod tests {
 
     /// A word2vec header whose table could not be in the file is refused
     /// with the parse error, not by a capacity-overflow panic or an
-    /// allocation abort.
+    /// allocation abort; so is a row with more values than the header's
+    /// dimension.
     #[test]
     fn serve_refuses_an_embedding_header_past_its_file() {
         let dir = std::env::temp_dir().join("omega_cli_header_test");
         std::fs::create_dir_all(&dir).unwrap();
-        for (name, header) in [
-            ("overflow", "4000000000 4000000000"),
-            ("terabytes", "3 1000000000000"),
+        for (name, text) in [
+            ("overflow", "4000000000 4000000000\n0 1 2\n"),
+            ("terabytes", "3 1000000000000\n0 1 2\n"),
+            ("long_row", "2 1\n0 1 9\n1 2\n"),
         ] {
             let path = dir.join(format!("{name}.txt"));
-            std::fs::write(&path, format!("{header}\n0 1 2\n")).unwrap();
+            std::fs::write(&path, text).unwrap();
             let path = path.to_str().unwrap();
             let err = run(&s(&["serve", "--requests", "10", "--input", path])).unwrap_err();
             assert!(
                 err.contains("not a word2vec-text embedding"),
-                "{header}: {err}"
+                "{name}: {err}"
             );
         }
     }

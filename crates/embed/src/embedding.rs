@@ -298,8 +298,8 @@ impl Embedding {
     }
 
     /// Parse the word2vec text format: a `nodes d` header, then one row per
-    /// node, its id and `d` values. `None` unless every id below `nodes`
-    /// has exactly one row. A header whose table could not fit in the text
+    /// node, its id and exactly `d` values. `None` unless every id below
+    /// `nodes` has exactly one row. A header whose table could not fit in the text
     /// (every id and value takes at least two bytes) is refused before
     /// anything is allocated.
     pub fn parse(text: &str) -> Option<Embedding> {
@@ -321,6 +321,9 @@ impl Embedding {
             }
             for i in 0..d {
                 data[v * d + i] = parts.next()?.parse().ok()?;
+            }
+            if parts.next().is_some() {
+                return None;
             }
         }
         seen.iter()
@@ -640,6 +643,7 @@ mod tests {
         assert!(Embedding::parse("3 2\n0 1 2\n").is_none());
         assert!(Embedding::parse("2 1\n0 1\n0 2\n").is_none());
         assert!(Embedding::parse("2 1\n1 1\n1 2\n").is_none());
+        assert!(Embedding::parse("2 1\n0 1 9\n1 2\n").is_none());
         let e = Embedding::parse("2 1\n1 1\n0 2").unwrap();
         assert_eq!((e.vector(0), e.vector(1)), (&[2.0][..], &[1.0][..]));
         assert_eq!(Embedding::parse("0 5\n").unwrap().nodes(), 0);

@@ -1,12 +1,12 @@
-//! The tile routine of the dense `AᵀB` products.
+//! The tile routine of the dense `AᵀA` product.
 //!
 //! Simple cache-aware loops are sufficient for the dense products in
 //! ProNE: each involves at least one small (`d × d` or `n × d`, `d ≤ 256`)
 //! operand; the heavy kernel is the *sparse* SpMM in `omega-spmm`. The one
-//! product whose every element is a long reduction — `AᵀB` over tall
-//! operands, in practice the Gram matrix `AᵀA` of
-//! [`gram_threads`](crate::gram_threads) — runs through a 4 × 4 register
-//! tile, [`gemm_tn_cols`], which the pooled panels of `par` call.
+//! product whose every element is a long reduction — the Gram matrix `AᵀA`
+//! of a tall `A`, [`gram_threads`](crate::gram_threads) — runs through a
+//! 4 × 4 register tile, [`gemm_tn_cols`], which the pooled panels of `par`
+//! call.
 
 use crate::matrix::DenseMatrix;
 use std::ops::Range;
@@ -35,28 +35,18 @@ fn tile_tn(a: [&[f32]; TILE], b: [&[f32]; TILE]) -> [[f32; TILE]; TILE] {
     acc
 }
 
-/// Columns `cols` of `AᵀB` into `out` (column-major, `a.cols()` rows per
-/// column), tile by tile — the one routine behind every `AᵀB` panel and so
-/// behind [`gram_threads`](crate::gram_threads). With `upper`, a column's
-/// tiles stop at the one that holds its diagonal element and the rows
-/// below stay as they were. A ragged last tile repeats its final column to
-/// stay 4 × 4 and drops the copies.
-pub(crate) fn gemm_tn_cols(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    cols: Range<usize>,
-    upper: bool,
-    out: &mut [f32],
-) {
+/// Columns `cols` of the Gram matrix `AᵀA` into `out` (column-major,
+/// `a.cols()` rows per column), tile by tile, down to the tile that holds
+/// each column's diagonal element; the rows below stay as they were. This
+/// is the one routine behind [`gram_threads`](crate::gram_threads). A
+/// ragged last tile repeats its final column to stay 4 × 4 and drops the
+/// copies.
+pub(crate) fn gemm_tn_cols(a: &DenseMatrix, cols: Range<usize>, out: &mut [f32]) {
     let m = a.cols();
-    if m == 0 {
-        return;
-    }
     for j0 in cols.clone().step_by(TILE) {
         let nj = TILE.min(cols.end - j0);
-        let bj = std::array::from_fn(|t| b.col(j0 + t.min(nj - 1)));
-        let row_end = if upper { m.min(j0 + nj) } else { m };
-        for i0 in (0..row_end).step_by(TILE) {
+        let bj = std::array::from_fn(|t| a.col(j0 + t.min(nj - 1)));
+        for i0 in (0..m.min(j0 + nj)).step_by(TILE) {
             let mi = TILE.min(m - i0);
             let acc = tile_tn(std::array::from_fn(|t| a.col(i0 + t.min(mi - 1))), bj);
             for (jj, col) in acc.iter().enumerate().take(nj) {
@@ -105,10 +95,10 @@ mod tests {
     #[test]
     fn gemm_tn_matches_explicit_transpose() {
         let a = DenseMatrix::from_row_major(3, 2, &[1., 2., 3., 4., 5., 6.]).unwrap();
-        let b = DenseMatrix::from_row_major(3, 2, &[7., 8., 9., 10., 11., 12.]).unwrap();
-        let via_t = gemm_threads(&a.transposed(), &b, 1).unwrap();
+        let via_t = gemm_threads(&a.transposed(), &a, 1).unwrap();
         let mut direct = DenseMatrix::zeros(2, 2);
-        gemm_tn_cols(&a, &b, 0..2, false, direct.data_mut());
+        gemm_tn_cols(&a, 0..2, direct.data_mut());
+        mirror_upper(&mut direct);
         assert!(direct.max_abs_diff(&via_t) < 1e-5);
     }
 

@@ -93,38 +93,30 @@ pub fn gemm_threads(a: &DenseMatrix, b: &DenseMatrix, threads: usize) -> Result<
     Ok(c)
 }
 
-/// `AᵀB` (`a` and `b` sharing their row count) in output-column panels of
-/// [`GEMM_TN_PANEL_COLS`] on the pool, each panel through the tile routine
-/// `gemm_tn_cols`; the reduction over the shared rows is never split. With
-/// `upper`, only down to each panel's diagonal tile (the rows below stay
-/// zero).
-fn tn_panels(a: &DenseMatrix, b: &DenseMatrix, threads: usize, upper: bool) -> DenseMatrix {
-    let (m, n) = (a.cols(), b.cols());
-    let mut c = DenseMatrix::zeros(m, n);
-    if m == 0 || n == 0 {
+/// The Gram matrix `AᵀA` on up to `threads` workers: output-column panels
+/// of `GEMM_TN_PANEL_COLS` on the pool, each panel's tiles on and above
+/// the diagonal through the tile routine `gemm_tn_cols` (the reduction over
+/// the rows is never split), then mirrored. `x · y` and `y · x` round to
+/// the same f32, and element `(j, i)` sums the same products in the same
+/// order as `(i, j)`, so the result is the full `AᵀB` with `B = A`, bit for
+/// bit.
+pub fn gram_threads(a: &DenseMatrix, threads: usize) -> DenseMatrix {
+    let m = a.cols();
+    let mut c = DenseMatrix::zeros(m, m);
+    if m == 0 {
         return c;
     }
-    let panels = n.div_ceil(GEMM_TN_PANEL_COLS);
+    let panels = m.div_ceil(GEMM_TN_PANEL_COLS);
     let blocks = omega_par::run_labeled("linalg.gemm_tn", threads, panels, |_: &mut (), p| {
-        let cols = p * GEMM_TN_PANEL_COLS..((p + 1) * GEMM_TN_PANEL_COLS).min(n);
+        let cols = p * GEMM_TN_PANEL_COLS..((p + 1) * GEMM_TN_PANEL_COLS).min(m);
         let mut buf = vec![0f32; m * cols.len()];
-        gemm_tn_cols(a, b, cols, upper, &mut buf);
+        gemm_tn_cols(a, cols, &mut buf);
         buf
     });
     for (p, buf) in blocks.iter().enumerate() {
         let at = p * GEMM_TN_PANEL_COLS * m;
         c.data_mut()[at..at + buf.len()].copy_from_slice(buf);
     }
-    c
-}
-
-/// The Gram matrix `AᵀA` on up to `threads` workers: the panels of the
-/// upper triangle on the pool, mirrored by the caller. Only the tiles on
-/// and above the diagonal are computed — `x · y` and `y · x` round to the
-/// same f32, and element `(j, i)` sums the same products in the same order
-/// as `(i, j)` — so the result is the full `AᵀB` with `B = A`, bit for bit.
-pub fn gram_threads(a: &DenseMatrix, threads: usize) -> DenseMatrix {
-    let mut c = tn_panels(a, a, threads, true);
     mirror_upper(&mut c);
     c
 }
@@ -275,17 +267,20 @@ mod tests {
         });
     }
 
-    /// `AᵀB` with two operands over ragged column panels, and the mirrored
-    /// Gram, against the definition.
+    /// The mirrored Gram of `[A B]` over ragged column panels against the
+    /// definition, and its upper-right block against `AᵀB`'s.
     #[test]
     fn blocked_gemm_tn_bit_identical() {
-        let a = gaussian_matrix(83, 7, 5);
-        let b = gaussian_matrix(83, 11, 6);
+        let ab = gaussian_matrix(83, 7 + 11, 5);
+        let (a, b) = (ab.columns(0..7), ab.columns(7..18));
+        let want_gram = gemm_tn_by_definition(&ab, &ab);
         let want = gemm_tn_by_definition(&a, &b);
-        let want_gram = gemm_tn_by_definition(&b, &b);
         at_every_width(|threads, what| {
-            assert_bits_eq(&tn_panels(&a, &b, threads, false), &want, what);
-            assert_bits_eq(&gram_threads(&b, threads), &want_gram, what);
+            let gram = gram_threads(&ab, threads);
+            assert_bits_eq(&gram, &want_gram, what);
+            for (j, i) in (0..11).flat_map(|j| (0..7).map(move |i| (j, i))) {
+                assert_eq!(gram[(i, 7 + j)].to_bits(), want[(i, j)].to_bits(), "{what}");
+            }
         });
     }
 

@@ -107,13 +107,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(auc_omega > 0.6, "OMeGa embedding should beat chance");
 
     // Who-to-follow: rank candidate follows for the hub (RMAT puts the
-    // highest degrees on the lowest ids) by cosine top-k, skipping nodes it
-    // already links to.
+    // highest degrees on the lowest ids) by cosine, skipping nodes it
+    // already links to. The hub's nearest rows are mostly its neighbours,
+    // so the whole table is ranked.
     let hub = 0u32;
     let existing = train.row(hub).0;
     let emb = &run.embedding;
     let recs: Vec<(u32, f32)> = emb
-        .top_k(emb.vector(hub), 16, Metric::Cosine)
+        .top_k(emb.vector(hub), emb.nodes() as usize, Metric::Cosine)
         .into_iter()
         .filter(|&(v, _)| v != hub && existing.binary_search(&v).is_err())
         .take(5)
