@@ -207,6 +207,9 @@ mod tests {
     use super::*;
     use crate::Comparator::{DistDgl, DistGer};
     use omega_graph::RmatConfig;
+    use std::num::NonZeroUsize;
+
+    const T30: NonZeroUsize = NonZeroUsize::new(30).unwrap();
 
     fn topo() -> Topology {
         Topology::paper_machine_scaled(24 << 20)
@@ -221,8 +224,8 @@ mod tests {
     #[test]
     fn distger_beats_distdgl() {
         let g = graph();
-        let dgl = DistDgl.run(&topo(), &g, 30, 32).time().unwrap();
-        let ger = DistGer.run(&topo(), &g, 30, 32).time().unwrap();
+        let dgl = DistDgl.run(&topo(), &g, T30, 32).time().unwrap();
+        let ger = DistGer.run(&topo(), &g, T30, 32).time().unwrap();
         assert!(
             ger < dgl,
             "information-oriented walks (DistGER {ger}) should beat sampling (DistDGL {dgl})"
@@ -233,7 +236,7 @@ mod tests {
     fn deterministic() {
         let g = graph();
         for c in [DistGer, DistDgl] {
-            assert_eq!(c.run(&topo(), &g, 30, 32), c.run(&topo(), &g, 30, 32));
+            assert_eq!(c.run(&topo(), &g, T30, 32), c.run(&topo(), &g, T30, 32));
         }
     }
 
@@ -243,8 +246,8 @@ mod tests {
         let large = RmatConfig::social(1 << 12, 40_000, 1)
             .generate_csr()
             .unwrap();
-        let a = DistDgl.run(&topo(), &small, 30, 32).time().unwrap();
-        let b = DistDgl.run(&topo(), &large, 30, 32).time().unwrap();
+        let a = DistDgl.run(&topo(), &small, T30, 32).time().unwrap();
+        let b = DistDgl.run(&topo(), &large, T30, 32).time().unwrap();
         assert!(b > a * 4);
     }
 
@@ -263,12 +266,12 @@ mod tests {
         // 512 KiB. Four machines of 2 x 32 KiB DRAM hold 256 KiB.
         let g = graph();
         let small = Topology::new(2, 18, 32 << 10, 256 << 10, 1 << 30).unwrap();
-        assert!(DistDgl.run(&small, &g, 30, 32).is_oom());
-        assert!(DistGer.run(&small, &g, 30, 32).is_oom());
+        assert!(DistDgl.run(&small, &g, T30, 32).is_oom());
+        assert!(DistGer.run(&small, &g, T30, 32).is_oom());
         // Four machines of 2 x 80 KiB hold 640 KiB: DistGER's state, not
         // DistDGL's.
         let mid = Topology::new(2, 18, 80 << 10, 640 << 10, 1 << 30).unwrap();
-        assert!(DistDgl.run(&mid, &g, 30, 32).is_oom());
-        assert!(!DistGer.run(&mid, &g, 30, 32).is_oom());
+        assert!(DistDgl.run(&mid, &g, T30, 32).is_oom());
+        assert!(!DistGer.run(&mid, &g, T30, 32).is_oom());
     }
 }

@@ -34,6 +34,7 @@ mod ssd_systems;
 use omega_graph::Csr;
 use omega_hetmem::{SimDuration, Topology};
 use omega_spmm::MemMode;
+use std::num::NonZeroUsize;
 
 /// A comparator system of Fig. 12 and 18.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +76,27 @@ impl Comparator {
     /// threads (per machine, for the distributed systems). `SemSpmm` and
     /// `FusedMm` price one SpMM of `dim` dense columns; the others an
     /// end-to-end embedding of dimension `dim`.
-    pub fn run(self, machine: &Topology, g: &Csr, threads: usize, dim: usize) -> RunOutcome {
+    ///
+    /// A system with no thread has no time to report, so zero threads is
+    /// refused by the type, not priced:
+    ///
+    /// ```compile_fail,E0308
+    /// # use omega_baselines::Comparator;
+    /// # let machine = omega_hetmem::Topology::paper_machine_scaled(24 << 20);
+    /// # let g = omega_graph::RmatConfig::social(512, 5_000, 3).generate_csr().unwrap();
+    /// Comparator::Ginex.run(&machine, &g, 0, 16);
+    /// ```
+    ///
+    /// ```
+    /// # use omega_baselines::Comparator;
+    /// # use std::num::NonZeroUsize;
+    /// # let machine = omega_hetmem::Topology::paper_machine_scaled(24 << 20);
+    /// # let g = omega_graph::RmatConfig::social(512, 5_000, 3).generate_csr().unwrap();
+    /// let threads = NonZeroUsize::new(8).unwrap();
+    /// assert!(Comparator::Ginex.run(&machine, &g, threads, 16).time().is_some());
+    /// ```
+    pub fn run(self, machine: &Topology, g: &Csr, threads: NonZeroUsize, dim: usize) -> RunOutcome {
+        let threads = threads.get();
         match self {
             Comparator::ProneDram => prone_like::prone(machine, g, threads, dim, MemMode::DramOnly),
             Comparator::ProneHm => {

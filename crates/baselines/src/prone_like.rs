@@ -42,7 +42,8 @@ pub(crate) fn prone(
     };
     let engine = match SpmmEngine::new(MemSystem::new(topology.clone()), spmm) {
         Ok(e) => e,
-        Err(_) => return RunOutcome::OutOfMemory,
+        Err(e) if e.is_oom() => return RunOutcome::OutOfMemory,
+        Err(other) => panic!("unexpected baseline failure: {other}"),
     };
     match Prone::new(engine, prone).embed(adj) {
         Ok((_, report)) => RunOutcome::Completed(report.total()),
@@ -56,6 +57,10 @@ mod tests {
     use crate::Comparator::{ProneDram, ProneHm};
     use omega_graph::{Csr, RmatConfig};
     use omega_hetmem::Topology;
+    use std::num::NonZeroUsize;
+
+    const T4: NonZeroUsize = NonZeroUsize::new(4).unwrap();
+    const T8: NonZeroUsize = NonZeroUsize::new(8).unwrap();
 
     fn topo() -> Topology {
         Topology::paper_machine_scaled(24 << 20)
@@ -68,8 +73,8 @@ mod tests {
     #[test]
     fn both_variants_complete_on_small_graphs() {
         let g = graph();
-        let t_dram = ProneDram.run(&topo(), &g, 8, 16).time();
-        let t_hm = ProneHm.run(&topo(), &g, 8, 16).time();
+        let t_dram = ProneDram.run(&topo(), &g, T8, 16).time();
+        let t_hm = ProneHm.run(&topo(), &g, T8, 16).time();
         let t_dram = t_dram.expect("ProNE-DRAM completes");
         let t_hm = t_hm.expect("ProNE-HM completes");
         // The HM split pays PM for sparse streams: slower than pure DRAM.
@@ -83,6 +88,6 @@ mod tests {
     fn dram_variant_ooms_when_dram_is_tiny() {
         let g = graph();
         let tiny = Topology::new(2, 4, 48 << 10, 64 << 20, 1 << 30).unwrap();
-        assert!(ProneDram.run(&tiny, &g, 4, 16).is_oom());
+        assert!(ProneDram.run(&tiny, &g, T4, 16).is_oom());
     }
 }

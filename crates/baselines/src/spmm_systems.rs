@@ -71,7 +71,7 @@ pub(crate) fn sem_spmm(topology: &Topology, a: &Csr, threads: usize, d: usize) -
         n * d as u64 * 4,
         passes,
     );
-    ctx.add_cpu_ops(gathers / threads.max(1) as u64);
+    ctx.add_cpu_ops(gathers / threads as u64);
     let t = sys.model().stream_time(ctx.counters());
     RunOutcome::Completed(t * SEM_FRAMEWORK_OVERHEAD)
 }
@@ -98,8 +98,8 @@ pub(crate) fn fused_mm(topology: &Topology, a: &Csr, threads: usize, d: usize) -
     // Per-thread share of a WaTA split (nnz-balanced), per dense column:
     // the fused kernel makes one pass (its selling point), streaming the
     // sparse structures once per column like Algorithm 1.
-    let per_thread_nnz = a.nnz() as u64 / threads.max(1) as u64;
-    let per_thread_rows = n / threads.max(1) as u64;
+    let per_thread_nnz = a.nnz() as u64 / threads as u64;
+    let per_thread_rows = n / threads as u64;
     let gathers = per_thread_nnz * FUSED_FACTOR;
     let mut ctx = sys.thread_ctx(0);
     for _col in 0..d {
@@ -132,6 +132,9 @@ mod tests {
     use omega_hetmem::{MemSystem, SimDuration, Topology};
     use omega_linalg::gaussian_matrix;
     use omega_spmm::{SpmmConfig, SpmmEngine};
+    use std::num::NonZeroUsize;
+
+    const T8: NonZeroUsize = NonZeroUsize::new(8).unwrap();
 
     fn topo() -> Topology {
         Topology::paper_machine_scaled(24 << 20)
@@ -152,7 +155,7 @@ mod tests {
     #[test]
     fn omega_beats_sem_spmm() {
         let csr = graph(1 << 11, 20_000);
-        let sem = SemSpmm.run(&topo(), &csr, 8, 32).time().unwrap();
+        let sem = SemSpmm.run(&topo(), &csr, T8, 32).time().unwrap();
         let speedup = sem.ratio(omega_spmm(&csr, 32));
         assert!(speedup > 2.0, "OMeGa speedup over SEM-SpMM only {speedup}");
     }
@@ -160,16 +163,16 @@ mod tests {
     #[test]
     fn fusedmm_completes_small_but_ooms_when_dram_tiny() {
         let csr = graph(1 << 10, 8_000);
-        let ok = FusedMm.run(&topo(), &csr, 8, 16);
+        let ok = FusedMm.run(&topo(), &csr, T8, 16);
         assert!(ok.time().is_some());
         let tiny = Topology::new(2, 4, 16 << 10, 512 << 20, 1 << 30).unwrap();
-        assert!(FusedMm.run(&tiny, &csr, 8, 16).is_oom());
+        assert!(FusedMm.run(&tiny, &csr, T8, 16).is_oom());
     }
 
     #[test]
     fn omega_beats_fusedmm() {
         let csr = graph(1 << 11, 20_000);
-        let fused = FusedMm.run(&topo(), &csr, 8, 32).time().unwrap();
+        let fused = FusedMm.run(&topo(), &csr, T8, 32).time().unwrap();
         let speedup = fused.ratio(omega_spmm(&csr, 32));
         assert!(speedup > 1.2, "OMeGa speedup over FusedMM only {speedup}");
     }
@@ -177,8 +180,8 @@ mod tests {
     #[test]
     fn sem_spmm_passes_scale_with_dimension() {
         let csr = graph(1 << 10, 8_000);
-        let d8 = SemSpmm.run(&topo(), &csr, 8, 8).time().unwrap();
-        let d64 = SemSpmm.run(&topo(), &csr, 8, 64).time().unwrap();
+        let d8 = SemSpmm.run(&topo(), &csr, T8, 8).time().unwrap();
+        let d64 = SemSpmm.run(&topo(), &csr, T8, 64).time().unwrap();
         // 8x the columns -> 8x the sparse streams (plus dense term growth).
         assert!(d64 > d8 * 6);
     }
@@ -187,6 +190,6 @@ mod tests {
     fn sem_spmm_ooms_without_dram_for_dense() {
         let csr = graph(1 << 12, 30_000);
         let tiny = Topology::new(2, 4, 64 << 10, 512 << 20, 1 << 30).unwrap();
-        assert!(SemSpmm.run(&tiny, &csr, 8, 128).is_oom());
+        assert!(SemSpmm.run(&tiny, &csr, T8, 128).is_oom());
     }
 }

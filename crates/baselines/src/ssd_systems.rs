@@ -170,6 +170,10 @@ mod tests {
     use crate::Comparator::{Ginex, Marius};
     use omega_graph::{Csr, RmatConfig};
     use omega_hetmem::Topology;
+    use std::num::NonZeroUsize;
+
+    const T8: NonZeroUsize = NonZeroUsize::new(8).unwrap();
+    const T30: NonZeroUsize = NonZeroUsize::new(30).unwrap();
 
     fn topo() -> Topology {
         Topology::paper_machine_scaled(24 << 20)
@@ -184,8 +188,8 @@ mod tests {
     #[test]
     fn both_complete_and_marius_beats_ginex() {
         let g = graph();
-        let ginex = Ginex.run(&topo(), &g, 8, 32).time().unwrap();
-        let marius = Marius.run(&topo(), &g, 8, 32).time().unwrap();
+        let ginex = Ginex.run(&topo(), &g, T8, 32).time().unwrap();
+        let marius = Marius.run(&topo(), &g, T8, 32).time().unwrap();
         assert!(
             marius < ginex,
             "sequential swapping (Marius {marius}) should beat random paging (Ginex {ginex})"
@@ -195,8 +199,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = graph();
-        let a = Ginex.run(&topo(), &g, 30, 64);
-        let b = Ginex.run(&topo(), &g, 30, 64);
+        let a = Ginex.run(&topo(), &g, T30, 64);
+        let b = Ginex.run(&topo(), &g, T30, 64);
         assert_eq!(a, b);
     }
 
@@ -204,8 +208,8 @@ mod tests {
     fn no_ssd_means_oom() {
         let g = graph();
         let topo = Topology::new(2, 4, 24 << 20, 192 << 20, 0).unwrap();
-        assert!(Ginex.run(&topo, &g, 30, 64).is_oom());
-        assert!(Marius.run(&topo, &g, 30, 64).is_oom());
+        assert!(Ginex.run(&topo, &g, T30, 64).is_oom());
+        assert!(Marius.run(&topo, &g, T30, 64).is_oom());
     }
 
     #[test]
@@ -214,8 +218,8 @@ mod tests {
         let g = graph();
         let small = Topology::new(2, 18, 1 << 20, 8 << 20, 80 << 20).unwrap();
         let large = Topology::new(2, 18, 64 << 20, 8 << 20, 80 << 20).unwrap();
-        let slow = Ginex.run(&small, &g, 30, 64).time().unwrap();
-        let fast = Ginex.run(&large, &g, 30, 64).time().unwrap();
+        let slow = Ginex.run(&small, &g, T30, 64).time().unwrap();
+        let fast = Ginex.run(&large, &g, T30, 64).time().unwrap();
         assert!(fast < slow, "{fast} !< {slow}");
     }
 }

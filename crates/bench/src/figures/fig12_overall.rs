@@ -5,7 +5,8 @@
 //! (TW-2010, FR), exactly as the paper's Fig. 12 shows.
 
 use crate::{
-    embed_or_oom, fmt_time, geomean, machine, omega_config, print_table, twin, DIM, THREADS,
+    embed_or_oom, fmt_time, geomean, machine, omega_config, print_table, twin, COMPARATOR_THREADS,
+    DIM,
 };
 use omega::{Omega, OmegaRun, SystemVariant};
 use omega_baselines::{Comparator, RunOutcome};
@@ -124,7 +125,7 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
             // it and let the day cap annotate it.
             variant(&g, SystemVariant::OmegaPm),
         ];
-        outcomes.extend(COMPETITORS.map(|c| c.run(&topo, &g, THREADS, DIM)));
+        outcomes.extend(COMPETITORS.map(|c| c.run(&topo, &g, COMPARATOR_THREADS, DIM)));
         for (sys, out) in SYSTEMS.iter().zip(&outcomes) {
             jsonl.push(cell_row(d.label(), sys, out));
         }

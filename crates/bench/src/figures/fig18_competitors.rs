@@ -4,7 +4,8 @@
 //! billion-scale TW-2010 twin, as the paper reports.
 
 use crate::{
-    fmt_time, geomean, machine, omega_config, print_table, spmm, spmm_operands, twin, DIM, THREADS,
+    fmt_time, geomean, machine, omega_config, print_table, spmm, spmm_operands, twin,
+    COMPARATOR_THREADS, DIM, THREADS,
 };
 use omega::Omega;
 use omega_baselines::Comparator::{DistDgl, DistGer, FusedMm, SemSpmm};
@@ -27,8 +28,8 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
             .embed(&g)
             .unwrap()
             .total_time();
-        let dgl = DistDgl.run(&topo, &g, THREADS, DIM);
-        let ger = DistGer.run(&topo, &g, THREADS, DIM);
+        let dgl = DistDgl.run(&topo, &g, COMPARATOR_THREADS, DIM);
+        let ger = DistGer.run(&topo, &g, COMPARATOR_THREADS, DIM);
         dgl_speedups.extend(dgl.time().map(|t| t.ratio(omega)));
         ger_ratios.extend(ger.time().map(|t| t.ratio(omega)));
         rows.push(vec![
@@ -58,8 +59,8 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
         let g = twin(d, scale);
         let (csdb, b) = spmm_operands(&g, 18);
         let omega_t = spmm(&topo, SpmmConfig::omega(THREADS), &csdb, &b).makespan;
-        let sem = SemSpmm.run(&topo, &g, THREADS, DIM);
-        let fused = FusedMm.run(&topo, &g, THREADS, DIM);
+        let sem = SemSpmm.run(&topo, &g, COMPARATOR_THREADS, DIM);
+        let fused = FusedMm.run(&topo, &g, COMPARATOR_THREADS, DIM);
         sem_speedups.extend(sem.time().map(|t| t.ratio(omega_t)));
         fused_speedups.extend(fused.time().map(|t| t.ratio(omega_t)));
         rows.push(vec![

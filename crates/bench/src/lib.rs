@@ -63,6 +63,10 @@ pub const FIGURES: &[Figure] = &[
 /// Simulated threads used throughout the evaluation (§IV uses 30).
 const THREADS: usize = 30;
 
+/// [`THREADS`] as the comparators take it.
+const COMPARATOR_THREADS: std::num::NonZeroUsize =
+    std::num::NonZeroUsize::new(THREADS).expect("the evaluation runs threads");
+
 /// Embedding dimension for end-to-end runs.
 const DIM: usize = 64;
 

@@ -5,9 +5,9 @@
 //! SVD. No external BLAS/LAPACK — the reproduction builds every substrate.
 //!
 //! [`kernels`] holds the blocked, lane-unrolled f32 hot loops (dense dot,
-//! sparse gather-dot and its eight-column strip form, scoring a block
-//! against a set of queries) shared by the serving scan, the embedding top-k and the SpMM
-//! accumulation step. Each dense operation has one entry point, a
+//! sparse gather-dot with its eight-column strip and whole-panel-row forms,
+//! scoring a block against a set of queries) shared by the serving scan,
+//! the embedding top-k and the SpMM accumulation step. Each dense operation has one entry point, a
 //! `*_threads` function on the shared pool (row-panelled GEMM, the
 //! symmetric Gram, chunked axpy/scale, column-parallel QR and the tall
 //! SVD): it takes a width, gives the same bits at every width, and at
@@ -26,9 +26,10 @@
 //! bit-identity claim in the workspace (goldens, thread counts, `spmv` vs
 //! the SpMM engine) depends on that staying so. The same rule binds the
 //! bodies pinned with intrinsics in [`kernels`]: a `#[target_feature]`
-//! there enables the register width it needs (`avx2`, or `avx512f` and
-//! `avx512dq`) and never names `fma` — though rustc implies `fma` from
-//! `avx512f`, so that body has the instruction and must not use it —
+//! there enables the register width it needs (`avx2`, `avx512f`, or
+//! `avx512f` and `avx512dq`) and never names `fma` — though rustc implies
+//! `fma` from `avx512f`, so the AVX-512 bodies (the scorer's query pairs
+//! and the sparse row's passes) have the instruction and must not use it —
 //! multiplies and adds are separate intrinsics, and each body is tested
 //! against the plain-Rust definition on inputs that a fused multiply-add
 //! would round differently.

@@ -87,6 +87,13 @@ impl DenseMatrix {
         &mut self.data[c * self.rows..(c + 1) * self.rows]
     }
 
+    /// Mutable columns `cols`, one slice each, in order.
+    #[inline]
+    pub fn cols_mut(&mut self, cols: Range<usize>) -> std::slice::ChunksExactMut<'_, f32> {
+        let rows = self.rows;
+        self.data[cols.start * rows..cols.end * rows].chunks_exact_mut(rows.max(1))
+    }
+
     /// Row `r` copied out (strided in column-major).
     pub fn row_copied(&self, r: usize) -> Vec<f32> {
         (0..self.cols).map(|c| self[(r, c)]).collect()

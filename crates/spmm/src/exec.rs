@@ -11,7 +11,7 @@
 
 use crate::asl::streaming_schedule;
 use crate::config::SpmmConfig;
-use crate::kernel::{run_workload, KernelStats, Panel};
+use crate::kernel::{charge_workload, compute_batch, row_blocks, KernelStats, Panel};
 use crate::plan::GroupPlan;
 use crate::report::{GroupRun, SpmmRun, WorkloadReport};
 use crate::{Result, SpmmError};
@@ -47,11 +47,13 @@ pub struct SpmmEngine {
     sys: MemSystem,
     cfg: SpmmConfig,
     rec: Recorder,
-    /// Wall-clock worker threads for simulated-workload execution. Purely a
-    /// speed knob — workload count, fault salting and merge order are all
-    /// decided by data, so results are bit-identical at every value. Not
-    /// part of [`SpmmConfig`]: the config's `threads` is the *simulated*
-    /// thread count and feeds the cost model.
+    /// Wall-clock worker threads: the pool width for packing each batch's
+    /// panel, pricing the simulated workloads and computing the row
+    /// blocks. Purely a speed knob — the blocks, fault salting and merge
+    /// order are all decided by data, so results are bit-identical at
+    /// every value. Not part of [`SpmmConfig`]: the config's `threads` is
+    /// the *simulated* thread count and feeds the cost model, and the wall
+    /// tasks are row blocks of balanced cost, not its workloads.
     wall_threads: usize,
     /// Merged traffic of every [`Self::spmm`] call on this engine (shared
     /// across clones) — the run-level `AccessSummary` source.
@@ -82,9 +84,9 @@ impl SpmmEngine {
         self
     }
 
-    /// Set the wall-clock worker count the simulated workloads run on
-    /// (defaults to the machine's available parallelism). Bit-identical
-    /// results at every value; clamped to at least 1.
+    /// Set the wall-clock worker count the numeric step and the pricing
+    /// run on (defaults to the machine's available parallelism).
+    /// Bit-identical results at every value; clamped to at least 1.
     pub fn with_wall_threads(mut self, wall_threads: usize) -> Self {
         self.wall_threads = wall_threads.max(1);
         self
@@ -151,12 +153,13 @@ impl SpmmEngine {
         // All socket groups start executing at the same simulated instant.
         let exec_base = rec.cursor(Track::MAIN);
         let mut run = SpmmRun::new(a.rows() as usize, b.cols(), cfg.threads, alloc_time);
+        let blocks = row_blocks(a);
         for (gi, group) in layout.groups.iter().enumerate() {
             if !group.runs() {
                 continue;
             }
             let plan = self.plan_group(a, b, &layout, group)?;
-            let outcome = self.run_group(&plan, &mut run.result);
+            let outcome = self.run_group(&plan, &blocks, &mut run.result);
             self.trace_group(gi, &plan, &outcome, exec_base);
             run.absorb(outcome);
         }
@@ -185,10 +188,16 @@ impl SpmmEngine {
         Ok(run)
     }
 
-    /// Execute one planned group: every column batch through the kernel on
-    /// the wall-clock pool, its ASL load before and flush after, numeric
-    /// blocks copied into `result`, accounting folded per workload.
-    fn run_group(&self, plan: &GroupPlan<'_>, result: &mut DenseMatrix) -> GroupRun {
+    /// Execute one planned group: every column batch priced per workload
+    /// and computed per row block of `blocks` straight into `result`, both
+    /// on the wall-clock pool, its ASL load before and flush after,
+    /// accounting folded per workload.
+    fn run_group(
+        &self,
+        plan: &GroupPlan<'_>,
+        blocks: &[Range<u32>],
+        result: &mut DenseMatrix,
+    ) -> GroupRun {
         let model = self.sys.model();
         let sim_threads = self.cfg.threads as u32;
         let mut counters = plan.setup_counters.clone();
@@ -210,10 +219,9 @@ impl SpmmEngine {
             load_times.push(self.stream_leg(plan, home, window, block_bytes, &mut counters));
 
             let mut batch_max = SimDuration::ZERO;
-            for (wi, (block, chunk_stats, chunk, penalty, failed)) in
-                self.run_batch(plan, batch).into_iter().enumerate()
+            for (wi, (chunk_stats, chunk, penalty, failed)) in
+                self.charge_batch(plan, batch).into_iter().enumerate()
             {
-                let w = &plan.workloads[wi];
                 let mut t = model.thread_time(&chunk, sim_threads) + penalty;
                 if failed {
                     // Degraded mode: the chunk's output is recomputed from
@@ -228,15 +236,16 @@ impl SpmmEngine {
                 batch_max = batch_max.max(t);
                 times[wi] += t;
                 stats[wi].absorb_batch(&chunk_stats);
-                // Copy the block into the global result: a workload's
-                // column is one slice of the result's.
-                let rows = w.rows.start as usize..w.rows.end as usize;
-                for (block_col, t_global) in
-                    block.chunks_exact(rows.len().max(1)).zip(batch.clone())
-                {
-                    result.col_mut(t_global)[rows.clone()].copy_from_slice(block_col);
-                }
             }
+            let panel = Panel::pack(plan.dense, batch.clone(), self.wall_threads);
+            compute_batch(
+                plan.inputs.csdb,
+                blocks,
+                &panel,
+                result,
+                batch.clone(),
+                self.wall_threads,
+            );
             compute_times.push(batch_max);
             flush_times.push(self.stream_leg(plan, window, home, block_bytes, &mut counters));
         }
@@ -291,23 +300,22 @@ impl SpmmEngine {
         self.sys.model().stream_time(ctx.counters()) + ctx.injected_penalty()
     }
 
-    /// Run all of a group's workloads for one column batch on real threads.
-    fn run_batch(
+    /// Price all of a group's workloads for one column batch on the pool,
+    /// one context each: the traffic stats, the charged counters, the
+    /// injected penalty and whether a fault fired.
+    fn charge_batch(
         &self,
         plan: &GroupPlan<'_>,
         batch: &Range<usize>,
-    ) -> Vec<(Vec<f32>, KernelStats, ClassCounters, SimDuration, bool)> {
+    ) -> Vec<(KernelStats, ClassCounters, SimDuration, bool)> {
         // Salt each context's clock so an installed fault plan draws
         // independently per (batch, workload) — decided by data (the batch's
         // first column within the group, the workload's index), never by OS
-        // thread scheduling.
+        // thread scheduling. Results land in workload-index order, so wall
+        // parallelism never reorders the fixed-order merge downstream. Each
+        // worker recycles one context across workloads; a reset context is
+        // observationally identical to a fresh one.
         let batch_salt = ((batch.start - plan.group.cols.start) as u64) << 20;
-        // The shared workspace pool: workloads are claimed dynamically and
-        // results land in workload-index order, so wall parallelism never
-        // reorders the fixed-order merge downstream. Each worker recycles
-        // one context across workloads; a reset context is observationally
-        // identical to a fresh one.
-        let panel = Panel::pack(plan.dense, batch.clone(), self.wall_threads);
         omega_par::run_labeled(
             "spmm.workload",
             self.wall_threads,
@@ -318,10 +326,10 @@ impl SpmmEngine {
                 let ctx = self.sys.recycle_ctx_on(slot, node);
                 ctx.set_sim_now(SimDuration::from_nanos(batch_salt | wi as u64));
                 let prefetcher = plan.prefetchers[wi].as_ref();
-                let (block, stats) = run_workload(&plan.inputs, w, &panel, prefetcher, ctx);
+                let stats = charge_workload(&plan.inputs, w, batch.len(), prefetcher, ctx);
                 let penalty = ctx.injected_penalty();
                 let failed = ctx.take_fault().is_some();
-                (block, stats, ctx.take_counters(), penalty, failed)
+                (stats, ctx.take_counters(), penalty, failed)
             },
         )
     }
@@ -392,6 +400,13 @@ mod tests {
         c
     }
 
+    /// `got` holds `want`'s bits, entry for entry.
+    fn assert_bits(got: &DenseMatrix, want: &DenseMatrix, what: &str) {
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        let bits = |m: &DenseMatrix| m.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(bits(got) == bits(want), "{what}: not bit-equal to spmv");
+    }
+
     fn engine(cfg: SpmmConfig) -> SpmmEngine {
         SpmmEngine::new(MemSystem::new(Topology::paper_machine_scaled(8 << 20)), cfg).unwrap()
     }
@@ -439,8 +454,7 @@ mod tests {
         let g = graph(512, 4_000);
         let b = gaussian_matrix(512, 16, 5);
         let run = engine(SpmmConfig::omega(8)).spmm(&g, &b).unwrap();
-        let expect = reference(&g, &b);
-        assert!(run.result.max_abs_diff(&expect) < 1e-3);
+        assert_bits(&run.result, &reference(&g, &b), "omega(8)");
         assert!(run.makespan > SimDuration::ZERO);
         assert_eq!(run.thread_times.len(), 8);
         assert!(run.dense_fetches >= g.nnz() as u64 * 16);
@@ -465,10 +479,7 @@ mod tests {
         ];
         for cfg in configs {
             let run = engine(cfg).spmm(&g, &b).unwrap();
-            assert!(
-                run.result.max_abs_diff(&expect) < 1e-3,
-                "config {cfg:?} diverged"
-            );
+            assert_bits(&run.result, &expect, &format!("{cfg:?}"));
         }
     }
 

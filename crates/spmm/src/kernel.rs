@@ -14,20 +14,27 @@
 //! | ④    | accumulation     | CPU multiply-accumulate ops                   |
 //! | ⑤    | `write_result`   | sequential column-major result writes         |
 //!
-//! The *host* computes step ④ the other way round — sparse rows outermost,
-//! [`STRIP`] dense columns per pass over a row — against a [`Panel`]: the
-//! batch's columns of `B` repacked row-major, so that one non-zero reads one
-//! 32-byte run of one panel row instead of gathering from eight 80 KB
-//! columns. The two orders meet in the `(cols, vals)` sequence of a row:
-//! every output element is `sparse_dot` of that sequence with its column,
-//! bit for bit, whichever loop nest produced it, so the model may keep
-//! pricing the paper's traffic while the host does the cache-friendly walk.
+//! The *host* computes step ④ apart from that walk — sparse rows
+//! outermost, every column of the batch in one pass over a row — against a
+//! [`Panel`]: the batch's columns of `B` repacked row-major, so that one
+//! non-zero reads one run of one panel row instead of gathering from
+//! `ncols` columns of 80 KB each. The pass is `kernels::sparse_dot_row`,
+//! AVX-512 where CPUID has it. Its tasks are not the simulated threads'
+//! workloads: [`row_blocks`] cuts the rows into blocks of about
+//! [`BLOCK_COST`] non-zeros plus rows, fixed by the matrix alone, and
+//! [`compute_batch`] runs them on the pool and writes each straight into
+//! its slice of `C`'s batch columns. The two orders meet in the `(cols,
+//! vals)` sequence of a row: every output element is `sparse_dot` of that
+//! sequence with its column, bit for bit, whichever loop nest and whichever
+//! block produced it, so the model may keep pricing the paper's traffic per
+//! workload ([`charge_workload`]) while the host does the cache-friendly
+//! walk on balanced blocks.
 
 use crate::wofp::{Prefetcher, PrefetcherKind};
 use crate::workload::{range_nnz, Workload};
 use omega_graph::Csdb;
 use omega_hetmem::{AccessOp, AccessPattern, Placement, ThreadMem};
-use omega_linalg::kernels::{sparse_dot_strip, STRIP};
+use omega_linalg::kernels::{sparse_dot_row, STRIP};
 use omega_linalg::DenseMatrix;
 use std::ops::Range;
 
@@ -49,7 +56,7 @@ pub(crate) struct KernelInputs<'a> {
     pub result: Placement,
 }
 
-/// Traffic statistics one workload's execution produced.
+/// Traffic statistics one workload's charges produced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct KernelStats {
     /// Total `get_dense_nnz` fetches (step ③) — the Fig. 16 throughput
@@ -82,8 +89,8 @@ impl KernelStats {
 
 /// One column batch of the dense operand as the numeric step reads it:
 /// row-major in whole strips, every row padded with zeros to a whole number
-/// of them. Packed once per (group, batch) and shared by all of its
-/// workloads.
+/// of them. Packed once per (group, batch) and shared by all of its row
+/// blocks.
 pub(crate) struct Panel {
     /// Columns in the batch.
     ncols: usize,
@@ -116,21 +123,19 @@ impl Panel {
     }
 }
 
-/// Execute one workload over the column batch packed in `panel`, returning
-/// the result block (column-major, `rows.len() × cols.len()`) and the
-/// traffic stats. All traffic is charged to `ctx`.
-pub(crate) fn run_workload(
+/// Charge one workload's share of a column batch `ncols` wide to `ctx`, in
+/// Algorithm 1's order, and return its traffic stats. The arithmetic is
+/// [`compute_batch`]'s; this is the simulated clock's half alone.
+pub(crate) fn charge_workload(
     inp: &KernelInputs<'_>,
     workload: &Workload,
-    panel: &Panel,
+    ncols: usize,
     prefetcher: Option<&Prefetcher>,
     ctx: &mut ThreadMem,
-) -> (Vec<f32>, KernelStats) {
+) -> KernelStats {
     let nrows = workload.rows.len();
-    let ncols = panel.ncols;
-    let mut out = vec![0f32; nrows * ncols];
     if nrows == 0 || ncols == 0 {
-        return (out, KernelStats::default());
+        return KernelStats::default();
     }
 
     // Per-segment (placement-homogeneous) row/nnz counts for bulk charging.
@@ -259,21 +264,95 @@ pub(crate) fn run_workload(
         );
     }
 
-    // Step ④: the actual math, rows outermost, a strip of columns per pass
-    // over a row's non-zeros (the row stays in L1 from strip to strip).
-    for (li, v) in workload.rows.clone().enumerate() {
-        let (row_cols, row_vals) = inp.csdb.row(v);
-        for strip in 0..panel.strips {
-            let sums = sparse_dot_strip(row_cols, row_vals, &panel.data, panel.strips, strip);
-            for (t, &sum) in (strip * STRIP..ncols).zip(&sums) {
-                out[t * nrows + li] = sum;
-            }
-        }
-    }
+    // Step ④: the multiply-accumulates, priced here and computed by
+    // `compute_batch`.
     ctx.add_cpu_ops((workload.nnzs + nrows as u64) * ncols as u64);
 
-    (out, stats)
+    stats
 }
+
+/// Non-zeros plus rows one task of the numeric step covers, about: big
+/// enough that a task outweighs its dispatch, small enough that a 2- to
+/// 8-wide pool balances the skewed rows. A row is never split, so a hub
+/// row past it is a block of its own.
+const BLOCK_COST: u64 = 10_000;
+
+/// Cut the rows of `csdb` into consecutive blocks of about [`BLOCK_COST`]
+/// non-zeros plus rows each, covering `0..rows` in order. Decided by the
+/// matrix alone — not by the wall width, the simulated thread count or
+/// the batch — so a row's block is the same on every call.
+pub(crate) fn row_blocks(csdb: &Csdb) -> Vec<Range<u32>> {
+    let mut blocks = Vec::new();
+    let (mut start, mut cost) = (0, 0);
+    for v in 0..csdb.rows() {
+        cost += csdb.degree(v) as u64 + 1;
+        if cost >= BLOCK_COST {
+            blocks.push(start..v + 1);
+            (start, cost) = (v + 1, 0);
+        }
+    }
+    if start < csdb.rows() {
+        blocks.push(start..csdb.rows());
+    }
+    blocks
+}
+
+/// Step ④ for one column batch: `C[:, batch] = A · B[:, batch]`, with
+/// `panel` the batch packed and `blocks` [`row_blocks`] of `csdb`. The
+/// blocks run on up to `threads` pool workers, each writing its rows of
+/// every batch column of `result` in place — no block is staged or copied.
+/// Every entry is `sparse_dot` of its row with its column, so the result is
+/// the same bits at every width.
+pub(crate) fn compute_batch(
+    csdb: &Csdb,
+    blocks: &[Range<u32>],
+    panel: &Panel,
+    result: &mut DenseMatrix,
+    batch: Range<usize>,
+    threads: usize,
+) {
+    // Each block's slice of each batch column: the columns cut at the
+    // block boundaries.
+    let mut slices: Vec<Vec<&mut [f32]>> = blocks
+        .iter()
+        .map(|_| Vec::with_capacity(batch.len()))
+        .collect();
+    for mut column in result.cols_mut(batch) {
+        for (rows, block) in blocks.iter().zip(&mut slices) {
+            let (mine, rest) = std::mem::take(&mut column).split_at_mut(rows.len());
+            block.push(mine);
+            column = rest;
+        }
+    }
+    let tasks = slices.iter_mut().map(std::slice::from_mut).collect();
+    omega_par::for_each_chunk_labeled("spmm.block", threads, tasks, |bi, task| {
+        let columns = &mut task[0];
+        let ncols = panel.ncols;
+        // A tile of consecutive rows, row-major, then each column's run of
+        // them: one cache line of `C` per column per tile, where a row at a
+        // time would touch a line of every column per row.
+        let mut tile = vec![0f32; TILE_ROWS * ncols];
+        let rows = blocks[bi].clone();
+        for (ti, start) in rows.clone().step_by(TILE_ROWS).enumerate() {
+            let end = rows.end.min(start + TILE_ROWS as u32);
+            for (v, sums) in (start..end).zip(tile.chunks_exact_mut(ncols)) {
+                let (row_cols, row_vals) = csdb.row(v);
+                sparse_dot_row(row_cols, row_vals, &panel.data, panel.strips, sums);
+            }
+            let at = ti * TILE_ROWS;
+            for (j, column) in columns.iter_mut().enumerate() {
+                let run = &mut column[at..at + (end - start) as usize];
+                for (r, out) in run.iter_mut().enumerate() {
+                    *out = tile[r * ncols + j];
+                }
+            }
+        }
+    });
+}
+
+/// Rows of a block [`compute_batch`] computes before writing them out: 16
+/// f32 are one 64-byte line of a column of `C`.
+const TILE_ROWS: usize = 16;
 
 struct Segment {
     placement: Placement,
@@ -330,16 +409,20 @@ mod tests {
         }
     }
 
-    /// [`run_workload`] over columns `cols` of `b`, packed for this call.
-    fn run(
-        inp: &KernelInputs<'_>,
-        w: &Workload,
+    /// [`compute_batch`] of columns `cols` of `b` over `blocks`, into a
+    /// result whose every entry starts as NaN, at `threads` wide.
+    fn compute(
+        g: &Csdb,
+        blocks: &[Range<u32>],
         b: &DenseMatrix,
         cols: Range<usize>,
-        prefetcher: Option<&Prefetcher>,
-        ctx: &mut ThreadMem,
-    ) -> (Vec<f32>, KernelStats) {
-        run_workload(inp, w, &Panel::pack(b, cols, 1), prefetcher, ctx)
+        threads: usize,
+    ) -> DenseMatrix {
+        let mut c = DenseMatrix::zeros(g.rows() as usize, b.cols());
+        c.cols_mut(0..b.cols()).for_each(|col| col.fill(f32::NAN));
+        let panel = Panel::pack(b, cols.clone(), threads);
+        compute_batch(g, blocks, &panel, &mut c, cols, threads);
+        c
     }
 
     /// Reference dense SpMM in permuted space.
@@ -352,98 +435,122 @@ mod tests {
         c
     }
 
-    #[test]
-    fn kernel_computes_correct_product() {
-        let (g, sys) = setup();
-        let d = 8;
-        let b = gaussian_matrix(g.rows() as usize, d, 3);
-        let parts = [(0..g.rows(), PM0)];
-        let inp = inputs(&g, &parts);
-        let w = Workload::contiguous(0, &g, 0, g.rows());
-        let mut ctx = sys.thread_ctx(0);
-        let (out, stats) = run(&inp, &w, &b, 0..d, None, &mut ctx);
-        let expect = reference(&g, &b);
-        for t in 0..d {
-            for r in 0..g.rows() as usize {
-                let got = out[t * g.rows() as usize + r];
-                assert!(
-                    (got - expect[(r, t)]).abs() < 1e-3,
-                    "mismatch at ({r},{t}): {got} vs {}",
-                    expect[(r, t)]
-                );
-            }
-        }
-        assert_eq!(stats.dense_fetches, g.nnz() as u64 * d as u64);
-        assert_eq!(stats.prefetch_hits, 0);
-        assert!(ctx.counters().total_bytes() > 0);
-    }
-
-    /// Whatever the row range and the batch's offset and width, every entry
-    /// of the block is `spmv`'s for its (row, column), bit for bit — rows
-    /// without a non-zero included, and ranges that cross a NaDP part
-    /// boundary.
-    #[test]
-    fn every_row_set_and_batch_is_bit_equal_to_spmv() {
-        let (g, sys) = setup();
-        let n = g.rows();
-        assert!((0..n).any(|v| g.degree(v) == 0), "the graph has empty rows");
-        let b = gaussian_matrix(n as usize, 21, 5);
-        let expect = reference(&g, &b);
-        let mid = n / 2;
-        let parts = [(0..mid, PM0), (mid..n, Placement::node(1, DeviceKind::Pm))];
-        let inp = inputs(&g, &parts);
-        let workloads = [
-            Workload::contiguous(0, &g, 9, 9),
-            Workload::contiguous(0, &g, n - 1, n),
-            Workload::contiguous(0, &g, 0, n),
-            Workload::contiguous(0, &g, mid - 17, mid + 5),
-        ];
-        let mut ctx = sys.thread_ctx(0);
-        for cols in [0..21, 3..4, 5..13, 2..19] {
-            let panel = Panel::pack(&b, cols.clone(), 2);
-            for w in &workloads {
-                let (out, _) = run_workload(&inp, w, &panel, None, &mut ctx);
-                assert_eq!(out.len(), w.rows.len() * cols.len(), "{:?}", w.rows);
-                for (block_col, t) in out.chunks_exact(w.rows.len().max(1)).zip(cols.clone()) {
-                    for (v, got) in w.rows.clone().zip(block_col) {
-                        let want = expect[(v as usize, t)];
-                        assert_eq!(got.to_bits(), want.to_bits(), "{:?} ({v}, {t})", w.rows);
-                    }
+    /// Columns `cols` of `got` hold `want`'s bits and every other column
+    /// is untouched (still NaN).
+    fn assert_batch(got: &DenseMatrix, want: &DenseMatrix, cols: Range<usize>, what: &str) {
+        for t in 0..got.cols() {
+            for (r, (x, y)) in got.col(t).iter().zip(want.col(t)).enumerate() {
+                if cols.contains(&t) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "{what}: ({r}, {t})");
+                } else {
+                    assert!(x.is_nan(), "{what}: ({r}, {t}) outside the batch written");
                 }
             }
         }
     }
 
     #[test]
+    fn kernel_computes_correct_product() {
+        let (g, sys) = setup();
+        let d = 8;
+        let b = gaussian_matrix(g.rows() as usize, d, 3);
+        let c = compute(&g, &row_blocks(&g), &b, 0..d, 1);
+        assert_batch(&c, &reference(&g, &b), 0..d, "whole product");
+
+        let parts = [(0..g.rows(), PM0)];
+        let inp = inputs(&g, &parts);
+        let w = Workload::contiguous(0, &g, 0, g.rows());
+        let mut ctx = sys.thread_ctx(0);
+        let stats = charge_workload(&inp, &w, d, None, &mut ctx);
+        assert_eq!(stats.dense_fetches, g.nnz() as u64 * d as u64);
+        assert_eq!(stats.prefetch_hits, 0);
+        assert!(ctx.counters().total_bytes() > 0);
+    }
+
+    /// The row blocks tile the rows in order, and each closes as soon as
+    /// it reaches [`BLOCK_COST`]: only the last may fall short, and only a
+    /// single row may run past it.
+    #[test]
+    fn row_blocks_tile_the_rows_by_cost() {
+        let csr = RmatConfig::social(4096, 60_000, 5).generate_csr().unwrap();
+        let g = Csdb::from_csr(&csr).unwrap();
+        let blocks = row_blocks(&g);
+        assert!(blocks.len() > 4, "{} blocks", blocks.len());
+        let cost = |rows: Range<u32>| range_nnz(&g, rows.clone()) + rows.len() as u64;
+        let mut at = 0;
+        for (i, rows) in blocks.iter().enumerate() {
+            assert_eq!(rows.start, at);
+            assert!(rows.end > rows.start, "empty block {i}");
+            if i + 1 < blocks.len() {
+                assert!(cost(rows.clone()) >= BLOCK_COST, "block {i} short");
+            }
+            assert!(
+                cost(rows.start..rows.end - 1) < BLOCK_COST,
+                "block {i} closed late"
+            );
+            at = rows.end;
+        }
+        assert_eq!(at, g.rows());
+    }
+
+    /// Whatever the row blocks and the batch's offset and width, every
+    /// entry of the batch's columns is `spmv`'s for its (row, column), bit
+    /// for bit, and no entry outside the batch is written — rows without a
+    /// non-zero included, empty blocks, and single-row blocks at either end.
+    #[test]
+    fn every_row_set_and_batch_is_bit_equal_to_spmv() {
+        let (g, _) = setup();
+        let n = g.rows();
+        assert!((0..n).any(|v| g.degree(v) == 0), "the graph has empty rows");
+        let b = gaussian_matrix(n as usize, 61, 5);
+        let expect = reference(&g, &b);
+        let mid = n / 2;
+        let balanced = row_blocks(&g);
+        let all = 0..n;
+        let whole = std::slice::from_ref(&all);
+        let ragged = [0..1, 1..9, 9..9, 9..mid + 5, mid + 5..n - 1, n - 1..n];
+        for blocks in [&balanced[..], whole, &ragged] {
+            for cols in [0..61, 3..4, 5..13, 2..19, 7..56, 0..48, 10..27] {
+                for threads in [1, 2] {
+                    let c = compute(&g, blocks, &b, cols.clone(), threads);
+                    let what = format!("{blocks:?} {cols:?} {threads} threads");
+                    assert_batch(&c, &expect, cols.clone(), &what);
+                }
+            }
+        }
+    }
+
+    /// Two halves of the rows computed as separate blocks compose the full
+    /// product, and two workloads charged for the halves fetch what one
+    /// charged for the whole does.
+    #[test]
     fn split_workloads_compose_to_full_product() {
         let (g, sys) = setup();
         let d = 4;
         let b = gaussian_matrix(g.rows() as usize, d, 9);
+        let mid = g.rows() / 2;
+        let halves = compute(&g, &[0..mid, mid..g.rows()], &b, 0..d, 2);
+        assert_batch(&halves, &reference(&g, &b), 0..d, "two halves");
+
         let parts = [(0..g.rows(), PM0)];
         let inp = inputs(&g, &parts);
-        let mid = g.rows() / 2;
+        let mut ctx = sys.thread_ctx(0);
+        let fetches = |w: &Workload, ctx: &mut ThreadMem| {
+            charge_workload(&inp, w, d, None, ctx).dense_fetches
+        };
         let w1 = Workload::contiguous(0, &g, 0, mid);
         let w2 = Workload::contiguous(1, &g, mid, g.rows());
-        let mut ctx = sys.thread_ctx(0);
-        let (o1, _) = run(&inp, &w1, &b, 0..d, None, &mut ctx);
-        let (o2, _) = run(&inp, &w2, &b, 0..d, None, &mut ctx);
-        let expect = reference(&g, &b);
-        for t in 0..d {
-            for r in 0..mid as usize {
-                assert!((o1[t * mid as usize + r] - expect[(r, t)]).abs() < 1e-3);
-            }
-            let n2 = (g.rows() - mid) as usize;
-            for r in 0..n2 {
-                assert!((o2[t * n2 + r] - expect[(mid as usize + r, t)]).abs() < 1e-3);
-            }
-        }
+        let whole = Workload::contiguous(0, &g, 0, g.rows());
+        assert_eq!(
+            fetches(&w1, &mut ctx) + fetches(&w2, &mut ctx),
+            fetches(&whole, &mut ctx)
+        );
     }
 
     #[test]
     fn prefetcher_moves_traffic_to_staging() {
         let (g, sys) = setup();
         let d = 2;
-        let b = gaussian_matrix(g.rows() as usize, d, 1);
         let parts = [(0..g.rows(), PM0)];
         let inp = inputs(&g, &parts);
         let w = Workload::contiguous(0, &g, 0, g.rows());
@@ -459,12 +566,10 @@ mod tests {
         assert!(p.entries() > 0);
 
         let mut with = sys.thread_ctx(0);
-        let (out_with, stats) = run(&inp, &w, &b, 0..d, Some(&p), &mut with);
+        let stats = charge_workload(&inp, &w, d, Some(&p), &mut with);
         let mut without = sys.thread_ctx(0);
-        let (out_without, _) = run(&inp, &w, &b, 0..d, None, &mut without);
+        let _ = charge_workload(&inp, &w, d, None, &mut without);
 
-        // Identical numeric results.
-        assert_eq!(out_with, out_without);
         // Hits recorded and PM random-read bytes reduced.
         assert!(stats.prefetch_hits > 0);
         assert_eq!(
@@ -493,7 +598,6 @@ mod tests {
     fn multi_part_charging_respects_homes() {
         let (g, sys) = setup();
         let mid = g.rows() / 2;
-        let b = gaussian_matrix(g.rows() as usize, 2, 4);
         let parts = [
             (0..mid, Placement::node(0, DeviceKind::Pm)),
             (mid..g.rows(), Placement::node(1, DeviceKind::Pm)),
@@ -503,7 +607,7 @@ mod tests {
         // stream must be charged remote.
         let w = Workload::contiguous(0, &g, mid - 10, mid + 10);
         let mut ctx = sys.thread_ctx_on(0);
-        let _ = run(&inp, &w, &b, 0..2, None, &mut ctx);
+        let _ = charge_workload(&inp, &w, 2, None, &mut ctx);
         let remote = ctx.counters().bytes_where(|c| {
             c.locality == omega_hetmem::Locality::Remote && c.pattern == AccessPattern::Seq
         });
@@ -513,13 +617,11 @@ mod tests {
     #[test]
     fn empty_workload_is_free() {
         let (g, sys) = setup();
-        let b = gaussian_matrix(g.rows() as usize, 2, 8);
         let parts = [(0..g.rows(), PM0)];
         let inp = inputs(&g, &parts);
         let w = Workload::contiguous(0, &g, g.rows(), g.rows());
         let mut ctx = sys.thread_ctx(0);
-        let (out, stats) = run(&inp, &w, &b, 0..2, None, &mut ctx);
-        assert!(out.is_empty());
+        let stats = charge_workload(&inp, &w, 2, None, &mut ctx);
         assert_eq!(stats.dense_fetches, 0);
         assert_eq!(ctx.counters().total_bytes(), 0);
     }

@@ -214,7 +214,8 @@ proptest! {
 
 /// The engine's numbers against an oracle that owes nothing to the engine:
 /// column `t` of `engine.spmm(&a, &b).result` is `a.spmv(b.col(t))`, bit for
-/// bit — for column counts on every side of the 8-wide strip, every engine
+/// bit — for column counts on every side of the 8-wide strip and, halved by
+/// NaDP, of the row body's 16-wide registers and 48-wide passes, every engine
 /// configuration of the `spmm_matrix` golden, DRAM small enough that ASL
 /// cuts a group's columns into several batches, a matrix with empty rows,
 /// and 1, 2 and 8 wall threads.
@@ -253,13 +254,17 @@ fn every_result_column_is_spmv_bit_for_bit() {
             .with_asl(None),
     ];
     let mut most_batches = 0;
-    for cols in [1usize, 7, 8, 9, 33, 80] {
+    for cols in [1usize, 7, 8, 9, 31, 32, 33, 64, 80, 96, 97] {
         let b = gaussian_matrix(a.cols() as usize, cols, cols as u64);
         let oracle: Vec<Vec<f32>> = (0..cols).map(|t| a.spmv(b.col(t)).unwrap()).collect();
+        // 160 KB of DRAM a socket up to 80 columns, and as much more per
+        // column past them as they need: the DRAM-only configuration must
+        // fit its blocks of B and C, and the others keep streaming.
+        let dram = (160 << 10) * cols.max(80) as u64 / 80;
         for cfg in &configs {
             for wall_threads in [1, 2, 8] {
                 let rec = Recorder::enabled();
-                let sys = MemSystem::new(Topology::paper_machine_scaled(160 << 10));
+                let sys = MemSystem::new(Topology::paper_machine_scaled(dram));
                 let engine = SpmmEngine::new(sys, *cfg)
                     .unwrap()
                     .with_recorder(rec.clone())

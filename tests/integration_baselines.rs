@@ -8,9 +8,14 @@ use omega_graph::{Csdb, Csr, Dataset};
 use omega_hetmem::{MemSystem, SimDuration, Topology};
 use omega_linalg::gaussian_matrix;
 use omega_spmm::{SpmmConfig, SpmmEngine};
+use std::num::NonZeroUsize;
 
 const SCALE: u64 = 4_000;
 const THREADS: usize = 16;
+/// [`THREADS`] as the comparators take it.
+const COMPARATOR_THREADS: NonZeroUsize = NonZeroUsize::new(THREADS).unwrap();
+/// The distributed systems' threads per machine.
+const T30: NonZeroUsize = NonZeroUsize::new(30).unwrap();
 const DIM: usize = 32;
 
 fn topo() -> Topology {
@@ -24,7 +29,7 @@ fn comparator(system: &str, g: &Csr) -> RunOutcome {
         ProneDram, ProneHm, Ginex, Marius, DistDgl, DistGer, SemSpmm, FusedMm,
     ];
     let c = all.into_iter().find(|c| c.label() == system);
-    c.expect("a comparator label").run(&topo(), g, 30, DIM)
+    c.expect("a comparator label").run(&topo(), g, T30, DIM)
 }
 
 /// Every comparator's exact simulated nanoseconds (`None`: out of memory)
@@ -72,7 +77,7 @@ fn fig12_ordering_on_pk_twin() {
     let d = Dataset::Pk;
     let g = d.load_scaled(SCALE).unwrap();
     let omega = omega_time(d);
-    let time = |c: Comparator| c.run(&topo(), &g, THREADS, DIM).time().unwrap();
+    let time = |c: Comparator| c.run(&topo(), &g, COMPARATOR_THREADS, DIM).time().unwrap();
 
     // The paper's Fig. 12 ordering: OMeGa beats every competitor.
     for c in [ProneDram, ProneHm, Ginex, Marius] {
@@ -99,7 +104,7 @@ fn dram_only_systems_oom_on_billion_scale_twins() {
         let err = Omega::new(cfg).unwrap().embed(&g).unwrap_err();
         assert!(err.is_oom(), "{} should OOM on DRAM", d.label());
         // FusedMM (in-memory) fails on TW-2010 as the paper reports.
-        let fused = FusedMm.run(&topo(), &g, THREADS, 64);
+        let fused = FusedMm.run(&topo(), &g, COMPARATOR_THREADS, 64);
         assert!(fused.is_oom(), "FusedMM should OOM on {}", d.label());
         // OMeGa itself completes.
         let cfg = OmegaConfig::default()
@@ -114,8 +119,8 @@ fn dram_only_systems_oom_on_billion_scale_twins() {
 fn fig18a_distributed_ordering() {
     let g = Dataset::Lj.load_scaled(SCALE).unwrap();
     let omega = omega_time(Dataset::Lj);
-    let dgl = DistDgl.run(&topo(), &g, 30, DIM).time().unwrap();
-    let ger = DistGer.run(&topo(), &g, 30, DIM).time().unwrap();
+    let dgl = DistDgl.run(&topo(), &g, T30, DIM).time().unwrap();
+    let ger = DistGer.run(&topo(), &g, T30, DIM).time().unwrap();
     assert!(dgl > omega, "DistDGL should trail OMeGa");
     assert!(ger < dgl, "DistGER should beat DistDGL");
     // DistGER is competitive: within an order of magnitude of OMeGa.
@@ -129,8 +134,14 @@ fn fig18b_spmm_ordering() {
     let b = gaussian_matrix(g.rows() as usize, DIM, 1);
     let engine = SpmmEngine::new(MemSystem::new(topo()), SpmmConfig::omega(THREADS)).unwrap();
     let omega = engine.spmm(&csdb, &b).unwrap().makespan;
-    let sem = SemSpmm.run(&topo(), &g, THREADS, DIM).time().unwrap();
-    let fused = FusedMm.run(&topo(), &g, THREADS, DIM).time().unwrap();
+    let sem = SemSpmm
+        .run(&topo(), &g, COMPARATOR_THREADS, DIM)
+        .time()
+        .unwrap();
+    let fused = FusedMm
+        .run(&topo(), &g, COMPARATOR_THREADS, DIM)
+        .time()
+        .unwrap();
     assert!(
         sem.ratio(omega) > 4.0,
         "SEM-SpMM should trail OMeGa clearly ({})",
