@@ -1,11 +1,11 @@
 //! Chebyshev spectral propagation — ProNE's second stage.
 //!
 //! The initial embedding is smoothed with a band-pass filter
-//! `g(λ) = e^{−½[(λ−μ)²−1]θ}` of the normalised graph Laplacian, expanded
-//! in Chebyshev polynomials so that only `order` sparse multiplies are
-//! needed: `T₀ = X`, `T₁ = M̂·X`, `T_{k+1} = 2·M̂·T_k − T_{k−1}` with
-//! `M̂ = L − μI`, combined with modified-Bessel weights
-//! `I_k(θ)` (ProNE eq. 8–10). A final multiply by the transition matrix
+//! `g(λ) = e^{−½[(λ−μ)²−1]θ}` of the random-walk graph Laplacian, expanded
+//! in `ORDER` Chebyshev terms so that only sparse multiplies are needed:
+//! `T₀ = X`, `T₁ = M̂·X`, `T_{k+1} = 2·M̂·T_k − T_{k−1}` with
+//! `M̂ = L − μI`, combined with modified-Bessel weights `I_k(θ)` (ProNE
+//! eq. 8–10). A final multiply by the self-looped adjacency `A + I`
 //! re-localises the filtered signal.
 
 use crate::laplacian::{adjacency_plus_identity, modulated_rw_laplacian, to_csdb};
@@ -16,26 +16,13 @@ use omega_hetmem::SimDuration;
 use omega_linalg::{axpy_threads, scale_threads, svd_tall_threads, DenseMatrix};
 use omega_spmm::SpmmEngine;
 
-/// Propagation parameters (ProNE defaults).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChebyshevConfig {
-    /// Expansion order (ProNE's `step`, default 10).
-    pub order: usize,
-    /// Band-pass centre `μ`.
-    pub mu: f32,
-    /// Band-pass sharpness `θ`.
-    pub theta: f32,
-}
-
-impl Default for ChebyshevConfig {
-    fn default() -> Self {
-        ChebyshevConfig {
-            order: 10,
-            mu: 0.2,
-            theta: 0.5,
-        }
-    }
-}
+// The filter's fixed settings, at the reference implementation's values.
+/// Expansion order (ProNE's `step`).
+const ORDER: usize = 10;
+/// Band-pass centre `μ`.
+const MU: f32 = 0.2;
+/// Band-pass sharpness `θ`.
+const THETA: f64 = 0.5;
 
 /// Outcome of one propagation pass.
 #[derive(Debug)]
@@ -55,7 +42,7 @@ impl ChebyshevResult {
 
 /// Modified Bessel function of the first kind `I_k(x)` by its power series
 /// (small integer orders and moderate arguments, as the filter needs).
-pub fn bessel_iv(order: usize, x: f64) -> f64 {
+pub(crate) fn bessel_iv(order: usize, x: f64) -> f64 {
     let half = x / 2.0;
     let mut term = half.powi(order as i32);
     for m in 1..=order {
@@ -89,33 +76,22 @@ pub(crate) fn propagate(
     engine: &SpmmEngine,
     adj: &Csr,
     x_original: &DenseMatrix,
-    cfg: &ChebyshevConfig,
     threads: usize,
 ) -> Result<ChebyshevResult> {
     let n = adj.rows() as usize;
     let d = x_original.cols();
     assert_eq!(x_original.rows(), n, "embedding rows must match |V|");
-    if cfg.order <= 1 {
-        return Ok(ChebyshevResult {
-            embedding: x_original.clone(),
-            spmm_time: SimDuration::ZERO,
-            dense_time: SimDuration::ZERO,
-            spmm_count: 0,
-        });
-    }
 
     let mut meter = SpmmMeter::default();
 
     // Operators in their CSDB (permuted) spaces. M = (1−μ)I − D⁻¹(A+I) and
     // A+I share the same structure, hence the same degree permutation.
     let a1 = adjacency_plus_identity(adj)?;
-    let m_hat = to_csdb(&modulated_rw_laplacian(adj, cfg.mu)?)?;
+    let m_hat = to_csdb(&modulated_rw_laplacian(&a1, MU)?)?;
     let a1_csdb = to_csdb(&a1)?;
 
     // X into M̂'s permuted space.
     let x = permute_matrix(&m_hat, x_original);
-
-    let theta = cfg.theta as f64;
 
     // The dense term combinations run under a `combine` wall-clock phase
     // scope so the bench phase breakdown separates them from the SpMM
@@ -136,14 +112,14 @@ pub(crate) fn propagate(
     // conv = I₀(θ)·Lx0 − 2·I₁(θ)·Lx1.
     let mut conv = lx0.clone();
     phase_scope("combine", || -> Result<()> {
-        scale_threads(&mut conv, bessel_iv(0, theta) as f32, threads);
+        scale_threads(&mut conv, bessel_iv(0, THETA) as f32, threads);
         let mut term = lx1.clone();
-        scale_threads(&mut term, -2.0 * bessel_iv(1, theta) as f32, threads);
+        scale_threads(&mut term, -2.0 * bessel_iv(1, THETA) as f32, threads);
         axpy_threads(&mut conv, 1.0, &term, threads)?;
         Ok(())
     })?;
 
-    for i in 2..cfg.order {
+    for i in 2..ORDER {
         // Lx2 = (M·(M·Lx1) − 2·Lx1) − Lx0.
         let t = meter.spmm(engine, &m_hat, &lx1)?;
         let mut lx2 = meter.spmm(engine, &m_hat, &t)?;
@@ -152,7 +128,7 @@ pub(crate) fn propagate(
             axpy_threads(&mut lx2, -1.0, &lx0, threads)?;
             let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
             let mut term = lx2.clone();
-            scale_threads(&mut term, sign * 2.0 * bessel_iv(i, theta) as f32, threads);
+            scale_threads(&mut term, sign * 2.0 * bessel_iv(i, THETA) as f32, threads);
             axpy_threads(&mut conv, 1.0, &term, threads)?;
             Ok(())
         })?;
@@ -239,6 +215,7 @@ mod tests {
     use omega_hetmem::{MemSystem, Topology};
     use omega_linalg::gaussian_matrix;
     use omega_spmm::SpmmConfig;
+    use proptest::prelude::*;
 
     fn engine() -> SpmmEngine {
         SpmmEngine::new(
@@ -260,6 +237,18 @@ mod tests {
         assert_eq!(bessel_iv(0, 0.0), 1.0);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Bessel three-term recurrence: I_{k−1}(x) − I_{k+1}(x) = (2k/x)·I_k(x).
+        #[test]
+        fn bessel_recurrence(k in 1usize..8, x in 0.1f64..5.0) {
+            let lhs = bessel_iv(k - 1, x) - bessel_iv(k + 1, x);
+            let rhs = 2.0 * k as f64 / x * bessel_iv(k, x);
+            prop_assert!((lhs - rhs).abs() < 1e-9 * rhs.abs().max(1.0), "{lhs} vs {rhs}");
+        }
+    }
+
     #[test]
     fn permute_roundtrip() {
         let g = Csdb::from_csr(&RmatConfig::social(64, 300, 1).generate_csr().unwrap()).unwrap();
@@ -274,7 +263,7 @@ mod tests {
     fn propagation_runs_and_reports() {
         let adj = RmatConfig::social(256, 1_500, 4).generate_csr().unwrap();
         let x = gaussian_matrix(256, 8, 2);
-        let out = propagate(&engine(), &adj, &x, &ChebyshevConfig::default(), 1).unwrap();
+        let out = propagate(&engine(), &adj, &x, 1).unwrap();
         assert_eq!(out.embedding.shape(), (256, 8));
         // Order-10 expansion: 2 for Lx1, 2 per step for i in 2..10, plus
         // the final (A+I) multiply = 2 + 16 + 1.
@@ -292,7 +281,7 @@ mod tests {
         let adj = cfg.generate_csr().unwrap();
         let labels = cfg.labels();
         let x = gaussian_matrix(200, 16, 3);
-        let out = propagate(&engine(), &adj, &x, &ChebyshevConfig::default(), 1).unwrap();
+        let out = propagate(&engine(), &adj, &x, 1).unwrap();
 
         let coherence = |m: &DenseMatrix| {
             let mut same = 0.0f64;

@@ -7,22 +7,24 @@
 //! 1. **Sparse matrix factorisation** (`tsvd`): a randomized truncated
 //!    SVD (Halko et al.) of the log-transformed transition matrix yields the
 //!    initial embedding;
-//! 2. **Spectral propagation** ([`chebyshev`]): a Chebyshev expansion of a
+//! 2. **Spectral propagation** (`chebyshev`): a Chebyshev expansion of a
 //!    band-pass filter on the modulated graph Laplacian refines it.
 //!
 //! Every sparse multiply goes through `omega_spmm::SpmmEngine`, so the whole
 //! pipeline is costed on the simulated heterogeneous memory system, and the
 //! per-phase simulated times aggregate into a [`prone::ProneReport`].
+//!
+//! The public surface is the pipeline ([`prone`]), the quality metrics
+//! ([`eval`]) and the output types [`Embedding`], [`Metric`] and [`TopK`].
 
-pub mod chebyshev;
+mod chebyshev;
 mod embedding;
 pub mod eval;
-pub mod laplacian;
+mod laplacian;
 pub mod prone;
 mod tsvd;
 
 pub use embedding::{Embedding, Metric, TopK};
-pub use prone::{Prone, ProneConfig, ProneReport};
 
 /// Errors from the embedding pipeline.
 #[derive(Debug)]

@@ -1,6 +1,6 @@
 //! The end-to-end ProNE pipeline on the OMeGa engine.
 
-use crate::chebyshev::{propagate, unpermute_matrix, ChebyshevConfig};
+use crate::chebyshev::{propagate, unpermute_matrix};
 use crate::embedding::Embedding;
 use crate::laplacian::{log_proximity, to_csdb};
 use crate::tsvd::{randomized_tsvd, TsvdConfig};
@@ -11,19 +11,22 @@ use omega_hetmem::SimDuration;
 use omega_obs::Track;
 use omega_spmm::SpmmEngine;
 
-/// ProNE hyper-parameters (defaults follow the reference implementation).
+// ProNE's fixed hyper-parameters, at the reference implementation's values:
+// the paper runs ProNE as its SpMM workload and varies none of them. The
+// propagation filter's three are in `chebyshev`.
+/// t-SVD power iterations.
+const POWER_ITERS: usize = 1;
+/// Negative-sampling ratio `λ` of the log-proximity transform.
+const LAMBDA: f32 = 1.0;
+
+/// The settings of one ProNE run; its other hyper-parameters are fixed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProneConfig {
     /// Embedding dimension `d`.
     pub dim: usize,
-    /// t-SVD oversampling.
+    /// t-SVD oversampling: the random projection has `dim + oversample`
+    /// columns.
     pub oversample: usize,
-    /// t-SVD power iterations.
-    pub power_iters: usize,
-    /// Negative-sampling ratio `λ` of the log-proximity transform.
-    pub lambda: f32,
-    /// Chebyshev propagation parameters.
-    pub chebyshev: ChebyshevConfig,
     /// Graph format whose reading cost the report charges: CSDB for OMeGa,
     /// CSR for the unmodified ProNE baselines (Fig. 19(a)).
     pub read_format: GraphFormat,
@@ -33,6 +36,7 @@ pub struct ProneConfig {
     /// every value — the dense sim cost is charged analytically from the
     /// *simulated* thread count in [`omega_spmm::SpmmConfig`].
     pub threads: usize,
+    /// Seed of the t-SVD's Gaussian test matrix.
     pub seed: u64,
 }
 
@@ -41,9 +45,6 @@ impl Default for ProneConfig {
         ProneConfig {
             dim: 64,
             oversample: 16,
-            power_iters: 1,
-            lambda: 1.0,
-            chebyshev: ChebyshevConfig::default(),
             read_format: GraphFormat::Csdb,
             threads: 1,
             seed: 0x0e6a,
@@ -110,10 +111,6 @@ impl Prone {
         &self.engine
     }
 
-    pub fn config(&self) -> &ProneConfig {
-        &self.cfg
-    }
-
     /// Learn embeddings for a symmetric adjacency matrix.
     pub fn embed(&self, adj: &Csr) -> Result<(Embedding, ProneReport)> {
         let n = adj.rows() as usize;
@@ -139,7 +136,7 @@ impl Prone {
         // time to the bench phase breakdown; simulated time is untouched.
         let read_span = rec.begin("prone.read", Track::MAIN);
         let (m, read_time) = omega_par::phase_scope("read", || -> Result<_> {
-            let m = to_csdb(&log_proximity(adj, self.cfg.lambda))?;
+            let m = to_csdb(&log_proximity(adj, LAMBDA))?;
             let model = self.engine.system().model();
             let device = self.engine.config().mode.operand_device();
             let read_time = match self.cfg.read_format {
@@ -157,7 +154,7 @@ impl Prone {
             let tsvd_cfg = TsvdConfig {
                 rank: self.cfg.dim,
                 oversample: self.cfg.oversample,
-                power_iters: self.cfg.power_iters,
+                power_iters: POWER_ITERS,
                 seed: self.cfg.seed,
             };
             let fact = randomized_tsvd(&self.engine, &m, &mt, &tsvd_cfg, self.cfg.threads)?;
@@ -169,13 +166,7 @@ impl Prone {
         // Stage 2: spectral propagation.
         let prop_span = rec.begin("prone.propagate", Track::MAIN);
         let prop = omega_par::phase_scope("propagate", || {
-            propagate(
-                &self.engine,
-                adj,
-                &initial,
-                &self.cfg.chebyshev,
-                self.cfg.threads,
-            )
+            propagate(&self.engine, adj, &initial, self.cfg.threads)
         })?;
         rec.end(prop_span, Some(prop.total_time()));
         rec.end(root, None);
@@ -213,7 +204,6 @@ mod tests {
         ProneConfig {
             dim,
             oversample: 8,
-            power_iters: 1,
             ..ProneConfig::default()
         }
     }

@@ -1,89 +1,12 @@
-//! Property-based tests of the embedding model's operators.
+//! Property-based test of the embedding's word2vec text format. The
+//! operator properties are the crate's unit tests (`laplacian`,
+//! `chebyshev`), which reach the crate-private builders.
 
-use omega_embed::chebyshev::bessel_iv;
-use omega_embed::laplacian::{
-    adjacency_plus_identity, log_proximity, modulated_rw_laplacian, normalized_adjacency,
-    transition_matrix,
-};
 use omega_embed::Embedding;
-use omega_graph::{Csr, GraphBuilder};
 use proptest::prelude::*;
-
-fn arb_graph() -> impl Strategy<Value = Csr> {
-    (3u32..40, 2usize..80).prop_flat_map(|(n, edges)| {
-        proptest::collection::vec((0..n, 0..n), edges).prop_map(move |pairs| {
-            let mut b = GraphBuilder::new(n);
-            for (u, v) in pairs {
-                if u != v {
-                    b.add_edge(u, v, 1.0).unwrap();
-                }
-            }
-            b.add_edge(0, 1, 1.0).ok();
-            b.build_csr().unwrap()
-        })
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Transition-matrix rows are stochastic (or empty).
-    #[test]
-    fn transition_rows_stochastic(g in arb_graph()) {
-        let p = transition_matrix(&g);
-        for r in 0..p.rows() {
-            let s: f32 = p.row(r).1.iter().sum();
-            if g.degree(r) > 0 {
-                prop_assert!((s - 1.0).abs() < 1e-5, "row {r} sums to {s}");
-            } else {
-                prop_assert_eq!(s, 0.0);
-            }
-        }
-    }
-
-    /// The modulated random-walk Laplacian's rows sum to −μ on non-isolated
-    /// nodes (every node is non-isolated after the +I self-loop).
-    #[test]
-    fn rw_laplacian_row_sums(g in arb_graph(), mu in 0.0f32..0.9) {
-        let m = modulated_rw_laplacian(&g, mu).unwrap();
-        for r in 0..m.rows() {
-            let s: f32 = m.row(r).1.iter().sum();
-            prop_assert!((s + mu).abs() < 1e-4, "row {r} sums to {s}, want {}", -mu);
-        }
-        // Structure: every diagonal present.
-        let a1 = adjacency_plus_identity(&g).unwrap();
-        prop_assert_eq!(m.nnz(), a1.nnz());
-    }
-
-    /// The symmetric normalisation preserves symmetry and bounds the
-    /// spectral radius by 1 (checked via a Rayleigh quotient on random x).
-    #[test]
-    fn normalized_adjacency_contraction(g in arb_graph(), seed in 0u64..500) {
-        let s = normalized_adjacency(&g);
-        prop_assert!(s.is_symmetric());
-        let x = omega_linalg::gaussian_matrix(g.rows() as usize, 1, seed);
-        let xv: Vec<f32> = x.col(0).to_vec();
-        let y = s.spmv(&xv).unwrap();
-        let xn: f64 = xv.iter().map(|&v| (v as f64).powi(2)).sum::<f64>().sqrt();
-        let yn: f64 = y.iter().map(|&v| (v as f64).powi(2)).sum::<f64>().sqrt();
-        prop_assert!(yn <= xn * (1.0 + 1e-4), "||Sx|| = {yn} > ||x|| = {xn}");
-    }
-
-    /// Log-proximity keeps the sparsity pattern and non-negative values.
-    #[test]
-    fn log_proximity_structure(g in arb_graph(), lambda in 0.1f32..5.0) {
-        let m = log_proximity(&g, lambda);
-        prop_assert_eq!(m.nnz(), g.nnz());
-        prop_assert!(m.values().iter().all(|&v| v >= 0.0 && v.is_finite()));
-    }
-
-    /// Bessel three-term recurrence: I_{k−1}(x) − I_{k+1}(x) = (2k/x)·I_k(x).
-    #[test]
-    fn bessel_recurrence(k in 1usize..8, x in 0.1f64..5.0) {
-        let lhs = bessel_iv(k - 1, x) - bessel_iv(k + 1, x);
-        let rhs = 2.0 * k as f64 / x * bessel_iv(k, x);
-        prop_assert!((lhs - rhs).abs() < 1e-9 * rhs.abs().max(1.0), "{lhs} vs {rhs}");
-    }
 
     /// Word2vec text serialisation round-trips an arbitrary embedding within
     /// the `{:.6}` fixed-point precision `Embedding::to_text` writes.

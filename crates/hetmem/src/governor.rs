@@ -41,7 +41,7 @@ pub struct MemGovernor {
 }
 
 impl MemGovernor {
-    pub fn new(topology: Topology) -> Self {
+    pub(crate) fn new(topology: Topology) -> Self {
         let nodes = topology.nodes();
         MemGovernor {
             topology,

@@ -70,7 +70,7 @@ impl<T: Copy> HetVec<T> {
     /// Wrap existing data with a placement, reserving capacity from the
     /// governor. Fails with [`crate::HetMemError::OutOfMemory`] if the device
     /// is full.
-    pub fn with_governor(
+    pub(crate) fn with_governor(
         governor: Arc<MemGovernor>,
         placement: Placement,
         data: Vec<T>,
@@ -156,11 +156,6 @@ impl<T: Copy> HetVec<T> {
     #[inline]
     pub fn raw(&self) -> &[T] {
         &self.data
-    }
-
-    /// Consume, returning the backing vector (releases the lease).
-    pub fn into_inner(self) -> Vec<T> {
-        self.data
     }
 }
 

@@ -73,12 +73,12 @@ impl AccessSummary {
     }
 
     /// Fraction of bytes accessed with a random pattern.
-    pub fn random_fraction(&self) -> f64 {
+    fn random_fraction(&self) -> f64 {
         fraction(self.random_bytes, self.total_bytes)
     }
 
     /// Fraction of bytes served from PM (vs DRAM/SSD).
-    pub fn pm_fraction(&self) -> f64 {
+    fn pm_fraction(&self) -> f64 {
         fraction(self.pm_bytes, self.total_bytes)
     }
 }
@@ -142,6 +142,16 @@ mod tests {
         assert_eq!(s.rows.len(), 3);
         assert!((s.remote_fraction() - 0.25).abs() < 1e-12);
         assert!((s.pm_fraction() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn random_fraction() {
+        let mut ctx = ThreadMem::new(0, 1);
+        let pm0 = Placement::node(0, DeviceKind::Pm);
+        ctx.charge_block(pm0, AccessOp::Read, AccessPattern::Seq, 75, 1);
+        ctx.charge_block(pm0, AccessOp::Read, AccessPattern::Rand, 25, 1);
+        let s = AccessSummary::from_counters(ctx.counters());
+        assert!((s.random_fraction() - 0.25).abs() < 1e-12);
     }
 
     #[test]

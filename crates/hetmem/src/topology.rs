@@ -122,7 +122,7 @@ impl Topology {
     }
 
     /// Validate that a node id exists.
-    pub fn check_node(&self, node: NodeId) -> Result<()> {
+    pub(crate) fn check_node(&self, node: NodeId) -> Result<()> {
         if node < self.sockets {
             Ok(())
         } else {

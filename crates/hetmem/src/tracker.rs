@@ -143,25 +143,6 @@ impl ClassCounters {
     pub fn total_accesses(&self) -> u64 {
         self.touched().map(|(_, ctr)| ctr.accesses).sum()
     }
-
-    /// Fraction of payload bytes that crossed the socket interconnect — the
-    /// statistic the paper collects with VTune (§III-D, ">43% remote").
-    pub fn remote_fraction(&self) -> f64 {
-        let total = self.total_bytes();
-        if total == 0 {
-            return 0.0;
-        }
-        self.bytes_where(|c| c.locality == Locality::Remote) as f64 / total as f64
-    }
-
-    /// Fraction of payload bytes that were random-pattern accesses.
-    pub fn random_fraction(&self) -> f64 {
-        let total = self.total_bytes();
-        if total == 0 {
-            return 0.0;
-        }
-        self.bytes_where(|c| c.pattern == AccessPattern::Rand) as f64 / total as f64
-    }
 }
 
 /// The per-simulated-thread memory context.
@@ -210,7 +191,7 @@ impl ThreadMem {
 
     /// Attach a fault hook (done by [`crate::MemSystem`] when a plan is
     /// installed; kernels never call this directly).
-    pub fn with_hook(mut self, hook: Arc<dyn FaultHook>) -> Self {
+    pub(crate) fn with_hook(mut self, hook: Arc<dyn FaultHook>) -> Self {
         self.hook = Some(hook);
         self
     }
@@ -353,7 +334,7 @@ impl ThreadMem {
     /// Charge a single element access of `elem_bytes` payload to a buffer
     /// with the given placement.
     #[inline]
-    pub fn charge_access(
+    pub(crate) fn charge_access(
         &mut self,
         placement: Placement,
         op: AccessOp,
@@ -471,7 +452,6 @@ mod tests {
         ));
         assert_eq!(local.bytes, 8);
         assert_eq!(remote.bytes, 8);
-        assert!((ctx.counters().remote_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -598,13 +578,5 @@ mod tests {
         let taken = ctx.take_counters();
         assert_eq!(taken.cpu_ops(), 3);
         assert_eq!(ctx.counters().cpu_ops(), 0);
-    }
-
-    #[test]
-    fn random_fraction() {
-        let mut ctx = ThreadMem::new(0, 1);
-        ctx.charge_block(pm_on(0), AccessOp::Read, AccessPattern::Seq, 75, 1);
-        ctx.charge_access(pm_on(0), AccessOp::Read, AccessPattern::Rand, 25);
-        assert!((ctx.counters().random_fraction() - 0.25).abs() < 1e-12);
     }
 }
