@@ -32,7 +32,7 @@ pub(crate) fn prone(
         alloc: AllocScheme::RoundRobin,
         wofp: None,
         nadp: false,
-        asl: None,
+        asl: false,
         mode,
     };
     let prone = ProneConfig {

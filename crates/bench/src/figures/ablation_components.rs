@@ -5,7 +5,7 @@
 
 use crate::{fmt_time, machine, print_table, spmm, spmm_operands, twin, THREADS};
 use omega_graph::Dataset;
-use omega_spmm::{AllocScheme, AslConfig, SpmmConfig, WofpConfig};
+use omega_spmm::{AllocScheme, SpmmConfig, WofpConfig};
 use serde::Value;
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
@@ -17,15 +17,17 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
     let mut baseline = None;
     for mask in 0..16u32 {
         let [eata, wofp, nadp, asl] = [1, 2, 4, 8].map(|bit| mask & bit != 0);
-        let cfg = SpmmConfig::omega(THREADS)
-            .with_alloc(if eata {
+        let cfg = SpmmConfig {
+            alloc: if eata {
                 AllocScheme::eata_default()
             } else {
                 AllocScheme::WaTA
-            })
-            .with_wofp(wofp.then(WofpConfig::default))
-            .with_nadp(nadp)
-            .with_asl(asl.then(AslConfig::default));
+            },
+            wofp: wofp.then(WofpConfig::default),
+            nadp,
+            asl,
+            ..SpmmConfig::omega(THREADS)
+        };
         let t = spmm(&topo, cfg, &csdb, &b).makespan;
         // Mask 0, the first run, is the all-off baseline.
         let baseline = *baseline.get_or_insert(t);

@@ -21,7 +21,7 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
         BandwidthModel::cxl_machine(),
     );
     let full = SpmmConfig::omega(THREADS);
-    let resident = full.with_asl(None);
+    let resident = SpmmConfig { asl: false, ..full };
     // The DRAM ideal for reference, then the full system and the
     // PM-resident (streaming-off) regime on both capacity tiers.
     let runs = [

@@ -6,8 +6,7 @@
 
 use crate::{machine, print_table, spmm, spmm_operands, twin, THREADS};
 use omega_graph::Dataset;
-use omega_hetmem::DeviceKind;
-use omega_spmm::entropy::{predicted_cost_secs, CostInputs};
+use omega_hetmem::BandwidthModel;
 use omega_spmm::{AllocScheme, SpmmConfig};
 use serde::Value;
 
@@ -16,15 +15,16 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
     let (csdb, b) = spmm_operands(&g, 7);
 
     // WaTA without prefetching/streaming: the configuration §III-B analyses.
-    let cfg = SpmmConfig::omega(THREADS)
-        .with_alloc(AllocScheme::WaTA)
-        .with_wofp(None)
-        .with_asl(None);
+    let cfg = SpmmConfig {
+        alloc: AllocScheme::WaTA,
+        wofp: None,
+        asl: false,
+        ..SpmmConfig::omega(THREADS)
+    };
     let run = spmm(&machine(scale), cfg, &csdb, &b);
 
     // (a) breakdown via the library's Fig. 7(a) analysis.
-    let model = omega_hetmem::BandwidthModel::paper_machine();
-    let breakdown = omega_spmm::analysis::OpBreakdown::of(&run, &model, THREADS as u32);
+    let shares = run.op_shares(&BandwidthModel::paper_machine(), THREADS as u32);
     let operations = [
         "read_index + get_sparse_nnz (seq)",
         "get_dense_nnz (random)",
@@ -33,7 +33,7 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
     ];
     let rows: Vec<Vec<String>> = operations
         .iter()
-        .zip(breakdown.shares())
+        .zip(shares)
         .map(|(op, share)| vec![op.to_string(), format!("{:.1}%", share * 100.0)])
         .collect();
     print_table(
@@ -93,18 +93,6 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
          (paper: strong linear relationship T = K*H)",
         r,
         cov / vh.max(f64::MIN_POSITIVE)
-    );
-
-    // Analytical Eq. 2 sanity line for one average workload.
-    let avg = CostInputs {
-        nnzs: g.nnz() as u64 / THREADS as u64,
-        rows: g.rows() as u64 / THREADS as u64,
-        entropy: mh,
-        total_cols: g.rows(),
-    };
-    println!(
-        "Eq. 2 predicted per-thread cost at mean entropy on PM: {:.3} ms/column-pass",
-        predicted_cost_secs(&model, DeviceKind::Pm, avg) * 1e3
     );
     Vec::new()
 }

@@ -27,7 +27,10 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
     let g = twin(Dataset::Lj, scale);
     let (csdb, b) = spmm_operands(&g, 13);
     let run = |alloc| {
-        let cfg = SpmmConfig::omega(THREADS).with_alloc(alloc);
+        let cfg = SpmmConfig {
+            alloc,
+            ..SpmmConfig::omega(THREADS)
+        };
         spmm(&topo, cfg, &csdb, &b)
     };
     let wata = run(AllocScheme::WaTA);

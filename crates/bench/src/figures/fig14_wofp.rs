@@ -19,7 +19,11 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
         let g = twin(d, scale);
         let (csdb, b) = spmm_operands(&g, 14);
         let run = |wofp| {
-            let cfg = SpmmConfig::omega(THREADS).with_asl(None).with_wofp(wofp);
+            let cfg = SpmmConfig {
+                asl: false,
+                wofp,
+                ..SpmmConfig::omega(THREADS)
+            };
             spmm(&topo, cfg, &csdb, &b)
         };
         let prefetched = run(Some(WofpConfig::default()));

@@ -47,7 +47,10 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
         let g = twin(d, scale);
 
         let end_to_end = |variant: SystemVariant| -> Option<SimDuration> {
-            let spmm = variant.spmm_config(THREADS).with_asl(None);
+            let spmm = SpmmConfig {
+                asl: false,
+                ..variant.spmm_config(THREADS)
+            };
             let omega = Omega::with_spmm_config(base.clone().with_variant(variant), spmm).unwrap();
             embed_or_oom(omega, &g).map(|r| r.total_time())
         };
@@ -64,7 +67,11 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
             eng.spmm(&csdb, &bmat).ok().map(|r| r.makespan)
         };
         let resident = |variant: SystemVariant, nadp: bool| {
-            spmm(variant.spmm_config(THREADS).with_asl(None).with_nadp(nadp))
+            spmm(SpmmConfig {
+                asl: false,
+                nadp,
+                ..variant.spmm_config(THREADS)
+            })
         };
         let times = [
             resident(SystemVariant::Omega, true),

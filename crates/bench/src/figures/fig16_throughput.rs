@@ -17,7 +17,15 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
     // (Fig. 14 companion).
     let mut measure = |panel: &str, d: Dataset, threads: usize, csdb: &Csdb, b: &DenseMatrix| {
         let run = spmm(&topo, SpmmConfig::omega(threads), csdb, b);
-        let no_nadp = spmm(&topo, SpmmConfig::omega(threads).with_nadp(false), csdb, b);
+        let no_nadp = spmm(
+            &topo,
+            SpmmConfig {
+                nadp: false,
+                ..SpmmConfig::omega(threads)
+            },
+            csdb,
+            b,
+        );
         let (with, without) = (run.throughput_mnnz_s(), no_nadp.throughput_mnnz_s());
         jsonl.push(object([
             ("panel", Value::Str(panel.to_string())),

@@ -53,9 +53,11 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
     let g = twin(Dataset::Pk, scale);
     let (csdb, b) = spmm_operands(&g, 19);
     let time = |wofp: WofpConfig| -> f64 {
-        let cfg = SpmmConfig::omega(THREADS)
-            .with_asl(None)
-            .with_wofp(Some(wofp));
+        let cfg = SpmmConfig {
+            asl: false,
+            wofp: Some(wofp),
+            ..SpmmConfig::omega(THREADS)
+        };
         spmm(&topo, cfg, &csdb, &b).makespan.as_secs_f64()
     };
     let baseline = time(WofpConfig::default());

@@ -26,7 +26,10 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
         let times: Vec<f64> = schemes
             .iter()
             .map(|&alloc| {
-                let cfg = SpmmConfig::omega(THREADS).with_alloc(alloc);
+                let cfg = SpmmConfig {
+                    alloc,
+                    ..SpmmConfig::omega(THREADS)
+                };
                 spmm(&topo, cfg, &csdb, &b).makespan.as_secs_f64()
             })
             .collect();

@@ -42,9 +42,18 @@ impl SystemVariant {
             SystemVariant::Omega => SpmmConfig::omega(threads),
             SystemVariant::OmegaDram => SpmmConfig::omega_dram(threads),
             SystemVariant::OmegaPm => SpmmConfig::omega_pm(threads),
-            SystemVariant::OmegaWithoutWofp => SpmmConfig::omega(threads).with_wofp(None),
-            SystemVariant::OmegaWithoutNadp => SpmmConfig::omega(threads).with_nadp(false),
-            SystemVariant::OmegaWithoutAsl => SpmmConfig::omega(threads).with_asl(None),
+            SystemVariant::OmegaWithoutWofp => SpmmConfig {
+                wofp: None,
+                ..SpmmConfig::omega(threads)
+            },
+            SystemVariant::OmegaWithoutNadp => SpmmConfig {
+                nadp: false,
+                ..SpmmConfig::omega(threads)
+            },
+            SystemVariant::OmegaWithoutAsl => SpmmConfig {
+                asl: false,
+                ..SpmmConfig::omega(threads)
+            },
         }
     }
 }
@@ -129,7 +138,7 @@ mod tests {
         let spmm = cfg.spmm_config();
         assert!(spmm.nadp);
         assert!(spmm.wofp.is_some());
-        assert!(spmm.asl.is_some());
+        assert!(spmm.asl);
         assert_eq!(spmm.mode, MemMode::Hetero);
     }
 
@@ -146,7 +155,7 @@ mod tests {
             .wofp
             .is_none());
         assert!(!SystemVariant::OmegaWithoutNadp.spmm_config(t).nadp);
-        assert!(SystemVariant::OmegaWithoutAsl.spmm_config(t).asl.is_none());
+        assert!(!SystemVariant::OmegaWithoutAsl.spmm_config(t).asl);
         assert_eq!(SystemVariant::Omega.label(), "OMeGa");
         assert_eq!(SystemVariant::OmegaWithoutNadp.label(), "OMeGa-w/o-NaDP");
     }

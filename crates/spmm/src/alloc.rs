@@ -66,7 +66,7 @@ impl AllocScheme {
     /// degrees for WaTA, two for EaTA (scan + rescan), none for RR. Charged
     /// by the executor so that Fig. 14's "overhead < 3.17 %" claim is
     /// checkable.
-    pub fn overhead_cpu_ops(&self, rows: u32) -> u64 {
+    pub(crate) fn overhead_cpu_ops(&self, rows: u32) -> u64 {
         match self {
             AllocScheme::RoundRobin => 0,
             AllocScheme::WaTA => rows as u64,
@@ -211,7 +211,20 @@ fn allocate_eata(csdb: &Csdb, threads: usize, beta: f64) -> Vec<Workload> {
 /// non-zeros at the per-nnz cost its normalised entropy `Z(H)` implies.
 fn predicted_time(nnzs: f64, entropy: f64, cols: u32, beta: f64) -> f64 {
     let z = omega_graph::normalized_entropy(entropy, cols);
-    nnzs * crate::entropy::affine_cost_factor(z, beta)
+    nnzs * affine_cost_factor(z, beta)
+}
+
+/// The *affine* effective-cost factor of a workload with normalised
+/// entropy `Z(H)` (§III-B, Eq. 3–7): per-nnz cost relative to a fully
+/// sequential workload, `1 + (1/β − 1)·Z`, with `β = BW_rand / BW_seq`.
+/// It shares Eq. 5's endpoints (cost 1 at Z = 0, cost 1/β at Z = 1) but is
+/// linear in Z — the form the measured per-workload costs actually follow
+/// (random fetches move whole media units, so traffic grows linearly with
+/// the random share). EaTA prices with this factor, exactly as the paper
+/// fits its `K` from measurements (Fig. 7(c)).
+#[inline]
+fn affine_cost_factor(z: f64, beta: f64) -> f64 {
+    1.0 + (1.0 / beta.max(1e-6) - 1.0) * z.clamp(0.0, 1.0)
 }
 
 /// Smallest `red > rst` such that rows `[rst, red)` hold at least `target`
@@ -235,6 +248,7 @@ fn advance_until(csdb: &Csdb, rst: u32, target: u64) -> u32 {
 mod tests {
     use super::*;
     use omega_graph::{Csdb, RmatConfig};
+    use proptest::prelude::*;
 
     fn skewed() -> Csdb {
         let csr = RmatConfig::social(1 << 11, 20_000, 5)
@@ -363,5 +377,19 @@ mod tests {
         assert_eq!(AllocScheme::RoundRobin.label(), "RR");
         assert_eq!(AllocScheme::WaTA.label(), "WaTA");
         assert_eq!(AllocScheme::eata_default().label(), "EaTA");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The affine cost factor runs from 1 at Z = 0 to 1/β at Z = 1, and
+        /// stays within [1, 1/β] between them.
+        #[test]
+        fn cost_factor_bounds(z in 0.0f64..1.0, beta in 0.01f64..1.0) {
+            let cost = affine_cost_factor(z, beta);
+            prop_assert!(cost >= 1.0 - 1e-12 && cost <= 1.0 / beta + 1e-9);
+            prop_assert!((affine_cost_factor(0.0, beta) - 1.0).abs() < 1e-12);
+            prop_assert!((affine_cost_factor(1.0, beta) - 1.0 / beta).abs() < 1e-6);
+        }
     }
 }

@@ -15,27 +15,15 @@
 use omega_hetmem::SimDuration;
 use std::ops::Range;
 
-/// ASL tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AslConfig {
-    /// Fraction of the node's *free* DRAM the streaming window may claim.
-    pub dram_fraction: f64,
-}
-
-impl Default for AslConfig {
-    fn default() -> Self {
-        AslConfig { dram_fraction: 0.5 }
-    }
-}
-
 /// Eq. 9: minimum number of dense-matrix partitions so that the streaming
 /// window, its async double-buffer, the result block and intermediates fit
 /// in `m_total` bytes alongside the sparse matrix (`m_s` bytes).
 ///
-/// Returns `None` when even maximal partitioning (one column at a time)
-/// cannot fit — the fixed `2·d·|V|·s` term (result + result intermediate)
-/// exceeds the budget.
-pub fn partitions_required(
+/// When the fixed `2·d·|V|·s` term (result + result intermediate) leaves no
+/// room, it falls back to streaming the result too: only the current
+/// batch's result block occupies the window, so the fixed term is `M_s`
+/// alone. Returns `None` when even that cannot fit.
+pub(crate) fn partitions_required(
     d: usize,
     v: u64,
     elem_size: u64,
@@ -43,10 +31,7 @@ pub fn partitions_required(
     m_s: u64,
 ) -> Option<u64> {
     let dv = d as u64 * v * elem_size;
-    let fixed = m_s + 2 * dv;
-    if m_total <= fixed {
-        return None;
-    }
+    let fixed = [m_s + 2 * dv, m_s].into_iter().find(|&f| m_total > f)?;
     let free = (m_total - fixed) as f64;
     let n = (3.0 * dv as f64 / free).ceil() as u64;
     Some(n.max(1))
@@ -54,14 +39,14 @@ pub fn partitions_required(
 
 /// A concrete batching of `cols` dense columns into `n` partitions.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AslPlan {
+pub(crate) struct AslPlan {
     pub batches: Vec<Range<usize>>,
 }
 
 impl AslPlan {
     /// Split `cols` columns into `partitions` near-even contiguous batches
     /// (at most one batch per column).
-    pub fn new(cols: Range<usize>, partitions: u64) -> AslPlan {
+    pub(crate) fn new(cols: Range<usize>, partitions: u64) -> AslPlan {
         let width = cols.len();
         let n = (partitions.max(1) as usize).min(width.max(1));
         let base = width / n;
@@ -77,18 +62,18 @@ impl AslPlan {
     }
 
     /// A degenerate single-batch plan (ASL disabled).
-    pub fn single(cols: Range<usize>) -> AslPlan {
+    pub(crate) fn single(cols: Range<usize>) -> AslPlan {
         AslPlan {
             batches: vec![cols],
         }
     }
 
-    pub fn num_batches(&self) -> usize {
+    pub(crate) fn num_batches(&self) -> usize {
         self.batches.len()
     }
 
     /// Widest batch, the quantity that must fit the DRAM window.
-    pub fn max_batch_cols(&self) -> usize {
+    pub(crate) fn max_batch_cols(&self) -> usize {
         self.batches.iter().map(|b| b.len()).max().unwrap_or(0)
     }
 }
@@ -103,7 +88,7 @@ impl AslPlan {
 /// phase with [`StreamingSchedule::makespan`] and replays the three
 /// interval lists onto its trace.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct StreamingSchedule {
+pub(crate) struct StreamingSchedule {
     /// Per batch: `(start, duration)` of its compute interval.
     pub compute: Vec<(SimDuration, SimDuration)>,
     /// Per batch: `(start, duration)` of its pre-load interval.
@@ -116,7 +101,7 @@ pub struct StreamingSchedule {
 
 /// Run the pipeline recurrence over per-batch compute, pre-load and flush
 /// times, keeping every interval.
-pub fn streaming_schedule(
+pub(crate) fn streaming_schedule(
     compute: &[SimDuration],
     load: &[SimDuration],
     flush: &[SimDuration],
@@ -153,6 +138,7 @@ pub fn streaming_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn eq9_matches_hand_computation() {
@@ -171,11 +157,26 @@ mod tests {
 
     #[test]
     fn eq9_budget_shortfall_is_none() {
-        // Result matrices alone exceed the budget.
-        assert_eq!(partitions_required(128, 1 << 20, 4, 1 << 20, 0), None);
-        // Exactly at the fixed term: still None (strict inequality).
-        let dv = 2u64 * (1 << 20) * 4 * 128 / 2;
-        let _ = dv;
+        // Not even the sparse matrix fits: nothing is left to stream into.
+        assert_eq!(partitions_required(128, 1 << 20, 4, 1 << 20, 1 << 20), None);
+        assert_eq!(partitions_required(128, 1 << 20, 4, 1 << 20, 2 << 20), None);
+        assert_eq!(partitions_required(16, 1000, 4, 0, 0), None);
+    }
+
+    #[test]
+    fn eq9_falls_back_to_a_streamed_result() {
+        // d=16, |V|=1000, f32: dv = 64 000 B, sparse 10 000 B. Every budget
+        // in (M_s, M_s + 2·dv] leaves no room for the resident result, so
+        // only the sparse matrix is fixed: n = ceil(3·dv / (budget − M_s)).
+        let (d, v, m_s, dv) = (16, 1000u64, 10_000u64, 64_000u64);
+        for (free, n) in [(1, 192_000), (1000, 192), (96_000, 2), (2 * dv, 2)] {
+            assert_eq!(partitions_required(d, v, 4, m_s + free, m_s), Some(n));
+        }
+        // One byte past the boundary Eq. 9 proper applies again.
+        assert_eq!(
+            partitions_required(d, v, 4, m_s + 2 * dv + 1, m_s),
+            Some(192_000)
+        );
     }
 
     #[test]
@@ -273,5 +274,98 @@ mod tests {
         assert_eq!(flush_only(&[2, 2], &[10, 10]), 22);
         // Single batch: compute + flush, no overlap possible.
         assert_eq!(flush_only(&[7], &[3]), 10);
+    }
+
+    fn durs(ns: Vec<u64>) -> Vec<SimDuration> {
+        ns.into_iter().map(SimDuration::from_nanos).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The streaming schedule is bounded below by the compute-only total
+        /// plus the first load, and above by the fully-serialised sum.
+        #[test]
+        fn streaming_makespan_bounds(
+            batches in proptest::collection::vec(
+                (0u64..1_000_000, 0u64..1_000_000, 0u64..1_000_000),
+                1..20,
+            )
+        ) {
+            let compute = durs(batches.iter().map(|b| b.0).collect());
+            let load = durs(batches.iter().map(|b| b.1).collect());
+            let flush = durs(batches.iter().map(|b| b.2).collect());
+            let m = streaming_schedule(&compute, &load, &flush).makespan;
+
+            let total_compute: u64 = batches.iter().map(|b| b.0).sum();
+            let serial: u64 = batches.iter().map(|b| b.0 + b.1 + b.2).sum();
+            prop_assert!(m.as_nanos() >= total_compute + batches[0].1);
+            prop_assert!(m.as_nanos() <= serial);
+        }
+
+        /// With nothing to pre-load the schedule is a plain flush pipeline:
+        /// bounded the same way, and never better than perfect overlap.
+        #[test]
+        fn pipeline_makespan_bounds(
+            batches in proptest::collection::vec((0u64..1_000_000, 0u64..1_000_000), 1..20)
+        ) {
+            let compute = durs(batches.iter().map(|b| b.0).collect());
+            let flush = durs(batches.iter().map(|b| b.1).collect());
+            let idle = vec![SimDuration::ZERO; compute.len()];
+            let m = streaming_schedule(&compute, &idle, &flush).makespan;
+            let total_compute: u64 = batches.iter().map(|b| b.0).sum();
+            let total_flush: u64 = batches.iter().map(|b| b.1).sum();
+            prop_assert!(m.as_nanos() >= total_compute.max(total_flush));
+            prop_assert!(m.as_nanos() <= total_compute + total_flush);
+        }
+
+        /// Eq. 9 on both branches: every count satisfies the inequality of
+        /// the branch that chose it (the resident result's `2·d·|V|·s` is
+        /// fixed above `M_s + 2·d·|V|·s`, only `M_s` below it), more budget
+        /// never fails, and within a branch more budget never needs more
+        /// partitions. Budgets are drawn around the branch boundary, so
+        /// many pairs cross it.
+        #[test]
+        fn eq9_monotone_and_sound(
+            d in 1usize..512,
+            v in 1u64..1_000_000,
+            at in 0.0f64..2.0,
+            up in 0.0f64..1.0,
+            m_s in 0u64..(1u64 << 28),
+        ) {
+            let dv = d as u64 * v * 4;
+            let boundary = m_s + 2 * dv;
+            let budget = (boundary as f64 * at) as u64;
+            let more = budget + (boundary as f64 * up) as u64;
+            let fixed = |m: u64| if m > boundary { boundary } else { m_s };
+            let a = partitions_required(d, v, 4, budget, m_s);
+            let b = partitions_required(d, v, 4, more, m_s);
+            prop_assert_eq!(a.is_none(), budget <= m_s);
+            prop_assert_eq!(b.is_none(), more <= m_s);
+            if let (Some(na), Some(nb)) = (a, b) {
+                if fixed(budget) == fixed(more) {
+                    prop_assert!(nb <= na, "budget up, partitions up: {na} -> {nb}");
+                }
+                // Soundness: the chosen n fits its branch's inequality.
+                let lhs = 3.0 * dv as f64 / na as f64 + fixed(budget) as f64;
+                prop_assert!(lhs <= budget as f64 + 1.0 + 3.0 * dv as f64 * 1e-9);
+            }
+        }
+
+        /// An ASL plan covers its column range exactly, in order, with batch
+        /// widths differing by at most one.
+        #[test]
+        fn asl_plan_partitions_columns(start in 0usize..1000, width in 1usize..500, parts in 1u64..64) {
+            let plan = AslPlan::new(start..start + width, parts);
+            let mut at = start;
+            for b in &plan.batches {
+                prop_assert_eq!(b.start, at);
+                at = b.end;
+            }
+            prop_assert_eq!(at, start + width);
+            let min = plan.batches.iter().map(|b| b.len()).min().unwrap();
+            prop_assert!(plan.max_batch_cols() - min <= 1);
+            prop_assert!(plan.num_batches() as u64 <= parts.max(1));
+        }
     }
 }

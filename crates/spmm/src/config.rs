@@ -2,7 +2,6 @@
 //! four mechanisms are on.
 
 use crate::alloc::AllocScheme;
-use crate::asl::AslConfig;
 use crate::wofp::WofpConfig;
 use omega_hetmem::DeviceKind;
 
@@ -31,7 +30,7 @@ impl MemMode {
     }
 
     /// Device holding the dense operand and result matrices.
-    pub fn dense_device(self) -> DeviceKind {
+    pub(crate) fn dense_device(self) -> DeviceKind {
         match self {
             MemMode::DramOnly | MemMode::SparsePmDenseDram => DeviceKind::Dram,
             MemMode::PmOnly | MemMode::Hetero => DeviceKind::Pm,
@@ -39,7 +38,7 @@ impl MemMode {
     }
 
     /// Device holding WoFP/ASL staging windows.
-    pub fn staging_device(self) -> DeviceKind {
+    pub(crate) fn staging_device(self) -> DeviceKind {
         match self {
             MemMode::DramOnly | MemMode::Hetero | MemMode::SparsePmDenseDram => DeviceKind::Dram,
             MemMode::PmOnly => DeviceKind::Pm,
@@ -58,9 +57,9 @@ pub struct SpmmConfig {
     /// `false` replaces NaDP with the OS Interleave policy
     /// (`OMeGa-w/o-NaDP`).
     pub nadp: bool,
-    /// `None` disables streaming: result writes go straight to the operand
+    /// `false` disables streaming: result writes go straight to the operand
     /// device.
-    pub asl: Option<AslConfig>,
+    pub asl: bool,
     pub mode: MemMode,
 }
 
@@ -72,7 +71,7 @@ impl SpmmConfig {
             alloc: AllocScheme::eata_default(),
             wofp: Some(WofpConfig::default()),
             nadp: true,
-            asl: Some(AslConfig::default()),
+            asl: true,
             mode: MemMode::Hetero,
         }
     }
@@ -91,28 +90,8 @@ impl SpmmConfig {
         SpmmConfig {
             mode: MemMode::PmOnly,
             wofp: None,
-            asl: None,
+            asl: false,
             ..Self::omega(threads)
         }
-    }
-
-    pub fn with_alloc(mut self, alloc: AllocScheme) -> Self {
-        self.alloc = alloc;
-        self
-    }
-
-    pub fn with_wofp(mut self, wofp: Option<WofpConfig>) -> Self {
-        self.wofp = wofp;
-        self
-    }
-
-    pub fn with_nadp(mut self, nadp: bool) -> Self {
-        self.nadp = nadp;
-        self
-    }
-
-    pub fn with_asl(mut self, asl: Option<AslConfig>) -> Self {
-        self.asl = asl;
-        self
     }
 }

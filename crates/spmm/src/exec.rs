@@ -250,9 +250,8 @@ impl SpmmEngine {
             flush_times.push(self.stream_leg(plan, window, home, block_bytes, &mut counters));
         }
 
-        let reports = (plan.workloads.iter().zip(&plan.prefetchers))
-            .zip(times.into_iter().zip(stats))
-            .map(|((w, prefetcher), (time, stats))| WorkloadReport {
+        let reports = (plan.workloads.iter().zip(times).zip(stats))
+            .map(|((w, time), stats)| WorkloadReport {
                 thread: w.thread,
                 rows: w.rows.len(),
                 nnzs: w.nnzs,
@@ -263,7 +262,6 @@ impl SpmmEngine {
                 prefetch_hits: stats.prefetch_hits,
                 prefetch_misses: stats.prefetch_misses,
                 wasted_prefetches: stats.wasted_prefetches,
-                prefetcher: prefetcher.as_ref().map(|p| p.kind()),
             })
             .collect();
         GroupRun {
@@ -469,13 +467,27 @@ mod tests {
             SpmmConfig::omega(4),
             SpmmConfig::omega_dram(4),
             SpmmConfig::omega_pm(4),
-            SpmmConfig::omega(4)
-                .with_alloc(AllocScheme::RoundRobin)
-                .with_nadp(false),
-            SpmmConfig::omega(4).with_alloc(AllocScheme::WaTA),
-            SpmmConfig::omega(4).with_wofp(None),
-            SpmmConfig::omega(4).with_nadp(false),
-            SpmmConfig::omega(4).with_asl(None),
+            SpmmConfig {
+                alloc: AllocScheme::RoundRobin,
+                nadp: false,
+                ..SpmmConfig::omega(4)
+            },
+            SpmmConfig {
+                alloc: AllocScheme::WaTA,
+                ..SpmmConfig::omega(4)
+            },
+            SpmmConfig {
+                wofp: None,
+                ..SpmmConfig::omega(4)
+            },
+            SpmmConfig {
+                nadp: false,
+                ..SpmmConfig::omega(4)
+            },
+            SpmmConfig {
+                asl: false,
+                ..SpmmConfig::omega(4)
+            },
         ];
         for cfg in configs {
             let run = engine(cfg).spmm(&g, &b).unwrap();
@@ -508,9 +520,12 @@ mod tests {
     fn eata_beats_round_robin_makespan() {
         let g = graph(1 << 11, 30_000);
         let b = gaussian_matrix(1 << 11, 8, 4);
-        let rr = engine(SpmmConfig::omega(8).with_alloc(AllocScheme::RoundRobin))
-            .spmm(&g, &b)
-            .unwrap();
+        let rr = engine(SpmmConfig {
+            alloc: AllocScheme::RoundRobin,
+            ..SpmmConfig::omega(8)
+        })
+        .spmm(&g, &b)
+        .unwrap();
         let eata = engine(SpmmConfig::omega(8)).spmm(&g, &b).unwrap();
         assert!(
             eata.makespan < rr.makespan,
@@ -524,12 +539,19 @@ mod tests {
     fn nadp_reduces_remote_write_traffic() {
         let g = graph(1 << 10, 10_000);
         let b = gaussian_matrix(1 << 10, 8, 6);
-        let with = engine(SpmmConfig::omega(8).with_asl(None))
-            .spmm(&g, &b)
-            .unwrap();
-        let without = engine(SpmmConfig::omega(8).with_asl(None).with_nadp(false))
-            .spmm(&g, &b)
-            .unwrap();
+        let with = engine(SpmmConfig {
+            asl: false,
+            ..SpmmConfig::omega(8)
+        })
+        .spmm(&g, &b)
+        .unwrap();
+        let without = engine(SpmmConfig {
+            asl: false,
+            nadp: false,
+            ..SpmmConfig::omega(8)
+        })
+        .spmm(&g, &b)
+        .unwrap();
         let remote_writes = |c: &ClassCounters| {
             c.bytes_where(|cl| {
                 cl.locality == omega_hetmem::Locality::Remote && cl.op == AccessOp::Write

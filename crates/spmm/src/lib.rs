@@ -2,34 +2,34 @@
 //!
 //! Sparse-matrix × dense-matrix multiplication is the kernel graph embedding
 //! spends ~70 % of its time in (paper §II-A); this crate implements the
-//! paper's entire §III around it:
+//! paper's entire §III around it, with one entry point: [`SpmmEngine::spmm`]
+//! under an [`SpmmConfig`] that switches each mechanism.
 //!
 //! * thread allocation ([`AllocScheme`]) — Round-Robin (`RR`),
 //!   workload-balancing (`WaTA`), and the paper's entropy-aware `EaTA`
 //!   (Algorithm 2, Eq. 3–7), each cutting the rows into one contiguous
 //!   [`Workload`] per thread;
-//! * [`entropy`] — workload entropy, normalisation and the β-weighted
-//!   allocation weight of Eq. 5–7;
 //! * the workload feature-aware prefetcher ([`WofpConfig`], §III-C): hybrid
 //!   frequency-/degree-based top-M prefetching into DRAM;
 //! * NUMA-aware data placement (`SpmmConfig::nadp`, §III-D): partitioned
 //!   sparse and dense operands, CPU-bound thread groups, local
 //!   intermediates, global-sequential-read / local-write discipline;
-//! * [`asl`] — asynchronous adaptive streaming loading (§III-E, Eq. 8–9);
+//! * asynchronous adaptive streaming loading (`SpmmConfig::asl`, §III-E,
+//!   Eq. 8–9): column batches sized against half the staging device's free
+//!   capacity, pipelined between DRAM and PM;
 //! * the simulated-time executor: [`SpmmEngine::spmm`] plans each socket
 //!   group (placements, capacity, batches, workloads, prefetchers), runs its
 //!   column batches through the charged Algorithm 1 kernel, and folds
-//!   per-thread costs into a [`SpmmRun`];
-//! * [`analysis`] — post-run traffic breakdowns (Fig. 7(a), §III-D).
+//!   per-thread costs into a [`SpmmRun`], whose [`SpmmRun::op_shares`] is
+//!   Fig. 7(a)'s time breakdown.
 //!
 //! Configuration ([`SpmmConfig`], [`MemMode`]) and report types
 //! ([`SpmmRun`], [`WorkloadReport`], [`ThreadStats`]) are re-exported here.
 
 mod alloc;
-pub mod analysis;
-pub mod asl;
+mod analysis;
+mod asl;
 mod config;
-pub mod entropy;
 mod exec;
 mod kernel;
 mod nadp;
@@ -39,11 +39,10 @@ mod wofp;
 mod workload;
 
 pub use alloc::AllocScheme;
-pub use asl::AslConfig;
 pub use config::{MemMode, SpmmConfig};
 pub use exec::SpmmEngine;
 pub use report::{SpmmRun, ThreadStats, WorkloadReport};
-pub use wofp::{PrefetcherKind, WofpConfig};
+pub use wofp::WofpConfig;
 pub use workload::Workload;
 
 /// Errors from the SpMM engine.

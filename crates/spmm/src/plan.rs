@@ -25,6 +25,10 @@ use omega_linalg::DenseMatrix;
 use std::cell::OnceCell;
 use std::ops::Range;
 
+/// Fraction of the staging device's free capacity (DRAM, but for the
+/// PM-only mode) that ASL's streaming window may claim.
+const ASL_DRAM_FRACTION: f64 = 0.5;
+
 /// The run-wide layout: where the sparse matrix lives and which column
 /// groups execute. Dropping it returns the sparse matrix's capacity.
 pub(crate) struct Layout {
@@ -278,24 +282,14 @@ impl SpmmEngine {
         a: &Csdb,
     ) -> (AslPlan, Option<MemReservation>) {
         let unstreamed = || (AslPlan::single(group.cols.clone()), None);
-        let Some(asl) = self.config().asl else {
+        if !self.config().asl {
             return unstreamed();
-        };
+        }
         let (d, v, sparse_bytes) = (group.cols.len(), a.rows() as u64, a.size_bytes());
         let free = self.system().governor().available(staging_home);
-        let budget = (free as f64 * asl.dram_fraction) as u64;
+        let budget = (free as f64 * ASL_DRAM_FRACTION) as u64;
 
-        // Eq. 9 verbatim, then the streamed-result fallback where only the
-        // current batch's result block occupies the window.
-        let partitions = partitions_required(d, v, 4, budget, sparse_bytes).or_else(|| {
-            let dv = d as u64 * v * 4;
-            if budget <= sparse_bytes {
-                return None;
-            }
-            let free = (budget - sparse_bytes) as f64;
-            Some(((3.0 * dv as f64 / free).ceil() as u64).max(1))
-        });
-        let Some(parts) = partitions else {
+        let Some(parts) = partitions_required(d, v, 4, budget, sparse_bytes) else {
             return unstreamed();
         };
         let plan = AslPlan::new(group.cols.clone(), parts);
@@ -333,7 +327,14 @@ mod tests {
         assert!(a.size_bytes() > 14 * dense_bytes, "{}", a.size_bytes());
         let pm = a.size_bytes() * 3 / 4 + 4 * dense_bytes;
         let sys = MemSystem::new(Topology::new(2, 4, 8 << 20, pm, 0).unwrap());
-        let engine = SpmmEngine::new(sys.clone(), SpmmConfig::omega(4).with_nadp(false)).unwrap();
+        let engine = SpmmEngine::new(
+            sys.clone(),
+            SpmmConfig {
+                nadp: false,
+                ..SpmmConfig::omega(4)
+            },
+        )
+        .unwrap();
         let run = engine.spmm(&a, &b).unwrap();
         assert_eq!(run.result.shape(), (256, 4));
         for device in [DeviceKind::Dram, DeviceKind::Pm] {

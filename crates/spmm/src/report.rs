@@ -2,9 +2,9 @@
 //! accounting behind Fig. 13, 14 and 16.
 
 use crate::asl::StreamingSchedule;
-use crate::wofp::PrefetcherKind;
 use omega_hetmem::{ClassCounters, SimDuration};
 use omega_linalg::DenseMatrix;
+use omega_obs::percentile_u64;
 
 /// Distribution statistics over per-thread times (Fig. 13).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,7 +18,7 @@ pub struct ThreadStats {
 }
 
 impl ThreadStats {
-    pub fn from_times(times: &[SimDuration]) -> ThreadStats {
+    pub(crate) fn from_times(times: &[SimDuration]) -> ThreadStats {
         if times.is_empty() {
             return ThreadStats {
                 mean_s: 0.0,
@@ -33,17 +33,15 @@ impl ThreadStats {
         let n = secs.len() as f64;
         let mean = secs.iter().sum::<f64>() / n;
         let var = secs.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / n;
-        let mut sorted = secs.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let pct = |p: f64| {
-            let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-            sorted[idx - 1]
-        };
+        let ns: Vec<u64> = times.iter().map(|t| t.as_nanos()).collect();
+        // Nearest rank on the nanoseconds: `as_secs_f64` is monotone, so
+        // this is the nearest rank of the seconds too.
+        let pct = |q: f64| SimDuration::from_nanos(percentile_u64(&ns, q)).as_secs_f64();
         ThreadStats {
             mean_s: mean,
             stddev_s: var.sqrt(),
-            min_s: sorted[0],
-            max_s: *sorted.last().expect("non-empty"),
+            min_s: pct(0.0),
+            max_s: pct(1.0),
             p95_s: pct(0.95),
             p99_s: pct(0.99),
         }
@@ -65,7 +63,6 @@ pub struct WorkloadReport {
     /// Staged entries this workload never referenced — dead DRAM capacity
     /// plus a useless fill (the Fig. 19(b) high-η degradation).
     pub wasted_prefetches: u64,
-    pub prefetcher: Option<PrefetcherKind>,
 }
 
 /// The outcome of one SpMM.

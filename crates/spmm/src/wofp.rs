@@ -44,7 +44,7 @@ impl Default for WofpConfig {
 
 /// Which flavour a workload selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefetcherKind {
+pub(crate) enum PrefetcherKind {
     Frequency,
     Degree,
 }

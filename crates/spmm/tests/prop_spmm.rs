@@ -1,107 +1,8 @@
-//! Property-based tests of the scheduling and streaming maths.
+//! Property-based tests of the engine through its public API: the
+//! allocation schemes' row tilings, EaTA's predicted makespan against
+//! WaTA's, and every result column against `spmv`.
 
-use omega_hetmem::SimDuration;
-use omega_spmm::asl::{partitions_required, streaming_schedule, AslPlan};
-use omega_spmm::entropy::{affine_cost_factor, bandwidth_factor};
 use proptest::prelude::*;
-
-fn durs(ns: Vec<u64>) -> Vec<SimDuration> {
-    ns.into_iter().map(SimDuration::from_nanos).collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The streaming schedule is bounded below by the compute-only total
-    /// plus the first load, and above by the fully-serialised sum.
-    #[test]
-    fn streaming_makespan_bounds(
-        batches in proptest::collection::vec(
-            (0u64..1_000_000, 0u64..1_000_000, 0u64..1_000_000),
-            1..20,
-        )
-    ) {
-        let compute = durs(batches.iter().map(|b| b.0).collect());
-        let load = durs(batches.iter().map(|b| b.1).collect());
-        let flush = durs(batches.iter().map(|b| b.2).collect());
-        let m = streaming_schedule(&compute, &load, &flush).makespan;
-
-        let total_compute: u64 = batches.iter().map(|b| b.0).sum();
-        let serial: u64 = batches.iter().map(|b| b.0 + b.1 + b.2).sum();
-        prop_assert!(m.as_nanos() >= total_compute + batches[0].1);
-        prop_assert!(m.as_nanos() <= serial);
-    }
-
-    /// With nothing to pre-load the schedule is a plain flush pipeline:
-    /// bounded the same way, and never better than perfect overlap.
-    #[test]
-    fn pipeline_makespan_bounds(
-        batches in proptest::collection::vec((0u64..1_000_000, 0u64..1_000_000), 1..20)
-    ) {
-        let compute = durs(batches.iter().map(|b| b.0).collect());
-        let flush = durs(batches.iter().map(|b| b.1).collect());
-        let idle = vec![SimDuration::ZERO; compute.len()];
-        let m = streaming_schedule(&compute, &idle, &flush).makespan;
-        let total_compute: u64 = batches.iter().map(|b| b.0).sum();
-        let total_flush: u64 = batches.iter().map(|b| b.1).sum();
-        prop_assert!(m.as_nanos() >= total_compute.max(total_flush));
-        prop_assert!(m.as_nanos() <= total_compute + total_flush);
-    }
-
-    /// Eq. 9 is monotone: more budget never needs more partitions, and the
-    /// returned count always satisfies the inequality it solves.
-    #[test]
-    fn eq9_monotone_and_sound(
-        d in 1usize..512,
-        v in 1u64..1_000_000,
-        budget in 1u64..(16u64 << 30),
-        extra in 0u64..(1u64 << 30),
-        m_s in 0u64..(1u64 << 28),
-    ) {
-        let a = partitions_required(d, v, 4, budget, m_s);
-        let b = partitions_required(d, v, 4, budget + extra, m_s);
-        match (a, b) {
-            (Some(na), Some(nb)) => {
-                prop_assert!(nb <= na, "budget up, partitions up: {na} -> {nb}");
-                // Soundness: the chosen n fits the Eq. 8 inequality.
-                let dv = d as u64 * v * 4;
-                let lhs = 3.0 * dv as f64 / na as f64 + (m_s + 2 * dv) as f64;
-                prop_assert!(lhs <= budget as f64 + 1.0 + 3.0 * dv as f64 * 1e-9);
-            }
-            (Some(_), None) => prop_assert!(false, "more budget cannot fail"),
-            _ => {}
-        }
-    }
-
-    /// An ASL plan covers its column range exactly, in order, with batch
-    /// widths differing by at most one.
-    #[test]
-    fn asl_plan_partitions_columns(start in 0usize..1000, width in 1usize..500, parts in 1u64..64) {
-        let plan = AslPlan::new(start..start + width, parts);
-        let mut at = start;
-        for b in &plan.batches {
-            prop_assert_eq!(b.start, at);
-            at = b.end;
-        }
-        prop_assert_eq!(at, start + width);
-        let min = plan.batches.iter().map(|b| b.len()).min().unwrap();
-        prop_assert!(plan.max_batch_cols() - min <= 1);
-        prop_assert!(plan.num_batches() as u64 <= parts.max(1));
-    }
-
-    /// The two Eq. 5 factor forms share endpoints and stay within [β, 1]
-    /// (bandwidth form) / [1, 1/β] (cost form).
-    #[test]
-    fn cost_factor_bounds(z in 0.0f64..1.0, beta in 0.01f64..1.0) {
-        let bw = bandwidth_factor(z, beta);
-        prop_assert!(bw <= 1.0 + 1e-12 && bw >= beta - 1e-12);
-        let cost = affine_cost_factor(z, beta);
-        prop_assert!(cost >= 1.0 - 1e-12 && cost <= 1.0 / beta + 1e-9);
-        // Shared endpoints.
-        prop_assert!((bandwidth_factor(0.0, beta) - 1.0).abs() < 1e-12);
-        prop_assert!((affine_cost_factor(1.0, beta) - 1.0 / beta).abs() < 1e-6);
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -195,11 +96,13 @@ proptest! {
             .generate_csr()
             .unwrap();
         let csdb = Csdb::from_csr(&csr).unwrap();
+        // EaTA's price of a workload: its nnz at Eq. 5's affine per-nnz
+        // cost `1 + (1/β − 1)·Z(H)`.
         let predicted_max = |ws: &[omega_spmm::Workload]| -> f64 {
             ws.iter()
                 .map(|w| {
                     let z = normalized_entropy(w.entropy, csdb.cols());
-                    w.nnzs as f64 * affine_cost_factor(z, beta)
+                    w.nnzs as f64 * (1.0 + (1.0 / beta - 1.0) * z)
                 })
                 .fold(0.0, f64::max)
         };
@@ -238,20 +141,36 @@ fn every_result_column_is_spmv_bit_for_bit() {
         SpmmConfig::omega(4),
         SpmmConfig::omega_dram(4),
         SpmmConfig::omega_pm(4),
-        SpmmConfig::omega(4)
-            .with_alloc(AllocScheme::RoundRobin)
-            .with_nadp(false),
-        SpmmConfig::omega(4).with_alloc(AllocScheme::WaTA),
-        SpmmConfig::omega(4).with_wofp(None),
-        SpmmConfig::omega(4).with_nadp(false),
-        SpmmConfig::omega(4).with_asl(None),
+        SpmmConfig {
+            alloc: AllocScheme::RoundRobin,
+            nadp: false,
+            ..SpmmConfig::omega(4)
+        },
+        SpmmConfig {
+            alloc: AllocScheme::WaTA,
+            ..SpmmConfig::omega(4)
+        },
+        SpmmConfig {
+            wofp: None,
+            ..SpmmConfig::omega(4)
+        },
+        SpmmConfig {
+            nadp: false,
+            ..SpmmConfig::omega(4)
+        },
+        SpmmConfig {
+            asl: false,
+            ..SpmmConfig::omega(4)
+        },
         SpmmConfig {
             mode: MemMode::SparsePmDenseDram,
             ..SpmmConfig::omega(4)
         },
-        SpmmConfig::omega(4)
-            .with_wofp(Some(degree_wofp))
-            .with_asl(None),
+        SpmmConfig {
+            wofp: Some(degree_wofp),
+            asl: false,
+            ..SpmmConfig::omega(4)
+        },
     ];
     let mut most_batches = 0;
     for cols in [1usize, 7, 8, 9, 31, 32, 33, 64, 80, 96, 97] {

@@ -26,12 +26,18 @@ fn table2_shape_eata_best_rr_worst() {
     let csdb = Csdb::from_csr(&g).unwrap();
     let b = gaussian_matrix(g.rows() as usize, DIM, 2);
     let rr = spmm_time(
-        SpmmConfig::omega(THREADS).with_alloc(AllocScheme::RoundRobin),
+        SpmmConfig {
+            alloc: AllocScheme::RoundRobin,
+            ..SpmmConfig::omega(THREADS)
+        },
         &csdb,
         &b,
     );
     let wata = spmm_time(
-        SpmmConfig::omega(THREADS).with_alloc(AllocScheme::WaTA),
+        SpmmConfig {
+            alloc: AllocScheme::WaTA,
+            ..SpmmConfig::omega(THREADS)
+        },
         &csdb,
         &b,
     );
@@ -54,7 +60,10 @@ fn fig13_shape_eata_cuts_tail_latency() {
     let run = |alloc| {
         let eng = SpmmEngine::new(
             MemSystem::new(topo()),
-            SpmmConfig::omega(THREADS).with_alloc(alloc),
+            SpmmConfig {
+                alloc,
+                ..SpmmConfig::omega(THREADS)
+            },
         )
         .unwrap();
         eng.spmm(&csdb, &b).unwrap().stats
@@ -76,14 +85,20 @@ fn fig14_shape_wofp_improves_pm_resident_spmm() {
     let csdb = Csdb::from_csr(&g).unwrap();
     let b = gaussian_matrix(g.rows() as usize, DIM, 4);
     let without = spmm_time(
-        SpmmConfig::omega(THREADS).with_asl(None).with_wofp(None),
+        SpmmConfig {
+            asl: false,
+            wofp: None,
+            ..SpmmConfig::omega(THREADS)
+        },
         &csdb,
         &b,
     );
     let with = spmm_time(
-        SpmmConfig::omega(THREADS)
-            .with_asl(None)
-            .with_wofp(Some(WofpConfig::default())),
+        SpmmConfig {
+            asl: false,
+            wofp: Some(WofpConfig::default()),
+            ..SpmmConfig::omega(THREADS)
+        },
         &csdb,
         &b,
     );
@@ -100,9 +115,20 @@ fn fig15_shape_nadp_beats_interleave() {
     let g = Dataset::Or.load_scaled(SCALE).unwrap();
     let csdb = Csdb::from_csr(&g).unwrap();
     let b = gaussian_matrix(g.rows() as usize, DIM, 5);
-    let with = spmm_time(SpmmConfig::omega(THREADS).with_asl(None), &csdb, &b);
+    let with = spmm_time(
+        SpmmConfig {
+            asl: false,
+            ..SpmmConfig::omega(THREADS)
+        },
+        &csdb,
+        &b,
+    );
     let without = spmm_time(
-        SpmmConfig::omega(THREADS).with_asl(None).with_nadp(false),
+        SpmmConfig {
+            asl: false,
+            nadp: false,
+            ..SpmmConfig::omega(THREADS)
+        },
         &csdb,
         &b,
     );
@@ -155,12 +181,14 @@ fn fig19c_shape_sigma_sweep_is_u_shaped() {
     let b = gaussian_matrix(g.rows() as usize, DIM, 7);
     let time = |sigma| {
         spmm_time(
-            SpmmConfig::omega(THREADS)
-                .with_asl(None)
-                .with_wofp(Some(WofpConfig {
+            SpmmConfig {
+                asl: false,
+                wofp: Some(WofpConfig {
                     sigma,
                     ..WofpConfig::default()
-                })),
+                }),
+                ..SpmmConfig::omega(THREADS)
+            },
             &csdb,
             &b,
         )

@@ -109,10 +109,15 @@ fn engine_matches_reference_product() {
         SpmmConfig::omega(7),
         SpmmConfig::omega_dram(3),
         SpmmConfig::omega_pm(5),
-        SpmmConfig::omega(4).with_alloc(AllocScheme::RoundRobin),
-        SpmmConfig::omega(4)
-            .with_alloc(AllocScheme::WaTA)
-            .with_asl(None),
+        SpmmConfig {
+            alloc: AllocScheme::RoundRobin,
+            ..SpmmConfig::omega(4)
+        },
+        SpmmConfig {
+            alloc: AllocScheme::WaTA,
+            asl: false,
+            ..SpmmConfig::omega(4)
+        },
     ] {
         let eng = SpmmEngine::new(
             MemSystem::new(Topology::paper_machine_scaled(16 << 20)),

@@ -268,14 +268,40 @@ fn spmm_matrix() -> String {
         ("omega_pm", SpmmConfig::omega_pm(4)),
         (
             "rr_no_nadp",
-            SpmmConfig::omega(4)
-                .with_alloc(AllocScheme::RoundRobin)
-                .with_nadp(false),
+            SpmmConfig {
+                alloc: AllocScheme::RoundRobin,
+                nadp: false,
+                ..SpmmConfig::omega(4)
+            },
         ),
-        ("wata", SpmmConfig::omega(4).with_alloc(AllocScheme::WaTA)),
-        ("no_wofp", SpmmConfig::omega(4).with_wofp(None)),
-        ("no_nadp", SpmmConfig::omega(4).with_nadp(false)),
-        ("no_asl", SpmmConfig::omega(4).with_asl(None)),
+        (
+            "wata",
+            SpmmConfig {
+                alloc: AllocScheme::WaTA,
+                ..SpmmConfig::omega(4)
+            },
+        ),
+        (
+            "no_wofp",
+            SpmmConfig {
+                wofp: None,
+                ..SpmmConfig::omega(4)
+            },
+        ),
+        (
+            "no_nadp",
+            SpmmConfig {
+                nadp: false,
+                ..SpmmConfig::omega(4)
+            },
+        ),
+        (
+            "no_asl",
+            SpmmConfig {
+                asl: false,
+                ..SpmmConfig::omega(4)
+            },
+        ),
         (
             "sparse_pm_dense_dram",
             SpmmConfig {
@@ -287,12 +313,14 @@ fn spmm_matrix() -> String {
         // that stages columns a workload never references.
         (
             "degree_wofp_no_asl",
-            SpmmConfig::omega(4)
-                .with_wofp(Some(WofpConfig {
+            SpmmConfig {
+                wofp: Some(WofpConfig {
                     eta: 1.0,
                     sigma: 0.1,
-                }))
-                .with_asl(None),
+                }),
+                asl: false,
+                ..SpmmConfig::omega(4)
+            },
         ),
     ];
     let dram = 160 << 10;
