@@ -212,7 +212,7 @@ mod tests {
     const T30: NonZeroUsize = NonZeroUsize::new(30).unwrap();
 
     fn topo() -> Topology {
-        Topology::paper_machine_scaled(24 << 20)
+        Topology::twin(1000)
     }
 
     fn graph() -> Csr {

@@ -82,7 +82,7 @@ impl Comparator {
     ///
     /// ```compile_fail,E0308
     /// # use omega_baselines::Comparator;
-    /// # let machine = omega_hetmem::Topology::paper_machine_scaled(24 << 20);
+    /// # let machine = omega_hetmem::Topology::twin(1000);
     /// # let g = omega_graph::RmatConfig::social(512, 5_000, 3).generate_csr().unwrap();
     /// Comparator::Ginex.run(&machine, &g, 0, 16);
     /// ```
@@ -90,7 +90,7 @@ impl Comparator {
     /// ```
     /// # use omega_baselines::Comparator;
     /// # use std::num::NonZeroUsize;
-    /// # let machine = omega_hetmem::Topology::paper_machine_scaled(24 << 20);
+    /// # let machine = omega_hetmem::Topology::twin(1000);
     /// # let g = omega_graph::RmatConfig::social(512, 5_000, 3).generate_csr().unwrap();
     /// let threads = NonZeroUsize::new(8).unwrap();
     /// assert!(Comparator::Ginex.run(&machine, &g, threads, 16).time().is_some());

@@ -63,7 +63,7 @@ mod tests {
     const T8: NonZeroUsize = NonZeroUsize::new(8).unwrap();
 
     fn topo() -> Topology {
-        Topology::paper_machine_scaled(24 << 20)
+        Topology::twin(1000)
     }
 
     fn graph() -> Csr {

@@ -3,13 +3,14 @@
 //! decomposition DESIGN.md calls out, beyond the paper's one-at-a-time
 //! ablations (Table II, Fig. 14, Fig. 15).
 
-use crate::{fmt_time, machine, print_table, spmm, spmm_operands, twin, THREADS};
+use crate::{fmt_time, print_table, spmm, spmm_operands, twin, THREADS};
 use omega_graph::Dataset;
+use omega_hetmem::Topology;
 use omega_spmm::{AllocScheme, SpmmConfig, WofpConfig};
 use serde::Value;
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
-    let topo = machine(scale);
+    let topo = Topology::twin(scale);
     let g = twin(Dataset::Pk, scale);
     let (csdb, b) = spmm_operands(&g, 0xab1a);
 

@@ -8,14 +8,14 @@
 //! does the hetero system get to DRAM, and how much less do OMeGa's
 //! optimisations matter when the capacity tier stops being hostile?
 
-use crate::{fmt_time, machine, print_table, spmm_operands, twin, THREADS};
+use crate::{fmt_time, print_table, spmm_operands, twin, THREADS};
 use omega_graph::Dataset;
-use omega_hetmem::{BandwidthModel, MemSystem};
+use omega_hetmem::{BandwidthModel, MemSystem, Topology};
 use omega_spmm::{SpmmConfig, SpmmEngine};
 use serde::Value;
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
-    let topo = machine(scale);
+    let topo = Topology::twin(scale);
     let (optane, cxl) = (
         BandwidthModel::paper_machine(),
         BandwidthModel::cxl_machine(),

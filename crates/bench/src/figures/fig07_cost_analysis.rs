@@ -4,9 +4,9 @@
 //! workload entropy (the linear `T = K·H` relationship), all under WaTA on
 //! the soc-LiveJournal twin.
 
-use crate::{machine, print_table, spmm, spmm_operands, twin, THREADS};
+use crate::{print_table, spmm, spmm_operands, twin, THREADS};
 use omega_graph::Dataset;
-use omega_hetmem::BandwidthModel;
+use omega_hetmem::{BandwidthModel, Topology};
 use omega_spmm::{AllocScheme, SpmmConfig};
 use serde::Value;
 
@@ -21,7 +21,7 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
         asl: false,
         ..SpmmConfig::omega(THREADS)
     };
-    let run = spmm(&machine(scale), cfg, &csdb, &b);
+    let run = spmm(&Topology::twin(scale), cfg, &csdb, &b);
 
     // (a) breakdown via the library's Fig. 7(a) analysis.
     let shares = run.op_shares(&BandwidthModel::paper_machine(), THREADS as u32);

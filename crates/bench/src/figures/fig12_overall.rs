@@ -5,13 +5,12 @@
 //! (TW-2010, FR), exactly as the paper's Fig. 12 shows.
 
 use crate::{
-    embed_or_oom, fmt_time, geomean, machine, omega_config, print_table, twin, COMPARATOR_THREADS,
-    DIM,
+    embed_or_oom, fmt_time, geomean, omega_config, print_table, twin, COMPARATOR_THREADS, DIM,
 };
 use omega::{Omega, OmegaRun, SystemVariant};
 use omega_baselines::{Comparator, RunOutcome};
 use omega_graph::{Csr, Dataset};
-use omega_hetmem::SimDuration;
+use omega_hetmem::{SimDuration, Topology};
 use omega_obs::json::object;
 use serde::Value;
 
@@ -100,7 +99,7 @@ const SYSTEMS: [&str; 7] = [
 ];
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
-    let topo = machine(scale);
+    let topo = Topology::twin(scale);
     let base = omega_config(&topo);
     let variant = |g: &Csr, v: SystemVariant| {
         let run = embed_or_oom(Omega::new(base.clone().with_variant(v)).unwrap(), g);

@@ -2,8 +2,9 @@
 //! soc-LiveJournal twin under WaTA vs EaTA: histogram, standard deviation,
 //! and P95/P99 tail latencies.
 
-use crate::{machine, print_table, spmm, spmm_operands, twin, THREADS};
+use crate::{print_table, spmm, spmm_operands, twin, THREADS};
 use omega_graph::Dataset;
+use omega_hetmem::Topology;
 use omega_spmm::{AllocScheme, SpmmConfig, SpmmRun};
 use serde::Value;
 
@@ -23,7 +24,7 @@ fn histogram(times_s: &[f64], buckets: usize) -> Vec<(f64, usize)> {
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
     println!("Fig. 13: thread running-time distribution on the LJ twin, {THREADS} threads");
-    let topo = machine(scale);
+    let topo = Topology::twin(scale);
     let g = twin(Dataset::Lj, scale);
     let (csdb, b) = spmm_operands(&g, 13);
     let run = |alloc| {

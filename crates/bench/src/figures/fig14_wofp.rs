@@ -6,13 +6,14 @@
 //! would otherwise hit PM. Reported times include allocation and
 //! prefetching overheads.
 
-use crate::{fmt_time, machine, print_table, spmm, spmm_operands, twin, THREADS};
+use crate::{fmt_time, print_table, spmm, spmm_operands, twin, THREADS};
 use omega_graph::Dataset;
+use omega_hetmem::Topology;
 use omega_spmm::{SpmmConfig, WofpConfig};
 use serde::Value;
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
-    let topo = machine(scale);
+    let topo = Topology::twin(scale);
     let mut rows = Vec::new();
     let mut improvements = Vec::new();
     for &d in &Dataset::SMALL_FIVE {

@@ -7,12 +7,11 @@
 //! scale — see EXPERIMENTS.md).
 
 use crate::{
-    embed_or_oom, fmt_time, geomean, machine, omega_config, print_table, spmm_operands, twin,
-    THREADS,
+    embed_or_oom, fmt_time, geomean, omega_config, print_table, spmm_operands, twin, THREADS,
 };
 use omega::{Omega, SystemVariant};
 use omega_graph::Dataset;
-use omega_hetmem::{MemSystem, SimDuration};
+use omega_hetmem::{MemSystem, SimDuration, Topology};
 use omega_spmm::{SpmmConfig, SpmmEngine};
 use serde::Value;
 
@@ -33,7 +32,7 @@ fn nadp_row(d: Dataset, times: [Option<SimDuration>; 3], speedups: &mut Vec<f64>
 }
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
-    let topo = machine(scale);
+    let topo = Topology::twin(scale);
     let base = omega_config(&topo);
 
     // (a) overall performance.

@@ -2,15 +2,16 @@
 //! (a) OMeGa vs OMeGa-w/o-NaDP on five twins at 30 threads,
 //! (b) sweep over thread counts on the soc-LiveJournal twin.
 
-use crate::{machine, print_table, spmm, spmm_operands, twin, THREADS};
+use crate::{print_table, spmm, spmm_operands, twin, THREADS};
 use omega_graph::{Csdb, Dataset};
+use omega_hetmem::Topology;
 use omega_linalg::DenseMatrix;
 use omega_obs::json::object;
 use omega_spmm::SpmmConfig;
 use serde::Value;
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
-    let topo = machine(scale);
+    let topo = Topology::twin(scale);
     let mut jsonl = Vec::new();
     // OMeGa's and w/o NaDP's throughput at `threads`, recorded as one
     // machine-readable row of `panel` with OMeGa's aggregate WoFP hit rate

@@ -3,9 +3,7 @@
 //! graph size on synthetic R-MAT graphs at 30 threads (sparse and dense
 //! parameterisations).
 
-use crate::{
-    embed_or_oom, fmt_time, machine, omega_config, print_table, spmm, spmm_operands, twin,
-};
+use crate::{embed_or_oom, fmt_time, omega_config, print_table, spmm, spmm_operands, twin};
 use omega::Omega;
 use omega_graph::{Dataset, RmatConfig};
 use omega_hetmem::Topology;
@@ -17,7 +15,7 @@ use serde::Value;
 const MIN_NODES: u64 = 128;
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
-    let topo = machine(scale);
+    let topo = Topology::twin(scale);
 
     // (a) thread sweep on LJ.
     let g = twin(Dataset::Lj, scale);

@@ -4,17 +4,18 @@
 //! billion-scale TW-2010 twin, as the paper reports.
 
 use crate::{
-    fmt_time, geomean, machine, omega_config, print_table, spmm, spmm_operands, twin,
-    COMPARATOR_THREADS, DIM, THREADS,
+    fmt_time, geomean, omega_config, print_table, spmm, spmm_operands, twin, COMPARATOR_THREADS,
+    DIM, THREADS,
 };
 use omega::Omega;
 use omega_baselines::Comparator::{DistDgl, DistGer, FusedMm, SemSpmm};
 use omega_graph::Dataset;
+use omega_hetmem::Topology;
 use omega_spmm::SpmmConfig;
 use serde::Value;
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
-    let topo = machine(scale);
+    let topo = Topology::twin(scale);
     let base = omega_config(&topo);
 
     // (a) distributed systems, end to end.

@@ -3,10 +3,10 @@
 //! prefetcher-type threshold η and (c) the prefetch-size factor σ
 //! (normalised SpMM execution time).
 
-use crate::{fmt_time, geomean, machine, print_table, spmm, spmm_operands, twin, THREADS};
+use crate::{fmt_time, geomean, print_table, spmm, spmm_operands, twin, THREADS};
 use omega_graph::{csdb_read_time, csr_read_time};
 use omega_graph::{Csdb, Dataset};
-use omega_hetmem::{BandwidthModel, DeviceKind};
+use omega_hetmem::{BandwidthModel, DeviceKind, Topology};
 use omega_spmm::{SpmmConfig, WofpConfig};
 use serde::Value;
 
@@ -49,7 +49,7 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
 
     // Parameter sweeps on the PK twin: one SpMM in the WoFP regime
     // (EaTA base, streaming off), normalised to the default setting.
-    let topo = machine(scale);
+    let topo = Topology::twin(scale);
     let g = twin(Dataset::Pk, scale);
     let (csdb, b) = spmm_operands(&g, 19);
     let time = |wofp: WofpConfig| -> f64 {

@@ -4,13 +4,14 @@
 //! three thread-allocation schemes, full OMeGa configuration otherwise
 //! (30 simulated threads, heterogeneous memory).
 
-use crate::{fmt_time, geomean, machine, print_table, spmm, spmm_operands, twin, THREADS};
+use crate::{fmt_time, geomean, print_table, spmm, spmm_operands, twin, THREADS};
 use omega_graph::Dataset;
+use omega_hetmem::Topology;
 use omega_spmm::{AllocScheme, SpmmConfig};
 use serde::Value;
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
-    let topo = machine(scale);
+    let topo = Topology::twin(scale);
     let schemes = [
         AllocScheme::RoundRobin,
         AllocScheme::WaTA,

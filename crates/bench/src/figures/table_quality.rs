@@ -3,16 +3,17 @@
 //! every dataset twin, plus node-classification micro-F1 on labelled SBM
 //! graphs of matching sizes, against a random-embedding floor.
 
-use crate::{machine, omega_config, print_table, twin};
+use crate::{omega_config, print_table, twin};
 use omega::Omega;
 use omega_embed::eval::{link_prediction_auc, node_classification_micro_f1};
 use omega_embed::Embedding;
 use omega_graph::{Dataset, SbmConfig};
+use omega_hetmem::Topology;
 use omega_linalg::gaussian_matrix;
 use serde::Value;
 
 pub(crate) fn run(scale: u64) -> Vec<Value> {
-    let base = omega_config(&machine(scale)).with_dim(32);
+    let base = omega_config(&Topology::twin(scale)).with_dim(32);
 
     // Link prediction on the six twins.
     let mut rows = Vec::new();

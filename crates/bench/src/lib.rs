@@ -6,10 +6,10 @@
 //! prints its tables and returns its machine-readable rows. The
 //! `reproduce` binary runs them:
 //! `cargo run -p omega-bench --release --bin reproduce -- [figure ...]`.
-//! The machine's memory capacities scale along with the twins so capacity
-//! outcomes (OOMs) are preserved.
+//! The machine's memory capacities scale along with the twins
+//! ([`Topology::twin`]) so capacity outcomes (OOMs) are preserved.
 
-use omega::{Omega, OmegaConfig, OmegaRun, SCALED_DRAM_PER_NODE};
+use omega::{Omega, OmegaConfig, OmegaRun};
 use omega_graph::{Csdb, Csr, Dataset};
 use omega_hetmem::{MemSystem, SimDuration, Topology};
 use omega_linalg::{gaussian_matrix, DenseMatrix};
@@ -69,14 +69,6 @@ const COMPARATOR_THREADS: std::num::NonZeroUsize =
 
 /// Embedding dimension for end-to-end runs.
 const DIM: usize = 64;
-
-/// The canonical experiment machine at twin scale `scale`: the paper's box
-/// with capacities scaled by the same factor as the datasets.
-fn machine(scale: u64) -> Topology {
-    // SCALED_DRAM_PER_NODE is calibrated for scale 1000.
-    let dram = (SCALED_DRAM_PER_NODE as u128 * 1000 / scale as u128).max(1 << 20) as u64;
-    Topology::paper_machine_scaled(dram)
-}
 
 /// The dataset twin at scale `scale`.
 fn twin(dataset: Dataset, scale: u64) -> Csr {
@@ -191,15 +183,6 @@ fn geomean(ratios: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn topology_tracks_scale() {
-        let dram = |scale| machine(scale).capacity(0, omega_hetmem::DeviceKind::Dram);
-        assert_eq!(dram(1000), SCALED_DRAM_PER_NODE);
-        assert_eq!(dram(4000), SCALED_DRAM_PER_NODE / 4);
-        // The 1 MiB floor keeps coarse twins' machines usable.
-        assert_eq!(dram(1_000_000), 1 << 20);
-    }
 
     #[test]
     fn formatting() {

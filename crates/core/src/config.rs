@@ -62,8 +62,8 @@ impl SystemVariant {
 #[derive(Debug, Clone)]
 pub struct OmegaConfig {
     /// The simulated machine. Default: the paper's two-socket Optane box
-    /// scaled 1:1000 alongside the dataset twins (24 MiB DRAM + 192 MiB PM
-    /// per socket).
+    /// scaled 1:1000 alongside the dataset twins, [`Topology::twin`]`(1000)`
+    /// (24 MiB DRAM + 192 MiB PM per socket).
     pub topology: Topology,
     pub variant: SystemVariant,
     /// Simulated threads (the paper's experiments use 30).
@@ -72,15 +72,10 @@ pub struct OmegaConfig {
     pub prone: ProneConfig,
 }
 
-/// Default DRAM per socket of the scaled experiment machine: 24 MiB, chosen
-/// with the 1:1000 dataset twins so that the two billion-scale twins
-/// exceed DRAM (reproducing the paper's OOMs) while the rest fit.
-pub const SCALED_DRAM_PER_NODE: u64 = 24 << 20;
-
 impl Default for OmegaConfig {
     fn default() -> Self {
         OmegaConfig {
-            topology: Topology::paper_machine_scaled(SCALED_DRAM_PER_NODE),
+            topology: Topology::twin(1000),
             variant: SystemVariant::Omega,
             threads: 30,
             prone: ProneConfig::default(),

@@ -35,7 +35,7 @@ mod config;
 mod report;
 mod system;
 
-pub use config::{OmegaConfig, SystemVariant, SCALED_DRAM_PER_NODE};
+pub use config::{OmegaConfig, SystemVariant};
 pub use report::OmegaRun;
 pub use system::Omega;
 

@@ -126,8 +126,7 @@ mod tests {
         // The paper's capacity story: DRAM-only systems fail on TW-2010/FR.
         let g = Dataset::Tw2010.load_scaled(4000).unwrap();
         // At 1:4000 the twin shrinks, so shrink the machine equally.
-        let topo =
-            omega_hetmem::Topology::paper_machine_scaled(crate::config::SCALED_DRAM_PER_NODE / 4);
+        let topo = omega_hetmem::Topology::twin(4000);
         let cfg = quick(OmegaConfig::default().with_topology(topo.clone()))
             .with_variant(SystemVariant::OmegaDram)
             .with_dim(64);

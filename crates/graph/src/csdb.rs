@@ -51,8 +51,6 @@ pub struct Csdb {
     block_cum: Vec<u64>,
     /// Permuted id → original id.
     perm: Vec<u32>,
-    /// Original id → permuted id.
-    inv_perm: Vec<u32>,
     /// Column indices (in permuted id space), rows concatenated.
     col_list: Vec<u32>,
     /// Edge weights, parallel to `col_list`.
@@ -125,7 +123,6 @@ impl Csdb {
             deg_ind,
             block_cum,
             perm,
-            inv_perm,
             col_list,
             nnz_list,
         })
@@ -246,34 +243,19 @@ impl Csdb {
         Csr::from_triples(self.rows, self.cols, triples).expect("valid triples")
     }
 
-    /// Transpose (via CSR round-trip; for the symmetric adjacency matrices
-    /// of undirected graphs this is a no-op up to value order).
+    /// Transpose, via a CSR round trip. The transposed matrix may order its
+    /// degrees differently, so its fresh relabelling is composed with this
+    /// permutation; for the symmetric adjacency of an undirected graph the
+    /// result is this matrix.
     pub fn transpose(&self) -> Result<Csdb> {
-        Csdb::from_permuted_csr(
-            self.to_csr().transpose(),
-            self.perm.clone(),
-            self.inv_perm.clone(),
-        )
-    }
-
-    /// Element-wise sum with another CSDB over the same permutation.
-    pub fn add(&self, other: &Csdb) -> Result<Csdb> {
-        self.check_same_perm(other)?;
-        Csdb::from_permuted_csr(
-            self.to_csr().add(&other.to_csr())?,
-            self.perm.clone(),
-            self.inv_perm.clone(),
-        )
-    }
-
-    /// Element-wise difference with another CSDB over the same permutation.
-    pub fn sub(&self, other: &Csdb) -> Result<Csdb> {
-        self.check_same_perm(other)?;
-        Csdb::from_permuted_csr(
-            self.to_csr().sub(&other.to_csr())?,
-            self.perm.clone(),
-            self.inv_perm.clone(),
-        )
+        let fresh = Csdb::from_csr(&self.to_csr().transpose())?;
+        // `fresh.perm` maps fresh ids to this matrix's permuted ids.
+        let perm = fresh
+            .perm
+            .iter()
+            .map(|&mid| self.perm[mid as usize])
+            .collect();
+        Ok(Csdb { perm, ..fresh })
     }
 
     /// Reference SpMV in permuted space: `y = A'·x`.
@@ -306,44 +288,6 @@ impl Csdb {
         self.index_bytes()
             + (self.col_list.len() * std::mem::size_of::<u32>()
                 + self.nnz_list.len() * std::mem::size_of::<f32>()) as u64
-    }
-
-    fn check_same_perm(&self, other: &Csdb) -> Result<()> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(GraphError::DimensionMismatch {
-                left: (self.rows, self.cols),
-                right: (other.rows, other.cols),
-            });
-        }
-        if self.perm != other.perm {
-            return Err(GraphError::DimensionMismatch {
-                left: (self.rows, 0),
-                right: (other.rows, 1),
-            });
-        }
-        Ok(())
-    }
-
-    /// Rebuild CSDB from a CSR that is *already* in this permuted id space,
-    /// carrying the permutation through (used by the operators so that id
-    /// spaces stay consistent). The CSR's degree ordering may differ from
-    /// descending (e.g. after structural changes), so a fresh relabelling is
-    /// composed with the existing permutation.
-    fn from_permuted_csr(csr: Csr, perm: Vec<u32>, inv_perm: Vec<u32>) -> Result<Csdb> {
-        let fresh = Csdb::from_csr(&csr)?;
-        // Compose: fresh.perm maps fresh ids -> csr ids; `perm` maps csr ids
-        // -> original ids.
-        let composed_perm: Vec<u32> = fresh.perm.iter().map(|&mid| perm[mid as usize]).collect();
-        let mut composed_inv = vec![0u32; composed_perm.len()];
-        for (new_id, &old_id) in composed_perm.iter().enumerate() {
-            composed_inv[old_id as usize] = new_id as u32;
-        }
-        let _ = inv_perm;
-        Ok(Csdb {
-            perm: composed_perm,
-            inv_perm: composed_inv,
-            ..fresh
-        })
     }
 }
 
@@ -445,21 +389,6 @@ mod tests {
             y[old_id as usize] = y_perm[new_id];
         }
         assert_eq!(y, csr.spmv(&x_orig).unwrap());
-    }
-
-    #[test]
-    fn operators_add_sub_scale() {
-        let csr = fig5();
-        let a = Csdb::from_csr(&csr).unwrap();
-        let mut b = a.clone();
-        b.nnz_list.iter_mut().for_each(|w| *w *= 2.0);
-        let sum = a.add(&b).unwrap();
-        assert_eq!(sum.nnz(), a.nnz());
-        assert!(sum.nnz_list.iter().all(|&w| (w - 3.0).abs() < 1e-6));
-        let diff = sum.sub(&a).unwrap();
-        assert!(diff.nnz_list.iter().all(|&w| (w - 2.0).abs() < 1e-6));
-        // The permutation is preserved through the operators.
-        assert_eq!(sum.perm(), a.perm());
     }
 
     #[test]

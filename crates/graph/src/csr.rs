@@ -191,11 +191,6 @@ impl Csr {
         self.merge_with(other, |a, b| a + b)
     }
 
-    /// Element-wise difference.
-    pub fn sub(&self, other: &Csr) -> Result<Csr> {
-        self.merge_with(other, |a, b| a - b)
-    }
-
     fn merge_with(&self, other: &Csr, op: impl Fn(f32, f32) -> f32) -> Result<Csr> {
         if self.rows != other.rows || self.cols != other.cols {
             return Err(GraphError::DimensionMismatch {
@@ -344,8 +339,6 @@ mod tests {
         let sum = a.add(&b).unwrap();
         assert_eq!(sum.row(0), (&[0u32, 1][..], &[1.0f32, 3.0][..]));
         assert_eq!(sum.row(1), (&[1u32][..], &[6.0f32][..]));
-        let diff = a.sub(&b).unwrap();
-        assert_eq!(diff.row(1).1, &[-2.0]);
         let c = Csr::from_triples(3, 2, vec![]).unwrap();
         assert!(a.add(&c).is_err());
     }

@@ -7,7 +7,7 @@
 //!   removal);
 //! * [`Csr`] — the standard Compressed Sparse Row baseline format;
 //! * [`Csdb`] — the paper's Compressed Sparse Degree-Block format (§III-A)
-//!   with `Deg_list`/`Deg_ind` indices, matrix operators and the CSR ↔ CSDB
+//!   with `Deg_list`/`Deg_ind` indices, SpMV and transpose, and the CSR ↔ CSDB
 //!   conversions (`Csdb::from_csr`, `Csdb::to_csr_original`);
 //! * [`RmatConfig`] — the seeded recursive-matrix generator used for the
 //!   scalability study (Fig. 17(b)), and [`SbmConfig`], a stochastic block

@@ -12,9 +12,10 @@ pub type NodeId = usize;
 /// The paper's testbed (§IV-A) is a two-socket Xeon Gold 6240 (18 physical
 /// cores per socket) with 96 GB DRAM (3×32 GB) and 768 GB Optane PM
 /// (3×256 GB) per socket plus a 3.84 TB NVMe SSD. [`Topology::paper_machine`]
-/// reproduces it exactly; [`Topology::paper_machine_scaled`] shrinks the
-/// capacities proportionally so the scaled-down dataset twins exhibit the
-/// same "fits in PM but not in DRAM" regimes.
+/// reproduces it exactly; [`Topology::twin`] shrinks the capacities along
+/// with the scaled-down dataset twins so they exhibit the same "fits in PM
+/// but not in DRAM" regimes, and [`Topology::paper_machine_scaled`] shrinks
+/// them to any DRAM size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     sockets: usize,
@@ -78,6 +79,25 @@ impl Topology {
             pm_per_node: dram_per_node * 8,
             ssd_capacity: dram_per_node * 2 * 20,
         }
+    }
+
+    /// The experiment machine for the dataset twins at 1:`scale`: the paper
+    /// machine with DRAM per socket at the paper's 96 GiB ÷ 4096 = 24 MiB at
+    /// 1:1000, divided further as the twins shrink, never below 1 MiB (which
+    /// keeps coarse twins' machines usable). PM stays 8× DRAM and SSD 20×
+    /// total DRAM, as in [`Topology::paper_machine_scaled`].
+    ///
+    /// The DRAM factor is chosen with the twins: at it the two billion-scale
+    /// twins (TW-2010, FR) exceed DRAM, reproducing the paper's DRAM-only
+    /// OOMs, while the other four fit.
+    ///
+    /// # Panics
+    /// If `scale` is zero.
+    pub fn twin(scale: u64) -> Self {
+        assert!(scale > 0, "Topology::twin: the twin scale must be positive");
+        let dram_at_1000 = Topology::paper_machine().dram_per_node / 4096;
+        let dram = (dram_at_1000 as u128 * 1000 / scale as u128).max(1 << 20) as u64;
+        Topology::paper_machine_scaled(dram)
     }
 
     /// A single-node topology (UMA), useful for DRAM-only / PM-only modes
@@ -184,6 +204,28 @@ mod tests {
             8
         );
         assert_eq!(t.nodes(), 2);
+    }
+
+    #[test]
+    fn twin_tracks_scale() {
+        let dram = |scale| Topology::twin(scale).capacity(0, DeviceKind::Dram);
+        assert_eq!(dram(1000), 24 << 20);
+        assert_eq!(dram(4000), 6 << 20);
+        // The 1 MiB floor.
+        assert_eq!(dram(1_000_000), 1 << 20);
+        for scale in [1000, 4000, 1_000_000] {
+            let t = Topology::twin(scale);
+            for node in 0..t.nodes() {
+                let dram = t.capacity(node, DeviceKind::Dram);
+                assert_eq!(t.capacity(node, DeviceKind::Pm), 8 * dram);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "twin scale must be positive")]
+    fn twin_rejects_scale_zero() {
+        Topology::twin(0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Server configuration: the nine values a deployment actually varies,
+//! Server configuration: the eight values a deployment actually varies,
 //! plus the constants every caller has always left alone.
 
 use crate::ivf::IndexMode;
@@ -25,6 +25,10 @@ pub(crate) const METRIC: Metric = Metric::Dot;
 /// per attempt.
 pub(crate) const RETRY_BACKOFF_NS: u64 = 2_000;
 
+/// Bounded retries against the cold tier after an injected transient
+/// failure, before falling back to the degraded replica path.
+pub(crate) const MAX_RETRIES: u32 = 3;
+
 /// Configuration of an [`EmbedServer`](crate::EmbedServer).
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
@@ -35,13 +39,13 @@ pub struct ServeConfig {
     pub cold: Placement,
     /// DRAM budget of the hot cache, in bytes.
     pub cache_bytes: u64,
-    /// Requests coalesced per batch.
+    /// Requests per batch of [`EmbedServer::run`](crate::EmbedServer::run),
+    /// its only reader: callers of
+    /// [`serve_batch`](crate::EmbedServer::serve_batch) choose their own
+    /// batch, and the request plane batches by `PlaneConfig::batch_size`.
     pub batch_size: usize,
     /// Frequency-based admission control (TinyLFU-style scan resistance).
     pub admission: bool,
-    /// Bounded retries against the cold tier after an injected transient
-    /// failure, before falling back to the degraded replica path.
-    pub max_retries: u32,
     /// Worker threads for per-shard batch work (fetches, point lookups,
     /// top-k scoring). Purely a wall-clock knob: simulated clocks,
     /// metrics and results are byte-identical at every value.
@@ -65,7 +69,6 @@ impl ServeConfig {
             cache_bytes,
             batch_size: 64,
             admission: true,
-            max_retries: 3,
             threads: 1,
             index: IndexMode::Exact,
             ivf_hot_bytes: 64 << 10,
@@ -93,11 +96,6 @@ impl ServeConfig {
         self
     }
 
-    pub fn max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -114,8 +112,9 @@ impl ServeConfig {
     }
 
     /// The resolved `(nlist, nprobe)` an IVF server over `nodes` rows will
-    /// use (auto knobs filled in), or `None` in exact mode — what the
-    /// plane's degrade ladder halves against.
+    /// use (auto knobs filled in), or `None` in exact mode. `omega-cli
+    /// serve` sizes its DRAM with it; the plane's degrade ladder halves the
+    /// built index's own `nprobe` instead.
     pub fn ivf_params(&self, nodes: u32) -> Option<(usize, usize)> {
         match self.index.resolved(nodes) {
             IndexMode::Exact => None,

@@ -5,7 +5,7 @@
 //! point-lookup task.
 
 use crate::cache::InsertOutcome;
-use crate::config::{HOT, HOT_NODE, MODEL_THREADS, RETRY_BACKOFF_NS};
+use crate::config::{HOT, HOT_NODE, MAX_RETRIES, MODEL_THREADS, RETRY_BACKOFF_NS};
 use crate::server::EmbedServer;
 use crate::stats::ServeStats;
 use crate::store::ShardedStore;
@@ -376,7 +376,7 @@ impl EmbedServer {
             out.step("serve.fetch", (attempt > 0).then_some(attempt), dur);
             match fault {
                 None => break None,
-                Some(err) => match resolve(&err, attempt, self.cfg.max_retries, &mut out.stats) {
+                Some(err) => match resolve(&err, attempt, MAX_RETRIES, &mut out.stats) {
                     Resolution::Retry(wait) => {
                         attempt += 1;
                         out.step("serve.retry", Some(attempt), wait);

@@ -30,7 +30,7 @@
 //! is tested against share every line that scores and every line that
 //! charges.
 
-use crate::config::{HOT, METRIC, MODEL_THREADS};
+use crate::config::{HOT, MAX_RETRIES, METRIC, MODEL_THREADS};
 use crate::fetch::{resolve, Resolution, IVF_PROBE_STREAM, SCAN_STREAM, WINDOW_STREAM};
 use crate::ivf::IvfIndex;
 use crate::server::EmbedServer;
@@ -285,7 +285,7 @@ impl EmbedServer {
             stats.cold_read_bytes += bytes;
             match rows.try_read_block(0..rows.len(), ctx) {
                 Ok(_) => break true,
-                Err(err) => match resolve(&err, attempt, self.cfg.max_retries, stats) {
+                Err(err) => match resolve(&err, attempt, MAX_RETRIES, stats) {
                     Resolution::Retry(wait) => {
                         attempt += 1;
                         charge.extra += wait;

@@ -47,13 +47,10 @@ mod tests {
             .unwrap();
         let csdb = Csdb::from_csr(&csr).unwrap();
         let b = gaussian_matrix(csr.rows() as usize, 16, 1);
-        SpmmEngine::new(
-            MemSystem::new(Topology::paper_machine_scaled(24 << 20)),
-            cfg,
-        )
-        .unwrap()
-        .spmm(&csdb, &b)
-        .unwrap()
+        SpmmEngine::new(MemSystem::new(Topology::twin(1000)), cfg)
+            .unwrap()
+            .spmm(&csdb, &b)
+            .unwrap()
     }
 
     #[test]

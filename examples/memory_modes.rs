@@ -13,7 +13,7 @@ use omega_hetmem::{DeviceKind, SimDuration, Topology};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = 4_000; // quick twins
-    let topo = Topology::paper_machine_scaled((24 << 20) / 4);
+    let topo = Topology::twin(scale);
     let base = OmegaConfig::default()
         .with_topology(topo.clone())
         .with_threads(16)

@@ -19,7 +19,7 @@ const T30: NonZeroUsize = NonZeroUsize::new(30).unwrap();
 const DIM: usize = 32;
 
 fn topo() -> Topology {
-    Topology::paper_machine_scaled((24 << 20) / 4)
+    Topology::twin(SCALE)
 }
 
 /// `system`'s outcome on `g` at 30 threads and [`DIM`], by its figure
@@ -112,6 +112,23 @@ fn dram_only_systems_oom_on_billion_scale_twins() {
             .with_threads(THREADS)
             .with_dim(64);
         assert!(Omega::new(cfg).unwrap().embed(&g).is_ok());
+    }
+}
+
+/// The other half of the twin machine's calibration: DRAM-only fits every
+/// twin the paper runs in DRAM, so the OOMs above are the capacity story,
+/// not a machine that is too small for everything.
+#[test]
+fn dram_only_completes_below_billion_scale() {
+    for d in [Dataset::Pk, Dataset::Lj, Dataset::Or, Dataset::Tw] {
+        let g = d.load_scaled(SCALE).unwrap();
+        let cfg = OmegaConfig::default()
+            .with_topology(topo())
+            .with_threads(THREADS)
+            .with_dim(64)
+            .with_variant(SystemVariant::OmegaDram);
+        let run = Omega::new(cfg).unwrap().embed(&g);
+        assert!(run.is_ok(), "{} should fit in DRAM", d.label());
     }
 }
 

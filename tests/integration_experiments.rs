@@ -12,7 +12,7 @@ const THREADS: usize = 16;
 const DIM: usize = 32;
 
 fn topo() -> Topology {
-    Topology::paper_machine_scaled((24 << 20) / 4)
+    Topology::twin(SCALE)
 }
 
 fn spmm_time(cfg: SpmmConfig, csdb: &Csdb, b: &omega_linalg::DenseMatrix) -> f64 {
