@@ -20,7 +20,7 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
         let [eata, wofp, nadp, asl] = [1, 2, 4, 8].map(|bit| mask & bit != 0);
         let cfg = SpmmConfig {
             alloc: if eata {
-                AllocScheme::eata_default()
+                AllocScheme::EaTA
             } else {
                 AllocScheme::WaTA
             },

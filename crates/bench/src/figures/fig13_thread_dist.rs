@@ -35,7 +35,7 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
         spmm(&topo, cfg, &csdb, &b)
     };
     let wata = run(AllocScheme::WaTA);
-    let eata = run(AllocScheme::eata_default());
+    let eata = run(AllocScheme::EaTA);
 
     for (name, run) in [("WaTA", &wata), ("EaTA", &eata)] {
         let secs: Vec<f64> = run.thread_times.iter().map(|t| t.as_secs_f64()).collect();

@@ -15,7 +15,7 @@ pub(crate) fn run(scale: u64) -> Vec<Value> {
     let schemes = [
         AllocScheme::RoundRobin,
         AllocScheme::WaTA,
-        AllocScheme::eata_default(),
+        AllocScheme::EaTA,
     ];
 
     let mut rows = Vec::new();

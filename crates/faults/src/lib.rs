@@ -485,9 +485,9 @@ degrade node=1 factor=1.5 from_ms=0
         assert!(sys.fault_hook().is_none(), "original system untouched");
         // Shared governor: an allocation on one shows up on the other.
         let _v = chaotic
-            .alloc_zeroed::<u8>(Placement::node(0, DeviceKind::Dram), 64)
+            .alloc_from(Placement::node(0, DeviceKind::Dram), vec![0u8; 64])
             .unwrap();
-        assert_eq!(sys.governor().usage(0, DeviceKind::Dram).used, 64);
+        assert_eq!(sys.used(0, DeviceKind::Dram), 64);
         // And reads through the chaotic system park faults.
         let mut ctx = chaotic.thread_ctx_on(0);
         let v = chaotic

@@ -57,7 +57,7 @@ impl DeviceKind {
     ///
     /// The paper cites PM at up to 2.1× lower price per capacity than DRAM
     /// (§I, ref.\[18\]); the SSD figure is a contemporary NVMe price.
-    pub const fn price_per_gib_usd(self) -> f64 {
+    pub(crate) const fn price_per_gib_usd(self) -> f64 {
         match self {
             DeviceKind::Dram => 7.0,
             DeviceKind::Pm => 3.3,

@@ -8,19 +8,6 @@ use crate::topology::{NodeId, Topology};
 use crate::Result;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// A snapshot of usage for one (node, device) pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemUsage {
-    pub used: u64,
-    pub capacity: u64,
-}
-
-impl MemUsage {
-    pub fn available(&self) -> u64 {
-        self.capacity.saturating_sub(self.used)
-    }
-}
-
 #[derive(Debug, Default)]
 struct Usage {
     // Indexed [node][device].
@@ -35,7 +22,7 @@ struct Usage {
 /// in Fig. 12 / Fig. 18(b). It also records peak usage so the ASL partition
 /// formula (Eq. 8–9) can be validated against actual consumption.
 #[derive(Debug)]
-pub struct MemGovernor {
+pub(crate) struct MemGovernor {
     topology: Topology,
     usage: Mutex<Usage>,
 }
@@ -52,7 +39,7 @@ impl MemGovernor {
         }
     }
 
-    pub fn topology(&self) -> &Topology {
+    pub(crate) fn topology(&self) -> &Topology {
         &self.topology
     }
 
@@ -63,7 +50,7 @@ impl MemGovernor {
     }
 
     /// Reserve `bytes` of `device` on `node`.
-    pub fn allocate(&self, node: NodeId, device: DeviceKind, bytes: u64) -> Result<()> {
+    fn allocate(&self, node: NodeId, device: DeviceKind, bytes: u64) -> Result<()> {
         self.topology.check_node(node)?;
         let capacity = self.topology.capacity(node, device);
         if capacity == 0 && bytes > 0 {
@@ -88,7 +75,7 @@ impl MemGovernor {
     }
 
     /// Release a previous reservation.
-    pub fn free(&self, node: NodeId, device: DeviceKind, bytes: u64) -> Result<()> {
+    fn free(&self, node: NodeId, device: DeviceKind, bytes: u64) -> Result<()> {
         self.topology.check_node(node)?;
         let mut usage = self.locked();
         let used = &mut usage.used[node][device.index()];
@@ -104,30 +91,27 @@ impl MemGovernor {
         Ok(())
     }
 
-    /// Current usage for a (node, device).
-    pub fn usage(&self, node: NodeId, device: DeviceKind) -> MemUsage {
-        let used = self
-            .locked()
+    /// Bytes in use on a (node, device); 0 for a node past the topology.
+    pub(crate) fn used(&self, node: NodeId, device: DeviceKind) -> u64 {
+        self.locked()
             .used
             .get(node)
             .map(|u| u[device.index()])
-            .unwrap_or(0);
-        MemUsage {
-            used,
-            capacity: self.topology.capacity(node, device),
-        }
+            .unwrap_or(0)
     }
 
     /// Free bytes a reservation at `placement` can draw on: the home
     /// node's for a node placement, the sum over all nodes for an
     /// interleaved one.
-    pub fn available(&self, placement: Placement) -> u64 {
+    pub(crate) fn available(&self, placement: Placement) -> u64 {
         let device = placement.device();
+        let free = |node| {
+            let used = self.used(node, device);
+            self.topology.capacity(node, device).saturating_sub(used)
+        };
         match placement.home_node() {
-            Some(node) => self.usage(node, device).available(),
-            None => (0..self.topology.nodes())
-                .map(|node| self.usage(node, device).available())
-                .sum(),
+            Some(node) => free(node),
+            None => (0..self.topology.nodes()).map(free).sum(),
         }
     }
 
@@ -143,29 +127,20 @@ impl MemGovernor {
     }
 
     /// Peak usage seen so far for a (node, device).
-    pub fn peak(&self, node: NodeId, device: DeviceKind) -> u64 {
+    pub(crate) fn peak(&self, node: NodeId, device: DeviceKind) -> u64 {
         self.locked()
             .peak
             .get(node)
             .map(|u| u[device.index()])
             .unwrap_or(0)
     }
-
-    /// Machine-wide usage of a device kind.
-    pub fn total_usage(&self, device: DeviceKind) -> MemUsage {
-        let usage = self.locked();
-        let used = usage.used.iter().map(|u| u[device.index()]).sum();
-        MemUsage {
-            used,
-            capacity: self.topology.total_capacity(device),
-        }
-    }
 }
 
 /// RAII capacity reservation: `bytes` held at a [`Placement`] until drop —
 /// the lease behind every [`crate::HetVec`], and the way to account data
 /// whose backing store lives elsewhere (the CSDB arrays owned by the graph
-/// crate, operands borrowed in place).
+/// crate, operands borrowed in place). Taken with
+/// [`crate::MemSystem::reserve`].
 ///
 /// A node placement holds everything on its node. An interleaved one models
 /// round-robin pages as an even split across all nodes, the remainder on
@@ -180,7 +155,11 @@ pub struct MemReservation {
 
 impl MemReservation {
     /// Reserve `bytes`; fails with [`HetMemError::OutOfMemory`] when full.
-    pub fn new(governor: Arc<MemGovernor>, placement: Placement, bytes: u64) -> Result<Self> {
+    pub(crate) fn new(
+        governor: Arc<MemGovernor>,
+        placement: Placement,
+        bytes: u64,
+    ) -> Result<Self> {
         let device = placement.device();
         for (taken, (node, share)) in governor.shares(placement, bytes).enumerate() {
             if let Err(e) = governor.allocate(node, device, share) {
@@ -195,10 +174,6 @@ impl MemReservation {
             placement,
             bytes,
         })
-    }
-
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 }
 
@@ -222,10 +197,10 @@ mod tests {
     fn allocate_free_roundtrip() {
         let g = small();
         g.allocate(0, DeviceKind::Dram, 600).unwrap();
-        assert_eq!(g.usage(0, DeviceKind::Dram).used, 600);
-        assert_eq!(g.usage(0, DeviceKind::Dram).available(), 400);
+        assert_eq!(g.used(0, DeviceKind::Dram), 600);
+        assert_eq!(g.available(Placement::node(0, DeviceKind::Dram)), 400);
         g.free(0, DeviceKind::Dram, 600).unwrap();
-        assert_eq!(g.usage(0, DeviceKind::Dram).used, 0);
+        assert_eq!(g.used(0, DeviceKind::Dram), 0);
         assert_eq!(g.peak(0, DeviceKind::Dram), 600);
     }
 
@@ -253,7 +228,10 @@ mod tests {
         let g = small();
         g.allocate(0, DeviceKind::Dram, 1000).unwrap();
         g.allocate(1, DeviceKind::Dram, 1000).unwrap();
-        assert_eq!(g.total_usage(DeviceKind::Dram).used, 2000);
+        assert_eq!(
+            g.used(0, DeviceKind::Dram) + g.used(1, DeviceKind::Dram),
+            2000
+        );
         assert!(g.allocate(0, DeviceKind::Dram, 1).is_err());
     }
 
@@ -285,12 +263,11 @@ mod tests {
         let g = Arc::new(small());
         let pm0 = Placement::node(0, DeviceKind::Pm);
         {
-            let r = MemReservation::new(g.clone(), pm0, 100).unwrap();
-            assert_eq!(r.bytes(), 100);
-            assert_eq!(g.usage(0, DeviceKind::Pm).used, 100);
+            let _r = MemReservation::new(g.clone(), pm0, 100).unwrap();
+            assert_eq!(g.used(0, DeviceKind::Pm), 100);
             assert_eq!(g.available(pm0), 7_900);
         }
-        assert_eq!(g.usage(0, DeviceKind::Pm).used, 0);
+        assert_eq!(g.used(0, DeviceKind::Pm), 0);
         let dram0 = Placement::node(0, DeviceKind::Dram);
         assert!(MemReservation::new(g.clone(), dram0, 10_000).is_err());
     }
@@ -302,15 +279,11 @@ mod tests {
         assert_eq!(g.available(dram), 2_000);
         {
             let _r = MemReservation::new(g.clone(), dram, 1_001).unwrap();
-            assert_eq!(
-                g.usage(0, DeviceKind::Dram).used,
-                501,
-                "remainder on node 0"
-            );
-            assert_eq!(g.usage(1, DeviceKind::Dram).used, 500);
+            assert_eq!(g.used(0, DeviceKind::Dram), 501, "remainder on node 0");
+            assert_eq!(g.used(1, DeviceKind::Dram), 500);
             assert_eq!(g.available(dram), 999);
         }
-        assert_eq!(g.total_usage(DeviceKind::Dram).used, 0);
+        assert_eq!(g.used(0, DeviceKind::Dram) + g.used(1, DeviceKind::Dram), 0);
 
         // Fits node 0 but not node 1: node 0's share is handed back and the
         // error names the node that ran out.
@@ -328,6 +301,6 @@ mod tests {
             ),
             "{err:?}"
         );
-        assert_eq!(g.usage(0, DeviceKind::Dram).used, 0);
+        assert_eq!(g.used(0, DeviceKind::Dram), 0);
     }
 }

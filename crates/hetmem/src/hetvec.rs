@@ -37,7 +37,7 @@ impl Placement {
     }
 
     /// The home node, if node-local.
-    pub const fn home_node(&self) -> Option<NodeId> {
+    pub(crate) const fn home_node(&self) -> Option<NodeId> {
         match *self {
             Placement::Node { node, .. } => Some(node),
             Placement::Interleaved { .. } => None,
@@ -56,8 +56,8 @@ impl std::fmt::Display for Placement {
 
 /// A typed buffer placed on a simulated memory device.
 ///
-/// Element accesses go through a [`ThreadMem`] context that classifies and
-/// charges them. The backing store is an ordinary `Vec<T>` — the simulation
+/// Reads go through a [`ThreadMem`] context that classifies and charges
+/// them. The backing store is an ordinary `Vec<T>` — the simulation
 /// costs nothing at the data level and everything at the accounting level.
 #[derive(Debug)]
 pub struct HetVec<T> {
@@ -105,30 +105,6 @@ impl<T: Copy> HetVec<T> {
         (self.data.len() * std::mem::size_of::<T>()) as u64
     }
 
-    /// Read one element, charging the access.
-    #[inline]
-    pub fn get(&self, i: usize, pattern: AccessPattern, ctx: &mut ThreadMem) -> T {
-        ctx.charge_access(
-            self.placement,
-            AccessOp::Read,
-            pattern,
-            std::mem::size_of::<T>() as u64,
-        );
-        self.data[i]
-    }
-
-    /// Write one element, charging the access.
-    #[inline]
-    pub fn set(&mut self, i: usize, value: T, pattern: AccessPattern, ctx: &mut ThreadMem) {
-        ctx.charge_access(
-            self.placement,
-            AccessOp::Write,
-            pattern,
-            std::mem::size_of::<T>() as u64,
-        );
-        self.data[i] = value;
-    }
-
     /// Borrow a contiguous range, charging one sequential streamed read of
     /// the whole range.
     pub fn read_block(&self, range: Range<usize>, ctx: &mut ThreadMem) -> &[T] {
@@ -152,7 +128,7 @@ impl<T: Copy> HetVec<T> {
     }
 
     /// Raw data access, bypassing accounting. For initialization and result
-    /// extraction only — kernel code must use the charged accessors.
+    /// extraction only — kernel code must use the charged readers.
     #[inline]
     pub fn raw(&self) -> &[T] {
         &self.data
@@ -182,9 +158,9 @@ mod tests {
             )
             .unwrap();
             assert_eq!(v.size_bytes(), 512);
-            assert_eq!(g.usage(0, DeviceKind::Dram).used, 512);
+            assert_eq!(g.used(0, DeviceKind::Dram), 512);
         }
-        assert_eq!(g.usage(0, DeviceKind::Dram).used, 0);
+        assert_eq!(g.used(0, DeviceKind::Dram), 0);
     }
 
     #[test]
@@ -208,10 +184,10 @@ mod tests {
             vec![0u8; 1000],
         )
         .unwrap();
-        assert_eq!(g.usage(0, DeviceKind::Dram).used, 500);
-        assert_eq!(g.usage(1, DeviceKind::Dram).used, 500);
+        assert_eq!(g.used(0, DeviceKind::Dram), 500);
+        assert_eq!(g.used(1, DeviceKind::Dram), 500);
         drop(v);
-        assert_eq!(g.usage(0, DeviceKind::Dram).used, 0);
+        assert_eq!(g.used(0, DeviceKind::Dram), 0);
 
         // A buffer that fits on one node's worth but not per-node split:
         // 4096 per node is the cap; 9000 interleaved needs 4500 per node.
@@ -223,27 +199,22 @@ mod tests {
         .unwrap_err();
         assert!(err.is_oom());
         // Rollback left no residue.
-        assert_eq!(g.usage(0, DeviceKind::Dram).used, 0);
-        assert_eq!(g.usage(1, DeviceKind::Dram).used, 0);
+        assert_eq!(g.used(0, DeviceKind::Dram), 0);
+        assert_eq!(g.used(1, DeviceKind::Dram), 0);
     }
 
     #[test]
-    fn charged_reads_and_writes() {
+    fn block_read_is_charged_where_the_buffer_lives() {
         let pm1 = Placement::node(1, DeviceKind::Pm);
-        let mut v = HetVec::with_governor(system(), pm1, vec![1.0f64; 16]).unwrap();
+        let v = HetVec::with_governor(system(), pm1, vec![1.0f64; 16]).unwrap();
         let mut ctx = ThreadMem::new(0, 2);
-        let x = v.get(3, AccessPattern::Rand, &mut ctx);
-        assert_eq!(x, 1.0);
-        v.set(3, 2.0, AccessPattern::Seq, &mut ctx);
-        assert_eq!(v.raw()[3], 2.0);
-        let remote_rand_read = ctx.counters().get(AccessClass::new(
-            DeviceKind::Pm,
-            Locality::Remote,
-            AccessOp::Read,
-            AccessPattern::Rand,
-        ));
-        assert_eq!(remote_rand_read.bytes, 8);
-        assert_eq!(remote_rand_read.media_bytes, 256);
+        assert_eq!(v.read_block(2..6, &mut ctx), &[1.0; 4]);
+        let class = |locality| {
+            AccessClass::new(DeviceKind::Pm, locality, AccessOp::Read, AccessPattern::Seq)
+        };
+        let remote = ctx.counters().get(class(Locality::Remote));
+        assert_eq!((remote.bytes, remote.accesses), (32, 1));
+        assert_eq!(ctx.counters().get(class(Locality::Local)).bytes, 0);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! simulation** of the heterogeneous memory system: a NUMA topology of
 //! sockets holding DRAM, PM and SSD devices, a bandwidth/latency cost model
 //! calibrated to the ratios the paper reports (Fig. 9 and §I/§III-D), placed
-//! typed buffers ([`HetVec`]) whose accesses are classified and charged
-//! simulated time, and a capacity governor that makes "does not fit in DRAM"
-//! a first-class, observable failure mode.
+//! typed buffers ([`HetVec`]) whose reads are classified and charged
+//! simulated time, and a capacity governor behind [`MemSystem`] that makes
+//! "does not fit in DRAM" a first-class, observable failure mode.
 //!
 //! ## How simulation works
 //!
@@ -39,7 +39,7 @@
 //! ## Example
 //!
 //! ```
-//! use omega_hetmem::{Topology, MemSystem, DeviceKind, Placement, AccessPattern};
+//! use omega_hetmem::{Topology, MemSystem, DeviceKind, Placement};
 //!
 //! // A scaled-down twin of the paper's two-socket Optane machine.
 //! let topo = Topology::paper_machine_scaled(1 << 20);
@@ -47,11 +47,9 @@
 //!
 //! // Allocate a buffer on node 0's PM and stream-read it from node 1.
 //! let v = sys.alloc_from(Placement::node(0, DeviceKind::Pm), vec![1.0f32; 1024]).unwrap();
+//! assert_eq!(sys.used(0, DeviceKind::Pm), 4096);
 //! let mut ctx = sys.thread_ctx(1);
-//! let mut sum = 0.0;
-//! for i in 0..v.len() {
-//!     sum += v.get(i, AccessPattern::Seq, &mut ctx);
-//! }
+//! let sum: f32 = v.read_block(0..v.len(), &mut ctx).iter().sum();
 //! assert_eq!(sum, 1024.0);
 //! let cost = sys.model().thread_time(ctx.counters(), 1);
 //! assert!(cost.as_nanos() > 0);
@@ -75,7 +73,7 @@ pub use clock::{SimDuration, SimInstant};
 pub use device::DeviceKind;
 pub use error::HetMemError;
 pub use fault::{FaultAccess, FaultHook, FaultVerdict};
-pub use governor::{MemGovernor, MemReservation, MemUsage};
+pub use governor::MemReservation;
 pub use hetvec::{HetVec, Placement};
 pub use net::{Cluster, NetModel};
 pub use stats::AccessSummary;

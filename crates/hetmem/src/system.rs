@@ -1,8 +1,9 @@
 //! The assembled memory system: topology + governor + cost model.
 
 use crate::bandwidth::BandwidthModel;
+use crate::device::DeviceKind;
 use crate::fault::FaultHook;
-use crate::governor::MemGovernor;
+use crate::governor::{MemGovernor, MemReservation};
 use crate::hetvec::{HetVec, Placement};
 use crate::topology::{NodeId, Topology};
 use crate::tracker::ThreadMem;
@@ -12,8 +13,12 @@ use std::sync::Arc;
 /// One simulated machine: the entry point most code uses.
 ///
 /// `MemSystem` is cheap to clone (shared governor) and is passed by
-/// reference into kernels. Allocation goes through the governor so capacity
-/// failures surface as [`crate::HetMemError::OutOfMemory`].
+/// reference into kernels. It is the one door to capacity: buffers
+/// ([`alloc_from`](MemSystem::alloc_from)) and leases on data held
+/// elsewhere ([`reserve`](MemSystem::reserve)) are taken from its governor,
+/// so capacity failures surface as [`crate::HetMemError::OutOfMemory`],
+/// and [`used`](MemSystem::used), [`peak`](MemSystem::peak) and
+/// [`available`](MemSystem::available) read the same ledger.
 #[derive(Debug, Clone)]
 pub struct MemSystem {
     governor: Arc<MemGovernor>,
@@ -58,11 +63,6 @@ impl MemSystem {
     }
 
     #[inline]
-    pub fn governor(&self) -> &Arc<MemGovernor> {
-        &self.governor
-    }
-
-    #[inline]
     pub fn model(&self) -> &BandwidthModel {
         &self.model
     }
@@ -72,13 +72,29 @@ impl MemSystem {
         HetVec::with_governor(self.governor.clone(), placement, data)
     }
 
-    /// Allocate a zero-filled buffer at an explicit placement.
-    pub fn alloc_zeroed<T: Copy + Default>(
-        &self,
-        placement: Placement,
-        len: usize,
-    ) -> Result<HetVec<T>> {
-        self.alloc_from(placement, vec![T::default(); len])
+    /// Hold `bytes` of capacity at `placement` until the lease drops: the
+    /// way to account data whose backing store lives elsewhere. An
+    /// interleaved placement splits the bytes across the nodes (see
+    /// [`MemReservation`]).
+    pub fn reserve(&self, placement: Placement, bytes: u64) -> Result<MemReservation> {
+        MemReservation::new(self.governor.clone(), placement, bytes)
+    }
+
+    /// Free bytes a reservation at `placement` can draw on: the home
+    /// node's for a node placement, the sum over all nodes for an
+    /// interleaved one.
+    pub fn available(&self, placement: Placement) -> u64 {
+        self.governor.available(placement)
+    }
+
+    /// Bytes of `device` in use on `node` (0 past the topology).
+    pub fn used(&self, node: NodeId, device: DeviceKind) -> u64 {
+        self.governor.used(node, device)
+    }
+
+    /// The most bytes of `device` ever in use at once on `node`.
+    pub fn peak(&self, node: NodeId, device: DeviceKind) -> u64 {
+        self.governor.peak(node, device)
     }
 
     /// Memory context for simulated thread `t` under the default block
@@ -137,8 +153,6 @@ impl MemSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bandwidth::AccessPattern;
-    use crate::device::DeviceKind;
 
     #[test]
     fn end_to_end_alloc_access_cost() {
@@ -147,10 +161,7 @@ mod tests {
             .alloc_from(Placement::node(0, DeviceKind::Pm), vec![2.0f32; 256])
             .unwrap();
         let mut ctx = sys.thread_ctx(0);
-        let mut acc = 0.0;
-        for i in 0..v.len() {
-            acc += v.get(i, AccessPattern::Seq, &mut ctx);
-        }
+        let acc: f32 = v.read_block(0..v.len(), &mut ctx).iter().sum();
         assert_eq!(acc, 512.0);
         let t = sys.model().thread_time(ctx.counters(), 1);
         assert!(t.as_nanos() > 0);
@@ -159,10 +170,13 @@ mod tests {
     #[test]
     fn alloc_zeroed_counts_capacity() {
         let sys = MemSystem::new(Topology::paper_machine_scaled(1 << 20));
-        let _v: HetVec<u64> = sys
-            .alloc_zeroed(Placement::node(1, DeviceKind::Dram), 128)
-            .unwrap();
-        assert_eq!(sys.governor().usage(1, DeviceKind::Dram).used, 1024);
+        let dram1 = Placement::node(1, DeviceKind::Dram);
+        let v = sys.alloc_from(dram1, vec![0u64; 128]).unwrap();
+        assert_eq!(sys.used(1, DeviceKind::Dram), 1024);
+        assert_eq!(sys.used(0, DeviceKind::Dram), 0);
+        drop(v);
+        assert_eq!(sys.used(1, DeviceKind::Dram), 0);
+        assert_eq!(sys.peak(1, DeviceKind::Dram), 1024);
     }
 
     #[test]
@@ -177,9 +191,13 @@ mod tests {
     fn clone_shares_governor() {
         let sys = MemSystem::new(Topology::paper_machine_scaled(1 << 20));
         let sys2 = sys.clone();
-        let _v = sys
-            .alloc_zeroed::<u8>(Placement::node(0, DeviceKind::Dram), 100)
-            .unwrap();
-        assert_eq!(sys2.governor().usage(0, DeviceKind::Dram).used, 100);
+        let dram0 = Placement::node(0, DeviceKind::Dram);
+        let _v = sys.alloc_from(dram0, vec![0u8; 100]).unwrap();
+        assert_eq!(sys2.used(0, DeviceKind::Dram), 100);
+        let _r = sys2.reserve(dram0, 50).unwrap();
+        assert_eq!(
+            sys.available(dram0),
+            sys.topology().capacity(0, DeviceKind::Dram) - 150
+        );
     }
 }

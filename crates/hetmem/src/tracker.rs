@@ -331,19 +331,6 @@ impl ThreadMem {
         self.counters.add_cpu_ops(ops);
     }
 
-    /// Charge a single element access of `elem_bytes` payload to a buffer
-    /// with the given placement.
-    #[inline]
-    pub(crate) fn charge_access(
-        &mut self,
-        placement: Placement,
-        op: AccessOp,
-        pattern: AccessPattern,
-        elem_bytes: u64,
-    ) {
-        self.charge_block(placement, op, pattern, elem_bytes, 1);
-    }
-
     /// Charge a contiguous block of `bytes` transferred in `accesses`
     /// discrete accesses (1 for a streamed block).
     #[inline]
@@ -436,8 +423,8 @@ mod tests {
     #[test]
     fn locality_resolution() {
         let mut ctx = ThreadMem::new(0, 2);
-        ctx.charge_access(pm_on(0), AccessOp::Read, AccessPattern::Seq, 8);
-        ctx.charge_access(pm_on(1), AccessOp::Read, AccessPattern::Seq, 8);
+        ctx.charge_block(pm_on(0), AccessOp::Read, AccessPattern::Seq, 8, 1);
+        ctx.charge_block(pm_on(1), AccessOp::Read, AccessPattern::Seq, 8, 1);
         let local = ctx.counters().get(AccessClass::new(
             DeviceKind::Pm,
             Locality::Local,
@@ -458,7 +445,7 @@ mod tests {
     fn random_access_bills_media_granularity() {
         let mut ctx = ThreadMem::new(0, 2);
         // One 8-byte random read from PM moves a 256 B XPLine.
-        ctx.charge_access(pm_on(0), AccessOp::Read, AccessPattern::Rand, 8);
+        ctx.charge_block(pm_on(0), AccessOp::Read, AccessPattern::Rand, 8, 1);
         let c = ctx.counters().get(AccessClass::new(
             DeviceKind::Pm,
             Locality::Local,

@@ -379,32 +379,84 @@ proptest! {
         prop_assert!(model.stream_time(&c) <= model.thread_time(&c, threads));
     }
 
-    /// Governor accounting: every allocation through the system is booked
-    /// on its node, usage never exceeds capacity, dropping the buffers
-    /// returns usage to zero and the peaks survive the frees.
+    /// Capacity through `MemSystem`: a reservation at a node placement books
+    /// its bytes on that node, one at an interleaved placement an even split
+    /// in node order (the remainder on node 0), and one whose share does not
+    /// fit somewhere books nothing. After every reservation or release each
+    /// node's `used` is what the live leases booked and `available(p)` is
+    /// capacity minus `used`, summed over the nodes for an interleaved `p`.
+    /// Dropping the leases returns usage to zero and the peaks survive,
+    /// including the transient peak of a share that was taken and handed
+    /// back when a later node's share did not fit.
     #[test]
     fn governor_accounting_balances(
-        sizes in proptest::collection::vec(1u64..5_000, 1..30)
+        nodes in 1usize..4,
+        dram in 1_000u64..20_000,
+        steps in proptest::collection::vec(
+            (0usize..4, arb_device(), 0u64..5_000, (0u8..5).prop_map(|roll| roll == 0)),
+            1..30,
+        )
     ) {
-        let sys = MemSystem::new(Topology::new(2, 4, 1 << 20, 1 << 23, 1 << 24).unwrap());
-        let g = sys.governor();
+        const DEVICES: [DeviceKind; 3] = [DeviceKind::Dram, DeviceKind::Pm, DeviceKind::Ssd];
+        let sys = MemSystem::new(Topology::new(nodes, 4, dram, dram * 8, dram * 2).unwrap());
+        let cap = |node, device| sys.topology().capacity(node, device);
+        let mut booked = vec![[0u64; 3]; nodes];
+        let mut peak = vec![[0u64; 3]; nodes];
         let mut live = Vec::new();
-        let mut booked = [0u64; 2];
-        for (i, &s) in sizes.iter().enumerate() {
-            let node = i % 2;
-            let place = Placement::node(node, DeviceKind::Dram);
-            if let Ok(v) = sys.alloc_zeroed::<u8>(place, s as usize) {
-                live.push(v);
-                booked[node] += s;
+        for (pick, device, bytes, release) in steps {
+            let d = device.index();
+            if release && !live.is_empty() {
+                let (_lease, shares, d): (_, Vec<(usize, u64)>, usize) =
+                    live.swap_remove(bytes as usize % live.len());
+                for (node, share) in shares {
+                    booked[node][d] -= share;
+                }
+            } else {
+                let (place, shares) = if pick < nodes {
+                    (Placement::node(pick, device), vec![(pick, bytes)])
+                } else {
+                    let n = nodes as u64;
+                    let split = (0..nodes)
+                        .map(|k| (k, bytes / n + if k == 0 { bytes % n } else { 0 }))
+                        .collect();
+                    (Placement::interleaved(device), split)
+                };
+                let fit = shares
+                    .iter()
+                    .take_while(|&&(node, share)| share <= cap(node, device) - booked[node][d])
+                    .count();
+                for &(node, share) in &shares[..fit] {
+                    peak[node][d] = peak[node][d].max(booked[node][d] + share);
+                }
+                match sys.reserve(place, bytes) {
+                    Ok(lease) => {
+                        prop_assert_eq!(fit, shares.len(), "{} took {} bytes", place, bytes);
+                        for &(node, share) in &shares {
+                            booked[node][d] += share;
+                        }
+                        live.push((lease, shares, d));
+                    }
+                    Err(e) => prop_assert!(fit < shares.len(), "{} refused {} bytes: {}", place, bytes, e),
+                }
             }
-            let usage = g.usage(node, DeviceKind::Dram);
-            prop_assert!(usage.used <= usage.capacity);
-            prop_assert_eq!(usage.used, booked[node]);
+            for device in DEVICES {
+                let d = device.index();
+                let mut free = 0;
+                for (node, used) in booked.iter().enumerate() {
+                    prop_assert_eq!(sys.used(node, device), used[d]);
+                    let left = cap(node, device) - used[d];
+                    prop_assert_eq!(sys.available(Placement::node(node, device)), left);
+                    free += left;
+                }
+                prop_assert_eq!(sys.available(Placement::interleaved(device)), free);
+            }
         }
         drop(live);
-        for (node, &peak) in booked.iter().enumerate() {
-            prop_assert_eq!(g.usage(node, DeviceKind::Dram).used, 0);
-            prop_assert_eq!(g.peak(node, DeviceKind::Dram), peak);
+        for (node, peaks) in peak.iter().enumerate() {
+            for device in DEVICES {
+                prop_assert_eq!(sys.used(node, device), 0);
+                prop_assert_eq!(sys.peak(node, device), peaks[device.index()]);
+            }
         }
     }
 

@@ -132,10 +132,10 @@ pub(crate) fn metrics_jsonl(snap: &MetricsSnapshot) -> String {
         out.push_str(&json_line(&object([
             ("kind", Value::Str("histogram".to_string())),
             ("name", Value::Str(name.clone())),
-            ("count", Value::U64(hist.count)),
-            ("sum", Value::F64(hist.sum)),
-            ("min", Value::F64(hist.min)),
-            ("max", Value::F64(hist.max)),
+            ("count", Value::U64(hist.count())),
+            ("sum", Value::F64(hist.sum() as f64)),
+            ("min", Value::F64(hist.min() as f64)),
+            ("max", Value::F64(hist.max() as f64)),
             ("mean", Value::F64(hist.mean())),
         ])));
     }
@@ -195,7 +195,7 @@ mod tests {
         rec.end(root, None);
         rec.counter_add("mem.pm_bytes", 64);
         rec.gauge_set("wofp.hit_rate", 0.5);
-        rec.observe("batch.ns", 1500.0);
+        rec.observe("batch.ns", 1500);
         rec
     }
 

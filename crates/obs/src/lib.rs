@@ -37,7 +37,7 @@ pub mod json;
 mod metrics;
 pub mod profile;
 
-pub use metrics::{percentile_u64, Histogram, LatencyHistogram, MetricsSnapshot};
+pub use metrics::{percentile_u64, LatencyHistogram, MetricsSnapshot};
 pub use profile::record_pool_timeline;
 
 use omega_hetmem::{SimDuration, SimInstant};
@@ -351,7 +351,7 @@ impl Recorder {
         }
     }
 
-    pub fn observe(&self, name: &str, value: f64) {
+    pub fn observe(&self, name: &str, value: u64) {
         if let Some(inner) = &self.inner {
             inner.state().registry.observe(name, value);
         }

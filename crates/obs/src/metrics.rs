@@ -7,50 +7,6 @@
 
 use std::collections::BTreeMap;
 
-/// Aggregating histogram: count/sum/min/max plus powers-of-two buckets,
-/// enough for latency- and size-shaped distributions without storing samples.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Histogram {
-    pub count: u64,
-    pub sum: f64,
-    pub min: f64,
-    pub max: f64,
-    /// `buckets[i]` counts samples with `2^(i-1) < v <= 2^i` (bucket 0:
-    /// `v <= 1`). Values are clamped into the last bucket.
-    pub buckets: Vec<u64>,
-}
-
-const NUM_BUCKETS: usize = 64;
-
-impl Histogram {
-    pub(crate) fn observe(&mut self, value: f64) {
-        if self.count == 0 {
-            self.min = value;
-            self.max = value;
-            self.buckets = vec![0; NUM_BUCKETS];
-        } else {
-            self.min = self.min.min(value);
-            self.max = self.max.max(value);
-        }
-        self.count += 1;
-        self.sum += value;
-        let idx = if value <= 1.0 {
-            0
-        } else {
-            (value.log2().ceil() as usize).min(NUM_BUCKETS - 1)
-        };
-        self.buckets[idx] += 1;
-    }
-
-    pub(crate) fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 /// Nearest-rank percentile of unsorted `u64` samples, `q` in `0..=1`
 /// (clamped). Returns 0 on an empty slice; `q = 0` is the minimum and
 /// `q = 1` the maximum. `ServeReport`'s latency percentiles are computed
@@ -162,8 +118,13 @@ impl LatencyHistogram {
         self.count
     }
 
-    #[cfg(test)]
-    fn min(&self) -> u64 {
+    /// Sum of the samples (saturating).
+    pub(crate) fn sum(&self) -> u64 {
+        self.sum
+    }
+
+    /// Smallest sample; 0 when empty.
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -171,8 +132,8 @@ impl LatencyHistogram {
         }
     }
 
-    #[cfg(test)]
-    fn max(&self) -> u64 {
+    /// Largest sample; 0 when empty.
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
@@ -229,7 +190,7 @@ impl LatencyHistogram {
 pub(crate) struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    histograms: BTreeMap<String, LatencyHistogram>,
 }
 
 impl Registry {
@@ -245,11 +206,11 @@ impl Registry {
         self.gauges.insert(name.to_string(), value);
     }
 
-    pub(crate) fn observe(&mut self, name: &str, value: f64) {
+    pub(crate) fn observe(&mut self, name: &str, value: u64) {
         self.histograms
             .entry(name.to_string())
             .or_default()
-            .observe(value);
+            .record(value);
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
@@ -270,7 +231,7 @@ impl Registry {
 pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     pub gauges: Vec<(String, f64)>,
-    pub histograms: Vec<(String, Histogram)>,
+    pub histograms: Vec<(String, LatencyHistogram)>,
 }
 
 impl MetricsSnapshot {
@@ -302,15 +263,17 @@ mod tests {
 
     #[test]
     fn histogram_stats() {
-        let mut h = Histogram::default();
-        for v in [1.0, 2.0, 3.0, 10.0] {
-            h.observe(v);
+        let mut r = Registry::default();
+        for v in [3, 1, 10, 2] {
+            r.observe("batch.ns", v);
         }
-        assert_eq!(h.count, 4);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 10.0);
-        assert!((h.mean() - 4.0).abs() < 1e-12);
-        assert_eq!(h.buckets.iter().sum::<u64>(), 4);
+        let snap = r.snapshot();
+        let [(name, h)] = &snap.histograms[..] else {
+            panic!("one histogram: {:?}", snap.histograms);
+        };
+        assert_eq!(name, "batch.ns");
+        assert_eq!((h.count(), h.sum(), h.min(), h.max()), (4, 16, 1, 10));
+        assert_eq!(h.mean(), 4.0);
     }
 
     #[test]

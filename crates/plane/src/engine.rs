@@ -288,7 +288,7 @@ impl RequestPlane {
                         tally.admitted += 1;
                         tally.rerouted_outage += u64::from(route.rerouted);
                         tally.hedged_routes += u64::from(route.hedged);
-                        rec.observe("plane.queue.depth", route.depth as f64);
+                        rec.observe("plane.queue.depth", route.depth as u64);
                         if let Some(tr) = trace.as_deref_mut() {
                             tr.admitted.push(seq);
                         }
@@ -346,8 +346,8 @@ impl RequestPlane {
                 end_ns = end_ns.max(e.event_ns);
                 latency.record(e.latency_ns);
                 queue_wait.record(e.wait_ns);
-                rec.observe("plane.latency_ns", e.latency_ns as f64);
-                rec.observe("plane.queue.wait_ns", e.wait_ns as f64);
+                rec.observe("plane.latency_ns", e.latency_ns);
+                rec.observe("plane.queue.wait_ns", e.wait_ns);
             }
 
             if draining {

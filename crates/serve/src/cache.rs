@@ -397,10 +397,10 @@ mod tests {
         let s = sys();
         let mut c = HotCache::new(8, 32, dram(), false);
         assert!(c.insert(&s, 0, shard(0.0)).admitted());
-        let used = s.governor().usage(0, DeviceKind::Dram).used;
+        let used = s.used(0, DeviceKind::Dram);
         assert!(c.insert(&s, 1, shard(1.0)).admitted());
         // One shard in, one out: DRAM footprint unchanged.
-        assert_eq!(s.governor().usage(0, DeviceKind::Dram).used, used);
+        assert_eq!(s.used(0, DeviceKind::Dram), used);
     }
 
     #[test]

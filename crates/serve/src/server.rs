@@ -434,7 +434,7 @@ impl EmbedServer {
 
         self.stats.publish(&self.rec, self.ivf.is_some());
         for &ns in &sim_latency_ns {
-            self.rec.observe("serve.latency_ns", ns as f64);
+            self.rec.observe("serve.latency_ns", ns);
         }
 
         ServeReport {

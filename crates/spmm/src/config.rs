@@ -68,7 +68,7 @@ impl SpmmConfig {
     pub fn omega(threads: usize) -> Self {
         SpmmConfig {
             threads,
-            alloc: AllocScheme::eata_default(),
+            alloc: AllocScheme::EaTA,
             wofp: Some(WofpConfig::default()),
             nadp: true,
             asl: true,

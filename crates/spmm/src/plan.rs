@@ -113,8 +113,7 @@ impl SpmmEngine {
 
     /// Hold `bytes` of capacity at `placement` until the lease drops.
     fn lease(&self, placement: Placement, bytes: u64) -> Result<MemReservation> {
-        let governor = self.system().governor().clone();
-        Ok(MemReservation::new(governor, placement, bytes)?)
+        Ok(self.system().reserve(placement, bytes)?)
     }
 
     /// NaDP's partition of `a`'s rows, `d` dense columns and the simulated
@@ -286,7 +285,7 @@ impl SpmmEngine {
             return unstreamed();
         }
         let (d, v, sparse_bytes) = (group.cols.len(), a.rows() as u64, a.size_bytes());
-        let free = self.system().governor().available(staging_home);
+        let free = self.system().available(staging_home);
         let budget = (free as f64 * ASL_DRAM_FRACTION) as u64;
 
         let Some(parts) = partitions_required(d, v, 4, budget, sparse_bytes) else {
@@ -338,16 +337,9 @@ mod tests {
         let run = engine.spmm(&a, &b).unwrap();
         assert_eq!(run.result.shape(), (256, 4));
         for device in [DeviceKind::Dram, DeviceKind::Pm] {
-            assert_eq!(
-                sys.governor().total_usage(device).used,
-                0,
-                "leases returned"
-            );
             for node in 0..2 {
-                assert!(
-                    sys.governor().peak(node, device) > 0,
-                    "both sockets held a share"
-                );
+                assert_eq!(sys.used(node, device), 0, "leases returned");
+                assert!(sys.peak(node, device) > 0, "both sockets held a share");
             }
         }
     }

@@ -69,7 +69,7 @@ fn fig13_shape_eata_cuts_tail_latency() {
         eng.spmm(&csdb, &b).unwrap().stats
     };
     let wata = run(AllocScheme::WaTA);
-    let eata = run(AllocScheme::eata_default());
+    let eata = run(AllocScheme::EaTA);
     assert!(
         eata.p99_s < wata.p99_s,
         "EaTA P99 {} should beat WaTA {}",

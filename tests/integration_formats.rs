@@ -80,7 +80,7 @@ proptest! {
         for scheme in [
             AllocScheme::RoundRobin,
             AllocScheme::WaTA,
-            AllocScheme::eata_default(),
+            AllocScheme::EaTA,
         ] {
             let ws = scheme.allocate(&csdb, threads);
             prop_assert_eq!(ws.len(), threads);
